@@ -1,8 +1,8 @@
-"""Setuptools entry point.
+"""Setuptools entry point (the only packaging file of this repository).
 
-Kept alongside ``pyproject.toml`` so that ``pip install -e .`` works in
-offline environments whose setuptools/pip lack PEP 660 editable-wheel support
-(the legacy ``setup.py develop`` path needs no ``wheel`` package).
+A plain ``setup.py`` so that ``pip install -e .`` works in offline
+environments whose setuptools/pip lack PEP 660 editable-wheel support (the
+legacy ``setup.py develop`` path needs no ``wheel`` package).
 """
 
 from setuptools import find_packages, setup

@@ -121,6 +121,19 @@ class BitmapSecondaryIndex:
             new_counts,
         )
 
+    def count_many(
+        self, vertex_ids: np.ndarray, key_values: Sequence = ()
+    ) -> np.ndarray:
+        """Lengths of the lists :meth:`list_many` would return.
+
+        A bitmap has no offsets of its own, so the count still costs the
+        bit test of every primary entry — only the ID gathers are saved.
+        """
+        positions, counts = self.primary.csr.gather(
+            vertex_ids, self.primary.key_codes(key_values)
+        )
+        return segment_mask_counts(counts, self._bits[positions])
+
     def segments_sorted_by(self, key, key_values: Sequence = ()) -> bool:
         """True when every list returned under this key-value prefix is
         internally sorted on ``key``.

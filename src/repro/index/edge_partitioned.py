@@ -256,6 +256,19 @@ class EdgePartitionedIndex:
         )
         return edge_ids, nbr_ids, counts
 
+    def count_many(
+        self, bound_edge_ids: np.ndarray, key_values: Sequence = ()
+    ) -> np.ndarray:
+        """Lengths of the lists :meth:`list_many` would return.
+
+        Read off this index's own CSR offsets; neither the shared vertices
+        nor the primary lists are resolved.
+        """
+        starts, ends = self.csr.prefix_ranges(
+            bound_edge_ids, self.key_codes(key_values)
+        )
+        return ends - starts
+
     def segments_sorted_by(self, key: SortKey, key_values: Sequence = ()) -> bool:
         """True when every list returned under this key-value prefix is
         internally sorted on ``key`` (batched index contract; lets the

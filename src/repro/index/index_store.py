@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import IndexConfigError
 from ..graph.graph import PropertyGraph
@@ -203,6 +203,12 @@ class IndexStore:
     queries may run concurrently with that single writer without restriction.
     """
 
+    #: Called with the new generation number right after every state swap
+    #: (flush, reconfiguration, index DDL) — how a ``Database`` retires the
+    #: plan-cache entries of superseded generations.  Snapshot views never
+    #: install states and leave it unset.
+    on_install: Optional[Callable[[int], None]] = None
+
     def __init__(self, graph: PropertyGraph, primary: PrimaryIndex) -> None:
         self._state = StoreState(
             graph=graph,
@@ -299,6 +305,8 @@ class IndexStore:
                 changes[catalog] = dict(changes[catalog])
         changes["generation"] = self._state.generation + 1
         self._state = dataclasses.replace(self._state, **changes)
+        if self.on_install is not None:
+            self.on_install(self._state.generation)
 
     def register_vertex_index(self, index: VertexPartitionedIndex) -> None:
         if index.name in self._vertex_indexes:

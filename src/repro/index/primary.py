@@ -164,6 +164,17 @@ class AdjacencyIndex:
             counts,
         )
 
+    def count_many(
+        self, vertex_ids: np.ndarray, key_values: Sequence = ()
+    ) -> np.ndarray:
+        """Lengths of the lists :meth:`list_many` would return, offsets only.
+
+        One CSR range lookup per vertex: no gather index and no ID arrays,
+        which is all an aggregate sink needs of an unfiltered extension.
+        """
+        starts, ends = self.csr.prefix_ranges(vertex_ids, self.key_codes(key_values))
+        return ends - starts
+
     def segments_sorted_by(self, key: "SortKey", key_values: Sequence = ()) -> bool:
         """True when every list returned under this key-value prefix is
         internally sorted on ``key`` (batched index contract; lets the

@@ -209,6 +209,17 @@ class VertexPartitionedIndex:
         )
         return edge_ids, nbr_ids, counts
 
+    def count_many(
+        self, vertex_ids: np.ndarray, key_values: Sequence = ()
+    ) -> np.ndarray:
+        """Lengths of the lists :meth:`list_many` would return.
+
+        Read off this index's own CSR offsets; the offset lists (and the
+        primary lists they point into) are never touched.
+        """
+        starts, ends = self.csr.prefix_ranges(vertex_ids, self.key_codes(key_values))
+        return ends - starts
+
     def segments_sorted_by(self, key: SortKey, key_values: Sequence = ()) -> bool:
         """True when every list returned under this key-value prefix is
         internally sorted on ``key`` (batched index contract; lets the

@@ -121,6 +121,7 @@ def run_morsel(
     factorized: bool = False,
     runtime: Optional[QueryContext] = None,
     clock=None,
+    count_only: bool = False,
 ) -> Tuple[List[object], ExecutionStats]:
     """Run the full compiled pipeline over one vertex-range morsel.
 
@@ -129,7 +130,9 @@ def run_morsel(
     emission size.  With ``factorized=True`` the morsel body runs
     :func:`~repro.query.pipeline.run_pipeline_factorized` instead and
     returns :class:`~repro.query.factorized.FactorizedBatch` objects (never
-    re-split: their prefixes are already at most the in-flight size).
+    re-split: their prefixes are already at most the in-flight size);
+    ``count_only`` then compiles the suffix for a sink that needs no rows,
+    so the batches carry cardinalities without candidate arrays.
     ``runtime`` (in-process backends only — it cannot cross a process
     boundary) enables cooperative per-batch deadline/cancellation checks;
     ``clock`` (in-process only, for the same reason) overrides the
@@ -147,9 +150,13 @@ def run_morsel(
     if clock is not None:
         context.clock = clock
     scan = replace(plan.operators[0], vertex_range=(start, stop))
-    pipeline = run_pipeline_factorized if factorized else run_pipeline
-    batches = list(pipeline(plan, context, scan=scan))
-    return batches, stats
+    if factorized:
+        stream = run_pipeline_factorized(
+            plan, context, scan=scan, count_only=count_only
+        )
+    else:
+        stream = run_pipeline(plan, context, scan=scan)
+    return list(stream), stats
 
 
 def run_morsel_faulted(
@@ -164,6 +171,7 @@ def run_morsel_faulted(
     index: int = 0,
     attempt: int = 0,
     clock=None,
+    count_only: bool = False,
 ) -> Tuple[List[object], ExecutionStats]:
     """:func:`run_morsel` with the in-process fault-injection hooks applied.
 
@@ -185,6 +193,7 @@ def run_morsel_faulted(
         factorized=factorized,
         runtime=runtime,
         clock=clock,
+        count_only=count_only,
     )
     if faults is not None and faults.corrupts(index, attempt):
         raise InjectedReplyCorruption(
@@ -383,7 +392,8 @@ class WorkerPayload:
 
     ``factorized`` selects the morsel body's pipeline (and thereby the reply
     encoding): flat batches for row-producing sinks, unexpanded segment
-    buffers + per-row cardinalities for aggregate sinks.  ``faults`` ships
+    buffers + per-row cardinalities for aggregate sinks — cardinalities
+    alone when ``count_only`` says the sink needs no rows.  ``faults`` ships
     the chaos-run fault plan to the workers (children never read the
     environment, so injection behaves identically under every start method).
     """
@@ -395,6 +405,7 @@ class WorkerPayload:
     batch_size: int
     factorized: bool = False
     faults: Optional[FaultPlan] = None
+    count_only: bool = False
 
 
 #: Per-process registry of the payload the pool initializer rehydrated.
@@ -516,6 +527,7 @@ def _execute_payload_task(
         spec.start,
         spec.stop,
         factorized=payload.factorized,
+        count_only=payload.count_only,
     )
     if payload.factorized:
         encoded: List[object] = encode_factorized_batches(batches)
@@ -586,7 +598,8 @@ class MorselBackend:
     factorized pipeline: ``result`` then returns
     :class:`~repro.query.factorized.FactorizedBatch` objects (segment
     buffers + partial counts over the wire for the process backend) instead
-    of flat batches.
+    of flat batches; ``count_only=True`` on top says the consuming sink
+    needs no rows, so the segments carry cardinalities only.
 
     ``open(..., runtime=...)`` arms the fault-tolerance layer: ``result``'s
     blocking waits are polled against the runtime so a deadline or a
@@ -608,6 +621,7 @@ class MorselBackend:
         factorized: bool = False,
         runtime: Optional[QueryContext] = None,
         faults: Optional[FaultPlan] = None,
+        count_only: bool = False,
     ) -> None:  # pragma: no cover
         raise NotImplementedError
 
@@ -640,11 +654,13 @@ class SerialBackend(MorselBackend):
         factorized: bool = False,
         runtime: Optional[QueryContext] = None,
         faults: Optional[FaultPlan] = None,
+        count_only: bool = False,
     ) -> None:
         self._plan = plan
         self._graph = executor.graph
         self._batch_size = executor.batch_size * executor.coalesce
         self._factorized = factorized
+        self._count_only = count_only
         self._runtime = runtime
         self._faults = faults
         self._clock = getattr(executor, "clock", None)
@@ -669,6 +685,7 @@ class SerialBackend(MorselBackend):
                 index=index,
                 attempt=attempt,
                 clock=self._clock,
+                count_only=self._count_only,
             )
         except (InjectedWorkerCrash, InjectedReplyCorruption) as fault:
             raise WorkerCrashError(
@@ -693,11 +710,13 @@ class ThreadBackend(MorselBackend):
         factorized: bool = False,
         runtime: Optional[QueryContext] = None,
         faults: Optional[FaultPlan] = None,
+        count_only: bool = False,
     ) -> None:
         self._plan = plan
         self._graph = executor.graph
         self._batch_size = executor.batch_size * executor.coalesce
         self._factorized = factorized
+        self._count_only = count_only
         self._runtime = runtime
         self._faults = faults
         self._clock = getattr(executor, "clock", None)
@@ -718,6 +737,7 @@ class ThreadBackend(MorselBackend):
                 index=index,
                 attempt=attempt,
                 clock=self._clock,
+                count_only=self._count_only,
             ),
             index,
             start,
@@ -804,6 +824,7 @@ class ProcessBackend(MorselBackend):
         factorized: bool = False,
         runtime: Optional[QueryContext] = None,
         faults: Optional[FaultPlan] = None,
+        count_only: bool = False,
     ) -> None:
         plan_id = next(_PLAN_IDS)
         payload = WorkerPayload(
@@ -814,6 +835,7 @@ class ProcessBackend(MorselBackend):
             batch_size=executor.batch_size * executor.coalesce,
             factorized=factorized,
             faults=faults,
+            count_only=count_only,
         )
         self._plan_id = plan_id
         self._generation = payload.generation

@@ -130,6 +130,7 @@ class Database:
             if plan_cache_capacity is None
             else plan_cache_capacity
         )
+        self.store.on_install = self.plan_cache.retire_before
 
     def _resolve_parallelism(self, parallelism: Optional[int]) -> int:
         """Effective worker count: call arg > instance default > env > 1."""
@@ -638,7 +639,22 @@ class Database:
             "  count is identical on every path, backend, and worker count; "
             "result.stats\n"
             "  reports combos_avoided (flat rows never materialized) and "
-            "segments_emitted."
+            "segments_emitted.\n"
+            "  A sink that needs no rows (count) runs the suffix count-only: "
+            "an\n"
+            "  unfiltered extension reads two CSR offsets per row, a filtered "
+            "one fetches\n"
+            "  and filters once per distinct bound key of a batch, an "
+            "intersection fetches\n"
+            "  each distinct list once (plan.describe(): 'suffix counts per "
+            "distinct key').\n"
+            "  lists_accessed / list_entries_fetched stay logical — every "
+            "row is charged\n"
+            "  its own list, identically on every path — while lists_shared "
+            "/ entries_shared\n"
+            "  count the reads and entries the sharing did not repeat: "
+            "logical minus shared\n"
+            "  is what the storage layer gathered."
         )
         lines.append(
             "Robustness (fault-tolerant query runtime):\n"

@@ -169,6 +169,7 @@ class PlanRunner:
         plan: QueryPlan,
         stats: Optional[ExecutionStats] = None,
         runtime: Optional[QueryContext] = None,
+        count_only: bool = False,
     ) -> Iterator[FactorizedBatch]:
         raise NotImplementedError
 
@@ -215,12 +216,15 @@ class PlanRunner:
         use_factorized = self._resolve_factorized(plan, factorized)
         if runtime is None:
             runtime = make_runtime(timeout, cancel)
+        sink = CountSink()
         stream = (
-            self.execute_factorized(plan, stats=stats, runtime=runtime)
+            self.execute_factorized(
+                plan, stats=stats, runtime=runtime, count_only=not sink.needs_rows
+            )
             if use_factorized
             else self.execute(plan, stats=stats, runtime=runtime)
         )
-        return CountSink().drain(stream)
+        return sink.drain(stream)
 
     def collect(
         self,
@@ -312,8 +316,14 @@ class PlanRunner:
         started = time.perf_counter()
         matches: List[Dict[str, int]] = []
         if use_factorized:
-            count = CountSink().drain(
-                self.execute_factorized(plan, stats=stats, runtime=runtime)
+            sink = CountSink()
+            count = sink.drain(
+                self.execute_factorized(
+                    plan,
+                    stats=stats,
+                    runtime=runtime,
+                    count_only=not sink.needs_rows,
+                )
             )
         elif materialize:
             matches = FlattenSink().drain(
@@ -377,10 +387,17 @@ class Executor(PlanRunner):
         plan: QueryPlan,
         stats: Optional[ExecutionStats] = None,
         runtime: Optional[QueryContext] = None,
+        count_only: bool = False,
     ) -> Iterator[FactorizedBatch]:
-        """Yield factorized batches: flat prefixes with unexpanded suffixes."""
+        """Yield factorized batches: flat prefixes with unexpanded suffixes.
+
+        Single-leg segments carry their candidate arrays, so the batches
+        ``flatten()``; ``count_only=True`` (what the sinks that declare
+        ``needs_rows = False`` are driven with) leaves the arrays out and
+        counts once per distinct bound key.
+        """
         yield from run_pipeline_factorized(
-            plan, self._context(plan, stats, runtime)
+            plan, self._context(plan, stats, runtime), count_only=count_only
         )
 
 
@@ -612,6 +629,7 @@ class MorselExecutor(PlanRunner):
         plan: QueryPlan,
         stats: Optional[ExecutionStats] = None,
         runtime: Optional[QueryContext] = None,
+        count_only: bool = False,
     ) -> Iterator[FactorizedBatch]:
         """Yield factorized batches in deterministic morsel order.
 
@@ -621,9 +639,13 @@ class MorselExecutor(PlanRunner):
         expanded cross-products.  Factorized batches are yielded whole (no
         re-split to ``batch_size``: segment arrays are per-prefix-row, and
         the only consumers are aggregate sinks that reduce them
-        immediately).
+        immediately).  ``count_only`` is as in
+        :meth:`Executor.execute_factorized`; over the process backend it
+        also means the replies ship cardinalities and no candidate arrays.
         """
-        yield from self._dispatch(plan, stats, factorized=True, runtime=runtime)
+        yield from self._dispatch(
+            plan, stats, factorized=True, runtime=runtime, count_only=count_only
+        )
 
     def _dispatch(
         self,
@@ -631,6 +653,7 @@ class MorselExecutor(PlanRunner):
         stats: Optional[ExecutionStats],
         factorized: bool,
         runtime: Optional[QueryContext] = None,
+        count_only: bool = False,
     ) -> Iterator[object]:
         """Windowed morsel dispatch shared by the flat and factorized paths.
 
@@ -670,7 +693,14 @@ class MorselExecutor(PlanRunner):
         window = self.num_workers * MORSEL_WINDOW_PER_WORKER
         faults = self._resolve_faults()
         backend = resolve_backend(self.backend)
-        backend.open(self, plan, factorized=factorized, runtime=runtime, faults=faults)
+        backend.open(
+            self,
+            plan,
+            factorized=factorized,
+            runtime=runtime,
+            faults=faults,
+            count_only=count_only,
+        )
         try:
             # Window entries: (handle, index, lo, hi, attempt).
             pending = deque()
@@ -712,6 +742,7 @@ class MorselExecutor(PlanRunner):
                         factorized=factorized,
                         runtime=runtime,
                         clock=self.clock,
+                        count_only=count_only,
                     )
                     recovered = True
                 if recovered:

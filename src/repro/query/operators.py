@@ -46,6 +46,13 @@ partial match at a time.  The extension operators therefore default to a
   aligned with the intersected neighbours.  No per-row Python loop remains on
   any vectorized path.
 
+For an aggregate-only sink the trailing extensions stay unexpanded
+(:meth:`ExtendIntersect.extend_factorized`), and when the sink needs no rows at
+all they run count-only (:meth:`ExtendIntersect.count_factorized`): list
+lengths from the CSR offsets, and one fetch per *distinct* bound key of the
+batch where keys repeat.  The logical counters charge every row its own list
+on every one of these paths.
+
 ``vectorized=False`` on the extension operators selects the legacy
 tuple-at-a-time path; it is kept as the equivalence oracle and as the
 baseline of ``benchmarks/bench_extend_throughput.py``.  Both paths produce
@@ -66,12 +73,13 @@ from ..index.index_store import AccessPath
 from ..storage.csr import segment_mask_counts
 from ..storage.intersect import (
     combo_positions,
+    count_shared_intersections,
     dedup_sorted,
     intersect_segments,
 )
 from ..storage.sort_keys import SortKey
 from .binding import DEFAULT_BATCH_SIZE, MatchBatch
-from .factorized import FactorizedSegment
+from .factorized import FactorizedSegment, SharedKeys
 from .pattern import QueryGraph
 from .predicates import CompareOp, Predicate
 
@@ -118,6 +126,16 @@ class ExecutionStats:
     ``morsels_dispatched`` counts the morsels the dispatcher actually
     submitted to workers — under ``collect(limit=)`` early termination this
     stays below the full domain's morsel count.
+
+    ``lists_shared`` and ``entries_shared`` are the *physical* side of the
+    logical ``lists_accessed``/``list_entries_fetched``: list reads and
+    list entries a count-only suffix operator did **not** repeat because
+    the rows of a batch shared their bound key (one read per distinct key,
+    see :class:`~repro.query.factorized.SharedKeys`).  The logical counters
+    keep charging every row its own list, so ``list_entries_fetched -
+    entries_shared`` is what the storage layer actually gathered.  Sharing
+    happens within a batch, so both depend on how the prefix stream is cut
+    and are excluded from equality like the other runtime artefacts.
     """
 
     lists_accessed: int = 0
@@ -131,6 +149,8 @@ class ExecutionStats:
     morsels_recovered: int = 0
     deadline_remaining: Optional[float] = None
     morsels_dispatched: int = field(default=0, compare=False)
+    lists_shared: int = field(default=0, compare=False)
+    entries_shared: int = field(default=0, compare=False)
     operator_seconds: Dict[str, float] = field(default_factory=dict, compare=False)
     operator_batches: Dict[str, int] = field(default_factory=dict, compare=False)
 
@@ -146,6 +166,8 @@ class ExecutionStats:
         self.morsels_recovered = 0
         self.deadline_remaining = None
         self.morsels_dispatched = 0
+        self.lists_shared = 0
+        self.entries_shared = 0
         self.operator_seconds = {}
         self.operator_batches = {}
 
@@ -187,6 +209,8 @@ class ExecutionStats:
         self.retries += other.retries
         self.morsels_recovered += other.morsels_recovered
         self.morsels_dispatched += other.morsels_dispatched
+        self.lists_shared += other.lists_shared
+        self.entries_shared += other.entries_shared
         for label, seconds in other.operator_seconds.items():
             self.operator_seconds[label] = (
                 self.operator_seconds.get(label, 0.0) + seconds
@@ -372,7 +396,10 @@ class ExtensionLeg:
         return edge_ids, nbr_ids
 
     def fetch_many(
-        self, context: ExecutionContext, batch: MatchBatch
+        self,
+        context: ExecutionContext,
+        batch: MatchBatch,
+        weights: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Batched :meth:`fetch`: read and filter the lists of a whole batch.
 
@@ -383,13 +410,28 @@ class ExtensionLeg:
         repeated by counts).  Returns ``(edge_ids, nbr_ids, counts)`` equal to
         concatenating :meth:`fetch` over the rows; stats counters advance
         exactly as the per-row path would.
+
+        ``weights`` says how many partial matches each row of ``batch``
+        stands for when the caller fetches once per *distinct* key
+        (:meth:`ExtendIntersect.count_factorized`): the logical counters
+        then advance by what the per-row path would have charged all of
+        them, and ``lists_shared``/``entries_shared`` record the difference.
         """
+        stats = context.stats
         bound_ids = batch.column(self.bound_var)
         edge_ids, nbr_ids, counts = self.access_path.index.list_many(
             bound_ids, list(self.access_path.key_values)
         )
-        context.stats.lists_accessed += len(bound_ids)
-        context.stats.list_entries_fetched += len(edge_ids)
+        if weights is None:
+            stats.lists_accessed += len(bound_ids)
+            stats.list_entries_fetched += len(edge_ids)
+        else:
+            lists = int(weights.sum())
+            entries = int(counts @ weights)
+            stats.lists_accessed += lists
+            stats.list_entries_fetched += entries
+            stats.lists_shared += lists - len(bound_ids)
+            stats.entries_shared += entries - len(edge_ids)
         if self.sorted_filter is not None and len(edge_ids):
             edge_ids, nbr_ids, counts = self.sorted_filter.apply_segmented(
                 context.graph, edge_ids, nbr_ids, counts
@@ -405,12 +447,47 @@ class ExtensionLeg:
                         context.variable_kind(name),
                         np.repeat(batch.column(name), counts),
                     )
-            context.stats.predicate_evaluations += len(edge_ids)
+            stats.predicate_evaluations += (
+                len(edge_ids) if weights is None else int(counts @ weights)
+            )
             mask = self.residual.evaluate_bulk(context.graph, {}, arrays)
             edge_ids = edge_ids[mask]
             nbr_ids = nbr_ids[mask]
             counts = segment_mask_counts(counts, mask)
         return edge_ids, nbr_ids, counts
+
+    @property
+    def is_unfiltered(self) -> bool:
+        """True when every entry of the addressed list is a candidate."""
+        return self.sorted_filter is None and self.residual.is_true
+
+    def key_vars(self) -> Tuple[str, ...]:
+        """The bound variables this leg's candidates are a function of.
+
+        The bound variable, plus any other already-bound variable the
+        residual mentions: ``b.city = d.city`` on a leg from ``c`` to ``d``
+        keys on ``(c, b)``, while MF2's ``a3.city = a4.city`` on the leg
+        from ``a3`` keys on ``a3`` alone.  Partial matches that agree on
+        these read the same list and keep the same entries of it.
+        """
+        own = (self.bound_var, self.target_var, self.edge_var)
+        return (self.bound_var,) + tuple(
+            sorted(name for name in self.residual.variables() if name not in own)
+        )
+
+    def count_many(self, context: ExecutionContext, batch: MatchBatch) -> np.ndarray:
+        """Per-row list lengths of an unfiltered leg, from the offsets alone.
+
+        What :meth:`fetch_many` returns as ``counts`` when nothing filters:
+        the index's ``count_many`` reads two CSR offsets per row and
+        materializes no gather index and no ID array.
+        """
+        counts = self.access_path.index.count_many(
+            batch.column(self.bound_var), list(self.access_path.key_values)
+        )
+        context.stats.lists_accessed += len(counts)
+        context.stats.list_entries_fetched += int(counts.sum())
+        return counts
 
     def describe(self) -> str:
         extras = []
@@ -521,6 +598,50 @@ def _reconcile_combo_targets(
         if leg.track_edge:
             combo_edges[leg.edge_var] = np.asarray(edge_ids, dtype=np.int64)[pos]
     return keep, combo_targets, combo_edges
+
+
+# ----------------------------------------------------------------------
+# key sharing in the count-only suffix
+# ----------------------------------------------------------------------
+#: A count-only suffix operator works per distinct key when a batch's rows
+#: repeat their keys at least this many times on average (distinct <= rows/2).
+#: Sharing then fetches at most half the lists; its own cost is one grouping
+#: of the rows.  On the suite's 2.5k-vertex graph the repeat factors that
+#: matter are far from the line (SQ9's last EXTEND: 32,983 rows on 3,010
+#: distinct vertices; SQ8's E/I: 1,878 rows on 230 distinct key tuples),
+#: while the social graph's triangle (4 k vertices, every ``b`` of a batch
+#: different) never crosses it and stays on the per-row path.
+_SHARE_MIN_REPEAT = 2
+#: A multi-leg intersection whose key *tuples* do not repeat still shares its
+#: lists when the legs' distinct lists sum to at most a quarter of
+#: rows x legs (SQ10: 163 + 1,190 distinct vertices under 15,718 rows; SQ6:
+#: 543 + 815 under 9,935; MR2: 22 k distinct (a2, a3) pairs, yet 33,954 of
+#: its 44,968 list reads repeat a list of the same batch): every list is
+#: then fetched and filtered once and only the shortest leg is expanded per
+#: row.
+_SHARE_MAX_LIST_SHARE = 4
+
+
+def _leg_keys(
+    leg: ExtensionLeg, batch: MatchBatch, context: ExecutionContext
+) -> SharedKeys:
+    """The distinct values of ``leg.key_vars()`` over ``batch``."""
+    graph = context.graph
+    names = leg.key_vars()
+    return SharedKeys(
+        [batch.column(name) for name in names],
+        [
+            graph.num_vertices
+            if context.variable_kind(name) == "vertex"
+            else graph.num_edges
+            for name in names
+        ],
+    )
+
+
+def _key_batch(leg: ExtensionLeg, keys: SharedKeys) -> MatchBatch:
+    """One row per distinct key of ``leg``: what ``fetch_many`` reads."""
+    return MatchBatch(dict(zip(leg.key_vars(), keys.columns())))
 
 
 # ----------------------------------------------------------------------
@@ -775,6 +896,94 @@ class ExtendIntersect(PhysicalOperator):
         return FactorizedSegment(
             target_vars=(self.target_var,), cardinalities=result.counts_out
         )
+
+    # -- count-only emit path -------------------------------------------
+    def count_factorized(
+        self,
+        batch: MatchBatch,
+        context: ExecutionContext,
+        keys_may_repeat: bool = True,
+    ) -> FactorizedSegment:
+        """:meth:`extend_factorized` for sinks that never look at a row.
+
+        Same cardinalities, same logical stats, no candidate arrays — and
+        the work is done once per *distinct* key where the batch repeats
+        its keys:
+
+        * a single unfiltered leg is two CSR offsets per row
+          (:meth:`ExtensionLeg.count_many`);
+        * a single filtered leg fetches and filters one list per distinct
+          value of :meth:`ExtensionLeg.key_vars` and broadcasts the counts;
+        * a multi-leg intersection deduplicates the rows' key tuples,
+          fetches each leg once per distinct key and counts through
+          :func:`~repro.storage.intersect.count_shared_intersections`.
+
+        ``keys_may_repeat=False`` is the plan's static verdict
+        (:meth:`~repro.query.plan.QueryPlan.may_repeat`) that no two rows
+        share a key: the per-row path then runs with not one call added.
+        Otherwise one distinct count per leg and batch decides (the
+        ``_SHARE_*`` constants).
+        """
+        if len(self.legs) == 1:
+            counts = self._count_single(batch, context, keys_may_repeat)
+        else:
+            counts = self._count_multi(batch, context, keys_may_repeat)
+        return FactorizedSegment(target_vars=(self.target_var,), cardinalities=counts)
+
+    def _count_single(
+        self, batch: MatchBatch, context: ExecutionContext, keys_may_repeat: bool
+    ) -> np.ndarray:
+        leg = self.legs[0]
+        if leg.is_unfiltered:
+            return leg.count_many(context, batch)
+        keys = _leg_keys(leg, batch, context) if keys_may_repeat else None
+        if keys is None or keys.distinct * _SHARE_MIN_REPEAT > len(batch):
+            return leg.fetch_many(context, batch)[2]
+        counts = leg.fetch_many(
+            context, _key_batch(leg, keys), weights=keys.weights()
+        )[2]
+        return counts[keys.inverse()]
+
+    def _count_multi(
+        self, batch: MatchBatch, context: ExecutionContext, keys_may_repeat: bool
+    ) -> np.ndarray:
+        legs = self.legs
+        shared = self._shared_lists(batch, context) if keys_may_repeat else None
+        if shared is None:
+            return self.extend_factorized(batch, context).cardinalities
+        leg_keys, tuples = shared
+        per_leg = [
+            leg.fetch_many(context, _key_batch(leg, keys), weights=keys.weights())
+            for leg, keys in zip(legs, leg_keys)
+        ]
+        counts = count_shared_intersections(
+            [nbr_ids for _, nbr_ids, _ in per_leg],
+            [counts for _, _, counts in per_leg],
+            tuples.columns(),
+            presorted=[leg.presorted_by_nbr for leg in legs],
+            domain=context.graph.num_vertices,
+        )
+        return counts[tuples.inverse()]
+
+    def _shared_lists(
+        self, batch: MatchBatch, context: ExecutionContext
+    ) -> Optional[Tuple[List[SharedKeys], SharedKeys]]:
+        """Per-leg distinct keys and distinct key tuples, when sharing pays.
+
+        Returns ``None`` to send the batch down the per-row kernel.
+        """
+        rows = len(batch)
+        leg_keys = [_leg_keys(leg, batch, context) for leg in self.legs]
+        distinct = [keys.distinct for keys in leg_keys]
+        few_lists = sum(distinct) * _SHARE_MAX_LIST_SHARE <= rows * len(self.legs)
+        # A tuple count is at least its widest column's, so tuples cannot
+        # halve when one leg alone does not.
+        if not few_lists and max(distinct) * _SHARE_MIN_REPEAT > rows:
+            return None
+        tuples = SharedKeys([keys.inverse() for keys in leg_keys], distinct)
+        if not few_lists and tuples.distinct * _SHARE_MIN_REPEAT > rows:
+            return None
+        return leg_keys, tuples
 
     # -- legacy tuple-at-a-time path ------------------------------------
     def _extend_rowwise(

@@ -204,7 +204,11 @@ class Optimizer:
 
         self._query = query
         self._cost_model = CostModel(self.store, query)
-        self._conjuncts: List[Comparison] = query.full_predicate().conjuncts()
+        self._conjuncts: List[Comparison] = [
+            comparison
+            for comparison in query.full_predicate().conjuncts()
+            if not self._label_cannot_fail(comparison)
+        ]
         self._tracked_edges = query.tracked_edges()
 
         table: Dict[FrozenSet[str], _DPEntry] = {}
@@ -252,6 +256,31 @@ class Optimizer:
         # the cached verdict without re-walking the operator pipeline.
         plan.factorized_suffix_start()
         return plan
+
+    def _label_cannot_fail(self, comparison: Comparison) -> bool:
+        """True for ``v.label = 'L'`` when *every* vertex carries ``L``.
+
+        On a single-label graph the conjunct would cost one predicate
+        evaluation per fetched list entry to learn nothing — and it is what
+        keeps an otherwise unfiltered extension off the offsets-only
+        ``count_many`` path.  Exact by construction: the statistics belong
+        to the store generation being planned against, and a later vertex
+        with another label arrives through a flush, i.e. a new generation
+        and a new plan.
+        """
+        normalized = comparison.normalized()
+        left, right = normalized.left, normalized.right
+        if not (
+            normalized.op is CompareOp.EQ
+            and isinstance(left, PropertyRef)
+            and left.prop == "label"
+            and isinstance(right, Constant)
+            and isinstance(right.value, str)
+            and self._query.variable_kind(left.var) == "vertex"
+        ):
+            return False
+        code = self.graph.schema.vertex_label_code(right.value)
+        return self.store.statistics.vertices_with_label(code) == self.graph.num_vertices
 
     # ------------------------------------------------------------------
     # scans

@@ -49,6 +49,7 @@ the untimed flat oracle the differential harness
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import ExecutionError
@@ -165,9 +166,16 @@ class Sink:
     the pipeline driver and the morsel dispatcher propagate upstream.
     ``result()`` finalizes; ``satisfied`` reports whether the halt
     condition has been met without consuming anything.
+
+    ``needs_rows`` declares what the sink reads of a factorized batch: a
+    sink that only ever calls ``match_count()`` sets it to ``False``, and
+    the runner then compiles the suffix count-only
+    (``PipelineBuilder.build(count_only=True)``) — cardinalities without
+    candidate arrays, computed once per distinct bound key.
     """
 
     name = "sink"
+    needs_rows = True
 
     def push(self, item) -> bool:
         raise NotImplementedError
@@ -209,6 +217,7 @@ class CountSink(Sink):
     """
 
     name = "count"
+    needs_rows = False
 
     def __init__(self) -> None:
         self.count = 0
@@ -319,13 +328,19 @@ class ExistsSink(Sink):
 # the compiled pipeline
 # ----------------------------------------------------------------------
 class PipelineStage:
-    """One labelled stage of a compiled pipeline."""
+    """One labelled stage of a compiled pipeline.
 
-    __slots__ = ("label", "operator")
+    ``emit`` is set on suffix stages only: the bound method that turns a
+    prefix batch into this operator's
+    :class:`~repro.query.factorized.FactorizedSegment`.
+    """
 
-    def __init__(self, label: str, operator: object) -> None:
+    __slots__ = ("label", "operator", "emit")
+
+    def __init__(self, label: str, operator: object, emit=None) -> None:
         self.label = label
         self.operator = operator
+        self.emit = emit
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PipelineStage({self.label!r}, {type(self.operator).__name__})"
@@ -427,11 +442,7 @@ class PhysicalPipeline:
                 continue
             segments = tuple(
                 ticker.timed_call(
-                    context.stats,
-                    stage.label,
-                    stage.operator.extend_factorized,
-                    batch,
-                    context,
+                    context.stats, stage.label, stage.emit, batch, context
                 )
                 for stage in self.suffix
             )
@@ -458,10 +469,25 @@ class PipelineBuilder:
     def __init__(self, plan: QueryPlan) -> None:
         self.plan = plan
 
+    def _suffix_emitter(self, operator: object, count_only: bool):
+        """How a suffix operator turns a prefix batch into its segment.
+
+        A sink that needs no rows gets an E/I's count-only path, with the
+        plan's static verdict on whether its keys can repeat bound in at
+        compile time (a MULTI-EXTEND's segments are count-only as they are).
+        """
+        if count_only and isinstance(operator, ExtendIntersect):
+            return partial(
+                operator.count_factorized,
+                keys_may_repeat=self.plan.suffix_keys_may_repeat(operator),
+            )
+        return operator.extend_factorized
+
     def build(
         self,
         scan: Optional[ScanVertices] = None,
         factorized: bool = False,
+        count_only: bool = False,
     ) -> PhysicalPipeline:
         """Compile the plan; ``scan`` optionally replaces the source.
 
@@ -470,7 +496,9 @@ class PipelineBuilder:
         ``factorized=True`` splits the plan at
         ``plan.factorized_suffix_start()`` into flat stages plus an
         unexpanded suffix, raising :class:`~repro.errors.ExecutionError`
-        for plans without a factorizable suffix.
+        for plans without a factorizable suffix.  ``count_only=True`` (with
+        ``factorized``) is for sinks that declare ``needs_rows = False``:
+        suffix segments then carry cardinalities only.
         """
         plan = self.plan
         lead = scan if scan is not None else plan.operators[0]
@@ -495,7 +523,11 @@ class PipelineBuilder:
                 )
             stages.append(PipelineStage(stage_label(index, operator), operator))
         suffix = tuple(
-            PipelineStage(stage_label(index, operator), operator)
+            PipelineStage(
+                stage_label(index, operator),
+                operator,
+                self._suffix_emitter(operator, count_only),
+            )
             for index, operator in enumerate(
                 plan.operators[suffix_start:], start=suffix_start
             )
@@ -523,7 +555,10 @@ def run_pipeline(
 
 
 def run_pipeline_factorized(
-    plan: QueryPlan, context: ExecutionContext, scan: Optional[ScanVertices] = None
+    plan: QueryPlan,
+    context: ExecutionContext,
+    scan: Optional[ScanVertices] = None,
+    count_only: bool = False,
 ) -> Iterator[FactorizedBatch]:
     """Drive the plan's flat prefix, then emit the terminal suffix unexpanded.
 
@@ -534,9 +569,12 @@ def run_pipeline_factorized(
     of the combination cross-product.  ``output_rows`` still advances by the
     represented match count, so the counter means the same thing on both
     paths; ``combos_avoided``/``segments_emitted`` record what the flat path
-    would have materialized.
+    would have materialized.  ``count_only`` compiles the suffix for a sink
+    that needs no rows (see :meth:`PipelineBuilder.build`).
     """
-    pipeline = PipelineBuilder(plan).build(scan=scan, factorized=True)
+    pipeline = PipelineBuilder(plan).build(
+        scan=scan, factorized=True, count_only=count_only
+    )
     yield from pipeline.stream(context)
 
 

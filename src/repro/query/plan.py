@@ -219,16 +219,79 @@ class QueryPlan:
         """True when an aggregate sink may skip combo expansion on a suffix."""
         return self.factorized_suffix_start() < len(self.operators)
 
+    def may_repeat(self, var: str, operator: PhysicalOperator) -> bool:
+        """Whether two rows of the batches ``operator`` reads can agree on ``var``.
+
+        The static half of the count-only suffix's key sharing
+        (:meth:`~repro.query.operators.ExtendIntersect.count_factorized`):
+        an operator whose key cannot repeat has nothing to share and takes
+        the per-row path without probing its batches.  Two facts are
+        tracked along the flat stages that feed ``operator`` (every suffix
+        operator reads the same prefix, the output of the stages before
+        ``factorized_suffix_start()``):
+
+        * a scan emits every vertex once, so the scan variable is
+          repeat-free until an extension multiplies the rows;
+        * a single-leg extension from a repeat-free *vertex* that tracks its
+          edge makes that edge repeat-free — an edge sits in exactly one
+          vertex's list of an index, once — and everything else may repeat
+          from then on.  (An edge-partitioned leg does not qualify: two
+          bound edges into one vertex list the same adjacent edges.)
+
+        Filters and post-predicates only drop rows and change nothing.
+        """
+        position = next(
+            index for index, other in enumerate(self.operators) if other is operator
+        )
+        repeat_free: Set[str] = set()
+        for feeding in self.operators[: min(position, self.factorized_suffix_start())]:
+            if isinstance(feeding, ScanVertices):
+                repeat_free = {feeding.var}
+            elif isinstance(feeding, ExtendIntersect) and len(feeding.legs) == 1:
+                leg = feeding.legs[0]
+                if (
+                    leg.track_edge
+                    and leg.bound_var in repeat_free
+                    and not leg.access_path.uses_bound_edge
+                ):
+                    repeat_free = {leg.edge_var}
+                else:
+                    repeat_free = set()
+            elif not isinstance(feeding, Filter):
+                repeat_free = set()
+        return var not in repeat_free
+
+    def suffix_keys_may_repeat(self, operator: ExtendIntersect) -> bool:
+        """The ``keys_may_repeat`` verdict ``operator`` counts under.
+
+        One repeat-free leg is enough to rule sharing out: the rows' key
+        tuples are then all distinct, and that leg alone reads as many lists
+        as there are rows.
+        """
+        return all(self.may_repeat(leg.bound_var, operator) for leg in operator.legs)
+
+    def shares_suffix_keys(self) -> bool:
+        """True when a count-only suffix operator may work per distinct key."""
+        return any(
+            isinstance(operator, ExtendIntersect)
+            and not (len(operator.legs) == 1 and operator.legs[0].is_unfiltered)
+            and self.suffix_keys_may_repeat(operator)
+            for operator in self.operators[self.factorized_suffix_start() :]
+        )
+
     def describe(self) -> str:
         lines = [f"Plan for {self.query.name!r} (i-cost≈{self.estimated_cost:,.0f}):"]
         for position, operator in enumerate(self.operators, 1):
             lines.append(f"  {position}. {operator.describe()}")
         suffix_start = self.factorized_suffix_start()
         if suffix_start < len(self.operators):
+            sharing = (
+                "; suffix counts per distinct key" if self.shares_suffix_keys() else ""
+            )
             lines.append(
                 f"  sink capability: factorized count "
                 f"(operators {suffix_start + 1}..{len(self.operators)} stay "
-                "unexpanded for aggregate sinks)"
+                f"unexpanded for aggregate sinks{sharing})"
             )
         else:
             lines.append("  sink capability: flat only")

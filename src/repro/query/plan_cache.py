@@ -14,7 +14,10 @@ every request.  :class:`PlanCache` memoizes the optimizer:
   ``install_state`` — maintenance flush, primary reconfiguration, index
   DDL — bumps :attr:`~repro.index.index_store.StoreState.generation`, so a
   submission after any store change misses and re-plans against the new
-  state, while stale entries age out of the LRU bound.  ``knobs`` is an
+  state.  The superseded entries can never be hit again, yet each pins its
+  generation's graph and indexes, so the store drops them as it installs
+  the new state (:meth:`PlanCache.retire_before`, wired up by ``Database``)
+  instead of letting them age out of the LRU bound.  ``knobs`` is an
   opaque tuple for anything else that changes what the planner would emit
   (empty today; the extension point for e.g. a LIMIT-aware planner).
 * **Value** — the *same* :class:`~repro.query.plan.QueryPlan` object every
@@ -84,6 +87,8 @@ class PlanCache:
         self.stats = PlanCacheStats()
         self._lock = threading.Lock()
         self._entries: "OrderedDict[Tuple, QueryPlan]" = OrderedDict()
+        #: Oldest generation still worth caching (see :meth:`retire_before`).
+        self._live_from = 0
 
     # ------------------------------------------------------------------
     # keying
@@ -121,6 +126,10 @@ class PlanCache:
             return
         key = self.key_for(query, generation, knobs)
         with self._lock:
+            if generation < self._live_from:
+                # Planned against a snapshot a concurrent flush has since
+                # superseded: the entry would be dead on arrival.
+                return
             self._entries[key] = plan
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
@@ -158,6 +167,21 @@ class PlanCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+
+    def retire_before(self, generation: int) -> None:
+        """Drop every entry planned against a generation older than this one.
+
+        Called by the store as it installs ``generation``: lookups only
+        ever ask for the current generation, so older entries are
+        unreachable and only keep their pinned graph and indexes alive.
+        Plans already handed out are untouched — a pre-built
+        :class:`QueryPlan` replays against its own pinned snapshot without
+        going through the cache.
+        """
+        with self._lock:
+            self._live_from = max(self._live_from, generation)
+            for key in [key for key in self._entries if key[1] < self._live_from]:
+                del self._entries[key]
 
     def describe(self) -> str:
         with self._lock:

@@ -191,6 +191,7 @@ class PersistentProcessBackend(ProcessBackend):
         factorized: bool = False,
         runtime: Optional[QueryContext] = None,
         faults: Optional[FaultPlan] = None,
+        count_only: bool = False,
     ) -> None:
         if self._pool is None:
             raise ExecutionError(
@@ -199,7 +200,7 @@ class PersistentProcessBackend(ProcessBackend):
             )
         batch_size = executor.batch_size * executor.coalesce
         generation = plan.pinned_generation
-        key = (id(plan), generation, factorized, batch_size, faults)
+        key = (id(plan), generation, factorized, count_only, batch_size, faults)
         entry = self._payloads.get(key)
         if entry is None:
             plan_id = next(_PLAN_IDS)
@@ -211,6 +212,7 @@ class PersistentProcessBackend(ProcessBackend):
                 batch_size=batch_size,
                 factorized=factorized,
                 faults=faults,
+                count_only=count_only,
             )
             entry = (
                 plan_id,
@@ -326,6 +328,7 @@ class PersistentThreadBackend(ThreadBackend):
         factorized: bool = False,
         runtime: Optional[QueryContext] = None,
         faults: Optional[FaultPlan] = None,
+        count_only: bool = False,
     ) -> None:
         if self._pool is None:
             raise ExecutionError(
@@ -336,6 +339,7 @@ class PersistentThreadBackend(ThreadBackend):
         self._graph = executor.graph
         self._batch_size = executor.batch_size * executor.coalesce
         self._factorized = factorized
+        self._count_only = count_only
         self._runtime = runtime
         self._faults = faults
         self._clock = getattr(executor, "clock", None)

@@ -179,6 +179,17 @@ def merge_sorted_runs(
     return inverse[:num_base], inverse[num_base:]
 
 
+def range_positions(starts: np.ndarray, counts: np.ndarray, total: int) -> np.ndarray:
+    """Concatenation of ``arange(starts[i], starts[i] + counts[i])`` over ``i``.
+
+    ``positions[k] = starts[row(k)] + (k - out_start[row(k)])`` where
+    ``out_start`` is the output-side prefix sum of the counts (``total`` is
+    their sum) — one ``repeat`` and one ``arange``, no loop over rows.
+    """
+    out_starts = np.cumsum(counts) - counts
+    return np.repeat(starts - out_starts, counts) + np.arange(total, dtype=np.int64)
+
+
 def segment_mask_counts(counts: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Per-segment True counts of a mask over concatenated segments.
 
@@ -447,13 +458,7 @@ class NestedCSR:
         total = int(counts.sum())
         if total == 0:
             return np.empty(0, dtype=np.int64), counts
-        # positions[k] = starts[row(k)] + (k - out_start[row(k)]) where
-        # out_start is the output-side prefix sum of the counts.
-        out_starts = np.cumsum(counts) - counts
-        return (
-            np.repeat(starts - out_starts, counts) + np.arange(total, dtype=np.int64),
-            counts,
-        )
+        return range_positions(starts, counts, total), counts
 
     def list_length(self, bound_id: int, codes: Sequence[int] = ()) -> int:
         start, end = self.group_range(bound_id, codes)

@@ -47,6 +47,16 @@ cross-product expansion (:func:`combo_positions`), through which edge-column
 alignment survives the intersection: per-combination positions index back
 into each leg's *original* concatenated arrays, so edge IDs fetched alongside
 the neighbour IDs stay bound to the right output row.
+
+Shared lists
+------------
+
+:func:`intersect_segments` takes one segment per (leg, batch row), so a batch
+whose rows keep reading the same few lists hands it the same entries over and
+over.  :func:`count_shared_intersections` is the count-only entry point for
+that case: each leg passes every *distinct* list once, rows name their lists
+by index, and only the shortest leg is expanded per row.  It returns what an
+aggregate needs — the per-row combination counts — and nothing else.
 """
 
 from __future__ import annotations
@@ -55,6 +65,8 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from .csr import range_positions
 
 #: Leg-to-candidate size ratio above which per-candidate binary search wins.
 #: Confirmed by benchmarks/bench_intersect_ablation.py: gallop is the fastest
@@ -122,6 +134,17 @@ def combo_positions(
         )
         positions.append(np.repeat(left, multiplicity) + choice)
     return positions, total
+
+
+def _sums_by_row(values: np.ndarray, rows: np.ndarray, num_rows: int) -> np.ndarray:
+    """Exact int64 sum of ``values`` per row; ``rows`` is non-decreasing."""
+    cumulative = np.empty(len(values) + 1, dtype=np.int64)
+    cumulative[0] = 0
+    np.cumsum(values, out=cumulative[1:])
+    boundaries = np.searchsorted(
+        rows, np.arange(num_rows + 1, dtype=np.int64), side="left"
+    )
+    return cumulative[boundaries[1:]] - cumulative[boundaries[:-1]]
 
 
 @dataclass
@@ -409,13 +432,7 @@ def intersect_segments(
     group_keys = decode(candidates - group_rows * domain)
     total = int(multiplicity.sum())
 
-    cumulative = np.empty(len(multiplicity) + 1, dtype=np.int64)
-    cumulative[0] = 0
-    np.cumsum(multiplicity, out=cumulative[1:])
-    boundaries = np.searchsorted(
-        group_rows, np.arange(num_rows + 1, dtype=np.int64), side="left"
-    )
-    counts_out = cumulative[boundaries[1:]] - cumulative[boundaries[:-1]]
+    counts_out = _sums_by_row(multiplicity, group_rows, num_rows)
 
     positions: Optional[List[np.ndarray]] = None
     if need_positions:
@@ -434,3 +451,73 @@ def intersect_segments(
         total=total,
         positions=positions,
     )
+
+
+def count_shared_intersections(
+    list_keys: Sequence[np.ndarray],
+    list_counts: Sequence[np.ndarray],
+    row_lists: Sequence[np.ndarray],
+    presorted: Sequence[bool],
+    domain: int,
+) -> np.ndarray:
+    """Per-row intersection sizes when many rows read the same lists.
+
+    The count-only sibling of :func:`intersect_segments` for batches whose
+    rows repeat their bound keys: every leg hands over each *distinct* list
+    once, and a row names the list it reads on every leg by its index.  Only
+    the leg with the fewest per-row entries is expanded into (row, key)
+    entries; every other leg is probed through its per-list table
+    ``list * domain + key`` — globally sorted as it stands when the lists
+    are concatenated in list order and each is sorted on the key.  A row's
+    result is the number of combinations :func:`intersect_segments` would
+    report for it (``counts_out``): parallel entries multiply, taken from
+    the run lengths of the probed tables.
+
+    Args:
+        list_keys: per leg, the integer join keys (in ``[0, domain)``) of
+            its distinct lists, concatenated in list order.
+        list_counts: per leg, the length of each distinct list.
+        row_lists: per leg, the list each row reads (all of one length).
+        presorted: per leg, True when every list is sorted on the join key;
+            other legs' tables are sorted here, once per distinct list.
+        domain: exclusive upper bound of the join keys.
+    """
+    num_rows = len(row_lists[0])
+    per_row = [counts[lists] for counts, lists in zip(list_counts, row_lists)]
+    totals = [int(lengths.sum()) for lengths in per_row]
+    expanded = min(range(len(totals)), key=totals.__getitem__)
+    total = totals[expanded]
+    if total == 0:
+        return np.zeros(num_rows, dtype=np.int64)
+
+    # Entries of the expanded leg, row by row.
+    counts = list_counts[expanded]
+    lengths = per_row[expanded]
+    list_starts = (np.cumsum(counts) - counts)[row_lists[expanded]]
+    positions = range_positions(list_starts, lengths, total)
+    keys = list_keys[expanded][positions].astype(np.int64, copy=False)
+    rows = np.repeat(np.arange(num_rows, dtype=np.int64), lengths)
+    combos = np.ones(total, dtype=np.int64)
+
+    for leg, (leg_keys, leg_counts) in enumerate(zip(list_keys, list_counts)):
+        if leg == expanded:
+            continue
+        table = np.repeat(
+            np.arange(len(leg_counts), dtype=np.int64) * domain, leg_counts
+        ) + leg_keys.astype(np.int64, copy=False)
+        if not presorted[leg]:
+            table.sort()
+        probes = row_lists[leg][rows] * domain + keys
+        left = np.searchsorted(table, probes, side="left")
+        member = table[np.minimum(left, len(table) - 1)] == probes
+        if not member.any():
+            return np.zeros(num_rows, dtype=np.int64)
+        # Run lengths only for the probes that hit: most do not.
+        left = left[member]
+        keys = keys[member]
+        rows = rows[member]
+        combos = combos[member] * (
+            np.searchsorted(table, probes[member], side="right") - left
+        )
+
+    return _sums_by_row(combos, rows, num_rows)

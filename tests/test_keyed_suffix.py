@@ -1,0 +1,624 @@
+"""Differential coverage of the count-only factorized suffix.
+
+``count()`` (and ``run(factorized=True)``) drive the factorized suffix
+*count-only*: unfiltered legs read CSR offsets, filtered legs fetch once per
+distinct bound key, multi-leg intersections share their lists
+(:meth:`repro.query.operators.ExtendIntersect.count_factorized`).  Every
+shape here runs on a graph built to make keys repeat — a few hubs, parallel
+edges, vertices without out-edges — and is pinned three ways:
+
+* the count equals the flat pipeline's and the independent
+  :class:`~repro.query.naive.NaiveMatcher`'s;
+* the logical :class:`~repro.query.operators.ExecutionStats` equal those of
+  the rows-keeping factorized path (the pre-existing per-row code) and, for
+  the counters both define, of the ``vectorized=False`` tuple-at-a-time
+  path — on the serial executor at batch sizes on both sides of every
+  sharing gate, and on thread x2 and process x2;
+* ``Executor.execute_factorized`` batches still ``flatten()`` to the flat
+  rows, and a count over the process backend's worker body ships no
+  candidate arrays.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from repro import Database
+from repro.graph import Direction, GraphBuilder
+from repro.graph.types import EdgeAdjacencyType
+from repro.index.bitmap import BitmapSecondaryIndex
+from repro.index.config import IndexConfig
+from repro.index.edge_partitioned import EdgePartitionedIndex
+from repro.index.index_store import AccessPath
+from repro.index.views import OneHopView, TwoHopView
+from repro.predicates import Predicate, cmp, prop
+from repro.query import MorselExecutor, QueryGraph
+from repro.query.backends import (
+    MorselTaskSpec,
+    WorkerPayload,
+    _execute_payload_task,
+)
+from repro.query.executor import CountSink, Executor
+from repro.query.factorized import FLAG_TABLE_DENSITY, SharedKeys
+from repro.query.naive import NaiveMatcher
+from repro.query.operators import (
+    ExecutionStats,
+    ExtendIntersect,
+    ExtensionLeg,
+    MultiExtend,
+    ScanVertices,
+)
+from repro.query.plan import QueryPlan
+from repro.storage.intersect import count_shared_intersections
+from repro.storage.partition_keys import PartitionKey
+from repro.storage.sort_keys import SortKey
+
+#: Counters with one meaning on every path: per-row accounting.
+LOGICAL = (
+    "lists_accessed",
+    "list_entries_fetched",
+    "predicate_evaluations",
+    "intermediate_rows",
+    "output_rows",
+    "combos_avoided",
+)
+
+
+def _logical(stats: ExecutionStats) -> dict:
+    return {name: getattr(stats, name) for name in LOGICAL}
+
+
+# ----------------------------------------------------------------------
+# the graph: hubs, parallel edges, empty lists, a float and an int property
+# ----------------------------------------------------------------------
+def _hub_graph():
+    rng = np.random.default_rng(5)
+    num_vertices, num_hubs, num_edges = 240, 6, 440
+    builder = GraphBuilder()
+    for vertex in range(num_vertices):
+        builder.add_vertex(f"VL{vertex % 2}", city=f"c{int(rng.integers(0, 3))}")
+    # The last ten vertices stay isolated: their lists are empty.
+    hubs = rng.choice(num_vertices - 10, size=num_hubs, replace=False)
+
+    def endpoints():
+        return np.where(
+            rng.random(num_edges) < 0.5,
+            rng.choice(hubs, num_edges),
+            rng.integers(0, num_vertices - 10, num_edges),
+        )
+
+    src, dst = endpoints(), endpoints()
+    # Thirty parallel edges: intersections must count them as products.
+    src = np.concatenate([src, src[:30]])
+    dst = np.concatenate([dst, dst[:30]])
+    total = len(src)
+    builder.add_edges(
+        src,
+        dst,
+        [f"EL{edge % 2}" for edge in range(total)],
+        properties={
+            "w": rng.random(total).round(2).tolist(),
+            "amt": rng.integers(1, 100, total).tolist(),
+        },
+    )
+    return builder.build()
+
+
+def _pattern(name, edges, vertex_labels=None, edge_labels=None):
+    query = QueryGraph(name)
+    for var in sorted({var for edge in edges for var in edge}):
+        query.add_vertex(var, label=(vertex_labels or {}).get(var))
+    for position, (src, dst) in enumerate(edges):
+        query.add_edge(
+            src, dst, label=(edge_labels or {}).get(position), name=f"e{position}"
+        )
+    return query
+
+
+_PATH = [("a", "b"), ("b", "c"), ("c", "d")]
+_ALTERNATING = {"a": "VL0", "b": "VL1", "c": "VL0", "d": "VL1"}
+
+
+def _heavy_tail():
+    query = _pattern("heavy_tail", _PATH, edge_labels={0: "EL0", 1: "EL1", 2: "EL0"})
+    query.add_predicate(cmp(prop("e2", "w"), "<", 0.5))
+    # A selective scan so the plan runs a -> d and filters in the suffix.
+    query.add_predicate(cmp(prop("a", "ID"), "<", 60))
+    return query
+
+
+#: name -> (database, query factory, whether some batch must share keys)
+SHAPES = {
+    # single filtered leg over a repeating key (SQ9's last EXTEND)
+    "path": ("default", lambda: _pattern("path", _PATH, _ALTERNATING), True),
+    # single unfiltered leg: offsets only, nothing to share
+    "plain_path": (
+        "default",
+        lambda: _pattern("plain_path", _PATH, edge_labels={0: "EL0", 1: "EL1", 2: "EL0"}),
+        False,
+    ),
+    # the scan variable cannot repeat: the static gate keeps the per-row path
+    "one_hop": (
+        "default",
+        lambda: _pattern("one_hop", [("a", "b")], {"a": "VL0", "b": "VL1"}),
+        False,
+    ),
+    "star": (
+        "default",
+        lambda: _pattern(
+            "star",
+            [("a", "b"), ("a", "c"), ("a", "d")],
+            {"a": "VL0", "b": "VL1", "c": "VL0", "d": "VL1"},
+        ),
+        False,
+    ),
+    # multi-leg suffixes: E/I x2 (SQ6/SQ10) and E/I x3 (SQ8)
+    "diamond": (
+        "default",
+        lambda: _pattern(
+            "diamond",
+            [("a", "b"), ("a", "d"), ("b", "c"), ("d", "c")],
+            {"a": "VL0", "c": "VL0"},
+            {0: "EL0", 1: "EL1"},
+        ),
+        True,
+    ),
+    "chord": (
+        "default",
+        lambda: _pattern(
+            "chord",
+            [("a", "b"), ("a", "c"), ("b", "c"), ("a", "d"), ("b", "d"), ("c", "d")],
+            {"a": "VL0", "b": "VL1", "c": "VL0", "d": "VL0"},
+            {0: "EL0", 2: "EL1", 5: "EL0"},
+        ),
+        True,
+    ),
+    "tailed_triangle": (
+        "default",
+        lambda: _pattern(
+            "tailed_triangle",
+            [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")],
+            {"a": "VL0", "d": "VL1"},
+            {0: "EL0"},
+        ),
+        True,
+    ),
+    # lists sorted on a float property: a sorted-range filter in the suffix,
+    # and intersections over legs that are not presorted on neighbour ID
+    "heavy_tail": ("float_sorted", _heavy_tail, True),
+    "unsorted_diamond": (
+        "float_sorted",
+        lambda: _pattern(
+            "unsorted_diamond",
+            [("a", "b"), ("a", "d"), ("b", "c"), ("d", "c")],
+            {"a": "VL0", "c": "VL0"},
+            {0: "EL0", 1: "EL1"},
+        ),
+        True,
+    ),
+}
+
+
+class _Fixture:
+    """Graph, databases, plans and oracles, built once per session."""
+
+    def __init__(self) -> None:
+        self.graph = _hub_graph()
+        self.databases = {
+            "default": Database(self.graph),
+            "float_sorted": Database(
+                self.graph,
+                primary_config=IndexConfig(
+                    partition_keys=(PartitionKey.edge_label(),),
+                    sort_keys=(SortKey.edge_property("w"), SortKey.neighbour_id()),
+                ),
+            ),
+        }
+        self.naive = NaiveMatcher(self.graph)
+        self.plans = {}
+        for name, (database, factory, _shares) in SHAPES.items():
+            query = factory()
+            self.plans[name] = (query, self.databases[database].plan(query))
+        self.plans["rising_tail"] = self._rising_tail()
+
+    def _rising_tail(self):
+        """A hand-built plan whose suffix reads an edge-partitioned index.
+
+        The last leg is bound to the *edge* ``e1`` and its residual mentions
+        the outer bound vertex ``b``, so it keys on ``(e1, b)``.
+        """
+        query = _pattern("rising_tail", _PATH, {"a": "VL0"})
+        query.add_predicate(cmp(prop("e1", "amt"), "<", prop("e2", "amt")))
+        query.add_predicate(cmp(prop("b", "city"), "=", prop("d", "city")))
+        store = self.databases["default"].store
+        view = TwoHopView(
+            "Rising",
+            EdgeAdjacencyType.DST_FW,
+            Predicate.of(cmp(prop("eb", "amt"), "<", prop("eadj", "amt"))),
+        )
+        index = EdgePartitionedIndex(
+            self.graph, view, IndexConfig.flat(), store.primary
+        )
+        forward = store.find_vertex_access_paths(Direction.FORWARD, Predicate.true())[0]
+
+        def hop(bound, target, edge_var, **kwargs):
+            return ExtensionLeg(
+                access_path=forward,
+                bound_var=bound,
+                target_var=target,
+                edge_var=edge_var,
+                presorted_by_nbr=forward.sorted_by_neighbour_id,
+                **kwargs,
+            )
+
+        tail = ExtensionLeg(
+            access_path=AccessPath(
+                index=index,
+                kind="edge_secondary",
+                direction=Direction.FORWARD,
+                sort_keys=tuple(index.config.sort_keys),
+                uses_bound_edge=True,
+            ),
+            bound_var="e1",
+            target_var="d",
+            edge_var="e2",
+            residual=Predicate.of(cmp(prop("b", "city"), "=", prop("d", "city"))),
+        )
+        plan = QueryPlan(
+            query=query,
+            operators=[
+                ScanVertices(var="a", label="VL0"),
+                ExtendIntersect(target_var="b", legs=[hop("a", "b", "e0")]),
+                ExtendIntersect(
+                    target_var="c", legs=[hop("b", "c", "e1", track_edge=True)]
+                ),
+                ExtendIntersect(target_var="d", legs=[tail]),
+            ],
+        )
+        return query, plan
+
+
+@pytest.fixture(scope="module")
+def fx():
+    return _Fixture()
+
+
+ALL_SHAPES = tuple(SHAPES) + ("rising_tail",)
+SHARING = {name for name, (_db, _factory, shares) in SHAPES.items() if shares} | {
+    "rising_tail"
+}
+
+
+def _rowwise(plan: QueryPlan) -> QueryPlan:
+    """The same plan on the tuple-at-a-time operators (flat only)."""
+    return QueryPlan(
+        query=plan.query,
+        operators=[
+            dataclasses.replace(operator, vectorized=False)
+            if isinstance(operator, (ExtendIntersect, MultiExtend))
+            else operator
+            for operator in plan.operators
+        ],
+    )
+
+
+def _count_only(runner, plan):
+    stats = ExecutionStats()
+    return runner.count(plan, factorized=True, stats=stats), stats
+
+
+def _rows_kept(runner, plan):
+    stats = ExecutionStats()
+    count = CountSink().drain(runner.execute_factorized(plan, stats=stats))
+    return count, stats
+
+
+# ----------------------------------------------------------------------
+# plan shapes: the cases are what they claim to be
+# ----------------------------------------------------------------------
+def test_shapes_cover_the_intended_paths(fx):
+    def suffix(name):
+        plan = fx.plans[name][1]
+        return plan, plan.operators[plan.factorized_suffix_start() :]
+
+    plan, operators = suffix("path")
+    assert [len(op.legs) for op in operators] == [1]
+    assert not operators[0].legs[0].is_unfiltered
+    assert plan.suffix_keys_may_repeat(operators[0])
+
+    plan, operators = suffix("plain_path")
+    assert operators[-1].legs[0].is_unfiltered
+
+    for name in ("one_hop", "star"):
+        plan, operators = suffix(name)
+        assert operators and not any(
+            plan.suffix_keys_may_repeat(op) for op in operators
+        )
+        assert "per distinct key" not in plan.describe()
+
+    assert [len(op.legs) for op in suffix("diamond")[1]] == [2]
+    assert [len(op.legs) for op in suffix("chord")[1]] == [3]
+    assert "per distinct key" in fx.plans["chord"][1].describe()
+
+    leg = suffix("heavy_tail")[1][0].legs[0]
+    assert leg.sorted_filter is not None and leg.sorted_filter.sort_key.prop == "w"
+    assert not all(leg.presorted_by_nbr for leg in suffix("unsorted_diamond")[1][0].legs)
+
+    plan, operators = suffix("rising_tail")
+    assert operators[0].legs[0].key_vars() == ("e1", "b")
+    # e1 is tracked over a vertex that already repeats, so it may repeat too
+    assert plan.may_repeat("e1", operators[0])
+
+
+def test_may_repeat_static_rules(fx):
+    """Scan variable at the first extension; an edge tracked over it."""
+    store = fx.databases["default"].store
+    forward = store.find_vertex_access_paths(Direction.FORWARD, Predicate.true())[0]
+
+    def hop(bound, target, edge_var, **kwargs):
+        return ExtendIntersect(
+            target_var=target,
+            legs=[
+                ExtensionLeg(
+                    access_path=forward,
+                    bound_var=bound,
+                    target_var=target,
+                    edge_var=edge_var,
+                    **kwargs,
+                )
+            ],
+        )
+
+    query = _pattern("q", _PATH)
+    last = hop("c", "d", "e2")
+    plan = QueryPlan(
+        query=query,
+        operators=[
+            ScanVertices(var="a"),
+            hop("a", "b", "e0", track_edge=True),
+            hop("b", "c", "e1", track_edge=True),
+            last,
+        ],
+    )
+    first, second = plan.operators[1], plan.operators[2]
+    assert not plan.may_repeat("a", first)
+    assert plan.may_repeat("a", second) and plan.may_repeat("b", second)
+    assert not plan.may_repeat("e0", second)
+    # e1 hangs off b, which repeats: nothing is repeat-free any more
+    assert all(plan.may_repeat(var, last) for var in ("a", "b", "c", "e0", "e1"))
+
+
+# ----------------------------------------------------------------------
+# counts and logical stats, serial, on both sides of every gate
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("name", ALL_SHAPES)
+def test_count_matches_flat_and_naive(fx, name):
+    query, plan = fx.plans[name]
+    executor = Executor(fx.graph)
+    flat = executor.count(plan, factorized=False)
+    assert flat == fx.naive.count(query)
+    assert executor.count(plan) == flat
+    assert executor.run(plan, factorized=True).count == flat
+
+
+@pytest.mark.parametrize("batch_size", [16, 1024])
+@pytest.mark.parametrize("name", ALL_SHAPES)
+def test_logical_stats_match_the_per_row_paths(fx, name, batch_size):
+    _query, plan = fx.plans[name]
+    executor = Executor(fx.graph, batch_size=batch_size)
+    count, stats = _count_only(executor, plan)
+    kept_count, kept = _rows_kept(executor, plan)
+    assert count == kept_count
+    assert stats == kept  # every compared counter, segments_emitted included
+    assert kept.lists_shared == kept.entries_shared == 0
+
+    if len(plan.operators) - plan.factorized_suffix_start() == 1:
+        # One suffix operator: the flat path reads exactly the same lists.
+        rowwise = Executor(fx.graph, batch_size=batch_size).run(_rowwise(plan))
+        assert rowwise.count == count
+        for counter in ("lists_accessed", "list_entries_fetched", "predicate_evaluations"):
+            assert getattr(stats, counter) == getattr(rowwise.stats, counter)
+        assert (
+            stats.intermediate_rows + stats.combos_avoided
+            == rowwise.stats.intermediate_rows
+        )
+
+    if name not in SHARING:
+        assert stats.lists_shared == stats.entries_shared == 0
+    elif batch_size == 1024:
+        assert stats.lists_shared > 0 and stats.entries_shared > 0
+        assert stats.list_entries_fetched > stats.entries_shared
+
+
+def test_batches_without_repeats_stay_on_the_per_row_path(fx):
+    """Three-row batches of the path shape hold three distinct keys."""
+    _query, plan = fx.plans["path"]
+    _count, stats = _count_only(Executor(fx.graph, batch_size=1), plan)
+    assert stats.lists_shared == 0
+
+
+# ----------------------------------------------------------------------
+# every backend
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_backends_agree_with_serial(fx, backend):
+    names = ALL_SHAPES if backend == "thread" else ("path", "chord", "rising_tail")
+    for name in names:
+        _query, plan = fx.plans[name]
+        count, serial = _count_only(Executor(fx.graph), plan)
+        morsel = MorselExecutor(fx.graph, num_workers=2, backend=backend)
+        morsel_count, stats = _count_only(morsel, plan)
+        assert morsel_count == count, name
+        assert _logical(stats) == _logical(serial), name
+
+
+def test_process_reply_ships_cardinalities_only(fx):
+    """The worker body's envelope holds prefix columns and one cardinality
+    array per segment — no candidate arrays."""
+    _query, plan = fx.plans["path"]
+    payload = WorkerPayload(
+        plan_id=1,
+        generation=plan.pinned_generation,
+        plan=plan,
+        graph=fx.graph,
+        batch_size=1024,
+        factorized=True,
+        count_only=True,
+    )
+    spec = MorselTaskSpec(
+        plan_id=1, generation=plan.pinned_generation, start=0, stop=fx.graph.num_vertices
+    )
+    encoded, _stats, _checksum = _execute_payload_task(payload, spec)
+    assert encoded
+    for names, columns, segments in encoded:
+        rows = len(columns[0])
+        shipped = sum(column.nbytes for column in columns)
+        for _targets, cardinalities, nbr_ids, _edge_var, edge_ids in segments:
+            assert nbr_ids is None and edge_ids is None
+            shipped += cardinalities.nbytes
+        assert shipped <= rows * 8 * (len(names) + len(segments))
+
+    # Asked for rows, the same task ships the candidates as before.
+    with_rows, _stats, _checksum = _execute_payload_task(
+        dataclasses.replace(payload, count_only=False), spec
+    )
+    assert all(
+        segment[2] is not None for _n, _c, segments in with_rows for segment in segments
+    )
+
+
+# ----------------------------------------------------------------------
+# sinks that need rows still get them
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("name", ["path", "plain_path", "star", "heavy_tail", "rising_tail"])
+def test_execute_factorized_still_flattens(fx, name):
+    _query, plan = fx.plans[name]
+    executor = Executor(fx.graph, batch_size=64)
+    flat_rows = [row for batch in executor.execute(plan) for row in batch.iter_rows()]
+    factorized_rows = [
+        row
+        for batch in executor.execute_factorized(plan)
+        for row in batch.flatten().iter_rows()
+    ]
+    assert factorized_rows == flat_rows
+
+
+def test_count_only_segments_refuse_to_flatten(fx):
+    _query, plan = fx.plans["path"]
+    batch = next(iter(Executor(fx.graph).execute_factorized(plan, count_only=True)))
+    assert not any(segment.is_materialized for segment in batch.segments)
+
+
+# ----------------------------------------------------------------------
+# the pieces
+# ----------------------------------------------------------------------
+def _reference_shared_counts(list_keys, list_counts, row_lists):
+    """Per-row loop: ``intersect1d`` on distinct keys, multiplicities as products."""
+    starts = [np.cumsum(counts) - counts for counts in list_counts]
+    out = []
+    for row in range(len(row_lists[0])):
+        lists = []
+        for keys, counts, begin, chosen in zip(list_keys, list_counts, starts, row_lists):
+            which = chosen[row]
+            lists.append(keys[begin[which] : begin[which] + counts[which]])
+        common = lists[0]
+        for other in lists[1:]:
+            common = np.intersect1d(common, other)
+        out.append(
+            sum(
+                int(np.prod([np.count_nonzero(entries == key) for entries in lists]))
+                for key in common
+            )
+        )
+    return np.asarray(out, dtype=np.int64)
+
+
+@pytest.mark.parametrize("num_legs", [2, 3])
+@pytest.mark.parametrize("presorted", [True, False])
+def test_shared_list_kernel_against_per_row_loop(num_legs, presorted):
+    rng = np.random.default_rng(11 * num_legs + presorted)
+    domain, num_rows = 5, 60
+    list_keys, list_counts, row_lists = [], [], []
+    for leg in range(num_legs):
+        num_lists = int(rng.integers(3, 6))
+        counts = rng.integers(3, 9, num_lists)
+        counts[0] = 0  # an empty list
+        lists = [rng.integers(0, domain, count) for count in counts]  # repeats
+        if presorted:
+            lists = [np.sort(entries) for entries in lists]
+        list_keys.append(np.concatenate(lists).astype(np.int64))
+        list_counts.append(counts.astype(np.int64))
+        row_lists.append(rng.integers(0, num_lists, num_rows))
+    got = count_shared_intersections(
+        list_keys, list_counts, row_lists, [presorted] * num_legs, domain
+    )
+    want = _reference_shared_counts(list_keys, list_counts, row_lists)
+    assert got.tolist() == want.tolist()
+    assert want.sum() > 0 and (want > 1).any()
+
+
+def test_shared_list_kernel_empty_sides():
+    empty = np.empty(0, dtype=np.int64)
+    counts = count_shared_intersections(
+        [np.array([1, 2]), empty],
+        [np.array([2]), np.array([0])],
+        [np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64)],
+        [True, True],
+        domain=5,
+    )
+    assert counts.tolist() == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "domains",
+    [
+        (40,),  # flag table
+        (40 * FLAG_TABLE_DENSITY * 10,),  # sort-based unique
+        (40, 7),  # packed pair
+        (1 << 40, 1 << 40),  # too wide to pack: grouped as tuples
+    ],
+)
+def test_shared_keys_group_rows(domains):
+    rng = np.random.default_rng(len(domains) + domains[0] % 97)
+    columns = [rng.integers(0, min(domain, 9), 50) for domain in domains]
+    keys = SharedKeys(columns, domains)
+    tuples = list(zip(*(column.tolist() for column in columns)))
+    assert keys.distinct == len(set(tuples))
+    distinct = list(zip(*(column.tolist() for column in keys.columns())))
+    assert distinct == sorted(set(tuples))
+    assert [distinct[group] for group in keys.inverse()] == tuples
+    assert keys.weights().tolist() == [tuples.count(key) for key in distinct]
+
+
+def test_count_many_equals_list_many_counts(fx):
+    store = fx.databases["default"].store
+    primary = store.primary.forward
+    vertex_ids = np.array([0, 5, 5, 239, 17, 0], dtype=np.int64)
+    edge_ids = np.array([3, 3, 100, 469, 0], dtype=np.int64)
+    vertex_index = None
+    database = Database(fx.graph)
+    database.create_vertex_index(
+        OneHopView("Big", predicate=Predicate.of(cmp(prop("eadj", "amt"), ">", 50))),
+        directions=(Direction.FORWARD,),
+        name="Big",
+    )
+    vertex_index = database.store.vertex_indexes[0]
+    edge_index = fx.plans["rising_tail"][1].operators[-1].legs[0].access_path.index
+    bitmap = BitmapSecondaryIndex(
+        fx.graph,
+        OneHopView("Big", predicate=Predicate.of(cmp(prop("eadj", "amt"), ">", 50))),
+        Direction.FORWARD,
+        primary,
+    )
+    for index, ids, key_values in (
+        (primary, vertex_ids, ()),
+        (primary, vertex_ids, ("EL1",)),
+        (vertex_index, vertex_ids, ("EL0",)),
+        (edge_index, edge_ids, ()),
+        (bitmap, vertex_ids, ("EL1",)),
+    ):
+        counts = index.count_many(ids, key_values)
+        assert counts.tolist() == index.list_many(ids, key_values)[2].tolist()

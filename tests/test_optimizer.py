@@ -95,6 +95,33 @@ class TestPlanShapes:
         plan = db.plan(query)
         assert plan.binds_all_query_vertices()
 
+    def test_label_conjunct_that_cannot_fail_is_dropped(self, social_graph):
+        """Every vertex of the follower graph is a ``User``: testing the
+        neighbour's label would cost one predicate per fetched entry to
+        learn nothing, and keeps the extension off the offsets-only count."""
+        db = Database(social_graph)
+        query = QueryGraph("one_hop")
+        query.add_vertex("a", label="User")
+        query.add_vertex("b", label="User")
+        query.add_edge("a", "b", label="Follows", name="e1")
+        plan = db.plan(query)
+        assert "label" not in plan.describe()
+        assert plan.operators[1].legs[0].is_unfiltered
+        result = db.run(query, factorized=True)
+        assert result.count == NaiveMatcher(social_graph).count(query)
+        assert result.stats.predicate_evaluations == 0
+        assert result.stats.list_entries_fetched == result.count
+
+    def test_label_conjunct_that_can_fail_is_kept(self, labelled_graph):
+        db = Database(labelled_graph)
+        query = QueryGraph("one_hop")
+        query.add_vertex("a", label="VL0")
+        query.add_vertex("b", label="VL1")
+        query.add_edge("a", "b", label="EL0", name="e0")
+        plan = db.plan(query)
+        assert "label = 'VL" in plan.operators[1].describe()
+        assert db.count(query) == NaiveMatcher(labelled_graph).count(query)
+
 
 class TestCostModel:
     def test_equality_selectivities(self, financial_graph):

@@ -237,6 +237,50 @@ class TestFlushInvalidation:
             assert stats["plan_cache_misses"] == 2
             assert stats["plan_cache_hits"] == 0
 
+    def test_superseded_generations_are_retired(self, example_graph):
+        """Every flush drops the entries no QueryGraph lookup can hit again:
+        the cache holds the live generation's plans only, not 64 entries
+        pinning 22 dead generations' graphs and indexes."""
+        db = Database(example_graph)
+        maintainer = db.maintainer(merge_threshold=10**9)
+        queries = [_wire(), _wire_over(40), _wire_over(90, name="big")]
+        lookups = 0
+        for cycle in range(30):
+            maintainer.insert_edges(np.array([cycle % 5]), np.array([5]), "Wire")
+            maintainer.flush()
+            for q in queries:
+                db.count(q)
+                db.count(q)
+                lookups += 2
+            assert len(db.plan_cache) <= 3
+        stats = db.plan_cache.stats.snapshot()
+        assert stats["hits"] + stats["misses"] == lookups
+        assert stats["misses"] == 30 * 3
+        assert stats["evictions"] == 0  # retired, never pushed out by the LRU
+
+    def test_retired_generation_cannot_be_reinserted(self, example_db):
+        """A plan made against a snapshot a concurrent flush superseded is
+        handed to its caller but not retained."""
+        cache = PlanCache(capacity=4)
+        plan = example_db.plan(_wire())
+        cache.insert(_wire(), 3, plan)
+        cache.retire_before(5)
+        assert len(cache) == 0
+        cache.insert(_wire(), 4, plan)
+        assert len(cache) == 0
+        cache.insert(_wire(), 5, plan)
+        assert len(cache) == 1
+
+    def test_prebuilt_plan_replays_after_retirement(self, example_graph):
+        db = Database(example_graph)
+        plan = db.plan(_wire())
+        before = db.count(plan)
+        maintainer = db.maintainer(merge_threshold=10**9)
+        maintainer.insert_edges(np.array([0]), np.array([1]), "Wire")
+        maintainer.flush()
+        assert len(db.plan_cache) == 0
+        assert db.count(plan) == before
+
 
 # ----------------------------------------------------------------------
 # determinism: cache-hit == fresh-planned, on every backend
