@@ -461,6 +461,10 @@ def server_load_scenario_row() -> Dict:
         "server_counters": stats,
         "plan_cache_hits": stats["plan_cache_hits"],
         "plan_cache_misses": stats["plan_cache_misses"],
+        # Which way the engine went: on the slot thread (plans under the
+        # plan-cost gate) or through a leased pool.
+        "inline": stats["inline"],
+        "pooled": stats["pooled"],
         "nocache_seconds": nocache_seconds,
         "nocache_qps": (
             total_queries / nocache_seconds if nocache_seconds else 0.0

@@ -17,6 +17,12 @@ lose:
   ``submitted == admitted + rejected + shed`` and
   ``admitted == completed + failed``, and every successful query returned
   the serial oracle's count,
+* **both execution paths in play** — the soak graph is sized so the
+  one-hop and two-hop classes sit below the engine's plan-cost gate (they
+  run inline on the slot threads) and the triangle sits above it (i-cost
+  ≈ 2.3 M, ≈ 0.4 s: it leases a pool); a phase fails unless
+  ``pools_created + pools_reused > 0`` and ``inline > 0`` — otherwise it
+  would soak an idle supervisor,
 * **bounded plan cache** — clients submit query graphs (not pre-built
   plans), so every submission rides the PR 10 plan cache; after the soak
   the cache must hold at most ``capacity`` entries (no unbounded growth)
@@ -54,11 +60,11 @@ from repro.errors import (  # noqa: E402
     QueryTimeoutError,
     ServerOverloadedError,
 )
+from repro.graph.generators import SocialGraphSpec, generate_social_graph  # noqa: E402
 from repro.query.backends import fork_available  # noqa: E402
 from repro.server import DatabaseServer, ServerConfig  # noqa: E402
 
 from bench_server_load import (  # noqa: E402
-    _build_db,
     _one_hop,
     _triangle,
     _two_hop,
@@ -71,6 +77,20 @@ WATCHDOG_GRACE_SECONDS = 120.0
 #: shedding and in-flight timeout aborts alongside the happy path.
 TIGHT_TIMEOUT_SECONDS = 0.02
 TIGHT_TIMEOUT_EVERY = 7
+#: Soak graph: large enough that a triangle's i-cost (36 list entries per
+#: vertex at 4 edges per vertex) clears PARALLEL_MIN_ICOST.
+SOAK_VERTICES = 64_000
+SOAK_EDGES = 256_000
+
+
+def _build_soak_db() -> Database:
+    return Database(
+        generate_social_graph(
+            SocialGraphSpec(
+                num_vertices=SOAK_VERTICES, num_edges=SOAK_EDGES, skew=0.6, seed=13
+            )
+        )
+    )
 
 
 def _soak_phase(
@@ -165,6 +185,13 @@ def _soak_phase(
         )
     if outcomes["ok"] == 0:
         failures.append(f"backend={backend}: soak completed zero queries")
+    supervisor = server.supervisor
+    if supervisor.pools_created + supervisor.pools_reused == 0 or stats["inline"] == 0:
+        failures.append(
+            f"backend={backend}: the soak must cross both the inline path and "
+            f"the pools (created {supervisor.pools_created}, reused "
+            f"{supervisor.pools_reused}): {stats}"
+        )
     if outcomes["ok"] != stats["completed"]:
         failures.append(
             f"backend={backend}: clients saw {outcomes['ok']} successes but "
@@ -227,7 +254,7 @@ def main() -> int:
         f"Server soak: {args.clients} clients x {len(backends)} backends, "
         f"{args.seconds:.0f}s total"
     )
-    db = _build_db()
+    db = _build_soak_db()
     failures: List[str] = []
     for backend in backends:
         phase = _soak_phase(db, backend, per_phase, args.clients)
@@ -236,6 +263,7 @@ def main() -> int:
             f"{backend:<8} ok={outcomes['ok']} rejected={outcomes['rejected']} "
             f"timeout={outcomes['timeout']} cancelled={outcomes['cancelled']} "
             f"submitted={stats['submitted']} shed={stats['shed']} "
+            f"inline={stats['inline']} pooled={stats['pooled']} "
             f"pools_created={phase['pools_created']} "
             f"pools_reused={phase['pools_reused']}"
         )

@@ -23,8 +23,12 @@ Parallel execution
 
 Query execution is serial by default and parallel on request:
 ``Database.run(query, parallelism=N)`` (or the ``REPRO_PARALLELISM``
-environment variable, or ``Database(..., parallelism=N)``) dispatches the
-plan to the morsel-driven :class:`~repro.query.executor.MorselExecutor` when
+environment variable, or ``Database(..., parallelism=N)``) allows up to ``N``
+workers: ``N`` is a ceiling, and a plan whose i-cost estimate is under
+:data:`~repro.query.executor.PARALLEL_MIN_ICOST` still runs inline on the
+calling thread, because below that cost a pool measures slower than no pool
+(``plan.describe()`` prints the verdict).  A plan at or above it is dispatched
+to the morsel-driven :class:`~repro.query.executor.MorselExecutor` when
 ``N >= 2``.  The scan's vertex domain is split into contiguous range morsels
 — degree-weighted by default (:mod:`repro.query.morsels` prefix-sums the
 primary CSR offsets so each morsel carries ~equal adjacency work, which is

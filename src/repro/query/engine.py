@@ -48,7 +48,14 @@ from .backends import (
     MORSEL_TIMEOUT_ENV_VAR,
     MorselBackend,
 )
-from .executor import Executor, MorselExecutor, QueryResult
+from . import executor as executor_module
+from .executor import (
+    DEFAULT_COALESCE,
+    Executor,
+    MorselExecutor,
+    QueryResult,
+    effective_workers,
+)
 from .faults import FAULTS_ENV_VAR
 from .optimizer import Optimizer
 from .pattern import QueryGraph
@@ -84,7 +91,13 @@ class Database:
     ``run``/``count`` accept a ``parallelism`` worker count and a morsel
     dispatch ``backend``.  With the default ``parallelism=1`` the plan runs
     on the serial batch :class:`~repro.query.executor.Executor` — the oracle
-    path.  With ``parallelism >= 2`` the plan runs on the morsel-driven
+    path.  ``parallelism >= 2`` is a *ceiling*, not an order: a plan whose
+    i-cost estimate is under
+    :data:`~repro.query.executor.PARALLEL_MIN_ICOST` still runs inline on
+    the calling thread (below that cost a pool measures slower than no
+    pool; ``plan.describe()`` prints the verdict), and only a plan at or
+    above it — or a hand-built one carrying no estimate — runs on the
+    morsel-driven
     :class:`~repro.query.executor.MorselExecutor`: the scan's vertex domain
     is split into contiguous range morsels (degree-weighted by default, so
     each morsel carries ~equal adjacency work even on skewed graphs), the
@@ -118,6 +131,10 @@ class Database:
         self._primary = PrimaryIndex(graph, config=primary_config)
         self.store = IndexStore(graph, self._primary)
         self.batch_size = batch_size
+        #: Default worker *ceiling* of run/count/collect/exists (``None``
+        #: defers to ``$REPRO_PARALLELISM``, then 1): plans under
+        #: ``PARALLEL_MIN_ICOST`` run inline whatever it says; construct a
+        #: ``MorselExecutor`` to force dispatch.
         self.parallelism = parallelism
         self.backend = backend
         #: Memoized planning for QueryGraph submissions: an LRU keyed on
@@ -133,7 +150,7 @@ class Database:
         self.store.on_install = self.plan_cache.retire_before
 
     def _resolve_parallelism(self, parallelism: Optional[int]) -> int:
-        """Effective worker count: call arg > instance default > env > 1."""
+        """Requested worker ceiling: call arg > instance default > env > 1."""
         if parallelism is None:
             parallelism = self.parallelism
         if parallelism is None:
@@ -189,19 +206,43 @@ class Database:
         graph: PropertyGraph,
         workers: int,
         backend: Optional[str] = None,
+        plan: Optional[QueryPlan] = None,
     ) -> Union[Executor, MorselExecutor]:
+        """The executor a run of ``plan`` gets under a ``workers`` ceiling.
+
+        ``workers == 1`` is the direct serial path; a plan the cost gate
+        keeps inline (:func:`~repro.query.executor.effective_workers`) runs
+        on the same class with the morsel body's coalesced batch; anything
+        else — including ``plan=None``, which has no estimate to gate on —
+        gets the morsel dispatcher.
+        """
         # Resolve (and thereby validate) the backend even on the serial
         # path, so a typo'd backend=/REPRO_BACKEND surfaces at the call
         # that configured it rather than when parallelism is later raised.
         backend = self._resolve_backend(backend)
         if workers == 1:
             return Executor(graph, batch_size=self.batch_size)
+        if plan is not None and effective_workers(plan, workers) == 1:
+            return Executor(
+                graph, batch_size=self.batch_size, coalesce=DEFAULT_COALESCE
+            )
         return MorselExecutor(
             graph,
             batch_size=self.batch_size,
             num_workers=workers,
             backend=backend,
         )
+
+    def _plan_and_executor(
+        self,
+        query: Union[QueryGraph, QueryPlan],
+        parallelism: Optional[int],
+        backend: Optional[str],
+    ) -> Tuple[QueryPlan, Union[Executor, MorselExecutor]]:
+        """Resolve → pin → build: the shared head of run/count/collect/exists."""
+        workers = self._resolve_parallelism(parallelism)
+        plan, snapshot, _cache_hit = self._pinned_plan(query)
+        return plan, self._make_executor(snapshot.graph, workers, backend, plan)
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -420,10 +461,12 @@ class Database:
                 reference that generation's indexes; executing it against a
                 newer graph would mix edge IDs across flush remappings).
             materialize: also collect the matches as dictionaries.
-            parallelism: worker count; ``1`` (the default) runs serially,
-                ``>= 2`` runs the morsel-driven parallel executor.  The
-                output is byte-identical either way.
-            backend: morsel dispatch backend for ``parallelism >= 2`` —
+            parallelism: worker ceiling; ``1`` (the default) runs serially,
+                ``>= 2`` allows the morsel-driven parallel executor — a plan
+                under ``PARALLEL_MIN_ICOST`` still runs inline on the calling
+                thread (construct a ``MorselExecutor`` to force dispatch).
+                The output is byte-identical either way.
+            backend: morsel dispatch backend for runs that do go parallel —
                 ``"serial"``, ``"thread"`` (default), or ``"process"``.
                 Output is byte-identical across backends.
             factorized: ``None``/``False`` runs the flat pipeline (the
@@ -443,9 +486,8 @@ class Database:
                 triggering it from any thread stops the query at its next
                 check point with :class:`~repro.errors.QueryCancelledError`.
         """
-        workers = self._resolve_parallelism(parallelism)
-        plan, snapshot, _cache_hit = self._pinned_plan(query)
-        return self._make_executor(snapshot.graph, workers, backend).run(
+        plan, executor = self._plan_and_executor(query, parallelism, backend)
+        return executor.run(
             plan,
             materialize=materialize,
             factorized=factorized,
@@ -471,11 +513,11 @@ class Database:
         back to the flat pipeline otherwise.  ``factorized=False`` forces
         the flat oracle path; ``True`` requires a factorizable plan.  The
         returned count is identical on every path and backend.
-        ``timeout``/``cancel`` behave as in :meth:`run`.
+        ``parallelism`` is a ceiling and ``timeout``/``cancel`` behave as in
+        :meth:`run`.
         """
-        workers = self._resolve_parallelism(parallelism)
-        plan, snapshot, _cache_hit = self._pinned_plan(query)
-        return self._make_executor(snapshot.graph, workers, backend).count(
+        plan, executor = self._plan_and_executor(query, parallelism, backend)
+        return executor.count(
             plan, factorized=factorized, timeout=timeout, cancel=cancel
         )
 
@@ -492,8 +534,9 @@ class Database:
 
         A ``limit`` drains through the streaming
         :class:`~repro.query.pipeline.LimitSink`: the pipeline halts as
-        soon as the limit is reached — mid-batch, and under
-        ``parallelism >= 2`` mid-morsel (no further morsel is dispatched) —
+        soon as the limit is reached — mid-batch, and when the run goes
+        parallel (``parallelism`` is a ceiling, as in :meth:`run`)
+        mid-morsel (no further morsel is dispatched) —
         while the returned prefix stays byte-identical to the unlimited
         run's first ``limit`` matches on every backend.  ``limit=None``
         is unlimited and ``limit=0`` a legal empty result; a negative
@@ -502,9 +545,8 @@ class Database:
         ``timeout``/``cancel`` behave as in :meth:`run`.
         """
         validate_limit(limit)
-        workers = self._resolve_parallelism(parallelism)
-        plan, snapshot, _cache_hit = self._pinned_plan(query)
-        return self._make_executor(snapshot.graph, workers, backend).collect(
+        plan, executor = self._plan_and_executor(query, parallelism, backend)
+        return executor.collect(
             plan, limit=limit, timeout=timeout, cancel=cancel
         )
 
@@ -519,14 +561,13 @@ class Database:
         """Whether the query has any match (streaming, first-match early-out).
 
         Drains through :class:`~repro.query.pipeline.ExistsSink`: the
-        first non-empty batch halts the pipeline and (under
-        ``parallelism >= 2``) stops morsel dispatch, so nothing beyond the
-        first match is ever computed.  ``timeout``/``cancel`` behave as in
-        :meth:`run`.
+        first non-empty batch halts the pipeline and (when the run goes
+        parallel) stops morsel dispatch, so nothing beyond the first match
+        is ever computed.  ``parallelism`` is a ceiling and
+        ``timeout``/``cancel`` behave as in :meth:`run`.
         """
-        workers = self._resolve_parallelism(parallelism)
-        plan, snapshot, _cache_hit = self._pinned_plan(query)
-        return self._make_executor(snapshot.graph, workers, backend).exists(
+        plan, executor = self._plan_and_executor(query, parallelism, backend)
+        return executor.exists(
             plan, timeout=timeout, cancel=cancel
         )
 
@@ -600,8 +641,15 @@ class Database:
             f"  default backend: {backend_name} "
             f"(constructor backend= or ${BACKEND_ENV_VAR}; "
             f"available: {', '.join(sorted(BACKENDS))})\n"
+            "  parallelism is a ceiling: a plan with i-cost < "
+            f"{executor_module.PARALLEL_MIN_ICOST:,} runs inline on the "
+            "calling\n"
+            "  thread (no pool, morsels_dispatched == 0; plan.describe() "
+            "prints 'execution:\n"
+            "  inline — i-cost≈... < ...'); at or above it: "
+            f"parallel ×{default} on {backend_name!r}.\n"
             "  parallelism=1 runs the serial batch executor (the oracle); "
-            ">=2 runs the\n"
+            ">=2 allows the\n"
             "  morsel-driven dispatcher: the scan domain is cut into "
             "contiguous vertex-range\n"
             "  morsels (degree-weighted via the primary CSR offsets, so "
@@ -689,15 +737,18 @@ class Database:
         lines.append(
             "Server (admission-controlled service mode):\n"
             "  db.server() wraps this database in a long-lived "
-            "DatabaseServer: persistent\n"
-            "  worker pools shared across queries (keyed on (backend, "
-            "parallelism); payloads\n"
-            "  re-shipped lazily per (plan id, store generation); crashed "
-            "pools recycled\n"
-            "  behind a circuit breaker that degrades to serial execution), "
-            "plus bounded\n"
-            "  admission: max_concurrent execution slots, a max_queue_depth "
-            "queue, and a\n"
+            "DatabaseServer: plans under\n"
+            "  the cost gate run inline on their slot thread "
+            "(ServerStats.inline), the rest\n"
+            "  lease persistent worker pools shared across queries "
+            "(ServerStats.pooled; keyed\n"
+            "  on (backend, parallelism); payloads re-shipped lazily per "
+            "(plan id, store\n"
+            "  generation); crashed pools recycled behind a circuit breaker "
+            "that degrades\n"
+            "  to inline execution), plus bounded admission: max_concurrent "
+            "execution slots,\n"
+            "  a max_queue_depth queue, and a\n"
             f"  full-queue policy of 'reject' (typed ServerOverloadedError), "
             "'shed-oldest',\n"
             "  or 'block'.  Deadlines are fixed at submission, so queue "

@@ -54,6 +54,14 @@ accounting, identical :class:`~repro.query.operators.ExecutionStats` — for
 and remains the oracle the parallel paths are tested against
 (``tests/test_backend_equivalence.py``).
 
+**Parallelism is a ceiling.**  ``Database`` and ``DatabaseServer`` ask
+:func:`effective_workers` before building a dispatcher: a plan whose i-cost
+estimate is under :data:`PARALLEL_MIN_ICOST` runs inline on the calling
+thread — an :class:`Executor` with the morsel body's coalesced batch,
+streaming straight into the sink, ``morsels_dispatched == 0`` — because
+below that cost a pool measures slower than no pool.  Constructing a
+:class:`MorselExecutor` directly is never gated.
+
 **Fault tolerance.**  Determinism survives worker failures: a morsel lost
 to a crash, hang, or corrupt reply (the backend raises
 :class:`~repro.errors.WorkerCrashError`) is retried at the front of the
@@ -124,6 +132,58 @@ class QueryResult:
 
     def __len__(self) -> int:
         return self.count
+
+
+#: Plan i-cost (estimated adjacency-list entries read) below which a query
+#: runs inline on the calling thread however many workers were requested:
+#: ``parallelism`` is a ceiling, and under this cost a pool only adds
+#: dispatch, range splitting and GIL hand-offs to the same kernel work.
+#: Measured, not tuned — ``benchmarks/crossover.py`` regenerates the table
+#: into ``BENCH_parallel_crossover.json``: one-slot server on 2 cores (the
+#: second one idle), median of 7, ms as inline / thread ×2 / process ×2 —
+#:
+#:   vertices  shape     i-cost   inline  thread×2  process×2
+#:     16 k    one_hop   6.4e4      1.1      8.5      15.9
+#:             two_hop   3.2e5      4.0     19.0      50.7
+#:             triangle  5.8e5     82       78        69
+#:     64 k    one_hop   2.6e5      2.0     10.9      36.8
+#:             two_hop   1.3e6     18.6     46.5     164
+#:             triangle  2.3e6    459      394       382     <- both pools ahead
+#:    256 k    one_hop   1.0e6     10.6     42.4     117
+#:             two_hop   5.1e6     68.5    208       573
+#:             triangle  9.2e6   4110     2198      3017     <- first clear win
+#:
+#: Below 2 M a pool costs ``one_hop``/``two_hop`` 2.5-18× and leaves the
+#: triangle within run-to-run noise (a repeat of the 5.8e5 row read
+#: 103 / 95 / 96) — with a core idle; two busy slot threads have none to
+#: spare (``server_zipf``: 2× ``ops_per_s`` inline).  ``two_hop`` still loses
+#: above it because its count sink runs in the parent and the prefix columns
+#: are shipped.  A constant on purpose: when the dispatcher changes,
+#: re-measure.
+PARALLEL_MIN_ICOST = 2_000_000
+
+
+def effective_workers(plan: QueryPlan, requested: int) -> int:
+    """Workers a run of ``plan`` gets when the caller allows ``requested``.
+
+    ``1`` means inline on the calling thread — no lease, no backend, no
+    morsels.  The gate acts only on an estimate it has: a hand-built plan
+    (cost and cardinality both 0) keeps the requested count.
+    """
+    estimated = plan.estimated_cost > 0 or plan.estimated_cardinality > 0
+    if requested > 1 and estimated and plan.estimated_cost < PARALLEL_MIN_ICOST:
+        return 1
+    return requested
+
+
+def describe_execution(plan: QueryPlan) -> str:
+    """The gate's verdict on ``plan``, with its numbers (``plan.describe()``)."""
+    cost = f"i-cost≈{plan.estimated_cost:,.0f}"
+    if effective_workers(plan, 2) == 1:
+        return f"inline — {cost} < {PARALLEL_MIN_ICOST:,}"
+    if plan.estimated_cost >= PARALLEL_MIN_ICOST:
+        return f"parallel up to the requested workers — {cost} >= {PARALLEL_MIN_ICOST:,}"
+    return "as requested — a hand-built plan carries no estimate to gate on"
 
 
 class PlanRunner:
@@ -344,6 +404,13 @@ class Executor(PlanRunner):
     ``clock`` optionally overrides the monotonic clock used for per-stage
     timing (``ExecutionStats.operator_seconds``) — injectable so tests can
     assert exact time attribution with a fake clock.
+
+    ``coalesce`` is the morsel body's batch rule for the runs the plan-cost
+    gate keeps inline (:func:`effective_workers`): the pipeline runs with
+    ``batch_size * coalesce`` rows in flight and :meth:`execute` re-splits
+    what it emits to ``batch_size``, exactly as
+    :meth:`MorselExecutor.execute` does.  The default ``1`` is the direct
+    serial path, whose batches are emitted as produced.
     """
 
     def __init__(
@@ -351,10 +418,14 @@ class Executor(PlanRunner):
         graph: PropertyGraph,
         batch_size: int = DEFAULT_BATCH_SIZE,
         clock=None,
+        coalesce: int = 1,
     ) -> None:
+        if coalesce < 1:
+            raise ExecutionError(f"coalesce must be >= 1, got {coalesce}")
         self.graph = graph
         self.batch_size = batch_size
         self.clock = clock
+        self.coalesce = int(coalesce)
 
     def _context(
         self,
@@ -365,7 +436,7 @@ class Executor(PlanRunner):
         context = ExecutionContext(
             graph=self.graph,
             query=plan.query,
-            batch_size=self.batch_size,
+            batch_size=self.batch_size * self.coalesce,
             stats=stats or ExecutionStats(),
             runtime=runtime,
         )
@@ -380,7 +451,12 @@ class Executor(PlanRunner):
         runtime: Optional[QueryContext] = None,
     ) -> Iterator[MatchBatch]:
         """Yield batches of matches produced by the plan."""
-        yield from run_pipeline(plan, self._context(plan, stats, runtime))
+        stream = run_pipeline(plan, self._context(plan, stats, runtime))
+        if self.coalesce == 1:
+            yield from stream
+            return
+        for batch in stream:
+            yield from batch.split(self.batch_size)
 
     def execute_factorized(
         self,
@@ -449,7 +525,10 @@ class MorselExecutor(PlanRunner):
             with ``batch_size * coalesce`` rows in flight).
         num_workers: worker-pool width.  ``1`` still runs through the
             dispatcher (useful for testing morsel bookkeeping); use
-            :class:`Executor` for the true serial path.
+            :class:`Executor` for the true serial path.  Everywhere else
+            ``parallelism`` is a ceiling — plans under
+            :data:`PARALLEL_MIN_ICOST` run inline — so construct a
+            ``MorselExecutor`` to force dispatch.
         morsel_size: vertices per morsel.  ``None`` (the default) derives
             morsels from ``weighting``; an explicit size forces fixed-size
             even ranges regardless of weighting — the boundary-case knob

@@ -295,6 +295,10 @@ class QueryPlan:
             )
         else:
             lines.append("  sink capability: flat only")
+        # Imported here: the executor module imports this one.
+        from .executor import describe_execution
+
+        lines.append(f"  execution: {describe_execution(self)}")
         return "\n".join(lines)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

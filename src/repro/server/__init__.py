@@ -20,7 +20,6 @@ from .pools import (
     CircuitBreaker,
     PayloadMissing,
     PersistentProcessBackend,
-    PersistentSerialBackend,
     PersistentThreadBackend,
     PoolLease,
     PoolSupervisor,
@@ -32,7 +31,6 @@ __all__ = [
     "DatabaseServer",
     "PayloadMissing",
     "PersistentProcessBackend",
-    "PersistentSerialBackend",
     "PersistentThreadBackend",
     "POLICIES",
     "PoolLease",

@@ -26,9 +26,10 @@ for a worker to reach the ticket.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..errors import ExecutionError
@@ -53,8 +54,11 @@ class ServerConfig:
             when ``submit`` passes none.  The deadline is fixed at
             *submission*, so queue wait spends the same budget; ``None``
             leaves unspecified queries deadline-free.
-        parallelism: default worker count per query (``None`` defers to
-            the wrapped database's own resolution).
+        parallelism: default worker *ceiling* per query (``None`` defers
+            to the wrapped database's own resolution).  A plan under
+            :data:`~repro.query.executor.PARALLEL_MIN_ICOST` runs inline on
+            its slot thread whatever this says; construct a
+            ``MorselExecutor`` to force dispatch.
         backend: default morsel backend name per query (``None`` defers
             to the wrapped database).
         breaker_threshold: consecutive pool failures that open the
@@ -104,6 +108,10 @@ class ServerStats:
       is accounted exactly once;
     * ``admitted == completed + failed`` — every admitted query reaches a
       terminal outcome;
+    * ``admitted == inline + pooled`` — which way the engine went: on the
+      slot thread with no pool (a plan under the cost gate, one requested
+      worker, the ``"serial"`` backend, or a breaker-degraded lease), or
+      through a leased pool;
     * ``plan_cache_hits + plan_cache_misses`` equals the number of
       ``QueryGraph`` submissions counted in ``submitted`` — submitting a
       query graph plans it through the database's
@@ -118,20 +126,13 @@ class ServerStats:
     shed: int = 0
     completed: int = 0
     failed: int = 0
+    inline: int = 0
+    pooled: int = 0
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
 
     def snapshot(self) -> Dict[str, int]:
-        return {
-            "submitted": self.submitted,
-            "admitted": self.admitted,
-            "rejected": self.rejected,
-            "shed": self.shed,
-            "completed": self.completed,
-            "failed": self.failed,
-            "plan_cache_hits": self.plan_cache_hits,
-            "plan_cache_misses": self.plan_cache_misses,
-        }
+        return dataclasses.asdict(self)
 
 
 #: Ticket lifecycle states.

@@ -10,9 +10,9 @@ cost would dominate every morsel of useful work.
 
 This module provides the server's pool layer:
 
-* :class:`PersistentProcessBackend` / :class:`PersistentThreadBackend` /
-  :class:`PersistentSerialBackend` — drop-in
-  :class:`~repro.query.backends.MorselBackend` implementations whose pools
+* :class:`PersistentProcessBackend` / :class:`PersistentThreadBackend` —
+  drop-in :class:`~repro.query.backends.MorselBackend` implementations
+  whose pools
   *survive across queries*.  The dispatcher's per-query ``open``/``close``
   calls only swap per-query state; the actual workers live until
   :meth:`shutdown`.  The process variant replaces the pool-initializer
@@ -29,8 +29,9 @@ This module provides the server's pool layer:
   the pool granularity, reusing the backends' death watch at the morsel
   granularity).
 * :class:`CircuitBreaker` — per pool key.  Repeated pool failures open the
-  breaker and subsequent leases *degrade* to a serial in-process backend
-  (correct, just slower — the determinism contract makes the fallback
+  breaker and subsequent leases *degrade*: they carry no pool, and the
+  server runs the query inline on its slot thread (correct, just without
+  parallelism — the determinism contract makes the fallback
   byte-identical); after a cooldown one trial lease probes whether pools
   recovered.
 """
@@ -50,7 +51,6 @@ from ..query.backends import (
     _PLAN_IDS,
     MorselTaskSpec,
     ProcessBackend,
-    SerialBackend,
     ThreadBackend,
     WORKER_STARTUP_TIMEOUT_SECONDS,
     WorkerPayload,
@@ -361,35 +361,10 @@ class PersistentThreadBackend(ThreadBackend):
             pool.shutdown(wait=False, cancel_futures=True)
 
 
-class PersistentSerialBackend(SerialBackend):
-    """The serial backend with the persistent lease interface.
-
-    Serial execution holds no pool state at all, so persistence is a
-    formality — but giving it ``start``/``shutdown`` lets the supervisor
-    (and the circuit breaker's degraded leases) treat every backend
-    uniformly.
-    """
-
-    name = "serial-persistent"
-
-    def __init__(self, num_workers: int = 1) -> None:
-        self._num_workers = int(num_workers)
-        self.queries_served = 0
-
-    def start(self) -> "PersistentSerialBackend":
-        return self
-
-    def open(self, *args, **kwargs) -> None:
-        super().open(*args, **kwargs)
-        self.queries_served += 1
-
-    def shutdown(self) -> None:
-        self.close()
-
-
-#: Persistent backend class per public backend name.
+#: Persistent pool class per public backend name.  ``"serial"`` has none:
+#: one thread needs no pool, so the server runs such a query inline on its
+#: slot thread (as it does every plan under the cost gate).
 PERSISTENT_BACKENDS = {
-    "serial": PersistentSerialBackend,
     "thread": PersistentThreadBackend,
     "process": PersistentProcessBackend,
 }
@@ -399,7 +374,7 @@ class CircuitBreaker:
     """Consecutive-failure breaker guarding one pool key.
 
     States: *closed* (healthy — leases create/reuse real pools), *open*
-    (``threshold`` consecutive pool failures — leases degrade to serial
+    (``threshold`` consecutive pool failures — leases degrade to inline
     until ``cooldown_seconds`` pass), *half-open* (cooldown elapsed — the
     next lease is a real-pool trial; its failure re-opens the breaker with
     a fresh cooldown, its success closes it).
@@ -468,7 +443,9 @@ class CircuitBreaker:
 class PoolLease:
     """One query's hold on a supervised pool.
 
-    Release exactly once, with the query's outcome:
+    A ``degraded`` lease (breaker open) holds nothing — ``backend`` is
+    ``None`` and the holder runs its query inline; releasing it is a no-op.
+    Otherwise release exactly once, with the query's outcome:
 
     * ``"ok"`` — the pool behaved; it returns to the free list and the
       breaker records a success.
@@ -501,10 +478,10 @@ class PoolSupervisor:
     Pools are keyed on ``(backend name, parallelism)``.  A lease pops a
     free pool for its key or starts a fresh one; a release routes on
     outcome (see :class:`PoolLease`).  When the key's circuit breaker is
-    open, :meth:`lease` returns a *degraded* serial lease instead of
-    touching pools at all — the server keeps answering queries, just
-    without parallelism, until the cooldown's trial lease proves pools
-    healthy again.
+    open, :meth:`lease` returns a *degraded* lease with no pool behind it
+    instead of touching pools at all — the server keeps answering queries
+    inline, just without parallelism, until the cooldown's trial lease
+    proves pools healthy again.
     """
 
     def __init__(
@@ -554,12 +531,7 @@ class PoolSupervisor:
         if not breaker.allows():
             with self._lock:
                 self.degraded_leases += 1
-            return PoolLease(
-                PersistentSerialBackend(parallelism).start(),
-                key,
-                self,
-                degraded=True,
-            )
+            return PoolLease(None, key, self, degraded=True)
         with self._lock:
             free = self._free.get(key)
             backend = free.pop() if free else None
@@ -584,8 +556,8 @@ class PoolSupervisor:
                 "'ok', 'failed', or 'aborted'"
             )
         if lease.degraded:
-            # A degraded lease ran serial in-process work; its outcome says
-            # nothing about pool health, and there is nothing to recycle.
+            # A degraded lease ran inline work; its outcome says nothing
+            # about pool health, and there is nothing to recycle.
             return
         breaker = self.breaker(*lease.key)
         if outcome == "ok":

@@ -9,12 +9,16 @@ long-lived service shape of the same engine:
   are the execution slots; everything else waits in a bounded admission
   queue or is refused per the configured policy
   (:mod:`repro.server.admission`).
-* **Persistent pools** — slots lease worker pools from a
+* **Inline by default, pools when they pay** — ``parallelism`` is a
+  ceiling: a plan under the cost gate
+  (:data:`~repro.query.executor.PARALLEL_MIN_ICOST`) runs inline on its
+  slot thread, with no lease and no morsels (``stats.inline``).  Only a
+  plan at or above it leases a worker pool (``stats.pooled``) from a
   :class:`~repro.server.pools.PoolSupervisor` keyed on
   ``(backend, parallelism)``; pools survive across queries, payloads are
   re-shipped lazily per ``(plan id, store generation)``, crashed pools
   are recycled, and repeated failures trip a circuit breaker that
-  degrades leases to serial execution
+  degrades leases to the same inline execution
   (:mod:`repro.server.pools`).
 * **Deadline integration** — a query's PR 7 deadline is fixed at
   *submission*: queue wait spends the same budget as execution, a queued
@@ -44,7 +48,14 @@ from ..errors import (
     ServerOverloadedError,
     WorkerCrashError,
 )
-from ..query.executor import MorselExecutor, QueryResult
+from ..query.backends import SerialBackend
+from ..query.executor import (
+    DEFAULT_COALESCE,
+    Executor,
+    MorselExecutor,
+    QueryResult,
+    effective_workers,
+)
 from ..query.pattern import QueryGraph
 from ..query.pipeline import validate_limit
 from ..query.plan import QueryPlan
@@ -166,17 +177,21 @@ class DatabaseServer:
         )
         runtime = QueryContext(timeout=effective_timeout, cancel=cancel)
         plan, snapshot, cache_hit = self.db._pinned_plan(query)
-        workers = self.db._resolve_parallelism(
-            parallelism if parallelism is not None else self.config.parallelism
-        )
         backend_name = self.db._resolve_backend(
             backend if backend is not None else self.config.backend
         )
-        if workers == 1:
-            # One worker needs no pool; the serial lease is the cheap,
-            # always-healthy path (and what direct Database.run(parallelism=1)
-            # does).
-            backend_name = "serial"
+        # ``parallelism`` is a ceiling: a plan under the cost gate — and any
+        # plan on the "serial" backend, which is one thread by definition —
+        # gets one worker, and one worker needs no pool: the slot thread
+        # runs it inline.
+        workers = effective_workers(
+            plan,
+            self.db._resolve_parallelism(
+                parallelism if parallelism is not None else self.config.parallelism
+            ),
+        )
+        if backend_name == SerialBackend.name:
+            workers = 1
         kwargs = {
             "materialize": materialize,
             "factorized": factorized,
@@ -375,24 +390,36 @@ class DatabaseServer:
         ticket._finish(SHED, error=error)
 
     def _execute_ticket(self, ticket: ServerTicket) -> None:
-        """Run one admitted ticket on a leased pool; publish its outcome."""
-        try:
-            lease = self.supervisor.lease(ticket.backend, ticket.parallelism)
-        except Exception as exc:
-            with self._lock:
-                self.stats.failed += 1
-            ticket._finish(FAILED, error=exc)
-            return
+        """Run one admitted ticket, inline or on a leased pool; publish it.
+
+        A one-worker ticket (see :meth:`submit`) and a breaker-degraded
+        lease both run inline on this slot thread: a plain
+        :class:`~repro.query.executor.Executor` streaming into the sink.
+        An inline query owes the pools nothing — whatever its outcome, no
+        pool is recycled and no breaker hears of it.
+        """
+        pooled = ticket.parallelism > 1
+        lease = None
         outcome = "ok"
         value = None
         error: Optional[BaseException] = None
         try:
-            executor = MorselExecutor(
-                ticket.snapshot.graph,
-                batch_size=self.db.batch_size,
-                num_workers=ticket.parallelism,
-                backend=lease.backend,
-            )
+            if pooled:
+                lease = self.supervisor.lease(ticket.backend, ticket.parallelism)
+                pooled = not lease.degraded
+            if pooled:
+                executor = MorselExecutor(
+                    ticket.snapshot.graph,
+                    batch_size=self.db.batch_size,
+                    num_workers=ticket.parallelism,
+                    backend=lease.backend,
+                )
+            else:
+                executor = Executor(
+                    ticket.snapshot.graph,
+                    batch_size=self.db.batch_size,
+                    coalesce=DEFAULT_COALESCE,
+                )
             if ticket.mode == "count":
                 value = executor.count(
                     ticket.plan,
@@ -418,7 +445,7 @@ class DatabaseServer:
                     runtime=ticket.runtime,
                 )
         except (QueryTimeoutError, QueryCancelledError) as exc:
-            # The query was cut short; the pool may hold abandoned morsels,
+            # The query was cut short; a pool may hold abandoned morsels,
             # so recycle it — but a slow query is not a pool failure and
             # must not feed the circuit breaker.
             outcome = "aborted"
@@ -430,30 +457,35 @@ class DatabaseServer:
             error = exc
         except Exception as exc:
             # A deterministic query error (planning/execution bug, bad
-            # arguments): the query failed, the pool is fine.
+            # arguments) or a pool that would not start (the supervisor
+            # already told the breaker): the query failed, the pool is fine.
             error = exc
-        # PR 7's death watch, reused at the pool granularity: a query that
-        # *recovered* from a worker death still ran on a wounded pool —
-        # recycle it and feed the circuit breaker, so repeated sickness
-        # degrades future leases instead of every query paying the
-        # recovery tax.
-        if outcome != "failed" and getattr(
-            lease.backend, "_death_ever", False
-        ):
-            outcome = "failed"
         try:
-            # Release *before* publishing the result: a caller who sees
-            # the ticket finish must also see the supervisor's accounting
-            # (recycles, breaker state) for the query it just ran.
-            lease.release(outcome)
+            if pooled and lease is not None:
+                # PR 7's death watch, reused at the pool granularity: a
+                # query that *recovered* from a worker death still ran on a
+                # wounded pool — recycle it and feed the circuit breaker, so
+                # repeated sickness degrades future leases instead of every
+                # query paying the recovery tax.
+                if getattr(lease.backend, "_death_ever", False):
+                    outcome = "failed"
+                # Release *before* publishing the result: a caller who sees
+                # the ticket finish must also see the supervisor's accounting
+                # (recycles, breaker state) for the query it just ran.
+                lease.release(outcome)
         finally:
-            if error is not None:
-                with self._lock:
+            with self._lock:
+                if pooled:
+                    self.stats.pooled += 1
+                else:
+                    self.stats.inline += 1
+                if error is not None:
                     self.stats.failed += 1
+                else:
+                    self.stats.completed += 1
+            if error is not None:
                 ticket._finish(FAILED, error=error)
             else:
-                with self._lock:
-                    self.stats.completed += 1
                 ticket._finish(COMPLETED, value=value)
 
     # ------------------------------------------------------------------

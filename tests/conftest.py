@@ -20,6 +20,7 @@ from repro.graph.generators import (
     generate_social_graph,
     running_example_graph,
 )
+from repro.query import executor as executor_module
 from repro.query.naive import NaiveMatcher
 
 
@@ -33,6 +34,53 @@ def pytest_configure(config):
         "fuzz: slow cross-backend differential fuzz cases, run nightly on "
         "CI as advisory (set RUN_FUZZ=1 to run locally)",
     )
+    config.addinivalue_line(
+        "markers",
+        "production_gate: run with the engine's real PARALLEL_MIN_ICOST "
+        "instead of the suite-wide pin to 0 (see always_dispatch; "
+        "--production-gate marks every selected test)",
+    )
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--production-gate",
+        action="store_true",
+        help="mark every selected test production_gate: run it with the "
+        "engine's real PARALLEL_MIN_ICOST (the CI leg that serves the way "
+        "production does)",
+    )
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--production-gate"):
+        for item in items:
+            item.add_marker(pytest.mark.production_gate)
+
+
+@pytest.fixture()
+def force_dispatch(monkeypatch):
+    """Pin the plan-cost gate to 0: ``parallelism >= 2`` always dispatches.
+
+    Request it explicitly in a test that needs a pool whatever the gate says
+    (a query held by a fault injected into a pool worker, a pool-reuse or
+    breaker assertion), so the test also holds under ``--production-gate``.
+    """
+    monkeypatch.setattr(executor_module, "PARALLEL_MIN_ICOST", 0)
+
+
+@pytest.fixture(autouse=True)
+def always_dispatch(request):
+    """Apply :func:`force_dispatch` to every test not marked ``production_gate``.
+
+    Every graph in this suite is far below the production threshold, so with
+    the real gate the ``REPRO_PARALLELISM=4`` / ``REPRO_BACKEND=process`` CI
+    legs would run everything inline and stop covering the dispatcher.
+    ``tests/test_parallel_gate.py`` opts out, and ``--production-gate`` opts
+    a whole run out.
+    """
+    if request.node.get_closest_marker("production_gate") is None:
+        request.getfixturevalue("force_dispatch")
 
 
 @pytest.fixture(scope="session")

@@ -88,7 +88,7 @@ def _wait_until(predicate, timeout: float = 5.0, message: str = "condition"):
 
 
 @pytest.fixture()
-def held_server(example_db, monkeypatch):
+def held_server(example_db, monkeypatch, force_dispatch):
     """A 1-slot server whose queries sleep in a worker until cancelled.
 
     The injected delay (morsel 0, every attempt) runs inside a *thread
@@ -96,7 +96,9 @@ def held_server(example_db, monkeypatch):
     within one poll interval — tests hold the slot for exactly as long as
     they need and then release it via the query's token.  The delay is
     finite so an abandoned worker thread cannot outlive the test run by
-    much even if a release is missed.
+    much even if a release is missed.  Holding a query this way needs the
+    pool, hence ``force_dispatch``: under the production gate the example
+    graph's queries would run inline and finish at once.
     """
     monkeypatch.setenv(FAULTS_ENV_VAR, "delay@0:2.5!")
 
@@ -131,6 +133,7 @@ def test_server_result_identical_to_direct_run(example_db, backend):
     _assert_invariants(server)
 
 
+@pytest.mark.usefixtures("force_dispatch")
 @pytest.mark.skipif(not fork_available(), reason="needs cheap fork pools")
 def test_server_process_backend_identical_and_pool_reused(example_db):
     # A pre-built plan keeps one payload identity across queries, so the
@@ -455,10 +458,10 @@ def test_supervisor_degrades_to_serial_while_breaker_open(monkeypatch):
     for _ in range(2):
         with pytest.raises(ExecutionError):
             supervisor.lease("thread", 2)
-    # Breaker open: leases degrade to serial instead of touching pools.
+    # Breaker open: leases degrade to inline instead of touching pools.
     lease = supervisor.lease("thread", 2)
     assert lease.degraded
-    lease.backend.open  # it is a usable backend
+    assert lease.backend is None  # no pool: the holder runs inline
     lease.release("ok")
     assert supervisor.degraded_leases == 1
     # Cooldown elapses; the trial lease goes back to real pools.
@@ -486,6 +489,7 @@ def test_failed_lease_recycles_pool():
     supervisor.close()
 
 
+@pytest.mark.usefixtures("force_dispatch")
 @pytest.mark.skipif(not fork_available(), reason="needs cheap fork pools")
 def test_server_survives_worker_kills_and_trips_breaker(
     example_db, monkeypatch
