@@ -18,6 +18,15 @@ For every case the adaptive chooser's pick is compared with the fastest
 forced strategy; the summary reports the agreement rate and per-dimension
 winners so the thresholds can be tuned from data rather than argument.
 
+The count-only kernel (:func:`~repro.storage.intersect.count_shared_intersections`)
+reads the same ``HASH_TABLE_DENSITY`` through the same chooser, with a
+different pair of routes behind it — a per-(list, key) position table against
+two binary searches per probe.  Every case above is therefore also timed
+through that kernel with the table and the search forced (``count_seconds``),
+and a second sweep holds lists, entries and probes fixed and widens the key
+domain so that ``lists * domain / (probes + entries)`` — the quantity the
+constant bounds — runs from 1 to 256 (``count_density_sweep``).
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_intersect_ablation.py [--output PATH]
@@ -41,7 +50,10 @@ sys.path.insert(0, os.path.dirname(__file__))
 from common import print_header  # noqa: E402
 
 from repro.storage import intersect  # noqa: E402
-from repro.storage.intersect import intersect_segments  # noqa: E402
+from repro.storage.intersect import (  # noqa: E402
+    count_shared_intersections,
+    intersect_segments,
+)
 
 #: Batch rows per case (the kernel always works batch-at-a-time).
 NUM_ROWS = 64
@@ -56,6 +68,13 @@ KEY_GAPS = (1, 8, 64)
 REPETITIONS = int(os.environ.get("BENCH_REPETITIONS", "3"))
 
 STRATEGIES = ("merge", "gallop", "hash")
+#: Routes of the count-only kernel, by the strategy name that forces them.
+COUNT_ROUTES = {"table": "hash", "search": "merge", "adaptive": None}
+#: ``lists * domain / (probes + entries)`` of the count-table density sweep.
+SPAN_RATIOS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
+#: Shape of the density sweep: distinct lists per leg, entries per list and
+#: the rows that read them (every list is read by several rows).
+SWEEP_LISTS, SWEEP_LIST_SIZE, SWEEP_ROWS = 128, 64, 1024
 
 DEFAULT_OUTPUT = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -71,11 +90,19 @@ def _make_leg(rng, num_rows: int, seg_size: int, gap: int):
     return keys.astype(np.int64), counts
 
 
-def _time_strategy(legs, counts, strategy) -> float:
+def _best_of(call) -> float:
+    """Best-of-``REPETITIONS`` seconds of one call."""
     best = float("inf")
     for _ in range(max(REPETITIONS, 1)):
         started = time.perf_counter()
-        intersect_segments(
+        call()
+        best = min(best, time.perf_counter() - started)
+    return best
+
+
+def _time_strategy(legs, counts, strategy) -> float:
+    return _best_of(
+        lambda: intersect_segments(
             legs,
             counts,
             NUM_ROWS,
@@ -83,8 +110,53 @@ def _time_strategy(legs, counts, strategy) -> float:
             need_positions=True,
             strategy=strategy,
         )
-        best = min(best, time.perf_counter() - started)
-    return best
+    )
+
+
+def _time_count(list_keys, list_counts, row_lists, domain) -> Dict[str, float]:
+    """Best-of seconds of the count-only kernel per forced route."""
+    return {
+        route: _best_of(
+            lambda: count_shared_intersections(
+                list_keys,
+                list_counts,
+                row_lists,
+                [True] * len(list_keys),
+                domain,
+                strategy=strategy,
+            )
+        )
+        for route, strategy in COUNT_ROUTES.items()
+    }
+
+
+def run_count_density_sweep(rng) -> List[Dict]:
+    """Table against search as the lists' key domain widens."""
+    cases = []
+    entries = SWEEP_LISTS * SWEEP_LIST_SIZE
+    # Both legs are equally long, so every row expands SWEEP_LIST_SIZE probes.
+    data = SWEEP_ROWS * SWEEP_LIST_SIZE + 2 * entries
+    for ratio in SPAN_RATIOS:
+        domain = max(ratio * data // (2 * SWEEP_LISTS), SWEEP_LIST_SIZE)
+        list_keys = [
+            np.sort(rng.integers(0, domain, (SWEEP_LISTS, SWEEP_LIST_SIZE)), axis=1)
+            .ravel()
+            .astype(np.int64)
+            for _ in range(2)
+        ]
+        list_counts = [np.full(SWEEP_LISTS, SWEEP_LIST_SIZE, dtype=np.int64)] * 2
+        row_lists = [rng.integers(0, SWEEP_LISTS, SWEEP_ROWS) for _ in range(2)]
+        cases.append(
+            {
+                "span_ratio": ratio,
+                "domain": int(domain),
+                "lists": SWEEP_LISTS,
+                "entries_per_leg": entries,
+                "rows": SWEEP_ROWS,
+                "count_seconds": _time_count(list_keys, list_counts, row_lists, domain),
+            }
+        )
+    return cases
 
 
 def _chooser_inputs(leg0_keys, leg0_counts, leg1_keys, leg1_counts):
@@ -124,6 +196,10 @@ def run_ablation() -> Dict:
                     leg0_keys, leg0_counts, leg1_keys, leg1_counts
                 )
                 chosen = intersect.choose_strategy(num_candidates, num_entries, span)
+                # The same segments as distinct lists, one per row and leg.
+                domain = int(max(leg0_keys.max(), leg1_keys.max())) + 1
+                identity = np.arange(NUM_ROWS, dtype=np.int64)
+                count_timings = _time_count(legs, counts, [identity, identity], domain)
                 fastest = min(STRATEGIES, key=lambda s: timings[s])
                 cases.append(
                     {
@@ -134,6 +210,14 @@ def run_ablation() -> Dict:
                         "num_entries": num_entries,
                         "span": span,
                         "seconds": timings,
+                        "count_seconds": count_timings,
+                        # all lists of both legs x domain, over the probes
+                        # (every row expands its first, shorter segment)
+                        # plus the entries
+                        "count_span_ratio": 2
+                        * NUM_ROWS
+                        * domain
+                        / (2 * len(leg0_keys) + len(leg1_keys)),
                         "chosen": chosen,
                         "fastest": fastest,
                         "chooser_within_20pct": bool(
@@ -150,6 +234,12 @@ def run_ablation() -> Dict:
         for c in cases
         if c["fastest"] == "gallop"
     ]
+    sweep = run_count_density_sweep(rng)
+    search_wins = [
+        case["span_ratio"]
+        for case in sweep
+        if case["count_seconds"]["search"] < case["count_seconds"]["table"]
+    ]
     return {
         "config": {
             "num_rows": NUM_ROWS,
@@ -157,6 +247,7 @@ def run_ablation() -> Dict:
             "size_ratios": list(SIZE_RATIOS),
             "key_gaps": list(KEY_GAPS),
             "repetitions": REPETITIONS,
+            "span_ratios": list(SPAN_RATIOS),
         },
         "thresholds": {
             "GALLOP_RATIO": intersect.GALLOP_RATIO,
@@ -169,8 +260,13 @@ def run_ablation() -> Dict:
             "min_ratio_where_gallop_fastest": (
                 min(gallop_wins) if gallop_wins else None
             ),
+            # None: the table still wins at the widest span swept.
+            "min_span_ratio_where_count_search_wins": (
+                min(search_wins) if search_wins else None
+            ),
         },
         "cases": cases,
+        "count_density_sweep": sweep,
     }
 
 
@@ -196,6 +292,13 @@ def main() -> None:
             f"{case['key_gap']:>4} {seconds['merge'] * 1e3:>9.3f} "
             f"{seconds['gallop'] * 1e3:>10.3f} {seconds['hash'] * 1e3:>8.3f} "
             f"{case['chosen']:>7} {case['fastest']:>8}"
+        )
+    print(f"\ncount-only kernel: {'span/data':>9} {'table ms':>9} {'search ms':>10} {'adaptive ms':>12}")
+    for case in report["count_density_sweep"]:
+        seconds = case["count_seconds"]
+        print(
+            f"{'':>19}{case['span_ratio']:>9} {seconds['table'] * 1e3:>9.3f} "
+            f"{seconds['search'] * 1e3:>10.3f} {seconds['adaptive'] * 1e3:>12.3f}"
         )
     summary = report["summary"]
     print(

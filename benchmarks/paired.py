@@ -17,10 +17,16 @@ than the distance between the parent's quartiles::
 
 ``--trace 1`` runs one traced pass per side instead and records the
 per-layer metrics (counts must repeat exactly between the sides when the
-change did not touch them; times account for where a saving sits).  Results
-are merged into ``--out`` (``BENCH_suite.json`` at the repository root) under
-the workload's name, next to the environment stamp, so one file accumulates
-the evidence of a pull request.
+change did not touch them; times account for where a saving sits).
+
+``--out`` (``BENCH_suite.json`` at the repository root) is append-only: under
+``workloads`` / ``traced``, every workload holds a *list* of entries, oldest
+first, and a run adds one — carrying its own environment stamp (cores,
+versions, parent and change commits) and ``claim`` flag (``--claim``: this is
+the evidence a pull request's claimed gain rests on) — and never replaces or
+drops one, so the file accumulates the evidence of every pull request.  A
+document in the older shape (one entry per workload, one document-wide
+``environment``) is read as one-entry lists stamped with that environment.
 """
 
 from __future__ import annotations
@@ -122,6 +128,24 @@ def environment_stamp(parent: str) -> Dict[str, object]:
     }
 
 
+def load_document(path: str) -> Dict[str, object]:
+    """The evidence file, with every workload's section a list of entries."""
+    if not os.path.exists(path):
+        return {}
+    with open(path) as handle:
+        document = json.load(handle)
+    # The older shape: one entry per workload under one shared stamp.
+    shared_stamp = document.pop("environment", None)
+    for kind in ("workloads", "traced"):
+        section = document.get(kind, {})
+        for workload, entries in section.items():
+            if isinstance(entries, dict):
+                section[workload] = [
+                    {**entries, "claim": None, "environment": shared_stamp}
+                ]
+    return document
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="revision the change is measured against")
@@ -130,6 +154,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=None, help="default: BENCHMARK.json's run_seconds")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument(
+        "--claim", action="store_true", help="mark the entry as the evidence of the claimed gain"
+    )
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_suite.json"))
     args = parser.parse_args(argv)
 
@@ -187,20 +214,19 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"gain_shown={row['gain_shown']} within_bound={row['within_bound']}"
             )
 
-    document: Dict[str, object] = {}
-    if os.path.exists(args.out):
-        with open(args.out) as handle:
-            document = json.load(handle)
-    document["environment"] = environment_stamp(args.parent)
+    entry["claim"] = bool(args.claim)
+    entry["environment"] = environment_stamp(args.parent)
+    document = load_document(args.out)
     document["protocol"] = (
         "pairs of (parent, change) driver-form runs, alternating which side runs "
         "first, each side on its own benchmarks/suite; gain_shown = change wins "
         ">= 9/10 of >= 10 pairs and medians differ by more than the parent's "
         "inter-quartile distance; within_bound = change median no worse than "
-        "the parent's by more than BENCHMARK.json's bound"
+        "the parent's by more than BENCHMARK.json's bound; entries are "
+        "append-only, each stamped with its own environment and commits"
     )
     section = document.setdefault("traced" if args.trace else "workloads", {})
-    section[args.workload] = entry
+    section.setdefault(args.workload, []).append(entry)
     with open(args.out, "w") as handle:
         json.dump(document, handle, indent=1)
         handle.write("\n")

@@ -603,23 +603,13 @@ def _reconcile_combo_targets(
 # ----------------------------------------------------------------------
 # key sharing in the count-only suffix
 # ----------------------------------------------------------------------
-#: A count-only suffix operator works per distinct key when a batch's rows
-#: repeat their keys at least this many times on average (distinct <= rows/2).
-#: Sharing then fetches at most half the lists; its own cost is one grouping
-#: of the rows.  On the suite's 2.5k-vertex graph the repeat factors that
-#: matter are far from the line (SQ9's last EXTEND: 32,983 rows on 3,010
-#: distinct vertices; SQ8's E/I: 1,878 rows on 230 distinct key tuples),
-#: while the social graph's triangle (4 k vertices, every ``b`` of a batch
-#: different) never crosses it and stays on the per-row path.
+#: A count-only leg works per distinct key when a batch's rows repeat its
+#: keys at least this often on average (distinct <= rows / 2); a multi-leg
+#: intersection shares its lists when every leg does.  Under that, grouping
+#: saves little and its many small numpy calls are GIL hand-offs on a
+#: threaded server: sharing the social triangle (``b`` hardly repeats) took
+#: the one-hop queries beside it on ``server_zipf`` from 0.9 to 1.2 ms.
 _SHARE_MIN_REPEAT = 2
-#: A multi-leg intersection whose key *tuples* do not repeat still shares its
-#: lists when the legs' distinct lists sum to at most a quarter of
-#: rows x legs (SQ10: 163 + 1,190 distinct vertices under 15,718 rows; SQ6:
-#: 543 + 815 under 9,935; MR2: 22 k distinct (a2, a3) pairs, yet 33,954 of
-#: its 44,968 list reads repeat a list of the same batch): every list is
-#: then fetched and filtered once and only the shortest leg is expanded per
-#: row.
-_SHARE_MAX_LIST_SHARE = 4
 
 
 def _leg_keys(
@@ -914,15 +904,16 @@ class ExtendIntersect(PhysicalOperator):
           (:meth:`ExtensionLeg.count_many`);
         * a single filtered leg fetches and filters one list per distinct
           value of :meth:`ExtensionLeg.key_vars` and broadcasts the counts;
-        * a multi-leg intersection deduplicates the rows' key tuples,
-          fetches each leg once per distinct key and counts through
+        * a multi-leg intersection fetches and filters each leg once per
+          distinct key, deduplicates the rows' key tuples and counts
+          through
           :func:`~repro.storage.intersect.count_shared_intersections`.
 
         ``keys_may_repeat=False`` is the plan's static verdict
         (:meth:`~repro.query.plan.QueryPlan.may_repeat`) that no two rows
         share a key: the per-row path then runs with not one call added.
-        Otherwise one distinct count per leg and batch decides (the
-        ``_SHARE_*`` constants).
+        Otherwise one distinct count per leg and batch decides
+        (``_SHARE_MIN_REPEAT``): every leg's keys have to repeat.
         """
         if len(self.legs) == 1:
             counts = self._count_single(batch, context, keys_may_repeat)
@@ -948,10 +939,17 @@ class ExtendIntersect(PhysicalOperator):
         self, batch: MatchBatch, context: ExecutionContext, keys_may_repeat: bool
     ) -> np.ndarray:
         legs = self.legs
-        shared = self._shared_lists(batch, context) if keys_may_repeat else None
-        if shared is None:
+        leg_keys = (
+            [_leg_keys(leg, batch, context) for leg in legs] if keys_may_repeat else None
+        )
+        if leg_keys is None or max(
+            keys.distinct for keys in leg_keys
+        ) * _SHARE_MIN_REPEAT > len(batch):
             return self.extend_factorized(batch, context).cardinalities
-        leg_keys, tuples = shared
+        tuples = SharedKeys(
+            [keys.inverse() for keys in leg_keys],
+            [keys.distinct for keys in leg_keys],
+        )
         per_leg = [
             leg.fetch_many(context, _key_batch(leg, keys), weights=keys.weights())
             for leg, keys in zip(legs, leg_keys)
@@ -964,26 +962,6 @@ class ExtendIntersect(PhysicalOperator):
             domain=context.graph.num_vertices,
         )
         return counts[tuples.inverse()]
-
-    def _shared_lists(
-        self, batch: MatchBatch, context: ExecutionContext
-    ) -> Optional[Tuple[List[SharedKeys], SharedKeys]]:
-        """Per-leg distinct keys and distinct key tuples, when sharing pays.
-
-        Returns ``None`` to send the batch down the per-row kernel.
-        """
-        rows = len(batch)
-        leg_keys = [_leg_keys(leg, batch, context) for leg in self.legs]
-        distinct = [keys.distinct for keys in leg_keys]
-        few_lists = sum(distinct) * _SHARE_MAX_LIST_SHARE <= rows * len(self.legs)
-        # A tuple count is at least its widest column's, so tuples cannot
-        # halve when one leg alone does not.
-        if not few_lists and max(distinct) * _SHARE_MIN_REPEAT > rows:
-            return None
-        tuples = SharedKeys([keys.inverse() for keys in leg_keys], distinct)
-        if not few_lists and tuples.distinct * _SHARE_MIN_REPEAT > rows:
-            return None
-        return leg_keys, tuples
 
     # -- legacy tuple-at-a-time path ------------------------------------
     def _extend_rowwise(

@@ -33,7 +33,7 @@ leg entries, ``span`` the leg's composite value range):
   long leg, per-candidate search beats touching all ``n`` entries.
 * **hash** — a boolean table over the leg's value span probed directly,
   ``O(m + n + span)``.  Chosen when the span is dense,
-  ``span <= HASH_TABLE_DENSITY * (m + n)`` (default 4) and below
+  ``span <= HASH_TABLE_DENSITY * (m + n)`` (default 16) and below
   ``HASH_SPAN_CAP``, so the table allocation stays proportional to the data.
 * **merge** — one linear merge of the two sorted arrays: the concatenation
   is stably sorted (timsort detects the two pre-sorted runs, so this is
@@ -54,8 +54,15 @@ Shared lists
 :func:`intersect_segments` takes one segment per (leg, batch row), so a batch
 whose rows keep reading the same few lists hands it the same entries over and
 over.  :func:`count_shared_intersections` is the count-only entry point for
-that case: each leg passes every *distinct* list once, rows name their lists
-by index, and only the shortest leg is expanded per row.  It returns what an
+that case: each leg passes every *distinct* list once and rows name their
+lists by index.  Every row expands its own shortest list — the E/I rule of
+the source paper, applied per row and not per batch — and looks the entries
+up in its other lists through one per-(list, key) structure over all legs'
+distinct lists, built once per call: a position table over ``lists * domain``
+when :func:`choose_strategy` returns ``hash`` for that span (the same
+``HASH_TABLE_DENSITY`` bound, so the table is sized by the data; one gather
+answers membership and run length, and nothing is sorted), else the sorted
+``list * domain + key`` cells under two binary searches.  It returns what an
 aggregate needs — the per-row combination counts — and nothing else.
 """
 
@@ -76,6 +83,11 @@ GALLOP_RATIO = 16
 #: the first-principles value of 4 by the same ablation: the O(span) table
 #: stays fastest up to span ratios of ~16 (the zero-fill and probe are single
 #: vectorized passes, so sparsity hurts less than the asymptotics suggest).
+#: The count-only kernel's position table is bounded by it too and would
+#: bear more (the ablation's density sweep has it ahead of the search up to
+#: ~100), as would the boolean table on wide key gaps; 64 was tried and put
+#: back: the faster per-row triangle it buys on ``server_zipf`` hands the
+#: GIL over more often and took the one-hop class's latency up 30 %.
 HASH_TABLE_DENSITY = 16
 #: Hard cap on the boolean table size (entries), whatever the density says.
 HASH_SPAN_CAP = 1 << 26
@@ -453,71 +465,119 @@ def intersect_segments(
     )
 
 
+def _list_probe(
+    keys: np.ndarray,
+    counts: np.ndarray,
+    presorted: bool,
+    domain: int,
+    num_probes: int,
+    strategy: Optional[str],
+) -> Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]:
+    """Multiplicity lookup over distinct lists.
+
+    The returned function takes ``list * domain + key`` probes and returns
+    the positions of the probes that some entry of their list matches, and
+    for each the number of matching entries (the run length).
+    """
+    span = len(counts) * domain
+    if strategy is None:
+        strategy = choose_strategy(num_probes, len(keys), span)
+    cells = np.repeat(np.arange(len(counts), dtype=np.int64) * domain, counts)
+    cells += keys
+    if strategy == "hash" and span <= HASH_SPAN_CAP:
+        # A cell holds the (1-based) position of one entry that falls in it,
+        # in the narrowest type that can: the table is zero-filled and
+        # probed at random, so its width is its cost.  Run lengths are
+        # counted per position, over the entries only.
+        slots = np.zeros(span, dtype=np.min_scalar_type(len(cells)))
+        slots[cells] = np.arange(1, len(cells) + 1)
+        slot_runs = np.bincount(slots[cells], minlength=len(cells) + 1)
+
+        def lookup(probes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            slot = slots[probes]
+            hits = np.flatnonzero(slot)
+            return hits, slot_runs[slot[hits]]
+
+        return lookup
+    if not presorted:
+        cells.sort()
+
+    def search(probes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        left = np.searchsorted(cells, probes, side="left")
+        # Run lengths only for the probes that hit: most do not.
+        hits = np.flatnonzero(cells[np.minimum(left, len(cells) - 1)] == probes)
+        return hits, np.searchsorted(cells, probes[hits], side="right") - left[hits]
+
+    return search
+
+
 def count_shared_intersections(
     list_keys: Sequence[np.ndarray],
     list_counts: Sequence[np.ndarray],
     row_lists: Sequence[np.ndarray],
     presorted: Sequence[bool],
     domain: int,
+    strategy: Optional[str] = None,
 ) -> np.ndarray:
     """Per-row intersection sizes when many rows read the same lists.
 
     The count-only sibling of :func:`intersect_segments` for batches whose
     rows repeat their bound keys: every leg hands over each *distinct* list
-    once, and a row names the list it reads on every leg by its index.  Only
-    the leg with the fewest per-row entries is expanded into (row, key)
-    entries; every other leg is probed through its per-list table
-    ``list * domain + key`` — globally sorted as it stands when the lists
-    are concatenated in list order and each is sorted on the key.  A row's
-    result is the number of combinations :func:`intersect_segments` would
-    report for it (``counts_out``): parallel entries multiply, taken from
-    the run lengths of the probed tables.
+    once, and a row names the list it reads on every leg by its index.  A
+    row's result is the number of combinations :func:`intersect_segments`
+    would report for it (``counts_out``): parallel entries multiply.
+
+    All legs' lists form one list space.  Every row expands its own shortest
+    list into (row, key) entries and looks them up in its other lists, one
+    round per further leg, through a single ``list * domain + key`` lookup
+    over the whole space (see "Shared lists" in the module docstring): a
+    position table when :func:`choose_strategy` says ``hash`` for the span
+    ``lists * domain`` — never sized by the batch's rows — else a binary
+    search of the sorted cells.
 
     Args:
-        list_keys: per leg, the integer join keys (in ``[0, domain)``) of
-            its distinct lists, concatenated in list order.
+        list_keys: per leg (two or more), the integer join keys (in
+            ``[0, domain)``) of its distinct lists, concatenated in list
+            order.
         list_counts: per leg, the length of each distinct list.
         row_lists: per leg, the list each row reads (all of one length).
         presorted: per leg, True when every list is sorted on the join key;
-            other legs' tables are sorted here, once per distinct list.
+            consulted only when the cells are searched, which sorts them
+            first unless every leg is.
         domain: exclusive upper bound of the join keys.
+        strategy: force the table (``"hash"``, span cap permitting) or the
+            search (``"merge"``, ``"gallop"``) — tests and ablations, as in
+            :func:`intersect_segments`.
     """
+    if len(list_keys) < 2:
+        raise ValueError("count_shared_intersections requires at least two legs")
+    if strategy is not None and strategy not in _STRATEGIES:
+        raise ValueError(f"unknown intersection strategy {strategy!r}")
+    num_legs = len(list_keys)
     num_rows = len(row_lists[0])
-    per_row = [counts[lists] for counts, lists in zip(list_counts, row_lists)]
-    totals = [int(lengths.sum()) for lengths in per_row]
-    expanded = min(range(len(totals)), key=totals.__getitem__)
-    total = totals[expanded]
+    # Leg ``l``'s list ``i`` is list ``bases[l] + i`` of the one list space.
+    keys = np.concatenate(list_keys).astype(np.int64, copy=False)
+    counts = np.concatenate(list_counts)
+    bases = np.cumsum([0] + [len(leg_counts) for leg_counts in list_counts[:-1]])
+    lists = np.stack([chosen + base for chosen, base in zip(row_lists, bases)])
+    shortest = counts[lists].argmin(axis=0)
+    row_ids = np.arange(num_rows, dtype=np.int64)
+    expanded = lists[shortest, row_ids]
+    sizes = counts[expanded]
+    total = int(sizes.sum())
     if total == 0:
         return np.zeros(num_rows, dtype=np.int64)
-
-    # Entries of the expanded leg, row by row.
-    counts = list_counts[expanded]
-    lengths = per_row[expanded]
-    list_starts = (np.cumsum(counts) - counts)[row_lists[expanded]]
-    positions = range_positions(list_starts, lengths, total)
-    keys = list_keys[expanded][positions].astype(np.int64, copy=False)
-    rows = np.repeat(np.arange(num_rows, dtype=np.int64), lengths)
-    combos = np.ones(total, dtype=np.int64)
-
-    for leg, (leg_keys, leg_counts) in enumerate(zip(list_keys, list_counts)):
-        if leg == expanded:
-            continue
-        table = np.repeat(
-            np.arange(len(leg_counts), dtype=np.int64) * domain, leg_counts
-        ) + leg_keys.astype(np.int64, copy=False)
-        if not presorted[leg]:
-            table.sort()
-        probes = row_lists[leg][rows] * domain + keys
-        left = np.searchsorted(table, probes, side="left")
-        member = table[np.minimum(left, len(table) - 1)] == probes
-        if not member.any():
-            return np.zeros(num_rows, dtype=np.int64)
-        # Run lengths only for the probes that hit: most do not.
-        left = left[member]
-        keys = keys[member]
-        rows = rows[member]
-        combos = combos[member] * (
-            np.searchsorted(table, probes[member], side="right") - left
-        )
-
-    return _sums_by_row(combos, rows, num_rows)
+    starts = (np.cumsum(counts) - counts)[expanded]
+    entry_keys = keys[range_positions(starts, sizes, total)]
+    entry_rows = np.repeat(row_ids, sizes)
+    lookup = _list_probe(
+        keys, counts, all(presorted), domain, total * (num_legs - 1), strategy
+    )
+    combos = None
+    for step in range(1, num_legs):
+        probed = lists[(shortest + step) % num_legs, row_ids]
+        hits, runs = lookup(probed[entry_rows] * domain + entry_keys)
+        entry_keys = entry_keys[hits]
+        entry_rows = entry_rows[hits]
+        combos = runs if combos is None else combos[hits] * runs
+    return _sums_by_row(combos, entry_rows, num_rows)

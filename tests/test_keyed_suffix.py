@@ -22,12 +22,14 @@ edges, vertices without out-edges — and is pinned three ways:
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro import Database
 from repro.graph import Direction, GraphBuilder
+from repro.graph.generators import HubSkewedGraphSpec, generate_hub_skewed_graph
 from repro.graph.types import EdgeAdjacencyType
 from repro.index.bitmap import BitmapSecondaryIndex
 from repro.index.config import IndexConfig
@@ -52,6 +54,7 @@ from repro.query.operators import (
     ScanVertices,
 )
 from repro.query.plan import QueryPlan
+from repro.storage import intersect
 from repro.storage.intersect import count_shared_intersections
 from repro.storage.partition_keys import PartitionKey
 from repro.storage.sort_keys import SortKey
@@ -107,6 +110,27 @@ def _hub_graph():
     return builder.build()
 
 
+def _skewed_graph():
+    """``generate_hub_skewed_graph`` with parallel edges, two edge labels (an
+    unlabelled leg reads across both partitions, so its list is not sorted on
+    the neighbour) and two vertex properties to filter targets on."""
+    base = generate_hub_skewed_graph(
+        HubSkewedGraphSpec(num_vertices=160, num_edges=700, skew=1.0, seed=9)
+    )
+    rng = np.random.default_rng(9)
+    src = np.concatenate([base.edge_src, base.edge_src[:80]])
+    dst = np.concatenate([base.edge_dst, base.edge_dst[:80]])
+    builder = GraphBuilder()
+    for _vertex in range(base.num_vertices):
+        builder.add_vertex(
+            "V",
+            acc="CQ" if rng.random() < 0.85 else "SV",
+            city=f"c{int(rng.integers(0, 3))}",
+        )
+    builder.add_edges(src, dst, [f"EL{edge % 2}" for edge in range(len(src))])
+    return builder.build()
+
+
 def _pattern(name, edges, vertex_labels=None, edge_labels=None):
     query = QueryGraph(name)
     for var in sorted({var for edge in edges for var in edge}):
@@ -120,6 +144,15 @@ def _pattern(name, edges, vertex_labels=None, edge_labels=None):
 
 _PATH = [("a", "b"), ("b", "c"), ("c", "d")]
 _ALTERNATING = {"a": "VL0", "b": "VL1", "c": "VL0", "d": "VL1"}
+
+
+def _mf1_shape():
+    """MF1: a 4-cycle, every vertex filtered, ``a2.city = a4.city``."""
+    query = _pattern("mf1_shape", [("a1", "a2"), ("a2", "a3"), ("a3", "a4"), ("a4", "a1")])
+    for var in ("a1", "a2", "a3", "a4"):
+        query.add_predicate(cmp(prop(var, "acc"), "=", "CQ"))
+    query.add_predicate(cmp(prop("a2", "city"), "=", prop("a4", "city")))
+    return query
 
 
 def _heavy_tail():
@@ -199,6 +232,19 @@ SHAPES = {
         ),
         True,
     ),
+    # the tuned workload's two intersections, on a hub-skewed graph: MR2
+    # (two extends out of a1, then E/I x2 on backward lists) and MF1 (the
+    # E/I's legs are unsorted and one filters its target vertex)
+    "mr2_shape": (
+        "skewed",
+        lambda: _pattern(
+            "mr2_shape",
+            [("a1", "a2"), ("a1", "a3"), ("a4", "a2"), ("a4", "a3")],
+            edge_labels={0: "EL0", 1: "EL1"},
+        ),
+        True,
+    ),
+    "mf1_shape": ("skewed", _mf1_shape, True),
 }
 
 
@@ -208,6 +254,7 @@ class _Fixture:
     def __init__(self) -> None:
         self.graph = _hub_graph()
         self.databases = {
+            "skewed": Database(_skewed_graph()),
             "default": Database(self.graph),
             "float_sorted": Database(
                 self.graph,
@@ -217,11 +264,13 @@ class _Fixture:
                 ),
             ),
         }
-        self.naive = NaiveMatcher(self.graph)
         self.plans = {}
+        #: shape name -> the graph its plan runs on
+        self.graphs = {"rising_tail": self.graph}
         for name, (database, factory, _shares) in SHAPES.items():
             query = factory()
             self.plans[name] = (query, self.databases[database].plan(query))
+            self.graphs[name] = self.databases[database].graph
         self.plans["rising_tail"] = self._rising_tail()
 
     def _rising_tail(self):
@@ -397,18 +446,22 @@ def test_may_repeat_static_rules(fx):
 @pytest.mark.parametrize("name", ALL_SHAPES)
 def test_count_matches_flat_and_naive(fx, name):
     query, plan = fx.plans[name]
-    executor = Executor(fx.graph)
+    executor = Executor(fx.graphs[name])
     flat = executor.count(plan, factorized=False)
-    assert flat == fx.naive.count(query)
+    assert flat == NaiveMatcher(fx.graphs[name]).count(query)
     assert executor.count(plan) == flat
     assert executor.run(plan, factorized=True).count == flat
 
 
-@pytest.mark.parametrize("batch_size", [16, 1024])
-@pytest.mark.parametrize("name", ALL_SHAPES)
+@pytest.mark.parametrize(
+    "name,batch_size",
+    [(name, size) for name in ALL_SHAPES for size in (16, 1024)]
+    # one-row and odd batches too for the tuned workload's intersections
+    + [(name, size) for name in ("mr2_shape", "mf1_shape") for size in (1, 7)],
+)
 def test_logical_stats_match_the_per_row_paths(fx, name, batch_size):
     _query, plan = fx.plans[name]
-    executor = Executor(fx.graph, batch_size=batch_size)
+    executor = Executor(fx.graphs[name], batch_size=batch_size)
     count, stats = _count_only(executor, plan)
     kept_count, kept = _rows_kept(executor, plan)
     assert count == kept_count
@@ -417,7 +470,7 @@ def test_logical_stats_match_the_per_row_paths(fx, name, batch_size):
 
     if len(plan.operators) - plan.factorized_suffix_start() == 1:
         # One suffix operator: the flat path reads exactly the same lists.
-        rowwise = Executor(fx.graph, batch_size=batch_size).run(_rowwise(plan))
+        rowwise = Executor(fx.graphs[name], batch_size=batch_size).run(_rowwise(plan))
         assert rowwise.count == count
         for counter in ("lists_accessed", "list_entries_fetched", "predicate_evaluations"):
             assert getattr(stats, counter) == getattr(rowwise.stats, counter)
@@ -445,11 +498,15 @@ def test_batches_without_repeats_stay_on_the_per_row_path(fx):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", ["thread", "process"])
 def test_backends_agree_with_serial(fx, backend):
-    names = ALL_SHAPES if backend == "thread" else ("path", "chord", "rising_tail")
+    names = (
+        ALL_SHAPES
+        if backend == "thread"
+        else ("path", "chord", "rising_tail", "mr2_shape", "mf1_shape")
+    )
     for name in names:
         _query, plan = fx.plans[name]
-        count, serial = _count_only(Executor(fx.graph), plan)
-        morsel = MorselExecutor(fx.graph, num_workers=2, backend=backend)
+        count, serial = _count_only(Executor(fx.graphs[name]), plan)
+        morsel = MorselExecutor(fx.graphs[name], num_workers=2, backend=backend)
         morsel_count, stats = _count_only(morsel, plan)
         assert morsel_count == count, name
         assert _logical(stats) == _logical(serial), name
@@ -536,9 +593,27 @@ def _reference_shared_counts(list_keys, list_counts, row_lists):
     return np.asarray(out, dtype=np.int64)
 
 
+#: A key domain no table could span: ``lists * _SPARSE_DOMAIN`` cells.
+_SPARSE_DOMAIN = 1 << 40
+
+
+def _spied_strategies(monkeypatch):
+    """Record ``choose_strategy``'s (probes, entries, span) and verdicts."""
+    calls = []
+    chooser = intersect.choose_strategy
+
+    def spy(num_candidates, num_entries, span):
+        verdict = chooser(num_candidates, num_entries, span)
+        calls.append((num_candidates, num_entries, span, verdict))
+        return verdict
+
+    monkeypatch.setattr(intersect, "choose_strategy", spy)
+    return calls
+
+
 @pytest.mark.parametrize("num_legs", [2, 3])
 @pytest.mark.parametrize("presorted", [True, False])
-def test_shared_list_kernel_against_per_row_loop(num_legs, presorted):
+def test_shared_list_kernel_against_per_row_loop(num_legs, presorted, monkeypatch):
     rng = np.random.default_rng(11 * num_legs + presorted)
     domain, num_rows = 5, 60
     list_keys, list_counts, row_lists = [], [], []
@@ -552,12 +627,61 @@ def test_shared_list_kernel_against_per_row_loop(num_legs, presorted):
         list_keys.append(np.concatenate(lists).astype(np.int64))
         list_counts.append(counts.astype(np.int64))
         row_lists.append(rng.integers(0, num_lists, num_rows))
-    got = count_shared_intersections(
-        list_keys, list_counts, row_lists, [presorted] * num_legs, domain
-    )
     want = _reference_shared_counts(list_keys, list_counts, row_lists)
-    assert got.tolist() == want.tolist()
     assert want.sum() > 0 and (want > 1).any()
+    # The lists as they are (a dense domain: the table), then re-keyed, order
+    # kept, into a domain of 2**40 (the search).
+    stretch = _SPARSE_DOMAIN // domain
+    verdicts = _spied_strategies(monkeypatch)
+    for sparse, keys, key_domain in (
+        (False, list_keys, domain),
+        (True, [leg_keys * stretch for leg_keys in list_keys], _SPARSE_DOMAIN),
+    ):
+        verdicts.clear()
+        args = (keys, list_counts, row_lists, [presorted] * num_legs, key_domain)
+        assert count_shared_intersections(*args).tolist() == want.tolist()
+        assert [verdict == "hash" for *_sizes, verdict in verdicts] == [not sparse]
+        # Either forced route answers the same (a forced table over the
+        # sparse span falls back to the search, as in ``intersect_segments``)
+        # and asks no chooser.
+        for strategy in ("hash", "merge", "gallop"):
+            got = count_shared_intersections(*args, strategy=strategy)
+            assert got.tolist() == want.tolist()
+        assert len(verdicts) == 1
+    with pytest.raises(ValueError):
+        count_shared_intersections(*args, strategy="bitmap")
+
+
+@pytest.mark.parametrize("strategy", [None, "hash", "merge"])
+def test_shared_list_kernel_shortest_leg_varies_by_row(strategy):
+    """Three legs, one unsorted, one never the shortest; long parallel runs."""
+    domain = 50
+    hub = np.full(300, 7)  # 300 parallel entries: past a uint8 table cell
+    legs = [
+        # leg 0: a short list, a long one with a run of 300, an empty one
+        [np.array([3, 7, 7]), np.sort(np.concatenate([hub, np.arange(40)])), np.array([], dtype=int)],
+        # leg 1: always longer than what the row reads elsewhere
+        [np.sort(np.concatenate([hub, hub, np.arange(50)])), np.arange(50).repeat(8)],
+        # leg 2 (unsorted): a short list, a long one
+        [np.array([9, 7, 3, 7]), np.concatenate([np.arange(49, -1, -1), hub])],
+    ]
+    list_keys = [np.concatenate(lists).astype(np.int64) for lists in legs]
+    list_counts = [np.array([len(entries) for entries in lists]) for lists in legs]
+    row_lists = [
+        np.array([0, 0, 1, 1, 2, 1, 0]),  # short, short, long, long, empty, long, short
+        np.array([0, 1, 0, 1, 0, 0, 1]),
+        np.array([1, 0, 0, 1, 1, 1, 0]),  # long, short, short, long, long, long, short
+    ]
+    lengths = np.stack([counts[lists] for counts, lists in zip(list_counts, row_lists)])
+    shortest = set(lengths.argmin(axis=0).tolist())
+    assert shortest == {0, 2}  # both differ within the call; leg 1 never is
+    want = _reference_shared_counts(list_keys, list_counts, row_lists)
+    # row 2: runs of 301, 601 and 2 on key 7, and keys 3 and 9 once each
+    assert want[2] == 301 * 601 * 2 + 2 and want[4] == 0
+    got = count_shared_intersections(
+        list_keys, list_counts, row_lists, [True, True, False], domain, strategy=strategy
+    )
+    assert got.tolist() == want.tolist()
 
 
 def test_shared_list_kernel_empty_sides():
@@ -570,6 +694,80 @@ def test_shared_list_kernel_empty_sides():
         domain=5,
     )
     assert counts.tolist() == [0, 0, 0, 0]
+    # every leg empty, and no rows at all
+    nothing = count_shared_intersections(
+        [empty, empty], [np.array([0, 0]), np.array([0])],
+        [np.array([0, 1, 1]), np.zeros(3, dtype=np.int64)], [True, False], domain=5,
+    )
+    assert nothing.tolist() == [0, 0, 0]
+    assert len(count_shared_intersections(
+        [np.array([1]), np.array([1])], [np.array([1]), np.array([1])],
+        [empty, empty], [True, True], domain=5,
+    )) == 0
+    with pytest.raises(ValueError):
+        count_shared_intersections([empty], [np.array([0])], [empty], [True], domain=5)
+
+
+def _many_lists(rng, num_lists, list_size, num_rows, domain):
+    """Two legs of ``num_lists`` sorted lists each, read by ``num_rows`` rows."""
+    list_keys = [
+        np.sort(rng.integers(0, domain, (num_lists, list_size)), axis=1).ravel()
+        for _ in range(2)
+    ]
+    list_counts = [np.full(num_lists, list_size, dtype=np.int64)] * 2
+    row_lists = [rng.integers(0, num_lists, num_rows) for _ in range(2)]
+    return list_keys, list_counts, row_lists
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_shared_list_kernel_table_is_sized_by_the_data(monkeypatch):
+    """``choose_strategy`` sees ``lists * domain``; allocation follows the data."""
+    rng = np.random.default_rng(3)
+    num_lists, list_size, num_rows, domain = 200, 50, 4000, 2000
+    list_keys, list_counts, row_lists = _many_lists(
+        rng, num_lists, list_size, num_rows, domain
+    )
+    verdicts = _spied_strategies(monkeypatch)
+    counts, peak = _traced_peak(
+        lambda: count_shared_intersections(
+            list_keys, list_counts, row_lists, [True, True], domain
+        )
+    )
+    assert counts.sum() > 0
+    probes, entries = num_rows * list_size, 2 * num_lists * list_size
+    # all lists of all legs times the domain: nothing about the 4000 rows
+    assert verdicts == [(probes, entries, 2 * num_lists * domain, "hash")]
+    assert peak <= intersect.HASH_TABLE_DENSITY * (probes + entries) * 8
+
+
+def test_shared_list_kernel_sparse_domain_allocates_no_table():
+    """10 k lists over a 2**40 domain: a table sized by the span cannot exist."""
+    rng = np.random.default_rng(4)
+    list_keys, list_counts, row_lists = _many_lists(
+        rng, 10_000, 8, 20_000, _SPARSE_DOMAIN
+    )
+    counts, peak = _traced_peak(
+        lambda: count_shared_intersections(
+            list_keys, list_counts, row_lists, [True, True], _SPARSE_DOMAIN
+        )
+    )
+    assert len(counts) == 20_000
+    assert peak <= intersect.HASH_TABLE_DENSITY * (20_000 * 8 + 2 * 80_000) * 8
+    # one shared key makes every row match once
+    for keys in list_keys:
+        keys[::8] = 0
+    counts = count_shared_intersections(
+        list_keys, list_counts, row_lists, [True, True], _SPARSE_DOMAIN
+    )
+    assert counts.min() >= 1
 
 
 @pytest.mark.parametrize(
