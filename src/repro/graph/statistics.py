@@ -8,6 +8,7 @@ degree and label-selectivity statistics the cost model needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Optional
 
 import numpy as np
@@ -39,37 +40,65 @@ class DegreeSummary:
         )
 
 
+def _label_counts(labels: np.ndarray) -> Dict[int, int]:
+    values, counts = np.unique(labels, return_counts=True)
+    return {int(value): int(count) for value, count in zip(values, counts)}
+
+
 class GraphStatistics:
     """Degree and label statistics used by the query optimizer.
 
-    All quantities are computed once at construction; the class is cheap to
-    keep around for the lifetime of a database instance.
+    The label counts behind the selectivities are computed at construction
+    (or carried from the previous generation by :meth:`updated`); the degree
+    summaries are read only by :meth:`describe` and computed on first access.
     """
 
-    def __init__(self, graph: PropertyGraph) -> None:
+    def __init__(
+        self,
+        graph: PropertyGraph,
+        edge_label_counts: Optional[Dict[int, int]] = None,
+        vertex_label_counts: Optional[Dict[int, int]] = None,
+    ) -> None:
         self.graph = graph
-        self._out_degrees = graph.out_degree()
-        self._in_degrees = graph.in_degree()
-        self.out_summary = DegreeSummary.from_degrees(self._out_degrees)
-        self.in_summary = DegreeSummary.from_degrees(self._in_degrees)
-
-        num_edges = max(graph.num_edges, 1)
-        num_vertices = max(graph.num_vertices, 1)
-
-        self._edge_label_counts: Dict[int, int] = {}
-        labels, counts = np.unique(graph.edge_labels, return_counts=True)
-        for label, count in zip(labels, counts):
-            self._edge_label_counts[int(label)] = int(count)
-
-        self._vertex_label_counts: Dict[int, int] = {}
-        labels, counts = np.unique(graph.vertex_labels, return_counts=True)
-        for label, count in zip(labels, counts):
-            self._vertex_label_counts[int(label)] = int(count)
-
+        if edge_label_counts is None:
+            edge_label_counts = _label_counts(graph.edge_labels)
+        if vertex_label_counts is None:
+            vertex_label_counts = _label_counts(graph.vertex_labels)
+        self._edge_label_counts = edge_label_counts
+        self._vertex_label_counts = vertex_label_counts
         self._num_edges = graph.num_edges
         self._num_vertices = graph.num_vertices
-        self._avg_out_degree = graph.num_edges / num_vertices
-        self._avg_in_degree = graph.num_edges / num_vertices
+        self._avg_out_degree = graph.num_edges / max(graph.num_vertices, 1)
+        self._avg_in_degree = self._avg_out_degree
+
+    def updated(
+        self,
+        graph: PropertyGraph,
+        inserted_labels: np.ndarray,
+        deleted_labels: np.ndarray,
+    ) -> "GraphStatistics":
+        """Statistics of ``graph`` — this graph after an edge-only update —
+        equal to ``GraphStatistics(graph)`` without re-counting it: the edge
+        label counts move by the inserted minus the deleted labels and the
+        vertex label counts are shared (updates never add vertices)."""
+        size = graph.schema.num_edge_labels
+        change = np.bincount(inserted_labels, minlength=size) - np.bincount(
+            deleted_labels, minlength=size
+        )
+        counts = dict(self._edge_label_counts)
+        for label in np.flatnonzero(change).tolist():
+            counts[label] = counts.get(label, 0) + int(change[label])
+            if not counts[label]:
+                del counts[label]
+        return GraphStatistics(graph, counts, self._vertex_label_counts)
+
+    @cached_property
+    def out_summary(self) -> DegreeSummary:
+        return DegreeSummary.from_degrees(self.graph.out_degree())
+
+    @cached_property
+    def in_summary(self) -> DegreeSummary:
+        return DegreeSummary.from_degrees(self.graph.in_degree())
 
     # ------------------------------------------------------------------
     # selectivities

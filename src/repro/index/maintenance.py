@@ -21,15 +21,29 @@ buffered insertions/deletions merged into the indexes when the buffers fill
   shape).
 * **Tombstones** — deletions set bits in one boolean mask applied to every
   edge array with a single fancy-index at merge time.
-* **Incremental merge** — :meth:`flush` splices the sorted pending delta into
-  every index's existing sorted entries (``merge_sorted_runs``: one
-  ``searchsorted`` per index on packed lexicographic keys, falling back to a
-  stable lexsort when the key domain cannot pack into an int64), then rebuilds
-  the CSR offsets with one ``bincount`` per level
-  (:meth:`NestedCSR.from_sorted_groups`) and recomputes secondary offset
-  lists against the merged primary with pure gathers.  The resulting indexes
-  are byte-identical (offsets, ID lists, offset lists) to indexes rebuilt
-  from scratch over the updated graph.
+* **Incremental merge** — :meth:`flush` splices *by position*: the old
+  indexes are immutable sorted partitions and only the changed edges are
+  keyed.  Per index the pending entries are lexsorted on (deepest group, sort
+  keys) and bisected, all in lock-step, into their own lists of the *old*
+  CSR (``merge_sorted_runs`` → :func:`repro.storage.csr.search_segments`:
+  ⌈log₂ longest list⌉ rounds, each reading the old entries' sort keys at one
+  middle position per list; ties land after the old entry, as a stable sort
+  of appended edges would put them).  Tombstones are positions as well — an
+  edge's slot in the primary, a secondary entry's resolved slot — so an
+  insertion point shifts down by the dead positions before it, every payload
+  array is one masked copy of the survivors plus one scatter of the delta
+  (:class:`~repro.storage.csr.Splice`), and the CSR offsets are the old ones
+  moved by the running sum of inserted minus dead entries per group
+  (:meth:`NestedCSR.spliced`).  Surviving secondary entries follow their edge
+  through the primary's position map (``Splice.new_positions``) instead of
+  being looked up again; an edge-partitioned index, whose bound IDs are edge
+  IDs, grows its bound domain by the pending edges and drops the tombstoned
+  ones.  No key, partition code or group ID is ever derived for a surviving
+  entry.  The resulting indexes are byte-identical (offsets, ID lists, offset
+  lists, edge positions) to indexes rebuilt from scratch over the updated
+  graph, and the statistics are carried the same way
+  (:meth:`GraphStatistics.updated`).  ``MaintenanceStats.describe()`` says
+  where a flush spent its time, phase by phase.
 * **Equivalence oracles** — ``flush(incremental=False)`` keeps the
   rebuild-from-scratch path; ``IndexMaintainer(..., columnar=False)`` keeps
   the seed's tuple-at-a-time buffering (:class:`PendingEdge` rows, per-edge
@@ -61,8 +75,9 @@ from __future__ import annotations
 
 import time
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,7 +90,6 @@ from ..graph.property_store import (
     raw_null_of,
 )
 from ..graph.schema import GraphSchema
-from ..graph.statistics import GraphStatistics
 from ..graph.types import (
     Direction,
     NULL_INT,
@@ -84,7 +98,7 @@ from ..graph.types import (
     PropertyType,
 )
 from ..predicates import Predicate
-from ..storage.csr import NestedCSR, fold_group_ids, merge_sorted_runs
+from ..storage.csr import Splice, fold_group_ids, merge_sorted_runs
 from ..storage.intersect import intersect_segments
 from ..storage.sort_keys import sort_values_matrix
 from .config import IndexConfig
@@ -189,6 +203,47 @@ class MaintenanceStats:
     edge_partitioned_probes: int = 0
     merges: int = 0
     merge_seconds: float = 0.0
+    #: Seconds per flush phase (in execution order), summed over all flushes.
+    phase_seconds: Dict[str, float] = field(
+        default_factory=lambda: dict.fromkeys(
+            ("materialize", "primary", "vertex indexes", "edge indexes", "statistics", "install"),
+            0.0,
+        )
+    )
+
+    @contextmanager
+    def phase(self, name: str):
+        """Charge the enclosed block's wall time to one flush phase."""
+        started = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.phase_seconds[name] += time.perf_counter() - started
+
+    def describe(self) -> str:
+        """Counters plus where the flush time went, phase by phase."""
+        merges = max(self.merges, 1)
+        phases = ", ".join(
+            f"{name} {1000 * seconds / merges:.2f}"
+            for name, seconds in self.phase_seconds.items()
+        )
+        return (
+            f"MaintenanceStats(+{self.inserted_edges:,} -{self.deleted_edges:,} edges, "
+            f"{self.merges} flushes in {self.merge_seconds:.3f} s "
+            f"({1000 * self.merge_seconds / merges:.2f} ms each); "
+            f"ms per flush: {phases})"
+        )
+
+
+class _MergedAdjacency(NamedTuple):
+    """One merged primary direction, as the secondary merges consume it:
+    the new index, how the old index's positions moved (``splice.survivors``,
+    ``splice.new_positions``) and every pending edge's insertion point among
+    the old index's positions."""
+
+    index: AdjacencyIndex
+    splice: Splice
+    pending_insert_at: np.ndarray
 
 
 class IndexMaintainer:
@@ -202,7 +257,7 @@ class IndexMaintainer:
             tuple-at-a-time :class:`PendingEdge` buffering as a cost baseline;
             the bulk APIs then raise.
         incremental: merge buffered updates into the existing indexes with
-            the vectorized splice instead of rebuilding from scratch.  Only
+            the position splice instead of rebuilding from scratch.  Only
             meaningful with ``columnar=True``; ``flush(incremental=False)``
             forces the scratch rebuild (the equivalence oracle) per call.
     """
@@ -341,9 +396,12 @@ class IndexMaintainer:
             )
         if self._tombstone_mask is None:
             self._tombstone_mask = np.zeros(self.graph.num_edges, dtype=bool)
+        # Repeated and already-tombstoned IDs buffer nothing new.
+        before = np.count_nonzero(self._tombstone_mask)
         self._tombstone_mask[ids] = True
-        self.stats.deleted_edges += len(ids)
-        self.stats.buffered_operations += len(ids)
+        fresh = int(np.count_nonzero(self._tombstone_mask) - before)
+        self.stats.deleted_edges += fresh
+        self.stats.buffered_operations += fresh
         if self.stats.buffered_operations >= self.merge_threshold:
             self.flush()
 
@@ -617,14 +675,14 @@ class IndexMaintainer:
             self._reset_buffers()
             return
         started = time.perf_counter()
-        if self.columnar:
-            new_graph, keep, new_id_of_old, num_kept = self._materialize_columnar()
-            if incremental:
-                self._merge_indexes(new_graph, keep, new_id_of_old, num_kept)
+        with self.stats.phase("materialize"):
+            if self.columnar:
+                new_graph, keep, new_id_of_old, num_kept = self._materialize_columnar()
             else:
-                self._rebuild_indexes(new_graph)
+                new_graph = self._materialize_graph()
+        if self.columnar and incremental:
+            self._merge_indexes(new_graph, keep, new_id_of_old, num_kept)
         else:
-            new_graph = self._materialize_graph()
             self._rebuild_indexes(new_graph)
         self._reset_buffers()
         self.stats.merges += 1
@@ -705,96 +763,101 @@ class IndexMaintainer:
     ) -> None:
         store = self.store
         old_graph = store.graph
-        old_primary = store.primary
-        new_forward = self._merge_adjacency_index(
-            old_primary.forward, new_graph, keep, new_id_of_old, num_kept
-        )
-        new_backward = self._merge_adjacency_index(
-            old_primary.backward, new_graph, keep, new_id_of_old, num_kept
-        )
-        new_primary = PrimaryIndex.from_directions(new_graph, new_forward, new_backward)
-        new_vertex = {
-            name: self._merge_vertex_index(
-                index, new_graph, keep, new_id_of_old, num_kept, new_primary
-            )
-            for name, index in store._vertex_indexes.items()
-        }
-        new_edge = {
-            name: self._merge_edge_index(
-                index,
-                old_graph,
-                old_primary,
+        phase = self.stats.phase
+        with phase("primary"):
+            merged = {
+                direction: self._merge_adjacency_index(
+                    store.primary.for_direction(direction),
+                    new_graph,
+                    keep,
+                    new_id_of_old,
+                    num_kept,
+                )
+                for direction in (Direction.FORWARD, Direction.BACKWARD)
+            }
+            new_primary = PrimaryIndex.from_directions(
                 new_graph,
-                keep,
-                new_id_of_old,
-                num_kept,
-                new_primary,
+                merged[Direction.FORWARD].index,
+                merged[Direction.BACKWARD].index,
             )
-            for name, index in store._edge_indexes.items()
-        }
+        with phase("vertex indexes"):
+            new_vertex = {
+                name: self._merge_vertex_index(
+                    index, new_graph, num_kept, merged[index.direction]
+                )
+                for name, index in store._vertex_indexes.items()
+            }
+        with phase("edge indexes"):
+            new_edge = {
+                name: self._merge_edge_index(
+                    index,
+                    new_graph,
+                    keep,
+                    new_id_of_old,
+                    num_kept,
+                    new_primary,
+                    merged[index.adjacency.adjacency_direction],
+                )
+                for name, index in store._edge_indexes.items()
+            }
+        with phase("statistics"):
+            statistics = store.statistics.updated(
+                new_graph, new_graph.edge_labels[num_kept:], old_graph.edge_labels[~keep]
+            )
         # One atomic swap: concurrent readers holding a store snapshot keep
         # the complete pre-merge generation; new snapshots see the complete
         # post-merge generation (see IndexStore's snapshot/flush contract).
-        store.install_state(
-            graph=new_graph,
-            primary=new_primary,
-            statistics=GraphStatistics(new_graph),
-            vertex_indexes=new_vertex,
-            edge_indexes=new_edge,
-        )
+        with phase("install"):
+            store.install_state(
+                graph=new_graph,
+                primary=new_primary,
+                statistics=statistics,
+                vertex_indexes=new_vertex,
+                edge_indexes=new_edge,
+            )
 
-    def _sorted_run_keys(
-        self,
+    @staticmethod
+    def _delta_run(
         graph: PropertyGraph,
         config: IndexConfig,
         bound_ids: np.ndarray,
         edge_ids: np.ndarray,
         nbr_ids: np.ndarray,
-        extra_minor: Optional[np.ndarray] = None,
-    ) -> Tuple[List[np.ndarray], List[int]]:
-        """Lexicographic key columns (major first) of one index entry run."""
-        level_domains = [
-            key.effective_domain_size(graph) for key in config.partition_keys
-        ]
+        num_dead: int,
+        closing: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray]]:
+        """Sort one index's pending entries into index order.
+
+        Returns ``(order, groups, columns)``: the stable-lexsort permutation
+        on (deepest group of ``bound_ids``, sort keys, ``closing``), and the
+        sorted group IDs and sort-key columns (major first) the merge bisects
+        into the old lists.  An edge-ID sort key reads ``num_dead`` higher: the
+        old entries it is compared with still carry pre-compaction IDs, under
+        which the pending edges are numbered after every old edge.
+        """
+        level_domains = [key.effective_domain_size(graph) for key in config.partition_keys]
         level_codes = [
-            key.effective_codes(graph, edge_ids, nbr_ids)
-            for key in config.partition_keys
+            key.effective_codes(graph, edge_ids, nbr_ids) for key in config.partition_keys
         ]
-        group_ids = fold_group_ids(bound_ids, level_codes, level_domains)
-        keys: List[np.ndarray] = [group_ids]
-        keys.extend(
-            np.asarray(values)
-            for values in sort_values_matrix(config.sort_keys, graph, edge_ids, nbr_ids)
-        )
-        if extra_minor is not None:
-            keys.append(np.asarray(extra_minor, dtype=np.int64))
-        return keys, level_domains
+        groups = fold_group_ids(bound_ids, level_codes, level_domains)
+        columns = sort_values_matrix(config.sort_keys, graph, edge_ids, nbr_ids)
+        columns = [
+            values + num_dead if key.is_edge_id else np.asarray(values)
+            for key, values in zip(config.sort_keys, columns)
+        ]
+        minor = columns if closing is None else columns + [closing]
+        order = np.lexsort((*reversed(minor), groups))
+        return order, groups[order], [values[order] for values in columns]
 
     @staticmethod
-    def _sort_delta_run(keys: List[np.ndarray], arrays: List[np.ndarray]):
-        """Stable-lexsort a delta run in place of construction order."""
-        if len(keys[0]) == 0:
-            return keys, arrays
-        order = np.lexsort(tuple(reversed(keys)))
-        return [k[order] for k in keys], [a[order] for a in arrays]
-
-    @staticmethod
-    def _splice(base_keys, delta_keys, base_arrays, delta_arrays):
-        """Merge two sorted runs; returns the merged payload arrays + groups."""
-        base_pos, delta_pos = merge_sorted_runs(
-            base_keys, delta_keys, base_first_on_ties=True
+    def _sort_keys_reader(config: IndexConfig, primary: AdjacencyIndex):
+        """``positions -> sort-key columns`` of ``primary``'s entries under
+        ``config``: what the merges read of the old lists, at the bisected
+        positions only."""
+        edge_ids, nbr_ids = primary.id_lists.edge_ids, primary.id_lists.nbr_ids
+        return lambda at: sort_values_matrix(
+            config.sort_keys, primary.graph, edge_ids[at], nbr_ids[at]
         )
-        total = len(base_pos) + len(delta_pos)
-        merged = []
-        for base, delta in zip(base_arrays, delta_arrays):
-            out = np.empty(total, dtype=np.int64)
-            out[base_pos] = base
-            out[delta_pos] = delta
-            merged.append(out)
-        groups = np.empty(total, dtype=np.int64)
-        groups[base_pos] = base_keys[0]
-        groups[delta_pos] = delta_keys[0]
-        return merged, groups
 
     def _merge_adjacency_index(
         self,
@@ -803,52 +866,38 @@ class IndexMaintainer:
         keep: np.ndarray,
         new_id_of_old: np.ndarray,
         num_kept: int,
-    ) -> AdjacencyIndex:
+    ) -> "_MergedAdjacency":
         """Splice the pending edges into one primary adjacency index."""
         config = old_index.config
-        direction = old_index.direction
-        forward = direction is Direction.FORWARD
-
-        old_edge_ids = old_index.id_lists.edge_ids
-        entry_keep = keep[old_edge_ids]
-        base_edges = new_id_of_old[old_edge_ids[entry_keep]]
-        base_nbrs = old_index.id_lists.nbr_ids[entry_keep].astype(np.int64)
-        base_bounds = (
-            new_graph.edge_src[base_edges] if forward else new_graph.edge_dst[base_edges]
-        ).astype(np.int64)
+        old_edges = old_index.id_lists.edge_ids
+        old_nbrs = old_index.id_lists.nbr_ids
 
         delta_edges = np.arange(num_kept, new_graph.num_edges, dtype=np.int64)
-        delta_bounds = (
-            new_graph.edge_src[delta_edges] if forward else new_graph.edge_dst[delta_edges]
-        ).astype(np.int64)
-        delta_nbrs = (
-            new_graph.edge_dst[delta_edges] if forward else new_graph.edge_src[delta_edges]
-        ).astype(np.int64)
-
-        base_keys, level_domains = self._sorted_run_keys(
-            new_graph, config, base_bounds, base_edges, base_nbrs
+        delta_bounds = new_graph.edge_src[num_kept:].astype(np.int64)
+        delta_nbrs = new_graph.edge_dst[num_kept:].astype(np.int64)
+        if old_index.direction is Direction.BACKWARD:
+            delta_bounds, delta_nbrs = delta_nbrs, delta_bounds
+        order, groups, columns = self._delta_run(
+            new_graph, config, delta_bounds, delta_edges, delta_nbrs,
+            old_index.graph.num_edges - num_kept,
         )
-        delta_keys, _ = self._sorted_run_keys(
-            new_graph, config, delta_bounds, delta_edges, delta_nbrs
+        dead = np.sort(old_index.positions_of_edges(np.flatnonzero(~keep)))
+        keys_at = self._sort_keys_reader(config, old_index)
+        splice = merge_sorted_runs(
+            old_index.csr.offsets, groups, columns, lambda rows, at: keys_at(at), dead
         )
-        delta_keys, (delta_edges, delta_nbrs) = self._sort_delta_run(
-            delta_keys, [delta_edges, delta_nbrs]
-        )
-        (merged_edges, merged_nbrs), merged_groups = self._splice(
-            base_keys, delta_keys, [base_edges, base_nbrs], [delta_edges, delta_nbrs]
-        )
-        csr = NestedCSR.from_sorted_groups(
-            new_graph.num_vertices, level_domains, merged_groups
-        )
-        return AdjacencyIndex.from_sorted(
+        index = AdjacencyIndex.from_sorted(
             new_graph,
-            direction,
+            old_index.direction,
             config,
-            csr,
-            merged_edges,
-            merged_nbrs,
+            old_index.csr.spliced(groups, dead),
+            splice.merge(new_id_of_old[old_edges[splice.survivors]], delta_edges[order]),
+            splice.merge(old_nbrs[splice.survivors], delta_nbrs[order]),
             name=old_index.name,
         )
+        pending_insert_at = np.empty(len(order), dtype=np.int64)
+        pending_insert_at[order] = splice.insert_at
+        return _MergedAdjacency(index, splice, pending_insert_at)
 
     def _pending_in_view(
         self, new_graph: PropertyGraph, view: OneHopView, num_kept: int
@@ -866,70 +915,71 @@ class IndexMaintainer:
         )
         return pending[mask]
 
+    @staticmethod
+    def _primary_positions(
+        built_on: AdjacencyIndex, current: AdjacencyIndex, list_owners, offsets
+    ) -> np.ndarray:
+        """Every entry of a secondary index as a position of ``current``, the
+        store's primary of its direction.  Offset lists address the primary
+        the index was built on (``built_on``, relative to the lists of
+        ``list_owners``); after a ``RECONFIGURE PRIMARY`` that is an older
+        ordering of the same edges, found again by edge ID."""
+        positions = built_on.csr.bound_starts(list_owners) + offsets
+        if built_on is not current:
+            positions = current.positions_of_edges(built_on.id_lists.edge_ids[positions])
+        return positions
+
     def _merge_vertex_index(
         self,
         old_index: VertexPartitionedIndex,
         new_graph: PropertyGraph,
-        keep: np.ndarray,
-        new_id_of_old: np.ndarray,
         num_kept: int,
-        new_primary: PrimaryIndex,
+        adjacency: "_MergedAdjacency",
     ) -> VertexPartitionedIndex:
         """Splice the qualifying pending edges into one 1-hop view index."""
         config = old_index.config
-        direction = old_index.direction
-        forward = direction is Direction.FORWARD
-        old_primary_adj = old_index.primary
+        old_adj = self.store.primary.for_direction(old_index.direction)
+        new_adj = adjacency.index
 
-        # Resolve the surviving entries against the *old* primary before the
-        # swap: offsets are relative to the old list starts.
-        bounds_all = old_index.offset_lists.bound_of_entry
-        old_positions = old_primary_adj.csr.bound_starts(bounds_all).astype(
-            np.int64
-        ) + old_index.offset_lists.offsets.astype(np.int64)
-        old_edges = old_primary_adj.id_lists.edge_ids[old_positions]
-        entry_keep = keep[old_edges]
-        base_edges = new_id_of_old[old_edges[entry_keep]]
-        base_bounds = bounds_all[entry_keep]
-        base_nbrs = (
-            new_graph.edge_dst[base_edges] if forward else new_graph.edge_src[base_edges]
-        ).astype(np.int64)
+        # Every old entry as a position of the *old* primary: a tombstoned
+        # edge is a dead position there, a survivor moves with the primary.
+        old_bounds = old_index.offset_lists.bound_of_entry
+        old_positions = self._primary_positions(
+            old_index.primary, old_adj, old_bounds, old_index.offset_lists.offsets
+        )
+        dead = np.flatnonzero(~adjacency.splice.survivors[old_positions])
 
         delta_edges = self._pending_in_view(new_graph, old_index.view, num_kept)
-        delta_bounds = (
-            new_graph.edge_src[delta_edges] if forward else new_graph.edge_dst[delta_edges]
-        ).astype(np.int64)
-        delta_nbrs = (
-            new_graph.edge_dst[delta_edges] if forward else new_graph.edge_src[delta_edges]
-        ).astype(np.int64)
+        delta_bounds = new_graph.edge_src[delta_edges].astype(np.int64)
+        delta_nbrs = new_graph.edge_dst[delta_edges].astype(np.int64)
+        if old_index.direction is Direction.BACKWARD:
+            delta_bounds, delta_nbrs = delta_nbrs, delta_bounds
+        order, groups, columns = self._delta_run(
+            new_graph, config, delta_bounds, delta_edges, delta_nbrs,
+            old_adj.graph.num_edges - num_kept,
+        )
 
-        base_keys, level_domains = self._sorted_run_keys(
-            new_graph, config, base_bounds, base_edges, base_nbrs
+        keys_at = self._sort_keys_reader(config, old_adj)
+        splice = merge_sorted_runs(
+            old_index.csr.offsets,
+            groups,
+            columns,
+            lambda rows, at: keys_at(old_positions[at]),
+            dead,
         )
-        delta_keys, _ = self._sorted_run_keys(
-            new_graph, config, delta_bounds, delta_edges, delta_nbrs
-        )
-        delta_keys, (delta_edges, delta_bounds) = self._sort_delta_run(
-            delta_keys, [delta_edges, delta_bounds]
-        )
-        (merged_edges, merged_bounds), merged_groups = self._splice(
-            base_keys, delta_keys, [base_edges, base_bounds], [delta_edges, delta_bounds]
-        )
-        new_primary_adj = new_primary.for_direction(direction)
-        merged_offsets = new_primary_adj.positions_of_edges(
-            merged_edges
-        ) - new_primary_adj.csr.bound_starts(merged_bounds).astype(np.int64)
-        csr = NestedCSR.from_sorted_groups(
-            new_graph.num_vertices, level_domains, merged_groups
+        merged_bounds = splice.merge(old_bounds[splice.survivors], delta_bounds[order])
+        merged_positions = splice.merge(
+            adjacency.splice.new_positions[old_positions[splice.survivors]],
+            new_adj.positions_of_edges(delta_edges[order]),
         )
         return VertexPartitionedIndex.from_sorted(
             new_graph,
             old_index.view,
-            direction,
+            old_index.direction,
             config,
-            new_primary_adj,
-            csr,
-            merged_offsets,
+            new_adj,
+            old_index.csr.spliced(groups, dead),
+            merged_positions - new_adj.csr.bound_starts(merged_bounds),
             merged_bounds,
             name=old_index.name,
         )
@@ -937,13 +987,12 @@ class IndexMaintainer:
     def _merge_edge_index(
         self,
         old_index: EdgePartitionedIndex,
-        old_graph: PropertyGraph,
-        old_primary: PrimaryIndex,
         new_graph: PropertyGraph,
         keep: np.ndarray,
         new_id_of_old: np.ndarray,
         num_kept: int,
         new_primary: PrimaryIndex,
+        adjacency: "_MergedAdjacency",
     ) -> EdgePartitionedIndex:
         """Splice the delta 2-hop pairs into one edge-partitioned index.
 
@@ -953,29 +1002,46 @@ class IndexMaintainer:
         edge) through the segment-intersection kernel; (2) the pending edges'
         own lists, read from the merged primary (which already contains the
         other pending edges).
+
+        The merge runs over the *old* bound domain grown by the pending
+        edges (pending edge ``num_kept + j`` is bound ``old |E| + j``, an
+        empty list), and the spliced CSR then drops the tombstoned bounds:
+        compaction renumbers the rest monotonically, so list order is kept.
+
+        The scratch builder breaks sort-key ties by the position in the
+        shared vertex's primary list, so that position closes the key and
+        the merge is unambiguous.  Among themselves the delta pairs order by
+        their positions in the new primary; against the old pairs of its
+        bound edge (which stand at old-primary positions) a query-1 pair
+        stands at its pending edge's insertion point into the old primary —
+        before the old entry at that position, hence ``side="left"``.
+        Query-2 lists are new.
         """
         view = old_index.view
         config = old_index.config
-        adjacency = old_index.adjacency
-        anchored_on_dst = adjacency.bound_endpoint_is_destination
-        adjacent_fw = adjacency.adjacency_direction is Direction.FORWARD
-        old_adj = old_index.adjacent_primary
-        new_adj = new_primary.for_direction(adjacency.adjacency_direction)
+        anchored_on_dst = old_index.adjacency.bound_endpoint_is_destination
+        adjacent_fw = old_index.adjacency.adjacency_direction is Direction.FORWARD
+        old_primary = self.store.primary
+        old_adj = old_primary.for_direction(old_index.adjacency.adjacency_direction)
+        old_graph = old_adj.graph
+        new_adj = adjacency.index
+        num_dead = old_graph.num_edges - num_kept
 
-        # Surviving old pairs: resolve adjacent-edge IDs via the old primary,
-        # drop pairs touching a tombstoned edge, renumber.
-        bounds_all = old_index.offset_lists.bound_of_entry
-        shared_all = (
-            old_graph.edge_dst[bounds_all] if anchored_on_dst else old_graph.edge_src[bounds_all]
+        def shared_of(graph: PropertyGraph, bounds: np.ndarray) -> np.ndarray:
+            return (graph.edge_dst if anchored_on_dst else graph.edge_src)[bounds]
+
+        # Every old pair as a position of the old adjacent primary; a pair
+        # dies with either of its edges.
+        old_bounds = old_index.offset_lists.bound_of_entry
+        old_positions = self._primary_positions(
+            old_index.adjacent_primary,
+            old_adj,
+            shared_of(old_graph, old_bounds),
+            old_index.offset_lists.offsets,
         )
-        old_positions = old_adj.csr.bound_starts(shared_all).astype(
-            np.int64
-        ) + old_index.offset_lists.offsets.astype(np.int64)
-        old_eadj = old_adj.id_lists.edge_ids[old_positions]
-        entry_keep = keep[bounds_all] & keep[old_eadj]
-        base_bounds = new_id_of_old[bounds_all[entry_keep]]
-        base_eadj = new_id_of_old[old_eadj[entry_keep]]
-        base_vnbr = old_adj.id_lists.nbr_ids[old_positions[entry_keep]].astype(np.int64)
+        dead = np.flatnonzero(
+            ~(keep[old_bounds] & adjacency.splice.survivors[old_positions])
+        )
 
         # Delta pairs.
         pending = np.arange(num_kept, new_graph.num_edges, dtype=np.int64)
@@ -996,7 +1062,7 @@ class IndexMaintainer:
             need_positions=False,
         )
         q1_keep = keep[grouped.group_keys]
-        bound1 = new_id_of_old[grouped.group_keys[q1_keep]]
+        old_bound1 = grouped.group_keys[q1_keep]
         eadj1 = pending[grouped.group_rows[q1_keep]]
         vnbr1 = (
             new_graph.edge_dst[eadj1] if adjacent_fw else new_graph.edge_src[eadj1]
@@ -1004,15 +1070,18 @@ class IndexMaintainer:
         # Query 2: pending edges as the bound edge; their lists are the
         # adjacency of their shared vertex in the *merged* primary, which
         # already includes the other pending edges.
-        shared_q2 = (
-            new_graph.edge_dst[pending] if anchored_on_dst else new_graph.edge_src[pending]
-        ).astype(np.int64)
-        eadj2, vnbr2, counts2 = new_adj.list_many(shared_q2)
+        eadj2, vnbr2, counts2 = new_adj.list_many(
+            shared_of(new_graph, pending).astype(np.int64)
+        )
         bound2 = np.repeat(pending, counts2)
 
-        cand_bound = np.concatenate([bound1, bound2.astype(np.int64)])
+        cand_bound = np.concatenate([new_id_of_old[old_bound1], bound2])
+        cand_old_bound = np.concatenate([old_bound1, bound2 + num_dead])
         cand_eadj = np.concatenate([eadj1, eadj2.astype(np.int64)])
         cand_vnbr = np.concatenate([vnbr1, vnbr2.astype(np.int64)])
+        cand_closing = np.concatenate(
+            [adjacency.pending_insert_at[eadj1 - num_kept], np.zeros_like(bound2)]
+        )
         if len(cand_bound):
             arrays = {
                 "eb": ("edge", cand_bound),
@@ -1024,50 +1093,44 @@ class IndexMaintainer:
             mask = view.predicate.evaluate_bulk(new_graph, {}, arrays)
             # A bound edge never lists itself (a 2-path uses two distinct edges).
             mask &= cand_eadj != cand_bound
-            delta_bounds = cand_bound[mask]
-            delta_eadj = cand_eadj[mask]
-            delta_vnbr = cand_vnbr[mask]
         else:
-            delta_bounds = cand_bound
-            delta_eadj = cand_eadj
-            delta_vnbr = cand_vnbr
+            mask = np.zeros(0, dtype=bool)
+        delta_bounds = cand_bound[mask]
+        delta_eadj = cand_eadj[mask]
+        delta_positions = new_adj.positions_of_edges(delta_eadj)
+        order, groups, columns = self._delta_run(
+            new_graph, config, cand_old_bound[mask], delta_eadj, cand_vnbr[mask],
+            num_dead, closing=delta_positions,
+        )
 
-        def offsets_of(bounds: np.ndarray, eadjs: np.ndarray) -> np.ndarray:
-            shared = (
-                new_graph.edge_dst[bounds] if anchored_on_dst else new_graph.edge_src[bounds]
-            ).astype(np.int64)
-            return new_adj.positions_of_edges(eadjs) - new_adj.csr.bound_starts(
-                shared
-            ).astype(np.int64)
-
-        base_offsets = offsets_of(base_bounds, base_eadj)
-        delta_offsets = offsets_of(delta_bounds, delta_eadj)
-
-        # The within-list position is the scratch builder's tie-break, so it
-        # closes the composite key: entries are totally ordered and the merge
-        # is unambiguous.
-        base_keys, level_domains = self._sorted_run_keys(
-            new_graph, config, base_bounds, base_eadj, base_vnbr, extra_minor=base_offsets
+        keys_at = self._sort_keys_reader(config, old_adj)
+        grown = old_index.csr.grown(len(pending))
+        splice = merge_sorted_runs(
+            grown.offsets,
+            groups,
+            columns + [cand_closing[mask][order]],
+            lambda rows, at: keys_at(old_positions[at]) + [old_positions[at]],
+            dead,
+            side="left",
         )
-        delta_keys, _ = self._sorted_run_keys(
-            new_graph, config, delta_bounds, delta_eadj, delta_vnbr, extra_minor=delta_offsets
+        survivors = splice.survivors
+        merged_bounds = splice.merge(
+            new_id_of_old[old_bounds[survivors]], delta_bounds[order]
         )
-        delta_keys, (delta_bounds, delta_offsets) = self._sort_delta_run(
-            delta_keys, [delta_bounds, delta_offsets]
-        )
-        (merged_bounds, merged_offsets), merged_groups = self._splice(
-            base_keys, delta_keys, [base_bounds, base_offsets], [delta_bounds, delta_offsets]
-        )
-        csr = NestedCSR.from_sorted_groups(
-            new_graph.num_edges, level_domains, merged_groups
+        merged_positions = splice.merge(
+            adjacency.splice.new_positions[old_positions[survivors]],
+            delta_positions[order],
         )
         return EdgePartitionedIndex.from_sorted(
             new_graph,
             view,
             config,
             new_primary,
-            csr,
-            merged_offsets,
+            grown.spliced(
+                groups, dead, np.concatenate([keep, np.ones(len(pending), dtype=bool)])
+            ),
+            merged_positions
+            - new_adj.csr.bound_starts(shared_of(new_graph, merged_bounds)),
             merged_bounds,
             name=old_index.name,
         )
@@ -1118,41 +1181,46 @@ class IndexMaintainer:
 
     def _rebuild_indexes(self, new_graph: PropertyGraph) -> None:
         store = self.store
-        new_primary = PrimaryIndex(
-            new_graph,
-            forward_config=store.primary.forward.config,
-            backward_config=store.primary.backward.config,
-        )
-
-        new_store = IndexStore(new_graph, new_primary)
-        for index in store.vertex_indexes:
-            new_store.register_vertex_index(
-                VertexPartitionedIndex(
-                    new_graph,
-                    index.view,
-                    index.direction,
-                    index.config,
-                    new_primary.for_direction(index.direction),
-                    name=index.name,
-                )
+        phase = self.stats.phase
+        with phase("primary"):
+            new_primary = PrimaryIndex(
+                new_graph,
+                forward_config=store.primary.forward.config,
+                backward_config=store.primary.backward.config,
             )
-        for index in store.edge_indexes:
-            new_store.register_edge_index(
-                EdgePartitionedIndex(
-                    new_graph, index.view, index.config, new_primary, name=index.name
+        with phase("statistics"):
+            new_store = IndexStore(new_graph, new_primary)
+        with phase("vertex indexes"):
+            for index in store.vertex_indexes:
+                new_store.register_vertex_index(
+                    VertexPartitionedIndex(
+                        new_graph,
+                        index.view,
+                        index.direction,
+                        index.config,
+                        new_primary.for_direction(index.direction),
+                        name=index.name,
+                    )
                 )
-            )
+        with phase("edge indexes"):
+            for index in store.edge_indexes:
+                new_store.register_edge_index(
+                    EdgePartitionedIndex(
+                        new_graph, index.view, index.config, new_primary, name=index.name
+                    )
+                )
 
         # Swap the rebuilt state into the existing store object so callers
         # holding a reference observe the merged data — atomically, so a
         # concurrent reader's snapshot is always one complete generation.
-        store.install_state(
-            graph=new_graph,
-            primary=new_primary,
-            statistics=new_store.statistics,
-            vertex_indexes=new_store._vertex_indexes,
-            edge_indexes=new_store._edge_indexes,
-        )
+        with phase("install"):
+            store.install_state(
+                graph=new_graph,
+                primary=new_primary,
+                statistics=new_store.statistics,
+                vertex_indexes=new_store._vertex_indexes,
+                edge_indexes=new_store._edge_indexes,
+            )
 
 
 def _is_null(value, prop_def) -> bool:

@@ -26,15 +26,14 @@ Two access granularities are exposed:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+import copy
+from functools import cached_property
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import IndexLookupError
 from ..graph.types import CSR_OFFSET_BYTES, OFFSET_DTYPE
-
-#: Largest packed lexicographic-key domain folded into a single int64.
-_PACK_LIMIT = 1 << 62
 
 
 def fold_group_ids(
@@ -52,131 +51,121 @@ def fold_group_ids(
     return group_ids
 
 
-def _rank_encode(base: np.ndarray, delta: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Order-preserving integer ranks of two arrays over their joint values."""
-    uniq = np.unique(np.concatenate([base, delta]))
-    return (
-        np.searchsorted(uniq, base).astype(np.int64),
-        np.searchsorted(uniq, delta).astype(np.int64),
-        len(uniq),
-    )
+def search_segments(
+    starts: np.ndarray,
+    ends: np.ndarray,
+    probes: Sequence[np.ndarray],
+    keys_at: Callable[[np.ndarray, np.ndarray], Sequence[np.ndarray]],
+    side: str = "right",
+) -> np.ndarray:
+    """Bisect many sorted segments in lock-step, one probe per segment.
 
+    Row ``i`` searches ``[starts[i], ends[i])`` — a range of positions whose
+    keys are lex-sorted on the key columns — for the tuple
+    ``(probes[0][i], probes[1][i], ...)``, the batched counterpart of
+    ``bisect.bisect_left`` / ``bisect_right`` on tuple keys.  Keys are never
+    materialized per segment: every round asks ``keys_at(rows, positions)``
+    for the key columns (major first, aligned with ``probes``) at one middle
+    position per still-open row, compares them lexicographically with the
+    rows' probes and halves every open range at once, so the whole batch
+    costs ``ceil(log2(longest segment + 1))`` rounds of vectorized compares
+    and reads one key per segment per round.  Rows may repeat a segment and
+    segments may be empty; with no key columns every probe ties with every
+    entry.
 
-def _packed_composites(
-    base_keys: Sequence[np.ndarray], delta_keys: Sequence[np.ndarray]
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Fold aligned lexicographic key columns into one int64 per entry.
-
-    Integer columns are shifted to a zero base; float columns and integer
-    columns whose raw range is excessive (e.g. null markers near the int64
-    extremes) are rank-encoded over the joint values, which preserves order
-    and exact equality.  Returns ``None`` when even the rank-encoded domains
-    cannot be packed into an int64 without overflow.
+    Returns the int64 insertion position of every row: with ``side="right"``
+    after the entries that compare equal to the probe, with ``"left"``
+    before them.
     """
-    levels: List[Tuple[np.ndarray, np.ndarray, int]] = []
-    for base, delta in zip(base_keys, delta_keys):
-        if base.dtype.kind in "iu" and delta.dtype.kind in "iu":
-            lo = min(int(base.min()), int(delta.min()))
-            hi = max(int(base.max()), int(delta.max()))
-            domain = hi - lo + 1
-            if domain <= _PACK_LIMIT:
-                levels.append(
-                    (
-                        base.astype(np.int64) - lo,
-                        delta.astype(np.int64) - lo,
-                        domain,
-                    )
-                )
-                continue
-        levels.append(_rank_encode(base, delta))
-    total = 1
-    for _, _, domain in levels:
-        total *= domain  # Python ints: no silent overflow.
-    if total > _PACK_LIMIT:
-        return None
-    base_comp = np.zeros(len(base_keys[0]), dtype=np.int64)
-    delta_comp = np.zeros(len(delta_keys[0]), dtype=np.int64)
-    for base, delta, domain in levels:
-        base_comp *= domain
-        base_comp += base
-        delta_comp *= domain
-        delta_comp += delta
-    return base_comp, delta_comp
+    lo = np.array(starts, dtype=np.int64)
+    hi = np.array(ends, dtype=np.int64)
+    rows = np.flatnonzero(lo < hi)
+    while len(rows):
+        mid = (lo[rows] + hi[rows]) >> 1
+        # Entry before probe?  Lexicographic, minor column first; a full tie
+        # goes before the probe only under side="right".
+        before = np.full(len(rows), side == "right")
+        columns = list(zip(keys_at(rows, mid), probes))
+        for entry, probe in reversed(columns):
+            probe = probe[rows]
+            before = (entry < probe) | ((entry == probe) & before)
+        lo[rows[before]] = mid[before] + 1
+        hi[rows[~before]] = mid[~before]
+        rows = rows[lo[rows] < hi[rows]]
+    return lo
+
+
+class Splice:
+    """Where a sorted delta and the survivors of a sorted base run land.
+
+    ``survivors`` masks the base positions that are kept, ``insert_at`` is
+    every delta entry's insertion point among *all* base positions (dead ones
+    included) and ``delta_positions`` its position in the merged run.
+    """
+
+    def __init__(
+        self, num_base: int, dead_positions: np.ndarray, insert_at: np.ndarray
+    ) -> None:
+        self.insert_at = insert_at
+        self.survivors = np.ones(num_base, dtype=bool)
+        self.survivors[dead_positions] = False
+        self.delta_positions = (
+            insert_at
+            - np.searchsorted(dead_positions, insert_at)
+            + np.arange(len(insert_at), dtype=np.int64)
+        )
+        self.num_entries = num_base - len(dead_positions) + len(insert_at)
+        self._from_base = np.ones(self.num_entries, dtype=bool)
+        self._from_base[self.delta_positions] = False
+
+    def merge(self, kept: np.ndarray, delta: np.ndarray) -> np.ndarray:
+        """One payload array: a masked copy of the survivors' values
+        (``kept``, in base order) plus a scatter of the delta's."""
+        out = np.empty(self.num_entries, dtype=kept.dtype)
+        out[self._from_base] = kept
+        out[self.delta_positions] = delta
+        return out
+
+    @cached_property
+    def new_positions(self) -> np.ndarray:
+        """Merged position of every base position (``-1`` for dead ones)."""
+        moved = np.full(len(self.survivors), -1, dtype=np.int64)
+        moved[self.survivors] = np.flatnonzero(self._from_base)
+        return moved
 
 
 def merge_sorted_runs(
-    base_keys: Sequence[np.ndarray],
+    offsets: np.ndarray,
+    delta_groups: np.ndarray,
     delta_keys: Sequence[np.ndarray],
-    base_first_on_ties: bool = True,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Merge two individually lex-sorted runs into one globally sorted order.
+    keys_at: Callable[[np.ndarray, np.ndarray], Sequence[np.ndarray]],
+    dead_positions: np.ndarray,
+    side: str = "right",
+) -> Splice:
+    """Search-and-place step of the incremental index merge.
 
-    This is the vectorized splice behind incremental index maintenance: the
-    surviving entries of an index (already in index order) form the base run
-    and the sorted pending insertions form the delta run.  Keys are aligned
-    column sequences, **major key first** (typically the flat group ID
-    followed by the sort-key values).
+    The base run is an index's existing entries, in index order under the
+    CSR ``offsets`` (deepest groups, each lex-sorted on the sort keys); the
+    delta run is the pending entries, already lex-sorted on ``(delta_groups,
+    *delta_keys)``.  Nothing is derived for the base entries: every delta
+    entry is bisected into its own group ``[offsets[g], offsets[g + 1])`` of
+    the *old* CSR by :func:`search_segments` (``keys_at`` reads the old
+    entries' sort keys at the probed positions only), ties landing after the
+    base entry under ``side="right"`` — the stable-sort convention for
+    appended entries with larger IDs.  Tombstones are positions too
+    (``dead_positions``, ascending): an insertion point shifts down by the
+    dead entries before it and up by the delta entries before it.
 
-    The fast path folds the key columns into one int64 composite per entry
-    (see :func:`_packed_composites`) and finds every delta entry's insertion
-    point with a single ``searchsorted`` into the base run; output positions
-    follow from pure index arithmetic.  When the composite domain cannot fit
-    in an int64 the merge falls back to one stable ``np.lexsort`` over the
-    concatenated columns — still loop-free, with identical results.
-
-    Args:
-        base_keys / delta_keys: aligned key columns, major first; each run
-            must already be lex-sorted on its own keys (ties in input order).
-        base_first_on_ties: when True, base entries precede delta entries
-            that compare equal on every key (the stable-sort convention for
-            appended entries with larger IDs).
-
-    Returns:
-        ``(base_positions, delta_positions)``: the output position of every
-        base / delta entry in the merged order.  Both runs keep their
-        internal relative order.
+    Returns the :class:`Splice` that places each payload array with one
+    masked copy and one scatter; :meth:`NestedCSR.spliced` gives the matching
+    offsets.  The result is the order a stable lexsort of the surviving and
+    pending entries together would produce.
     """
-    if len(base_keys) != len(delta_keys) or not base_keys:
-        raise IndexLookupError("merge_sorted_runs requires aligned, non-empty key lists")
-    base_keys = [np.asarray(keys) for keys in base_keys]
-    delta_keys = [np.asarray(keys) for keys in delta_keys]
-    num_base = len(base_keys[0])
-    num_delta = len(delta_keys[0])
-    if num_delta == 0:
-        return np.arange(num_base, dtype=np.int64), np.empty(0, dtype=np.int64)
-    if num_base == 0:
-        return np.empty(0, dtype=np.int64), np.arange(num_delta, dtype=np.int64)
-
-    packed = _packed_composites(base_keys, delta_keys)
-    if packed is not None:
-        base_comp, delta_comp = packed
-        side = "right" if base_first_on_ties else "left"
-        insert_at = np.searchsorted(base_comp, delta_comp, side=side).astype(np.int64)
-        delta_positions = insert_at + np.arange(num_delta, dtype=np.int64)
-        # A delta entry precedes base entry i exactly when its insertion
-        # point is <= i (both tie conventions reduce to the same test).
-        base_positions = np.arange(num_base, dtype=np.int64) + np.searchsorted(
-            insert_at, np.arange(num_base, dtype=np.int64), side="right"
-        )
-        return base_positions, delta_positions
-
-    # Fallback: one stable lexsort of the concatenated columns with a
-    # run-indicator as the most minor key to realize the tie convention.
-    indicator = np.concatenate(
-        [
-            np.zeros(num_base, dtype=np.int8),
-            np.ones(num_delta, dtype=np.int8),
-        ]
+    delta_groups = np.asarray(delta_groups, dtype=np.int64)
+    insert_at = search_segments(
+        offsets[delta_groups], offsets[delta_groups + 1], delta_keys, keys_at, side
     )
-    if not base_first_on_ties:
-        indicator = 1 - indicator
-    lexsort_keys: List[np.ndarray] = [indicator]
-    for base, delta in zip(reversed(base_keys), reversed(delta_keys)):
-        lexsort_keys.append(np.concatenate([base, delta]))
-    order = np.lexsort(tuple(lexsort_keys))
-    inverse = np.empty(num_base + num_delta, dtype=np.int64)
-    inverse[order] = np.arange(num_base + num_delta, dtype=np.int64)
-    return inverse[:num_base], inverse[num_base:]
+    return Splice(int(offsets[-1]), dead_positions, insert_at)
 
 
 def range_positions(starts: np.ndarray, counts: np.ndarray, total: int) -> np.ndarray:
@@ -274,43 +263,47 @@ class NestedCSR:
         self.offsets[0] = 0
         np.cumsum(counts, out=self.offsets[1:])
 
-    @classmethod
-    def from_sorted_groups(
-        cls,
-        num_bound: int,
-        level_domains: Sequence[int],
-        group_ids: np.ndarray,
-    ) -> "NestedCSR":
-        """Build a nested CSR whose entries are already in index order.
+    def grown(self, extra_bounds: int) -> "NestedCSR":
+        """This CSR over a bound domain extended by ``extra_bounds`` IDs
+        with empty lists (same entries, same positions)."""
+        grown = copy.copy(self)
+        grown.num_bound += extra_bounds
+        grown._total_groups += extra_bounds * self._per_bound
+        grown.offsets = np.concatenate(
+            [self.offsets, np.full(extra_bounds * self._per_bound, self.offsets[-1])]
+        )
+        return grown
 
-        The incremental-maintenance path merges an index's surviving entries
-        with its sorted delta outside the CSR (see
-        :func:`merge_sorted_runs`); this constructor then installs the
-        offsets over the pre-sorted deepest-level ``group_ids`` without
-        re-running the O(n log n) lexsort.  ``order`` is the identity
-        permutation because the caller's payload arrays are already sorted.
+    def spliced(
+        self,
+        delta_groups: np.ndarray,
+        dead_positions: np.ndarray,
+        keep_bounds: Optional[np.ndarray] = None,
+    ) -> "NestedCSR":
+        """The CSR after a :class:`Splice`: the old offsets moved by the
+        running sum of the delta's groups minus the dead positions' groups —
+        per group, never per entry.
+
+        ``keep_bounds`` (a mask over the bound IDs) drops whole bound IDs
+        whose lists the splice emptied, renumbering the rest in order: an
+        edge-partitioned index's bound domain is the edge IDs, which a flush
+        compacts over the tombstones.  The result has no ``order``: spliced
+        payloads are already in index order.
         """
-        self = object.__new__(cls)
-        self.num_bound = int(num_bound)
-        self.level_domains = [int(d) for d in level_domains]
-        self.num_levels = len(self.level_domains)
-        group_ids = np.asarray(group_ids, dtype=np.int64)
-        num_entries = len(group_ids)
-        self.num_entries = num_entries
-        per_bound = 1
-        for domain in self.level_domains:
-            per_bound *= domain
-        self._per_bound = per_bound
-        total_groups = self.num_bound * per_bound
-        self._total_groups = total_groups
-        if num_entries and np.any(group_ids[1:] < group_ids[:-1]):
-            raise IndexLookupError("from_sorted_groups requires sorted group IDs")
-        self.order = np.arange(num_entries, dtype=np.int64)
-        counts = np.bincount(group_ids, minlength=total_groups)
-        self.offsets = np.empty(total_groups + 1, dtype=OFFSET_DTYPE)
-        self.offsets[0] = 0
-        np.cumsum(counts, out=self.offsets[1:])
-        return self
+        dead_groups = np.searchsorted(self.offsets, dead_positions, side="right") - 1
+        change = np.bincount(delta_groups, minlength=self._total_groups)
+        change -= np.bincount(dead_groups, minlength=self._total_groups)
+        ends = np.cumsum(change)
+        ends += self.offsets[1:]
+        if keep_bounds is not None:
+            ends = ends.reshape(-1, self._per_bound)[keep_bounds].ravel()
+        merged = copy.copy(self)
+        merged.order = None
+        merged.num_bound = len(ends) // self._per_bound
+        merged._total_groups = len(ends)
+        merged.num_entries = int(ends[-1]) if len(ends) else 0
+        merged.offsets = np.concatenate([[0], ends]).astype(OFFSET_DTYPE, copy=False)
+        return merged
 
     # ------------------------------------------------------------------
     # lookups

@@ -2,16 +2,18 @@
 
 Covers the maintenance-churn guarantees of the columnar update path:
 
-* ``merge_sorted_runs`` (the vectorized splice) against a lexsort oracle,
-  on both the packed-composite fast path and the lexsort fallback;
-* randomized interleaved bulk inserts/deletes + flushes asserting that the
-  incremental merge is byte-identical (CSR offsets, ID lists, offset lists)
-  to the rebuild-from-scratch oracle across all four index kinds (primary
-  forward/backward, secondary vertex-partitioned, secondary
-  edge-partitioned);
+* ``merge_sorted_runs`` / ``NestedCSR.spliced`` (the position splice)
+  against a lexsort oracle, with and without dead positions;
+* seeded interleaved bulk insert/delete/flush histories asserting that the
+  incremental merge is byte-identical (CSR offsets, ID lists, offset lists,
+  edge positions, statistics) to the rebuild-from-scratch oracle across all
+  four index kinds (primary forward/backward, secondary vertex-partitioned,
+  secondary edge-partitioned) and their configurations;
 * engine-vs-naive query equivalence on the mutated graph;
 * bulk APIs vs scalar wrappers vs the legacy tuple-at-a-time buffering.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -19,12 +21,14 @@ import pytest
 from repro import Database, Direction, EdgeAdjacencyType
 from repro.errors import MaintenanceError
 from repro.graph.generators import FinancialGraphSpec, generate_financial_graph
+from repro.graph.statistics import GraphStatistics
 from repro.index.config import IndexConfig
 from repro.index.views import OneHopView, TwoHopView
 from repro.predicates import Predicate, cmp, prop
 from repro.query.naive import NaiveMatcher
 from repro.query.pattern import QueryGraph
 from repro.storage.csr import NestedCSR, merge_sorted_runs
+from repro.storage.partition_keys import PartitionKey
 from repro.storage.sort_keys import SortKey
 
 
@@ -82,6 +86,7 @@ def assert_stores_identical(db_a: Database, db_b: Database) -> None:
         assert np.array_equal(ia.csr.offsets, ib.csr.offsets)
         assert np.array_equal(ia.id_lists.edge_ids, ib.id_lists.edge_ids)
         assert np.array_equal(ia.id_lists.nbr_ids, ib.id_lists.nbr_ids)
+        assert np.array_equal(ia._position_of_edge, ib._position_of_edge)
         assert ia.nbytes() == ib.nbytes()
     assert len(db_a.store.vertex_indexes) == len(db_b.store.vertex_indexes)
     for ia, ib in zip(db_a.store.vertex_indexes, db_b.store.vertex_indexes):
@@ -97,6 +102,24 @@ def assert_stores_identical(db_a: Database, db_b: Database) -> None:
         assert ia.nbytes() == ib.nbytes()
 
 
+def assert_statistics_equal(got: GraphStatistics, graph) -> None:
+    """``got`` (carried through flushes) against a fresh count of ``graph``."""
+    want = GraphStatistics(graph)
+    assert got.graph is graph
+    for field in (
+        "_edge_label_counts",
+        "_vertex_label_counts",
+        "_num_edges",
+        "_num_vertices",
+        "_avg_out_degree",
+        "_avg_in_degree",
+        "out_summary",
+        "in_summary",
+    ):
+        assert getattr(got, field) == getattr(want, field), field
+    assert got.describe() == want.describe()
+
+
 def random_batch(rng, num_vertices, count, with_props=True):
     src = rng.integers(0, num_vertices, size=count)
     dst = rng.integers(0, num_vertices, size=count)
@@ -106,6 +129,29 @@ def random_batch(rng, num_vertices, count, with_props=True):
         amt=rng.integers(1, 1000, size=count),
         date=rng.integers(0, 1800, size=count),
         currency=rng.integers(0, 4, size=count),
+    )
+
+
+def _sorted_run(rng, size, num_groups, columns):
+    """A lex-sorted run: the group column, then ``columns()`` key columns."""
+    keys = [rng.integers(0, num_groups, size=size)] + columns(size)
+    order = np.lexsort(tuple(reversed(keys)))
+    return [k[order] for k in keys]
+
+
+def _offsets(groups, num_groups):
+    return np.concatenate([[0], np.cumsum(np.bincount(groups, minlength=num_groups))])
+
+
+def _splice_runs(base, delta, num_groups, side="right", dead=()):
+    """``merge_sorted_runs`` over in-memory columns (group column first)."""
+    return merge_sorted_runs(
+        _offsets(base[0], num_groups),
+        delta[0],
+        delta[1:],
+        lambda rows, at: [column[at] for column in base[1:]],
+        np.asarray(dead, dtype=np.int64),
+        side=side,
     )
 
 
@@ -124,53 +170,79 @@ class TestMergeSortedRuns:
         inverse[order] = np.arange(len(order))
         return inverse[: len(base_keys[0])], inverse[len(base_keys[0]) :]
 
+    def _check(self, base, delta, num_groups, base_first=True):
+        splice = _splice_runs(
+            base, delta, num_groups, side="right" if base_first else "left"
+        )
+        want = self._oracle(base, delta, base_first)
+        assert splice.new_positions.tolist() == want[0].tolist()
+        assert splice.delta_positions.tolist() == want[1].tolist()
+
     @pytest.mark.parametrize("base_first", [True, False])
     def test_random_int_keys_match_lexsort_oracle(self, base_first):
         rng = np.random.default_rng(3)
         for _ in range(20):
             nb, nd = int(rng.integers(0, 40)), int(rng.integers(0, 40))
-            def run(n):
-                keys = [rng.integers(0, 6, size=n), rng.integers(0, 4, size=n)]
-                order = np.lexsort(tuple(reversed(keys)))
-                return [k[order] for k in keys]
-            base, delta = run(nb), run(nd)
-            got = merge_sorted_runs(base, delta, base_first_on_ties=base_first)
-            want = self._oracle(base, delta, base_first)
-            assert got[0].tolist() == want[0].tolist()
-            assert got[1].tolist() == want[1].tolist()
+            columns = lambda n: [rng.integers(0, 4, size=n)]
+            base, delta = _sorted_run(rng, nb, 6, columns), _sorted_run(rng, nd, 6, columns)
+            self._check(base, delta, 6, base_first)
 
-    def test_huge_domain_uses_fallback_and_matches(self):
-        # int64 null markers blow up the packed domain: the lexsort fallback
-        # must produce the same merge.
+    def test_int64_null_markers_match_lexsort_oracle(self):
+        # Null sort values sit at the int64 extreme: compared, never packed.
         null = np.iinfo(np.int64).max
         base = [np.array([0, 0, 1, 1]), np.array([5, null, 2, null])]
         delta = [np.array([0, 1, 1]), np.array([5, 1, null])]
-        got = merge_sorted_runs(base, delta)
-        want = self._oracle(base, delta, True)
-        assert got[0].tolist() == want[0].tolist()
-        assert got[1].tolist() == want[1].tolist()
+        self._check(base, delta, 2)
 
-    def test_float_keys_rank_encoded(self):
+    def test_float_keys_match_lexsort_oracle(self):
         base = [np.array([0, 0, 2]), np.array([0.5, 1.5, np.inf])]
         delta = [np.array([0, 2]), np.array([1.0, 0.25])]
-        got = merge_sorted_runs(base, delta)
-        want = self._oracle(base, delta, True)
-        assert got[0].tolist() == want[0].tolist()
-        assert got[1].tolist() == want[1].tolist()
+        self._check(base, delta, 3)
 
     def test_empty_runs(self):
-        base = [np.array([1, 2])]
-        empty = [np.empty(0, dtype=np.int64)]
-        b, d = merge_sorted_runs(base, empty)
-        assert b.tolist() == [0, 1] and d.tolist() == []
-        b, d = merge_sorted_runs(empty, base)
-        assert b.tolist() == [] and d.tolist() == [0, 1]
+        base = [np.array([1, 2]), np.array([7, 7])]
+        empty = [np.empty(0, dtype=np.int64)] * 2
+        splice = _splice_runs(base, empty, 3)
+        assert splice.new_positions.tolist() == [0, 1]
+        assert splice.delta_positions.tolist() == []
+        splice = _splice_runs(empty, base, 3)
+        assert splice.new_positions.tolist() == []
+        assert splice.delta_positions.tolist() == [0, 1]
+        assert splice.merge(empty[0], base[1]).tolist() == [7, 7]
 
-    def test_from_sorted_groups_rejects_unsorted(self):
-        from repro.errors import IndexLookupError
+    def test_dead_positions_and_spliced_offsets(self):
+        """Tombstones as positions: payloads and offsets equal a stable
+        lexsort of the survivors and the delta together."""
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            nb, nd = int(rng.integers(0, 50)), int(rng.integers(0, 30))
+            columns = lambda n: [rng.integers(0, 3, size=n), rng.random(n).round(1)]
+            base, delta = _sorted_run(rng, nb, 5, columns), _sorted_run(rng, nd, 5, columns)
+            dead = np.flatnonzero(rng.random(nb) < 0.3)
+            splice = _splice_runs(base, delta, 5, dead=dead)
+            alive = np.setdiff1d(np.arange(nb), dead)
+            assert np.array_equal(np.flatnonzero(splice.survivors), alive)
+            kept = [column[alive] for column in base]
+            stacked = [np.concatenate([k, d]) for k, d in zip(kept, delta)]
+            order = np.lexsort(tuple(reversed(stacked)))  # stable: base first
+            for column, k, d in zip(stacked, kept, delta):
+                assert np.array_equal(splice.merge(k, d), column[order])
+            assert splice.new_positions[dead].tolist() == [-1] * len(dead)
 
-        with pytest.raises(IndexLookupError):
-            NestedCSR.from_sorted_groups(4, [], np.array([2, 1]))
+            csr = NestedCSR(5, base[0], [], [], base[1:])
+            merged = csr.spliced(delta[0], dead)
+            assert merged.order is None and merged.num_entries == len(order)
+            assert np.array_equal(merged.offsets, _offsets(stacked[0], 5))
+            # Growing the bound domain, then dropping bounds the splice emptied.
+            grown = csr.grown(2)
+            assert grown.num_bound == 7 and np.array_equal(grown.offsets[:6], csr.offsets)
+            gone = np.flatnonzero(base[0] == 1)
+            keep_bounds = np.arange(7) != 1
+            dropped = grown.spliced(delta[0][delta[0] != 1] , gone, keep_bounds)
+            renumbered = np.concatenate([base[0][base[0] != 1], delta[0][delta[0] != 1]])
+            renumbered = renumbered - (renumbered > 1)
+            assert dropped.num_bound == 6
+            assert np.array_equal(dropped.offsets, _offsets(renumbered, 6))
 
 
 class TestIncrementalEqualsScratch:
@@ -184,8 +256,8 @@ class TestIncrementalEqualsScratch:
         for _ in range(5):
             count = int(rng.integers(5, 40))
             # Every other round omits the properties so the pending edges
-            # carry nulls, exercising the null sort markers (rank-encoded
-            # splice keys) and the null partitions.
+            # carry nulls, exercising the null sort markers and the null
+            # partitions.
             src, dst, props = random_batch(rng, 60, count, with_props=bool(rng.integers(0, 2)))
             for maintainer in (m_inc, m_scr):
                 maintainer.insert_edges(src, dst, "Wire", properties=props)
@@ -230,6 +302,352 @@ class TestIncrementalEqualsScratch:
         m_scr.flush(incremental=False)
         assert db_inc.graph.num_edges == graph.num_edges - 4
         assert_stores_identical(db_inc, db_scr)
+
+
+fuzz = pytest.mark.skipif(
+    os.environ.get("RUN_FUZZ") != "1",
+    reason="the large history budget is opt-in; set RUN_FUZZ=1 to run",
+)
+
+DATE_WINDOW = Predicate.of(
+    cmp(prop("eb", "date"), "<", prop("eadj", "date")),
+    cmp(prop("eadj", "date"), "<", prop("eb", "date"), offset=400.0),
+)
+BIG = Predicate.of(cmp(prop("eadj", "amt"), ">", 500))
+BY_LABEL = PartitionKey.edge_label()
+BY_CURRENCY = PartitionKey.edge_property("currency")
+DATE, AMT = SortKey.edge_property("date"), SortKey.edge_property("amt")
+
+
+def tuned_database(graph) -> Database:
+    """Partitioned primary; VP with own and with shared levels; EP flat and
+    partitioned, one per adjacency direction."""
+    primary = IndexConfig(partition_keys=(BY_LABEL, BY_CURRENCY), sort_keys=(DATE, SortKey.neighbour_id()))
+    db = Database(graph, primary_config=primary)
+    db.create_vertex_index(
+        OneHopView("Big", predicate=BIG),
+        directions=(Direction.FORWARD, Direction.BACKWARD),
+        config=IndexConfig(partition_keys=(BY_CURRENCY,), sort_keys=(DATE,)),
+        name="Big",
+    )
+    db.create_vertex_index(
+        OneHopView("All"),
+        directions=(Direction.BACKWARD,),
+        config=primary.with_sort(AMT, SortKey.nbr_property("city")),
+        name="All",
+    )
+    assert [index.shares_partition_levels for index in db.store.vertex_indexes] == [
+        False, False, True,
+    ]
+    db.create_edge_index(
+        TwoHopView("EPp", EdgeAdjacencyType.DST_FW, DATE_WINDOW),
+        config=IndexConfig(partition_keys=(BY_CURRENCY,), sort_keys=(AMT,)),
+        name="EPp",
+    )
+    db.create_edge_index(
+        TwoHopView("EPb", EdgeAdjacencyType.SRC_FW, DATE_WINDOW),
+        config=IndexConfig.flat(),
+        name="EPb",
+    )
+    return db
+
+
+def insertion_ordered_database(graph) -> Database:
+    """Every index sorted on the edge ID (insertion order), whose values
+    compaction renumbers under the merge."""
+    by_id = IndexConfig(partition_keys=(), sort_keys=(SortKey.nbr_property("acc"), SortKey.edge_id()))
+    db = Database(graph, primary_config=by_id)
+    db.create_vertex_index(
+        OneHopView("Big", predicate=BIG),
+        config=IndexConfig(partition_keys=(BY_LABEL,), sort_keys=(SortKey.edge_id(),)),
+        name="Big",
+    )
+    db.create_edge_index(
+        TwoHopView("EPi", EdgeAdjacencyType.DST_BW, DATE_WINDOW),
+        config=IndexConfig(partition_keys=(), sort_keys=(SortKey.edge_id(),)),
+        name="EPi",
+    )
+    db.create_edge_index(
+        TwoHopView("EPs", EdgeAdjacencyType.SRC_BW, DATE_WINDOW), config=by_id, name="EPs"
+    )
+    return db
+
+
+DATABASES = {
+    "secondary": database_with_secondary_indexes,
+    "tuned": tuned_database,
+    "insertion_ordered": insertion_ordered_database,
+}
+
+
+def history_step(rng, graph, kind):
+    """One flush worth of updates: ``(insert args or None, delete IDs)``."""
+    num_vertices, num_edges = graph.num_vertices, graph.num_edges
+    none = np.empty(0, dtype=np.int64)
+
+    def batch(count, with_props=True):
+        src, dst, props = random_batch(rng, num_vertices, count, with_props)
+        labels = np.where(rng.integers(0, 2, size=count) == 0, "Wire", "DirDeposit")
+        return src, dst, labels.tolist(), props
+
+    def some_edges(count):
+        return rng.choice(num_edges, size=min(count, num_edges), replace=False)
+
+    if kind == "mixed":
+        return batch(int(rng.integers(5, 40))), some_edges(int(rng.integers(1, 15)))
+    if kind == "inserts_only":
+        return batch(int(rng.integers(1, 30))), none
+    if kind == "deletes_only":
+        return None, some_edges(int(rng.integers(1, 30)))
+    if kind == "null_properties":
+        # No properties at all, then nulls inside a column: null sort values
+        # (the int64 extreme) and the null partitions.
+        if rng.integers(0, 2):
+            return batch(12, with_props=False), some_edges(3)
+        src, dst, labels, props = batch(12)
+        props["date"] = [None if i % 2 else int(d) for i, d in enumerate(props["date"])]
+        props["currency"] = [None if i % 3 else int(c) for i, c in enumerate(props["currency"])]
+        return (src, dst, labels, props), none
+    if kind == "whole_lists":
+        # Every edge of the busiest vertex, in and out: its lists (and the
+        # lists of its edges in the edge-partitioned indexes) empty out...
+        hub = int(np.argmax(graph.out_degree() + graph.in_degree()))
+        doomed = np.flatnonzero((graph.edge_src == hub) | (graph.edge_dst == hub))
+        return None, doomed
+    if kind == "into_empty_lists":
+        # ...and vertices without edges get their first ones.
+        lonely = np.flatnonzero(graph.out_degree() + graph.in_degree() == 0)
+        lonely = lonely if len(lonely) else np.arange(num_vertices)
+        src, dst, labels, props = batch(16)
+        src[:8] = rng.choice(lonely, size=8)
+        dst[8:] = rng.choice(lonely, size=8)
+        return (src, dst, labels, props), none
+    if kind == "parallel_ties":
+        # Copies of existing edges and of each other: equal on every sort key,
+        # ordered by edge ID alone — delete some of the copies' originals too.
+        # Every third copy keeps the endpoints only, so it ties with its
+        # original where an index sorts on the neighbour and stands anywhere
+        # around it where one sorts or partitions on a property.
+        picks = some_edges(6)
+        repeat = np.repeat(picks, 3)
+        fresh = np.arange(len(repeat)) % 3 == 2
+        props = {
+            name: np.where(
+                fresh,
+                rng.integers(0, 4, size=len(repeat)),
+                graph.edge_props.column(name)[repeat],
+            )
+            for name in ("amt", "date", "currency")
+        }
+        labels = np.where(fresh, rng.integers(0, 2, size=len(repeat)), graph.edge_labels[repeat])
+        return (graph.edge_src[repeat], graph.edge_dst[repeat], labels, props), picks[:2]
+    raise AssertionError(kind)
+
+
+STEP_KINDS = (
+    "mixed", "inserts_only", "deletes_only", "null_properties",
+    "whole_lists", "into_empty_lists", "parallel_ties",
+)
+
+
+def run_history(build, seed, steps=None, num_steps=7):
+    graph = small_financial_graph(seed=seed)
+    db_inc, db_scr = build(graph), build(graph)
+    m_inc = db_inc.maintainer(merge_threshold=10**9)
+    m_scr = db_scr.maintainer(merge_threshold=10**9)
+    rng = np.random.default_rng(seed)
+    for kind in steps or rng.permutation(STEP_KINDS)[:num_steps]:
+        inserts, deletes = history_step(rng, db_inc.graph, kind)
+        for maintainer in (m_inc, m_scr):
+            if inserts is not None:
+                src, dst, labels, props = inserts
+                maintainer.insert_edges(src, dst, labels, properties=props)
+            maintainer.delete_edges(deletes)
+        m_inc.flush(incremental=True)
+        m_scr.flush(incremental=False)
+        assert_stores_identical(db_inc, db_scr)
+        assert_statistics_equal(db_inc.store.statistics, db_inc.graph)
+    assert m_inc.stats.merges == m_scr.stats.merges > 0
+    return db_inc
+
+
+class TestChurnHistories:
+    """Seeded histories, byte-identical to ``flush(incremental=False)``."""
+
+    @pytest.mark.parametrize("seed", [5, 31])
+    @pytest.mark.parametrize("database", sorted(DATABASES))
+    def test_history_matches_rebuild(self, database, seed):
+        run_history(DATABASES[database], seed)
+
+    @pytest.mark.parametrize("database", sorted(DATABASES))
+    def test_list_emptied_then_refilled(self, database):
+        run_history(
+            DATABASES[database],
+            seed=11,
+            steps=["whole_lists", "into_empty_lists", "whole_lists", "parallel_ties", "deletes_only"],
+        )
+
+    def test_everything_deleted_then_inserted(self):
+        graph = small_financial_graph(num_edges=40)
+        db_inc, db_scr = tuned_database(graph), tuned_database(graph)
+        m_inc, m_scr = db_inc.maintainer(10**9), db_scr.maintainer(10**9)
+        rng = np.random.default_rng(2)
+        for maintainer in (m_inc, m_scr):
+            maintainer.delete_edges(np.arange(graph.num_edges))
+        m_inc.flush(incremental=True)
+        m_scr.flush(incremental=False)
+        assert db_inc.graph.num_edges == 0
+        assert_stores_identical(db_inc, db_scr)
+        src, dst, props = random_batch(rng, 60, 25)
+        for maintainer in (m_inc, m_scr):
+            maintainer.insert_edges(src, dst, "Wire", properties=props)
+        m_inc.flush(incremental=True)
+        m_scr.flush(incremental=False)
+        assert_stores_identical(db_inc, db_scr)
+        assert_statistics_equal(db_inc.store.statistics, db_inc.graph)
+
+    def test_pending_edge_standing_before_its_tie_in_an_edge_list(self):
+        """A pending edge that ties with an old entry of an edge-partitioned
+        list on the sort key, and enters the primary list right before it."""
+        graph = small_financial_graph(num_edges=40)
+        dbs = [database_with_secondary_indexes(graph) for _ in range(2)]
+        maintainers = [db.maintainer(merge_threshold=10**9) for db in dbs]
+
+        def step(update):
+            for maintainer, incremental in zip(maintainers, (True, False)):
+                update(maintainer)
+                maintainer.flush(incremental=incremental)
+            assert_stores_identical(*dbs)
+
+        step(lambda m: m.delete_edges(np.arange(graph.num_edges)))
+        # eb = 0->1; its list holds the later transfers out of vertex 1.
+        step(
+            lambda m: m.insert_edges(
+                [0, 1], [1, 2], ["Wire", "DirDeposit"], properties=dict(date=[10, 20], amt=[1, 1])
+            )
+        )
+        # Same neighbour (the list's sort key), but the Wire partition of the
+        # primary precedes the DirDeposit one: the new edge goes first.
+        step(lambda m: m.insert_edges([1], [2], "Wire", properties=dict(date=[30], amt=[1])))
+        edges, nbrs = dbs[0].store.edge_indexes[0].list(0)
+        assert edges.tolist() == [2, 1] and nbrs.tolist() == [2, 2]
+
+    def test_float_sort_key_with_nulls(self):
+        """A float sort property: ``+inf`` null markers and ties."""
+        from repro.graph.builder import GraphBuilder
+
+        rng = np.random.default_rng(9)
+        builder = GraphBuilder()
+        for _ in range(12):
+            builder.add_vertex("V")
+        weights = [None if i % 5 == 0 else float(w) for i, w in enumerate(rng.integers(0, 6, 60))]
+        for weight in weights:
+            source, target = (int(v) for v in rng.integers(0, 12, size=2))
+            builder.add_edge(source, target, "E", **({} if weight is None else {"w": weight / 2}))
+        graph = builder.build()
+
+        def build(graph):
+            by_weight = IndexConfig(partition_keys=(), sort_keys=(SortKey.edge_property("w"),))
+            db = Database(graph, primary_config=by_weight)
+            db.create_vertex_index(
+                OneHopView("Heavy", predicate=Predicate.of(cmp(prop("eadj", "w"), ">", 0.5))),
+                config=by_weight.with_sort(SortKey.edge_property("w"), SortKey.neighbour_id()),
+                name="Heavy",
+            )
+            heavier = Predicate.of(cmp(prop("eb", "w"), "<", prop("eadj", "w")))
+            db.create_edge_index(
+                TwoHopView("Up", EdgeAdjacencyType.DST_FW, heavier), config=by_weight, name="Up"
+            )
+            return db
+
+        dbs = [build(graph), build(graph)]
+        maintainers = [db.maintainer(merge_threshold=10**9) for db in dbs]
+        for _ in range(4):
+            src, dst = rng.integers(0, 12, size=(2, 10))
+            w = [None if i % 4 == 0 else float(x) / 2 for i, x in enumerate(rng.integers(0, 6, 10))]
+            doomed = rng.choice(dbs[0].graph.num_edges, size=6, replace=False)
+            for maintainer, incremental in zip(maintainers, (True, False)):
+                maintainer.insert_edges(src, dst, "E", properties=dict(w=w))
+                maintainer.delete_edges(doomed)
+                maintainer.flush(incremental=incremental)
+            assert_stores_identical(*dbs)
+        assert len(dbs[0].store.edge_indexes[0].offset_lists) > 0
+
+    def test_flush_after_reconfiguring_the_primary(self):
+        """Secondary indexes keep addressing the primary they were built on
+        until a flush re-bases them onto the reconfigured one.  (Sort-key
+        ties inside an edge-partitioned list keep the order of the primary
+        the list was built on — on this path and on the key-based merge it
+        replaced — so byte-identity holds where, as here, lists have none.)"""
+        graph = small_financial_graph()
+        dbs = [database_with_secondary_indexes(graph) for _ in range(2)]
+        config = IndexConfig(partition_keys=(BY_CURRENCY,), sort_keys=(AMT, SortKey.neighbour_id()))
+        for db in dbs:
+            db.reconfigure_primary(config)
+        maintainers = [db.maintainer(merge_threshold=10**9) for db in dbs]
+        rng = np.random.default_rng(23)
+        for _ in range(3):
+            src, dst, props = random_batch(rng, 60, 30)
+            doomed = rng.choice(dbs[0].graph.num_edges, size=12, replace=False)
+            for maintainer, incremental in zip(maintainers, (True, False)):
+                maintainer.insert_edges(src, dst, "Wire", properties=props)
+                maintainer.delete_edges(doomed)
+                maintainer.flush(incremental=incremental)
+            assert_stores_identical(*dbs)
+
+    def test_merged_indexes_carry_no_identity_order(self):
+        db = run_history(tuned_database, seed=3, steps=["mixed"])
+        indexes = [db.primary_index.forward, db.primary_index.backward]
+        indexes += list(db.store.vertex_indexes) + list(db.store.edge_indexes)
+        assert all(index.csr.order is None for index in indexes)
+
+    def test_flush_reports_its_phases(self):
+        db = database_with_secondary_indexes(small_financial_graph())
+        maintainer = db.maintainer(merge_threshold=10**9)
+        for incremental in (True, False):
+            maintainer.insert_edges([1, 2], [3, 4], "Wire")
+            maintainer.flush(incremental=incremental)
+        stats = maintainer.stats
+        assert list(stats.phase_seconds) == [
+            "materialize", "primary", "vertex indexes", "edge indexes", "statistics", "install",
+        ]
+        assert all(seconds > 0 for seconds in stats.phase_seconds.values())
+        assert sum(stats.phase_seconds.values()) <= stats.merge_seconds
+        assert "ms per flush: materialize" in stats.describe()
+
+    @fuzz
+    @pytest.mark.fuzz
+    @pytest.mark.parametrize("seed", range(100, 140))
+    @pytest.mark.parametrize("database", sorted(DATABASES))
+    def test_fuzz_history_matches_rebuild(self, database, seed):
+        run_history(DATABASES[database], seed)
+
+
+class TestDeleteCounting:
+    def test_repeated_and_tombstoned_ids_count_once(self):
+        db = Database(small_financial_graph())
+        maintainer = db.maintainer(merge_threshold=10**9)
+        maintainer.delete_edges([4, 4, 9])
+        assert maintainer.stats.deleted_edges == 2
+        assert type(maintainer.stats.deleted_edges) is int  # JSON-serializable
+        assert maintainer.stats.buffered_operations == 2
+        maintainer.delete_edges([9, 4])
+        maintainer.delete_edge(4)
+        assert maintainer.stats.deleted_edges == 2
+        assert maintainer.stats.buffered_operations == 2
+        maintainer.delete_edges([9, 10])
+        assert maintainer.stats.deleted_edges == 3
+        maintainer.flush()
+        assert db.graph.num_edges == 240 - 3
+
+    def test_repeats_do_not_trip_the_merge_threshold(self):
+        db = Database(small_financial_graph())
+        maintainer = db.maintainer(merge_threshold=3)
+        for _ in range(5):
+            maintainer.delete_edges([7, 7])
+        assert maintainer.stats.merges == 0 and db.graph.num_edges == 240
+        maintainer.delete_edges([8, 9])
+        assert maintainer.stats.merges == 1 and db.graph.num_edges == 237
 
 
 class TestQueryEquivalenceAfterChurn:
