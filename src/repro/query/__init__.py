@@ -112,7 +112,7 @@ from .optimizer import CostModel, Optimizer
 from .pattern import QueryEdge, QueryGraph, QueryVertex
 from .plan import QueryPlan
 from .plan_cache import DEFAULT_PLAN_CACHE_CAPACITY, PlanCache, PlanCacheStats
-from .predicates import (
+from ..predicates import (
     CompareOp,
     Comparison,
     Constant,

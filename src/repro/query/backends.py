@@ -3,24 +3,41 @@
 The morsel dispatcher (:class:`~repro.query.executor.MorselExecutor`) owns
 *what* runs — the per-range operator pipeline — and *in which order* results
 merge (ascending range order, the determinism contract).  A
-:class:`MorselBackend` owns only *where* each morsel body runs:
+:class:`MorselBackend` owns only *where* each morsel body runs.  There are
+three, one class per registry name:
 
 * :class:`SerialBackend` — runs each morsel inline on the caller's thread.
   Exercises the full morsel/merge bookkeeping without any concurrency; the
   cheapest way to debug a morsel-boundary issue.
-* :class:`ThreadBackend` — a ``ThreadPoolExecutor`` (the PR 4 behaviour).
-  The numpy kernels release the GIL, so threads overlap on multi-core
-  machines; the Python orchestration between kernels still serializes on
-  GIL builds.
+* :class:`ThreadBackend` — a ``ThreadPoolExecutor``.  The numpy kernels
+  release the GIL, so threads overlap on multi-core machines; the Python
+  orchestration between kernels still serializes on GIL builds.
 * :class:`ProcessBackend` — a ``multiprocessing`` pool.  Sidesteps the GIL
   entirely: the Python orchestration of different morsels runs in different
-  interpreters.  The parent ships one pickled :class:`WorkerPayload` (plan +
-  graph + batch size) per worker through the pool initializer — *worker
-  rehydration* — and afterwards only tiny :class:`MorselTaskSpec` messages
-  (plan id + vertex range + pinned store generation) cross the pipe per
-  morsel.  Results travel back *columnar*: the raw numpy column buffers of
-  each batch plus a stats tuple, never per-row match dicts, so transport
-  cost is one buffer copy per column.
+  interpreters.  Each worker keeps a small LRU of rehydrated
+  :class:`WorkerPayload` objects (plan + graph + batch size); a task for a
+  payload the worker lacks raises :class:`PayloadMissing` and the parent
+  re-submits it with the pickled payload attached.  Afterwards only tiny
+  :class:`MorselTaskSpec` messages (plan id + vertex range + pinned store
+  generation) cross the pipe per morsel.  Results travel back *columnar*:
+  the raw numpy column buffers of each batch plus a stats tuple, never
+  per-row match dicts, so transport cost is one buffer copy per column.
+
+Two lifetimes
+-------------
+
+Every backend has a *pool* lifetime — ``start()`` … ``shutdown()`` — and,
+nested inside it, any number of *query* lifetimes — ``open`` … ``submit``
+/ ``result`` … ``close``.  One ownership rule decides who ends the pool:
+whoever constructs a backend shuts it down.  Given a backend *name*, the
+dispatcher constructs a backend of its own for one query — its ``open``
+starts the pool, so a process pool forks with the query's payload already
+in its workers' caches — and shuts it down after the query (threads are
+joined unless the query aborted; processes are terminated and reaped).
+Given a backend *instance* — a server's leased pool, a test
+double — the dispatcher only opens and closes it, and the pool outlives the
+query: :class:`~repro.server.pools.PoolSupervisor` keeps it for the next
+lease, and a process pool's workers keep their payload caches warm.
 
 Every backend yields byte-identical results: each runs the same
 :func:`run_morsel` body over the same ranges, and the dispatcher merges
@@ -66,12 +83,14 @@ Backends are the detection layer of the query runtime's crash recovery
 * Worker exceptions are **not** recoverable: a deterministic bug re-raised
   from ``result()`` propagates (retrying it cannot succeed, and the serial
   fallback would only reproduce it); the dispatcher still closes the
-  backend, so no pool outlives the error.
+  backend and shuts down a pool it owns, so no per-query pool outlives the
+  error.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import multiprocessing
 import os
@@ -79,14 +98,15 @@ import pickle
 import threading
 import time
 import zlib
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
-from ..errors import ExecutionError, WorkerCrashError
+from ..errors import ExecutionError, ReproError, WorkerCrashError
 from ..graph.graph import PropertyGraph
 from .binding import MatchBatch
 from .factorized import FactorizedBatch, FactorizedSegment
@@ -97,14 +117,7 @@ from .faults import (
     InjectedWorkerCrash,
 )
 from .runtime import QueryContext
-from .operators import (
-    ExecutionContext,
-    ExecutionStats,
-    ExtendIntersect,
-    Filter,
-    MultiExtend,
-    ScanVertices,
-)
+from .operators import ExecutionContext, ExecutionStats
 from .pipeline import run_pipeline, run_pipeline_factorized
 from .plan import QueryPlan
 
@@ -353,17 +366,18 @@ class MorselTaskSpec:
     """One morsel of work, as shipped to a process-pool worker.
 
     Deliberately tiny and plain (four ints/None): the heavy state — plan,
-    graph, indexes — travels once per worker inside :class:`WorkerPayload`;
-    afterwards each morsel costs one of these over the pipe.
+    graph, indexes — travels at most once per worker inside
+    :class:`WorkerPayload`; afterwards each morsel costs one of these over
+    the pipe.
 
     Attributes:
         plan_id: identifies the payload the task belongs to; must match the
-            worker's rehydrated payload.
+            payload the worker runs it against.
         generation: the index-store generation the plan is pinned to
             (``None`` for hand-built plans without a snapshot); must match
             the payload's generation — a mismatch means the parent tried to
-            run a task against a worker rehydrated from a different store
-            state, which would silently mix edge/vertex IDs across flush
+            run a task against a payload from a different store state,
+            which would silently mix edge/vertex IDs across flush
             remappings.
         start, stop: the half-open vertex-ID range of the morsel.
         index: the morsel's deterministic submission index (what the
@@ -384,11 +398,12 @@ class MorselTaskSpec:
 class WorkerPayload:
     """Everything a process-pool worker needs to execute morsel tasks.
 
-    Pickled once in the parent and shipped through the pool initializer, so
-    every worker rehydrates the same plan/graph generation exactly once.
-    The plan's ``store_snapshot`` (when present) rides along inside the same
-    pickle, so the plan's index references and ``graph`` stay one shared,
-    internally consistent object graph on the worker side.
+    Pickled once in the parent per plan configuration and shipped to a
+    worker the first time one of its tasks lands there; the worker keeps it
+    rehydrated in its payload cache.  The plan's ``store_snapshot`` (when
+    present) rides along inside the same pickle, so the plan's index
+    references and ``graph`` stay one shared, internally consistent object
+    graph on the worker side.
 
     ``factorized`` selects the morsel body's pipeline (and thereby the reply
     encoding): flat batches for row-producing sinks, unexpanded segment
@@ -408,12 +423,43 @@ class WorkerPayload:
     count_only: bool = False
 
 
-#: Per-process registry of the payload the pool initializer rehydrated.
-_WORKER_PAYLOAD: Optional[WorkerPayload] = None
+class PayloadMissing(ReproError):
+    """Worker-side signal: this task's payload is not in the worker's cache.
+
+    Part of the process backend's wire protocol, not an error a caller
+    should ever see: the parent catches it in ``result()`` and re-submits
+    the same task with the payload bytes attached.  Raised by a fresh
+    worker (first task of a plan, or a respawn after a crash) and by a
+    worker whose LRU cache evicted the plan.  ``__reduce__`` replays the
+    constructor so the identifying attributes survive the pool's exception
+    transport.
+    """
+
+    def __init__(self, plan_id: int, generation: Optional[int]) -> None:
+        super().__init__(
+            f"worker has no cached payload for plan {plan_id} "
+            f"(generation {generation})"
+        )
+        self.plan_id = plan_id
+        self.generation = generation
+
+    def __reduce__(self):
+        return (type(self), (self.plan_id, self.generation))
+
+
+#: Worker-side LRU of rehydrated payloads, keyed by wire plan id.  Bounded:
+#: a payload pins a whole plan + graph generation, and a long-lived pool
+#: cycles through many; keeping the hottest few is the point of keeping the
+#: pool, keeping all of them would be a slow memory leak.
+_PAYLOAD_CACHE: "OrderedDict[int, WorkerPayload]" = OrderedDict()
+_PAYLOAD_CACHE_CAPACITY = 8
+
+#: Parent-side bound on distinct payloads a pool keeps pickled for re-shipping.
+_PARENT_PAYLOAD_CAPACITY = 16
 
 #: How long the process backend waits for a pool worker to prove it
-#: initialized before failing the query (generous: spawn starts a fresh
-#: interpreter per worker; healthy fork pools answer in milliseconds).
+#: started before failing (generous: spawn starts a fresh interpreter per
+#: worker; healthy fork pools answer in milliseconds).
 WORKER_STARTUP_TIMEOUT_SECONDS = 30.0
 
 #: Granularity of the parallel backends' blocking result waits.  Each poll
@@ -469,38 +515,39 @@ def resolve_morsel_timeout(value: Optional[float] = None) -> Optional[float]:
 _PLAN_IDS = itertools.count(1)
 
 
-def _process_worker_init(payload_bytes: bytes) -> None:
-    """Pool initializer: rehydrate the plan/graph payload once per worker.
+def _worker_run(
+    spec: Optional[MorselTaskSpec], payload_bytes: Optional[bytes] = None
+):
+    """The process-pool worker body: one morsel in, one reply envelope out.
 
-    Runs ``pickle.loads`` even under the ``fork`` start method (where the
-    bytes are inherited copy-on-write) so every start method exercises the
-    same rehydration path and the payload's picklability is guaranteed
-    everywhere, not just on spawn-only platforms.
-    """
-    global _WORKER_PAYLOAD
-    _WORKER_PAYLOAD = pickle.loads(payload_bytes)
+    ``spec=None`` is the pool's startup probe and answers ``True``.
+    Otherwise the payload comes from this worker's LRU cache, and a miss
+    raises :class:`PayloadMissing`; ``payload_bytes`` rides along only on
+    the parent's re-submission after that round trip.  The bytes are
+    unpickled even under ``fork`` (where the parent's objects are inherited
+    copy-on-write), so every start method exercises the same rehydration
+    path.
 
-
-def _process_worker_ready() -> bool:
-    """Health probe: True once this worker has rehydrated its payload."""
-    return _WORKER_PAYLOAD is not None
-
-
-def _execute_payload_task(
-    payload: WorkerPayload, spec: MorselTaskSpec
-) -> Tuple[List[object], Tuple, int]:
-    """Validate a spec against a payload, run the morsel, encode the reply.
-
-    The shared worker body of the per-query process backend (payload
-    rehydrated by the pool initializer) and the server's persistent process
-    backend (payloads cached per worker, shipped lazily): both produce the
-    same checksummed envelope ``(encoded, stats_tuple, checksum)``.
-    Injected faults fire here the way real failures would: ``kill`` is a
-    hard ``os._exit`` (the parent sees a dead child and a lost task, not a
+    The spec must match the payload's plan id and generation; the reply is
+    the checksummed envelope ``(encoded, stats_tuple, checksum)``.  Injected
+    faults fire here the way real failures would: ``kill`` is a hard
+    ``os._exit`` (the parent sees a dead child and a lost task, not a
     pickled exception), ``delay`` sleeps holding the morsel, ``error``
     raises through the pool's normal exception transport, and ``corrupt``
     damages the envelope *after* its checksum was computed.
     """
+    if spec is None:
+        return True
+    payload = _PAYLOAD_CACHE.get(spec.plan_id)
+    if payload is not None:
+        _PAYLOAD_CACHE.move_to_end(spec.plan_id)
+    elif payload_bytes is None:
+        raise PayloadMissing(spec.plan_id, spec.generation)
+    else:
+        payload = pickle.loads(payload_bytes)
+        _PAYLOAD_CACHE[payload.plan_id] = payload
+        while len(_PAYLOAD_CACHE) > _PAYLOAD_CACHE_CAPACITY:
+            _PAYLOAD_CACHE.popitem(last=False)
     if spec.plan_id != payload.plan_id or spec.generation != payload.generation:
         raise ExecutionError(
             f"morsel task spec (plan {spec.plan_id}, generation "
@@ -540,17 +587,17 @@ def _execute_payload_task(
     return encoded, stats_tuple, checksum
 
 
-def _process_worker_run(
-    spec: MorselTaskSpec,
-) -> Tuple[List[object], Tuple, int]:
-    """Worker body: run one morsel against the pool-initializer payload."""
-    payload = _WORKER_PAYLOAD
-    if payload is None:
-        raise ExecutionError(
-            "process-pool worker has no rehydrated payload; the pool was "
-            "created without the backend's initializer"
-        )
-    return _execute_payload_task(payload, spec)
+def _seed_worker_cache(payload_bytes: Optional[bytes]) -> None:
+    """Pool initializer: put a pool's first payload into the worker cache.
+
+    A pool started by its own query knows that query's payload before it
+    forks, so its workers (and any respawn, which reruns the initializer)
+    start warm instead of each round-tripping :class:`PayloadMissing` and
+    receiving the bytes over the task pipe.
+    """
+    if payload_bytes is not None:
+        payload = pickle.loads(payload_bytes)
+        _PAYLOAD_CACHE[payload.plan_id] = payload
 
 
 def preferred_start_method() -> str:
@@ -580,13 +627,19 @@ def fork_available() -> bool:
 class MorselBackend:
     """Where morsel bodies run; the dispatcher owns ordering and merging.
 
-    Lifecycle: the dispatcher calls :meth:`open` once per ``execute``, then
-    interleaves :meth:`submit` (hand over one ``[start, stop)`` range,
-    returning an opaque handle) and :meth:`result` (block for one handle's
-    ``(batches, stats)``), and finally :meth:`close` — also on abandonment,
-    so backends must tolerate ``close`` with submissions outstanding.
-    Instances are single-use per ``execute`` call but may be reused
-    sequentially; they hold no state between ``open`` calls.
+    Two nested lifetimes.  The *pool* lifetime: :meth:`start` returns the
+    backend ready to serve ``num_workers`` morsels at once, and
+    :meth:`shutdown` releases the workers (idempotent and thread-safe).
+    Inside it, any number of sequential *query* lifetimes: the dispatcher
+    calls :meth:`open` once per ``execute``, then interleaves :meth:`submit`
+    (hand over one ``[start, stop)`` range, returning an opaque handle) and
+    :meth:`result` (block for one handle's ``(batches, stats)``), and
+    finally :meth:`close` — also on abandonment and after a failed
+    ``open``, so backends must tolerate ``close`` with submissions
+    outstanding.  ``open`` starts a backend that is not started yet, which
+    is how a pool built for one query begins: knowing the query, the
+    process backend forks its workers with the payload already cached.
+    Whoever constructs a backend shuts it down (see the module docstring).
 
     ``submit`` may run the morsel eagerly, lazily, or remotely — the only
     contract is that ``result(handle)`` returns exactly the output of
@@ -614,6 +667,27 @@ class MorselBackend:
     #: Registry name (also the ``Database.run(backend=...)`` spelling).
     name = "abstract"
 
+    def __init__(self, num_workers: int = 1) -> None:
+        if num_workers < 1:
+            raise ExecutionError(f"num_workers must be >= 1, got {num_workers}")
+        self.num_workers = int(num_workers)
+
+    def start(self) -> "MorselBackend":
+        return self
+
+    def shutdown(self) -> None:
+        pass
+
+    @property
+    def worker_died(self) -> bool:
+        """True once a pool worker died during the current query (sticky).
+
+        Read after a query to judge the pool rather than the query: one
+        that recovered from a death still ran on a wounded pool.  Only the
+        process backend's workers can die.
+        """
+        return False
+
     def open(
         self,
         executor,
@@ -638,11 +712,12 @@ class MorselBackend:
 
 
 class SerialBackend(MorselBackend):
-    """Run every morsel inline on the caller's thread (no concurrency).
+    """Run every morsel inline on the caller's thread (no concurrency, no pool).
 
-    ``submit`` just records the range; the morsel runs lazily inside
-    :meth:`result`, so peak memory matches the windowed parallel backends
-    instead of materializing the whole result at submission time.
+    ``submit`` binds the morsel body to the query's state; the body runs
+    lazily inside :meth:`result`, so peak memory matches the windowed
+    parallel backends instead of materializing the whole result at
+    submission time.
     """
 
     name = "serial"
@@ -665,134 +740,144 @@ class SerialBackend(MorselBackend):
         self._faults = faults
         self._clock = getattr(executor, "clock", None)
 
-    def submit(
-        self, start: int, stop: int, index: int = 0, attempt: int = 0
-    ) -> Tuple[int, int, int, int]:
-        return (start, stop, index, attempt)
+    def submit(self, start: int, stop: int, index: int = 0, attempt: int = 0):
+        body = functools.partial(
+            run_morsel_faulted,
+            self._plan,
+            self._graph,
+            self._batch_size,
+            start,
+            stop,
+            factorized=self._factorized,
+            runtime=self._runtime,
+            faults=self._faults,
+            index=index,
+            attempt=attempt,
+            clock=self._clock,
+            count_only=self._count_only,
+        )
+        return (body, index, start, stop)
 
     def result(self, handle) -> Tuple[List[MatchBatch], ExecutionStats]:
-        start, stop, index, attempt = handle
+        task, index, start, stop = handle
         try:
-            return run_morsel_faulted(
-                self._plan,
-                self._graph,
-                self._batch_size,
-                start,
-                stop,
-                factorized=self._factorized,
-                runtime=self._runtime,
-                faults=self._faults,
-                index=index,
-                attempt=attempt,
-                clock=self._clock,
-                count_only=self._count_only,
-            )
+            return self._wait(task)
         except (InjectedWorkerCrash, InjectedReplyCorruption) as fault:
             raise WorkerCrashError(
                 f"morsel {index} [{start}, {stop}) lost to injected fault: "
                 f"{fault}"
             ) from fault
 
+    def _wait(self, task):
+        return task()
+
     def close(self) -> None:
-        self._plan = None
-        self._graph = None
+        self._plan = self._graph = self._runtime = self._faults = None
 
 
-class ThreadBackend(MorselBackend):
-    """Run morsels on a thread pool (the numpy kernels release the GIL)."""
+class ThreadBackend(SerialBackend):
+    """Run morsels on a thread pool (the numpy kernels release the GIL).
+
+    Shares the serial backend's query state; ``submit`` hands the bound
+    morsel body to the pool instead of deferring it.
+    """
 
     name = "thread"
 
-    def open(
-        self,
-        executor,
-        plan: QueryPlan,
-        factorized: bool = False,
-        runtime: Optional[QueryContext] = None,
-        faults: Optional[FaultPlan] = None,
-        count_only: bool = False,
-    ) -> None:
-        self._plan = plan
-        self._graph = executor.graph
-        self._batch_size = executor.batch_size * executor.coalesce
-        self._factorized = factorized
-        self._count_only = count_only
-        self._runtime = runtime
-        self._faults = faults
-        self._clock = getattr(executor, "clock", None)
-        self._pool = ThreadPoolExecutor(max_workers=executor.num_workers)
+    def __init__(self, num_workers: int = 1) -> None:
+        super().__init__(num_workers)
+        self._pool: Optional[ThreadPoolExecutor] = None
+        self._pool_lock = threading.Lock()
+        self._aborted = False
+
+    def start(self) -> "ThreadBackend":
+        self._pool = ThreadPoolExecutor(
+            max_workers=self.num_workers, thread_name_prefix="repro-morsel"
+        )
+        return self
+
+    def open(self, executor, plan: QueryPlan, **options) -> None:
+        if self._pool is None:
+            self.start()
+        super().open(executor, plan, **options)
 
     def submit(self, start: int, stop: int, index: int = 0, attempt: int = 0):
-        return (
-            self._pool.submit(
-                run_morsel_faulted,
-                self._plan,
-                self._graph,
-                self._batch_size,
-                start,
-                stop,
-                factorized=self._factorized,
-                runtime=self._runtime,
-                faults=self._faults,
-                index=index,
-                attempt=attempt,
-                clock=self._clock,
-                count_only=self._count_only,
-            ),
-            index,
-            start,
-            stop,
-        )
+        body, *where = super().submit(start, stop, index, attempt)
+        return (self._pool.submit(body), *where)
 
-    def result(self, handle) -> Tuple[List[MatchBatch], ExecutionStats]:
-        future, index, start, stop = handle
-        try:
-            if self._runtime is None:
-                return future.result()
-            # Poll so the caller's deadline/cancellation can interrupt the
-            # wait even while the worker thread is stuck in non-cooperative
-            # code (e.g. an injected delay sleeping inside the morsel body).
-            while True:
-                try:
-                    return future.result(timeout=_RESULT_POLL_SECONDS)
-                except FutureTimeoutError:
-                    self._runtime.check()
-        except (InjectedWorkerCrash, InjectedReplyCorruption) as fault:
-            raise WorkerCrashError(
-                f"morsel {index} [{start}, {stop}) lost to injected fault: "
-                f"{fault}"
-            ) from fault
+    def _wait(self, future):
+        if self._runtime is None:
+            return future.result()
+        # Poll so the caller's deadline/cancellation can interrupt the wait
+        # even while the worker thread is stuck in non-cooperative code
+        # (e.g. an injected delay sleeping inside the morsel body).
+        while True:
+            try:
+                return future.result(timeout=_RESULT_POLL_SECONDS)
+            except FutureTimeoutError:
+                self._runtime.check()
 
     def close(self) -> None:
-        # An aborted query (deadline/cancellation — the dispatcher sets the
-        # runtime's token before closing) must not block on workers stuck in
-        # non-cooperative code: queued futures are cancelled, cooperative
-        # bodies stop at their next batch check, and a truly stuck thread is
-        # left to finish in the background (Python threads cannot be
-        # killed); waiting for it here would defeat the deadline.
+        # The dispatcher sets an aborted query's token (deadline,
+        # cancellation) before closing; remember it for shutdown().
         runtime = getattr(self, "_runtime", None)
-        aborted = runtime is not None and runtime.cancelled
-        self._pool.shutdown(wait=not aborted, cancel_futures=True)
+        self._aborted = runtime is not None and runtime.cancelled
+        super().close()
+
+    def shutdown(self) -> None:
+        """Stop the worker threads: joined, unless the last query aborted.
+
+        After an abort, queued futures are cancelled and cooperative bodies
+        stop at their next batch check, but a thread stuck in
+        non-cooperative code is left to finish in the background (Python
+        threads cannot be killed) — waiting for it would defeat the
+        deadline.
+        """
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=not self._aborted, cancel_futures=True)
 
 
 class ProcessBackend(MorselBackend):
-    """Run morsels on a ``multiprocessing`` pool with worker rehydration.
+    """Run morsels on a ``multiprocessing`` pool with lazily shipped payloads.
 
-    ``open`` pickles one :class:`WorkerPayload` and hands it to every worker
-    through the pool initializer; ``submit`` ships a :class:`MorselTaskSpec`
-    per morsel; ``result`` decodes the columnar reply back into
-    :class:`MatchBatch` objects and an :class:`ExecutionStats`.
+    ``start()`` spawns the workers and proves one answers.  ``open``
+    registers the query's :class:`WorkerPayload` under a parent-side key
+    (plan identity, generation, batch size, factorization, fault plan) and
+    reuses the wire plan id and pickled bytes of a repeated configuration,
+    so on a pool that outlives its queries a hot plan's morsels cost one
+    tiny :class:`MorselTaskSpec` each.  An ``open`` that finds the pool not
+    started spawns it with that payload seeded into the workers' caches
+    (the pool built for one query).  ``result`` re-ships the payload to a
+    worker that answered :class:`PayloadMissing`, then decodes the
+    columnar reply back into batches and an :class:`ExecutionStats`.
+
+    Crash recovery composes with the cache: ``multiprocessing.Pool``
+    respawns dead workers (reseeded by the initializer, if the pool had a
+    seed), a respawn's cache miss surfaces as :class:`PayloadMissing` on its
+    first task, and the parent re-ships the payload — the mechanism that
+    warms a long-lived pool heals a wounded one.
     """
 
     name = "process"
 
-    def __init__(self) -> None:
+    def __init__(self, num_workers: int = 1) -> None:
+        super().__init__(num_workers)
         self._pool = None
-        # Serializes close() against concurrent callers: a pool supervisor
-        # tearing down an unhealthy backend can race a server drain (or a
-        # dispatcher's finally block), and exactly one of them must
-        # terminate/join the pool while the others see a no-op.
-        self._close_lock = threading.Lock()
+        # Serializes shutdown() against concurrent callers: a pool
+        # supervisor tearing down an unhealthy backend can race a server
+        # drain (or a dispatcher's finally block), and exactly one of them
+        # must terminate/join the pool while the others see a no-op.
+        self._pool_lock = threading.Lock()
+        # key -> (wire plan id, payload bytes, payload object).  The payload
+        # object reference keeps the plan alive so the id()-based key cannot
+        # be reused by a different plan while the entry exists.
+        self._payloads: "OrderedDict[tuple, tuple]" = OrderedDict()
+        self._death_ever = False
+        self.queries_served = 0
+        self.payload_ships = 0
+        self.payload_reuses = 0
 
     @staticmethod
     def _start_method() -> str:
@@ -801,15 +886,15 @@ class ProcessBackend(MorselBackend):
         ``fork``-ing a multi-threaded parent is unsafe: a lock held by a
         sibling thread at the moment of the fork (allocator arenas, another
         query's pool machinery) stays locked forever in the child, which
-        then deadlocks inside the worker initializer.  When other threads
-        are alive — e.g. queries on the thread backend running concurrently
-        — fall back to ``forkserver``, which forks from a clean
-        single-threaded server process instead of this one.  The fallback
-        carries the standard spawn-family contract (the Linux *default*
-        from Python 3.14): the parent's ``__main__`` must be import-safe —
-        guard top-level pool-creating code with ``if __name__ ==
-        "__main__"`` — and multiprocessing raises its usual bootstrapping
-        error (or :func:`open`'s startup health check fires) when it is not.
+        then deadlocks.  When other threads are alive — e.g. queries on the
+        thread backend running concurrently — fall back to ``forkserver``,
+        which forks from a clean single-threaded server process instead of
+        this one.  The fallback carries the standard spawn-family contract
+        (the Linux *default* from Python 3.14): the parent's ``__main__``
+        must be import-safe — guard top-level pool-creating code with ``if
+        __name__ == "__main__"`` — and multiprocessing raises its usual
+        bootstrapping error (or :meth:`start`'s health check fires) when it
+        is not.
         """
         method = preferred_start_method()
         if method == "fork" and threading.active_count() > 1:
@@ -817,50 +902,29 @@ class ProcessBackend(MorselBackend):
                 return "forkserver"
         return method
 
-    def open(
-        self,
-        executor,
-        plan: QueryPlan,
-        factorized: bool = False,
-        runtime: Optional[QueryContext] = None,
-        faults: Optional[FaultPlan] = None,
-        count_only: bool = False,
-    ) -> None:
-        plan_id = next(_PLAN_IDS)
-        payload = WorkerPayload(
-            plan_id=plan_id,
-            generation=plan.pinned_generation,
-            plan=plan,
-            graph=executor.graph,
-            batch_size=executor.batch_size * executor.coalesce,
-            factorized=factorized,
-            faults=faults,
-            count_only=count_only,
-        )
-        self._plan_id = plan_id
-        self._generation = payload.generation
-        self._factorized = factorized
-        self._runtime = runtime
-        self._morsel_timeout = resolve_morsel_timeout(
-            getattr(executor, "morsel_timeout", None)
-        )
+    def start(self) -> "ProcessBackend":
+        """Spawn the worker pool and prove one worker answers."""
+        return self._spawn(seed=None)
+
+    def _spawn(self, seed: Optional[bytes]) -> "ProcessBackend":
+        """:meth:`start`, with ``seed`` (pickled payload bytes or None)
+        rehydrated into every worker's cache by the pool initializer."""
         method = self._start_method()
-        context = multiprocessing.get_context(method)
-        self._pool = context.Pool(
-            processes=executor.num_workers,
-            initializer=_process_worker_init,
-            initargs=(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL),),
+        self._pool = multiprocessing.get_context(method).Pool(
+            processes=self.num_workers,
+            initializer=_seed_worker_cache,
+            initargs=(seed,),
         )
-        # Prove one worker came up before accepting morsels.  A pool whose
-        # workers die during startup (e.g. forkserver/spawn re-importing a
-        # parent ``__main__`` that is not importable — a REPL or stdin
-        # script) respawns them forever while queued tasks wait — a silent
-        # livelock; this converts it into a loud, actionable error.
-        probe = self._pool.apply_async(_process_worker_ready)
+        # A pool whose workers die during startup (e.g. forkserver/spawn
+        # re-importing a parent ``__main__`` that is not importable — a REPL
+        # or stdin script) respawns them forever while queued tasks wait — a
+        # silent livelock; the probe converts it into a loud, actionable
+        # error.
+        probe = self._pool.apply_async(_worker_run, (None,))
         try:
-            ready = probe.get(timeout=WORKER_STARTUP_TIMEOUT_SECONDS)
+            probe.get(timeout=WORKER_STARTUP_TIMEOUT_SECONDS)
         except multiprocessing.TimeoutError:
-            self.close()
+            self.shutdown()
             raise ExecutionError(
                 f"process-backend workers failed to start within "
                 f"{WORKER_STARTUP_TIMEOUT_SECONDS:.0f}s (start method "
@@ -871,17 +935,60 @@ class ProcessBackend(MorselBackend):
             ) from None
         except BaseException:
             # KeyboardInterrupt (or any other failure) while waiting must
-            # not orphan the just-spawned workers: the dispatcher only
-            # close()s backends whose open() returned.
-            self.close()
+            # not orphan the just-spawned workers.
+            self.shutdown()
             raise
-        if not ready:  # pragma: no cover - defensive
-            self.close()
-            raise ExecutionError(
-                "process-backend worker started without a rehydrated payload"
+        return self
+
+    def open(
+        self,
+        executor,
+        plan: QueryPlan,
+        factorized: bool = False,
+        runtime: Optional[QueryContext] = None,
+        faults: Optional[FaultPlan] = None,
+        count_only: bool = False,
+    ) -> None:
+        batch_size = executor.batch_size * executor.coalesce
+        generation = plan.pinned_generation
+        key = (id(plan), generation, factorized, count_only, batch_size, faults)
+        entry = self._payloads.get(key)
+        if entry is None:
+            payload = WorkerPayload(
+                plan_id=next(_PLAN_IDS),
+                generation=generation,
+                plan=plan,
+                graph=executor.graph,
+                batch_size=batch_size,
+                factorized=factorized,
+                faults=faults,
+                count_only=count_only,
             )
+            entry = (
+                payload.plan_id,
+                pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL),
+                payload,
+            )
+            self._payloads[key] = entry
+            while len(self._payloads) > _PARENT_PAYLOAD_CAPACITY:
+                self._payloads.popitem(last=False)
+        else:
+            self._payloads.move_to_end(key)
+            self.payload_reuses += 1
+        self._plan_id, self._payload_bytes, _ = entry
+        if self._pool is None:
+            self._spawn(seed=self._payload_bytes)
+        self._generation = generation
+        self._factorized = factorized
+        self._runtime = runtime
+        self._morsel_timeout = resolve_morsel_timeout(
+            getattr(executor, "morsel_timeout", None)
+        )
+        # Fresh death watch per query: a death absorbed (and healed) during
+        # an earlier query must not charge this one a grace beat per morsel.
         self._seen_pids = self._worker_pids()
         self._death_ever = False
+        self.queries_served += 1
 
     # ------------------------------------------------------------------
     # worker liveness
@@ -896,11 +1003,11 @@ class ProcessBackend(MorselBackend):
         )
 
     def _death_observed(self) -> bool:
-        """True once any pool worker has died during this execution (sticky).
+        """True once any pool worker has died during this query (sticky).
 
-        ``multiprocessing.Pool`` auto-respawns dead workers (with the same
-        initializer, so replacements rehydrate the payload), but the task a
-        dead worker held is lost forever and its ``get()`` would block
+        ``multiprocessing.Pool`` auto-respawns dead workers (whose empty
+        payload caches heal through :class:`PayloadMissing`), but the task
+        a dead worker held is lost forever and its ``get()`` would block
         until the morsel timeout.  Watching the worker set — a pid we have
         not seen before means a respawn, i.e. a death — turns that hang
         into prompt recovery.  Exit codes are checked too: a dead worker
@@ -926,6 +1033,10 @@ class ProcessBackend(MorselBackend):
         self._death_ever = died
         return died
 
+    @property
+    def worker_died(self) -> bool:
+        return self._death_ever
+
     def submit(self, start: int, stop: int, index: int = 0, attempt: int = 0):
         spec = MorselTaskSpec(
             plan_id=self._plan_id,
@@ -935,12 +1046,7 @@ class ProcessBackend(MorselBackend):
             index=index,
             attempt=attempt,
         )
-        return (
-            self._pool.apply_async(_process_worker_run, (spec,)),
-            index,
-            start,
-            stop,
-        )
+        return (self._pool.apply_async(_worker_run, (spec,)), spec)
 
     def _await_reply(self, async_result, index: int, start: int, stop: int):
         """Block (polled) for one morsel's reply envelope.
@@ -999,24 +1105,51 @@ class ProcessBackend(MorselBackend):
         return decode(encoded), ExecutionStats(*stats_tuple)
 
     def result(self, handle) -> Tuple[List[MatchBatch], ExecutionStats]:
-        async_result, index, start, stop = handle
-        reply = self._await_reply(async_result, index, start, stop)
+        async_result, spec = handle
+        index, start, stop = spec.index, spec.start, spec.stop
+        reships = 0
+        while True:
+            try:
+                reply = self._await_reply(async_result, index, start, stop)
+                break
+            except PayloadMissing:
+                # A cold worker held the task (fresh pool, post-crash
+                # respawn, or LRU eviction): re-submit with the payload
+                # attached.  Bounded — every worker caches the payload on
+                # its first shipped task, so more round trips than workers
+                # means the pool is systematically losing its cache.
+                reships += 1
+                if reships > 2 * self.num_workers:
+                    raise WorkerCrashError(
+                        f"morsel {index} [{start}, {stop}) could not be "
+                        f"placed after {reships} payload re-ships; the "
+                        "pool's workers are not retaining payloads"
+                    ) from None
+                self.payload_ships += 1
+                async_result = self._pool.apply_async(
+                    _worker_run, (spec, self._payload_bytes)
+                )
         return self._decode_reply(reply, index, start, stop)
 
     def close(self) -> None:
+        """End the query; the pool lives on until :meth:`shutdown`.
+
+        An abandoned query's in-flight morsels are left to finish: a
+        per-query pool is terminated right after, and the server's
+        supervisor discards a pool whose query failed or aborted, so stuck
+        workers cannot haunt the next lease.
+        """
+        self._runtime = None
+
+    def shutdown(self) -> None:
         # All retrieved results are already materialized in the parent, so
-        # terminate (rather than drain) any submissions an abandoned
-        # iteration left behind.  ``join`` runs in a ``finally`` so workers
-        # are reaped even when ``terminate`` itself raises — a pool must
-        # never outlive its query, least of all on the error path.
-        #
-        # Concurrent-safe and idempotent: the pool is claimed atomically
-        # under ``_close_lock``, so when a supervisor teardown races a
-        # server drain (or a dispatcher's finally block) exactly one caller
-        # terminates/joins and the rest return immediately.
-        with self._close_lock:
-            pool = getattr(self, "_pool", None)
-            self._pool = None
+        # terminate (rather than drain) whatever is still running.  ``join``
+        # runs in a ``finally`` so workers are reaped even when
+        # ``terminate`` itself raises — a pool must never outlive its owner,
+        # least of all on the error path.  The pool is claimed atomically,
+        # so concurrent callers see one terminate/join and the rest no-op.
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
         if pool is None:
             return
         try:
@@ -1025,7 +1158,8 @@ class ProcessBackend(MorselBackend):
             pool.join()
 
 
-#: Registry of backend names accepted by ``MorselExecutor``/``Database``.
+#: Registry of backend names accepted by ``MorselExecutor``/``Database``
+#: and the server's pool supervisor.
 BACKENDS: Dict[str, Type[MorselBackend]] = {
     backend.name: backend
     for backend in (SerialBackend, ThreadBackend, ProcessBackend)
@@ -1036,22 +1170,20 @@ BACKENDS: Dict[str, Type[MorselBackend]] = {
 DEFAULT_BACKEND = ThreadBackend.name
 
 
-def resolve_backend(backend) -> MorselBackend:
-    """A ready-to-open backend instance from a name or an instance.
+def resolve_backend(name) -> Type[MorselBackend]:
+    """The backend class registered under ``name`` — the one name check.
 
     Raises a typed :class:`~repro.errors.ExecutionError` (so callers
     catching :class:`~repro.errors.ReproError` see it) naming every valid
     backend and the environment knob — a misconfigured deployment should
     read its fix straight off the traceback.
     """
-    if isinstance(backend, MorselBackend):
-        return backend
-    names = ", ".join(repr(name) for name in sorted(BACKENDS))
     try:
-        return BACKENDS[backend]()
+        return BACKENDS[name]
     except (KeyError, TypeError):
+        names = ", ".join(repr(known) for known in sorted(BACKENDS))
         raise ExecutionError(
-            f"unknown morsel backend {backend!r}; valid backends are "
+            f"unknown morsel backend {name!r}; valid backends are "
             f"{names} (pass one to Database.run(backend=...) or set the "
             f"${BACKEND_ENV_VAR} environment variable)"
         ) from None

@@ -47,6 +47,7 @@ from .backends import (
     DEFAULT_BACKEND,
     MORSEL_TIMEOUT_ENV_VAR,
     MorselBackend,
+    resolve_backend,
 )
 from . import executor as executor_module
 from .executor import (
@@ -172,14 +173,15 @@ class Database:
     def _resolve_backend(self, backend: Optional[str]) -> str:
         """Effective dispatch backend name: call arg > instance > env > thread.
 
-        Only registry *names* are accepted here (a fresh backend object is
-        constructed per execution from the name): a ``MorselBackend``
-        *instance* is stateful per-execute, and a shared ``Database`` runs
-        queries concurrently, so one instance serving several in-flight
-        queries would clobber its own pool.  Callers who really want to
-        supply an instance (custom backends, tests) construct a
-        :class:`~repro.query.executor.MorselExecutor` directly and own its
-        concurrency.
+        Only registry *names* are accepted here (each execution starts a
+        backend of its own from the name and shuts it down after): a
+        ``MorselBackend`` *instance* is stateful per-execute, and a shared
+        ``Database`` runs queries concurrently, so one instance serving
+        several in-flight queries would clobber its own query state.  The
+        name is checked by :func:`~repro.query.backends.resolve_backend`.
+        Callers who really want to supply an instance (custom backends,
+        tests) construct a :class:`~repro.query.executor.MorselExecutor`
+        directly and own its concurrency.
         """
         if backend is None:
             backend = self.backend
@@ -193,12 +195,7 @@ class Database:
                 "queries; build a MorselExecutor directly to use one"
             )
         backend = str(backend).strip().lower()
-        if backend not in BACKENDS:
-            raise ExecutionError(
-                f"unknown morsel backend {backend!r} "
-                f"(from backend=/${BACKEND_ENV_VAR}); "
-                f"available: {sorted(BACKENDS)}"
-            )
+        resolve_backend(backend)
         return backend
 
     def _make_executor(
@@ -740,13 +737,15 @@ class Database:
             "DatabaseServer: plans under\n"
             "  the cost gate run inline on their slot thread "
             "(ServerStats.inline), the rest\n"
-            "  lease persistent worker pools shared across queries "
-            "(ServerStats.pooled; keyed\n"
-            "  on (backend, parallelism); payloads re-shipped lazily per "
-            "(plan id, store\n"
-            "  generation); crashed pools recycled behind a circuit breaker "
-            "that degrades\n"
-            "  to inline execution), plus bounded admission: max_concurrent "
+            "  lease a worker pool (ServerStats.pooled): the same backends "
+            "run() uses, kept\n"
+            "  alive across queries per (backend, parallelism) instead of "
+            "one per query, so\n"
+            "  process workers keep their (plan id, store generation) "
+            "payloads cached;\n"
+            "  crashed pools are recycled behind a circuit breaker that "
+            "degrades to inline\n"
+            "  execution.  Bounded admission: max_concurrent "
             "execution slots,\n"
             "  a max_queue_depth queue, and a\n"
             f"  full-queue policy of 'reject' (typed ServerOverloadedError), "

@@ -27,7 +27,12 @@ The dispatcher is split along two orthogonal axes:
   for their inner loops, so threads overlap on multi-core machines), or
   ``process`` (a ``multiprocessing`` pool that sidesteps the GIL entirely —
   picklable task specs out, columnar numpy buffers back; see
-  :mod:`repro.query.backends`);
+  :mod:`repro.query.backends`).  Three backends, two lifetimes, one
+  ownership rule: a backend's pool lives from ``start()`` to
+  ``shutdown()`` and serves queries from ``open`` to ``close``, and
+  whoever constructs it shuts it down — the dispatcher, for a backend
+  given by name (one pool per query), or the caller that passed in an
+  instance (the server's leased pools, which outlive their queries);
 * **how the domain is cut** — a weighting strategy from
   :mod:`repro.query.morsels`: ``degree`` (the default) prefix-sums the
   primary index's CSR list lengths so each morsel carries roughly equal
@@ -95,7 +100,6 @@ from ..errors import (
 from ..graph.graph import PropertyGraph
 from ..graph.types import Direction
 from .backends import (
-    BACKENDS,
     DEFAULT_BACKEND,
     MorselBackend,
     resolve_backend,
@@ -536,8 +540,11 @@ class MorselExecutor(PlanRunner):
         coalesce: in-morsel batch coalescing factor (>= 1).
         backend: where morsel bodies run — a name from
             :data:`~repro.query.backends.BACKENDS` (``"serial"``,
-            ``"thread"``, ``"process"``) or a
-            :class:`~repro.query.backends.MorselBackend` instance.
+            ``"thread"``, ``"process"``; each query starts a pool of its
+            own and shuts it down after), or a
+            :class:`~repro.query.backends.MorselBackend` instance (only
+            opened — which starts it if it is not — and closed; its owner
+            shuts it down).
         weighting: how the scan domain is cut — ``"degree"`` (equal
             adjacency work per morsel, prefix-summed from the primary CSR
             offsets; the default) or ``"even"`` (equal vertex counts).
@@ -578,10 +585,8 @@ class MorselExecutor(PlanRunner):
             raise ExecutionError(f"morsel_size must be >= 1, got {morsel_size}")
         if coalesce < 1:
             raise ExecutionError(f"coalesce must be >= 1, got {coalesce}")
-        if not isinstance(backend, MorselBackend) and backend not in BACKENDS:
-            raise ExecutionError(
-                f"unknown morsel backend {backend!r}; available: {sorted(BACKENDS)}"
-            )
+        if not isinstance(backend, MorselBackend):
+            resolve_backend(backend)
         if weighting not in WEIGHTINGS:
             raise ExecutionError(
                 f"unknown morsel weighting {weighting!r}; "
@@ -771,16 +776,23 @@ class MorselExecutor(PlanRunner):
         ranges = iter(enumerate(all_ranges))
         window = self.num_workers * MORSEL_WINDOW_PER_WORKER
         faults = self._resolve_faults()
-        backend = resolve_backend(self.backend)
-        backend.open(
-            self,
-            plan,
-            factorized=factorized,
-            runtime=runtime,
-            faults=faults,
-            count_only=count_only,
-        )
+        # Whoever constructs a backend shuts it down: a name gets a pool of
+        # its own, started by this query's open() (so a process pool forks
+        # with the payload cached) and shut down after it; an instance (a
+        # server lease, a test double) is only opened and closed.
+        owned = not isinstance(self.backend, MorselBackend)
+        backend = self.backend
+        if owned:
+            backend = resolve_backend(backend)(self.num_workers)
         try:
+            backend.open(
+                self,
+                plan,
+                factorized=factorized,
+                runtime=runtime,
+                faults=faults,
+                count_only=count_only,
+            )
             # Window entries: (handle, index, lo, hi, attempt).
             pending = deque()
             exhausted = False
@@ -839,4 +851,8 @@ class MorselExecutor(PlanRunner):
                 runtime.request_abort()
             raise
         finally:
-            backend.close()
+            try:
+                backend.close()
+            finally:
+                if owned:
+                    backend.shutdown()

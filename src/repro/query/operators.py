@@ -81,7 +81,7 @@ from ..storage.sort_keys import SortKey
 from .binding import DEFAULT_BATCH_SIZE, MatchBatch
 from .factorized import FactorizedSegment, SharedKeys
 from .pattern import QueryGraph
-from .predicates import CompareOp, Predicate
+from ..predicates import CompareOp, Predicate
 
 
 @dataclass

@@ -37,7 +37,7 @@ from .operators import (
 )
 from .pattern import QueryEdge, QueryGraph
 from .plan import QueryPlan
-from .predicates import (
+from ..predicates import (
     CompareOp,
     Comparison,
     Constant,

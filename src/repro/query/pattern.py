@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..errors import QueryParseError
-from ..query.predicates import Comparison, Constant, Predicate, PropertyRef
+from ..predicates import Comparison, Constant, Predicate, PropertyRef
 
 
 @dataclass(frozen=True)
@@ -488,7 +488,7 @@ class QueryGraph:
     # ------------------------------------------------------------------
     def label_predicate(self) -> Predicate:
         """Label constraints of vertices and edges expressed as comparisons."""
-        from ..query.predicates import cmp, prop
+        from ..predicates import cmp, prop
 
         comparisons = []
         for vertex in self._vertices.values():

@@ -1,8 +1,8 @@
 """Admission-controlled query server over one :class:`~repro.Database`.
 
-The service shape of the engine: persistent worker pools shared across
-queries (:mod:`repro.server.pools`), bounded admission with configurable
-overload policy (:mod:`repro.server.admission`), and the long-lived
+The service shape of the engine: worker pools shared across queries
+(:mod:`repro.server.pools`), bounded admission with configurable overload
+policy (:mod:`repro.server.admission`), and the long-lived
 :class:`DatabaseServer` façade tying them together
 (:mod:`repro.server.server`).
 
@@ -16,22 +16,12 @@ Quickstart::
 """
 
 from .admission import POLICIES, ServerConfig, ServerStats, ServerTicket
-from .pools import (
-    CircuitBreaker,
-    PayloadMissing,
-    PersistentProcessBackend,
-    PersistentThreadBackend,
-    PoolLease,
-    PoolSupervisor,
-)
+from .pools import CircuitBreaker, PoolLease, PoolSupervisor
 from .server import DatabaseServer
 
 __all__ = [
     "CircuitBreaker",
     "DatabaseServer",
-    "PayloadMissing",
-    "PersistentProcessBackend",
-    "PersistentThreadBackend",
     "POLICIES",
     "PoolLease",
     "PoolSupervisor",

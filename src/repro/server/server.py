@@ -467,7 +467,7 @@ class DatabaseServer:
                 # wounded pool — recycle it and feed the circuit breaker, so
                 # repeated sickness degrades future leases instead of every
                 # query paying the recovery tax.
-                if getattr(lease.backend, "_death_ever", False):
+                if lease.backend.worker_died:
                     outcome = "failed"
                 # Release *before* publishing the result: a caller who sees
                 # the ticket finish must also see the supervisor's accounting

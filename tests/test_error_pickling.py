@@ -23,9 +23,8 @@ from repro.errors import (
     ServerOverloadedError,
     WorkerCrashError,
 )
-from repro.query.backends import fork_available
+from repro.query.backends import PayloadMissing, fork_available
 from repro.query.operators import ExecutionStats
-from repro.server.pools import PayloadMissing
 
 
 def _stats() -> ExecutionStats:

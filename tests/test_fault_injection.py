@@ -257,6 +257,7 @@ class TestDeadlinesAndCancellation:
         executor = _chaos_executor(db, "thread", "delay@0:4.0!")
         plan = db.plan(_triangle())
         timeout = 1.0
+        before = set(threading.enumerate())
         started = time.monotonic()
         with pytest.raises(QueryTimeoutError) as excinfo:
             executor.run(plan, timeout=timeout)
@@ -265,6 +266,15 @@ class TestDeadlinesAndCancellation:
         assert time.monotonic() - started < 2 * timeout
         assert excinfo.value.timeout == timeout
         assert excinfo.value.stats is not None
+        # The query's own pool was shut down without joining that worker.
+        assert set(threading.enumerate()) - before
+
+    def test_per_query_thread_pool_leaves_no_thread_behind(self, chaos_db, oracle):
+        plan, oracle_result = oracle
+        before = set(threading.enumerate())
+        executor = MorselExecutor(chaos_db.graph, num_workers=2, backend="thread")
+        assert executor.count(plan) == oracle_result.count
+        assert set(threading.enumerate()) <= before
 
     @needs_fork
     def test_timeout_within_two_x_on_process_backend(self, chaos_db):

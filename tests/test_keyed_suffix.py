@@ -22,6 +22,7 @@ edges, vertices without out-edges — and is pinned three ways:
 from __future__ import annotations
 
 import dataclasses
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -40,8 +41,9 @@ from repro.predicates import Predicate, cmp, prop
 from repro.query import MorselExecutor, QueryGraph
 from repro.query.backends import (
     MorselTaskSpec,
+    _PLAN_IDS,
     WorkerPayload,
-    _execute_payload_task,
+    _worker_run,
 )
 from repro.query.executor import CountSink, Executor
 from repro.query.factorized import FLAG_TABLE_DENSITY, SharedKeys
@@ -516,19 +518,27 @@ def test_process_reply_ships_cardinalities_only(fx):
     """The worker body's envelope holds prefix columns and one cardinality
     array per segment — no candidate arrays."""
     _query, plan = fx.plans["path"]
-    payload = WorkerPayload(
-        plan_id=1,
-        generation=plan.pinned_generation,
-        plan=plan,
-        graph=fx.graph,
-        batch_size=1024,
-        factorized=True,
-        count_only=True,
-    )
-    spec = MorselTaskSpec(
-        plan_id=1, generation=plan.pinned_generation, start=0, stop=fx.graph.num_vertices
-    )
-    encoded, _stats, _checksum = _execute_payload_task(payload, spec)
+    def ship(count_only):
+        """Run the morsel on the worker body with a freshly shipped payload."""
+        payload = WorkerPayload(
+            plan_id=next(_PLAN_IDS),
+            generation=plan.pinned_generation,
+            plan=plan,
+            graph=fx.graph,
+            batch_size=1024,
+            factorized=True,
+            count_only=count_only,
+        )
+        spec = MorselTaskSpec(
+            plan_id=payload.plan_id,
+            generation=plan.pinned_generation,
+            start=0,
+            stop=fx.graph.num_vertices,
+        )
+        encoded, _stats, _checksum = _worker_run(spec, pickle.dumps(payload))
+        return encoded
+
+    encoded = ship(count_only=True)
     assert encoded
     for names, columns, segments in encoded:
         rows = len(columns[0])
@@ -539,9 +549,7 @@ def test_process_reply_ships_cardinalities_only(fx):
         assert shipped <= rows * 8 * (len(names) + len(segments))
 
     # Asked for rows, the same task ships the candidates as before.
-    with_rows, _stats, _checksum = _execute_payload_task(
-        dataclasses.replace(payload, count_only=False), spec
-    )
+    with_rows = ship(count_only=False)
     assert all(
         segment[2] is not None for _n, _c, segments in with_rows for segment in segments
     )

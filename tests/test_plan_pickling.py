@@ -2,10 +2,10 @@
 
 The process morsel backend works by shipping state across a process
 boundary: a :class:`~repro.query.backends.WorkerPayload` (plan + graph, one
-pickle per worker) and per-morsel :class:`~repro.query.backends
+pickle shipped to each worker) and per-morsel :class:`~repro.query.backends
 .MorselTaskSpec` messages.  These tests pin the wire contract without
-needing a pool — the worker entry points are invoked in-process on pickled
-bytes — plus the generation-pinning guarantee end to end: a plan pinned to
+needing a pool — the worker body is invoked in-process on pickled bytes —
+plus the generation-pinning guarantee end to end: a plan pinned to
 store generation G, serialized after a maintenance flush installs G+1, still
 executes against G.
 """
@@ -22,10 +22,11 @@ from repro.errors import ExecutionError
 from repro.graph.generators import LabelledGraphSpec, generate_labelled_graph
 from repro.query import QueryGraph, cmp, prop
 from repro.query.backends import (
+    _PLAN_IDS,
     MorselTaskSpec,
+    PayloadMissing,
     WorkerPayload,
-    _process_worker_init,
-    _process_worker_run,
+    _worker_run,
     decode_batches,
     encode_batches,
     reply_checksum,
@@ -82,21 +83,30 @@ class TestTaskSpecRoundTrip:
         assert pickle.loads(pickle.dumps(spec)) == spec
 
 
+def _payload_bytes(db, plan):
+    """A pickled payload under a fresh wire plan id (the worker cache is
+    per process, so in-process tests must not reuse ids)."""
+    payload = WorkerPayload(
+        plan_id=next(_PLAN_IDS),
+        generation=plan.pinned_generation,
+        plan=plan,
+        graph=db.graph,
+        batch_size=64,
+    )
+    return payload.plan_id, pickle.dumps(payload)
+
+
 class TestWorkerPayloadRoundTrip:
     def test_rehydrated_worker_reproduces_serial_morsel(self, zipf_db):
         plan = zipf_db.plan(_triangle())
-        payload = WorkerPayload(
-            plan_id=5,
-            generation=plan.pinned_generation,
-            plan=plan,
-            graph=zipf_db.graph,
-            batch_size=64,
-        )
-        _process_worker_init(pickle.dumps(payload))
+        plan_id, payload_bytes = _payload_bytes(zipf_db, plan)
         spec = MorselTaskSpec(
-            plan_id=5, generation=plan.pinned_generation, start=10, stop=55
+            plan_id=plan_id, generation=plan.pinned_generation, start=10, stop=55
         )
-        encoded, stats_tuple, checksum = _process_worker_run(spec)
+        # A cold worker asks for the payload; the re-shipped task runs.
+        with pytest.raises(PayloadMissing):
+            _worker_run(spec)
+        encoded, stats_tuple, checksum = _worker_run(spec, payload_bytes)
         batches = decode_batches(encoded)
 
         expected_batches, expected_stats = run_morsel(
@@ -113,27 +123,23 @@ class TestWorkerPayloadRoundTrip:
 
     def test_generation_mismatch_is_rejected(self, zipf_db):
         plan = zipf_db.plan(_triangle())
-        payload = WorkerPayload(
-            plan_id=5,
-            generation=plan.pinned_generation,
-            plan=plan,
-            graph=zipf_db.graph,
-            batch_size=64,
-        )
-        _process_worker_init(pickle.dumps(payload))
+        plan_id, payload_bytes = _payload_bytes(zipf_db, plan)
         stale = MorselTaskSpec(
-            plan_id=5,
+            plan_id=plan_id,
             generation=(plan.pinned_generation or 0) + 1,
             start=0,
             stop=10,
         )
         with pytest.raises(ExecutionError, match="generation"):
-            _process_worker_run(stale)
+            _worker_run(stale, payload_bytes)
+        # Cached now: the mismatch is caught without the bytes as well.
+        with pytest.raises(ExecutionError, match="generation"):
+            _worker_run(stale)
         wrong_plan = MorselTaskSpec(
-            plan_id=6, generation=plan.pinned_generation, start=0, stop=10
+            plan_id=next(_PLAN_IDS), generation=plan.pinned_generation, start=0, stop=10
         )
         with pytest.raises(ExecutionError, match="does not match"):
-            _process_worker_run(wrong_plan)
+            _worker_run(wrong_plan, payload_bytes)
 
     def test_encode_decode_batches_round_trip(self, zipf_db):
         plan = zipf_db.plan(_triangle())

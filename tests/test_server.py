@@ -36,18 +36,16 @@ from repro.errors import (
     ServerClosedError,
     ServerOverloadedError,
 )
-from repro.query.backends import ProcessBackend, fork_available
+from repro.query.backends import BACKENDS, ThreadBackend, fork_available
 from repro.query.faults import FAULTS_ENV_VAR
 from repro.query.pattern import QueryGraph
 from repro.query.runtime import CancellationToken
 from repro.server import (
     CircuitBreaker,
     DatabaseServer,
-    PersistentThreadBackend,
     PoolSupervisor,
     ServerConfig,
 )
-from repro.server import pools as pools_module
 
 
 # ----------------------------------------------------------------------
@@ -452,9 +450,7 @@ def test_supervisor_degrades_to_serial_while_breaker_open(monkeypatch):
         def start(self):
             raise ExecutionError("injected pool startup failure")
 
-    monkeypatch.setitem(
-        pools_module.PERSISTENT_BACKENDS, "thread", ExplodingBackend
-    )
+    monkeypatch.setitem(BACKENDS, "thread", ExplodingBackend)
     for _ in range(2):
         with pytest.raises(ExecutionError):
             supervisor.lease("thread", 2)
@@ -465,9 +461,7 @@ def test_supervisor_degrades_to_serial_while_breaker_open(monkeypatch):
     lease.release("ok")
     assert supervisor.degraded_leases == 1
     # Cooldown elapses; the trial lease goes back to real pools.
-    monkeypatch.setitem(
-        pools_module.PERSISTENT_BACKENDS, "thread", PersistentThreadBackend
-    )
+    monkeypatch.setitem(BACKENDS, "thread", ThreadBackend)
     clock.now = 5.1
     trial = supervisor.lease("thread", 2)
     assert not trial.degraded
@@ -521,37 +515,13 @@ def test_server_survives_worker_kills_and_trips_breaker(
 
 
 # ----------------------------------------------------------------------
-# satellite: ProcessBackend.close() idempotent under concurrent callers
+# pool shutdown is idempotent under concurrent callers
 # ----------------------------------------------------------------------
-@pytest.mark.skipif(not fork_available(), reason="needs cheap fork pools")
-def test_process_backend_close_hammer():
-    backend = ProcessBackend()
-    backend._pool = multiprocessing.get_context("fork").Pool(processes=2)
-    barrier = threading.Barrier(8)
-    errors = []
-
-    def hammer():
-        barrier.wait()
-        try:
-            backend.close()
-        except Exception as exc:  # pragma: no cover - failure reporting
-            errors.append(exc)
-
-    threads = [threading.Thread(target=hammer) for _ in range(8)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=30)
-    assert errors == []
-    assert backend._pool is None
-    # Sequential double-close stays a no-op too.
-    backend.close()
-    backend.close()
-    assert multiprocessing.active_children() == []
-
-
-def test_persistent_thread_backend_shutdown_hammer():
-    backend = PersistentThreadBackend(2).start()
+@pytest.mark.parametrize("name", ["thread", "process"])
+def test_pool_shutdown_hammer(name):
+    if name == "process" and not fork_available():
+        pytest.skip("needs cheap fork pools")
+    backend = BACKENDS[name](2).start()
     barrier = threading.Barrier(8)
     errors = []
 
@@ -569,6 +539,10 @@ def test_persistent_thread_backend_shutdown_hammer():
         thread.join(timeout=30)
     assert errors == []
     assert backend._pool is None
+    # Sequential double-shutdown stays a no-op too.
+    backend.shutdown()
+    backend.shutdown()
+    assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------
