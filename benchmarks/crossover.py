@@ -53,6 +53,10 @@ def main() -> None:
     for vertices in args.sizes:
         spec = SocialGraphSpec(num_vertices=vertices, num_edges=4 * vertices, skew=0.6, seed=13)
         db = Database(generate_social_graph(spec))
+        # count() is count-only: inline and pooled carry the same rows.
+        in_flight = executor.rows_in_flight(
+            db.batch_size, executor.DEFAULT_COALESCE, count_only=True
+        )
         for name, build in QUERIES.items():
             query = build()
             row = {"vertices": vertices, "query": name, "icost": db.plan(query).estimated_cost}
@@ -65,7 +69,10 @@ def main() -> None:
             print(json.dumps(row), flush=True)
     document = {
         "environment": environment_stamp("HEAD"),
-        "protocol": f"one-slot DatabaseServer.count(), median of {args.runs} after one warm-up, ms",
+        "protocol": (
+            f"one-slot DatabaseServer.count(), {in_flight} rows in flight, "
+            f"median of {args.runs} after one warm-up, ms"
+        ),
         "parallel_min_icost": threshold,
         "rows": rows,
     }

@@ -39,11 +39,16 @@ pipeline — scan, extend/intersect, multi-extend, filter — on a pluggable
 GIL), ``process`` (a ``multiprocessing`` pool — picklable morsel task specs
 out, columnar numpy buffers back, plan/graph rehydrated once per worker —
 sidestepping the GIL for CPU-bound plans), or ``serial`` (inline, the
-morsel-bookkeeping debug path).  Several serial-sized batches are coalesced
-per kernel call; the per-morsel outputs are merged in ascending range order.
+morsel-bookkeeping debug path).  The per-morsel outputs are merged in
+ascending range order.  How many rows a batch carries in flight is one rule,
+:func:`~repro.query.executor.rows_in_flight`, decided by the sink: a run
+whose sink needs rows coalesces two serial-sized batches per kernel call
+inside a morsel and on the inline runner (one on the direct serial path),
+and a count-only run (``count()``, ``run(factorized=True)``) carries
+:data:`~repro.query.executor.COUNT_ONLY_COALESCE` of them on every runner.
 
 **Determinism guarantee:** for any ``parallelism``, backend, morsel
-weighting, morsel size, and batch coalescing factor, the produced matches,
+weighting, morsel size, and rows in flight, the produced matches,
 their order, and the execution statistics are byte-identical to the serial
 run (``parallelism=1``, which is kept as the oracle).  This holds because
 every operator emits output rows in input-row order and the batch kernels

@@ -138,10 +138,10 @@ def run_morsel(
 ) -> Tuple[List[object], ExecutionStats]:
     """Run the full compiled pipeline over one vertex-range morsel.
 
-    ``batch_size`` is the *in-flight* batch size (the dispatcher passes the
-    coalesced size); the dispatcher re-splits the returned batches to its
-    emission size.  With ``factorized=True`` the morsel body runs
-    :func:`~repro.query.pipeline.run_pipeline_factorized` instead and
+    ``batch_size`` is the *in-flight* batch size: the dispatcher passes
+    :func:`~repro.query.executor.rows_in_flight` and re-splits the returned
+    batches to its emission size.  With ``factorized=True`` the morsel body
+    runs :func:`~repro.query.pipeline.run_pipeline_factorized` instead and
     returns :class:`~repro.query.factorized.FactorizedBatch` objects (never
     re-split: their prefixes are already at most the in-flight size);
     ``count_only`` then compiles the suffix for a sink that needs no rows,
@@ -641,9 +641,12 @@ class MorselBackend:
     process backend forks its workers with the payload already cached.
     Whoever constructs a backend shuts it down (see the module docstring).
 
-    ``submit`` may run the morsel eagerly, lazily, or remotely — the only
-    contract is that ``result(handle)`` returns exactly the output of
-    :func:`run_morsel` for the submitted range.  The dispatcher retrieves
+    ``open(executor, plan, batch_size, ...)`` receives the morsel bodies'
+    in-flight batch size from the dispatcher, which computes it once
+    (:func:`~repro.query.executor.rows_in_flight`).  ``submit`` may run the
+    morsel eagerly, lazily, or remotely — the only contract is that
+    ``result(handle)`` returns exactly the output of :func:`run_morsel` for
+    the submitted range.  The dispatcher retrieves
     handles in submission (= ascending range) order, which is what makes
     every backend's merged output byte-identical to the serial executor.
 
@@ -692,6 +695,7 @@ class MorselBackend:
         self,
         executor,
         plan: QueryPlan,
+        batch_size: int,
         factorized: bool = False,
         runtime: Optional[QueryContext] = None,
         faults: Optional[FaultPlan] = None,
@@ -726,6 +730,7 @@ class SerialBackend(MorselBackend):
         self,
         executor,
         plan: QueryPlan,
+        batch_size: int,
         factorized: bool = False,
         runtime: Optional[QueryContext] = None,
         faults: Optional[FaultPlan] = None,
@@ -733,7 +738,7 @@ class SerialBackend(MorselBackend):
     ) -> None:
         self._plan = plan
         self._graph = executor.graph
-        self._batch_size = executor.batch_size * executor.coalesce
+        self._batch_size = batch_size
         self._factorized = factorized
         self._count_only = count_only
         self._runtime = runtime
@@ -796,10 +801,10 @@ class ThreadBackend(SerialBackend):
         )
         return self
 
-    def open(self, executor, plan: QueryPlan, **options) -> None:
+    def open(self, executor, plan: QueryPlan, batch_size: int, **options) -> None:
         if self._pool is None:
             self.start()
-        super().open(executor, plan, **options)
+        super().open(executor, plan, batch_size, **options)
 
     def submit(self, start: int, stop: int, index: int = 0, attempt: int = 0):
         body, *where = super().submit(start, stop, index, attempt)
@@ -944,12 +949,12 @@ class ProcessBackend(MorselBackend):
         self,
         executor,
         plan: QueryPlan,
+        batch_size: int,
         factorized: bool = False,
         runtime: Optional[QueryContext] = None,
         faults: Optional[FaultPlan] = None,
         count_only: bool = False,
     ) -> None:
-        batch_size = executor.batch_size * executor.coalesce
         generation = plan.pinned_generation
         key = (id(plan), generation, factorized, count_only, batch_size, faults)
         entry = self._payloads.get(key)

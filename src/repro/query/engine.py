@@ -129,6 +129,8 @@ class Database:
         backend: Optional[str] = None,
         plan_cache_capacity: Optional[int] = None,
     ) -> None:
+        if batch_size < 1:
+            raise ExecutionError(f"batch_size must be >= 1, got {batch_size}")
         self._primary = PrimaryIndex(graph, config=primary_config)
         self.store = IndexStore(graph, self._primary)
         self.batch_size = batch_size
@@ -204,14 +206,18 @@ class Database:
         workers: int,
         backend: Optional[str] = None,
         plan: Optional[QueryPlan] = None,
+        pool: Optional[MorselBackend] = None,
     ) -> Union[Executor, MorselExecutor]:
         """The executor a run of ``plan`` gets under a ``workers`` ceiling.
 
         ``workers == 1`` is the direct serial path; a plan the cost gate
         keeps inline (:func:`~repro.query.executor.effective_workers`) runs
-        on the same class with the morsel body's coalesced batch; anything
+        on the same class with the morsel body's batch rule; anything
         else — including ``plan=None``, which has no estimate to gate on —
-        gets the morsel dispatcher.
+        gets the morsel dispatcher, on ``pool`` when the caller leased one
+        (the server) and otherwise on a pool of its own named by
+        ``backend``.  Rows in flight follow from the executor and the sink
+        (:func:`~repro.query.executor.rows_in_flight`), never from here.
         """
         # Resolve (and thereby validate) the backend even on the serial
         # path, so a typo'd backend=/REPRO_BACKEND surfaces at the call
@@ -227,7 +233,7 @@ class Database:
             graph,
             batch_size=self.batch_size,
             num_workers=workers,
-            backend=backend,
+            backend=backend if pool is None else pool,
         )
 
     def _plan_and_executor(

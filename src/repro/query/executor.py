@@ -43,10 +43,18 @@ The dispatcher is split along two orthogonal axes:
   bounded work-stealing through the pool's queue, with the in-flight window
   capping buffered results.
 
-Inside a morsel the dispatcher runs the pipeline with a *coalesced* batch
-size (``coalesce`` × the configured batch size), so several serial-sized
-batches are joined per kernel call — the larger-than-batch intersection the
-kernels were built for — without changing the produced rows.
+**Rows in flight** are decided in one place, :func:`rows_in_flight`, from
+the configured batch size, the runner's ``coalesce`` and whether the sink
+needs rows.  A run whose sink needs rows (``collect``, ``exists``,
+``run(materialize=True)``, the flat ``count(factorized=False)`` oracle)
+carries ``coalesce`` × the batch size — 2× inside a morsel and on the
+inline runner, 1× on the direct serial path — because its extensions
+materialize rows × fan-out.  A count-only run (a sink declaring
+``needs_rows = False``: ``count()``, ``run(factorized=True)``) carries at
+least ``COUNT_ONLY_COALESCE`` × the batch size on every runner: its suffix
+reduces to cardinalities, so the larger batch pays each kernel call's
+Python cost once per 8 k rows and lets the per-distinct-key sharing see
+repeats.  Batch boundaries never change the produced rows.
 
 **Determinism.**  Extension operators emit output rows in input-row order and
 batch boundaries never affect which rows are produced (the batch kernels are
@@ -62,7 +70,7 @@ and remains the oracle the parallel paths are tested against
 **Parallelism is a ceiling.**  ``Database`` and ``DatabaseServer`` ask
 :func:`effective_workers` before building a dispatcher: a plan whose i-cost
 estimate is under :data:`PARALLEL_MIN_ICOST` runs inline on the calling
-thread — an :class:`Executor` with the morsel body's coalesced batch,
+thread — an :class:`Executor` with the morsel body's rows in flight,
 streaming straight into the sink, ``morsels_dispatched == 0`` — because
 below that cost a pool measures slower than no pool.  Constructing a
 :class:`MorselExecutor` directly is never gated.
@@ -144,26 +152,31 @@ class QueryResult:
 #: dispatch, range splitting and GIL hand-offs to the same kernel work.
 #: Measured, not tuned — ``benchmarks/crossover.py`` regenerates the table
 #: into ``BENCH_parallel_crossover.json``: one-slot server on 2 cores (the
-#: second one idle), median of 7, ms as inline / thread ×2 / process ×2 —
+#: second one idle), ``count()`` at 8192 rows in flight, median of 7, ms as
+#: inline / thread ×2 / process ×2 —
 #:
 #:   vertices  shape     i-cost   inline  thread×2  process×2
-#:     16 k    one_hop   6.4e4      1.1      8.5      15.9
-#:             two_hop   3.2e5      4.0     19.0      50.7
-#:             triangle  5.8e5     82       78        69
-#:     64 k    one_hop   2.6e5      2.0     10.9      36.8
-#:             two_hop   1.3e6     18.6     46.5     164
-#:             triangle  2.3e6    459      394       382     <- both pools ahead
-#:    256 k    one_hop   1.0e6     10.6     42.4     117
-#:             two_hop   5.1e6     68.5    208       573
-#:             triangle  9.2e6   4110     2198      3017     <- first clear win
+#:     16 k    one_hop   6.4e4      0.44     3.4      16.3
+#:             two_hop   3.2e5      1.9      8.4      78
+#:             triangle  5.8e5     88       52        72     <- thread ahead
+#:     64 k    one_hop   2.6e5      0.96     5.4      27.7
+#:             two_hop   1.3e6      8.4     13.5     100
+#:             triangle  2.3e6    339      225       313     <- both pools ahead
+#:    256 k    one_hop   1.0e6      4.0     11.3      70
+#:             two_hop   5.1e6     36.2     42.3     224
+#:             triangle  9.2e6   1862     1018      1152
 #:
-#: Below 2 M a pool costs ``one_hop``/``two_hop`` 2.5-18× and leaves the
-#: triangle within run-to-run noise (a repeat of the 5.8e5 row read
-#: 103 / 95 / 96) — with a core idle; two busy slot threads have none to
-#: spare (``server_zipf``: 2× ``ops_per_s`` inline).  ``two_hop`` still loses
-#: above it because its count sink runs in the parent and the prefix columns
-#: are shipped.  A constant on purpose: when the dispatcher changes,
-#: re-measure.
+#: Below 2 M a thread pool costs ``one_hop``/``two_hop`` 1.6-8× (process
+#: more) — with a core idle; two busy slot threads have none to spare
+#: (``server_zipf``: 2× ``ops_per_s`` inline).  The triangle is the
+#: exception at every size: on these graphs its intersections share no list,
+#: and at 8 k rows their arrays outgrow the caches (inline 16 k: 66 ms at
+#: 2 k rows, 112 ms at 8 k), so thread ×2 leads by 1.5-1.8×, below the gate
+#: too.  The i-cost cannot tell that triangle from a ``two_hop`` of the same
+#: cost, so the gate stays where the shapes it exists for lose.
+#: ``two_hop`` still loses above it because its count sink runs in the
+#: parent and the prefix columns are shipped.  A constant on purpose: when
+#: the dispatcher changes, re-measure.
 PARALLEL_MIN_ICOST = 2_000_000
 
 
@@ -188,6 +201,41 @@ def describe_execution(plan: QueryPlan) -> str:
     if plan.estimated_cost >= PARALLEL_MIN_ICOST:
         return f"parallel up to the requested workers — {cost} >= {PARALLEL_MIN_ICOST:,}"
     return "as requested — a hand-built plan carries no estimate to gate on"
+
+
+#: Serial-sized batches coalesced into one in-flight batch inside a morsel
+#: and on the inline runner, for runs whose sink needs rows.  Larger batches
+#: amortize the per-kernel-call Python overhead (one gather / one
+#: ``intersect_segments`` call covers ``coalesce`` × ``batch_size`` rows),
+#: but a row-producing extension materializes rows × fan-out: past ~2 its
+#: intermediates outgrow the caches and the kernels slow down more than the
+#: amortization saves (measured on the two-leg WCOJ shape of
+#: ``benchmarks/bench_extend_throughput.py``), and the flat oracle's peak
+#: memory grows with it.
+DEFAULT_COALESCE = 2
+
+#: Serial-sized batches per in-flight batch, at least, when the sink needs
+#: no rows.  A count-only suffix carries cardinalities, not rows × fan-out,
+#: so only the prefix grows, and the suffix's per-distinct-key sharing sees
+#: more repeats per batch.  Serial ``count()``, median of 7, 2 cores, going
+#: from 1 to 8 × 1024 rows: SQ1-SQ10 40.9 → 24.4 ms per round, MR1-MF5
+#: 61.5 → 46.0 ms (MF3, a flat count, unmoved), and the ``server_zipf``
+#: triangle 15.2 → 8.8 ms as its lists start to be shared (0 → 22 k).  16
+#: read 23.2 / 45.3 / 9.0 ms: not worth doubling the prefix's transient
+#: arrays on hub graphs without its own measurement.
+COUNT_ONLY_COALESCE = 8
+
+
+def rows_in_flight(batch_size: int, coalesce: int, count_only: bool) -> int:
+    """Rows a pipeline carries per batch: the one batch-size rule.
+
+    ``batch_size × coalesce`` for a sink that needs rows; a count-only sink
+    (``needs_rows = False``) raises ``coalesce`` to at least
+    :data:`COUNT_ONLY_COALESCE`.
+    """
+    if count_only:
+        coalesce = max(coalesce, COUNT_ONLY_COALESCE)
+    return batch_size * coalesce
 
 
 class PlanRunner:
@@ -411,10 +459,11 @@ class Executor(PlanRunner):
 
     ``coalesce`` is the morsel body's batch rule for the runs the plan-cost
     gate keeps inline (:func:`effective_workers`): the pipeline runs with
-    ``batch_size * coalesce`` rows in flight and :meth:`execute` re-splits
-    what it emits to ``batch_size``, exactly as
-    :meth:`MorselExecutor.execute` does.  The default ``1`` is the direct
-    serial path, whose batches are emitted as produced.
+    :func:`rows_in_flight` rows and :meth:`execute` re-splits what it emits
+    to ``batch_size``, exactly as :meth:`MorselExecutor.execute` does.  The
+    default ``1`` is the direct serial path, whose batches are emitted as
+    produced.  Either way a count-only run carries
+    :data:`COUNT_ONLY_COALESCE` × ``batch_size`` rows.
     """
 
     def __init__(
@@ -424,6 +473,8 @@ class Executor(PlanRunner):
         clock=None,
         coalesce: int = 1,
     ) -> None:
+        if batch_size < 1:
+            raise ExecutionError(f"batch_size must be >= 1, got {batch_size}")
         if coalesce < 1:
             raise ExecutionError(f"coalesce must be >= 1, got {coalesce}")
         self.graph = graph
@@ -436,11 +487,12 @@ class Executor(PlanRunner):
         plan: QueryPlan,
         stats: Optional[ExecutionStats],
         runtime: Optional[QueryContext],
+        count_only: bool = False,
     ) -> ExecutionContext:
         context = ExecutionContext(
             graph=self.graph,
             query=plan.query,
-            batch_size=self.batch_size * self.coalesce,
+            batch_size=rows_in_flight(self.batch_size, self.coalesce, count_only),
             stats=stats or ExecutionStats(),
             runtime=runtime,
         )
@@ -473,11 +525,14 @@ class Executor(PlanRunner):
 
         Single-leg segments carry their candidate arrays, so the batches
         ``flatten()``; ``count_only=True`` (what the sinks that declare
-        ``needs_rows = False`` are driven with) leaves the arrays out and
-        counts once per distinct bound key.
+        ``needs_rows = False`` are driven with) leaves the arrays out,
+        counts once per distinct bound key and carries the count-only rows
+        in flight.
         """
         yield from run_pipeline_factorized(
-            plan, self._context(plan, stats, runtime), count_only=count_only
+            plan,
+            self._context(plan, stats, runtime, count_only),
+            count_only=count_only,
         )
 
 
@@ -492,15 +547,6 @@ MORSELS_PER_WORKER = 4
 #: completed-but-unmerged results can pile up, and the splitter never cuts
 #: below one vertex per morsel.
 STEAL_SPLIT_FACTOR = 2
-
-#: Serial-sized batches coalesced into one in-flight batch inside a morsel.
-#: Larger batches amortize the per-kernel-call Python overhead (one gather /
-#: one ``intersect_segments`` call covers ``coalesce`` × ``batch_size`` rows),
-#: but past ~2 the extension operators' intermediates outgrow the caches and
-#: the kernels slow down more than the amortization saves (measured on the
-#: two-leg WCOJ shape of ``benchmarks/bench_extend_throughput.py``).
-DEFAULT_COALESCE = 2
-
 
 #: In-flight morsels per worker: bounds how many completed-but-unconsumed
 #: morsel results can be buffered at once, so memory stays proportional to
@@ -526,7 +572,7 @@ class MorselExecutor(PlanRunner):
         graph: the property graph the plan reads.
         batch_size: row count of the batches the executor *emits* (the same
             contract as :class:`Executor`; inside a morsel the pipeline runs
-            with ``batch_size * coalesce`` rows in flight).
+            with :func:`rows_in_flight` rows).
         num_workers: worker-pool width.  ``1`` still runs through the
             dispatcher (useful for testing morsel bookkeeping); use
             :class:`Executor` for the true serial path.  Everywhere else
@@ -579,6 +625,8 @@ class MorselExecutor(PlanRunner):
         fault_plan: Union[None, str, FaultPlan] = None,
         clock=None,
     ) -> None:
+        if batch_size < 1:
+            raise ExecutionError(f"batch_size must be >= 1, got {batch_size}")
         if num_workers < 1:
             raise ExecutionError(f"num_workers must be >= 1, got {num_workers}")
         if morsel_size is not None and morsel_size < 1:
@@ -776,6 +824,7 @@ class MorselExecutor(PlanRunner):
         ranges = iter(enumerate(all_ranges))
         window = self.num_workers * MORSEL_WINDOW_PER_WORKER
         faults = self._resolve_faults()
+        batch_size = rows_in_flight(self.batch_size, self.coalesce, count_only)
         # Whoever constructs a backend shuts it down: a name gets a pool of
         # its own, started by this query's open() (so a process pool forks
         # with the payload cached) and shut down after it; an instance (a
@@ -788,6 +837,7 @@ class MorselExecutor(PlanRunner):
             backend.open(
                 self,
                 plan,
+                batch_size,
                 factorized=factorized,
                 runtime=runtime,
                 faults=faults,
@@ -827,7 +877,7 @@ class MorselExecutor(PlanRunner):
                     batches, morsel_stats = run_morsel(
                         plan,
                         self.graph,
-                        self.batch_size * self.coalesce,
+                        batch_size,
                         lo,
                         hi,
                         factorized=factorized,

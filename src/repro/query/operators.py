@@ -606,9 +606,13 @@ def _reconcile_combo_targets(
 #: A count-only leg works per distinct key when a batch's rows repeat its
 #: keys at least this often on average (distinct <= rows / 2); a multi-leg
 #: intersection shares its lists when every leg does.  Under that, grouping
-#: saves little and its many small numpy calls are GIL hand-offs on a
-#: threaded server: sharing the social triangle (``b`` hardly repeats) took
-#: the one-hop queries beside it on ``server_zipf`` from 0.9 to 1.2 ms.
+#: saves little and adds numpy calls.  At the count-only 8 k rows in flight
+#: the social triangle's keys do repeat, and sharing them is most of
+#: ``server_zipf``'s throughput: never sharing read 458 ops/s, p95 25 ms and
+#: 83 MB peak against 829 ops/s, 12.6 ms and 54 MB; the one-hop beside it
+#: pays 0.45 → 0.48 ms p50 in GIL hand-offs (3 passes each, 2 cores).  A
+#: gate of 1 (share on any repeat) measured the same as 2 (844 ops/s,
+#: 0.48 ms).
 _SHARE_MIN_REPEAT = 2
 
 

@@ -49,13 +49,7 @@ from ..errors import (
     WorkerCrashError,
 )
 from ..query.backends import SerialBackend
-from ..query.executor import (
-    DEFAULT_COALESCE,
-    Executor,
-    MorselExecutor,
-    QueryResult,
-    effective_workers,
-)
+from ..query.executor import QueryResult, effective_workers
 from ..query.pattern import QueryGraph
 from ..query.pipeline import validate_limit
 from ..query.plan import QueryPlan
@@ -392,11 +386,13 @@ class DatabaseServer:
     def _execute_ticket(self, ticket: ServerTicket) -> None:
         """Run one admitted ticket, inline or on a leased pool; publish it.
 
-        A one-worker ticket (see :meth:`submit`) and a breaker-degraded
-        lease both run inline on this slot thread: a plain
-        :class:`~repro.query.executor.Executor` streaming into the sink.
-        An inline query owes the pools nothing — whatever its outcome, no
-        pool is recycled and no breaker hears of it.
+        The executor comes from the database's own factory
+        (``Database._make_executor``), so a served query gets the same batch
+        rule as a direct call.  A one-worker ticket (see :meth:`submit`) and
+        a breaker-degraded lease both run inline on this slot thread: the
+        serial :class:`~repro.query.executor.Executor` streaming into the
+        sink.  An inline query owes the pools nothing — whatever its
+        outcome, no pool is recycled and no breaker hears of it.
         """
         pooled = ticket.parallelism > 1
         lease = None
@@ -407,19 +403,13 @@ class DatabaseServer:
             if pooled:
                 lease = self.supervisor.lease(ticket.backend, ticket.parallelism)
                 pooled = not lease.degraded
-            if pooled:
-                executor = MorselExecutor(
-                    ticket.snapshot.graph,
-                    batch_size=self.db.batch_size,
-                    num_workers=ticket.parallelism,
-                    backend=lease.backend,
-                )
-            else:
-                executor = Executor(
-                    ticket.snapshot.graph,
-                    batch_size=self.db.batch_size,
-                    coalesce=DEFAULT_COALESCE,
-                )
+            executor = self.db._make_executor(
+                ticket.snapshot.graph,
+                ticket.parallelism if pooled else 1,
+                ticket.backend,
+                ticket.plan,
+                pool=lease.backend if pooled else None,
+            )
             if ticket.mode == "count":
                 value = executor.count(
                     ticket.plan,

@@ -85,9 +85,11 @@ GALLOP_RATIO = 16
 #: vectorized passes, so sparsity hurts less than the asymptotics suggest).
 #: The count-only kernel's position table is bounded by it too and would
 #: bear more (the ablation's density sweep has it ahead of the search up to
-#: ~100), as would the boolean table on wide key gaps; 64 was tried and put
-#: back: the faster per-row triangle it buys on ``server_zipf`` hands the
-#: GIL over more often and took the one-hop class's latency up 30 %.
+#: ~100), as would the boolean table on wide key gaps.  64, at the
+#: count-only 8 k rows in flight (3 passes each, 2 cores): ``server_zipf``
+#: 818 vs 829 ops/s with the one-hop p50 0.50 vs 0.48 ms (at 1-2 k rows it
+#: had cost that p50 30 %), ``tuned_secondary`` 158 vs 151 ops/s for 219
+#: vs 208 MB peak RSS — within noise on one, +5 % memory on the other.
 HASH_TABLE_DENSITY = 16
 #: Hard cap on the boolean table size (entries), whatever the density says.
 HASH_SPAN_CAP = 1 << 26

@@ -45,7 +45,7 @@ from repro.query.backends import (
     WorkerPayload,
     _worker_run,
 )
-from repro.query.executor import CountSink, Executor
+from repro.query.executor import CountSink, Executor, rows_in_flight
 from repro.query.factorized import FLAG_TABLE_DENSITY, SharedKeys
 from repro.query.naive import NaiveMatcher
 from repro.query.operators import (
@@ -465,7 +465,10 @@ def test_logical_stats_match_the_per_row_paths(fx, name, batch_size):
     _query, plan = fx.plans[name]
     executor = Executor(fx.graphs[name], batch_size=batch_size)
     count, stats = _count_only(executor, plan)
-    kept_count, kept = _rows_kept(executor, plan)
+    # The rows-kept side runs at the count-only side's rows in flight, so
+    # the batch-granular segments_emitted stays comparable.
+    in_flight = rows_in_flight(batch_size, executor.coalesce, count_only=True)
+    kept_count, kept = _rows_kept(Executor(fx.graphs[name], batch_size=in_flight), plan)
     assert count == kept_count
     assert stats == kept  # every compared counter, segments_emitted included
     assert kept.lists_shared == kept.entries_shared == 0
@@ -488,10 +491,27 @@ def test_logical_stats_match_the_per_row_paths(fx, name, batch_size):
         assert stats.list_entries_fetched > stats.entries_shared
 
 
-def test_batches_without_repeats_stay_on_the_per_row_path(fx):
-    """Three-row batches of the path shape hold three distinct keys."""
-    _query, plan = fx.plans["path"]
-    _count, stats = _count_only(Executor(fx.graph, batch_size=1), plan)
+def test_batches_without_repeats_stay_on_the_per_row_path():
+    """The path shape over one long chain with eight short-cuts: a count-only
+    batch of every row repeats only eight of its ~200 ``c`` keys, under the
+    sharing gate, so it keeps the per-row path."""
+    num_vertices = 400
+    builder = GraphBuilder()
+    for vertex in range(num_vertices):
+        builder.add_vertex(f"VL{vertex % 2}")
+    # b -> b + 3 meets the chain's b + 2 -> b + 3: that c is reached twice.
+    shortcuts = np.arange(1, 80, 10)
+    src = np.concatenate([np.arange(num_vertices - 1), shortcuts])
+    dst = np.concatenate([np.arange(1, num_vertices), shortcuts + 3])
+    builder.add_edges(src, dst, ["EL0"] * len(src))
+    graph = builder.build()
+    query = _pattern("path", _PATH, _ALTERNATING)
+    plan = Database(graph).plan(query)
+    assert "per distinct key" in plan.describe()
+    count, stats = _count_only(Executor(graph), plan)
+    assert count == NaiveMatcher(graph).count(query)
+    suffix = f"{plan.factorized_suffix_start() - 1}:extend"
+    assert stats.operator_batches[suffix] == 1  # every row in one batch
     assert stats.lists_shared == 0
 
 

@@ -26,6 +26,7 @@ from repro.query.executor import (
     Executor,
     MorselExecutor,
     effective_workers,
+    rows_in_flight,
 )
 from repro.query.operators import ExecutionStats
 from repro.query.pattern import QueryGraph
@@ -119,10 +120,13 @@ def test_inline_executor_uses_the_morsel_body_batch(db):
     plan = db.plan(_triangle())
     inline = db._make_executor(db.graph, 2, None, plan)
     assert type(inline) is Executor
-    assert inline.coalesce == DEFAULT_COALESCE
+    # Rows in flight for a row sink: the morsel body's; a count-only sink
+    # gets one size on every runner (tests/test_rows_in_flight.py).
+    assert rows_in_flight(32, inline.coalesce, count_only=False) == 32 * DEFAULT_COALESCE
     # The direct serial path and a MorselExecutor built by hand are untouched.
     direct = db._make_executor(db.graph, 1, None, plan)
-    assert type(direct) is Executor and direct.coalesce == 1
+    assert type(direct) is Executor
+    assert rows_in_flight(32, direct.coalesce, count_only=False) == 32
     assert isinstance(db.executor(parallelism=2), MorselExecutor)
     forced = MorselExecutor(db.graph, batch_size=32, num_workers=2, backend="serial")
     assert forced.run(plan).stats.morsels_dispatched > 0
