@@ -43,8 +43,8 @@ morsel-bookkeeping debug path).  The per-morsel outputs are merged in
 ascending range order.  How many rows a batch carries in flight is one rule,
 :func:`~repro.query.executor.rows_in_flight`, decided by the sink: a run
 whose sink needs rows coalesces two serial-sized batches per kernel call
-inside a morsel and on the inline runner (one on the direct serial path),
-and a count-only run (``count()``, ``run(factorized=True)``) carries
+inside a morsel (one on every inline run), and a count-only run
+(``count()``, ``run(factorized=True)``) carries
 :data:`~repro.query.executor.COUNT_ONLY_COALESCE` of them on every runner.
 
 **Determinism guarantee:** for any ``parallelism``, backend, morsel
@@ -95,7 +95,6 @@ from .pipeline import (
     PipelineBuilder,
     Sink,
     run_pipeline,
-    run_pipeline_factorized,
     run_pipeline_legacy,
     validate_limit,
 )
@@ -192,6 +191,5 @@ __all__ = [
     "residual_conjuncts",
     "run_pipeline",
     "validate_limit",
-    "run_pipeline_factorized",
     "run_pipeline_legacy",
 ]

@@ -118,7 +118,7 @@ from .faults import (
 )
 from .runtime import QueryContext
 from .operators import ExecutionContext, ExecutionStats
-from .pipeline import run_pipeline, run_pipeline_factorized
+from .pipeline import run_pipeline
 from .plan import QueryPlan
 
 
@@ -131,7 +131,6 @@ def run_morsel(
     batch_size: int,
     start: int,
     stop: int,
-    factorized: bool = False,
     runtime: Optional[QueryContext] = None,
     clock=None,
     count_only: bool = False,
@@ -140,13 +139,11 @@ def run_morsel(
 
     ``batch_size`` is the *in-flight* batch size: the dispatcher passes
     :func:`~repro.query.executor.rows_in_flight` and re-splits the returned
-    batches to its emission size.  With ``factorized=True`` the morsel body
-    runs :func:`~repro.query.pipeline.run_pipeline_factorized` instead and
-    returns :class:`~repro.query.factorized.FactorizedBatch` objects (never
-    re-split: their prefixes are already at most the in-flight size);
-    ``count_only`` then compiles the suffix for a sink that needs no rows,
-    so the batches carry cardinalities without candidate arrays.
-    ``runtime`` (in-process backends only — it cannot cross a process
+    flat batches to its emission size.  With ``count_only=True`` (a sink
+    that needs no rows) the body returns
+    :class:`~repro.query.factorized.FactorizedBatch` objects carrying
+    per-row cardinalities, never re-split: their prefixes are already at
+    most the in-flight size.  ``runtime`` (in-process backends only — it cannot cross a process
     boundary) enables cooperative per-batch deadline/cancellation checks;
     ``clock`` (in-process only, for the same reason) overrides the
     per-stage timing clock, so tests can drive morsel bodies with a fake
@@ -163,12 +160,7 @@ def run_morsel(
     if clock is not None:
         context.clock = clock
     scan = replace(plan.operators[0], vertex_range=(start, stop))
-    if factorized:
-        stream = run_pipeline_factorized(
-            plan, context, scan=scan, count_only=count_only
-        )
-    else:
-        stream = run_pipeline(plan, context, scan=scan)
+    stream = run_pipeline(plan, context, scan=scan, count_only=count_only)
     return list(stream), stats
 
 
@@ -178,7 +170,6 @@ def run_morsel_faulted(
     batch_size: int,
     start: int,
     stop: int,
-    factorized: bool = False,
     runtime: Optional[QueryContext] = None,
     faults: Optional[FaultPlan] = None,
     index: int = 0,
@@ -203,7 +194,6 @@ def run_morsel_faulted(
         batch_size,
         start,
         stop,
-        factorized=factorized,
         runtime=runtime,
         clock=clock,
         count_only=count_only,
@@ -237,21 +227,14 @@ def decode_batches(encoded: Sequence[EncodedBatch]) -> List[MatchBatch]:
     ]
 
 
-#: One encoded segment: target vars, cardinalities, and — for materialized
-#: (single-leg) segments — the candidate buffers and tracked edge variable.
-EncodedSegment = Tuple[
-    Tuple[str, ...],
-    np.ndarray,
-    Optional[np.ndarray],
-    Optional[str],
-    Optional[np.ndarray],
-]
+#: One encoded segment: target vars and per-row cardinalities.
+EncodedSegment = Tuple[Tuple[str, ...], np.ndarray]
 
 #: One encoded factorized batch: the prefix's (names, column buffers) plus
 #: the per-operator segment buffers.  This is the whole point of factorized
-#: transport: workers reply with per-row cardinalities (plus the single-leg
-#: candidate arrays) instead of the expanded cross-product columns, so the
-#: process backend's IPC shrinks by the combination fan-out.
+#: transport: workers reply with per-row cardinalities instead of the
+#: expanded cross-product columns, so the process backend's IPC shrinks by
+#: the combination fan-out.
 EncodedFactorizedBatch = Tuple[
     Tuple[str, ...], List[np.ndarray], List[EncodedSegment]
 ]
@@ -265,13 +248,7 @@ def encode_factorized_batches(
     for batch in batches:
         prefix = batch.prefix
         segments: List[EncodedSegment] = [
-            (
-                segment.target_vars,
-                segment.cardinalities,
-                segment.nbr_ids,
-                segment.edge_var,
-                segment.edge_ids,
-            )
+            (segment.target_vars, segment.cardinalities)
             for segment in batch.segments
         ]
         encoded.append(
@@ -292,14 +269,8 @@ def decode_factorized_batches(
         FactorizedBatch(
             prefix=MatchBatch(dict(zip(names, columns))),
             segments=tuple(
-                FactorizedSegment(
-                    target_vars=target_vars,
-                    cardinalities=cardinalities,
-                    nbr_ids=nbr_ids,
-                    edge_var=edge_var,
-                    edge_ids=edge_ids,
-                )
-                for target_vars, cardinalities, nbr_ids, edge_var, edge_ids in segments
+                FactorizedSegment(target_vars, cardinalities)
+                for target_vars, cardinalities in segments
             ),
         )
         for names, columns, segments in encoded
@@ -405,10 +376,9 @@ class WorkerPayload:
     references and ``graph`` stay one shared, internally consistent object
     graph on the worker side.
 
-    ``factorized`` selects the morsel body's pipeline (and thereby the reply
-    encoding): flat batches for row-producing sinks, unexpanded segment
-    buffers + per-row cardinalities for aggregate sinks — cardinalities
-    alone when ``count_only`` says the sink needs no rows.  ``faults`` ships
+    ``count_only`` selects the morsel body's pipeline (and thereby the reply
+    encoding): flat batches for sinks that need rows, prefix columns plus
+    per-row cardinalities for sinks that need none.  ``faults`` ships
     the chaos-run fault plan to the workers (children never read the
     environment, so injection behaves identically under every start method).
     """
@@ -418,7 +388,6 @@ class WorkerPayload:
     plan: QueryPlan
     graph: PropertyGraph
     batch_size: int
-    factorized: bool = False
     faults: Optional[FaultPlan] = None
     count_only: bool = False
 
@@ -573,13 +542,10 @@ def _worker_run(
         payload.batch_size,
         spec.start,
         spec.stop,
-        factorized=payload.factorized,
         count_only=payload.count_only,
     )
-    if payload.factorized:
-        encoded: List[object] = encode_factorized_batches(batches)
-    else:
-        encoded = encode_batches(batches)
+    encode = encode_factorized_batches if payload.count_only else encode_batches
+    encoded = encode(batches)
     stats_tuple = dataclasses.astuple(stats)
     checksum = reply_checksum(encoded, stats_tuple)
     if faults is not None and faults.corrupts(spec.index, spec.attempt):
@@ -650,12 +616,11 @@ class MorselBackend:
     handles in submission (= ascending range) order, which is what makes
     every backend's merged output byte-identical to the serial executor.
 
-    ``open(..., factorized=True)`` switches the morsel bodies to the
-    factorized pipeline: ``result`` then returns
-    :class:`~repro.query.factorized.FactorizedBatch` objects (segment
-    buffers + partial counts over the wire for the process backend) instead
-    of flat batches; ``count_only=True`` on top says the consuming sink
-    needs no rows, so the segments carry cardinalities only.
+    ``open(..., count_only=True)`` says the consuming sink needs no rows:
+    the morsel bodies run the count-only pipeline and ``result`` returns
+    :class:`~repro.query.factorized.FactorizedBatch` objects (prefix
+    columns + per-row cardinalities over the wire for the process backend)
+    instead of flat batches.
 
     ``open(..., runtime=...)`` arms the fault-tolerance layer: ``result``'s
     blocking waits are polled against the runtime so a deadline or a
@@ -696,7 +661,6 @@ class MorselBackend:
         executor,
         plan: QueryPlan,
         batch_size: int,
-        factorized: bool = False,
         runtime: Optional[QueryContext] = None,
         faults: Optional[FaultPlan] = None,
         count_only: bool = False,
@@ -731,7 +695,6 @@ class SerialBackend(MorselBackend):
         executor,
         plan: QueryPlan,
         batch_size: int,
-        factorized: bool = False,
         runtime: Optional[QueryContext] = None,
         faults: Optional[FaultPlan] = None,
         count_only: bool = False,
@@ -739,7 +702,6 @@ class SerialBackend(MorselBackend):
         self._plan = plan
         self._graph = executor.graph
         self._batch_size = batch_size
-        self._factorized = factorized
         self._count_only = count_only
         self._runtime = runtime
         self._faults = faults
@@ -753,7 +715,6 @@ class SerialBackend(MorselBackend):
             self._batch_size,
             start,
             stop,
-            factorized=self._factorized,
             runtime=self._runtime,
             faults=self._faults,
             index=index,
@@ -849,7 +810,7 @@ class ProcessBackend(MorselBackend):
 
     ``start()`` spawns the workers and proves one answers.  ``open``
     registers the query's :class:`WorkerPayload` under a parent-side key
-    (plan identity, generation, batch size, factorization, fault plan) and
+    (plan identity, generation, stream, batch size, fault plan) and
     reuses the wire plan id and pickled bytes of a repeated configuration,
     so on a pool that outlives its queries a hot plan's morsels cost one
     tiny :class:`MorselTaskSpec` each.  An ``open`` that finds the pool not
@@ -950,13 +911,12 @@ class ProcessBackend(MorselBackend):
         executor,
         plan: QueryPlan,
         batch_size: int,
-        factorized: bool = False,
         runtime: Optional[QueryContext] = None,
         faults: Optional[FaultPlan] = None,
         count_only: bool = False,
     ) -> None:
         generation = plan.pinned_generation
-        key = (id(plan), generation, factorized, count_only, batch_size, faults)
+        key = (id(plan), generation, count_only, batch_size, faults)
         entry = self._payloads.get(key)
         if entry is None:
             payload = WorkerPayload(
@@ -965,7 +925,6 @@ class ProcessBackend(MorselBackend):
                 plan=plan,
                 graph=executor.graph,
                 batch_size=batch_size,
-                factorized=factorized,
                 faults=faults,
                 count_only=count_only,
             )
@@ -984,7 +943,7 @@ class ProcessBackend(MorselBackend):
         if self._pool is None:
             self._spawn(seed=self._payload_bytes)
         self._generation = generation
-        self._factorized = factorized
+        self._count_only = count_only
         self._runtime = runtime
         self._morsel_timeout = resolve_morsel_timeout(
             getattr(executor, "morsel_timeout", None)
@@ -1106,7 +1065,7 @@ class ProcessBackend(MorselBackend):
                 f"morsel {index} [{start}, {stop}) reply failed its "
                 "checksum; discarding the corrupt payload"
             )
-        decode = decode_factorized_batches if self._factorized else decode_batches
+        decode = decode_factorized_batches if self._count_only else decode_batches
         return decode(encoded), ExecutionStats(*stats_tuple)
 
     def result(self, handle) -> Tuple[List[MatchBatch], ExecutionStats]:

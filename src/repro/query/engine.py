@@ -51,7 +51,6 @@ from .backends import (
 )
 from . import executor as executor_module
 from .executor import (
-    DEFAULT_COALESCE,
     Executor,
     MorselExecutor,
     QueryResult,
@@ -78,9 +77,6 @@ class IndexCreationResult:
 #: Environment variable supplying the default worker count of ``Database.run``
 #: (used by CI to push the whole test suite through the parallel path).
 PARALLELISM_ENV_VAR = "REPRO_PARALLELISM"
-
-# BACKEND_ENV_VAR ("REPRO_BACKEND") now lives in .backends next to the
-# registry it selects from; re-exported here for backward compatibility.
 
 
 class Database:
@@ -210,10 +206,10 @@ class Database:
     ) -> Union[Executor, MorselExecutor]:
         """The executor a run of ``plan`` gets under a ``workers`` ceiling.
 
-        ``workers == 1`` is the direct serial path; a plan the cost gate
-        keeps inline (:func:`~repro.query.executor.effective_workers`) runs
-        on the same class with the morsel body's batch rule; anything
-        else — including ``plan=None``, which has no estimate to gate on —
+        ``workers == 1`` and a plan the cost gate keeps inline
+        (:func:`~repro.query.executor.effective_workers`) get the direct
+        serial :class:`~repro.query.executor.Executor`; anything else —
+        including ``plan=None``, which has no estimate to gate on —
         gets the morsel dispatcher, on ``pool`` when the caller leased one
         (the server) and otherwise on a pool of its own named by
         ``backend``.  Rows in flight follow from the executor and the sink
@@ -223,12 +219,10 @@ class Database:
         # path, so a typo'd backend=/REPRO_BACKEND surfaces at the call
         # that configured it rather than when parallelism is later raised.
         backend = self._resolve_backend(backend)
-        if workers == 1:
+        if workers == 1 or (
+            plan is not None and effective_workers(plan, workers) == 1
+        ):
             return Executor(graph, batch_size=self.batch_size)
-        if plan is not None and effective_workers(plan, workers) == 1:
-            return Executor(
-                graph, batch_size=self.batch_size, coalesce=DEFAULT_COALESCE
-            )
         return MorselExecutor(
             graph,
             batch_size=self.batch_size,

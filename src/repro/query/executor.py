@@ -43,12 +43,21 @@ The dispatcher is split along two orthogonal axes:
   bounded work-stealing through the pool's queue, with the in-flight window
   capping buffered results.
 
+**One stream switch.**  The entry points of :class:`PlanRunner` decide
+once which stream a run needs, from the sink (``needs_rows``), the plan
+(``supports_factorized_count``) and the caller (``factorized=False`` forces
+the flat oracle), and pass it down as ``count_only``: the only stream flag
+from ``execute`` to the morsel body.  ``count_only=False`` streams flat
+:class:`~repro.query.binding.MatchBatch` rows; ``count_only=True`` streams
+:class:`~repro.query.factorized.FactorizedBatch` prefixes whose suffix
+carries per-row cardinalities only.
+
 **Rows in flight** are decided in one place, :func:`rows_in_flight`, from
-the configured batch size, the runner's ``coalesce`` and whether the sink
-needs rows.  A run whose sink needs rows (``collect``, ``exists``,
+the configured batch size, the runner and whether the sink needs rows.  A
+run whose sink needs rows (``collect``, ``exists``,
 ``run(materialize=True)``, the flat ``count(factorized=False)`` oracle)
-carries ``coalesce`` × the batch size — 2× inside a morsel and on the
-inline runner, 1× on the direct serial path — because its extensions
+carries the batch size on the direct :class:`Executor` — every inline run —
+and :data:`DEFAULT_COALESCE` × it inside a morsel, because its extensions
 materialize rows × fan-out.  A count-only run (a sink declaring
 ``needs_rows = False``: ``count()``, ``run(factorized=True)``) carries at
 least ``COUNT_ONLY_COALESCE`` × the batch size on every runner: its suffix
@@ -70,8 +79,8 @@ and remains the oracle the parallel paths are tested against
 **Parallelism is a ceiling.**  ``Database`` and ``DatabaseServer`` ask
 :func:`effective_workers` before building a dispatcher: a plan whose i-cost
 estimate is under :data:`PARALLEL_MIN_ICOST` runs inline on the calling
-thread — an :class:`Executor` with the morsel body's rows in flight,
-streaming straight into the sink, ``morsels_dispatched == 0`` — because
+thread — the direct :class:`Executor`, streaming straight into the sink,
+``morsels_dispatched == 0`` — because
 below that cost a pool measures slower than no pool.  Constructing a
 :class:`MorselExecutor` directly is never gated.
 
@@ -113,10 +122,8 @@ from .backends import (
     resolve_backend,
     run_morsel,
     run_pipeline,
-    run_pipeline_factorized,
 )
-from .binding import DEFAULT_BATCH_SIZE, MatchBatch
-from .factorized import FactorizedBatch
+from .binding import DEFAULT_BATCH_SIZE
 from .faults import FAULTS_ENV_VAR, FaultPlan
 from .morsels import degree_weighted_ranges, even_ranges, ranges_of_size
 from .operators import ExecutionContext, ExecutionStats, ScanVertices
@@ -203,8 +210,8 @@ def describe_execution(plan: QueryPlan) -> str:
     return "as requested — a hand-built plan carries no estimate to gate on"
 
 
-#: Serial-sized batches coalesced into one in-flight batch inside a morsel
-#: and on the inline runner, for runs whose sink needs rows.  Larger batches
+#: Serial-sized batches coalesced into one in-flight batch inside a morsel,
+#: for runs whose sink needs rows.  Larger batches
 #: amortize the per-kernel-call Python overhead (one gather / one
 #: ``intersect_segments`` call covers ``coalesce`` × ``batch_size`` rows),
 #: but a row-producing extension materializes rows × fan-out: past ~2 its
@@ -241,11 +248,10 @@ def rows_in_flight(batch_size: int, coalesce: int, count_only: bool) -> int:
 class PlanRunner:
     """Shared count/collect/exists/run entry points over an ``execute`` stream.
 
-    Subclasses provide ``execute(plan, stats=None) -> Iterator[MatchBatch]``
-    (and, for factorized-capable runners, ``execute_factorized``); the
-    convenience entry points here consume those streams identically for the
-    serial and the morsel-driven executor, so their result contracts cannot
-    drift apart.
+    Subclasses provide ``execute(plan, stats=None, runtime=None,
+    count_only=False)``; the convenience entry points here consume that
+    stream identically for the serial and the morsel-driven executor, so
+    their result contracts cannot drift apart.
 
     Sink-aware finalization: every entry point drains its stream through a
     first-class pipeline :class:`~repro.query.pipeline.Sink` whose halt
@@ -256,11 +262,11 @@ class PlanRunner:
     given, which stops the pipeline (and, under the morsel dispatcher,
     morsel submission) as soon as the limit is satisfied.  ``exists``
     drains through :class:`~repro.query.pipeline.ExistsSink`, halting on
-    the first match.  ``count`` (and ``run(factorized=True)``) route plans
-    with a factorizable suffix through
-    :class:`~repro.query.pipeline.CountSink` over the factorized stream,
-    computing the count from unexpanded cardinality products instead of
-    materializing the combination cross-product.
+    the first match.  ``count`` (and ``run(factorized=True)``) drain
+    :class:`~repro.query.pipeline.CountSink`, which needs no rows: plans
+    with a factorizable suffix then run ``count_only``, computing the count
+    from unexpanded cardinality products instead of materializing the
+    combination cross-product.
 
     Entry points accept an optional ``stats`` object so callers can
     observe the merged :class:`~repro.query.operators.ExecutionStats`
@@ -273,16 +279,10 @@ class PlanRunner:
         plan: QueryPlan,
         stats: Optional[ExecutionStats] = None,
         runtime: Optional[QueryContext] = None,
-    ) -> Iterator[MatchBatch]:
-        raise NotImplementedError
-
-    def execute_factorized(
-        self,
-        plan: QueryPlan,
-        stats: Optional[ExecutionStats] = None,
-        runtime: Optional[QueryContext] = None,
         count_only: bool = False,
-    ) -> Iterator[FactorizedBatch]:
+    ) -> Iterator:
+        """Yield the plan's batches: flat ``MatchBatch`` rows, or with
+        ``count_only=True`` ``FactorizedBatch`` cardinalities."""
         raise NotImplementedError
 
     def _resolve_factorized(
@@ -325,18 +325,13 @@ class PlanRunner:
         both: the admission-controlled server passes one whose deadline was
         fixed at submission, so queue wait spends the same budget.
         """
-        use_factorized = self._resolve_factorized(plan, factorized)
         if runtime is None:
             runtime = make_runtime(timeout, cancel)
         sink = CountSink()
-        stream = (
-            self.execute_factorized(
-                plan, stats=stats, runtime=runtime, count_only=not sink.needs_rows
-            )
-            if use_factorized
-            else self.execute(plan, stats=stats, runtime=runtime)
+        count_only = self._resolve_factorized(plan, factorized) and not sink.needs_rows
+        return sink.drain(
+            self.execute(plan, stats=stats, runtime=runtime, count_only=count_only)
         )
-        return sink.drain(stream)
 
     def collect(
         self,
@@ -427,23 +422,21 @@ class PlanRunner:
         stats = ExecutionStats()
         started = time.perf_counter()
         matches: List[Dict[str, int]] = []
-        if use_factorized:
-            sink = CountSink()
-            count = sink.drain(
-                self.execute_factorized(
-                    plan,
-                    stats=stats,
-                    runtime=runtime,
-                    count_only=not sink.needs_rows,
-                )
-            )
-        elif materialize:
+        if materialize:
             matches = FlattenSink().drain(
                 self.execute(plan, stats=stats, runtime=runtime)
             )
             count = len(matches)
         else:
-            count = CountSink().drain(self.execute(plan, stats=stats, runtime=runtime))
+            sink = CountSink()
+            count = sink.drain(
+                self.execute(
+                    plan,
+                    stats=stats,
+                    runtime=runtime,
+                    count_only=use_factorized and not sink.needs_rows,
+                )
+            )
         elapsed = time.perf_counter() - started
         if runtime is not None and runtime.deadline is not None:
             stats.deadline_remaining = max(0.0, runtime.remaining())
@@ -457,13 +450,11 @@ class Executor(PlanRunner):
     timing (``ExecutionStats.operator_seconds``) — injectable so tests can
     assert exact time attribution with a fake clock.
 
-    ``coalesce`` is the morsel body's batch rule for the runs the plan-cost
-    gate keeps inline (:func:`effective_workers`): the pipeline runs with
-    :func:`rows_in_flight` rows and :meth:`execute` re-splits what it emits
-    to ``batch_size``, exactly as :meth:`MorselExecutor.execute` does.  The
-    default ``1`` is the direct serial path, whose batches are emitted as
-    produced.  Either way a count-only run carries
-    :data:`COUNT_ONLY_COALESCE` × ``batch_size`` rows.
+    Every inline run is this runner: ``parallelism=1`` and the plans the
+    plan-cost gate keeps inline (:func:`effective_workers`) alike.  Its
+    batches are emitted as produced, ``batch_size`` rows for a sink that
+    needs rows and :data:`COUNT_ONLY_COALESCE` × ``batch_size`` for a
+    count-only one (:func:`rows_in_flight`).
     """
 
     def __init__(
@@ -471,69 +462,35 @@ class Executor(PlanRunner):
         graph: PropertyGraph,
         batch_size: int = DEFAULT_BATCH_SIZE,
         clock=None,
-        coalesce: int = 1,
     ) -> None:
         if batch_size < 1:
             raise ExecutionError(f"batch_size must be >= 1, got {batch_size}")
-        if coalesce < 1:
-            raise ExecutionError(f"coalesce must be >= 1, got {coalesce}")
         self.graph = graph
         self.batch_size = batch_size
         self.clock = clock
-        self.coalesce = int(coalesce)
-
-    def _context(
-        self,
-        plan: QueryPlan,
-        stats: Optional[ExecutionStats],
-        runtime: Optional[QueryContext],
-        count_only: bool = False,
-    ) -> ExecutionContext:
-        context = ExecutionContext(
-            graph=self.graph,
-            query=plan.query,
-            batch_size=rows_in_flight(self.batch_size, self.coalesce, count_only),
-            stats=stats or ExecutionStats(),
-            runtime=runtime,
-        )
-        if self.clock is not None:
-            context.clock = self.clock
-        return context
 
     def execute(
         self,
         plan: QueryPlan,
         stats: Optional[ExecutionStats] = None,
         runtime: Optional[QueryContext] = None,
-    ) -> Iterator[MatchBatch]:
-        """Yield batches of matches produced by the plan."""
-        stream = run_pipeline(plan, self._context(plan, stats, runtime))
-        if self.coalesce == 1:
-            yield from stream
-            return
-        for batch in stream:
-            yield from batch.split(self.batch_size)
-
-    def execute_factorized(
-        self,
-        plan: QueryPlan,
-        stats: Optional[ExecutionStats] = None,
-        runtime: Optional[QueryContext] = None,
         count_only: bool = False,
-    ) -> Iterator[FactorizedBatch]:
-        """Yield factorized batches: flat prefixes with unexpanded suffixes.
+    ) -> Iterator:
+        """Yield the plan's batches; ``count_only`` as in :class:`PlanRunner`.
 
-        Single-leg segments carry their candidate arrays, so the batches
-        ``flatten()``; ``count_only=True`` (what the sinks that declare
-        ``needs_rows = False`` are driven with) leaves the arrays out,
-        counts once per distinct bound key and carries the count-only rows
-        in flight.
+        A count-only stream counts once per distinct bound key of a batch
+        wherever its keys repeat.
         """
-        yield from run_pipeline_factorized(
-            plan,
-            self._context(plan, stats, runtime, count_only),
-            count_only=count_only,
+        context = ExecutionContext(
+            graph=self.graph,
+            query=plan.query,
+            batch_size=rows_in_flight(self.batch_size, 1, count_only),
+            stats=stats or ExecutionStats(),
+            runtime=runtime,
         )
+        if self.clock is not None:
+            context.clock = self.clock
+        yield from run_pipeline(plan, context, count_only=count_only)
 
 
 #: Morsels handed out per worker (load-balancing granularity of the default
@@ -583,7 +540,6 @@ class MorselExecutor(PlanRunner):
             morsels from ``weighting``; an explicit size forces fixed-size
             even ranges regardless of weighting — the boundary-case knob
             (single-vertex morsels, morsels smaller than a batch).
-        coalesce: in-morsel batch coalescing factor (>= 1).
         backend: where morsel bodies run — a name from
             :data:`~repro.query.backends.BACKENDS` (``"serial"``,
             ``"thread"``, ``"process"``; each query starts a pool of its
@@ -617,7 +573,6 @@ class MorselExecutor(PlanRunner):
         batch_size: int = DEFAULT_BATCH_SIZE,
         num_workers: int = 4,
         morsel_size: Optional[int] = None,
-        coalesce: int = DEFAULT_COALESCE,
         backend: Union[str, MorselBackend] = DEFAULT_BACKEND,
         weighting: str = "degree",
         max_retries: int = MAX_MORSEL_RETRIES,
@@ -631,8 +586,6 @@ class MorselExecutor(PlanRunner):
             raise ExecutionError(f"num_workers must be >= 1, got {num_workers}")
         if morsel_size is not None and morsel_size < 1:
             raise ExecutionError(f"morsel_size must be >= 1, got {morsel_size}")
-        if coalesce < 1:
-            raise ExecutionError(f"coalesce must be >= 1, got {coalesce}")
         if not isinstance(backend, MorselBackend):
             resolve_backend(backend)
         if weighting not in WEIGHTINGS:
@@ -653,7 +606,6 @@ class MorselExecutor(PlanRunner):
         self.batch_size = batch_size
         self.num_workers = int(num_workers)
         self.morsel_size = None if morsel_size is None else int(morsel_size)
-        self.coalesce = int(coalesce)
         self.backend = backend
         self.weighting = weighting
         self.max_retries = int(max_retries)
@@ -741,53 +693,37 @@ class MorselExecutor(PlanRunner):
         plan: QueryPlan,
         stats: Optional[ExecutionStats] = None,
         runtime: Optional[QueryContext] = None,
-    ) -> Iterator[MatchBatch]:
-        """Yield match batches in deterministic morsel order.
+        count_only: bool = False,
+    ) -> Iterator:
+        """Yield the plan's batches in deterministic morsel order.
 
         Morsels are dispatched to the configured backend through a bounded
         sliding window (``num_workers * MORSEL_WINDOW_PER_WORKER`` in
         flight): workers drain the window out of order, the next morsel is
         submitted as the oldest one is consumed, and batches are yielded
-        strictly in ascending morsel order (re-split to ``batch_size``
-        rows) — so consumers observe the exact serial row sequence while
-        peak memory stays proportional to the window, not to the whole
-        query result.
+        strictly in ascending morsel order — so consumers observe the exact
+        serial row sequence while peak memory stays proportional to the
+        window, not to the whole query result.  Flat batches are re-split
+        to ``batch_size`` rows; ``count_only`` batches (as in
+        :class:`PlanRunner`; over the process backend the replies then ship
+        prefix columns and cardinalities) are yielded whole, because their
+        only consumers are aggregate sinks that reduce them immediately.
         """
-        for batch in self._dispatch(plan, stats, factorized=False, runtime=runtime):
+        batches = self._dispatch(plan, stats, runtime, count_only)
+        if count_only:
+            yield from batches
+            return
+        for batch in batches:
             yield from batch.split(self.batch_size)
-
-    def execute_factorized(
-        self,
-        plan: QueryPlan,
-        stats: Optional[ExecutionStats] = None,
-        runtime: Optional[QueryContext] = None,
-        count_only: bool = False,
-    ) -> Iterator[FactorizedBatch]:
-        """Yield factorized batches in deterministic morsel order.
-
-        Same windowed dispatch as :meth:`execute`, with the backend's
-        morsel bodies running the *factorized* pipeline — workers ship back
-        prefix columns plus per-leg cardinality segments instead of
-        expanded cross-products.  Factorized batches are yielded whole (no
-        re-split to ``batch_size``: segment arrays are per-prefix-row, and
-        the only consumers are aggregate sinks that reduce them
-        immediately).  ``count_only`` is as in
-        :meth:`Executor.execute_factorized`; over the process backend it
-        also means the replies ship cardinalities and no candidate arrays.
-        """
-        yield from self._dispatch(
-            plan, stats, factorized=True, runtime=runtime, count_only=count_only
-        )
 
     def _dispatch(
         self,
         plan: QueryPlan,
         stats: Optional[ExecutionStats],
-        factorized: bool,
-        runtime: Optional[QueryContext] = None,
-        count_only: bool = False,
+        runtime: Optional[QueryContext],
+        count_only: bool,
     ) -> Iterator[object]:
-        """Windowed morsel dispatch shared by the flat and factorized paths.
+        """Windowed morsel dispatch behind :meth:`execute`.
 
         This is also the *reaction* half of crash recovery (backends are the
         detection half): a morsel whose ``result()`` raises the recoverable
@@ -824,7 +760,7 @@ class MorselExecutor(PlanRunner):
         ranges = iter(enumerate(all_ranges))
         window = self.num_workers * MORSEL_WINDOW_PER_WORKER
         faults = self._resolve_faults()
-        batch_size = rows_in_flight(self.batch_size, self.coalesce, count_only)
+        batch_size = rows_in_flight(self.batch_size, DEFAULT_COALESCE, count_only)
         # Whoever constructs a backend shuts it down: a name gets a pool of
         # its own, started by this query's open() (so a process pool forks
         # with the payload cached) and shut down after it; an instance (a
@@ -838,7 +774,6 @@ class MorselExecutor(PlanRunner):
                 self,
                 plan,
                 batch_size,
-                factorized=factorized,
                 runtime=runtime,
                 faults=faults,
                 count_only=count_only,
@@ -880,7 +815,6 @@ class MorselExecutor(PlanRunner):
                         batch_size,
                         lo,
                         hi,
-                        factorized=factorized,
                         runtime=runtime,
                         clock=self.clock,
                         count_only=count_only,

@@ -12,20 +12,17 @@ per-row cardinality segments instead:
   :class:`~repro.query.binding.MatchBatch` of bound columns) plus one
   :class:`FactorizedSegment` per suffix operator;
 * segment ``j`` records, per prefix row ``i``, how many combinations that
-  operator would have contributed (``cardinalities[i]``) — for single-leg
-  extends also the concatenated candidate arrays, so the batch can still be
-  flattened, unless the sink declared that it needs no rows: the suffix
-  then runs count-only and does its work once per distinct bound key of
-  the batch (:class:`SharedKeys`);
+  operator would have contributed (``cardinalities[i]``) and nothing else:
+  only a sink that needs no rows is given this stream, so the suffix runs
+  count-only and does its work once per distinct bound key of the batch
+  (:class:`SharedKeys`);
 * because the plan analysis (:meth:`~repro.query.plan.QueryPlan
   .factorized_suffix_start`) only admits *mutually independent* suffix
   operators, the match count of the batch is the sum over prefix rows of
   the product of the per-segment cardinalities — one vectorized
   multiply/sum pass, zero combo expansion.
 
-The flat path remains the kept oracle: ``FactorizedBatch.flatten`` (for
-materialized segments) reproduces the flat pipeline's rows in the flat
-pipeline's order, and the differential suite
+The flat path remains the kept oracle: the differential suite
 (``tests/test_factorized_count.py``) pins ``count()`` equality between the
 representations across every backend.
 """
@@ -33,12 +30,11 @@ representations across every backend.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ExecutionError
-from ..storage.intersect import combo_positions
 from .binding import MatchBatch
 
 
@@ -135,35 +131,15 @@ class FactorizedSegment:
 
     ``cardinalities[i]`` is the number of combinations the emitting operator
     contributes for prefix row ``i`` — exactly the factor by which the flat
-    path would have multiplied that row.  Single-leg extends also carry the
-    concatenated candidate arrays (row offsets derive from the
-    cardinalities), which makes the segment *materialized* and flattenable;
-    intersection segments (multi-leg E/I, MULTI-EXTEND) are count-only, and
-    so is every segment emitted for a sink that needs no rows.
+    path would have multiplied that row.
 
     Attributes:
         target_vars: the query vertices the emitting operator binds.
         cardinalities: int64 combinations per prefix row.
-        nbr_ids: concatenated neighbour candidates (materialized segments).
-        edge_var: the tracked edge variable, if any (materialized segments).
-        edge_ids: concatenated edge candidates aligned with ``nbr_ids``.
     """
 
     target_vars: Tuple[str, ...]
     cardinalities: np.ndarray
-    nbr_ids: Optional[np.ndarray] = None
-    edge_var: Optional[str] = None
-    edge_ids: Optional[np.ndarray] = None
-
-    @property
-    def is_materialized(self) -> bool:
-        """True when the candidate arrays are present (single-leg extends)."""
-        return self.nbr_ids is not None
-
-    def offsets(self) -> np.ndarray:
-        """Per-prefix-row start offsets into the candidate arrays."""
-        ends = np.cumsum(self.cardinalities, dtype=np.int64)
-        return ends - self.cardinalities
 
 
 @dataclass(frozen=True)
@@ -222,49 +198,6 @@ class FactorizedBatch:
             )
             total += int(accumulated.sum())
         return total
-
-    # ------------------------------------------------------------------
-    # the bridge back to the flat representation
-    # ------------------------------------------------------------------
-    def flatten(self) -> MatchBatch:
-        """Expand into the flat cross-product batch, in flat-path row order.
-
-        Requires every segment to be materialized (single-leg extends); the
-        combination order iterates later segments fastest, matching the flat
-        pipeline's nested expansion.  This is the oracle bridge used by the
-        differential tests — production sinks never call it, which is the
-        point of the representation.
-        """
-        for segment in self.segments:
-            if not segment.is_materialized:
-                raise ExecutionError(
-                    "cannot flatten a count-only (intersection) segment; "
-                    "use the flat pipeline for row-producing sinks"
-                )
-        counts = self.row_counts()
-        if len(self.segments) == 1:
-            segment = self.segments[0]
-            new_columns: Dict[str, np.ndarray] = {
-                segment.target_vars[0]: segment.nbr_ids
-            }
-            if segment.edge_var is not None:
-                new_columns[segment.edge_var] = segment.edge_ids
-            return self.prefix.repeat(segment.cardinalities).with_columns(new_columns)
-        positions, _ = combo_positions(
-            [segment.offsets() for segment in self.segments],
-            [segment.cardinalities for segment in self.segments],
-            counts,
-        )
-        new_columns = {}
-        for segment, pos in zip(self.segments, positions):
-            new_columns[segment.target_vars[0]] = np.asarray(
-                segment.nbr_ids, dtype=np.int64
-            )[pos]
-            if segment.edge_var is not None:
-                new_columns[segment.edge_var] = np.asarray(
-                    segment.edge_ids, dtype=np.int64
-                )[pos]
-        return self.prefix.repeat(counts).with_columns(new_columns)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -46,12 +46,11 @@ partial match at a time.  The extension operators therefore default to a
   aligned with the intersected neighbours.  No per-row Python loop remains on
   any vectorized path.
 
-For an aggregate-only sink the trailing extensions stay unexpanded
-(:meth:`ExtendIntersect.extend_factorized`), and when the sink needs no rows at
-all they run count-only (:meth:`ExtendIntersect.count_factorized`): list
-lengths from the CSR offsets, and one fetch per *distinct* bound key of the
-batch where keys repeat.  The logical counters charge every row its own list
-on every one of these paths.
+For a sink that needs no rows the trailing extensions stay unexpanded and
+run count-only (:meth:`ExtendIntersect.count_factorized`,
+:meth:`MultiExtend.extend_factorized`): list lengths from the CSR offsets,
+and one fetch per *distinct* bound key of the batch where keys repeat.  The
+logical counters charge every row its own list on every one of these paths.
 
 ``vectorized=False`` on the extension operators selects the legacy
 tuple-at-a-time path; it is kept as the equivalence oracle and as the
@@ -153,23 +152,6 @@ class ExecutionStats:
     entries_shared: int = field(default=0, compare=False)
     operator_seconds: Dict[str, float] = field(default_factory=dict, compare=False)
     operator_batches: Dict[str, int] = field(default_factory=dict, compare=False)
-
-    def reset(self) -> None:
-        self.lists_accessed = 0
-        self.list_entries_fetched = 0
-        self.intermediate_rows = 0
-        self.output_rows = 0
-        self.predicate_evaluations = 0
-        self.combos_avoided = 0
-        self.segments_emitted = 0
-        self.retries = 0
-        self.morsels_recovered = 0
-        self.deadline_remaining = None
-        self.morsels_dispatched = 0
-        self.lists_shared = 0
-        self.entries_shared = 0
-        self.operator_seconds = {}
-        self.operator_batches = {}
 
     def record_stage(self, label: str, seconds: float, batches: int = 0) -> None:
         """Attribute ``seconds`` of exclusive wall time (and optionally
@@ -852,32 +834,21 @@ class ExtendIntersect(PhysicalOperator):
     def extend_factorized(
         self, batch: MatchBatch, context: ExecutionContext
     ) -> FactorizedSegment:
-        """Emit this operator's extensions unexpanded (factorized suffix path).
+        """Emit a multi-leg intersection unexpanded, one count per row.
 
         Requires the vectorized path with a TRUE post-predicate — the plan
         analysis (:meth:`~repro.query.plan.QueryPlan.factorized_suffix_start`)
-        guarantees both before routing a batch here.  The returned segment's
-        cardinalities equal, per prefix row, the number of rows the flat path
-        would have materialized: single-leg extends keep the fetched candidate
-        arrays (so the segment stays flattenable), multi-leg intersections run
-        the segment kernel with ``need_positions=False`` and keep only the
-        per-row combination counts — no expansion work on either shape.
+        guarantees both before routing a batch here.  The segment kernel runs
+        with ``need_positions=False``, so the returned cardinalities equal,
+        per prefix row, the number of rows the flat path would have
+        materialized, with no expansion work.  This is the per-row path of
+        :meth:`count_factorized`; single legs never reach it.
         """
         if not self.vectorized or not self.post_predicate.is_true:
             raise ExecutionError(
                 "extend_factorized requires the vectorized path with a TRUE "
                 "post-predicate; the plan's factorized-suffix analysis admits "
                 "nothing else"
-            )
-        if len(self.legs) == 1:
-            leg = self.legs[0]
-            edge_ids, nbr_ids, counts = leg.fetch_many(context, batch)
-            return FactorizedSegment(
-                target_vars=(self.target_var,),
-                cardinalities=counts,
-                nbr_ids=nbr_ids,
-                edge_var=leg.edge_var if leg.track_edge else None,
-                edge_ids=edge_ids if leg.track_edge else None,
             )
         per_leg = [leg.fetch_many(context, batch) for leg in self.legs]
         result = intersect_segments(
@@ -898,11 +869,12 @@ class ExtendIntersect(PhysicalOperator):
         context: ExecutionContext,
         keys_may_repeat: bool = True,
     ) -> FactorizedSegment:
-        """:meth:`extend_factorized` for sinks that never look at a row.
+        """This operator's extensions as per-row counts, for sinks that
+        never look at a row.
 
-        Same cardinalities, same logical stats, no candidate arrays — and
-        the work is done once per *distinct* key where the batch repeats
-        its keys:
+        The cardinalities and logical stats of the flat extension, no
+        candidate arrays — and the work is done once per *distinct* key
+        where the batch repeats its keys:
 
         * a single unfiltered leg is two CSR offsets per row
           (:meth:`ExtensionLeg.count_many`);

@@ -6,8 +6,7 @@ into a :class:`PhysicalPipeline` — an explicit source stage (the leading
 filter stages, and a first-class :class:`Sink` terminal.  This is the one
 execution path: the serial :class:`~repro.query.executor.Executor`, every
 morsel backend (:mod:`repro.query.backends` — morsel bodies call
-:func:`run_pipeline` / :func:`run_pipeline_factorized`, which compile
-through the builder), and the server's persistent pools all run the same
+:func:`run_pipeline`, which compiles through the builder) run the same
 pipeline objects.
 
 Halt propagation
@@ -17,9 +16,9 @@ Sinks are *push*-style: :meth:`Sink.push` consumes one batch and returns
 ``True`` to keep the stream coming or ``False`` once the sink is satisfied
 (a reached ``LIMIT``, a proven ``EXISTS``).  The halt signal propagates
 
-* **across batches** — :meth:`PhysicalPipeline.run` (and :meth:`Sink.drain`)
-  stops pulling the stage chain on the first ``False``, so upstream
-  operators never produce a batch past the halt; and
+* **across batches** — :meth:`Sink.drain` stops pulling the stage chain on
+  the first ``False``, so upstream operators never produce a batch past the
+  halt; and
 * **across morsels** — the morsel dispatcher refills its in-flight window
   only while its consumer keeps pulling, so once a sink reports satisfied
   no further morsel is submitted to the backend
@@ -354,9 +353,8 @@ class PhysicalPipeline:
     number of contexts — including the morsel case, where every morsel body
     compiles an identical pipeline around its range-restricted scan clone.
 
-    :meth:`stream` lazily yields output batches under a context (timing
-    every stage boundary); :meth:`run` drives the stream into a
-    :class:`Sink`, honouring its halt signal.
+    :meth:`stream` lazily yields output batches under a context, timing
+    every stage boundary.
     """
 
     def __init__(
@@ -370,10 +368,6 @@ class PhysicalPipeline:
         self.source = source
         self.stages = stages
         self.suffix = suffix
-
-    @property
-    def factorized(self) -> bool:
-        return bool(self.suffix)
 
     @property
     def labels(self) -> List[str]:
@@ -452,10 +446,6 @@ class PhysicalPipeline:
             context.stats.segments_emitted += len(segments)
             yield factorized
 
-    def run(self, context: ExecutionContext, sink: Sink):
-        """Drive the pipeline into ``sink``, honouring its halt signal."""
-        return sink.drain(self.stream(context))
-
 
 class PipelineBuilder:
     """Compiles a :class:`~repro.query.plan.QueryPlan` into a pipeline.
@@ -469,14 +459,14 @@ class PipelineBuilder:
     def __init__(self, plan: QueryPlan) -> None:
         self.plan = plan
 
-    def _suffix_emitter(self, operator: object, count_only: bool):
+    def _suffix_emitter(self, operator: object):
         """How a suffix operator turns a prefix batch into its segment.
 
-        A sink that needs no rows gets an E/I's count-only path, with the
-        plan's static verdict on whether its keys can repeat bound in at
-        compile time (a MULTI-EXTEND's segments are count-only as they are).
+        An E/I counts with the plan's static verdict on whether its keys can
+        repeat bound in at compile time; a MULTI-EXTEND's segments are
+        count-only as they are.
         """
-        if count_only and isinstance(operator, ExtendIntersect):
+        if isinstance(operator, ExtendIntersect):
             return partial(
                 operator.count_factorized,
                 keys_may_repeat=self.plan.suffix_keys_may_repeat(operator),
@@ -486,19 +476,17 @@ class PipelineBuilder:
     def build(
         self,
         scan: Optional[ScanVertices] = None,
-        factorized: bool = False,
         count_only: bool = False,
     ) -> PhysicalPipeline:
         """Compile the plan; ``scan`` optionally replaces the source.
 
         The morsel dispatcher passes a range-restricted scan clone; the
         remaining operators are shared as-is (stateless between calls).
-        ``factorized=True`` splits the plan at
-        ``plan.factorized_suffix_start()`` into flat stages plus an
-        unexpanded suffix, raising :class:`~repro.errors.ExecutionError`
-        for plans without a factorizable suffix.  ``count_only=True`` (with
-        ``factorized``) is for sinks that declare ``needs_rows = False``:
-        suffix segments then carry cardinalities only.
+        ``count_only=True`` is for sinks that declare ``needs_rows =
+        False``: it splits the plan at ``plan.factorized_suffix_start()``
+        into flat stages plus a suffix whose segments carry cardinalities
+        only, raising :class:`~repro.errors.ExecutionError` for plans
+        without a factorizable suffix.
         """
         plan = self.plan
         lead = scan if scan is not None else plan.operators[0]
@@ -507,7 +495,7 @@ class PipelineBuilder:
                 f"pipeline source must be ScanVertices, got {type(lead).__name__}"
             )
         suffix_start = len(plan.operators)
-        if factorized:
+        if count_only:
             suffix_start = plan.factorized_suffix_start()
             if suffix_start >= len(plan.operators):
                 raise ExecutionError(
@@ -526,7 +514,7 @@ class PipelineBuilder:
             PipelineStage(
                 stage_label(index, operator),
                 operator,
-                self._suffix_emitter(operator, count_only),
+                self._suffix_emitter(operator),
             )
             for index, operator in enumerate(
                 plan.operators[suffix_start:], start=suffix_start
@@ -539,9 +527,12 @@ class PipelineBuilder:
 # the morsel-body entry points (all backends route through these)
 # ----------------------------------------------------------------------
 def run_pipeline(
-    plan: QueryPlan, context: ExecutionContext, scan: Optional[ScanVertices] = None
-) -> Iterator[MatchBatch]:
-    """Drive the plan's compiled flat pipeline under ``context``.
+    plan: QueryPlan,
+    context: ExecutionContext,
+    scan: Optional[ScanVertices] = None,
+    count_only: bool = False,
+) -> Iterator:
+    """Drive the plan's compiled pipeline under ``context``.
 
     ``scan`` optionally replaces the plan's leading scan operator (the
     morsel dispatcher substitutes a range-restricted clone).  When the
@@ -549,32 +540,18 @@ def run_pipeline(
     deadline and cancellation token are checked between batches, raising
     :class:`~repro.errors.QueryTimeoutError` /
     :class:`~repro.errors.QueryCancelledError` mid-stream.
+
+    ``count_only=True`` runs the operators before
+    ``plan.factorized_suffix_start()`` flat and hands each prefix batch to
+    every suffix operator once, yielding
+    :class:`~repro.query.factorized.FactorizedBatch` objects — one
+    cardinality segment per suffix operator instead of the combination
+    cross-product.  ``output_rows`` still advances by the represented match
+    count, so the counter means the same thing on both streams;
+    ``combos_avoided``/``segments_emitted`` record what the flat stream
+    would have materialized.
     """
-    pipeline = PipelineBuilder(plan).build(scan=scan)
-    yield from pipeline.stream(context)
-
-
-def run_pipeline_factorized(
-    plan: QueryPlan,
-    context: ExecutionContext,
-    scan: Optional[ScanVertices] = None,
-    count_only: bool = False,
-) -> Iterator[FactorizedBatch]:
-    """Drive the plan's flat prefix, then emit the terminal suffix unexpanded.
-
-    The operators before ``plan.factorized_suffix_start()`` run exactly as
-    in :func:`run_pipeline`; each prefix batch is then handed to every
-    suffix operator's ``extend_factorized`` once, producing one unexpanded
-    :class:`~repro.query.factorized.FactorizedSegment` per operator instead
-    of the combination cross-product.  ``output_rows`` still advances by the
-    represented match count, so the counter means the same thing on both
-    paths; ``combos_avoided``/``segments_emitted`` record what the flat path
-    would have materialized.  ``count_only`` compiles the suffix for a sink
-    that needs no rows (see :meth:`PipelineBuilder.build`).
-    """
-    pipeline = PipelineBuilder(plan).build(
-        scan=scan, factorized=True, count_only=count_only
-    )
+    pipeline = PipelineBuilder(plan).build(scan=scan, count_only=count_only)
     yield from pipeline.stream(context)
 
 

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..errors import ExecutionError
+from ..query.backends import resolve_backend
 from ..query.runtime import CancellationToken, QueryContext
 
 #: Admission policies accepted by :class:`ServerConfig`.
@@ -65,6 +66,10 @@ class ServerConfig:
             degradation circuit breaker.
         breaker_cooldown: seconds an open breaker waits before the next
             real-pool trial lease.
+
+    Every field is checked here, so a bad setting fails the constructor,
+    not the first query that reaches it (the breaker is only built at the
+    first pooled lease).
     """
 
     max_concurrent: int = 2
@@ -94,6 +99,21 @@ class ServerConfig:
             raise ExecutionError(
                 f"default_timeout must be positive seconds, "
                 f"got {self.default_timeout}"
+            )
+        if self.parallelism is not None and self.parallelism < 1:
+            raise ExecutionError(
+                f"parallelism must be >= 1, got {self.parallelism}"
+            )
+        if self.backend is not None:
+            resolve_backend(str(self.backend).strip().lower())
+        if self.breaker_threshold < 1:
+            raise ExecutionError(
+                f"breaker_threshold must be >= 1, got {self.breaker_threshold}"
+            )
+        if self.breaker_cooldown < 0:
+            raise ExecutionError(
+                f"breaker_cooldown must be >= 0 seconds, "
+                f"got {self.breaker_cooldown}"
             )
 
 

@@ -11,8 +11,8 @@ contract in tier-1; the full backend × weighting matrix is marked ``fuzz``
 for the default suite.
 
 Also covered here: the cardinality-product arithmetic on empty prefixes and
-zero-fanout legs, ``FactorizedBatch.flatten`` against the flat pipeline, the
-suffix analysis on dependent pipelines, the factorized-only stats counters,
+zero-fanout legs, the suffix analysis on dependent pipelines, the
+factorized-only stats counters,
 and the ``PlanRunner.collect(limit=)`` / ``run(materialize=True)`` sink
 behaviour fixed alongside the factorized sinks.
 """
@@ -423,11 +423,9 @@ def _prefix(rows):
     return MatchBatch({"a": np.asarray(rows, dtype=np.int64)})
 
 
-def _segment(var, cards, nbrs=None):
+def _segment(var, cards):
     return FactorizedSegment(
-        target_vars=(var,),
-        cardinalities=np.asarray(cards, dtype=np.int64),
-        nbr_ids=None if nbrs is None else np.asarray(nbrs, dtype=np.int64),
+        target_vars=(var,), cardinalities=np.asarray(cards, dtype=np.int64)
     )
 
 
@@ -451,51 +449,15 @@ class TestCardinalityArithmetic:
         assert batch.row_counts().tolist() == [0, 5, 0]
 
     def test_empty_prefix(self):
-        batch = FactorizedBatch(
-            prefix=_prefix([]), segments=(_segment("b", [], nbrs=[]),)
-        )
+        batch = FactorizedBatch(prefix=_prefix([]), segments=(_segment("b", []),))
         assert batch.match_count() == 0
         assert batch.flat_rows_avoided() == 0
-        assert len(batch.flatten()) == 0
 
     def test_cardinality_length_mismatch_rejected(self):
         with pytest.raises(ExecutionError):
             FactorizedBatch(
                 prefix=_prefix([1, 2]), segments=(_segment("b", [1]),)
             )
-
-    def test_flatten_requires_materialized_segments(self):
-        batch = FactorizedBatch(
-            prefix=_prefix([1]), segments=(_segment("b", [2]),)
-        )
-        with pytest.raises(ExecutionError, match="count-only"):
-            batch.flatten()
-
-    def test_flatten_single_segment_rows(self):
-        batch = FactorizedBatch(
-            prefix=_prefix([5, 6]),
-            segments=(_segment("b", [2, 1], nbrs=[10, 11, 12]),),
-        )
-        flat = batch.flatten()
-        assert flat.to_dicts() == [
-            {"a": 5, "b": 10},
-            {"a": 5, "b": 11},
-            {"a": 6, "b": 12},
-        ]
-
-
-def test_flatten_matches_flat_pipeline(example_db):
-    """Flattening materialized single-leg segments reproduces the flat rows
-    in the flat pipeline's order."""
-    plan = example_db.plan(_star_two())
-    executor = Executor(example_db.graph)
-    flat_rows = [row for batch in executor.execute(plan) for row in batch.iter_rows()]
-    fact_rows = []
-    for batch in executor.execute_factorized(plan):
-        while isinstance(batch, FactorizedBatch):
-            batch = batch.flatten()
-        fact_rows.extend(batch.iter_rows())
-    assert fact_rows == flat_rows
 
 
 # ----------------------------------------------------------------------

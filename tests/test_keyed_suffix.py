@@ -10,13 +10,12 @@ edges, vertices without out-edges — and is pinned three ways:
 * the count equals the flat pipeline's and the independent
   :class:`~repro.query.naive.NaiveMatcher`'s;
 * the logical :class:`~repro.query.operators.ExecutionStats` equal those of
-  the rows-keeping factorized path (the pre-existing per-row code) and, for
+  the same count with sharing switched off (the per-row paths) and, for
   the counters both define, of the ``vectorized=False`` tuple-at-a-time
   path — on the serial executor at batch sizes on both sides of every
   sharing gate, and on thread x2 and process x2;
-* ``Executor.execute_factorized`` batches still ``flatten()`` to the flat
-  rows, and a count over the process backend's worker body ships no
-  candidate arrays.
+* a count over the process backend's worker body ships no candidate
+  arrays.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from repro.query.backends import (
     WorkerPayload,
     _worker_run,
 )
-from repro.query.executor import CountSink, Executor, rows_in_flight
+from repro.query.executor import CountSink, Executor
 from repro.query.factorized import FLAG_TABLE_DENSITY, SharedKeys
 from repro.query.naive import NaiveMatcher
 from repro.query.operators import (
@@ -358,12 +357,7 @@ def _rowwise(plan: QueryPlan) -> QueryPlan:
 
 def _count_only(runner, plan):
     stats = ExecutionStats()
-    return runner.count(plan, factorized=True, stats=stats), stats
-
-
-def _rows_kept(runner, plan):
-    stats = ExecutionStats()
-    count = CountSink().drain(runner.execute_factorized(plan, stats=stats))
+    count = CountSink().drain(runner.execute(plan, stats=stats, count_only=True))
     return count, stats
 
 
@@ -461,17 +455,17 @@ def test_count_matches_flat_and_naive(fx, name):
     # one-row and odd batches too for the tuned workload's intersections
     + [(name, size) for name in ("mr2_shape", "mf1_shape") for size in (1, 7)],
 )
-def test_logical_stats_match_the_per_row_paths(fx, name, batch_size):
+def test_logical_stats_match_the_per_row_paths(fx, name, batch_size, monkeypatch):
     _query, plan = fx.plans[name]
     executor = Executor(fx.graphs[name], batch_size=batch_size)
     count, stats = _count_only(executor, plan)
-    # The rows-kept side runs at the count-only side's rows in flight, so
-    # the batch-granular segments_emitted stays comparable.
-    in_flight = rows_in_flight(batch_size, executor.coalesce, count_only=True)
-    kept_count, kept = _rows_kept(Executor(fx.graphs[name], batch_size=in_flight), plan)
-    assert count == kept_count
-    assert stats == kept  # every compared counter, segments_emitted included
-    assert kept.lists_shared == kept.entries_shared == 0
+    # The plan's "no key repeats" verdict compiles every suffix operator
+    # onto its per-row path: the same count with no list shared.
+    monkeypatch.setattr(QueryPlan, "suffix_keys_may_repeat", lambda self, op: False)
+    per_row_count, per_row = _count_only(executor, plan)
+    assert count == per_row_count
+    assert stats == per_row  # every compared counter, segments_emitted included
+    assert per_row.lists_shared == per_row.entries_shared == 0
 
     if len(plan.operators) - plan.factorized_suffix_start() == 1:
         # One suffix operator: the flat path reads exactly the same lists.
@@ -538,63 +532,28 @@ def test_process_reply_ships_cardinalities_only(fx):
     """The worker body's envelope holds prefix columns and one cardinality
     array per segment — no candidate arrays."""
     _query, plan = fx.plans["path"]
-    def ship(count_only):
-        """Run the morsel on the worker body with a freshly shipped payload."""
-        payload = WorkerPayload(
-            plan_id=next(_PLAN_IDS),
-            generation=plan.pinned_generation,
-            plan=plan,
-            graph=fx.graph,
-            batch_size=1024,
-            factorized=True,
-            count_only=count_only,
-        )
-        spec = MorselTaskSpec(
-            plan_id=payload.plan_id,
-            generation=plan.pinned_generation,
-            start=0,
-            stop=fx.graph.num_vertices,
-        )
-        encoded, _stats, _checksum = _worker_run(spec, pickle.dumps(payload))
-        return encoded
-
-    encoded = ship(count_only=True)
+    payload = WorkerPayload(
+        plan_id=next(_PLAN_IDS),
+        generation=plan.pinned_generation,
+        plan=plan,
+        graph=fx.graph,
+        batch_size=1024,
+        count_only=True,
+    )
+    spec = MorselTaskSpec(
+        plan_id=payload.plan_id,
+        generation=plan.pinned_generation,
+        start=0,
+        stop=fx.graph.num_vertices,
+    )
+    encoded, _stats, _checksum = _worker_run(spec, pickle.dumps(payload))
     assert encoded
     for names, columns, segments in encoded:
         rows = len(columns[0])
         shipped = sum(column.nbytes for column in columns)
-        for _targets, cardinalities, nbr_ids, _edge_var, edge_ids in segments:
-            assert nbr_ids is None and edge_ids is None
+        for _targets, cardinalities in segments:
             shipped += cardinalities.nbytes
         assert shipped <= rows * 8 * (len(names) + len(segments))
-
-    # Asked for rows, the same task ships the candidates as before.
-    with_rows = ship(count_only=False)
-    assert all(
-        segment[2] is not None for _n, _c, segments in with_rows for segment in segments
-    )
-
-
-# ----------------------------------------------------------------------
-# sinks that need rows still get them
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("name", ["path", "plain_path", "star", "heavy_tail", "rising_tail"])
-def test_execute_factorized_still_flattens(fx, name):
-    _query, plan = fx.plans[name]
-    executor = Executor(fx.graph, batch_size=64)
-    flat_rows = [row for batch in executor.execute(plan) for row in batch.iter_rows()]
-    factorized_rows = [
-        row
-        for batch in executor.execute_factorized(plan)
-        for row in batch.flatten().iter_rows()
-    ]
-    assert factorized_rows == flat_rows
-
-
-def test_count_only_segments_refuse_to_flatten(fx):
-    _query, plan = fx.plans["path"]
-    batch = next(iter(Executor(fx.graph).execute_factorized(plan, count_only=True)))
-    assert not any(segment.is_materialized for segment in batch.segments)
 
 
 # ----------------------------------------------------------------------

@@ -178,23 +178,22 @@ def boundary_serial(boundary_db, boundary_plan):
 
 
 @pytest.mark.parametrize(
-    "morsel_size,coalesce",
+    "morsel_size,batch_size",
     [
         (1, 1),  # single-vertex ranges
-        (7, 8),  # morsel much smaller than one batch
+        (7, 8),  # a morsel smaller than one in-flight batch (16 rows)
         (64, 2),
         (10_000, 8),  # one morsel spanning the whole domain
     ],
 )
 def test_morsel_boundaries_byte_identical(
-    boundary_db, boundary_plan, boundary_serial, morsel_size, coalesce
+    boundary_db, boundary_plan, boundary_serial, morsel_size, batch_size
 ):
     executor = MorselExecutor(
         boundary_db.graph,
-        batch_size=boundary_db.batch_size,
+        batch_size=batch_size,
         num_workers=4,
         morsel_size=morsel_size,
-        coalesce=coalesce,
     )
     result = executor.run(boundary_plan, materialize=True)
     assert result.count == boundary_serial.count
@@ -231,9 +230,7 @@ def test_all_morsels_empty_yields_empty_result(labelled_graph):
 
 
 def test_parallel_batches_respect_batch_size(boundary_db, boundary_plan):
-    executor = MorselExecutor(
-        boundary_db.graph, batch_size=128, num_workers=4, coalesce=8
-    )
+    executor = MorselExecutor(boundary_db.graph, batch_size=128, num_workers=4)
     sizes = [len(batch) for batch in executor.execute(boundary_plan)]
     assert sizes, "plan should produce at least one batch"
     assert max(sizes) <= 128

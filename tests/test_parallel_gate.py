@@ -21,12 +21,10 @@ from repro.errors import QueryCancelledError, QueryTimeoutError
 from repro.query import executor as executor_module
 from repro.query.backends import fork_available
 from repro.query.executor import (
-    DEFAULT_COALESCE,
     PARALLEL_MIN_ICOST,
     Executor,
     MorselExecutor,
     effective_workers,
-    rows_in_flight,
 )
 from repro.query.operators import ExecutionStats
 from repro.query.pattern import QueryGraph
@@ -118,19 +116,16 @@ def test_handbuilt_plan_without_estimate_keeps_requested_parallelism(db):
 
 def test_inline_executor_uses_the_morsel_body_batch(db):
     plan = db.plan(_triangle())
+    # The gated-inline run and parallelism=1 get the same runner, so the
+    # same rows in flight (tests/test_rows_in_flight.py).
     inline = db._make_executor(db.graph, 2, None, plan)
-    assert type(inline) is Executor
-    # Rows in flight for a row sink: the morsel body's; a count-only sink
-    # gets one size on every runner (tests/test_rows_in_flight.py).
-    assert rows_in_flight(32, inline.coalesce, count_only=False) == 32 * DEFAULT_COALESCE
-    # The direct serial path and a MorselExecutor built by hand are untouched.
     direct = db._make_executor(db.graph, 1, None, plan)
-    assert type(direct) is Executor
-    assert rows_in_flight(32, direct.coalesce, count_only=False) == 32
+    assert type(inline) is type(direct) is Executor
+    assert inline.batch_size == direct.batch_size == 32
+    # A MorselExecutor built by hand is untouched.
     assert isinstance(db.executor(parallelism=2), MorselExecutor)
     forced = MorselExecutor(db.graph, batch_size=32, num_workers=2, backend="serial")
     assert forced.run(plan).stats.morsels_dispatched > 0
-    # What the inline runner emits is re-split to batch_size, as a morsel's is.
     assert all(len(batch) <= 32 for batch in inline.execute(plan))
 
 
@@ -277,8 +272,10 @@ def between_batches(monkeypatch):
     def install(action):
         plain = Executor.execute
 
-        def execute(self, plan, stats=None, runtime=None):
-            stream = plain(self, plan, stats=stats, runtime=runtime)
+        def execute(self, plan, stats=None, runtime=None, count_only=False):
+            stream = plain(
+                self, plan, stats=stats, runtime=runtime, count_only=count_only
+            )
             yield next(stream)
             action()
             yield from stream

@@ -537,13 +537,13 @@ def test_factorized_pipeline_times_suffix_stages():
     clock = FakeClock()
     stats = ExecutionStats()
     executor = Executor(db.graph, batch_size=db.batch_size, clock=clock)
-    count = CountSink().drain(executor.execute_factorized(plan, stats=stats))
+    count = CountSink().drain(executor.execute(plan, stats=stats, count_only=True))
     flat = ExecutionStats()
     flat_count = CountSink().drain(
         Executor(db.graph, batch_size=db.batch_size).execute(plan, stats=flat)
     )
     assert count == flat_count
-    factorized_labels = PipelineBuilder(plan).build(factorized=True).labels
+    factorized_labels = PipelineBuilder(plan).build(count_only=True).labels
     assert set(stats.operator_seconds) == set(factorized_labels)
     assert all(v > 0 for v in stats.operator_seconds.values())
 

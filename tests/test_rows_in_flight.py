@@ -3,7 +3,8 @@
 A run whose sink needs no rows (``count()``, ``run(factorized=True)``)
 carries ``COUNT_ONLY_COALESCE`` × ``batch_size`` rows per batch on the direct
 serial ``Executor``, the inline runner and the morsel bodies of every
-backend; a run whose sink needs rows keeps ``coalesce`` × ``batch_size``.
+backend; a run whose sink needs rows carries ``batch_size`` on every inline
+run and ``DEFAULT_COALESCE`` × ``batch_size`` in a morsel body.
 The scan stage's batch count (``operator_batches["0:scan"]``) over the
 150-vertex social graph, where every vertex passes the scan, says which size
 a run used.  None of it may change a count or a logical counter.
@@ -28,6 +29,7 @@ from repro.query.executor import (
 )
 from repro.query.operators import ExecutionStats, ScanVertices
 from repro.query.pattern import QueryGraph
+from repro.server import ServerConfig
 
 # The inline runner exists only under the real plan-cost gate.
 pytestmark = pytest.mark.production_gate
@@ -139,8 +141,27 @@ def test_row_sinks_keep_their_batch(db, scan_batch_rows, runner_name, sink):
     plan = db.plan(_social_query("two_hop", QUERIES["two_hop"]))
     runner = _runner(db, plan, runner_name)
     ROW_SINKS[sink](runner, plan)
-    coalesce = 1 if runner_name == "direct" else DEFAULT_COALESCE
+    coalesce = DEFAULT_COALESCE if runner_name == "thread" else 1
     assert scan_batch_rows and max(scan_batch_rows) == BATCH * coalesce
+
+
+def test_collect_carries_one_batch_on_every_inline_route(db, scan_batch_rows):
+    """``parallelism=1``, a ``parallelism=2`` run the gate keeps inline and
+    the server's inline ticket are one runner with one batch size."""
+    query = _social_query("two_hop", QUERIES["two_hop"])
+    widest, rows = {}, {}
+    with db.server(ServerConfig(parallelism=2, backend="thread")) as server:
+        for route, collect in (
+            ("direct", lambda: db.collect(query, parallelism=1)),
+            ("gated", lambda: db.collect(query, parallelism=2)),
+            ("server", lambda: server.collect(query)),
+        ):
+            scan_batch_rows.clear()
+            rows[route] = collect()
+            widest[route] = max(scan_batch_rows)
+        assert server.stats.snapshot()["inline"] == 1
+    assert widest == {"direct": BATCH, "gated": BATCH, "server": BATCH}
+    assert rows["gated"] == rows["server"] == rows["direct"]
 
 
 @pytest.mark.parametrize("batch_size", [1, 7, 1024])

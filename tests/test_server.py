@@ -557,6 +557,16 @@ def test_config_validation():
         ServerConfig(policy="drop-newest")
     with pytest.raises(ExecutionError):
         ServerConfig(default_timeout=0)
+    # Settings that used to pass here and fail later, one query at a time.
+    with pytest.raises(ExecutionError, match="'process', 'serial', 'thread'"):
+        ServerConfig(backend="threads")
+    with pytest.raises(ExecutionError, match="parallelism"):
+        ServerConfig(parallelism=0)
+    with pytest.raises(ExecutionError, match="breaker_threshold"):
+        ServerConfig(breaker_threshold=0)
+    with pytest.raises(ExecutionError, match="breaker_cooldown"):
+        ServerConfig(breaker_cooldown=-1.0)
+    ServerConfig(parallelism=1, backend=" Thread ", breaker_cooldown=0.0)
 
 
 def test_describe_mentions_server(example_db):
