@@ -3,7 +3,12 @@
 Loads 50% of a follower graph's edges, then inserts the remaining 50% one at a
 time through the :class:`~repro.index.maintenance.IndexMaintainer`, measuring
 the sustained insertion rate (edges/second) under five configurations of
-increasing maintenance work:
+increasing maintenance work.  Each scalar ``insert_edge`` is a one-row
+``insert_edges`` into the columnar delta buffer: the page-buffer update, the
+view predicate of every vertex-partitioned index and the two delta queries
+of every edge-partitioned index run per inserted edge, as in the paper's
+per-tuple measurement, and the final ``flush`` splices the buffered edges
+into every index.  The configurations:
 
 * ``Ds``       — flat primary index (no nested partitioning),
 * ``Dp``       — edge-label partitioning, unsorted lists,
@@ -114,14 +119,7 @@ def run_experiment(dataset: str) -> Dict[str, float]:
     rates = {}
     for config_name, descriptor in maintenance_configs().items():
         database = _configure_database(base, descriptor)
-        # The paper's experiment measures the *per-tuple* insertion cost
-        # (page-buffer update, per-edge predicate, per-edge delta queries),
-        # so this table pins the tuple-at-a-time buffering path; the columnar
-        # bulk path is benchmarked by bench_extend_throughput.py's
-        # ``maintenance`` scenario.
-        maintainer = database.maintainer(
-            merge_threshold=len(deltas) * 8, columnar=False
-        )
+        maintainer = database.maintainer(merge_threshold=len(deltas) * 8)
         started = time.perf_counter()
         for src, dst, label, props in deltas:
             maintainer.insert_edge(src, dst, label, **props)
@@ -165,7 +163,7 @@ def test_benchmark_insert_rate(benchmark, maintenance_setup, config_name):
     base, deltas = maintenance_setup
     descriptor = maintenance_configs()[config_name]
     database = _configure_database(base, descriptor)
-    maintainer = database.maintainer(merge_threshold=10**9, columnar=False)
+    maintainer = database.maintainer(merge_threshold=10**9)
     batch = deltas[:50]
     benchmark.extra_info["config"] = config_name
 

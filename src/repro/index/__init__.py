@@ -12,7 +12,7 @@ from .ddl import (
 )
 from .edge_partitioned import EdgePartitionedIndex
 from .index_store import AccessPath, IndexStore
-from .maintenance import ColumnarEdgeDelta, IndexMaintainer, MaintenanceStats, PendingEdge
+from .maintenance import ColumnarEdgeDelta, IndexMaintainer, MaintenanceStats
 from .primary import AdjacencyIndex, PrimaryIndex, ReconfigurationResult
 from .vertex_partitioned import VertexPartitionedIndex
 from .views import OneHopView, TwoHopView
@@ -31,7 +31,6 @@ __all__ = [
     "IndexStore",
     "MaintenanceStats",
     "OneHopView",
-    "PendingEdge",
     "PrimaryIndex",
     "ReconfigurationResult",
     "ReconfigurePrimaryCommand",

@@ -2,7 +2,7 @@
 
 GraphflowDB is read-optimized; updates are supported non-transactionally via
 buffered insertions/deletions merged into the indexes when the buffers fill
-(Section IV-C).  This module implements that design columnar-first:
+(Section IV-C).  This module implements that design with columnar buffers:
 
 * **Columnar delta store** — pending edge insertions are buffered as numpy
   arrays (src / dst / label code plus one raw-coded column per edge property,
@@ -44,12 +44,10 @@ buffered insertions/deletions merged into the indexes when the buffers fill
   graph, and the statistics are carried the same way
   (:meth:`GraphStatistics.updated`).  ``MaintenanceStats.describe()`` says
   where a flush spent its time, phase by phase.
-* **Equivalence oracles** — ``flush(incremental=False)`` keeps the
-  rebuild-from-scratch path; ``IndexMaintainer(..., columnar=False)`` keeps
-  the seed's tuple-at-a-time buffering (:class:`PendingEdge` rows, per-edge
-  predicate evaluation and delta probes).  Both serve as the baselines the
-  maintenance-throughput benchmark and the churn equivalence tests compare
-  against.
+* **Equivalence oracle** — ``flush(incremental=False)`` keeps the
+  rebuild-from-scratch path: the same materialized graph, every index built
+  anew by its from-scratch constructor.  The churn equivalence tests hold
+  every incremental flush byte-identical to it.
 
 Between flushes the buffered work faithfully models the per-insert cost that
 the paper's maintenance micro-benchmark (Section V-F) measures: primary page
@@ -97,7 +95,6 @@ from ..graph.types import (
     VERTEX_ID_DTYPE,
     PropertyType,
 )
-from ..predicates import Predicate
 from ..storage.csr import Splice, fold_group_ids, merge_sorted_runs
 from ..storage.intersect import intersect_segments
 from ..storage.sort_keys import sort_values_matrix
@@ -107,16 +104,6 @@ from .index_store import IndexStore
 from .primary import AdjacencyIndex, PrimaryIndex
 from .vertex_partitioned import VertexPartitionedIndex
 from .views import OneHopView
-
-
-@dataclass
-class PendingEdge:
-    """One buffered edge insertion (legacy tuple-at-a-time buffer)."""
-
-    src: int
-    dst: int
-    label: str
-    properties: Dict[str, object] = field(default_factory=dict)
 
 
 class ColumnarEdgeDelta:
@@ -252,32 +239,13 @@ class IndexMaintainer:
     Args:
         store: the :class:`IndexStore` whose indexes are being maintained.
         merge_threshold: number of buffered operations that triggers a merge.
-        columnar: buffer pending insertions columnar-ly (numpy delta arrays,
-            batched per-index delta work).  ``False`` keeps the seed's
-            tuple-at-a-time :class:`PendingEdge` buffering as a cost baseline;
-            the bulk APIs then raise.
-        incremental: merge buffered updates into the existing indexes with
-            the position splice instead of rebuilding from scratch.  Only
-            meaningful with ``columnar=True``; ``flush(incremental=False)``
-            forces the scratch rebuild (the equivalence oracle) per call.
     """
 
-    def __init__(
-        self,
-        store: IndexStore,
-        merge_threshold: int = 4096,
-        columnar: bool = True,
-        incremental: bool = True,
-    ) -> None:
+    def __init__(self, store: IndexStore, merge_threshold: int = 4096) -> None:
         self.store = store
         self.merge_threshold = merge_threshold
-        self.columnar = bool(columnar)
-        self.incremental = bool(incremental) and self.columnar
         self.stats = MaintenanceStats()
-        self._pending_edges: List[PendingEdge] = []
-        self._delta: Optional[ColumnarEdgeDelta] = (
-            ColumnarEdgeDelta(store.graph.schema) if self.columnar else None
-        )
+        self._delta = ColumnarEdgeDelta(store.graph.schema)
         self._tombstone_mask: Optional[np.ndarray] = None
         # Per-page update-buffer occupancy of the primary and secondary
         # vertex-partitioned indexes: (index name, page id) -> buffered count.
@@ -291,13 +259,10 @@ class IndexMaintainer:
         return self.store.graph
 
     def insert_edge(self, src: int, dst: int, label: str, **properties) -> None:
-        """Buffer one edge insertion and apply the per-index delta work."""
-        if not self.columnar:
-            self._insert_edge_rowwise(src, dst, label, properties)
-            return
+        """Buffer one edge insertion: a one-row :meth:`insert_edges`."""
         self.insert_edges(
-            np.asarray([src], dtype=np.int64),
-            np.asarray([dst], dtype=np.int64),
+            [src],
+            [dst],
             label,
             properties={name: [value] for name, value in properties.items()},
         )
@@ -312,21 +277,18 @@ class IndexMaintainer:
         """Buffer a batch of edge insertions with one pass per index.
 
         Args:
-            src / dst: endpoint vertex-ID arrays of equal length.
+            src / dst: endpoint vertex-ID arrays of equal length, of an
+                integer dtype (float and bool arrays are refused, not cast).
             labels: one edge-label name for the whole batch, or a sequence of
                 label names / codes aligned with ``src``.
             properties: mapping from edge-property name to an aligned value
                 sequence (``None`` entries are nulls); names not declared in
-                the schema are dropped, mirroring the scalar path.
+                the schema are dropped.
         """
-        if not self.columnar:
-            raise MaintenanceError(
-                "insert_edges requires a columnar maintainer (columnar=True)"
-            )
         graph = self.graph
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        if src.shape != dst.shape or src.ndim != 1:
+        src = _id_array(src, "src")
+        dst = _id_array(dst, "dst")
+        if src.shape != dst.shape:
             raise MaintenanceError("src and dst must be 1-D arrays of equal length")
         count = len(src)
         if count == 0:
@@ -345,7 +307,7 @@ class IndexMaintainer:
         if properties:
             for name, values in properties.items():
                 if not graph.schema.has_edge_property(name):
-                    continue  # unknown properties are dropped, as in the scalar path
+                    continue  # unknown properties are dropped
                 prop = graph.schema.edge_property(name)
                 prop_columns[name] = encode_raw_column(prop, values, count)
         self._delta.append(src, dst, label_codes, prop_columns)
@@ -381,13 +343,15 @@ class IndexMaintainer:
 
     def delete_edge(self, edge_id: int) -> None:
         """Add a tombstone for an existing edge; removed at the next merge."""
-        self.delete_edges(np.asarray([edge_id], dtype=np.int64))
+        self.delete_edges([edge_id])
 
     def delete_edges(self, edge_ids) -> None:
-        """Add tombstones for a batch of edges (one boolean-mask update)."""
-        ids = np.asarray(edge_ids, dtype=np.int64)
-        if ids.ndim != 1:
-            raise MaintenanceError("edge_ids must be a 1-D array")
+        """Add tombstones for a batch of edges (one boolean-mask update).
+
+        ``edge_ids`` are edge IDs of an integer dtype; a boolean mask or a
+        float array is refused, not cast.
+        """
+        ids = _id_array(edge_ids, "edge_ids")
         if len(ids) == 0:
             return
         if int(ids.min()) < 0 or int(ids.max()) >= self.graph.num_edges:
@@ -461,7 +425,7 @@ class IndexMaintainer:
                     return np.asarray(column, dtype=object)
                 return column
             # Pending edges have no IDs (or unknown properties) yet: a null
-            # column never satisfies a comparison, matching the scalar path.
+            # column never satisfies a comparison.
             return np.full(count, NULL_INT, dtype=np.int64)
 
         return provider
@@ -521,166 +485,27 @@ class IndexMaintainer:
         return probes
 
     # ------------------------------------------------------------------
-    # legacy tuple-at-a-time buffering (columnar=False cost baseline)
-    # ------------------------------------------------------------------
-    def _insert_edge_rowwise(
-        self, src: int, dst: int, label: str, properties: Dict[str, object]
-    ) -> None:
-        graph = self.graph
-        if not (0 <= src < graph.num_vertices) or not (0 <= dst < graph.num_vertices):
-            raise MaintenanceError(
-                f"edge endpoints ({src}, {dst}) out of range "
-                f"[0, {graph.num_vertices})"
-            )
-        if label not in graph.schema.edge_labels:
-            raise MaintenanceError(f"unknown edge label {label!r}")
-        pending = PendingEdge(src=src, dst=dst, label=label, properties=dict(properties))
-        self._pending_edges.append(pending)
-
-        # (1) primary indexes: buffer the insertion in the pages of u and v.
-        self._page_buffers[("primary-fw", src // PAGE_SIZE)] += 1
-        self._page_buffers[("primary-bw", dst // PAGE_SIZE)] += 1
-        self.stats.buffered_operations += 2
-
-        # (2) secondary vertex-partitioned indexes: run the view predicate on
-        #     the new edge; if it passes, buffer the offset-list update.
-        for index in self.store.vertex_indexes:
-            self.stats.secondary_predicate_evaluations += 1
-            if self._edge_passes_one_hop_view(pending, index):
-                bound = src if index.direction is Direction.FORWARD else dst
-                self._page_buffers[(index.name, bound // PAGE_SIZE)] += 1
-                self.stats.buffered_operations += 1
-
-        # (3) secondary edge-partitioned indexes: delta queries against the
-        #     existing adjacency (Section IV-C's "more involved" path).
-        for index in self.store.edge_indexes:
-            probes = self._edge_partitioned_delta_probes(pending, index)
-            self.stats.edge_partitioned_probes += probes
-            self.stats.buffered_operations += 1
-
-        self.stats.inserted_edges += 1
-        if self.stats.buffered_operations >= self.merge_threshold:
-            self.flush()
-
-    def _edge_passes_one_hop_view(
-        self, pending: PendingEdge, index: VertexPartitionedIndex
-    ) -> bool:
-        view = index.view
-        if view.edge_label is not None and view.edge_label != pending.label:
-            return False
-        if view.predicate.is_true:
-            return True
-        return self._evaluate_on_pending(view.predicate, pending)
-
-    def _evaluate_on_pending(self, predicate: Predicate, pending: PendingEdge) -> bool:
-        """Evaluate a view predicate on a not-yet-materialized edge."""
-        graph = self.graph
-        schema = graph.schema
-
-        def value_of(var: str, prop: str):
-            if var == "eadj":
-                if prop == "label":
-                    return schema.edge_label_code(pending.label)
-                value = pending.properties.get(prop)
-                if isinstance(value, str) and schema.has_edge_property(prop):
-                    prop_def = schema.edge_property(prop)
-                    if prop_def.is_categorical:
-                        return prop_def.code_of(value)
-                return value
-            vertex = pending.src if var == "vs" else pending.dst
-            if prop == "label":
-                return int(graph.vertex_labels[vertex])
-            if prop == "ID":
-                return vertex
-            return graph.vertex_props.raw_value(vertex, prop)
-
-        from ..predicates import Constant, PropertyRef, encode_constant
-
-        for comparison in predicate.conjuncts():
-            comparison = comparison.normalized()
-            left = comparison.left
-            right = comparison.right
-            left_value = (
-                value_of(left.var, left.prop)
-                if isinstance(left, PropertyRef)
-                else left.value
-            )
-            if isinstance(right, PropertyRef):
-                right_value = value_of(right.var, right.prop)
-            else:
-                right_value = right.value
-                if isinstance(right_value, str) and isinstance(left, PropertyRef):
-                    kind = "edge" if left.var == "eadj" else "vertex"
-                    try:
-                        right_value = encode_constant(self.graph, left, kind, right_value)
-                    except Exception:
-                        pass
-            if left_value is None or right_value is None:
-                return False
-            if not comparison.op.apply(left_value, right_value):
-                return False
-        return True
-
-    def _edge_partitioned_delta_probes(
-        self, pending: PendingEdge, index: EdgePartitionedIndex
-    ) -> int:
-        """Run the two delta queries of an edge-partitioned index insertion.
-
-        Returns the number of candidate adjacent edges probed, which is the
-        dominant maintenance cost of edge-partitioned indexes and the reason
-        their update rates are an order of magnitude lower in Section V-F.
-        """
-        graph = self.graph
-        adjacency = index.adjacency
-        # Delta query 1: existing bound edges whose lists may gain the new edge.
-        # For Destination-FW, those are edges whose destination equals the new
-        # edge's source, i.e. the backward adjacency of ``src`` (and so on for
-        # the other adjacency types).
-        if adjacency.bound_endpoint_is_destination:
-            shared_for_existing = pending.src if adjacency.adjacency_direction is Direction.FORWARD else pending.dst
-            candidate_bounds, _ = self.store.primary.backward.list(shared_for_existing)
-        else:
-            shared_for_existing = pending.src if adjacency.adjacency_direction is Direction.FORWARD else pending.dst
-            candidate_bounds, _ = self.store.primary.forward.list(shared_for_existing)
-        probes = len(candidate_bounds)
-
-        # Delta query 2: build the new edge's own adjacency list by scanning
-        # the adjacency of its shared vertex.
-        shared_vertex = pending.dst if adjacency.bound_endpoint_is_destination else pending.src
-        adjacent_primary = self.store.primary.for_direction(adjacency.adjacency_direction)
-        adjacent_edges, _ = adjacent_primary.list(shared_vertex)
-        probes += len(adjacent_edges)
-        return probes
-
-    # ------------------------------------------------------------------
     # merging
     # ------------------------------------------------------------------
-    def flush(self, incremental: Optional[bool] = None) -> None:
+    def flush(self, incremental: bool = True) -> None:
         """Merge all buffered updates into the graph and every index.
 
         Args:
-            incremental: override the maintainer's merge strategy for this
-                flush.  ``True`` splices the sorted delta into every index's
-                existing entries; ``False`` rebuilds the graph arrays and all
-                indexes from scratch (the equivalence oracle).  Defaults to
-                the maintainer's ``incremental`` setting.
+            incremental: ``True`` (the default) splices the sorted delta into
+                every index's existing entries; ``False`` rebuilds all
+                indexes from scratch over the same materialized graph (the
+                equivalence oracle).
         """
-        if incremental is None:
-            incremental = self.incremental
-        pending_count = len(self._delta) if self.columnar else len(self._pending_edges)
         has_tombstones = self._tombstone_mask is not None and bool(
             self._tombstone_mask.any()
         )
-        if not pending_count and not has_tombstones:
+        if not len(self._delta) and not has_tombstones:
             self._reset_buffers()
             return
         started = time.perf_counter()
         with self.stats.phase("materialize"):
-            if self.columnar:
-                new_graph, keep, new_id_of_old, num_kept = self._materialize_columnar()
-            else:
-                new_graph = self._materialize_graph()
-        if self.columnar and incremental:
+            new_graph, keep, new_id_of_old, num_kept = self._materialize_columnar()
+        if incremental:
             self._merge_indexes(new_graph, keep, new_id_of_old, num_kept)
         else:
             self._rebuild_indexes(new_graph)
@@ -689,9 +514,7 @@ class IndexMaintainer:
         self.stats.merge_seconds += time.perf_counter() - started
 
     def _reset_buffers(self) -> None:
-        self._pending_edges.clear()
-        if self.columnar:
-            self._delta = ColumnarEdgeDelta(self.store.graph.schema)
+        self._delta = ColumnarEdgeDelta(self.store.graph.schema)
         self._tombstone_mask = None
         self._page_buffers.clear()
         self.stats.buffered_operations = 0
@@ -1135,50 +958,7 @@ class IndexMaintainer:
             name=old_index.name,
         )
 
-    # -- scratch rebuild (legacy materialization + oracle) ---------------
-    def _materialize_graph(self) -> PropertyGraph:
-        graph = self.graph
-        schema = graph.schema
-        keep = self._keep_mask()
-
-        new_src = [int(s) for s in graph.edge_src[keep]]
-        new_dst = [int(d) for d in graph.edge_dst[keep]]
-        new_labels = [int(l) for l in graph.edge_labels[keep]]
-        kept_old = np.nonzero(keep)[0]
-
-        for pending in self._pending_edges:
-            new_src.append(pending.src)
-            new_dst.append(pending.dst)
-            new_labels.append(schema.edge_label_code(pending.label))
-
-        edge_store = PropertyStore(schema, "edge")
-        edge_store.set_count(len(new_src))
-        for name in schema.edge_property_names:
-            prop_def = schema.edge_property(name)
-            old_column = graph.edge_props.column(name)
-            if isinstance(old_column, list):
-                values = [old_column[int(i)] for i in kept_old]
-            else:
-                values = list(old_column[kept_old])
-            for pending in self._pending_edges:
-                raw = pending.properties.get(name)
-                if raw is not None and isinstance(raw, str) and prop_def.is_categorical:
-                    raw = prop_def.code_of(raw)
-                values.append(raw if raw is not None else None)
-            # Re-coded values are already integers; nulls handled by set_column.
-            decoded = [None if _is_null(v, prop_def) else v for v in values]
-            edge_store.set_column(name, decoded)
-
-        return PropertyGraph(
-            schema=schema,
-            vertex_labels=graph.vertex_labels.copy(),
-            edge_src=np.asarray(new_src, dtype=np.int32),
-            edge_dst=np.asarray(new_dst, dtype=np.int32),
-            edge_labels=np.asarray(new_labels, dtype=np.int32),
-            vertex_props=graph.vertex_props,
-            edge_props=edge_store,
-        )
-
+    # -- scratch rebuild (the equivalence oracle) ------------------------
     def _rebuild_indexes(self, new_graph: PropertyGraph) -> None:
         store = self.store
         phase = self.stats.phase
@@ -1223,16 +1003,20 @@ class IndexMaintainer:
             )
 
 
-def _is_null(value, prop_def) -> bool:
-    """True if a raw column value represents null for the given property."""
-    from ..graph.types import NULL_CATEGORY, NULL_INT
 
-    if value is None:
-        return True
-    if isinstance(value, float):
-        return value != value  # NaN
-    if prop_def.is_categorical and value == NULL_CATEGORY:
-        return True
-    if not prop_def.is_categorical and value == NULL_INT:
-        return True
-    return False
+def _id_array(values, name: str) -> np.ndarray:
+    """``values`` as a 1-D int64 array of vertex or edge IDs.
+
+    Float and bool dtypes (or any other non-integer one) are refused rather
+    than cast: ``0.7`` would truncate to vertex 0 and a boolean mask would
+    read as IDs 0 and 1.  An empty input is accepted whatever its dtype
+    (``np.asarray([])`` is float64).
+    """
+    ids = np.asarray(values)
+    if ids.ndim != 1:
+        raise MaintenanceError(f"{name} must be a 1-D array")
+    if len(ids) and ids.dtype.kind not in "iu":
+        raise MaintenanceError(
+            f"{name} must hold integer IDs, got dtype {ids.dtype}"
+        )
+    return ids.astype(np.int64, copy=False)

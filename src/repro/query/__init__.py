@@ -47,13 +47,13 @@ inside a morsel (one on every inline run), and a count-only run
 (``count()``, ``run(factorized=True)``) carries
 :data:`~repro.query.executor.COUNT_ONLY_COALESCE` of them on every runner.
 
-**Determinism guarantee:** for any ``parallelism``, backend, morsel
-weighting, morsel size, and rows in flight, the produced matches,
-their order, and the execution statistics are byte-identical to the serial
-run (``parallelism=1``, which is kept as the oracle).  This holds because
-every operator emits output rows in input-row order and the batch kernels
-are row-segmented, so batch and morsel boundaries can never change *what* is
-produced, only how it is grouped into batches in flight.
+**Determinism guarantee:** for any ``parallelism``, backend, morsel size,
+and rows in flight, the produced matches, their order, and the execution
+statistics are byte-identical to the serial run (``parallelism=1``, which
+is kept as the oracle).  This holds because every operator emits output
+rows in input-row order and the batch kernels are row-segmented, so batch
+and morsel boundaries can never change *what* is produced, only how it is
+grouped into batches in flight.
 
 Fault-tolerant runtime
 ----------------------

@@ -273,18 +273,8 @@ class Database:
     def optimizer(self) -> Optimizer:
         return Optimizer(self.store)
 
-    def maintainer(
-        self,
-        merge_threshold: int = 4096,
-        columnar: bool = True,
-        incremental: bool = True,
-    ) -> IndexMaintainer:
-        return IndexMaintainer(
-            self.store,
-            merge_threshold=merge_threshold,
-            columnar=columnar,
-            incremental=incremental,
-        )
+    def maintainer(self, merge_threshold: int = 4096) -> IndexMaintainer:
+        return IndexMaintainer(self.store, merge_threshold=merge_threshold)
 
     # ------------------------------------------------------------------
     # index management
@@ -662,8 +652,8 @@ class Database:
             "  in ascending range order.  Determinism contract: matches, "
             "order, and stats\n"
             "  are byte-identical to the serial run for every backend, "
-            "weighting, morsel\n"
-            "  size, and worker count."
+            "morsel size,\n"
+            "  and worker count."
         )
         lines.append(
             "Factorized execution (aggregate pushdown):\n"

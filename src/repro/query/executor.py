@@ -33,15 +33,17 @@ The dispatcher is split along two orthogonal axes:
   whoever constructs it shuts it down — the dispatcher, for a backend
   given by name (one pool per query), or the caller that passed in an
   instance (the server's leased pools, which outlive their queries);
-* **how the domain is cut** — a weighting strategy from
-  :mod:`repro.query.morsels`: ``degree`` (the default) prefix-sums the
-  primary index's CSR list lengths so each morsel carries roughly equal
-  *adjacency work*, which is what balances Zipf-skewed graphs; ``even``
-  cuts equal vertex-count ranges (the PR 4 behaviour).  Degree weighting
-  over-partitions (``STEAL_SPLIT_FACTOR`` × more, smaller morsels) so idle
-  workers keep pulling queued morsels while a heavy one is in flight —
-  bounded work-stealing through the pool's queue, with the in-flight window
-  capping buffered results.
+* **how the domain is cut** — by degree
+  (:func:`~repro.query.morsels.degree_weighted_ranges`): the primary
+  index's CSR list lengths are prefix-summed so each morsel carries roughly
+  equal *adjacency work*, which is what balances Zipf-skewed graphs (each
+  vertex also weighs one unit for the scan, so a domain without adjacency
+  work is cut into equal vertex-count ranges).  The cut over-partitions
+  (``STEAL_SPLIT_FACTOR`` × more, smaller morsels) so idle workers keep
+  pulling queued morsels while a heavy one is in flight — bounded
+  work-stealing through the pool's queue, with the in-flight window capping
+  buffered results.  An explicit ``morsel_size`` cuts fixed-size ranges
+  instead, for boundary cases.
 
 **One stream switch.**  The entry points of :class:`PlanRunner` decide
 once which stream a run needs, from the sink (``needs_rows``), the plan
@@ -71,7 +73,7 @@ row-segmented), so the concatenation of per-morsel outputs in ascending
 range order is *byte-identical* to the serial executor's output — same match
 rows in the same order, and, because every stats counter is per-row
 accounting, identical :class:`~repro.query.operators.ExecutionStats` — for
-**every** backend × weighting × morsel size × worker count combination.
+**every** backend × morsel cut × worker count combination.
 ``parallelism=1`` (the default everywhere) bypasses the dispatcher entirely
 and remains the oracle the parallel paths are tested against
 (``tests/test_backend_equivalence.py``).
@@ -125,7 +127,7 @@ from .backends import (
 )
 from .binding import DEFAULT_BATCH_SIZE
 from .faults import FAULTS_ENV_VAR, FaultPlan
-from .morsels import degree_weighted_ranges, even_ranges, ranges_of_size
+from .morsels import degree_weighted_ranges, ranges_of_size
 from .operators import ExecutionContext, ExecutionStats, ScanVertices
 from .pipeline import (
     CountSink,
@@ -211,14 +213,14 @@ def describe_execution(plan: QueryPlan) -> str:
 
 
 #: Serial-sized batches coalesced into one in-flight batch inside a morsel,
-#: for runs whose sink needs rows.  Larger batches
-#: amortize the per-kernel-call Python overhead (one gather / one
-#: ``intersect_segments`` call covers ``coalesce`` × ``batch_size`` rows),
-#: but a row-producing extension materializes rows × fan-out: past ~2 its
+#: for runs whose sink needs rows.  Larger batches amortize the
+#: per-kernel-call Python overhead (one gather / one ``intersect_segments``
+#: call covers ``DEFAULT_COALESCE`` × ``batch_size`` rows), but a
+#: row-producing extension materializes rows × fan-out: past ~2 its
 #: intermediates outgrow the caches and the kernels slow down more than the
-#: amortization saves (measured on the two-leg WCOJ shape of
-#: ``benchmarks/bench_extend_throughput.py``), and the flat oracle's peak
-#: memory grows with it.
+#: amortization saves (measured on the two-leg worst-case-optimal join of
+#: the directed triangle a→c, a→b, c→b), and the flat oracle's peak memory
+#: grows with it.
 DEFAULT_COALESCE = 2
 
 #: Serial-sized batches per in-flight batch, at least, when the sink needs
@@ -518,10 +520,6 @@ MORSEL_WINDOW_PER_WORKER = 2
 #: pool.
 MAX_MORSEL_RETRIES = 2
 
-#: Morsel weighting strategies accepted by :class:`MorselExecutor`.
-WEIGHTINGS = ("degree", "even")
-
-
 class MorselExecutor(PlanRunner):
     """Morsel-driven parallel plan execution with deterministic merge order.
 
@@ -536,10 +534,10 @@ class MorselExecutor(PlanRunner):
             ``parallelism`` is a ceiling — plans under
             :data:`PARALLEL_MIN_ICOST` run inline — so construct a
             ``MorselExecutor`` to force dispatch.
-        morsel_size: vertices per morsel.  ``None`` (the default) derives
-            morsels from ``weighting``; an explicit size forces fixed-size
-            even ranges regardless of weighting — the boundary-case knob
-            (single-vertex morsels, morsels smaller than a batch).
+        morsel_size: vertices per morsel.  ``None`` (the default) cuts
+            degree-weighted morsels; an explicit size forces fixed-size
+            even ranges — the boundary-case knob (single-vertex morsels,
+            morsels smaller than a batch).
         backend: where morsel bodies run — a name from
             :data:`~repro.query.backends.BACKENDS` (``"serial"``,
             ``"thread"``, ``"process"``; each query starts a pool of its
@@ -547,9 +545,6 @@ class MorselExecutor(PlanRunner):
             :class:`~repro.query.backends.MorselBackend` instance (only
             opened — which starts it if it is not — and closed; its owner
             shuts it down).
-        weighting: how the scan domain is cut — ``"degree"`` (equal
-            adjacency work per morsel, prefix-summed from the primary CSR
-            offsets; the default) or ``"even"`` (equal vertex counts).
         max_retries: re-submissions of a morsel lost to a worker failure
             before the dispatcher degrades to in-process serial re-execution
             of the range (``0`` = straight to the serial fallback).
@@ -574,7 +569,6 @@ class MorselExecutor(PlanRunner):
         num_workers: int = 4,
         morsel_size: Optional[int] = None,
         backend: Union[str, MorselBackend] = DEFAULT_BACKEND,
-        weighting: str = "degree",
         max_retries: int = MAX_MORSEL_RETRIES,
         morsel_timeout: Optional[float] = None,
         fault_plan: Union[None, str, FaultPlan] = None,
@@ -588,11 +582,6 @@ class MorselExecutor(PlanRunner):
             raise ExecutionError(f"morsel_size must be >= 1, got {morsel_size}")
         if not isinstance(backend, MorselBackend):
             resolve_backend(backend)
-        if weighting not in WEIGHTINGS:
-            raise ExecutionError(
-                f"unknown morsel weighting {weighting!r}; "
-                f"available: {sorted(WEIGHTINGS)}"
-            )
         if max_retries < 0:
             raise ExecutionError(f"max_retries must be >= 0, got {max_retries}")
         if morsel_timeout is not None and morsel_timeout < 0:
@@ -607,7 +596,6 @@ class MorselExecutor(PlanRunner):
         self.num_workers = int(num_workers)
         self.morsel_size = None if morsel_size is None else int(morsel_size)
         self.backend = backend
-        self.weighting = weighting
         self.max_retries = int(max_retries)
         self.morsel_timeout = morsel_timeout
         self.fault_plan = fault_plan
@@ -663,10 +651,10 @@ class MorselExecutor(PlanRunner):
 
         The ranges partition the leading scan's domain in ascending order;
         concatenating per-range outputs in list order therefore reproduces
-        the serial scan order — regardless of whether the cuts are even or
-        degree-weighted.  An explicit ``vertex_range`` on the plan's scan is
-        respected (the morsels partition that sub-range), and an explicit
-        ``morsel_size`` forces fixed-size ranges.
+        the serial scan order — regardless of whether the cuts are
+        degree-weighted or fixed-size.  An explicit ``vertex_range`` on the
+        plan's scan is respected (the morsels partition that sub-range), and
+        an explicit ``morsel_size`` forces fixed-size ranges.
         """
         scan = plan.operators[0]
         assert isinstance(scan, ScanVertices)
@@ -675,13 +663,10 @@ class MorselExecutor(PlanRunner):
             return []
         if self.morsel_size is not None:
             return ranges_of_size(lo, hi, self.morsel_size)
-        target = self.num_workers * MORSELS_PER_WORKER
-        if self.weighting == "even":
-            return even_ranges(lo, hi, target)
         return degree_weighted_ranges(
             lo,
             hi,
-            target * STEAL_SPLIT_FACTOR,
+            self.num_workers * MORSELS_PER_WORKER * STEAL_SPLIT_FACTOR,
             self._domain_weights(plan, lo, hi),
         )
 

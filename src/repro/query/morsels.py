@@ -10,12 +10,13 @@ in list order reproduces the serial scan order no matter which splitter
 produced the ranges.  Splitting is a pure function of the domain and the
 weights; it never changes which rows a plan produces.
 
-Two strategies:
+The dispatcher cuts with :func:`degree_weighted_ranges`, or with
+:func:`ranges_of_size` when a fixed morsel size is asked for:
 
-* :func:`even_ranges` — equal *vertex-count* ranges (the PR 4 behaviour).
-  Fine for uniform-degree graphs, but on skewed graphs a range that happens
-  to contain the heavy hubs carries a disproportionate share of the
-  adjacency work and becomes the straggler.
+* :func:`even_ranges` — equal *vertex-count* ranges, the fallback of the
+  weighted splitter when the domain carries no work signal.  On skewed
+  graphs a range that happens to contain the heavy hubs carries a
+  disproportionate share of the adjacency work and becomes the straggler.
 * :func:`degree_weighted_ranges` — equal *work* ranges.  Each vertex gets a
   weight (its adjacency-list length read off the primary CSR offsets, plus a
   constant for the scan itself); the prefix sum of the weights is cut at

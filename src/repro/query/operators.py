@@ -53,9 +53,10 @@ and one fetch per *distinct* bound key of the batch where keys repeat.  The
 logical counters charge every row its own list on every one of these paths.
 
 ``vectorized=False`` on the extension operators selects the legacy
-tuple-at-a-time path; it is kept as the equivalence oracle and as the
-baseline of ``benchmarks/bench_extend_throughput.py``.  Both paths produce
-byte-identical batches and :class:`ExecutionStats` counters.
+tuple-at-a-time path; it is kept only as the equivalence oracle the
+batch, logical-counter and pipeline differential tests compare against.
+Both paths produce byte-identical batches and :class:`ExecutionStats`
+counters.
 """
 
 from __future__ import annotations

@@ -27,10 +27,6 @@ from repro.query.naive import NaiveMatcher
 def pytest_configure(config):
     config.addinivalue_line(
         "markers",
-        "perf: opt-in perf-regression benchmarks (set RUN_PERF_BENCH=1 to run)",
-    )
-    config.addinivalue_line(
-        "markers",
         "fuzz: slow cross-backend differential fuzz cases, run nightly on "
         "CI as advisory (set RUN_FUZZ=1 to run locally)",
     )

@@ -2,10 +2,10 @@
 
 The determinism contract of the backend-pluggable dispatcher: for every
 query of the zoo, every seeded graph shape (uniform, Zipf-skewed, star,
-empty), every backend (``serial``, ``thread``, ``process``) and every morsel
-weighting (``even``, ``degree``), the produced matches, their order, and the
-:class:`~repro.query.operators.ExecutionStats` are **identical** to the
-serial executor's (``parallelism=1``), which itself agrees with the naive
+empty), every backend (``serial``, ``thread``, ``process``) and both morsel
+cuts (``degree``-weighted, ``fixed``-size), the produced matches, their order,
+and the :class:`~repro.query.operators.ExecutionStats` are **identical** to
+the serial executor's (``parallelism=1``), which itself agrees with the naive
 backtracking oracle.
 
 A small always-on subset keeps the contract pinned in tier-1; the full
@@ -28,7 +28,10 @@ from repro.query.executor import Executor
 from repro.query.naive import NaiveMatcher
 
 BACKEND_NAMES = ("serial", "thread", "process")
-WEIGHTING_NAMES = ("even", "degree")
+#: Morsel cuts: name -> ``morsel_size``.  ``None`` is the default
+#: degree-weighted cut; a size cuts fixed equal vertex-count ranges, about
+#: eight morsels on these 60-80-vertex graphs.
+MORSEL_CUTS = {"degree": None, "fixed": 10}
 
 fuzz = pytest.mark.skipif(
     os.environ.get("RUN_FUZZ") != "1",
@@ -174,9 +177,8 @@ def check_combo(
     seed: int,
     shape: str,
     backend: str,
-    weighting: str,
-    num_workers: int = 2,
     morsel_size=None,
+    num_workers: int = 2,
 ):
     db, plan, serial = _baseline(graph_key, seed, shape)
     executor = MorselExecutor(
@@ -185,32 +187,31 @@ def check_combo(
         num_workers=num_workers,
         morsel_size=morsel_size,
         backend=backend,
-        weighting=weighting,
     )
     result = executor.run(plan, materialize=True)
-    context = f"{graph_key}/seed{seed}/{shape}/{backend}/{weighting}"
+    context = f"{graph_key}/seed{seed}/{shape}/{backend}/size={morsel_size}"
     assert result.count == serial.count, context
     assert result.matches == serial.matches, context
     assert _stats_dict(result.stats) == _stats_dict(serial.stats), context
 
 
 # ----------------------------------------------------------------------
-# tier-1 smoke subset: full backend × weighting matrix on two graph shapes
+# tier-1 smoke subset: full backend × morsel-cut matrix on two graph shapes
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("weighting", WEIGHTING_NAMES)
+@pytest.mark.parametrize("cut", sorted(MORSEL_CUTS))
 @pytest.mark.parametrize("backend", BACKEND_NAMES)
 @pytest.mark.parametrize("graph_key", ["zipf", "star"])
-def test_smoke_matrix_triangle(graph_key, backend, weighting):
-    check_combo(graph_key, 3, "triangle", backend, weighting)
+def test_smoke_matrix_triangle(graph_key, backend, cut):
+    check_combo(graph_key, 3, "triangle", backend, MORSEL_CUTS[cut])
 
 
 @pytest.mark.parametrize("backend", BACKEND_NAMES)
 def test_smoke_empty_graph(backend):
-    check_combo("empty", 3, "one_leg", backend, "degree")
+    check_combo("empty", 3, "one_leg", backend)
 
 
 def test_smoke_single_vertex_morsels_process_backend():
-    check_combo("star", 3, "one_leg", "process", "even", morsel_size=1)
+    check_combo("star", 3, "one_leg", "process", morsel_size=1)
 
 
 # ----------------------------------------------------------------------
@@ -218,7 +219,7 @@ def test_smoke_single_vertex_morsels_process_backend():
 # ----------------------------------------------------------------------
 @fuzz
 @pytest.mark.fuzz
-@pytest.mark.parametrize("weighting", WEIGHTING_NAMES)
+@pytest.mark.parametrize("cut", sorted(MORSEL_CUTS))
 @pytest.mark.parametrize("backend", BACKEND_NAMES)
 @pytest.mark.parametrize("shape", sorted(ZOO))
 @pytest.mark.parametrize(
@@ -233,8 +234,8 @@ def test_smoke_single_vertex_morsels_process_backend():
         ("empty", 0),
     ],
 )
-def test_fuzz_matrix(graph_key, seed, shape, backend, weighting):
-    check_combo(graph_key, seed, shape, backend, weighting)
+def test_fuzz_matrix(graph_key, seed, shape, backend, cut):
+    check_combo(graph_key, seed, shape, backend, MORSEL_CUTS[cut])
 
 
 @fuzz
@@ -242,10 +243,8 @@ def test_fuzz_matrix(graph_key, seed, shape, backend, weighting):
 @pytest.mark.parametrize("morsel_size", [1, 7, 1000])
 @pytest.mark.parametrize("backend", BACKEND_NAMES)
 def test_fuzz_morsel_boundaries(backend, morsel_size):
-    check_combo("zipf", 17, "triangle", backend, "even", morsel_size=morsel_size)
-    check_combo(
-        "star", 0, "three_leg_clique", backend, "degree", morsel_size=morsel_size
-    )
+    check_combo("zipf", 17, "triangle", backend, morsel_size)
+    check_combo("star", 0, "three_leg_clique", backend, morsel_size)
 
 
 @fuzz
@@ -253,4 +252,4 @@ def test_fuzz_morsel_boundaries(backend, morsel_size):
 def test_fuzz_four_workers_match_two(
 ):
     for backend in BACKEND_NAMES:
-        check_combo("zipf", 92, "triangle", backend, "degree", num_workers=4)
+        check_combo("zipf", 92, "triangle", backend, num_workers=4)

@@ -10,7 +10,8 @@ Covers the maintenance-churn guarantees of the columnar update path:
   four index kinds (primary forward/backward, secondary vertex-partitioned,
   secondary edge-partitioned) and their configurations;
 * engine-vs-naive query equivalence on the mutated graph;
-* bulk APIs vs scalar wrappers vs the legacy tuple-at-a-time buffering.
+* bulk APIs vs scalar wrappers, against a database built from scratch over
+  the expected edge list and against the per-edge counting rule.
 """
 
 import os
@@ -20,7 +21,9 @@ import pytest
 
 from repro import Database, Direction, EdgeAdjacencyType
 from repro.errors import MaintenanceError
-from repro.graph.generators import FinancialGraphSpec, generate_financial_graph
+from repro.graph.generators import CURRENCIES, FinancialGraphSpec, generate_financial_graph
+from repro.graph.graph import PropertyGraph
+from repro.graph.property_store import PropertyStore
 from repro.graph.statistics import GraphStatistics
 from repro.index.config import IndexConfig
 from repro.index.views import OneHopView, TwoHopView
@@ -671,12 +674,57 @@ class TestQueryEquivalenceAfterChurn:
         assert db.count(query) == NaiveMatcher(db.graph).count(query)
 
 
+def graph_from_edge_list(like, edges):
+    """A graph over ``like``'s vertices holding exactly ``edges``.
+
+    ``edges`` is a list of ``(src, dst, label name, {property: value})``
+    with user-level values (``None`` for null, category names for
+    categoricals), stored one value at a time through
+    ``PropertyStore.set_value``: a reference assembled without the
+    maintainer's columnar materialization.
+    """
+    schema = like.schema
+    edge_props = PropertyStore(schema, "edge")
+    edge_props.set_count(len(edges))
+    for edge_id, (_, _, _, values) in enumerate(edges):
+        for name in schema.edge_property_names:
+            edge_props.set_value(edge_id, name, values.get(name))
+    return PropertyGraph(
+        schema=schema,
+        vertex_labels=like.vertex_labels.copy(),
+        edge_src=np.array([edge[0] for edge in edges], dtype=like.edge_src.dtype),
+        edge_dst=np.array([edge[1] for edge in edges], dtype=like.edge_dst.dtype),
+        edge_labels=np.array(
+            [schema.edge_label_code(edge[2]) for edge in edges], dtype=np.int32
+        ),
+        vertex_props=like.vertex_props,
+        edge_props=edge_props,
+    )
+
+
+def user_level_batch(rng, count):
+    """``random_batch`` as user-level values, with one null amount, one null
+    currency and every other currency given by its category name."""
+    src, dst, props = random_batch(rng, 60, count)
+    amt = [None] + [int(value) for value in props["amt"][1:]]
+    date = [int(value) for value in props["date"]]
+    currency = [CURRENCIES[int(code)] for code in props["currency"]]
+    currency[3] = None
+    return [int(v) for v in src], [int(v) for v in dst], dict(
+        amt=amt, date=date, currency=currency
+    )
+
+
 class TestBulkVsScalarVsLegacy:
+    """Bulk and scalar buffering against references kept outside the
+    maintainer: a database built from scratch over the expected edge list,
+    and the per-edge counting rule of Section IV-C."""
+
     def test_three_buffering_paths_produce_identical_state(self):
         graph = small_financial_graph(num_edges=120)
         rng = np.random.default_rng(17)
-        src, dst, props = random_batch(rng, 60, 30)
-        deletes = np.array([2, 40, 41, 99])
+        src, dst, props = user_level_batch(rng, 30)
+        deletes = [2, 40, 41, 99]
 
         db_bulk = database_with_secondary_indexes(graph)
         bulk = db_bulk.maintainer(merge_threshold=10**9)
@@ -688,52 +736,75 @@ class TestBulkVsScalarVsLegacy:
         scalar = db_scalar.maintainer(merge_threshold=10**9)
         for i in range(len(src)):
             scalar.insert_edge(
-                int(src[i]), int(dst[i]), "Wire",
-                amt=int(props["amt"][i]), date=int(props["date"][i]),
-                currency=int(props["currency"][i]),
+                src[i], dst[i], "Wire", **{name: values[i] for name, values in props.items()}
             )
         for edge_id in deletes:
-            scalar.delete_edge(int(edge_id))
+            scalar.delete_edge(edge_id)
         scalar.flush()
 
-        db_legacy = database_with_secondary_indexes(graph)
-        legacy = db_legacy.maintainer(merge_threshold=10**9, columnar=False)
-        assert not legacy.incremental
-        for i in range(len(src)):
-            legacy.insert_edge(
-                int(src[i]), int(dst[i]), "Wire",
-                amt=int(props["amt"][i]), date=int(props["date"][i]),
-                currency=int(props["currency"][i]),
+        # The expected edge list: the surviving old edges in ID order, then
+        # the inserted ones in insertion order.
+        names = graph.schema.edge_property_names
+        expected = [
+            (
+                int(graph.edge_src[e]),
+                int(graph.edge_dst[e]),
+                graph.edge_label_name(e),
+                {name: graph.edge_property(e, name) for name in names},
             )
-        for edge_id in deletes:
-            legacy.delete_edge(int(edge_id))
-        legacy.flush()
+            for e in range(graph.num_edges)
+            if e not in deletes
+        ]
+        expected += [
+            (src[i], dst[i], "Wire", {name: values[i] for name, values in props.items()})
+            for i in range(len(src))
+        ]
+        db_scratch = database_with_secondary_indexes(graph_from_edge_list(graph, expected))
+        assert db_scratch.graph.edge_property(graph.num_edges - len(deletes), "amt") is None
 
-        assert_stores_identical(db_bulk, db_scalar)
-        assert_stores_identical(db_bulk, db_legacy)
+        assert_stores_identical(db_bulk, db_scratch)
+        assert_stores_identical(db_scalar, db_scratch)
 
     def test_stats_match_legacy_counting(self):
+        """The counters follow the per-edge rule, whichever way the edges
+        were buffered.  Per pending edge ``(u, v)``: two primary page-buffer
+        updates; per vertex-partitioned index one predicate evaluation, plus
+        one buffered update when the edge is in the view (BigWire:
+        ``amt > 500``, a null amount never is); per edge-partitioned index
+        one buffered update and, as probes, the lengths of the lists its two
+        delta queries read.  For EPd (Destination-FW: a bound edge lists the
+        edges leaving its destination) those are the bound edges ending at
+        ``u`` (``backward.list(u)``) and the pending edge's own list, the
+        edges leaving ``v`` (``forward.list(v)``)."""
         graph = small_financial_graph(num_edges=120)
-        db_a = database_with_secondary_indexes(graph)
-        db_b = database_with_secondary_indexes(graph)
-        bulk = db_a.maintainer(merge_threshold=10**9)
-        legacy = db_b.maintainer(merge_threshold=10**9, columnar=False)
         rng = np.random.default_rng(19)
-        src, dst, props = random_batch(rng, 60, 12)
+        src, dst, props = user_level_batch(rng, 12)
+
+        db_bulk = database_with_secondary_indexes(graph)
+        bulk = db_bulk.maintainer(merge_threshold=10**9)
         bulk.insert_edges(src, dst, "Wire", properties=props)
+        scalar = database_with_secondary_indexes(graph).maintainer(merge_threshold=10**9)
         for i in range(len(src)):
-            legacy.insert_edge(
-                int(src[i]), int(dst[i]), "Wire",
-                amt=int(props["amt"][i]), date=int(props["date"][i]),
-                currency=int(props["currency"][i]),
+            scalar.insert_edge(
+                src[i], dst[i], "Wire", **{name: values[i] for name, values in props.items()}
             )
-        for stat in (
-            "inserted_edges",
-            "buffered_operations",
-            "secondary_predicate_evaluations",
-            "edge_partitioned_probes",
-        ):
-            assert getattr(bulk.stats, stat) == getattr(legacy.stats, stat), stat
+
+        primary = db_bulk.primary_index
+        in_view = sum(amt is not None and amt > 500 for amt in props["amt"])
+        probes = sum(
+            len(primary.backward.list(u)[0]) + len(primary.forward.list(v)[0])
+            for u, v in zip(src, dst)
+        )
+        assert in_view and probes  # the counts exercise both terms
+        expected = {
+            "inserted_edges": len(src),
+            "buffered_operations": 2 * len(src) + in_view + len(src),
+            "secondary_predicate_evaluations": len(src),
+            "edge_partitioned_probes": probes,
+        }
+        for maintainer in (bulk, scalar):
+            for stat, value in expected.items():
+                assert getattr(maintainer.stats, stat) == value, stat
 
     def test_bulk_validation_errors(self):
         graph = small_financial_graph()
@@ -746,9 +817,33 @@ class TestBulkVsScalarVsLegacy:
             maintainer.insert_edges([0], [1], "Nope")
         with pytest.raises(MaintenanceError):
             maintainer.delete_edges([10_000_000])
-        legacy = Database(graph).maintainer(columnar=False)
-        with pytest.raises(MaintenanceError):
-            legacy.insert_edges([0], [1], "Wire")
+
+    def test_non_integer_ids_are_refused(self):
+        """Float and bool IDs raise before anything is buffered or counted:
+        a cast would read 0.7 as vertex 0, 2.5 as edge 2 and a mask as the
+        IDs 1 and 0."""
+        graph = small_financial_graph()
+        db = Database(graph)
+        maintainer = db.maintainer(merge_threshold=10**9)
+        refused = [
+            lambda: maintainer.insert_edges([0.7], [1.9], "Wire"),
+            lambda: maintainer.insert_edges([0], np.array([1.0]), "Wire"),
+            lambda: maintainer.insert_edges(np.array([True]), [1], "Wire"),
+            lambda: maintainer.insert_edge(0.5, 1, "Wire"),
+            lambda: maintainer.delete_edges([2.5]),
+            lambda: maintainer.delete_edges(np.array([True, False])),
+            lambda: maintainer.delete_edge(True),
+        ]
+        for call in refused:
+            with pytest.raises(MaintenanceError, match="integer IDs"):
+                call()
+        # Empty inputs (float64 by default) stay a no-op.
+        maintainer.insert_edges([], [], "Wire")
+        maintainer.delete_edges([])
+        stats = maintainer.stats
+        assert (stats.inserted_edges, stats.deleted_edges, stats.buffered_operations) == (0, 0, 0)
+        maintainer.flush()
+        assert stats.merges == 0 and db.graph is graph
 
     def test_merge_threshold_triggers_bulk_flush(self):
         graph = small_financial_graph()

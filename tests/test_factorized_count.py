@@ -5,8 +5,8 @@ The factorization contract: for any plan with a factorizable terminal suffix,
 cardinality segments, count = per-prefix-row product of segment sizes — is
 **identical** to the flat oracle count, for every graph shape of the zoo
 (uniform, Zipf-skewed, star, empty), every backend (``serial``, ``thread``,
-``process``) and every morsel weighting.  A small always-on subset pins the
-contract in tier-1; the full backend × weighting matrix is marked ``fuzz``
+``process``) and every morsel cut.  A small always-on subset pins the
+contract in tier-1; the full backend × morsel-cut matrix is marked ``fuzz``
 (opt-in via ``RUN_FUZZ=1``, nightly in CI) because process pools are too slow
 for the default suite.
 
@@ -48,7 +48,9 @@ from repro.query.plan import QueryPlan
 from repro.storage.sort_keys import SortKey
 
 BACKEND_NAMES = ("serial", "thread", "process")
-WEIGHTING_NAMES = ("even", "degree")
+#: Morsel cuts: name -> ``morsel_size`` (``None`` is the default
+#: degree-weighted cut; a size cuts fixed equal vertex-count ranges).
+MORSEL_CUTS = {"degree": None, "fixed": 10}
 
 fuzz = pytest.mark.skipif(
     os.environ.get("RUN_FUZZ") != "1",
@@ -188,7 +190,7 @@ def check_combo(
     seed: int,
     shape: str,
     backend: str = "serial",
-    weighting: str = "degree",
+    morsel_size=None,
     num_workers: int = 2,
 ):
     db, plan, flat = _baseline(graph_key, seed, shape)
@@ -202,7 +204,7 @@ def check_combo(
         batch_size=db.batch_size,
         num_workers=num_workers,
         backend=backend,
-        weighting=weighting,
+        morsel_size=morsel_size,
     )
     assert executor.count(plan, factorized=True) == flat
 
@@ -233,16 +235,18 @@ def test_database_count_auto_factorizes(example_graph):
 
 
 # ----------------------------------------------------------------------
-# nightly fuzz matrix: full graph × shape × backend × weighting
+# nightly fuzz matrix: full graph × shape × backend × morsel cut
 # ----------------------------------------------------------------------
 @fuzz
 @pytest.mark.fuzz
-@pytest.mark.parametrize("weighting", WEIGHTING_NAMES)
+@pytest.mark.parametrize("cut", sorted(MORSEL_CUTS))
 @pytest.mark.parametrize("backend", BACKEND_NAMES)
 @pytest.mark.parametrize("shape", sorted(ZOO))
 @pytest.mark.parametrize("graph_key", sorted(GRAPHS))
-def test_factorized_count_full_matrix(graph_key, shape, backend, weighting):
-    check_combo(graph_key, seed=211, shape=shape, backend=backend, weighting=weighting)
+def test_factorized_count_full_matrix(graph_key, shape, backend, cut):
+    check_combo(
+        graph_key, seed=211, shape=shape, backend=backend, morsel_size=MORSEL_CUTS[cut]
+    )
 
 
 @fuzz

@@ -146,24 +146,12 @@ class TestExecutorIntegration:
         graph = self._star_graph()
         db = Database(graph)
         plan = self._one_leg_plan(db)
-        executor = MorselExecutor(db.graph, num_workers=4, weighting="degree")
+        executor = MorselExecutor(db.graph, num_workers=4)
         ranges = executor.morsel_ranges(plan)
         assert_exact_partition(ranges, 0, graph.num_vertices)
         # The hub (vertex 0) carries all the adjacency work: its range must
         # not drag a big tail of spokes along with it.
         assert ranges[0] == (0, 1)
-
-    def test_even_weighting_ignores_degrees(self):
-        from repro import Database
-
-        graph = self._star_graph()
-        db = Database(graph)
-        plan = self._one_leg_plan(db)
-        executor = MorselExecutor(db.graph, num_workers=4, weighting="even")
-        ranges = executor.morsel_ranges(plan)
-        assert_exact_partition(ranges, 0, graph.num_vertices)
-        sizes = {stop - start for start, stop in ranges[:-1]}
-        assert len(sizes) == 1  # equal vertex counts, hub or not
 
     def test_explicit_morsel_size_beats_weighting(self):
         from repro import Database
@@ -171,9 +159,7 @@ class TestExecutorIntegration:
         graph = self._star_graph()
         db = Database(graph)
         plan = self._one_leg_plan(db)
-        executor = MorselExecutor(
-            db.graph, num_workers=4, morsel_size=7, weighting="degree"
-        )
+        executor = MorselExecutor(db.graph, num_workers=4, morsel_size=7)
         ranges = executor.morsel_ranges(plan)
         assert_exact_partition(ranges, 0, graph.num_vertices)
         assert all(stop - start <= 7 for start, stop in ranges)
