@@ -12,19 +12,28 @@ as offsets into that primary list, exactly like vertex-partitioned indexes
 (Section III-B3).  Unlike vertex-partitioned indexes, an edge may appear in
 many lists (once per bound edge whose predicate it satisfies), which is why
 2-hop views must carry predicates relating both edges.
+
+Construction does not test every 2-path.  A conjunct of the form
+``eadj.p op eb.q + c`` (``op`` one of ``< <= > >= =``) accepts one slice of
+the shared vertex's list once that list is ordered by ``p``, so each bound
+edge's candidates are first narrowed by bisecting that order
+(:func:`~repro.storage.csr.search_segments`); the whole view predicate then
+decides every remaining candidate.  :attr:`EdgePartitionedIndex.candidates_examined`
+counts the pairs it was evaluated on.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import IndexConfigError
 from ..graph.graph import PropertyGraph
 from ..graph.types import Direction, EDGE_ID_DTYPE, EdgeAdjacencyType
-from ..storage.csr import NestedCSR
+from ..predicates import CompareOp, Comparison, Predicate, PropertyRef, raw_column
+from ..storage.csr import NestedCSR, range_positions, search_segments
 from ..storage.memory import MemoryBreakdown
 from ..storage.offset_lists import OffsetLists
 from ..storage.sort_keys import SortKey, sort_values_matrix
@@ -32,8 +41,32 @@ from .config import IndexConfig
 from .primary import AdjacencyIndex, PrimaryIndex
 from .views import TwoHopView
 
-#: Number of bound edges processed per vectorized chunk during construction.
-_BUILD_CHUNK = 8192
+#: Candidate pairs the view predicate is evaluated on at once during
+#: construction; with the kept entries, it bounds the build's transient
+#: memory whatever the number of 2-paths.
+_BUILD_CHUNK_ENTRIES = 1 << 16
+
+#: Search side of the first candidate (``lo``) and of the end of the
+#: candidates (``hi``) that ``eadj.p op probe`` admits in a list sorted on ``p``.
+_LOWER_SIDE = {CompareOp.GT: "right", CompareOp.GE: "left", CompareOp.EQ: "left"}
+_UPPER_SIDE = {CompareOp.LT: "left", CompareOp.LE: "right", CompareOp.EQ: "right"}
+
+
+def _range_conjuncts(predicate: Predicate) -> Dict[str, List[Comparison]]:
+    """The conjuncts that normalize to ``eadj.p op eb.q + c`` with ``op`` not
+    ``<>``, grouped by ``p`` (normalization puts ``eadj`` on the left)."""
+    bounds: Dict[str, List[Comparison]] = {}
+    for comparison in predicate.conjuncts():
+        comp = comparison.normalized()
+        if (
+            isinstance(comp.left, PropertyRef)
+            and isinstance(comp.right, PropertyRef)
+            and comp.left.var == "eadj"
+            and comp.right.var == "eb"
+            and comp.op is not CompareOp.NE
+        ):
+            bounds.setdefault(comp.left.prop, []).append(comp)
+    return bounds
 
 
 class EdgePartitionedIndex:
@@ -70,7 +103,10 @@ class EdgePartitionedIndex:
         )
 
         started = time.perf_counter()
-        bound_ids, offsets, eadj_ids, vnbr_ids = self._build_entries()
+        bound_ids, offsets, eadj_ids, vnbr_ids, examined = self._build_entries()
+        #: Pairs whose view predicate construction evaluated (None when the
+        #: index was merged rather than built).
+        self.candidates_examined: Optional[int] = examined
 
         level_codes = [
             key.effective_codes(graph, eadj_ids, vnbr_ids)
@@ -121,6 +157,7 @@ class EdgePartitionedIndex:
         self.csr = csr
         self.offset_lists = OffsetLists(offsets, bound_ids)
         self.creation_seconds = 0.0
+        self.candidates_examined = None
         return self
 
     # ------------------------------------------------------------------
@@ -132,71 +169,123 @@ class EdgePartitionedIndex:
             return self.graph.edge_dst[bound_edges]
         return self.graph.edge_src[bound_edges]
 
-    def _build_entries(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _build_entries(
+        self,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
         """Enumerate all qualifying (bound edge, adjacent edge) pairs.
 
         The enumeration is equivalent to running the 2-hop view as a join of
-        the edge table with itself on the shared vertex; it is processed in
-        chunks of bound edges to bound peak memory.
+        the edge table with itself on the shared vertex, but a bound edge's
+        candidates are only the slice of its shared vertex's primary list
+        that :meth:`_candidate_runs` leaves, a superset of the pairs the
+        predicate accepts.  The whole predicate (plus "a bound edge never
+        lists itself") decides them, ``_BUILD_CHUNK_ENTRIES`` at a time.
+
+        Returns ``(bound_ids, offsets, eadj_ids, vnbr_ids, examined)``: the
+        kept pairs in (bound edge, primary position) order — the order the
+        CSR's stable sort starts from — with each offset relative to the
+        shared vertex's primary list, and the number of pairs evaluated.
         """
         graph = self.graph
         adj = self.adjacent_primary
-        all_edges = np.arange(graph.num_edges, dtype=EDGE_ID_DTYPE)
+        bound = np.arange(graph.num_edges, dtype=EDGE_ID_DTYPE)
+        shared = self._shared_vertices(bound)
+        starts = adj.csr.bound_starts(shared).astype(np.int64)
+        ends = adj.csr.bound_ends(shared).astype(np.int64)
+        by_key, lo, hi = self._candidate_runs(bound, starts, ends)
 
-        chunks_bound = []
-        chunks_offsets = []
-        chunks_eadj = []
-        chunks_vnbr = []
-
-        for chunk_start in range(0, graph.num_edges, _BUILD_CHUNK):
-            bound_chunk = all_edges[chunk_start : chunk_start + _BUILD_CHUNK]
-            shared = self._shared_vertices(bound_chunk)
-            starts = adj.csr.bound_starts(shared)
-            ends = adj.csr.bound_ends(shared)
-            lengths = (ends - starts).astype(np.int64)
-            total = int(lengths.sum())
-            if total == 0:
-                continue
-
-            repeated_bound = np.repeat(bound_chunk, lengths)
-            repeated_starts = np.repeat(starts, lengths)
-            # Positions of the adjacent edges inside the primary ID lists.
-            cumulative = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-            within = np.arange(total, dtype=np.int64) - np.repeat(cumulative, lengths)
-            positions = repeated_starts + within
-
+        counts = np.maximum(hi - lo, 0)
+        run_ends = np.cumsum(counts)
+        run_starts = run_ends - counts
+        examined = int(run_ends[-1]) if len(run_ends) else 0
+        num_positions = len(adj.id_lists)
+        kept = []
+        for first in range(0, examined, _BUILD_CHUNK_ENTRIES):
+            last = min(first + _BUILD_CHUNK_ENTRIES, examined)
+            # Candidates [first, last) of the concatenated runs: whole runs
+            # in between, the two end runs clipped.
+            rows = slice(
+                int(np.searchsorted(run_ends, first, side="right")),
+                int(np.searchsorted(run_ends, last, side="left")) + 1,
+            )
+            take_from = np.maximum(run_starts[rows], first)
+            take = np.minimum(run_ends[rows], last) - take_from
+            slots = range_positions(
+                lo[rows] + take_from - run_starts[rows], take, last - first
+            )
+            chunk_bound = np.repeat(bound[rows], take)
+            positions = by_key[slots]
             eadj_ids = adj.id_lists.edge_ids[positions]
-            vnbr_ids = adj.id_lists.nbr_ids[positions].astype(np.int64)
-
             arrays = {
-                "eb": ("edge", repeated_bound),
+                "eb": ("edge", chunk_bound),
                 "eadj": ("edge", eadj_ids),
-                "vnbr": ("vertex", vnbr_ids),
-                "vs": ("vertex", graph.edge_src[repeated_bound]),
-                "vd": ("vertex", graph.edge_dst[repeated_bound]),
+                "vnbr": ("vertex", adj.id_lists.nbr_ids[positions].astype(np.int64)),
+                "vs": ("vertex", graph.edge_src[chunk_bound]),
+                "vd": ("vertex", graph.edge_dst[chunk_bound]),
             }
             mask = self.view.predicate.evaluate_bulk(graph, {}, arrays)
             # A bound edge never lists itself (a 2-path uses two distinct edges).
-            mask &= eadj_ids != repeated_bound
-            if not mask.any():
-                continue
+            mask &= eadj_ids != chunk_bound
+            kept.append(chunk_bound[mask] * num_positions + positions[mask])
 
-            chunks_bound.append(repeated_bound[mask])
-            chunks_offsets.append(within[mask])
-            chunks_eadj.append(eadj_ids[mask])
-            chunks_vnbr.append(vnbr_ids[mask])
-
-        if not chunks_bound:
-            empty_edge = np.empty(0, dtype=EDGE_ID_DTYPE)
-            empty = np.empty(0, dtype=np.int64)
-            return empty_edge, empty, empty_edge.copy(), empty
-
+        pairs = np.sort(np.concatenate(kept)) if kept else np.empty(0, dtype=np.int64)
+        bound_ids, positions = np.divmod(pairs, max(num_positions, 1))
         return (
-            np.concatenate(chunks_bound),
-            np.concatenate(chunks_offsets),
-            np.concatenate(chunks_eadj),
-            np.concatenate(chunks_vnbr),
+            bound_ids.astype(EDGE_ID_DTYPE, copy=False),
+            positions - starts[bound_ids],
+            adj.id_lists.edge_ids[positions],
+            adj.id_lists.nbr_ids[positions].astype(np.int64),
+            examined,
         )
+
+    def _candidate_runs(
+        self, bound: np.ndarray, starts: np.ndarray, ends: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every bound edge's candidates, as a slice of one ordering of the
+        primary positions.
+
+        Returns ``(by_key, lo, hi)``: ``by_key`` holds the primary positions
+        with every vertex's list (``[starts, ends)`` for a bound edge's shared
+        vertex) reordered, and bound edge ``b``'s candidates are
+        ``by_key[lo[b]:hi[b]]``.  For each property ``p`` of the view's
+        :func:`_range_conjuncts` over a numeric column, the lists are
+        stably sorted on ``p`` and each conjunct's probe ``eb.q + c`` —
+        computed by :meth:`Comparison.shifted`, in the dtype the predicate
+        compares in — is bisected into them; nulls sit where numpy sorts them
+        (``NULL_INT`` first, NaN last), and a bisection compares exactly as
+        the predicate does, so every accepted pair stays inside its slice.
+        The ``p`` whose slices hold the fewest candidates in total wins.  With
+        no such ``p`` the lists keep their order and the slices are whole.
+        """
+        graph = self.graph
+        adj = self.adjacent_primary
+        edge_ids = adj.id_lists.edge_ids
+        best = (np.arange(len(edge_ids), dtype=np.int64), starts, ends)
+        fewest = int((ends - starts).sum())
+        owners = graph.edge_src if adj.direction is Direction.FORWARD else graph.edge_dst
+        for name, comparisons in _range_conjuncts(self.view.predicate).items():
+            values = raw_column(graph, "edge", edge_ids, name)
+            if values.dtype.kind not in "iuf":
+                continue  # string columns stay unsearched
+            by_key = np.lexsort((values, owners[edge_ids]))
+            keys = values[by_key]
+
+            def keys_at(rows: np.ndarray, positions: np.ndarray) -> Tuple[np.ndarray]:
+                return (keys[positions],)
+
+            lo, hi = starts, ends
+            for comp in comparisons:
+                probe = comp.shifted(raw_column(graph, "edge", bound, comp.right.prop))
+                if comp.op in _LOWER_SIDE:
+                    found = search_segments(starts, ends, (probe,), keys_at, _LOWER_SIDE[comp.op])
+                    lo = np.maximum(lo, found)
+                if comp.op in _UPPER_SIDE:
+                    found = search_segments(starts, ends, (probe,), keys_at, _UPPER_SIDE[comp.op])
+                    hi = np.minimum(hi, found)
+            total = int(np.maximum(hi - lo, 0).sum())
+            if total < fewest:
+                best, fewest = (by_key, lo, hi), total
+        return best
 
     # ------------------------------------------------------------------
     # lookups
@@ -305,9 +394,12 @@ class EdgePartitionedIndex:
         return self.memory_breakdown().total
 
     def describe(self) -> str:
+        entries = f"{self.num_indexed_edges:,} entries"
+        if self.candidates_examined is not None:
+            entries += f" of {self.candidates_examined:,} pairs examined"
         return (
             f"EdgePartitionedIndex({self.name}, {self.adjacency.value}, "
-            f"{self.config.describe()}, {self.num_indexed_edges:,} entries)"
+            f"{self.config.describe()}, {entries})"
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -133,7 +133,7 @@ ColumnProvider = Callable[[str], Optional[np.ndarray]]
 
 def _raw_scalar(
     graph: PropertyGraph, kind: str, element_id: int, prop: str
-) -> Optional[Union[int, float]]:
+) -> Optional[Union[int, float, str]]:
     """Raw (coded) property value of one element; None when null."""
     if prop == "ID":
         return element_id
@@ -143,6 +143,8 @@ def _raw_scalar(
         return int(graph.edge_labels[element_id])
     store = graph.vertex_props if kind == "vertex" else graph.edge_props
     value = store.raw_value(element_id, prop)
+    if value is None or isinstance(value, str):  # a string column
+        return value
     if isinstance(value, (np.floating, float)):
         value = float(value)
         return None if math.isnan(value) else value
@@ -167,7 +169,7 @@ def _is_categorical(graph: PropertyGraph, kind: str, prop: str) -> bool:
     )
 
 
-def _raw_bulk(
+def raw_column(
     graph: PropertyGraph, kind: str, element_ids: np.ndarray, prop: str
 ) -> np.ndarray:
     """Vectorized raw property values for many elements."""
@@ -263,6 +265,14 @@ class Comparison:
             return Comparison(self.right, self.op.flipped, self.left, -self.offset)
         return self
 
+    def shifted(self, right):
+        """What the left operand is compared against: the right operand's
+        value(s) plus ``offset``.  Scalar and bulk evaluation and the
+        edge-partitioned build's range probes all compute it here."""
+        if self.offset and isinstance(self.right, PropertyRef) and right is not None:
+            return right + self.offset
+        return right
+
     @property
     def is_cross_variable(self) -> bool:
         """True when the comparison references two different variables."""
@@ -304,9 +314,7 @@ class Comparison:
         comp = self.normalized()
         reference = comp.left if isinstance(comp.left, PropertyRef) else None
         left = comp._operand_value(comp.left, graph, binding, None)
-        right = comp._operand_value(comp.right, graph, binding, reference)
-        if comp.offset and isinstance(comp.right, PropertyRef) and right is not None:
-            right = right + comp.offset
+        right = comp.shifted(comp._operand_value(comp.right, graph, binding, reference))
         return comp.op.apply(left, right)
 
     def evaluate_bulk(
@@ -349,7 +357,7 @@ class Comparison:
                     return np.asarray(column), False
             if operand.var in arrays:
                 kind, ids = arrays[operand.var]
-                return _raw_bulk(graph, kind, ids, operand.prop), False
+                return raw_column(graph, kind, ids, operand.prop), False
             kind, element_id = fixed[operand.var]
             return _raw_scalar(graph, kind, element_id, operand.prop), True
 
@@ -357,8 +365,7 @@ class Comparison:
         left, left_scalar = operand_values(comp.left, None)
         right, right_scalar = operand_values(comp.right, reference)
         left_raw, right_raw = left, right
-        if comp.offset and isinstance(comp.right, PropertyRef) and right is not None:
-            right = right + comp.offset
+        right = comp.shifted(right)
 
         if left_scalar and right_scalar:
             result = comp.op.apply(left, right)
@@ -373,14 +380,17 @@ class Comparison:
                 return np.zeros(length, dtype=bool)
             right = np.full(length, right)
             right_raw = right
-        mask = comp.op.apply_bulk(np.asarray(left), np.asarray(right))
         # Null handling: raw null codes never satisfy a comparison.
+        mask = np.ones(length, dtype=bool)
         for side, side_ref in ((left_raw, comp.left), (right_raw, comp.right)):
             if isinstance(side_ref, PropertyRef):
                 side_arr = np.asarray(side)
-                if np.issubdtype(side_arr.dtype, np.floating):
+                kind = side_arr.dtype.kind
+                if kind == "O":  # a string column, where None is null
+                    mask &= side_arr != None  # noqa: E711 - elementwise
+                elif kind == "f":
                     mask &= ~np.isnan(side_arr)
-                else:
+                elif kind in "iu":
                     mask &= side_arr != NULL_INT
                     if _is_categorical(
                         graph,
@@ -388,6 +398,13 @@ class Comparison:
                         side_ref.prop,
                     ):
                         mask &= side_arr != NULL_CATEGORY
+        left, right = np.asarray(left), np.asarray(right)
+        if left.dtype.kind == "O" or right.dtype.kind == "O":
+            # Python objects are compared only where neither side is null:
+            # ``None < "x"`` raises.
+            mask[mask] = comp.op.apply_bulk(left[mask], right[mask])
+            return mask
+        mask &= comp.op.apply_bulk(left, right)
         return mask
 
     def describe(self) -> str:

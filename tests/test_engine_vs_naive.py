@@ -8,11 +8,16 @@ matching semantics (homomorphisms over vertices and edges) makes the number
 of matches sensitive to any lost or duplicated binding.
 """
 
+import numpy as np
 import pytest
 
 from repro import Database, Direction, IndexConfig
 from repro.bench.harness import config_d, config_dp, config_ds, vpt_view_and_config
+from repro.graph.builder import GraphBuilder
+from repro.graph.types import PropertyType
+from repro.predicates import cmp, prop
 from repro.query.naive import NaiveMatcher
+from repro.query.pattern import QueryGraph
 from repro.workloads import fraud, labelled_subgraph, magicrecs
 
 
@@ -177,3 +182,57 @@ class TestFraudQueries:
         assert (
             tuned_result.stats.intermediate_rows <= base_result.stats.intermediate_rows
         )
+
+
+# ----------------------------------------------------------------------
+# string properties: comparisons involving a null string are False
+# ----------------------------------------------------------------------
+def string_graph(names, src, dst):
+    builder = GraphBuilder()
+    builder.declare_edge_property("name", PropertyType.STRING)
+    builder.declare_vertex_property("nick", PropertyType.STRING)
+    for vertex in range(max(max(src), max(dst)) + 1):
+        builder.add_vertex("V", nick=(None, "p", "q")[vertex % 3])
+    builder.add_edges(np.asarray(src), np.asarray(dst), "E", properties={"name": names})
+    return builder.build()
+
+
+def two_path(*comparisons):
+    query = QueryGraph("two-path")
+    for name in ("a", "b", "c"):
+        query.add_vertex(name)
+    query.add_edge("a", "b", name="e1")
+    query.add_edge("b", "c", name="e2")
+    query.add_predicate(*comparisons)
+    return query
+
+
+class TestStringProperties:
+    @pytest.mark.parametrize(
+        "names, op",
+        [([None, "x"], "<>"), ([None, None], "="), ([None, "x"], "<"), (["x", "x"], "=")],
+    )
+    def test_a_null_string_never_compares_true(self, names, op):
+        graph = string_graph(names, [0, 1], [1, 2])
+        query = two_path(cmp(prop("e1", "name"), op, prop("e2", "name")))
+        expected = int(None not in names and op == "=")
+        assert Database(graph).count(query) == expected
+        assert NaiveMatcher(graph).count(query) == expected
+
+    @pytest.mark.parametrize("op", ["=", "<>", "<", ">="])
+    def test_engine_matches_oracle_on_a_string_graph(self, op):
+        rng = np.random.default_rng(17)
+        src = rng.integers(0, 12, 60).tolist()
+        dst = rng.integers(0, 12, 60).tolist()
+        names = [(None, "ann", "bob", "cy")[i] for i in rng.integers(0, 4, 60)]
+        graph = string_graph(names, src, dst)
+        for query in (
+            two_path(cmp(prop("e1", "name"), op, prop("e2", "name"))),
+            two_path(
+                cmp(prop("e1", "name"), op, "bob"),
+                cmp(prop("b", "nick"), "<>", prop("c", "nick")),
+            ),
+        ):
+            expected = NaiveMatcher(graph).count(query)
+            assert Database(graph).count(query) == expected
+            assert Database(graph).count(query, factorized=False) == expected
