@@ -27,7 +27,7 @@ import numpy as np
 from ..errors import IndexConfigError
 from ..graph.graph import PropertyGraph
 from ..graph.types import Direction, EDGE_ID_DTYPE
-from ..storage.csr import segment_mask_counts
+from ..storage.csr import range_positions, segment_mask_counts
 from ..storage.memory import MemoryBreakdown
 from .primary import AdjacencyIndex
 from .views import OneHopView
@@ -112,27 +112,57 @@ class BitmapSecondaryIndex:
         positions, counts = self.primary.csr.gather(
             vertex_ids, self.primary.key_codes(key_values)
         )
+        return self._selected(positions, counts)
+
+    def search_many(
+        self, vertex_ids: np.ndarray, key_values: Sequence, sorted_filter
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`list_many` cut to what ``sorted_filter`` admits.
+
+        The primary run is bisected (the bitmap keeps the primary's order)
+        and only the searched slice is bit-tested.
+        """
+        positions, counts = self._searched(vertex_ids, key_values, sorted_filter)
+        return self._selected(positions, counts)
+
+    def count_many(
+        self, vertex_ids: np.ndarray, key_values: Sequence = (), sorted_filter=None
+    ) -> np.ndarray:
+        """Lengths of the lists :meth:`list_many` (or, given a
+        ``sorted_filter``, :meth:`search_many`) would return.
+
+        A bitmap has no offsets of its own, so the count still costs the
+        bit test of every primary entry in the (searched) run — only the
+        ID gathers are saved.
+        """
+        if sorted_filter is not None:
+            positions, counts = self._searched(vertex_ids, key_values, sorted_filter)
+        else:
+            positions, counts = self.primary.csr.gather(
+                vertex_ids, self.primary.key_codes(key_values)
+            )
+        return segment_mask_counts(counts, self._bits[positions])
+
+    def _searched(
+        self, vertex_ids: np.ndarray, key_values: Sequence, sorted_filter
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Primary positions and per-row lengths of the searched runs."""
+        lo, hi = self.primary.search_ranges(vertex_ids, key_values, sorted_filter)
+        counts = hi - lo
+        return range_positions(lo, counts, int(counts.sum())), counts
+
+    def _selected(
+        self, positions: np.ndarray, counts: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The view's entries among primary ``positions`` (``counts`` per
+        row): ``(edge_ids, nbr_ids, counts)``."""
         bits = self._bits[positions]
-        new_counts = segment_mask_counts(counts, bits)
         selected = positions[bits]
         return (
             self.primary.id_lists.edge_ids[selected],
             self.primary.id_lists.nbr_ids[selected],
-            new_counts,
+            segment_mask_counts(counts, bits),
         )
-
-    def count_many(
-        self, vertex_ids: np.ndarray, key_values: Sequence = ()
-    ) -> np.ndarray:
-        """Lengths of the lists :meth:`list_many` would return.
-
-        A bitmap has no offsets of its own, so the count still costs the
-        bit test of every primary entry — only the ID gathers are saved.
-        """
-        positions, counts = self.primary.csr.gather(
-            vertex_ids, self.primary.key_codes(key_values)
-        )
-        return segment_mask_counts(counts, self._bits[positions])
 
     def segments_sorted_by(self, key, key_values: Sequence = ()) -> bool:
         """True when every list returned under this key-value prefix is

@@ -17,7 +17,7 @@ Construction does not test every 2-path.  A conjunct of the form
 ``eadj.p op eb.q + c`` (``op`` one of ``< <= > >= =``) accepts one slice of
 the shared vertex's list once that list is ordered by ``p``, so each bound
 edge's candidates are first narrowed by bisecting that order
-(:func:`~repro.storage.csr.search_segments`); the whole view predicate then
+(:func:`~repro.storage.csr.search_range`); the whole view predicate then
 decides every remaining candidate.  :attr:`EdgePartitionedIndex.candidates_examined`
 counts the pairs it was evaluated on.
 """
@@ -33,7 +33,7 @@ from ..errors import IndexConfigError
 from ..graph.graph import PropertyGraph
 from ..graph.types import Direction, EDGE_ID_DTYPE, EdgeAdjacencyType
 from ..predicates import CompareOp, Comparison, Predicate, PropertyRef, raw_column
-from ..storage.csr import NestedCSR, range_positions, search_segments
+from ..storage.csr import NestedCSR, range_positions, search_range
 from ..storage.memory import MemoryBreakdown
 from ..storage.offset_lists import OffsetLists
 from ..storage.sort_keys import SortKey, sort_values_matrix
@@ -45,11 +45,6 @@ from .views import TwoHopView
 #: construction; with the kept entries, it bounds the build's transient
 #: memory whatever the number of 2-paths.
 _BUILD_CHUNK_ENTRIES = 1 << 16
-
-#: Search side of the first candidate (``lo``) and of the end of the
-#: candidates (``hi``) that ``eadj.p op probe`` admits in a list sorted on ``p``.
-_LOWER_SIDE = {CompareOp.GT: "right", CompareOp.GE: "left", CompareOp.EQ: "left"}
-_UPPER_SIDE = {CompareOp.LT: "left", CompareOp.LE: "right", CompareOp.EQ: "right"}
 
 
 def _range_conjuncts(predicate: Predicate) -> Dict[str, List[Comparison]]:
@@ -276,12 +271,9 @@ class EdgePartitionedIndex:
             lo, hi = starts, ends
             for comp in comparisons:
                 probe = comp.shifted(raw_column(graph, "edge", bound, comp.right.prop))
-                if comp.op in _LOWER_SIDE:
-                    found = search_segments(starts, ends, (probe,), keys_at, _LOWER_SIDE[comp.op])
-                    lo = np.maximum(lo, found)
-                if comp.op in _UPPER_SIDE:
-                    found = search_segments(starts, ends, (probe,), keys_at, _UPPER_SIDE[comp.op])
-                    hi = np.minimum(hi, found)
+                found_lo, found_hi = search_range(starts, ends, comp.op, probe, keys_at)
+                lo = np.maximum(lo, found_lo)
+                hi = np.minimum(hi, found_hi)
             total = int(np.maximum(hi - lo, 0).sum())
             if total < fewest:
                 best, fewest = (by_key, lo, hi), total
@@ -345,17 +337,62 @@ class EdgePartitionedIndex:
         )
         return edge_ids, nbr_ids, counts
 
-    def count_many(
-        self, bound_edge_ids: np.ndarray, key_values: Sequence = ()
-    ) -> np.ndarray:
-        """Lengths of the lists :meth:`list_many` would return.
-
-        Read off this index's own CSR offsets; neither the shared vertices
-        nor the primary lists are resolved.
-        """
+    def _search(
+        self, bound_edge_ids: np.ndarray, key_values: Sequence, sorted_filter
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(lo, hi, primary_starts)``: the run of every addressed list that
+        ``sorted_filter`` admits, bisected through the offsets of the probed
+        positions only, and each shared vertex's primary list start."""
         starts, ends = self.csr.prefix_ranges(
             bound_edge_ids, self.key_codes(key_values)
         )
+        primary_starts = self.adjacent_primary.csr.bound_starts(
+            self._shared_vertices(bound_edge_ids)
+        )
+        ids = self.adjacent_primary.id_lists
+        lo, hi = sorted_filter.search(
+            self.graph,
+            starts,
+            ends,
+            lambda rows, positions: self.offset_lists.resolve_at(
+                positions, primary_starts[rows], ids.edge_ids, ids.nbr_ids
+            ),
+        )
+        return lo, hi, primary_starts
+
+    def search_many(
+        self, bound_edge_ids: np.ndarray, key_values: Sequence, sorted_filter
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`list_many` cut to what ``sorted_filter`` admits: offsets
+        are resolved for the searched runs only."""
+        bound_edge_ids = np.asarray(bound_edge_ids, dtype=np.int64)
+        lo, hi, primary_starts = self._search(bound_edge_ids, key_values, sorted_filter)
+        counts = hi - lo
+        edge_ids, nbr_ids = self.offset_lists.resolve_many(
+            range_positions(lo, counts, int(counts.sum())),
+            primary_starts,
+            counts,
+            self.adjacent_primary.id_lists.edge_ids,
+            self.adjacent_primary.id_lists.nbr_ids,
+        )
+        return edge_ids, nbr_ids, counts
+
+    def count_many(
+        self, bound_edge_ids: np.ndarray, key_values: Sequence = (), sorted_filter=None
+    ) -> np.ndarray:
+        """Lengths of the lists :meth:`list_many` (or, given a
+        ``sorted_filter``, :meth:`search_many`) would return.
+
+        Read off this index's own CSR offsets; the shared vertices and the
+        primary lists are resolved only at the positions a filter's
+        bisection probes.
+        """
+        if sorted_filter is not None:
+            starts, ends, _ = self._search(bound_edge_ids, key_values, sorted_filter)
+        else:
+            starts, ends = self.csr.prefix_ranges(
+                bound_edge_ids, self.key_codes(key_values)
+            )
         return ends - starts
 
     def segments_sorted_by(self, key: SortKey, key_values: Sequence = ()) -> bool:

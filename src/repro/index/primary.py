@@ -22,7 +22,7 @@ import numpy as np
 from ..errors import IndexLookupError
 from ..graph.graph import PropertyGraph
 from ..graph.types import Direction, EDGE_ID_DTYPE
-from ..storage.csr import NestedCSR
+from ..storage.csr import NestedCSR, range_positions
 from ..storage.id_lists import IdLists
 from ..storage.memory import MemoryBreakdown
 from ..storage.sort_keys import SortKey, sort_values_matrix
@@ -164,15 +164,55 @@ class AdjacencyIndex:
             counts,
         )
 
-    def count_many(
-        self, vertex_ids: np.ndarray, key_values: Sequence = ()
-    ) -> np.ndarray:
-        """Lengths of the lists :meth:`list_many` would return, offsets only.
+    def search_ranges(
+        self, vertex_ids: np.ndarray, key_values: Sequence, sorted_filter
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``[lo, hi)`` run of every addressed list that a
+        :class:`~repro.query.operators.SortedRangeFilter` admits.
 
-        One CSR range lookup per vertex: no gather index and no ID arrays,
-        which is all an aggregate sink needs of an unfiltered extension.
+        Each list is bisected at the filter's constant, reading the sort key
+        at the probed positions only; the lists must be sorted on the
+        filter's key (a most granular group).
         """
         starts, ends = self.csr.prefix_ranges(vertex_ids, self.key_codes(key_values))
+        ids = self.id_lists
+        return sorted_filter.search(
+            self.graph,
+            starts,
+            ends,
+            lambda rows, positions: (ids.edge_ids[positions], ids.nbr_ids[positions]),
+        )
+
+    def search_many(
+        self, vertex_ids: np.ndarray, key_values: Sequence, sorted_filter
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`list_many` cut to what ``sorted_filter`` admits: only the
+        searched runs (:meth:`search_ranges`) are gathered."""
+        lo, hi = self.search_ranges(vertex_ids, key_values, sorted_filter)
+        counts = hi - lo
+        positions = range_positions(lo, counts, int(counts.sum()))
+        return (
+            self.id_lists.edge_ids[positions],
+            self.id_lists.nbr_ids[positions],
+            counts,
+        )
+
+    def count_many(
+        self, vertex_ids: np.ndarray, key_values: Sequence = (), sorted_filter=None
+    ) -> np.ndarray:
+        """Lengths of the lists :meth:`list_many` (or, given a
+        ``sorted_filter``, :meth:`search_many`) would return, offsets only.
+
+        One CSR range lookup per vertex, plus the bisection of a filter: no
+        gather index and no ID arrays, which is all an aggregate sink needs
+        of an extension with no residual.
+        """
+        if sorted_filter is not None:
+            starts, ends = self.search_ranges(vertex_ids, key_values, sorted_filter)
+        else:
+            starts, ends = self.csr.prefix_ranges(
+                vertex_ids, self.key_codes(key_values)
+            )
         return ends - starts
 
     def segments_sorted_by(self, key: "SortKey", key_values: Sequence = ()) -> bool:

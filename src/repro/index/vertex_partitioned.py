@@ -22,7 +22,7 @@ import numpy as np
 from ..errors import IndexConfigError
 from ..graph.graph import PropertyGraph
 from ..graph.types import Direction, EDGE_ID_DTYPE
-from ..storage.csr import NestedCSR
+from ..storage.csr import NestedCSR, range_positions
 from ..storage.memory import MemoryBreakdown
 from ..storage.offset_lists import OffsetLists
 from ..storage.sort_keys import SortKey, sort_values_matrix
@@ -209,15 +209,58 @@ class VertexPartitionedIndex:
         )
         return edge_ids, nbr_ids, counts
 
+    def _search(
+        self, vertex_ids: np.ndarray, key_values: Sequence, sorted_filter
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(lo, hi, primary_starts)``: the run of every addressed list that
+        ``sorted_filter`` admits, bisected through the offsets of the probed
+        positions only, and each vertex's primary list start."""
+        starts, ends = self.csr.prefix_ranges(vertex_ids, self.key_codes(key_values))
+        primary_starts = self.primary.csr.bound_starts(vertex_ids)
+        ids = self.primary.id_lists
+        lo, hi = sorted_filter.search(
+            self.graph,
+            starts,
+            ends,
+            lambda rows, positions: self.offset_lists.resolve_at(
+                positions, primary_starts[rows], ids.edge_ids, ids.nbr_ids
+            ),
+        )
+        return lo, hi, primary_starts
+
+    def search_many(
+        self, vertex_ids: np.ndarray, key_values: Sequence, sorted_filter
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`list_many` cut to what ``sorted_filter`` admits: offsets
+        are resolved for the searched runs only."""
+        vertex_ids = np.asarray(vertex_ids, dtype=np.int64)
+        lo, hi, primary_starts = self._search(vertex_ids, key_values, sorted_filter)
+        counts = hi - lo
+        edge_ids, nbr_ids = self.offset_lists.resolve_many(
+            range_positions(lo, counts, int(counts.sum())),
+            primary_starts,
+            counts,
+            self.primary.id_lists.edge_ids,
+            self.primary.id_lists.nbr_ids,
+        )
+        return edge_ids, nbr_ids, counts
+
     def count_many(
-        self, vertex_ids: np.ndarray, key_values: Sequence = ()
+        self, vertex_ids: np.ndarray, key_values: Sequence = (), sorted_filter=None
     ) -> np.ndarray:
-        """Lengths of the lists :meth:`list_many` would return.
+        """Lengths of the lists :meth:`list_many` (or, given a
+        ``sorted_filter``, :meth:`search_many`) would return.
 
         Read off this index's own CSR offsets; the offset lists (and the
-        primary lists they point into) are never touched.
+        primary lists they point into) are touched only at the positions a
+        filter's bisection probes.
         """
-        starts, ends = self.csr.prefix_ranges(vertex_ids, self.key_codes(key_values))
+        if sorted_filter is not None:
+            starts, ends, _ = self._search(vertex_ids, key_values, sorted_filter)
+        else:
+            starts, ends = self.csr.prefix_ranges(
+                vertex_ids, self.key_codes(key_values)
+            )
         return ends - starts
 
     def segments_sorted_by(self, key: SortKey, key_values: Sequence = ()) -> bool:

@@ -30,10 +30,11 @@ partial match at a time.  The extension operators therefore default to a
   ``(edge_ids, nbr_ids, counts)`` — the concatenation of the addressed lists
   plus per-row lengths — backed by one
   :meth:`~repro.storage.csr.NestedCSR.gather` flat gather-index;
-* :meth:`ExtensionLeg.fetch_many` fetches a whole batch through that API and
-  applies the sorted-range filter and the residual predicate segment-wise,
-  vectorized over the concatenated candidates (bound columns repeated by
-  counts);
+* :meth:`ExtensionLeg.fetch_many` fetches a whole batch through that API —
+  through ``search_many(bound_ids, key_values, sorted_filter)`` under a
+  sorted-range filter, which bisects every list and gathers only the run the
+  filter admits — and applies the residual predicate vectorized over the
+  concatenated candidates (bound columns repeated by counts);
 * the single-leg :class:`ExtendIntersect` (the dominant plan shape) never
   enters a per-row loop: the extended batch is emitted with one ``repeat`` and
   one ``with_columns``;
@@ -48,9 +49,11 @@ partial match at a time.  The extension operators therefore default to a
 
 For a sink that needs no rows the trailing extensions stay unexpanded and
 run count-only (:meth:`ExtendIntersect.count_factorized`,
-:meth:`MultiExtend.extend_factorized`): list lengths from the CSR offsets,
-and one fetch per *distinct* bound key of the batch where keys repeat.  The
-logical counters charge every row its own list on every one of these paths.
+:meth:`MultiExtend.extend_factorized`): list lengths from the CSR offsets
+(bisected under a sorted-range filter), and one fetch per *distinct* bound
+key of the batch where keys repeat.  The logical counters charge every row
+its own list on every one of these paths — a sorted list's searched run,
+on the per-row path too.
 
 ``vectorized=False`` on the extension operators selects the legacy
 tuple-at-a-time path; it is kept only as the equivalence oracle the
@@ -70,7 +73,7 @@ import numpy as np
 from ..errors import ExecutionError
 from ..graph.graph import PropertyGraph
 from ..index.index_store import AccessPath
-from ..storage.csr import segment_mask_counts
+from ..storage.csr import search_range, segment_mask_counts
 from ..storage.intersect import (
     combo_positions,
     count_shared_intersections,
@@ -245,8 +248,12 @@ class SortedRangeFilter:
 
     When the adjacency list addressed by a leg is sorted on a property that a
     constant comparison constrains (e.g. lists sorted on ``time`` and a
-    ``time < alpha`` predicate), the qualifying prefix/suffix can be located
-    with ``searchsorted`` instead of evaluating the predicate on every edge.
+    ``time < alpha`` predicate), the qualifying prefix/suffix/run is located
+    by bisection instead of evaluating the predicate on every edge: one list
+    at a time by :meth:`apply` (``searchsorted`` on the materialized list),
+    a whole batch by :meth:`search`, which every index's ``search_many``
+    and ``count_many`` call with the batch's CSR ranges so that only the
+    searched runs are ever gathered or resolved.
 
     Attributes:
         sort_key: the property the list is sorted by.
@@ -282,39 +289,27 @@ class SortedRangeFilter:
             return edge_ids[start:end], nbr_ids[start:end]
         raise ExecutionError(f"sorted-range filter does not support {self.op}")
 
-    def _mask(self, values: np.ndarray) -> np.ndarray:
-        if self.op is CompareOp.LT:
-            return values < self.value
-        if self.op is CompareOp.LE:
-            return values <= self.value
-        if self.op is CompareOp.GT:
-            return values > self.value
-        if self.op is CompareOp.GE:
-            return values >= self.value
-        if self.op is CompareOp.EQ:
-            return values == self.value
-        raise ExecutionError(f"sorted-range filter does not support {self.op}")
-
-    def apply_segmented(
+    def search(
         self,
         graph: PropertyGraph,
-        edge_ids: np.ndarray,
-        nbr_ids: np.ndarray,
-        counts: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batched :meth:`apply` over many concatenated lists.
+        starts: np.ndarray,
+        ends: np.ndarray,
+        ids_at: Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]],
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Batched :meth:`apply`: the ``[lo, hi)`` run this filter admits in
+        every sorted position range ``[starts[i], ends[i])``.
 
-        Each segment of ``counts`` is individually sorted on the filter's
-        sort key, so the elementwise comparison mask selects exactly the
-        prefix/suffix/run that the per-list binary search of :meth:`apply`
-        would slice — one vectorized pass over all segment boundaries instead
-        of one ``searchsorted`` per list.  Returns the filtered ID arrays and
-        the updated per-segment counts.
+        ``ids_at(rows, positions)`` returns the ``(edge_ids, nbr_ids)`` at
+        one position of each listed row's range; the bisection
+        (:func:`~repro.storage.csr.search_range`) asks it for one position
+        per open row and round, so a list costs ``log2`` of its length in
+        key reads whatever the filter's selectivity.
         """
-        if len(edge_ids) == 0:
-            return edge_ids, nbr_ids, counts
-        mask = self._mask(self.sort_key.values(graph, edge_ids, nbr_ids))
-        return edge_ids[mask], nbr_ids[mask], segment_mask_counts(counts, mask)
+
+        def keys_at(rows: np.ndarray, positions: np.ndarray) -> Tuple[np.ndarray]:
+            return (self.sort_key.values(graph, *ids_at(rows, positions)),)
+
+        return search_range(starts, ends, self.op, self.value, keys_at)
 
 
 # ----------------------------------------------------------------------
@@ -361,12 +356,14 @@ class ExtensionLeg:
         edge_ids, nbr_ids = self.access_path.index.list(
             bound_id, list(self.access_path.key_values)
         )
-        context.stats.lists_accessed += 1
-        context.stats.list_entries_fetched += len(edge_ids)
         if self.sorted_filter is not None and len(edge_ids):
             edge_ids, nbr_ids = self.sorted_filter.apply(
                 context.graph, edge_ids, nbr_ids
             )
+        # The searched run is what a sorted list hands over (``fetch_many``
+        # gathers nothing else), so the charge follows the search.
+        context.stats.lists_accessed += 1
+        context.stats.list_entries_fetched += len(edge_ids)
         if not self.residual.is_true and len(edge_ids):
             arrays = {
                 self.target_var: ("vertex", nbr_ids),
@@ -387,9 +384,10 @@ class ExtensionLeg:
         """Batched :meth:`fetch`: read and filter the lists of a whole batch.
 
         Fetches the adjacency lists of every partial match in ``batch``
-        through the index's ``list_many`` gather, then applies the
-        sorted-range filter segment-wise and the residual predicate in one
-        ``evaluate_bulk`` over the concatenated candidates (bound columns
+        through the index's ``list_many`` gather — or, under a sorted-range
+        filter, its ``search_many``, which bisects every list and gathers
+        only the admitted runs — then evaluates the residual predicate in
+        one ``evaluate_bulk`` over the concatenated candidates (bound columns
         repeated by counts).  Returns ``(edge_ids, nbr_ids, counts)`` equal to
         concatenating :meth:`fetch` over the rows; stats counters advance
         exactly as the per-row path would.
@@ -402,9 +400,14 @@ class ExtensionLeg:
         """
         stats = context.stats
         bound_ids = batch.column(self.bound_var)
-        edge_ids, nbr_ids, counts = self.access_path.index.list_many(
-            bound_ids, list(self.access_path.key_values)
-        )
+        index = self.access_path.index
+        key_values = list(self.access_path.key_values)
+        if self.sorted_filter is None:
+            edge_ids, nbr_ids, counts = index.list_many(bound_ids, key_values)
+        else:
+            edge_ids, nbr_ids, counts = index.search_many(
+                bound_ids, key_values, self.sorted_filter
+            )
         if weights is None:
             stats.lists_accessed += len(bound_ids)
             stats.list_entries_fetched += len(edge_ids)
@@ -415,10 +418,6 @@ class ExtensionLeg:
             stats.list_entries_fetched += entries
             stats.lists_shared += lists - len(bound_ids)
             stats.entries_shared += entries - len(edge_ids)
-        if self.sorted_filter is not None and len(edge_ids):
-            edge_ids, nbr_ids, counts = self.sorted_filter.apply_segmented(
-                context.graph, edge_ids, nbr_ids, counts
-            )
         if not self.residual.is_true and len(edge_ids):
             arrays = {
                 self.target_var: ("vertex", nbr_ids),
@@ -459,14 +458,17 @@ class ExtensionLeg:
         )
 
     def count_many(self, context: ExecutionContext, batch: MatchBatch) -> np.ndarray:
-        """Per-row list lengths of an unfiltered leg, from the offsets alone.
+        """Per-row list lengths of a leg with no residual, from the offsets.
 
-        What :meth:`fetch_many` returns as ``counts`` when nothing filters:
-        the index's ``count_many`` reads two CSR offsets per row and
-        materializes no gather index and no ID array.
+        What :meth:`fetch_many` returns as ``counts`` when no residual
+        filters: the index's ``count_many`` reads two CSR offsets per row,
+        bisects them under a sorted-range filter and counts ``hi - lo`` —
+        no gather index, no ID array, no offset resolved past the probes.
         """
         counts = self.access_path.index.count_many(
-            batch.column(self.bound_var), list(self.access_path.key_values)
+            batch.column(self.bound_var),
+            list(self.access_path.key_values),
+            self.sorted_filter,
         )
         context.stats.lists_accessed += len(counts)
         context.stats.list_entries_fetched += int(counts.sum())
@@ -603,17 +605,19 @@ def _leg_keys(
     leg: ExtensionLeg, batch: MatchBatch, context: ExecutionContext
 ) -> SharedKeys:
     """The distinct values of ``leg.key_vars()`` over ``batch``."""
-    graph = context.graph
     names = leg.key_vars()
     return SharedKeys(
         [batch.column(name) for name in names],
-        [
-            graph.num_vertices
-            if context.variable_kind(name) == "vertex"
-            else graph.num_edges
-            for name in names
-        ],
+        [_key_domain(name, context) for name in names],
     )
+
+
+def _key_domain(name: str, context: ExecutionContext) -> int:
+    """Exclusive upper bound of a bound variable's IDs."""
+    graph = context.graph
+    if context.variable_kind(name) == "vertex":
+        return graph.num_vertices
+    return graph.num_edges
 
 
 def _key_batch(leg: ExtensionLeg, keys: SharedKeys) -> MatchBatch:
@@ -877,14 +881,18 @@ class ExtendIntersect(PhysicalOperator):
         candidate arrays — and the work is done once per *distinct* key
         where the batch repeats its keys:
 
-        * a single unfiltered leg is two CSR offsets per row
+        * a single leg with no residual is two CSR offsets per row, and
+          ``hi - lo`` of their bisection under a sorted-range filter
           (:meth:`ExtensionLeg.count_many`);
-        * a single filtered leg fetches and filters one list per distinct
-          value of :meth:`ExtensionLeg.key_vars` and broadcasts the counts;
+        * a single leg with a residual fetches and filters one list per
+          distinct value of :meth:`ExtensionLeg.key_vars` and broadcasts
+          the counts;
         * a multi-leg intersection fetches and filters each leg once per
           distinct key, deduplicates the rows' key tuples and counts
           through
           :func:`~repro.storage.intersect.count_shared_intersections`.
+          Legs that read the same lists (:meth:`_one_list_space`) are
+          fetched once, over the union of their keys.
 
         ``keys_may_repeat=False`` is the plan's static verdict
         (:meth:`~repro.query.plan.QueryPlan.may_repeat`) that no two rows
@@ -902,7 +910,7 @@ class ExtendIntersect(PhysicalOperator):
         self, batch: MatchBatch, context: ExecutionContext, keys_may_repeat: bool
     ) -> np.ndarray:
         leg = self.legs[0]
-        if leg.is_unfiltered:
+        if leg.residual.is_true:
             return leg.count_many(context, batch)
         keys = _leg_keys(leg, batch, context) if keys_may_repeat else None
         if keys is None or keys.distinct * _SHARE_MIN_REPEAT > len(batch):
@@ -923,22 +931,53 @@ class ExtendIntersect(PhysicalOperator):
             keys.distinct for keys in leg_keys
         ) * _SHARE_MIN_REPEAT > len(batch):
             return self.extend_factorized(batch, context).cardinalities
-        tuples = SharedKeys(
-            [keys.inverse() for keys in leg_keys],
-            [keys.distinct for keys in leg_keys],
-        )
-        per_leg = [
-            leg.fetch_many(context, _key_batch(leg, keys), weights=keys.weights())
-            for leg, keys in zip(legs, leg_keys)
-        ]
+        if self._one_list_space():
+            # One grouping of every leg's bound column: the union is fetched
+            # once, charged for all legs' rows, and each leg's rows index it.
+            first = legs[0]
+            union = SharedKeys(
+                [np.concatenate([batch.column(leg.bound_var) for leg in legs])],
+                [_key_domain(first.bound_var, context)],
+            )
+            fetched = [
+                first.fetch_many(
+                    context, _key_batch(first, union), weights=union.weights()
+                )
+            ]
+            tuples = SharedKeys(
+                list(union.inverse().reshape(len(legs), len(batch))),
+                [union.distinct] * len(legs),
+            )
+        else:
+            fetched = [
+                leg.fetch_many(context, _key_batch(leg, keys), weights=keys.weights())
+                for leg, keys in zip(legs, leg_keys)
+            ]
+            tuples = SharedKeys(
+                [keys.inverse() for keys in leg_keys],
+                [keys.distinct for keys in leg_keys],
+            )
         counts = count_shared_intersections(
-            [nbr_ids for _, nbr_ids, _ in per_leg],
-            [counts for _, _, counts in per_leg],
+            [nbr_ids for _, nbr_ids, _ in fetched],
+            [counts for _, _, counts in fetched],
             tuples.columns(),
             presorted=[leg.presorted_by_nbr for leg in legs],
             domain=context.graph.num_vertices,
         )
         return counts[tuples.inverse()]
+
+    def _one_list_space(self) -> bool:
+        """True when every leg reads the same lists: one index object under
+        one key-value prefix, no filter, neighbour-sorted (so no leg's
+        lists differ from another's in content or order)."""
+        first = self.legs[0].access_path
+        return all(
+            leg.access_path.index is first.index
+            and tuple(leg.access_path.key_values) == tuple(first.key_values)
+            and leg.is_unfiltered
+            and leg.presorted_by_nbr
+            for leg in self.legs
+        )
 
     # -- legacy tuple-at-a-time path ------------------------------------
     def _extend_rowwise(

@@ -274,7 +274,7 @@ class QueryPlan:
         """True when a count-only suffix operator may work per distinct key."""
         return any(
             isinstance(operator, ExtendIntersect)
-            and not (len(operator.legs) == 1 and operator.legs[0].is_unfiltered)
+            and not (len(operator.legs) == 1 and operator.legs[0].residual.is_true)
             and self.suffix_keys_may_repeat(operator)
             for operator in self.operators[self.factorized_suffix_start() :]
         )

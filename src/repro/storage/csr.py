@@ -34,6 +34,7 @@ import numpy as np
 
 from ..errors import IndexLookupError
 from ..graph.types import CSR_OFFSET_BYTES, OFFSET_DTYPE
+from ..predicates import CompareOp
 
 
 def fold_group_ids(
@@ -93,6 +94,42 @@ def search_segments(
         hi[rows[~before]] = mid[~before]
         rows = rows[lo[rows] < hi[rows]]
     return lo
+
+
+#: Search side of the first entry (``lo``) and of the end (``hi``) of the run
+#: whose keys satisfy ``key op probe`` in a segment sorted on ``key``.
+LOWER_SIDE = {CompareOp.GT: "right", CompareOp.GE: "left", CompareOp.EQ: "left"}
+UPPER_SIDE = {CompareOp.LT: "left", CompareOp.LE: "right", CompareOp.EQ: "right"}
+
+
+def search_range(
+    starts: np.ndarray,
+    ends: np.ndarray,
+    op: CompareOp,
+    probe,
+    keys_at: Callable[[np.ndarray, np.ndarray], Sequence[np.ndarray]],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``[lo, hi)`` run of every sorted segment whose keys satisfy
+    ``key op probe``.
+
+    ``op`` is one of ``< <= > >= =``; ``probe`` is one value per segment or
+    one for all.  A side ``op`` leaves open stays at the segment's own end
+    (``lo = starts`` under ``<``); a side it bounds is one
+    :func:`search_segments` call, ``keys_at`` reading the one key column at
+    the probed positions only.  Under ``=`` the upper search starts at
+    ``lo``.  Keys compare as the predicate does, so the null sentinels the
+    sort keys map nulls to (``int64.max`` / ``+inf``) sort last.
+    """
+    if op not in LOWER_SIDE and op not in UPPER_SIDE:
+        raise ValueError(f"no sorted range satisfies key {op.value} probe")
+    lo = np.asarray(starts, dtype=np.int64)
+    hi = np.asarray(ends, dtype=np.int64)
+    probes = (np.broadcast_to(np.asarray(probe), lo.shape),)
+    if op in LOWER_SIDE:
+        lo = search_segments(lo, hi, probes, keys_at, LOWER_SIDE[op])
+    if op in UPPER_SIDE:
+        hi = search_segments(lo, hi, probes, keys_at, UPPER_SIDE[op])
+    return lo, hi
 
 
 class Splice:

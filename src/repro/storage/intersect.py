@@ -55,11 +55,16 @@ Shared lists
 whose rows keep reading the same few lists hands it the same entries over and
 over.  :func:`count_shared_intersections` is the count-only entry point for
 that case: each leg passes every *distinct* list once and rows name their
-lists by index.  Every row expands its own shortest list — the E/I rule of
-the source paper, applied per row and not per batch — and looks the entries
-up in its other lists through one per-(list, key) structure over all legs'
-distinct lists, built once per call: a position table over ``lists * domain``
-when :func:`choose_strategy` returns ``hash`` for that span (the same
+lists by index.  Legs that read the same lists — one index under one
+partition-key prefix, unfiltered, as MR2's two backward ``Follows`` legs and
+the triangle's closing legs do — pass them once, as one list space that
+every leg's rows index, so a list is read once per call however many legs
+name it, and the space (hence the table below) is not doubled.  Every row
+expands its own shortest list — the E/I rule of the source paper, applied
+per row and not per batch — and looks the entries up in its other lists
+through one per-(list, key) structure over the distinct lists, built once
+per call: a position table over ``lists * domain`` when
+:func:`choose_strategy` returns ``hash`` for that span (the same
 ``HASH_TABLE_DENSITY`` bound, so the table is sized by the data; one gather
 answers membership and run length, and nothing is sorted), else the sorted
 ``list * domain + key`` cells under two binary searches.  It returns what an
@@ -529,38 +534,49 @@ def count_shared_intersections(
     row's result is the number of combinations :func:`intersect_segments`
     would report for it (``counts_out``): parallel entries multiply.
 
-    All legs' lists form one list space.  Every row expands its own shortest
-    list into (row, key) entries and looks them up in its other lists, one
-    round per further leg, through a single ``list * domain + key`` lookup
-    over the whole space (see "Shared lists" in the module docstring): a
-    position table when :func:`choose_strategy` says ``hash`` for the span
+    All legs' lists form one list space (legs that read the same lists pass
+    it once).  Every row expands its own shortest list into (row, key)
+    entries and looks them up in its other lists, one round per further
+    leg, through a single ``list * domain + key`` lookup over the whole
+    space (see "Shared lists" in the module docstring): a position table
+    when :func:`choose_strategy` says ``hash`` for the span
     ``lists * domain`` — never sized by the batch's rows — else a binary
     search of the sorted cells.
 
     Args:
-        list_keys: per leg (two or more), the integer join keys (in
-            ``[0, domain)``) of its distinct lists, concatenated in list
-            order.
-        list_counts: per leg, the length of each distinct list.
-        row_lists: per leg, the list each row reads (all of one length).
-        presorted: per leg, True when every list is sorted on the join key;
-            consulted only when the cells are searched, which sorts them
-            first unless every leg is.
+        list_keys: per leg, the integer join keys (in ``[0, domain)``) of
+            its distinct lists, concatenated in list order — or one such
+            array that every leg's ``row_lists`` index, when all legs read
+            the same lists.
+        list_counts: the length of each distinct list, aligned with
+            ``list_keys``.
+        row_lists: per leg (two or more), the list each row reads (all of
+            one length).
+        presorted: per leg, True when every list it reads is sorted on
+            the join key; consulted only when the cells are searched, which
+            sorts them first unless every leg's are.
         domain: exclusive upper bound of the join keys.
         strategy: force the table (``"hash"``, span cap permitting) or the
             search (``"merge"``, ``"gallop"``) — tests and ablations, as in
             :func:`intersect_segments`.
     """
-    if len(list_keys) < 2:
+    num_legs = len(row_lists)
+    if num_legs < 2:
         raise ValueError("count_shared_intersections requires at least two legs")
+    if len(list_keys) not in (1, num_legs):
+        raise ValueError("pass one list space per leg, or one for every leg")
     if strategy is not None and strategy not in _STRATEGIES:
         raise ValueError(f"unknown intersection strategy {strategy!r}")
-    num_legs = len(list_keys)
     num_rows = len(row_lists[0])
-    # Leg ``l``'s list ``i`` is list ``bases[l] + i`` of the one list space.
-    keys = np.concatenate(list_keys).astype(np.int64, copy=False)
-    counts = np.concatenate(list_counts)
-    bases = np.cumsum([0] + [len(leg_counts) for leg_counts in list_counts[:-1]])
+    # Leg ``l``'s list ``i`` is list ``bases[l] + i`` of the one list space;
+    # a space shared by every leg is already that.
+    if len(list_keys) == 1:
+        keys, counts = list_keys[0], list_counts[0]
+        bases = np.zeros(num_legs, dtype=np.int64)
+    else:
+        keys, counts = np.concatenate(list_keys), np.concatenate(list_counts)
+        bases = np.cumsum([0] + [len(leg_counts) for leg_counts in list_counts[:-1]])
+    keys = keys.astype(np.int64, copy=False)
     lists = np.stack([chosen + base for chosen, base in zip(row_lists, bases)])
     shortest = counts[lists].argmin(axis=0)
     row_ids = np.arange(num_rows, dtype=np.int64)

@@ -149,10 +149,27 @@ class OffsetLists:
             ``(edge_ids, nbr_ids)`` for all rows concatenated, equal to
             concatenating :meth:`resolve` over the rows.
         """
-        flat_starts = np.repeat(
-            np.asarray(primary_list_starts, dtype=np.int64), counts
+        return self.resolve_at(
+            positions,
+            np.repeat(np.asarray(primary_list_starts, dtype=np.int64), counts),
+            primary_edge_ids,
+            primary_nbr_ids,
         )
-        flat = flat_starts + self.offsets[positions].astype(np.int64)
+
+    def resolve_at(
+        self,
+        positions: np.ndarray,
+        list_starts: np.ndarray,
+        primary_edge_ids: np.ndarray,
+        primary_nbr_ids: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Dereference single positions, each against its own list start.
+
+        ``list_starts[i]`` is the primary list start of the bound element
+        owning ``positions[i]`` — what a bisection reads at the one position
+        per list it probes, without resolving the rest of the list.
+        """
+        flat = list_starts + self.offsets[positions].astype(np.int64)
         return primary_edge_ids[flat], primary_nbr_ids[flat]
 
     def nbytes(self) -> int:

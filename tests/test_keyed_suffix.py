@@ -1,8 +1,10 @@
 """Differential coverage of the count-only factorized suffix.
 
 ``count()`` (and ``run(factorized=True)``) drive the factorized suffix
-*count-only*: unfiltered legs read CSR offsets, filtered legs fetch once per
-distinct bound key, multi-leg intersections share their lists
+*count-only*: legs without a residual read CSR offsets (bisected under a
+sorted-range filter), legs with one fetch once per distinct bound key,
+multi-leg intersections share their lists — one list space when every leg
+reads the same lists
 (:meth:`repro.query.operators.ExtendIntersect.count_factorized`).  Every
 shape here runs on a graph built to make keys repeat — a few hubs, parallel
 edges, vertices without out-edges — and is pinned three ways:
@@ -220,9 +222,10 @@ SHAPES = {
         ),
         True,
     ),
-    # lists sorted on a float property: a sorted-range filter in the suffix,
+    # lists sorted on a float property: a sorted-range filter in the suffix
+    # (its only filter, so it counts the searched runs and reads no list),
     # and intersections over legs that are not presorted on neighbour ID
-    "heavy_tail": ("float_sorted", _heavy_tail, True),
+    "heavy_tail": ("float_sorted", _heavy_tail, False),
     "unsorted_diamond": (
         "float_sorted",
         lambda: _pattern(
@@ -246,6 +249,27 @@ SHAPES = {
         True,
     ),
     "mf1_shape": ("skewed", _mf1_shape, True),
+    # every E/I leg on one index under one label, unfiltered and
+    # neighbour-sorted: the legs share one list space (MR2 under D, and the
+    # closing legs of a labelled triangle)
+    "labelled_mr2": (
+        "skewed",
+        lambda: _pattern(
+            "labelled_mr2",
+            [("a1", "a2"), ("a1", "a3"), ("a4", "a2"), ("a4", "a3")],
+            edge_labels=dict.fromkeys(range(4), "EL0"),
+        ),
+        True,
+    ),
+    "labelled_triangle": (
+        "default",
+        lambda: _pattern(
+            "labelled_triangle",
+            [("a", "b"), ("b", "c"), ("a", "c")],
+            edge_labels=dict.fromkeys(range(3), "EL0"),
+        ),
+        True,
+    ),
 }
 
 
@@ -509,6 +533,114 @@ def test_batches_without_repeats_stay_on_the_per_row_path():
     assert stats.lists_shared == 0
 
 
+def test_count_only_range_leg_reads_no_entries(fx, monkeypatch):
+    """heavy_tail's suffix leg filters on its sort key alone: count-only
+    counts every row's searched run, ``hi - lo``, and the leg never fetches
+    (no gather, no ID array)."""
+    query, plan = fx.plans["heavy_tail"]
+    graph = fx.graphs["heavy_tail"]
+    leg = plan.operators[plan.factorized_suffix_start()].legs[0]
+    assert leg.sorted_filter is not None and leg.residual.is_true
+    flat = Executor(graph).count(plan, factorized=False)
+    assert flat == NaiveMatcher(graph).count(query) > 0
+
+    fetched, searched = [], []
+    fetch_many = ExtensionLeg.fetch_many
+
+    def spy_fetch(self, context, batch, weights=None):
+        fetched.append(self.edge_var)
+        return fetch_many(self, context, batch, weights)
+
+    index = leg.access_path.index
+    count_many = type(index).count_many
+
+    def spy_count(self, bound_ids, key_values=(), sorted_filter=None):
+        searched.append(sorted_filter)
+        return count_many(self, bound_ids, key_values, sorted_filter)
+
+    monkeypatch.setattr(ExtensionLeg, "fetch_many", spy_fetch)
+    monkeypatch.setattr(type(index), "count_many", spy_count)
+    for batch_size in (7, 1024):
+        fetched.clear()
+        searched.clear()
+        assert Executor(graph, batch_size=batch_size).count(plan) == flat
+        assert leg.edge_var not in fetched
+        assert searched and all(found == leg.sorted_filter for found in searched)
+
+
+# ----------------------------------------------------------------------
+# one list space for legs that read the same lists
+# ----------------------------------------------------------------------
+def _spied_list_spaces(monkeypatch):
+    """Record, per ``count_shared_intersections`` call, how many list spaces
+    it was handed and for how many legs."""
+    calls = []
+
+    def spy(list_keys, list_counts, row_lists, *args, **kwargs):
+        calls.append((len(list_keys), len(row_lists)))
+        return count_shared_intersections(
+            list_keys, list_counts, row_lists, *args, **kwargs
+        )
+
+    monkeypatch.setattr("repro.query.operators.count_shared_intersections", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["labelled_mr2", "labelled_triangle"])
+def test_one_list_space_matches_the_per_leg_spaces(fx, name, monkeypatch):
+    _query, plan = fx.plans[name]
+    (multi,) = [
+        op for op in plan.operators[plan.factorized_suffix_start():] if len(op.legs) > 1
+    ]
+    assert multi._one_list_space()
+    executor = Executor(fx.graphs[name], batch_size=1024)
+    calls = _spied_list_spaces(monkeypatch)
+    count, shared = _count_only(executor, plan)
+    assert calls and all(spaces == 1 for spaces, _legs in calls)
+
+    calls.clear()
+    monkeypatch.setattr(ExtendIntersect, "_one_list_space", lambda self: False)
+    per_leg_count, per_leg = _count_only(executor, plan)
+    assert calls and all(spaces == legs for spaces, legs in calls)
+    assert count == per_leg_count == executor.count(plan, factorized=False)
+    assert _logical(shared) == _logical(per_leg)
+    assert shared.segments_emitted == per_leg.segments_emitted
+    # The union is read once: fewer list reads than one read per leg's key.
+    assert shared.lists_accessed - shared.lists_shared < (
+        per_leg.lists_accessed - per_leg.lists_shared
+    )
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        # one index, another label: the legs' lists differ
+        lambda leg: dataclasses.replace(
+            leg, access_path=dataclasses.replace(leg.access_path, key_values=("EL1",))
+        ),
+        # one leg filters its entries
+        lambda leg: dataclasses.replace(
+            leg, residual=Predicate.of(cmp(prop(leg.edge_var, "w"), "<", 0.5))
+        ),
+        # one leg's lists are taken as unsorted
+        lambda leg: dataclasses.replace(leg, presorted_by_nbr=False),
+    ],
+    ids=["different_key_values", "filtered_leg", "not_presorted"],
+)
+def test_legs_that_read_different_lists_keep_their_spaces(fx, change, monkeypatch):
+    """labelled_triangle's closing E/I with its second leg changed."""
+    query, plan = fx.plans["labelled_triangle"]
+    multi = plan.operators[-1]
+    changed = dataclasses.replace(multi, legs=[multi.legs[0], change(multi.legs[1])])
+    assert multi._one_list_space() and not changed._one_list_space()
+    plan = QueryPlan(query=query, operators=plan.operators[:-1] + [changed])
+    executor = Executor(fx.graph, batch_size=1024)
+    calls = _spied_list_spaces(monkeypatch)
+    count, _stats = _count_only(executor, plan)
+    assert calls and all(spaces == legs == 2 for spaces, legs in calls)
+    assert count == executor.count(plan, factorized=False)
+
+
 # ----------------------------------------------------------------------
 # every backend
 # ----------------------------------------------------------------------
@@ -669,6 +801,39 @@ def test_shared_list_kernel_shortest_leg_varies_by_row(strategy):
         list_keys, list_counts, row_lists, [True, True, False], domain, strategy=strategy
     )
     assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("num_legs", [2, 3])
+@pytest.mark.parametrize("strategy", [None, "hash", "merge", "gallop"])
+def test_shared_list_kernel_one_space_for_every_leg(num_legs, strategy, monkeypatch):
+    """Lists every leg reads, passed once, count as the same lists passed
+    once per leg — over a span of one space, not ``num_legs``."""
+    rng = np.random.default_rng(17 * num_legs)
+    domain, num_lists, num_rows = 6, 7, 90
+    counts = rng.integers(0, 9, num_lists)
+    counts[2] = 0  # an empty list
+    lists = [np.sort(rng.integers(0, domain, count)) for count in counts]  # repeats
+    keys = np.concatenate(lists).astype(np.int64)
+    row_lists = [rng.integers(0, num_lists, num_rows) for _ in range(num_legs)]
+    row_lists[0][:5] = row_lists[1][:5]  # rows reading one list on two legs
+    want = _reference_shared_counts([keys] * num_legs, [counts] * num_legs, row_lists)
+    assert want.sum() > 0
+    verdicts = _spied_strategies(monkeypatch)
+    per_leg = count_shared_intersections(
+        [keys] * num_legs, [counts] * num_legs, row_lists, [True] * num_legs,
+        domain, strategy=strategy,
+    )
+    shared = count_shared_intersections(
+        [keys], [counts], row_lists, [True], domain, strategy=strategy
+    )
+    assert shared.tolist() == per_leg.tolist() == want.tolist()
+    if strategy is None:
+        spans = [span for _probes, _entries, span, _verdict in verdicts]
+        assert spans == [num_legs * num_lists * domain, num_lists * domain]
+    with pytest.raises(ValueError):
+        count_shared_intersections(
+            [keys, keys], [counts, counts], [row_lists[0]] * 3, [True] * 2, domain
+        )
 
 
 def test_shared_list_kernel_empty_sides():
