@@ -26,8 +26,8 @@ import numpy as np
 
 from ..errors import IndexConfigError
 from ..graph.graph import PropertyGraph
-from ..graph.types import Direction, EDGE_ID_DTYPE
-from ..storage.csr import range_positions, segment_mask_counts
+from ..graph.types import Direction
+from ..storage.csr import segment_mask_counts
 from ..storage.memory import MemoryBreakdown
 from .primary import AdjacencyIndex
 from .views import OneHopView
@@ -60,28 +60,12 @@ class BitmapSecondaryIndex:
         self.name = name or f"{view.name}-bitmap-{direction.value}"
 
         started = time.perf_counter()
-        selected = self._select_edges()
+        selected = view.select_edges(graph)
         positions = primary.positions_of_edges(selected)
         self._bits = np.zeros(graph.num_edges, dtype=bool)
         self._bits[positions] = True
         self._num_selected = len(selected)
         self.creation_seconds = time.perf_counter() - started
-
-    def _select_edges(self) -> np.ndarray:
-        graph = self.graph
-        all_edges = np.arange(graph.num_edges, dtype=EDGE_ID_DTYPE)
-        mask = np.ones(graph.num_edges, dtype=bool)
-        if self.view.edge_label is not None:
-            label_code = graph.schema.edge_label_code(self.view.edge_label)
-            mask &= graph.edge_labels == label_code
-        if not self.view.predicate.is_true:
-            arrays = {
-                "eadj": ("edge", all_edges),
-                "vs": ("vertex", graph.edge_src),
-                "vd": ("vertex", graph.edge_dst),
-            }
-            mask &= self.view.predicate.evaluate_bulk(graph, {}, arrays)
-        return all_edges[mask]
 
     # ------------------------------------------------------------------
     # lookups
@@ -94,68 +78,23 @@ class BitmapSecondaryIndex:
         The partition key values address sub-lists of the *primary* index,
         since the bitmap shares its structure.
         """
-        start, end = self.primary.list_range(vertex_id, key_values)
-        bits = self._bits[start:end]
-        edge_ids = self.primary.id_lists.edge_ids[start:end][bits]
-        nbr_ids = self.primary.id_lists.nbr_ids[start:end][bits]
+        edge_ids, nbr_ids, _ = self.list_many(np.array([vertex_id]), key_values)
         return edge_ids, nbr_ids
 
     def list_many(
-        self, vertex_ids: np.ndarray, key_values: Sequence = ()
+        self, vertex_ids: np.ndarray, key_values: Sequence = (), sorted_filter=None
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batched :meth:`list`: bit-test many primary lists in one gather.
+        """Batched :meth:`list`: bit-test many primary lists at once.
 
         Returns ``(edge_ids, nbr_ids, counts)``, the concatenation of the
         per-vertex view lists plus their lengths, matching the batched
-        contract of the other index classes.
+        contract of the other index classes.  Under a ``sorted_filter`` the
+        primary run is bisected (the bitmap keeps the primary's order) and
+        only the searched slice is bit-tested.
         """
-        positions, counts = self.primary.csr.gather(
-            vertex_ids, self.primary.key_codes(key_values)
+        positions, counts, _ = self.primary.positions_many(
+            vertex_ids, key_values, sorted_filter
         )
-        return self._selected(positions, counts)
-
-    def search_many(
-        self, vertex_ids: np.ndarray, key_values: Sequence, sorted_filter
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`list_many` cut to what ``sorted_filter`` admits.
-
-        The primary run is bisected (the bitmap keeps the primary's order)
-        and only the searched slice is bit-tested.
-        """
-        positions, counts = self._searched(vertex_ids, key_values, sorted_filter)
-        return self._selected(positions, counts)
-
-    def count_many(
-        self, vertex_ids: np.ndarray, key_values: Sequence = (), sorted_filter=None
-    ) -> np.ndarray:
-        """Lengths of the lists :meth:`list_many` (or, given a
-        ``sorted_filter``, :meth:`search_many`) would return.
-
-        A bitmap has no offsets of its own, so the count still costs the
-        bit test of every primary entry in the (searched) run — only the
-        ID gathers are saved.
-        """
-        if sorted_filter is not None:
-            positions, counts = self._searched(vertex_ids, key_values, sorted_filter)
-        else:
-            positions, counts = self.primary.csr.gather(
-                vertex_ids, self.primary.key_codes(key_values)
-            )
-        return segment_mask_counts(counts, self._bits[positions])
-
-    def _searched(
-        self, vertex_ids: np.ndarray, key_values: Sequence, sorted_filter
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Primary positions and per-row lengths of the searched runs."""
-        lo, hi = self.primary.search_ranges(vertex_ids, key_values, sorted_filter)
-        counts = hi - lo
-        return range_positions(lo, counts, int(counts.sum())), counts
-
-    def _selected(
-        self, positions: np.ndarray, counts: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The view's entries among primary ``positions`` (``counts`` per
-        row): ``(edge_ids, nbr_ids, counts)``."""
         bits = self._bits[positions]
         selected = positions[bits]
         return (
@@ -163,6 +102,20 @@ class BitmapSecondaryIndex:
             self.primary.id_lists.nbr_ids[selected],
             segment_mask_counts(counts, bits),
         )
+
+    def count_many(
+        self, vertex_ids: np.ndarray, key_values: Sequence = (), sorted_filter=None
+    ) -> np.ndarray:
+        """Lengths of the lists :meth:`list_many` would return.
+
+        A bitmap has no offsets of its own, so the count still costs the
+        bit test of every primary entry in the (searched) run — only the
+        ID gathers are saved.
+        """
+        positions, counts, _ = self.primary.positions_many(
+            vertex_ids, key_values, sorted_filter
+        )
+        return segment_mask_counts(counts, self._bits[positions])
 
     def segments_sorted_by(self, key, key_values: Sequence = ()) -> bool:
         """True when every list returned under this key-value prefix is

@@ -63,7 +63,9 @@ class AccessPath:
 
     Attributes:
         index: the index object (`AdjacencyIndex`, `VertexPartitionedIndex`,
-            or `EdgePartitionedIndex`); all expose ``list(bound, key_values)``.
+            or `EdgePartitionedIndex`); all expose the read surface of
+            :class:`~repro.index.lists.AdjacencyLists` (``list_many``,
+            ``count_many``, ``segments_sorted_by``, ...).
         kind: ``"primary"``, ``"vertex_secondary"`` or ``"edge_secondary"``.
         direction: direction of the adjacency relative to the bound vertex.
         key_values: partition-key values addressing the most granular usable
@@ -107,15 +109,9 @@ class AccessPath:
         Delegated to the index's ``segments_sorted_by`` flag (the batched
         index contract: the same guarantee covers every segment returned by
         ``list_many``, which is what lets the segment intersection kernel
-        skip re-sorting); falls back to the path's own metadata for index
-        objects that do not expose the flag.
+        skip re-sorting).
         """
-        probe = getattr(self.index, "segments_sorted_by", None)
-        if probe is not None:
-            return bool(probe(key, self.key_values))
-        if not self.covers_all_levels:
-            return False
-        return bool(self.sort_keys) and self.sort_keys[0] == key
+        return bool(self.index.segments_sorted_by(key, self.key_values))
 
     def tuned_for(self, key: SortKey) -> bool:
         """True if the index keeps its most granular lists sorted by ``key``.

@@ -1,0 +1,241 @@
+"""A+ lists: the read surface shared by primary and secondary A+ indexes.
+
+Section III describes one structure under every A+ index: a nested-
+partitioned CSR whose most granular lists are sorted.  A primary list holds
+``(edge ID, neighbour ID)`` pairs; a secondary list holds offsets into the
+primary list of the vertex it shares with its entries (Section III-B3).
+:class:`AdjacencyLists` owns the CSR build and every read of such lists —
+key codes, ranges, batched reads, counts and the bisection of a sorted-range
+filter — so that an index class keeps only how its entries are selected and
+built, and what one CSR position holds.
+
+Every read goes through :meth:`AdjacencyLists._read`: the addressed CSR
+ranges (bisected under a sorted-range filter), expanded into one flat
+position array, then resolved by the payload.  A payload supplies three
+hooks:
+
+* ``_list_starts(bound_ids)`` — per row, what the row's positions are
+  relative to (``None`` when positions address the payload directly);
+* ``_resolve_many(positions, counts, list_starts)`` — ``(edge_ids,
+  nbr_ids)`` at the flat positions of rows of ``counts`` entries;
+* ``_resolve_at(rows, positions, list_starts)`` — the same at one position
+  of each listed row, which is all a bisection probes.
+"""
+
+from __future__ import annotations
+
+from typing import List, Sequence, Tuple
+
+import numpy as np
+
+from ..errors import IndexLookupError
+from ..graph.graph import PropertyGraph
+from ..storage.csr import NestedCSR, range_positions
+from ..storage.memory import MemoryBreakdown
+from ..storage.sort_keys import SortKey, sort_values_matrix
+from .config import IndexConfig
+
+
+class AdjacencyLists:
+    """A nested CSR of sorted lists plus the one read over it.
+
+    Subclasses set ``graph``, ``config``, ``csr`` and ``name`` and supply
+    the payload hooks of the module docstring.
+    """
+
+    graph: PropertyGraph
+    config: IndexConfig
+    csr: NestedCSR
+    name: str
+
+    @staticmethod
+    def _build_csr(
+        graph: PropertyGraph,
+        config: IndexConfig,
+        num_bound: int,
+        bound_ids: np.ndarray,
+        edge_ids: np.ndarray,
+        nbr_ids: np.ndarray,
+    ) -> NestedCSR:
+        """The CSR that partitions entries ``(bound, edge, neighbour)`` by
+        bound ID and ``config``'s levels and sorts them by its sort keys."""
+        return NestedCSR(
+            num_bound=num_bound,
+            bound_ids=bound_ids,
+            level_codes=[
+                key.effective_codes(graph, edge_ids, nbr_ids)
+                for key in config.partition_keys
+            ],
+            level_domains=[
+                key.effective_domain_size(graph) for key in config.partition_keys
+            ],
+            sort_values=sort_values_matrix(config.sort_keys, graph, edge_ids, nbr_ids),
+        )
+
+    # ------------------------------------------------------------------
+    # lookups
+    # ------------------------------------------------------------------
+    def key_codes(self, key_values: Sequence) -> List[int]:
+        """Map query-level partition key values to effective codes.
+
+        ``key_values`` is a prefix of values aligned with the configured
+        partition keys; each value may be a label/category name, an integer
+        code, or ``None`` (the null partition).
+        """
+        if len(key_values) > len(self.config.partition_keys):
+            raise IndexLookupError(
+                f"{len(key_values)} partition values supplied but index has "
+                f"{len(self.config.partition_keys)} levels"
+            )
+        return [
+            key.code_for_value(self.graph, value)
+            for key, value in zip(self.config.partition_keys, key_values)
+        ]
+
+    def list_range(self, bound_id: int, key_values: Sequence = ()) -> Tuple[int, int]:
+        """The ``[start, end)`` position range of one (sub-)list."""
+        return self.csr.group_range(bound_id, self.key_codes(key_values))
+
+    def list(self, bound_id: int, key_values: Sequence = ()) -> Tuple[np.ndarray, np.ndarray]:
+        """``(edge_ids, nbr_ids)`` of one (sub-)list: the batched read of one
+        bound ID."""
+        edge_ids, nbr_ids, _ = self._read(np.array([bound_id]), key_values)
+        return edge_ids, nbr_ids
+
+    def positions_many(
+        self, bound_ids: np.ndarray, key_values: Sequence = (), sorted_filter=None
+    ) -> Tuple[np.ndarray, np.ndarray, object]:
+        """``(positions, counts, list_starts)`` of many lists: the flat CSR
+        positions of every addressed list (in ``bound_ids`` order) and each
+        list's length.
+
+        With no filter the positions come from one
+        :meth:`~repro.storage.csr.NestedCSR.gather`.  A
+        :class:`~repro.query.operators.SortedRangeFilter` bisects every list
+        at its constant, resolving only the probed positions, and the
+        positions cover the admitted run only; the lists must be sorted on
+        the filter's key (a most granular group).
+        """
+        bound_ids = np.asarray(bound_ids, dtype=np.int64)
+        codes = self.key_codes(key_values)
+        if sorted_filter is None:
+            positions, counts = self.csr.gather(bound_ids, codes)
+            return positions, counts, self._list_starts(bound_ids)
+        lo, hi, list_starts = self._search(bound_ids, codes, sorted_filter)
+        counts = hi - lo
+        return range_positions(lo, counts, int(counts.sum())), counts, list_starts
+
+    def _search(
+        self, bound_ids: np.ndarray, codes: Sequence[int], sorted_filter
+    ) -> Tuple[np.ndarray, np.ndarray, object]:
+        """``(lo, hi, list_starts)``: the run of every addressed list that
+        ``sorted_filter`` admits, and the rows' list starts."""
+        starts, ends = self.csr.prefix_ranges(bound_ids, codes)
+        list_starts = self._list_starts(bound_ids)
+        lo, hi = sorted_filter.search(
+            self.graph,
+            starts,
+            ends,
+            lambda rows, positions: self._resolve_at(rows, positions, list_starts),
+        )
+        return lo, hi, list_starts
+
+    def _read(
+        self, bound_ids: np.ndarray, key_values: Sequence = (), sorted_filter=None
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(edge_ids, nbr_ids, counts)``: the concatenation of the addressed
+        lists (each cut to what ``sorted_filter`` admits) and their lengths,
+        equal to looping :meth:`list` without the per-list round trip."""
+        positions, counts, list_starts = self.positions_many(
+            bound_ids, key_values, sorted_filter
+        )
+        edge_ids, nbr_ids = self._resolve_many(positions, counts, list_starts)
+        return edge_ids, nbr_ids, counts
+
+    def count_many(
+        self, bound_ids: np.ndarray, key_values: Sequence = (), sorted_filter=None
+    ) -> np.ndarray:
+        """Lengths of the lists ``list_many`` would return.
+
+        Read off the CSR offsets, plus the bisection of a filter: no gather
+        index and no ID arrays, which is all an aggregate sink needs of an
+        extension with no residual.
+        """
+        bound_ids = np.asarray(bound_ids, dtype=np.int64)
+        codes = self.key_codes(key_values)
+        if sorted_filter is None:
+            starts, ends = self.csr.prefix_ranges(bound_ids, codes)
+        else:
+            starts, ends, _ = self._search(bound_ids, codes, sorted_filter)
+        return ends - starts
+
+    def segments_sorted_by(self, key: SortKey, key_values: Sequence = ()) -> bool:
+        """True when every list returned under this key-value prefix is
+        internally sorted on ``key`` (batched index contract; lets the
+        segment intersection kernel skip re-sorting ``list_many`` output).
+        """
+        return self.config.granular_segments_sorted_by(key, key_values)
+
+    def degree(self, bound_id: int, key_values: Sequence = ()) -> int:
+        start, end = self.list_range(bound_id, key_values)
+        return end - start
+
+    # ------------------------------------------------------------------
+    # accounting
+    # ------------------------------------------------------------------
+    def nbytes(self) -> int:
+        return self.memory_breakdown().total
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return self.describe()
+
+
+class SecondaryLists(AdjacencyLists):
+    """Lists stored as offsets into the lists of a primary index.
+
+    The list bound to ``b`` is a subset of the primary list of the vertex
+    ``shared_vertices(b)`` (the list space), so each entry is an
+    offset into that list (Section III-B3).  Subclasses set ``primary`` and
+    ``offset_lists`` and define ``shared_vertices(bound_ids)``.
+    """
+
+    #: True when the index reuses the primary's partitioning levels and is
+    #: charged for its offsets only.
+    shares_partition_levels = False
+
+    def _list_starts(self, bound_ids: np.ndarray) -> np.ndarray:
+        return self.primary.csr.bound_starts(self.shared_vertices(bound_ids))
+
+    def _resolve_many(
+        self, positions: np.ndarray, counts: np.ndarray, list_starts: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        ids = self.primary.id_lists
+        return self.offset_lists.resolve_many(
+            positions, list_starts, counts, ids.edge_ids, ids.nbr_ids
+        )
+
+    def _resolve_at(
+        self, rows: np.ndarray, positions: np.ndarray, list_starts: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        ids = self.primary.id_lists
+        return self.offset_lists.resolve_at(
+            positions, list_starts[rows], ids.edge_ids, ids.nbr_ids
+        )
+
+    def primary_positions(self) -> np.ndarray:
+        """Every entry's position in the primary's ID lists, in index order."""
+        lists = self.offset_lists
+        return self._list_starts(lists.bound_of_entry) + lists.offsets
+
+    @property
+    def num_indexed_edges(self) -> int:
+        """Number of entries stored (an edge counts once per list it is in)."""
+        return len(self.offset_lists)
+
+    def memory_breakdown(self) -> MemoryBreakdown:
+        level_bytes = 0 if self.shares_partition_levels else self.csr.nbytes_levels()
+        return MemoryBreakdown(
+            name=self.name,
+            offset_list_bytes=self.offset_lists.nbytes(),
+            partition_level_bytes=level_bytes,
+        )

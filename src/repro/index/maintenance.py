@@ -99,7 +99,7 @@ from ..storage.csr import Splice, fold_group_ids, merge_sorted_runs
 from ..storage.intersect import intersect_segments
 from ..storage.sort_keys import sort_values_matrix
 from .config import IndexConfig
-from .edge_partitioned import EdgePartitionedIndex
+from .edge_partitioned import EdgePartitionedIndex, shared_vertices
 from .index_store import IndexStore
 from .primary import AdjacencyIndex, PrimaryIndex
 from .vertex_partitioned import VertexPartitionedIndex
@@ -739,15 +739,15 @@ class IndexMaintainer:
         return pending[mask]
 
     @staticmethod
-    def _primary_positions(
-        built_on: AdjacencyIndex, current: AdjacencyIndex, list_owners, offsets
-    ) -> np.ndarray:
-        """Every entry of a secondary index as a position of ``current``, the
-        store's primary of its direction.  Offset lists address the primary
-        the index was built on (``built_on``, relative to the lists of
-        ``list_owners``); after a ``RECONFIGURE PRIMARY`` that is an older
-        ordering of the same edges, found again by edge ID."""
-        positions = built_on.csr.bound_starts(list_owners) + offsets
+    def _primary_positions(index, current: AdjacencyIndex) -> np.ndarray:
+        """Every entry of secondary ``index`` as a position of ``current``,
+        the store's primary of its direction.  Offset lists address the
+        primary the index was built on (``index.primary``, relative to the
+        lists of the bound IDs' shared vertices); after a ``RECONFIGURE
+        PRIMARY`` that is an older ordering of the same edges, found again by
+        edge ID."""
+        built_on = index.primary
+        positions = index.primary_positions()
         if built_on is not current:
             positions = current.positions_of_edges(built_on.id_lists.edge_ids[positions])
         return positions
@@ -767,9 +767,7 @@ class IndexMaintainer:
         # Every old entry as a position of the *old* primary: a tombstoned
         # edge is a dead position there, a survivor moves with the primary.
         old_bounds = old_index.offset_lists.bound_of_entry
-        old_positions = self._primary_positions(
-            old_index.primary, old_adj, old_bounds, old_index.offset_lists.offsets
-        )
+        old_positions = self._primary_positions(old_index, old_adj)
         dead = np.flatnonzero(~adjacency.splice.survivors[old_positions])
 
         delta_edges = self._pending_in_view(new_graph, old_index.view, num_kept)
@@ -850,18 +848,10 @@ class IndexMaintainer:
         new_adj = adjacency.index
         num_dead = old_graph.num_edges - num_kept
 
-        def shared_of(graph: PropertyGraph, bounds: np.ndarray) -> np.ndarray:
-            return (graph.edge_dst if anchored_on_dst else graph.edge_src)[bounds]
-
         # Every old pair as a position of the old adjacent primary; a pair
         # dies with either of its edges.
         old_bounds = old_index.offset_lists.bound_of_entry
-        old_positions = self._primary_positions(
-            old_index.adjacent_primary,
-            old_adj,
-            shared_of(old_graph, old_bounds),
-            old_index.offset_lists.offsets,
-        )
+        old_positions = self._primary_positions(old_index, old_adj)
         dead = np.flatnonzero(
             ~(keep[old_bounds] & adjacency.splice.survivors[old_positions])
         )
@@ -894,7 +884,7 @@ class IndexMaintainer:
         # adjacency of their shared vertex in the *merged* primary, which
         # already includes the other pending edges.
         eadj2, vnbr2, counts2 = new_adj.list_many(
-            shared_of(new_graph, pending).astype(np.int64)
+            shared_vertices(old_index.adjacency, new_graph, pending).astype(np.int64)
         )
         bound2 = np.repeat(pending, counts2)
 
@@ -953,7 +943,9 @@ class IndexMaintainer:
                 groups, dead, np.concatenate([keep, np.ones(len(pending), dtype=bool)])
             ),
             merged_positions
-            - new_adj.csr.bound_starts(shared_of(new_graph, merged_bounds)),
+            - new_adj.csr.bound_starts(
+                shared_vertices(old_index.adjacency, new_graph, merged_bounds)
+            ),
             merged_bounds,
             name=old_index.name,
         )

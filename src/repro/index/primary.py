@@ -19,18 +19,20 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import IndexLookupError
 from ..graph.graph import PropertyGraph
 from ..graph.types import Direction, EDGE_ID_DTYPE
-from ..storage.csr import NestedCSR, range_positions
+from ..storage.csr import NestedCSR
 from ..storage.id_lists import IdLists
 from ..storage.memory import MemoryBreakdown
-from ..storage.sort_keys import SortKey, sort_values_matrix
 from .config import IndexConfig
+from .lists import AdjacencyLists
 
 
-class AdjacencyIndex:
+class AdjacencyIndex(AdjacencyLists):
     """One direction (forward or backward) of the primary A+ index.
+
+    A CSR position holds one ``(edge ID, neighbour ID)`` pair of
+    :attr:`id_lists`, so a read gathers them directly.
 
     Attributes:
         graph: the indexed property graph.
@@ -48,43 +50,17 @@ class AdjacencyIndex:
         name: Optional[str] = None,
     ) -> None:
         config.validate(graph)
-        self.graph = graph
-        self.direction = direction
-        self.config = config
-        self.name = name or f"primary-{direction.value}"
-
         if direction is Direction.FORWARD:
-            bound_ids = graph.edge_src
-            nbr_ids = graph.edge_dst
+            bound_ids, nbr_ids = graph.edge_src, graph.edge_dst
         else:
-            bound_ids = graph.edge_dst
-            nbr_ids = graph.edge_src
+            bound_ids, nbr_ids = graph.edge_dst, graph.edge_src
         edge_ids = np.arange(graph.num_edges, dtype=EDGE_ID_DTYPE)
-
-        level_codes = [
-            key.effective_codes(graph, edge_ids, nbr_ids)
-            for key in config.partition_keys
-        ]
-        level_domains = [
-            key.effective_domain_size(graph) for key in config.partition_keys
-        ]
-        sort_values = sort_values_matrix(config.sort_keys, graph, edge_ids, nbr_ids)
-
-        self.csr = NestedCSR(
-            num_bound=graph.num_vertices,
-            bound_ids=bound_ids,
-            level_codes=level_codes,
-            level_domains=level_domains,
-            sort_values=sort_values,
+        csr = self._build_csr(
+            graph, config, graph.num_vertices, bound_ids, edge_ids, nbr_ids
         )
-        order = self.csr.order
-        self.id_lists = IdLists(edge_ids[order], np.asarray(nbr_ids)[order])
-
-        # Position of every edge inside this index (used by offset lists).
-        self._position_of_edge = np.empty(graph.num_edges, dtype=np.int64)
-        self._position_of_edge[self.id_lists.edge_ids] = np.arange(
-            graph.num_edges, dtype=np.int64
-        )
+        order = csr.order
+        nbr_ids = np.asarray(nbr_ids)[order]
+        self._install(graph, direction, config, csr, edge_ids[order], nbr_ids, name)
 
     @classmethod
     def from_sorted(
@@ -105,130 +81,43 @@ class AdjacencyIndex:
         position order and ``csr`` built over the matching group IDs.
         """
         self = cls.__new__(cls)
+        self._install(graph, direction, config, csr, edge_ids, nbr_ids, name)
+        return self
+
+    def _install(self, graph, direction, config, csr, edge_ids, nbr_ids, name) -> None:
         self.graph = graph
         self.direction = direction
         self.config = config
         self.name = name or f"primary-{direction.value}"
         self.csr = csr
         self.id_lists = IdLists(edge_ids, nbr_ids)
+        # Position of every edge inside this index (used by offset lists).
         self._position_of_edge = np.empty(graph.num_edges, dtype=np.int64)
         self._position_of_edge[self.id_lists.edge_ids] = np.arange(
             graph.num_edges, dtype=np.int64
         )
-        return self
 
     # ------------------------------------------------------------------
     # lookups
     # ------------------------------------------------------------------
-    def key_codes(self, key_values: Sequence) -> List[int]:
-        """Map query-level partition key values to effective codes.
-
-        ``key_values`` is a prefix of values aligned with the configured
-        partition keys; each value may be a label/category name, an integer
-        code, or ``None`` (the null partition).
-        """
-        if len(key_values) > len(self.config.partition_keys):
-            raise IndexLookupError(
-                f"{len(key_values)} partition values supplied but index has "
-                f"{len(self.config.partition_keys)} levels"
-            )
-        codes = []
-        for key, value in zip(self.config.partition_keys, key_values):
-            codes.append(key.code_for_value(self.graph, value))
-        return codes
-
-    def list_range(self, vertex_id: int, key_values: Sequence = ()) -> Tuple[int, int]:
-        """Return the ``[start, end)`` position range of one adjacency list."""
-        return self.csr.group_range(vertex_id, self.key_codes(key_values))
-
-    def list(self, vertex_id: int, key_values: Sequence = ()) -> Tuple[np.ndarray, np.ndarray]:
-        """Return ``(edge_ids, nbr_ids)`` of one adjacency (sub-)list."""
-        start, end = self.list_range(vertex_id, key_values)
-        return self.id_lists.slice(start, end)
-
     def list_many(
-        self, vertex_ids: np.ndarray, key_values: Sequence = ()
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batched :meth:`list`: fetch many adjacency lists in one gather.
-
-        Returns ``(edge_ids, nbr_ids, counts)`` where the ID arrays are the
-        concatenation of the per-vertex lists (in ``vertex_ids`` order, each
-        list in index sort order) and ``counts`` holds each list's length.
-        Equivalent to looping :meth:`list`, without the per-list interpreter
-        round trip.
-        """
-        positions, counts = self.csr.gather(vertex_ids, self.key_codes(key_values))
-        return (
-            self.id_lists.edge_ids[positions],
-            self.id_lists.nbr_ids[positions],
-            counts,
-        )
-
-    def search_ranges(
-        self, vertex_ids: np.ndarray, key_values: Sequence, sorted_filter
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The ``[lo, hi)`` run of every addressed list that a
-        :class:`~repro.query.operators.SortedRangeFilter` admits.
-
-        Each list is bisected at the filter's constant, reading the sort key
-        at the probed positions only; the lists must be sorted on the
-        filter's key (a most granular group).
-        """
-        starts, ends = self.csr.prefix_ranges(vertex_ids, self.key_codes(key_values))
-        ids = self.id_lists
-        return sorted_filter.search(
-            self.graph,
-            starts,
-            ends,
-            lambda rows, positions: (ids.edge_ids[positions], ids.nbr_ids[positions]),
-        )
-
-    def search_many(
-        self, vertex_ids: np.ndarray, key_values: Sequence, sorted_filter
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`list_many` cut to what ``sorted_filter`` admits: only the
-        searched runs (:meth:`search_ranges`) are gathered."""
-        lo, hi = self.search_ranges(vertex_ids, key_values, sorted_filter)
-        counts = hi - lo
-        positions = range_positions(lo, counts, int(counts.sum()))
-        return (
-            self.id_lists.edge_ids[positions],
-            self.id_lists.nbr_ids[positions],
-            counts,
-        )
-
-    def count_many(
         self, vertex_ids: np.ndarray, key_values: Sequence = (), sorted_filter=None
-    ) -> np.ndarray:
-        """Lengths of the lists :meth:`list_many` (or, given a
-        ``sorted_filter``, :meth:`search_many`) would return, offsets only.
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Batched :meth:`list` (see :meth:`AdjacencyLists._read`)."""
+        # Each index class keeps its own list_many: the benchmark tracer
+        # wraps it per class to tell primary from secondary reads.
+        return self._read(vertex_ids, key_values, sorted_filter)
 
-        One CSR range lookup per vertex, plus the bisection of a filter: no
-        gather index and no ID arrays, which is all an aggregate sink needs
-        of an extension with no residual.
-        """
-        if sorted_filter is not None:
-            starts, ends = self.search_ranges(vertex_ids, key_values, sorted_filter)
-        else:
-            starts, ends = self.csr.prefix_ranges(
-                vertex_ids, self.key_codes(key_values)
-            )
-        return ends - starts
+    def _list_starts(self, bound_ids: np.ndarray) -> None:
+        return None
 
-    def segments_sorted_by(self, key: "SortKey", key_values: Sequence = ()) -> bool:
-        """True when every list returned under this key-value prefix is
-        internally sorted on ``key`` (batched index contract; lets the
-        segment intersection kernel skip re-sorting ``list_many`` output).
-        """
-        return self.config.granular_segments_sorted_by(key, key_values)
+    def _resolve_many(
+        self, positions: np.ndarray, counts=None, list_starts=None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        return self.id_lists.edge_ids[positions], self.id_lists.nbr_ids[positions]
 
-    def vertex_list_start(self, vertex_id: int) -> int:
-        """Start position of the vertex's full (level-0) ID list."""
-        return self.csr.bound_range(vertex_id)[0]
-
-    def degree(self, vertex_id: int, key_values: Sequence = ()) -> int:
-        start, end = self.list_range(vertex_id, key_values)
-        return end - start
+    def _resolve_at(self, rows, positions, list_starts) -> Tuple[np.ndarray, np.ndarray]:
+        return self._resolve_many(positions)
 
     def vertex_degrees(self, start: int, stop: int) -> np.ndarray:
         """Full adjacency-list lengths of vertices ``[start, stop)``.
@@ -257,14 +146,8 @@ class AdjacencyIndex:
             partition_level_bytes=self.csr.nbytes_levels(),
         )
 
-    def nbytes(self) -> int:
-        return self.memory_breakdown().total
-
     def describe(self) -> str:
         return f"AdjacencyIndex({self.name}, {self.direction.value}, {self.config.describe()})"
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return self.describe()
 
 
 @dataclass

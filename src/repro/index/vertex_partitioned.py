@@ -21,18 +21,19 @@ import numpy as np
 
 from ..errors import IndexConfigError
 from ..graph.graph import PropertyGraph
-from ..graph.types import Direction, EDGE_ID_DTYPE
-from ..storage.csr import NestedCSR, range_positions
-from ..storage.memory import MemoryBreakdown
+from ..graph.types import Direction
+from ..storage.csr import NestedCSR
 from ..storage.offset_lists import OffsetLists
-from ..storage.sort_keys import SortKey, sort_values_matrix
 from .config import IndexConfig
+from .lists import SecondaryLists
 from .primary import AdjacencyIndex
 from .views import OneHopView
 
 
-class VertexPartitionedIndex:
+class VertexPartitionedIndex(SecondaryLists):
     """One direction of a secondary vertex-partitioned A+ index.
+
+    A list bound to vertex ``v`` holds offsets into ``v``'s own primary list.
 
     Args:
         graph: the property graph.
@@ -59,53 +60,21 @@ class VertexPartitionedIndex:
                 "vertex-partitioned index direction must match its primary index"
             )
         config.validate(graph)
-        self.graph = graph
-        self.view = view
-        self.direction = direction
-        self.config = config
-        self.primary = primary
-        self.name = name or f"{view.name}-{direction.value}"
-
         started = time.perf_counter()
-        selected = self._select_edges()
+        selected = view.select_edges(graph)
         if direction is Direction.FORWARD:
-            bound_ids = graph.edge_src[selected]
-            nbr_ids = graph.edge_dst[selected]
+            bound_ids, nbr_ids = graph.edge_src[selected], graph.edge_dst[selected]
         else:
-            bound_ids = graph.edge_dst[selected]
-            nbr_ids = graph.edge_src[selected]
-
-        level_codes = [
-            key.effective_codes(graph, selected, nbr_ids)
-            for key in config.partition_keys
-        ]
-        level_domains = [
-            key.effective_domain_size(graph) for key in config.partition_keys
-        ]
-        sort_values = sort_values_matrix(config.sort_keys, graph, selected, nbr_ids)
-
-        self.csr = NestedCSR(
-            num_bound=graph.num_vertices,
-            bound_ids=bound_ids,
-            level_codes=level_codes,
-            level_domains=level_domains,
-            sort_values=sort_values,
+            bound_ids, nbr_ids = graph.edge_dst[selected], graph.edge_src[selected]
+        csr = self._build_csr(
+            graph, config, graph.num_vertices, bound_ids, selected, nbr_ids
         )
-        order = self.csr.order
-        sorted_edges = selected[order]
+        order = csr.order
         sorted_bounds = np.asarray(bound_ids)[order]
-
-        positions = primary.positions_of_edges(sorted_edges)
-        list_starts = primary.csr.bound_starts(sorted_bounds)
-        offsets = positions - list_starts
-        self.offset_lists = OffsetLists(offsets, sorted_bounds)
-
-        # Partition-level sharing (Section III-B3): possible only when the
-        # view has no predicates and the partitioning structure matches the
-        # primary index's, in which case both indexes have identical CSR
-        # offsets and we need not store new partitioning levels.
-        self.shares_partition_levels = bool(
-            view.is_global and config.same_partitioning_as(primary.config)
+        positions = primary.positions_of_edges(selected[order])
+        offsets = positions - primary.csr.bound_starts(sorted_bounds)
+        self._install(
+            graph, view, direction, config, primary, csr, offsets, sorted_bounds, name
         )
         self.creation_seconds = time.perf_counter() - started
 
@@ -130,6 +99,15 @@ class VertexPartitionedIndex:
         group IDs.  Used by incremental maintenance merges.
         """
         self = cls.__new__(cls)
+        self._install(
+            graph, view, direction, config, primary, csr, offsets, bound_ids, name
+        )
+        self.creation_seconds = 0.0
+        return self
+
+    def _install(
+        self, graph, view, direction, config, primary, csr, offsets, bound_ids, name
+    ) -> None:
         self.graph = graph
         self.view = view
         self.direction = direction
@@ -138,159 +116,35 @@ class VertexPartitionedIndex:
         self.name = name or f"{view.name}-{direction.value}"
         self.csr = csr
         self.offset_lists = OffsetLists(offsets, bound_ids)
+        # Partition-level sharing (Section III-B3): possible only when the
+        # view has no predicates and the partitioning structure matches the
+        # primary index's, in which case both indexes have identical CSR
+        # offsets and we need not store new partitioning levels.
         self.shares_partition_levels = bool(
             view.is_global and config.same_partitioning_as(primary.config)
         )
-        self.creation_seconds = 0.0
-        return self
-
-    # ------------------------------------------------------------------
-    # construction helpers
-    # ------------------------------------------------------------------
-    def _select_edges(self) -> np.ndarray:
-        """Edge IDs that belong to the 1-hop view."""
-        graph = self.graph
-        all_edges = np.arange(graph.num_edges, dtype=EDGE_ID_DTYPE)
-        mask = self.view.membership_mask(
-            graph, graph.edge_labels, all_edges, graph.edge_src, graph.edge_dst
-        )
-        return all_edges[mask]
 
     # ------------------------------------------------------------------
     # lookups
     # ------------------------------------------------------------------
-    def key_codes(self, key_values: Sequence) -> list:
-        codes = []
-        for key, value in zip(self.config.partition_keys, key_values):
-            codes.append(key.code_for_value(self.graph, value))
-        return codes
-
-    def list_range(self, vertex_id: int, key_values: Sequence = ()) -> Tuple[int, int]:
-        return self.csr.group_range(vertex_id, self.key_codes(key_values))
-
-    def list(
-        self, vertex_id: int, key_values: Sequence = ()
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Return ``(edge_ids, nbr_ids)`` of one list, resolved via the primary.
+    def list_many(
+        self, vertex_ids: np.ndarray, key_values: Sequence = (), sorted_filter=None
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Batched :meth:`list`, resolved through the primary (see
+        :meth:`AdjacencyLists._read`).
 
         Reading goes through one level of indirection (the offsets), which is
         the access cost the paper trades for the smaller footprint; the
         indirection targets one primary ID list, which is small for real
         graphs and therefore cache-friendly.
         """
-        start, end = self.list_range(vertex_id, key_values)
-        primary_start = self.primary.vertex_list_start(vertex_id)
-        return self.offset_lists.resolve(
-            start,
-            end,
-            primary_start,
-            self.primary.id_lists.edge_ids,
-            self.primary.id_lists.nbr_ids,
-        )
+        # Each index class keeps its own list_many: the benchmark tracer
+        # wraps it per class to tell primary from secondary reads.
+        return self._read(vertex_ids, key_values, sorted_filter)
 
-    def list_many(
-        self, vertex_ids: np.ndarray, key_values: Sequence = ()
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batched :meth:`list`: resolve many lists through the primary at once.
-
-        Returns ``(edge_ids, nbr_ids, counts)``, the concatenation of the
-        per-vertex lists plus their lengths.  The offset indirection is
-        applied to the whole batch with one gather and one vectorized add.
-        """
-        vertex_ids = np.asarray(vertex_ids, dtype=np.int64)
-        positions, counts = self.csr.gather(vertex_ids, self.key_codes(key_values))
-        primary_starts = self.primary.csr.bound_starts(vertex_ids)
-        edge_ids, nbr_ids = self.offset_lists.resolve_many(
-            positions,
-            primary_starts,
-            counts,
-            self.primary.id_lists.edge_ids,
-            self.primary.id_lists.nbr_ids,
-        )
-        return edge_ids, nbr_ids, counts
-
-    def _search(
-        self, vertex_ids: np.ndarray, key_values: Sequence, sorted_filter
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(lo, hi, primary_starts)``: the run of every addressed list that
-        ``sorted_filter`` admits, bisected through the offsets of the probed
-        positions only, and each vertex's primary list start."""
-        starts, ends = self.csr.prefix_ranges(vertex_ids, self.key_codes(key_values))
-        primary_starts = self.primary.csr.bound_starts(vertex_ids)
-        ids = self.primary.id_lists
-        lo, hi = sorted_filter.search(
-            self.graph,
-            starts,
-            ends,
-            lambda rows, positions: self.offset_lists.resolve_at(
-                positions, primary_starts[rows], ids.edge_ids, ids.nbr_ids
-            ),
-        )
-        return lo, hi, primary_starts
-
-    def search_many(
-        self, vertex_ids: np.ndarray, key_values: Sequence, sorted_filter
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`list_many` cut to what ``sorted_filter`` admits: offsets
-        are resolved for the searched runs only."""
-        vertex_ids = np.asarray(vertex_ids, dtype=np.int64)
-        lo, hi, primary_starts = self._search(vertex_ids, key_values, sorted_filter)
-        counts = hi - lo
-        edge_ids, nbr_ids = self.offset_lists.resolve_many(
-            range_positions(lo, counts, int(counts.sum())),
-            primary_starts,
-            counts,
-            self.primary.id_lists.edge_ids,
-            self.primary.id_lists.nbr_ids,
-        )
-        return edge_ids, nbr_ids, counts
-
-    def count_many(
-        self, vertex_ids: np.ndarray, key_values: Sequence = (), sorted_filter=None
-    ) -> np.ndarray:
-        """Lengths of the lists :meth:`list_many` (or, given a
-        ``sorted_filter``, :meth:`search_many`) would return.
-
-        Read off this index's own CSR offsets; the offset lists (and the
-        primary lists they point into) are touched only at the positions a
-        filter's bisection probes.
-        """
-        if sorted_filter is not None:
-            starts, ends, _ = self._search(vertex_ids, key_values, sorted_filter)
-        else:
-            starts, ends = self.csr.prefix_ranges(
-                vertex_ids, self.key_codes(key_values)
-            )
-        return ends - starts
-
-    def segments_sorted_by(self, key: SortKey, key_values: Sequence = ()) -> bool:
-        """True when every list returned under this key-value prefix is
-        internally sorted on ``key`` (batched index contract; lets the
-        segment intersection kernel skip re-sorting ``list_many`` output).
-        """
-        return self.config.granular_segments_sorted_by(key, key_values)
-
-    def degree(self, vertex_id: int, key_values: Sequence = ()) -> int:
-        start, end = self.list_range(vertex_id, key_values)
-        return end - start
-
-    @property
-    def num_indexed_edges(self) -> int:
-        return len(self.offset_lists)
-
-    # ------------------------------------------------------------------
-    # accounting
-    # ------------------------------------------------------------------
-    def memory_breakdown(self) -> MemoryBreakdown:
-        level_bytes = 0 if self.shares_partition_levels else self.csr.nbytes_levels()
-        return MemoryBreakdown(
-            name=self.name,
-            offset_list_bytes=self.offset_lists.nbytes(),
-            partition_level_bytes=level_bytes,
-        )
-
-    def nbytes(self) -> int:
-        return self.memory_breakdown().total
+    def shared_vertices(self, vertex_ids: np.ndarray) -> np.ndarray:
+        """A vertex's offsets point into its own primary list."""
+        return vertex_ids
 
     def describe(self) -> str:
         sharing = "shared levels" if self.shares_partition_levels else "own levels"
@@ -299,6 +153,3 @@ class VertexPartitionedIndex:
             f"{self.config.describe()}, {sharing}, "
             f"{self.num_indexed_edges:,} edges)"
         )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return self.describe()

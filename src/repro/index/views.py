@@ -28,7 +28,7 @@ import numpy as np
 
 from ..errors import IndexConfigError
 from ..graph.graph import PropertyGraph
-from ..graph.types import Direction, EdgeAdjacencyType
+from ..graph.types import Direction, EDGE_ID_DTYPE, EdgeAdjacencyType
 from ..predicates import ColumnProvider, Predicate
 
 #: Variables a 1-hop view predicate may reference.
@@ -66,6 +66,15 @@ class OneHopView:
     def is_global(self) -> bool:
         """True when the view contains every edge (no predicate, no label)."""
         return self.predicate.is_true and self.edge_label is None
+
+    def select_edges(self, graph: PropertyGraph) -> np.ndarray:
+        """IDs of the graph's edges that belong to this view."""
+        all_edges = np.arange(graph.num_edges, dtype=EDGE_ID_DTYPE)
+        return all_edges[
+            self.membership_mask(
+                graph, graph.edge_labels, all_edges, graph.edge_src, graph.edge_dst
+            )
+        ]
 
     def membership_mask(
         self,

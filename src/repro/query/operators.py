@@ -26,15 +26,15 @@ path the interpreter — not the index — dominates when lists are fetched one
 partial match at a time.  The extension operators therefore default to a
 *batch-at-a-time* strategy built on the batched index contract:
 
-* every index class exposes ``list_many(bound_ids, key_values)`` returning
-  ``(edge_ids, nbr_ids, counts)`` — the concatenation of the addressed lists
-  plus per-row lengths — backed by one
-  :meth:`~repro.storage.csr.NestedCSR.gather` flat gather-index;
-* :meth:`ExtensionLeg.fetch_many` fetches a whole batch through that API —
-  through ``search_many(bound_ids, key_values, sorted_filter)`` under a
-  sorted-range filter, which bisects every list and gathers only the run the
-  filter admits — and applies the residual predicate vectorized over the
-  concatenated candidates (bound columns repeated by counts);
+* every index class exposes ``list_many(bound_ids, key_values,
+  sorted_filter)`` returning ``(edge_ids, nbr_ids, counts)`` — the
+  concatenation of the addressed lists plus per-row lengths — backed by one
+  :meth:`~repro.storage.csr.NestedCSR.gather` flat gather-index, or, under a
+  sorted-range filter, by bisecting every list and gathering only the run
+  the filter admits;
+* :meth:`ExtensionLeg.fetch_many` fetches a whole batch through that API
+  and applies the residual predicate vectorized over the concatenated
+  candidates (bound columns repeated by counts);
 * the single-leg :class:`ExtendIntersect` (the dominant plan shape) never
   enters a per-row loop: the extended batch is emitted with one ``repeat`` and
   one ``with_columns``;
@@ -251,9 +251,9 @@ class SortedRangeFilter:
     ``time < alpha`` predicate), the qualifying prefix/suffix/run is located
     by bisection instead of evaluating the predicate on every edge: one list
     at a time by :meth:`apply` (``searchsorted`` on the materialized list),
-    a whole batch by :meth:`search`, which every index's ``search_many``
-    and ``count_many`` call with the batch's CSR ranges so that only the
-    searched runs are ever gathered or resolved.
+    a whole batch by :meth:`search`, which every index's ``list_many`` and
+    ``count_many`` call with the batch's CSR ranges when given the filter,
+    so that only the searched runs are ever gathered or resolved.
 
     Attributes:
         sort_key: the property the list is sorted by.
@@ -384,9 +384,9 @@ class ExtensionLeg:
         """Batched :meth:`fetch`: read and filter the lists of a whole batch.
 
         Fetches the adjacency lists of every partial match in ``batch``
-        through the index's ``list_many`` gather — or, under a sorted-range
-        filter, its ``search_many``, which bisects every list and gathers
-        only the admitted runs — then evaluates the residual predicate in
+        through the index's ``list_many`` gather — which, given the
+        sorted-range filter, bisects every list and gathers only the
+        admitted runs — then evaluates the residual predicate in
         one ``evaluate_bulk`` over the concatenated candidates (bound columns
         repeated by counts).  Returns ``(edge_ids, nbr_ids, counts)`` equal to
         concatenating :meth:`fetch` over the rows; stats counters advance
@@ -400,14 +400,9 @@ class ExtensionLeg:
         """
         stats = context.stats
         bound_ids = batch.column(self.bound_var)
-        index = self.access_path.index
-        key_values = list(self.access_path.key_values)
-        if self.sorted_filter is None:
-            edge_ids, nbr_ids, counts = index.list_many(bound_ids, key_values)
-        else:
-            edge_ids, nbr_ids, counts = index.search_many(
-                bound_ids, key_values, self.sorted_filter
-            )
+        edge_ids, nbr_ids, counts = self.access_path.index.list_many(
+            bound_ids, list(self.access_path.key_values), self.sorted_filter
+        )
         if weights is None:
             stats.lists_accessed += len(bound_ids)
             stats.list_entries_fetched += len(edge_ids)

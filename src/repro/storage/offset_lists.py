@@ -99,33 +99,6 @@ class OffsetLists:
         """
         return self._bound_of_entry
 
-    def slice(self, start: int, end: int) -> np.ndarray:
-        """Return the offsets for a CSR group range."""
-        return self.offsets[start:end]
-
-    def resolve(
-        self,
-        start: int,
-        end: int,
-        primary_list_start: int,
-        primary_edge_ids: np.ndarray,
-        primary_nbr_ids: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Dereference a group range into (edge IDs, neighbour IDs).
-
-        Args:
-            start, end: CSR group range in this offset-list index.
-            primary_list_start: start position of the bound element's ID list
-                in the primary index (offsets are relative to it).
-            primary_edge_ids / primary_nbr_ids: the primary index's ID lists.
-
-        Returns:
-            ``(edge_ids, nbr_ids)`` arrays for the indexed edges, in this
-            index's sort order.
-        """
-        positions = primary_list_start + self.offsets[start:end].astype(np.int64)
-        return primary_edge_ids[positions], primary_nbr_ids[positions]
-
     def resolve_many(
         self,
         positions: np.ndarray,
@@ -134,7 +107,7 @@ class OffsetLists:
         primary_edge_ids: np.ndarray,
         primary_nbr_ids: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched :meth:`resolve`: dereference many group ranges at once.
+        """Dereference many group ranges into (edge IDs, neighbour IDs).
 
         Args:
             positions: flat gather-index into this offset-list index, as
@@ -146,8 +119,8 @@ class OffsetLists:
             primary_edge_ids / primary_nbr_ids: the primary index's ID lists.
 
         Returns:
-            ``(edge_ids, nbr_ids)`` for all rows concatenated, equal to
-            concatenating :meth:`resolve` over the rows.
+            ``(edge_ids, nbr_ids)`` for all rows concatenated, each row in
+            this index's sort order.
         """
         return self.resolve_at(
             positions,

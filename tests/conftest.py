@@ -48,7 +48,26 @@ def pytest_addoption(parser):
     )
 
 
+def _gated_on_run_fuzz(item) -> bool:
+    return any(
+        "RUN_FUZZ" in str(mark.kwargs.get("reason", ""))
+        for mark in item.iter_markers("skipif")
+    )
+
+
 def pytest_collection_modifyitems(config, items):
+    # The nightly fuzz job selects with ``-m fuzz``: a test that only the
+    # RUN_FUZZ skipif gates would never run there.
+    unmarked = [
+        item.nodeid
+        for item in items
+        if _gated_on_run_fuzz(item) and item.get_closest_marker("fuzz") is None
+    ]
+    if unmarked:
+        raise pytest.UsageError(
+            "tests gated on RUN_FUZZ must also be marked @pytest.mark.fuzz: "
+            + ", ".join(unmarked)
+        )
     if config.getoption("--production-gate"):
         for item in items:
             item.add_marker(pytest.mark.production_gate)

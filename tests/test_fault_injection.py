@@ -333,6 +333,7 @@ class TestDeadlinesAndCancellation:
 # full chaos matrix (nightly)
 # ----------------------------------------------------------------------
 @fuzz
+@pytest.mark.fuzz
 class TestChaosMatrix:
     BACKENDS = ("serial", "thread", "process")
     SPECS = (

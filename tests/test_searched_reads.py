@@ -2,7 +2,7 @@
 
 Every index class a :class:`~repro.query.operators.SortedRangeFilter` can
 read through — primary (sorted on an edge property), vertex-partitioned,
-edge-partitioned and bitmap — answers ``search_many(bound_ids, key_values,
+edge-partitioned and bitmap — answers ``list_many(bound_ids, key_values,
 sorted_filter)`` by bisecting each list and gathering only the admitted run,
 and ``count_many(..., sorted_filter)`` with that run's length.  Both are
 checked against a brute-force mask of the whole list (``index.list`` plus
@@ -151,7 +151,7 @@ def _check_searched_read(case):
         want_nbrs.extend(nbr_ids[mask].tolist())
         want_counts.append(int(mask.sum()))
 
-    edge_ids, nbr_ids, counts = index.search_many(bounds, key_values, sorted_filter)
+    edge_ids, nbr_ids, counts = index.list_many(bounds, key_values, sorted_filter)
     assert edge_ids.tolist() == want_edges
     assert nbr_ids.tolist() == want_nbrs
     assert counts.tolist() == want_counts
@@ -170,6 +170,7 @@ def test_searched_read_equals_masking_the_whole_list(case):
 
 
 @fuzz
+@pytest.mark.fuzz
 @settings(max_examples=5000, deadline=None)
 @given(searched_reads())
 def test_fuzz_searched_read_equals_masking_the_whole_list(case):
@@ -203,7 +204,7 @@ def test_every_operator_and_null_probe_on_one_list():
         sorted_filter = SortedRangeFilter(SortKey.edge_property("w"), op, float(value))
         counts = index.count_many(bounds, (), sorted_filter)
         assert counts.tolist() == [admitted, 0, admitted], (op, value)
-        edge_ids, _, searched = index.search_many(bounds, (), sorted_filter)
+        edge_ids, _, searched = index.list_many(bounds, (), sorted_filter)
         assert searched.tolist() == counts.tolist()
         one = index.list(0)
         assert edge_ids[:admitted].tolist() == sorted_filter.apply(graph, *one)[0].tolist()

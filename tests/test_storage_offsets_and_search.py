@@ -43,7 +43,9 @@ class TestOffsetLists:
         offsets = np.array([0, 3, 5], dtype=np.int64)
         bounds = np.array([7, 7, 7], dtype=np.int64)
         lists = OffsetLists(offsets, bounds)
-        edge_ids, nbr_ids = lists.resolve(0, 3, 10, primary_edges, primary_nbrs)
+        edge_ids, nbr_ids = lists.resolve_many(
+            np.arange(3), np.array([10]), np.array([3]), primary_edges, primary_nbrs
+        )
         assert list(edge_ids) == [110, 113, 115]
         assert list(nbr_ids) == [210, 213, 215]
 
