@@ -19,13 +19,17 @@ forced strategy; the summary reports the agreement rate and per-dimension
 winners so the thresholds can be tuned from data rather than argument.
 
 The count-only kernel (:func:`~repro.storage.intersect.count_shared_intersections`)
-reads the same ``HASH_TABLE_DENSITY`` through the same chooser, with a
-different pair of routes behind it — a per-(list, key) position table against
-two binary searches per probe.  Every case above is therefore also timed
-through that kernel with the table and the search forced (``count_seconds``),
-and a second sweep holds lists, entries and probes fixed and widens the key
+reads the same ``HASH_TABLE_DENSITY`` through the same chooser, with different
+routes behind it — a per-(list, key) run table against a membership bitmap,
+one bit per cell while that fits 8 bytes per probe and one bit per bucket of
+cells past it, whose set bits a binary search confirms.  Every case above is
+therefore also timed through that kernel per route (``count_seconds``), and
+a second sweep holds lists, entries and probes fixed and widens the key
 domain so that ``lists * domain / (probes + entries)`` — the quantity the
-constant bounds — runs from 1 to 256 (``count_density_sweep``).
+constant bounds — runs from 1 to 1024 (``count_density_sweep``), recording
+each route's traced peak bytes beside its time (``count_peak_bytes``).  The
+``exact_bitmap`` route holds the bitmap at one bit per cell at every span;
+it is what the bucketing saves.
 
 Usage::
 
@@ -41,13 +45,16 @@ import json
 import os
 import sys
 import time
-from typing import Dict, List
+import tracemalloc
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
 sys.path.insert(0, os.path.dirname(__file__))
 
 from common import print_header  # noqa: E402
+from paired import environment_stamp  # noqa: E402
 
 from repro.storage import intersect  # noqa: E402
 from repro.storage.intersect import (  # noqa: E402
@@ -68,10 +75,16 @@ KEY_GAPS = (1, 8, 64)
 REPETITIONS = int(os.environ.get("BENCH_REPETITIONS", "3"))
 
 STRATEGIES = ("merge", "gallop", "hash")
-#: Routes of the count-only kernel, by the strategy name that forces them.
-COUNT_ROUTES = {"table": "hash", "search": "merge", "adaptive": None}
+#: Routes of the count-only kernel: the strategy name that forces each, and
+#: whether its bitmap is held at one bit per cell whatever its budget.
+COUNT_ROUTES = {
+    "table": ("hash", False),
+    "bitmap": ("merge", False),
+    "exact_bitmap": ("merge", True),
+    "adaptive": (None, False),
+}
 #: ``lists * domain / (probes + entries)`` of the count-table density sweep.
-SPAN_RATIOS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
+SPAN_RATIOS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 #: Shape of the density sweep: distinct lists per leg, entries per list and
 #: the rows that read them (every list is read by several rows).
 SWEEP_LISTS, SWEEP_LIST_SIZE, SWEEP_ROWS = 128, 64, 1024
@@ -113,21 +126,53 @@ def _time_strategy(legs, counts, strategy) -> float:
     )
 
 
+@contextmanager
+def _bitmap_held_exact(exact: bool) -> Iterator[None]:
+    """Run with the kernel's bitmap at one bit per cell, when ``exact``."""
+    sized = intersect._bitmap_shift
+    if exact:
+        intersect._bitmap_shift = lambda span, num_probes: 0
+    try:
+        yield
+    finally:
+        intersect._bitmap_shift = sized
+
+
+def _count_call(list_keys, list_counts, row_lists, domain, strategy):
+    return lambda: count_shared_intersections(
+        list_keys,
+        list_counts,
+        row_lists,
+        [True] * len(list_keys),
+        domain,
+        strategy=strategy,
+    )
+
+
 def _time_count(list_keys, list_counts, row_lists, domain) -> Dict[str, float]:
     """Best-of seconds of the count-only kernel per forced route."""
-    return {
-        route: _best_of(
-            lambda: count_shared_intersections(
-                list_keys,
-                list_counts,
-                row_lists,
-                [True] * len(list_keys),
-                domain,
-                strategy=strategy,
+    seconds = {}
+    for route, (strategy, exact) in COUNT_ROUTES.items():
+        with _bitmap_held_exact(exact):
+            seconds[route] = _best_of(
+                _count_call(list_keys, list_counts, row_lists, domain, strategy)
             )
-        )
-        for route, strategy in COUNT_ROUTES.items()
-    }
+    return seconds
+
+
+def _count_peaks(list_keys, list_counts, row_lists, domain) -> Dict[str, int]:
+    """Traced peak bytes of one count-only kernel call per forced route."""
+    peaks = {}
+    for route, (strategy, exact) in COUNT_ROUTES.items():
+        call = _count_call(list_keys, list_counts, row_lists, domain, strategy)
+        with _bitmap_held_exact(exact):
+            tracemalloc.start()
+            try:
+                call()
+                peaks[route] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    return peaks
 
 
 def run_count_density_sweep(rng) -> List[Dict]:
@@ -150,10 +195,14 @@ def run_count_density_sweep(rng) -> List[Dict]:
             {
                 "span_ratio": ratio,
                 "domain": int(domain),
+                "span": 2 * SWEEP_LISTS * int(domain),
                 "lists": SWEEP_LISTS,
                 "entries_per_leg": entries,
                 "rows": SWEEP_ROWS,
                 "count_seconds": _time_count(list_keys, list_counts, row_lists, domain),
+                "count_peak_bytes": _count_peaks(
+                    list_keys, list_counts, row_lists, domain
+                ),
             }
         )
     return cases
@@ -235,11 +284,18 @@ def run_ablation() -> Dict:
         if c["fastest"] == "gallop"
     ]
     sweep = run_count_density_sweep(rng)
-    search_wins = [
-        case["span_ratio"]
-        for case in sweep
-        if case["count_seconds"]["search"] < case["count_seconds"]["table"]
-    ]
+
+    def wins_from(faster: str, slower: str, capped: bool = False) -> Optional[int]:
+        """Smallest swept span ratio from which ``faster`` wins at every
+        wider one (None: it does not win at the widest)."""
+        since = None
+        for case in reversed(sweep):
+            if capped and case["span"] > intersect.HASH_SPAN_CAP:
+                continue
+            if case["count_seconds"][faster] >= case["count_seconds"][slower]:
+                break
+            since = case["span_ratio"]
+        return since
     return {
         "config": {
             "num_rows": NUM_ROWS,
@@ -260,11 +316,17 @@ def run_ablation() -> Dict:
             "min_ratio_where_gallop_fastest": (
                 min(gallop_wins) if gallop_wins else None
             ),
-            # None: the table still wins at the widest span swept.
-            "min_span_ratio_where_count_search_wins": (
-                min(search_wins) if search_wins else None
+            # Past HASH_SPAN_CAP a forced table is the bitmap, so the
+            # comparison runs over the spans a table can take.
+            "count_bitmap_beats_table_from_span_ratio": wins_from(
+                "bitmap", "table", capped=True
+            ),
+            # Below the budget both are one bit per cell: the same route.
+            "coarse_bitmap_beats_exact_from_span_ratio": wins_from(
+                "bitmap", "exact_bitmap"
             ),
         },
+        "environment": environment_stamp("HEAD"),
         "cases": cases,
         "count_density_sweep": sweep,
     }
@@ -293,12 +355,17 @@ def main() -> None:
             f"{seconds['gallop'] * 1e3:>10.3f} {seconds['hash'] * 1e3:>8.3f} "
             f"{case['chosen']:>7} {case['fastest']:>8}"
         )
-    print(f"\ncount-only kernel: {'span/data':>9} {'table ms':>9} {'search ms':>10} {'adaptive ms':>12}")
+    print(
+        f"\ncount-only kernel: {'span/data':>9} {'table ms':>9} {'bitmap ms':>10} "
+        f"{'exact ms':>9} {'adaptive ms':>12} {'bitmap MB':>10} {'exact MB':>9}"
+    )
     for case in report["count_density_sweep"]:
-        seconds = case["count_seconds"]
+        seconds, peaks = case["count_seconds"], case["count_peak_bytes"]
         print(
             f"{'':>19}{case['span_ratio']:>9} {seconds['table'] * 1e3:>9.3f} "
-            f"{seconds['search'] * 1e3:>10.3f} {seconds['adaptive'] * 1e3:>12.3f}"
+            f"{seconds['bitmap'] * 1e3:>10.3f} {seconds['exact_bitmap'] * 1e3:>9.3f} "
+            f"{seconds['adaptive'] * 1e3:>12.3f} {peaks['bitmap'] / 1e6:>10.2f} "
+            f"{peaks['exact_bitmap'] / 1e6:>9.2f}"
         )
     summary = report["summary"]
     print(

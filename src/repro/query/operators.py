@@ -887,7 +887,10 @@ class ExtendIntersect(PhysicalOperator):
           through
           :func:`~repro.storage.intersect.count_shared_intersections`.
           Legs that read the same lists (:meth:`_one_list_space`) are
-          fetched once, over the union of their keys.
+          fetched once, over the union of their keys, and a row's count
+          then does not depend on which leg reads which of its lists, so
+          rows that name the same lists in another order — ``(x, y)`` and
+          ``(y, x)`` — are counted once.
 
         ``keys_may_repeat=False`` is the plan's static verdict
         (:meth:`~repro.query.plan.QueryPlan.may_repeat`) that no two rows
@@ -939,10 +942,17 @@ class ExtendIntersect(PhysicalOperator):
                     context, _key_batch(first, union), weights=union.weights()
                 )
             ]
-            tuples = SharedKeys(
-                list(union.inverse().reshape(len(legs), len(batch))),
-                [union.distinct] * len(legs),
-            )
+            # A row's count is symmetric in its lists here: sort each row's
+            # lists across the legs (a min/max network; ``np.sort`` along
+            # the legs sorts every row on its own), so (x, y) and (y, x)
+            # are one kernel row.
+            columns = list(union.inverse().reshape(len(legs), len(batch)))
+            for end in range(len(columns) - 1, 0, -1):
+                for leg in range(end):
+                    low, high = columns[leg], columns[leg + 1]
+                    columns[leg] = np.minimum(low, high)
+                    columns[leg + 1] = np.maximum(low, high)
+            tuples = SharedKeys(columns, [union.distinct] * len(legs))
         else:
             fetched = [
                 leg.fetch_many(context, _key_batch(leg, keys), weights=keys.weights())

@@ -59,16 +59,28 @@ lists by index.  Legs that read the same lists — one index under one
 partition-key prefix, unfiltered, as MR2's two backward ``Follows`` legs and
 the triangle's closing legs do — pass them once, as one list space that
 every leg's rows index, so a list is read once per call however many legs
-name it, and the space (hence the table below) is not doubled.  Every row
-expands its own shortest list — the E/I rule of the source paper, applied
-per row and not per batch — and looks the entries up in its other lists
-through one per-(list, key) structure over the distinct lists, built once
-per call: a position table over ``lists * domain`` when
-:func:`choose_strategy` returns ``hash`` for that span (the same
-``HASH_TABLE_DENSITY`` bound, so the table is sized by the data; one gather
-answers membership and run length, and nothing is sorted), else the sorted
-``list * domain + key`` cells under two binary searches.  It returns what an
-aggregate needs — the per-row combination counts — and nothing else.
+name it, and the space is not doubled.  Every row expands its own shortest
+list — the E/I rule of the source paper, applied per row and not per batch —
+and each expanded entry is *weighed*, per further leg, by its run in that
+leg's list (the number of entries holding its key, 0 for a miss); a row's
+count is the sum of its entries' weight products, read at the row
+boundaries the expansion computed.  The runs come from one structure over
+the list space's sorted distinct ``list * domain + key`` cells, built once
+per call:
+
+* a **run table** over all ``lists * domain`` cells, in the narrowest
+  unsigned dtype the longest run fits, when :func:`choose_strategy` returns
+  ``hash`` for that span (``HASH_TABLE_DENSITY``, so the table is sized by
+  the data): one gather weighs every probe;
+* else a **bitmap** of one bit per cell, or per bucket of ``2**k`` cells
+  where one bit per cell would outgrow 8 bytes per probe (what a binary
+  search's int64 result takes): one gather tests every probe, and one
+  binary search of the distinct cells confirms the hits and reads their
+  runs — skipped when the bits are per cell and no run is longer than 1.
+
+Nothing per probe is wider than the cells: the cells, keys and probes are
+``int32`` whenever the span fits.  It returns what an aggregate needs — the
+per-row combination counts — and nothing else.
 """
 
 from __future__ import annotations
@@ -78,7 +90,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .csr import range_positions
 
 #: Leg-to-candidate size ratio above which per-candidate binary search wins.
 #: Confirmed by benchmarks/bench_intersect_ablation.py: gallop is the fastest
@@ -88,13 +99,13 @@ GALLOP_RATIO = 16
 #: the first-principles value of 4 by the same ablation: the O(span) table
 #: stays fastest up to span ratios of ~16 (the zero-fill and probe are single
 #: vectorized passes, so sparsity hurts less than the asymptotics suggest).
-#: The count-only kernel's position table is bounded by it too and would
-#: bear more (the ablation's density sweep has it ahead of the search up to
-#: ~100), as would the boolean table on wide key gaps.  64, at the
-#: count-only 8 k rows in flight (3 passes each, 2 cores): ``server_zipf``
-#: 818 vs 829 ops/s with the one-hop p50 0.50 vs 0.48 ms (at 1-2 k rows it
-#: had cost that p50 30 %), ``tuned_secondary`` 158 vs 151 ops/s for 219
-#: vs 208 MB peak RSS — within noise on one, +5 % memory on the other.
+#: The count-only kernel's run table is bounded by it too.  The ablation's
+#: density sweep (``count_density_sweep`` in ``BENCH_intersect_ablation.json``,
+#: 2 cores, span over probes + entries) has that table ahead of the kernel's
+#: bitmap through 32 (1.08 vs 1.30 ms), level at 64 (1.39 vs 1.37) and
+#: behind from 128 (3.38 vs 2.18).  64 had cost ``server_zipf``'s one-hop
+#: p50 (the triangle's per-row kernel beside it ran faster and wanted the
+#: GIL back more often), so the constant stays 16.
 HASH_TABLE_DENSITY = 16
 #: Hard cap on the boolean table size (entries), whatever the density says.
 HASH_SPAN_CAP = 1 << 26
@@ -112,10 +123,7 @@ def dedup_sorted(values: np.ndarray) -> np.ndarray:
     """
     if len(values) < 2:
         return values
-    keep = np.empty(len(values), dtype=bool)
-    keep[0] = True
-    np.not_equal(values[1:], values[:-1], out=keep[1:])
-    return values[keep]
+    return values[_run_starts(values)]
 
 
 def combo_positions(
@@ -153,17 +161,6 @@ def combo_positions(
         )
         positions.append(np.repeat(left, multiplicity) + choice)
     return positions, total
-
-
-def _sums_by_row(values: np.ndarray, rows: np.ndarray, num_rows: int) -> np.ndarray:
-    """Exact int64 sum of ``values`` per row; ``rows`` is non-decreasing."""
-    cumulative = np.empty(len(values) + 1, dtype=np.int64)
-    cumulative[0] = 0
-    np.cumsum(values, out=cumulative[1:])
-    boundaries = np.searchsorted(
-        rows, np.arange(num_rows + 1, dtype=np.int64), side="left"
-    )
-    return cumulative[boundaries[1:]] - cumulative[boundaries[:-1]]
 
 
 @dataclass
@@ -404,17 +401,14 @@ def intersect_segments(
             sorted_comps.append(comp[order])
             orders.append(order)
 
-    # Candidate groups start as leg 0's distinct composite keys; the
-    # first-occurrence flags double as leg 0's run bounds, and gallop legs
+    # Candidate groups start as leg 0's distinct composite keys; their run
+    # starts double as leg 0's run bounds, and gallop legs
     # return their bounds as a membership by-product, so only merge/hash legs
     # need the final searchsorted pass.  ``bounds`` stays aligned with
     # ``candidates`` by filtering both with every membership mask.
     first_comp = sorted_comps[0]
-    flags = np.empty(len(first_comp), dtype=bool)
-    flags[0] = True
-    np.not_equal(first_comp[1:], first_comp[:-1], out=flags[1:])
-    candidates = first_comp[flags]
-    first_left = np.nonzero(flags)[0].astype(np.int64)
+    first_left = _run_starts(first_comp)
+    candidates = first_comp[first_left]
     first_right = np.empty_like(first_left)
     first_right[:-1] = first_left[1:]
     first_right[-1] = len(first_comp)
@@ -451,7 +445,10 @@ def intersect_segments(
     group_keys = decode(candidates - group_rows * domain)
     total = int(multiplicity.sum())
 
-    counts_out = _sums_by_row(multiplicity, group_rows, num_rows)
+    counts_out = _row_sums(
+        multiplicity,
+        np.searchsorted(group_rows, np.arange(num_rows + 1, dtype=np.int64)),
+    )
 
     positions: Optional[List[np.ndarray]] = None
     if need_positions:
@@ -472,50 +469,174 @@ def intersect_segments(
     )
 
 
-def _list_probe(
+def _cell_runs(
     keys: np.ndarray,
     counts: np.ndarray,
     presorted: bool,
     domain: int,
     num_probes: int,
     strategy: Optional[str],
-) -> Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]:
-    """Multiplicity lookup over distinct lists.
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Multiplicity lookup over the ``list * domain + key`` cells of a list
+    space; ``keys`` are in the cells' dtype.
 
-    The returned function takes ``list * domain + key`` probes and returns
-    the positions of the probes that some entry of their list matches, and
-    for each the number of matching entries (the run length).
+    The returned function takes probe cells and returns, per probe, the
+    number of entries of its list that hold its key (0 for a miss), in an
+    unsigned dtype no wider than the longest run needs.
     """
     span = len(counts) * domain
     if strategy is None:
         strategy = choose_strategy(num_probes, len(keys), span)
-    cells = np.repeat(np.arange(len(counts), dtype=np.int64) * domain, counts)
-    cells += keys
+    distinct, runs = _distinct_cells(keys, counts, presorted, domain)
     if strategy == "hash" and span <= HASH_SPAN_CAP:
-        # A cell holds the (1-based) position of one entry that falls in it,
-        # in the narrowest type that can: the table is zero-filled and
-        # probed at random, so its width is its cost.  Run lengths are
-        # counted per position, over the entries only.
-        slots = np.zeros(span, dtype=np.min_scalar_type(len(cells)))
-        slots[cells] = np.arange(1, len(cells) + 1)
-        slot_runs = np.bincount(slots[cells], minlength=len(cells) + 1)
+        table = np.zeros(span, dtype=runs.dtype)
+        table[distinct] = runs
+        return table.__getitem__
+    # At ``shift`` 0 a set bit is the answer unless some run is longer than
+    # 1; otherwise the set bits are confirmed, and their runs read, by one
+    # search of the distinct cells.
+    shift = _bitmap_shift(span, num_probes)
+    bits = _bitmap(distinct, shift, (span - 1) >> shift)
+    confirm = shift > 0 or len(distinct) < len(keys)
 
-        def lookup(probes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-            slot = slots[probes]
-            hits = np.flatnonzero(slot)
-            return hits, slot_runs[slot[hits]]
+    def lookup(probes: np.ndarray) -> np.ndarray:
+        index = probes >> (shift + 3)
+        weights = bits[index]
+        np.right_shift(probes, shift, out=index)
+        index &= 7
+        weights >>= index.astype(np.uint8)
+        weights &= 1
+        if not confirm:
+            return weights
+        weights = weights.astype(runs.dtype, copy=False)
+        hits = np.flatnonzero(weights)
+        probed = probes[hits]
+        index = np.searchsorted(distinct, probed)
+        np.minimum(index, len(distinct) - 1, out=index)
+        found = runs[index]
+        found[distinct[index] != probed] = 0
+        weights[hits] = found
+        return weights
 
-        return lookup
+    return lookup
+
+
+def _bitmap_shift(span: int, num_probes: int) -> int:
+    """Log2 of the cells per bit of a bitmap over ``span`` cells: as few as
+    keep it within the bytes a binary search of the probes allocates for
+    its int64 result — 8 per probe.
+
+    A bigger bitmap outgrows every other array of the call, and the process
+    keeps the freed memory of its largest allocations: sized by the table's
+    budget (``HASH_TABLE_DENSITY`` bytes per probe and entry, 856 KB for 41 k
+    probes) it took ``server_zipf``'s ``peak_rss_mb`` from 53.3 to 55.0 on
+    10 of 10 pairs.  Buckets cost the ablation's density sweep no time: one
+    bit per cell is level with them through span ratio 128 (2.24 vs 2.18 ms,
+    for 2.9 MB traced against 1.9) and behind from 256 (2.39 vs 2.19 ms;
+    4.69 vs 2.20 at 1024).
+    """
+    return (-(-span // (64 * num_probes)) - 1).bit_length()
+
+
+def _distinct_cells(
+    keys: np.ndarray, counts: np.ndarray, presorted: bool, domain: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct ``list * domain + key`` cells of a non-empty list
+    space, and the entries in each (narrowest unsigned dtype)."""
+    cells = np.repeat(np.arange(len(counts), dtype=keys.dtype) * domain, counts)
+    cells += keys
     if not presorted:
         cells.sort()
+    starts = _run_starts(cells)
+    runs = np.diff(starts, append=len(cells))
+    return cells[starts], runs.astype(np.min_scalar_type(int(runs.max())))
 
-    def search(probes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        left = np.searchsorted(cells, probes, side="left")
-        # Run lengths only for the probes that hit: most do not.
-        hits = np.flatnonzero(cells[np.minimum(left, len(cells) - 1)] == probes)
-        return hits, np.searchsorted(cells, probes[hits], side="right") - left[hits]
 
-    return search
+def _bitmap(cells: np.ndarray, shift: int, last: int) -> np.ndarray:
+    """Bits ``0 .. last``, set at the buckets ``cells >> shift`` of the
+    sorted ``cells``."""
+    low = cells >> shift
+    low &= 7
+    bit = np.left_shift(1, low.astype(np.uint8), dtype=np.uint8)
+    byte = np.right_shift(cells, shift + 3, out=low)
+    first = _run_starts(byte)
+    bits = np.zeros(last // 8 + 1, dtype=np.uint8)
+    bits[byte[first]] = np.bitwise_or.reduceat(bit, first)
+    return bits
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Positions where a run of equal values starts in non-empty ``values``."""
+    first = np.empty(len(values), dtype=bool)
+    first[0] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return np.flatnonzero(first)
+
+
+def _weigh_entries(
+    keys: np.ndarray,
+    counts: np.ndarray,
+    lists: np.ndarray,
+    presorted: bool,
+    domain: int,
+    strategy: Optional[str],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every row's shortest list, expanded and weighed by its other lists.
+
+    Returns ``(weights, offsets)``: per expanded entry, the product of its
+    runs in the row's other lists, and the row boundaries into ``weights``.
+    The lookup structure and the probes go with the call, before the row
+    sums widen the weights to int64.
+    """
+    num_legs, num_rows = lists.shape
+    shortest = counts[lists].argmin(axis=0)
+    row_ids = np.arange(num_rows, dtype=np.int64)
+    expanded = lists[shortest, row_ids]
+    sizes = counts[expanded]
+    offsets = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    total = int(offsets[-1])
+    if total == 0:
+        return np.zeros(0, dtype=np.uint8), offsets
+    # One ``np.repeat`` (which holds the GIL) gives every entry its row;
+    # gathers through it (which release the GIL) do the rest.
+    entry_rows = np.repeat(row_ids, sizes)
+    within = (np.cumsum(counts) - counts)[expanded] - offsets[:-1]
+    entry_keys = keys[within[entry_rows] + np.arange(total, dtype=np.int64)]
+    runs = _cell_runs(keys, counts, presorted, domain, total * (num_legs - 1), strategy)
+    weights = None
+    for step in range(1, num_legs):
+        last = step + 1 == num_legs
+        probed = lists[(shortest + step) % num_legs, row_ids] * domain
+        probed = probed.astype(keys.dtype, copy=False)
+        # The last step probes in place: the keys are not read again.
+        probes = entry_keys if last else entry_keys.copy()
+        probes += probed[entry_rows]
+        step_weights = runs(probes)
+        weights = (
+            step_weights
+            if weights is None
+            else np.multiply(weights, step_weights, dtype=np.int64)
+        )
+        if not last:
+            # Only the entries still weighing something meet the next list.
+            kept = weights != 0
+            np.cumsum(_row_sums(kept, offsets), out=offsets[1:])
+            entry_keys = entry_keys[kept]
+            weights = weights[kept]
+            entry_rows = entry_rows[kept]
+    return weights, offsets
+
+
+def _row_sums(weights: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Exact int64 sum of ``weights`` between consecutive ``offsets``."""
+    sums = np.zeros(len(offsets) - 1, dtype=np.int64)
+    filled = offsets[:-1] < offsets[1:]
+    # Widened before the reduction: one that casts as it goes holds the GIL
+    # throughout (and runs 1.5x slower).
+    widened = weights.astype(np.int64, copy=False)
+    sums[filled] = np.add.reduceat(widened, offsets[:-1][filled])
+    return sums
 
 
 def count_shared_intersections(
@@ -535,13 +656,16 @@ def count_shared_intersections(
     would report for it (``counts_out``): parallel entries multiply.
 
     All legs' lists form one list space (legs that read the same lists pass
-    it once).  Every row expands its own shortest list into (row, key)
-    entries and looks them up in its other lists, one round per further
-    leg, through a single ``list * domain + key`` lookup over the whole
-    space (see "Shared lists" in the module docstring): a position table
-    when :func:`choose_strategy` says ``hash`` for the span
-    ``lists * domain`` — never sized by the batch's rows — else a binary
-    search of the sorted cells.
+    it once).  Every row expands its own shortest list, and each expanded
+    entry is weighed by its run in each of the row's other lists, one round
+    per further leg; rounds before the last keep only the entries still
+    weighing something.  The runs come from one structure over the space's
+    ``list * domain + key`` cells (see "Shared lists" in the module
+    docstring): a run table when :func:`choose_strategy` says ``hash`` for
+    the span ``lists * domain`` — never sized by the batch's rows — else a
+    bitmap of at most 8 bytes per probe whose hits one binary search of the
+    distinct cells confirms.  A row's count is the sum of its entries'
+    weights.
 
     Args:
         list_keys: per leg, the integer join keys (in ``[0, domain)``) of
@@ -552,12 +676,11 @@ def count_shared_intersections(
             ``list_keys``.
         row_lists: per leg (two or more), the list each row reads (all of
             one length).
-        presorted: per leg, True when every list it reads is sorted on
-            the join key; consulted only when the cells are searched, which
-            sorts them first unless every leg's are.
+        presorted: per leg, True when every list it reads is sorted on the
+            join key; the cells are sorted first unless every leg's are.
         domain: exclusive upper bound of the join keys.
         strategy: force the table (``"hash"``, span cap permitting) or the
-            search (``"merge"``, ``"gallop"``) — tests and ablations, as in
+            bitmap (``"merge"``, ``"gallop"``) — tests and ablations, as in
             :func:`intersect_segments`.
     """
     num_legs = len(row_lists)
@@ -567,7 +690,6 @@ def count_shared_intersections(
         raise ValueError("pass one list space per leg, or one for every leg")
     if strategy is not None and strategy not in _STRATEGIES:
         raise ValueError(f"unknown intersection strategy {strategy!r}")
-    num_rows = len(row_lists[0])
     # Leg ``l``'s list ``i`` is list ``bases[l] + i`` of the one list space;
     # a space shared by every leg is already that.
     if len(list_keys) == 1:
@@ -576,26 +698,11 @@ def count_shared_intersections(
     else:
         keys, counts = np.concatenate(list_keys), np.concatenate(list_counts)
         bases = np.cumsum([0] + [len(leg_counts) for leg_counts in list_counts[:-1]])
-    keys = keys.astype(np.int64, copy=False)
     lists = np.stack([chosen + base for chosen, base in zip(row_lists, bases)])
-    shortest = counts[lists].argmin(axis=0)
-    row_ids = np.arange(num_rows, dtype=np.int64)
-    expanded = lists[shortest, row_ids]
-    sizes = counts[expanded]
-    total = int(sizes.sum())
-    if total == 0:
-        return np.zeros(num_rows, dtype=np.int64)
-    starts = (np.cumsum(counts) - counts)[expanded]
-    entry_keys = keys[range_positions(starts, sizes, total)]
-    entry_rows = np.repeat(row_ids, sizes)
-    lookup = _list_probe(
-        keys, counts, all(presorted), domain, total * (num_legs - 1), strategy
+    # Cells, probes and keys in the narrowest signed type the span fits.
+    domain = int(domain)
+    cell_type = np.int32 if len(counts) * domain <= np.iinfo(np.int32).max else np.int64
+    weights, offsets = _weigh_entries(
+        keys.astype(cell_type, copy=False), counts, lists, all(presorted), domain, strategy
     )
-    combos = None
-    for step in range(1, num_legs):
-        probed = lists[(shortest + step) % num_legs, row_ids]
-        hits, runs = lookup(probed[entry_rows] * domain + entry_keys)
-        entry_keys = entry_keys[hits]
-        entry_rows = entry_rows[hits]
-        combos = runs if combos is None else combos[hits] * runs
-    return _sums_by_row(combos, entry_rows, num_rows)
+    return _row_sums(weights, offsets)

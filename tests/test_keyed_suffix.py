@@ -46,10 +46,12 @@ from repro.query.backends import (
     WorkerPayload,
     _worker_run,
 )
+from repro.query.binding import MatchBatch
 from repro.query.executor import CountSink, Executor
 from repro.query.factorized import FLAG_TABLE_DENSITY, SharedKeys
 from repro.query.naive import NaiveMatcher
 from repro.query.operators import (
+    ExecutionContext,
     ExecutionStats,
     ExtendIntersect,
     ExtensionLeg,
@@ -642,6 +644,94 @@ def test_legs_that_read_different_lists_keep_their_spaces(fx, change, monkeypatc
 
 
 # ----------------------------------------------------------------------
+# symmetric rows: (x, y) and (y, x) on one list space are one kernel row
+# ----------------------------------------------------------------------
+def _spied_kernel_rows(monkeypatch):
+    """Record the ``row_lists`` of every ``count_shared_intersections`` call."""
+    calls = []
+
+    def spy(list_keys, list_counts, row_lists, *args, **kwargs):
+        calls.append(np.stack(row_lists))
+        return count_shared_intersections(
+            list_keys, list_counts, row_lists, *args, **kwargs
+        )
+
+    monkeypatch.setattr("repro.query.operators.count_shared_intersections", spy)
+    return calls
+
+
+def _mirrored_batch(multi, graph):
+    """Every ordered pair of the ten longest-listed vertices, twice: each
+    row's mirror is in the batch, and every leg's keys repeat."""
+    access = multi.legs[0].access_path
+    degrees = access.index.count_many(
+        np.arange(graph.num_vertices, dtype=np.int64), access.key_values
+    )
+    hubs = np.argsort(-degrees, kind="stable")[:10]
+    x, y = (np.tile(column.ravel(), 2) for column in np.meshgrid(hubs, hubs))
+    first, second = (leg.bound_var for leg in multi.legs)
+    return MatchBatch({first: x, second: y}), list(zip(x.tolist(), y.tolist()))
+
+
+def test_symmetric_rows_are_counted_once(fx, monkeypatch):
+    """labelled_mr2's E/I: both legs read one list space."""
+    query, plan = fx.plans["labelled_mr2"]
+    graph = fx.graphs["labelled_mr2"]
+    multi = plan.operators[-1]
+    assert multi._one_list_space()
+    batch, pairs = _mirrored_batch(multi, graph)
+    calls = _spied_kernel_rows(monkeypatch)
+    context = ExecutionContext(graph=graph, query=query)
+    counts = multi.count_factorized(batch, context).cardinalities
+    # The per-row segment kernel over the same batch: the flat path's counts.
+    flat = multi.extend_factorized(batch, ExecutionContext(graph=graph, query=query))
+    assert counts.tolist() == flat.cardinalities.tolist()
+    assert counts.sum() > 0 and len(set(counts.tolist())) > 1
+    (kernel_rows,) = calls
+    assert (kernel_rows[0] <= kernel_rows[1]).all()
+    assert kernel_rows.shape[1] == len({tuple(sorted(pair)) for pair in pairs})
+    assert kernel_rows.shape[1] < len(set(pairs))
+    # The union fetch charges what it always did: every row its own list
+    # per leg, the distinct vertices' lists read once.
+    access = multi.legs[0].access_path
+    index, key_values = access.index, access.key_values
+    bound = np.concatenate([batch.column(leg.bound_var) for leg in multi.legs])
+    distinct = np.unique(bound)
+    entries = int(index.count_many(bound, key_values).sum())
+    stats = context.stats
+    assert stats.lists_accessed == len(bound)
+    assert stats.list_entries_fetched == entries
+    assert stats.lists_shared == len(bound) - len(distinct)
+    assert stats.entries_shared == entries - int(
+        index.count_many(distinct, key_values).sum()
+    )
+    # The whole query: canonical kernel rows, and the flat and naive counts.
+    calls.clear()
+    executor = Executor(graph, batch_size=1024)
+    assert executor.count(plan) == executor.count(plan, factorized=False)
+    assert executor.count(plan) == NaiveMatcher(graph).count(query)
+    assert calls and all((rows[0] <= rows[1]).all() for rows in calls)
+
+
+def test_rows_over_two_list_spaces_keep_their_order(fx, monkeypatch):
+    """mf1_shape's E/I reads two indexes: a row's lists are not
+    interchangeable, so a row and its mirror stay two kernel rows."""
+    query, plan = fx.plans["mf1_shape"]
+    graph = fx.graphs["mf1_shape"]
+    multi = plan.operators[-1]
+    assert not multi._one_list_space()
+    batch, pairs = _mirrored_batch(multi, graph)
+    calls = _spied_kernel_rows(monkeypatch)
+    counts = multi.count_factorized(
+        batch, ExecutionContext(graph=graph, query=query)
+    ).cardinalities
+    flat = multi.extend_factorized(batch, ExecutionContext(graph=graph, query=query))
+    assert counts.tolist() == flat.cardinalities.tolist()
+    (kernel_rows,) = calls
+    assert kernel_rows.shape[1] == len(set(pairs))
+
+
+# ----------------------------------------------------------------------
 # every backend
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", ["thread", "process"])
@@ -920,6 +1010,33 @@ def test_shared_list_kernel_sparse_domain_allocates_no_table():
         list_keys, list_counts, row_lists, [True, True], _SPARSE_DOMAIN
     )
     assert counts.min() >= 1
+
+
+def test_shared_list_kernel_bitmap_is_sized_by_the_data(monkeypatch):
+    """A domain past the table's span: the bitmap holds one bit per cell
+    (8 bytes per probe cover them) within the same bound, parallel entries
+    included."""
+    rng = np.random.default_rng(5)
+    num_lists, list_size, num_rows, domain = 200, 50, 4000, 20_000
+    list_keys, list_counts, row_lists = _many_lists(
+        rng, num_lists, list_size, num_rows, domain
+    )
+    for keys in list_keys:
+        keys[1::list_size] = keys[::list_size]  # a run of 2 opens every list
+    verdicts = _spied_strategies(monkeypatch)
+    args = (list_keys, list_counts, row_lists, [True, True], domain)
+    want = count_shared_intersections(*args, strategy="hash")
+    counts, peak = _traced_peak(
+        lambda: count_shared_intersections(*args, strategy="merge")
+    )
+    assert counts.tolist() == want.tolist() and (want > 1).any()
+    probes, entries = num_rows * list_size, 2 * num_lists * list_size
+    span = 2 * num_lists * domain
+    assert intersect.HASH_TABLE_DENSITY * (probes + entries) < span <= 64 * probes
+    assert verdicts == []
+    assert peak <= intersect.HASH_TABLE_DENSITY * (probes + entries) * 8
+    assert count_shared_intersections(*args).tolist() == want.tolist()
+    assert [verdict for *_sizes, verdict in verdicts] == ["merge"]
 
 
 @pytest.mark.parametrize(
