@@ -72,7 +72,7 @@ SIZE_RATIOS = (1, 4, 16, 64, 256)
 #: consecutive keys, i.e. maximally dense).
 KEY_GAPS = (1, 8, 64)
 #: Timed repetitions per (case, strategy); best-of is reported.
-REPETITIONS = int(os.environ.get("BENCH_REPETITIONS", "3"))
+REPETITIONS = 3
 
 STRATEGIES = ("merge", "gallop", "hash")
 #: Routes of the count-only kernel: the strategy name that forces each, and

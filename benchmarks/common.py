@@ -1,50 +1,21 @@
-"""Shared configuration for the benchmark harness.
+"""Shared configuration of the hand-run scripts under ``benchmarks/``.
 
-Every ``bench_*.py`` file regenerates one table of the paper.  Two usage modes
-are supported:
-
-* ``pytest benchmarks/ --benchmark-only`` — runs the pytest-benchmark timings
-  of the representative queries of every experiment, and
-
-* ``python benchmarks/bench_table<N>_*.py`` — runs the full experiment and
-  prints a plain-text table that pairs the paper's reported numbers with the
-  values measured by this reproduction.
-
-The datasets are the scaled stand-ins of :mod:`repro.workloads.datasets`; the
-``BENCH_SCALE`` environment variable scales them up or down (default 1.0,
-sized so the whole harness finishes in a few minutes of pure-Python
-execution).
+``paper_tables.py`` measures the paper's tables on the scaled stand-ins of
+:mod:`repro.workloads.datasets`, and ``bench_server_load.py`` sizes its
+graph; the ``BENCH_SCALE`` environment variable scales both (default 1.0).
+The benchmark of record is ``benchmarks/suite/``, which does not read it.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from typing import Dict
 
 # Allow running the bench files as plain scripts from the repository root.
 sys.path.insert(0, os.path.dirname(__file__))
 
-#: Global scale multiplier applied to every dataset used by the harness.
+#: Global scale multiplier applied to every dataset the scripts build.
 BENCH_SCALE = float(os.environ.get("BENCH_SCALE", "1.0"))
-
-#: Number of timed repetitions per query (best-of is reported).
-REPETITIONS = int(os.environ.get("BENCH_REPETITIONS", "1"))
-
-#: Datasets used by each experiment (kept small; the paper uses Ork/LJ/WT).
-#: ``brk`` is used where the unbounded path-style queries would otherwise be
-#: interpreter-bound for minutes; see EXPERIMENTS.md for the mapping.
-TABLE2_DATASET = "brk"
-TABLE2_VERTEX_LABELS = 4
-TABLE2_EDGE_LABELS = 2
-TABLE3_DATASET = "brk"
-#: MR3's start vertex is bounded (as in the paper) to keep runtimes sane.
-TABLE3_MR3_LIMIT_FRACTION = 0.1
-TABLE4_DATASET = "brk"
-#: Table V uses LJ_{12,2} (as in the paper) and BRK_{4,2} as the second graph.
-TABLE5_DATASETS = ("lj", "brk")
-TABLE5_LABELS = {"lj": (12, 2), "wt": (4, 2), "brk": (4, 2)}
-MAINTENANCE_DATASETS = ("lj", "brk")
 
 
 def print_header(title: str) -> None:

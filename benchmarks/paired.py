@@ -114,18 +114,22 @@ def compare_metric(
     }
 
 
-def environment_stamp(parent: str) -> Dict[str, object]:
+def environment_stamp(parent: Optional[str] = None) -> Dict[str, object]:
+    """Cores, versions and commits; ``parent`` only for a paired run."""
     import numpy
 
-    return {
+    stamp: Dict[str, object] = {
         "cores": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "platform": platform.platform(),
-        "parent": git("rev-parse", parent),
-        "change": git("rev-parse", "HEAD")
-        + ("+uncommitted" if git("status", "--porcelain") else ""),
     }
+    if parent is not None:
+        stamp["parent"] = git("rev-parse", parent)
+    stamp["change"] = git("rev-parse", "HEAD") + (
+        "+uncommitted" if git("status", "--porcelain") else ""
+    )
+    return stamp
 
 
 def load_document(path: str) -> Dict[str, object]:

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import time
 
-from repro import Database
-from repro.bench.harness import config_d, config_dp, config_ds
+from repro import Database, IndexConfig
 from repro.graph.generators import LabelledGraphSpec, generate_labelled_graph
 from repro.workloads import labelled_subgraph
 
@@ -45,7 +44,11 @@ def main() -> None:
         VERTEX_LABELS, EDGE_LABELS, names=QUERIES
     )
 
-    configs = {"D": config_d(), "Ds": config_ds(), "Dp": config_dp()}
+    configs = {
+        "D": IndexConfig.default(),
+        "Ds": IndexConfig.sorted_by_nbr_label(),
+        "Dp": IndexConfig.partitioned_by_nbr_label(),
+    }
     databases = {}
     for name, config in configs.items():
         started = time.perf_counter()

@@ -51,7 +51,7 @@ def main() -> None:
         print(f"--- {name} ---")
         for config_name, db in (("D", default_db), ("D+VPt", tuned_db)):
             started = time.perf_counter()
-            result = db.run(query)
+            result = db.run(query, factorized=True)
             elapsed = time.perf_counter() - started
             print(
                 f"  {config_name:<7} {elapsed:7.3f}s  {result.count} recommendations, "

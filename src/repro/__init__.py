@@ -9,10 +9,10 @@ The package provides:
   (:mod:`repro.index`, :mod:`repro.storage`),
 * a GraphflowDB-style query processor with EXTEND/INTERSECT, MULTI-EXTEND and
   a DP join optimizer that selects A+ indexes (:mod:`repro.query`),
-* fixed-adjacency-list baseline engines (:mod:`repro.baselines`),
-* the paper's three evaluation workloads (:mod:`repro.workloads`), and
-* the benchmark harness that regenerates the paper's tables
-  (:mod:`repro.bench`, driven from ``benchmarks/``).
+* an admission-controlled query server (:mod:`repro.server`), and
+* the paper's three evaluation workloads on scaled datasets
+  (:mod:`repro.workloads`), which ``benchmarks/paper_tables.py`` runs to
+  measure the paper's tables.
 
 Quickstart::
 

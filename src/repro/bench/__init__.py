@@ -1,30 +1,8 @@
-"""Benchmark harness helpers: paper configurations and table rendering."""
+"""Helpers the benchmark suite imports: ``available_cpus`` and ``VPt``.
 
-from .harness import (
-    ConfiguredDatabase,
-    config_d,
-    config_dp,
-    config_ds,
-    database_with_primary_config,
-    fraud_configs,
-    magicrecs_configs,
-    maintenance_configs,
-    vpt_view_and_config,
-)
-from .reporting import Table, format_cell, ratio_string, speedup
+The paper's tables are measured by ``benchmarks/paper_tables.py``.
+"""
 
-__all__ = [
-    "ConfiguredDatabase",
-    "Table",
-    "config_d",
-    "config_dp",
-    "config_ds",
-    "database_with_primary_config",
-    "format_cell",
-    "fraud_configs",
-    "magicrecs_configs",
-    "maintenance_configs",
-    "ratio_string",
-    "speedup",
-    "vpt_view_and_config",
-]
+from .harness import available_cpus, vpt_view_and_config
+
+__all__ = ["available_cpus", "vpt_view_and_config"]

@@ -1,41 +1,26 @@
-"""Shared helpers for the experiment harness in ``benchmarks/``.
+"""The two helpers ``benchmarks/suite/`` imports from the package.
 
-Each ``benchmarks/bench_*.py`` file regenerates one table (or figure) of the
-paper.  The helpers here build the index configurations used by the paper's
-experiment sections so that benchmark scripts and tests construct them the
-same way:
-
-* Table II:  primary-index configurations ``D``, ``Ds`` and ``Dp``;
-* Table III: ``D`` and ``D+VPt`` (time-sorted secondary vertex index);
-* Table IV:  ``D``, ``D+VPc`` and ``D+VPc+EPc``;
-* Section V-F: the five maintenance configurations.
+``available_cpus`` stamps the cores a run could use; ``vpt_view_and_config``
+builds Table III's ``VPt`` index, which the suite's ``tuned_secondary``
+workload, ``benchmarks/paper_tables.py`` and the tests read alike.
 """
 
 from __future__ import annotations
 
 import os
-import time
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Tuple
 
-from ..graph.graph import PropertyGraph
-from ..graph.types import Direction
 from ..index.config import IndexConfig
 from ..index.views import OneHopView
-from ..query.engine import Database
 from ..storage.partition_keys import PartitionKey
 from ..storage.sort_keys import SortKey
-from ..workloads import fraud
 
 
 def available_cpus() -> int:
     """Number of CPU cores this process may actually use.
 
     Prefers the scheduler affinity mask (respects container/cgroup CPU
-    pinning) over the raw core count.  The parallel-execution benchmark
-    records this next to its measured speedup so the regression gate can
-    tell "the dispatcher regressed" apart from "the machine cannot run four
-    workers at once" (``requires_cpus`` in the baseline file).
+    pinning) over the raw core count.
     """
     try:
         return len(os.sched_getaffinity(0))
@@ -43,56 +28,6 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-@dataclass
-class ConfiguredDatabase:
-    """A database plus bookkeeping about how it was configured."""
-
-    name: str
-    database: Database
-    setup_seconds: float
-    indexed_edges: int = 0
-
-    @property
-    def memory_bytes(self) -> int:
-        return self.database.memory_report().total
-
-
-# ----------------------------------------------------------------------
-# Table II configurations
-# ----------------------------------------------------------------------
-def config_d() -> IndexConfig:
-    """``D``: partition by edge label, sort by neighbour ID (system default)."""
-    return IndexConfig.default()
-
-
-def config_ds() -> IndexConfig:
-    """``Ds``: D's partitioning, sorted by neighbour label then neighbour ID."""
-    return IndexConfig.sorted_by_nbr_label()
-
-
-def config_dp() -> IndexConfig:
-    """``Dp``: partition by edge label and neighbour label, sort by nbr ID."""
-    return IndexConfig.partitioned_by_nbr_label()
-
-
-def database_with_primary_config(
-    graph: PropertyGraph, name: str, config: IndexConfig
-) -> ConfiguredDatabase:
-    """Build a database and (re)configure its primary index, timing the step.
-
-    Building directly under ``config`` and reconfiguring from ``D`` produce
-    the same physical index; the reconfiguration time reported is the rebuild
-    time, matching the paper's ``IR`` column.
-    """
-    started = time.perf_counter()
-    database = Database(graph, primary_config=config)
-    elapsed = time.perf_counter() - started
-    return ConfiguredDatabase(name=name, database=database, setup_seconds=elapsed)
-
-
-# ----------------------------------------------------------------------
-# Table III configurations
-# ----------------------------------------------------------------------
 def vpt_view_and_config() -> Tuple[OneHopView, IndexConfig]:
     """``VPt``: global 1-hop view, primary partitioning, sorted on edge time."""
     view = OneHopView(name="VPt")
@@ -101,97 +36,3 @@ def vpt_view_and_config() -> Tuple[OneHopView, IndexConfig]:
         sort_keys=(SortKey.edge_property("time"), SortKey.neighbour_id()),
     )
     return view, config
-
-
-def magicrecs_configs(graph: PropertyGraph) -> Dict[str, ConfiguredDatabase]:
-    """The ``D`` and ``D+VPt`` configurations of Table III."""
-    configs: Dict[str, ConfiguredDatabase] = {}
-    configs["D"] = database_with_primary_config(graph, "D", config_d())
-
-    started = time.perf_counter()
-    database = Database(graph, primary_config=config_d())
-    view, vpt_config = vpt_view_and_config()
-    creation = database.create_vertex_index(
-        view, directions=(Direction.FORWARD,), config=vpt_config, name="VPt"
-    )
-    configs["D+VPt"] = ConfiguredDatabase(
-        name="D+VPt",
-        database=database,
-        setup_seconds=time.perf_counter() - started,
-        indexed_edges=creation.indexed_edges,
-    )
-    return configs
-
-
-# ----------------------------------------------------------------------
-# Table IV configurations
-# ----------------------------------------------------------------------
-def fraud_configs(
-    graph: PropertyGraph, selectivity: float = 0.05
-) -> Dict[str, ConfiguredDatabase]:
-    """The ``D``, ``D+VPc`` and ``D+VPc+EPc`` configurations of Table IV."""
-    alpha = fraud.amount_alpha(graph, selectivity)
-    configs: Dict[str, ConfiguredDatabase] = {}
-    configs["D"] = database_with_primary_config(graph, "D", config_d())
-
-    vpc_view, vpc_config = fraud.vpc_view_and_config()
-
-    started = time.perf_counter()
-    db_vpc = Database(graph, primary_config=config_d())
-    vpc_creation = db_vpc.create_vertex_index(
-        vpc_view,
-        directions=(Direction.FORWARD, Direction.BACKWARD),
-        config=vpc_config,
-        name="VPc",
-    )
-    configs["D+VPc"] = ConfiguredDatabase(
-        name="D+VPc",
-        database=db_vpc,
-        setup_seconds=time.perf_counter() - started,
-        indexed_edges=graph.num_edges + vpc_creation.indexed_edges,
-    )
-
-    started = time.perf_counter()
-    db_epc = Database(graph, primary_config=config_d())
-    vpc_creation = db_epc.create_vertex_index(
-        vpc_view,
-        directions=(Direction.FORWARD, Direction.BACKWARD),
-        config=vpc_config,
-        name="VPc",
-    )
-    epc_view, epc_config = fraud.epc_view_and_config(alpha)
-    epc_creation = db_epc.create_edge_index(epc_view, config=epc_config, name="EPc")
-    configs["D+VPc+EPc"] = ConfiguredDatabase(
-        name="D+VPc+EPc",
-        database=db_epc,
-        setup_seconds=time.perf_counter() - started,
-        indexed_edges=graph.num_edges
-        + vpc_creation.indexed_edges
-        + epc_creation.indexed_edges,
-    )
-    return configs
-
-
-# ----------------------------------------------------------------------
-# Section V-F maintenance configurations
-# ----------------------------------------------------------------------
-def maintenance_configs() -> Dict[str, Dict]:
-    """Descriptors of the five maintenance configurations of Section V-F.
-
-    Returns a mapping from configuration name to keyword descriptors consumed
-    by ``benchmarks/bench_maintenance.py``: the primary configuration, and
-    whether a time-sorted vertex-partitioned index (``VPt``) and/or a
-    time-predicate edge-partitioned index (``EPt``) is maintained as well.
-    """
-    flat_unsorted = IndexConfig(partition_keys=(), sort_keys=(SortKey.neighbour_id(),))
-    dp = IndexConfig(
-        partition_keys=(PartitionKey.edge_label(),), sort_keys=(SortKey.edge_id(),)
-    )
-    dps = IndexConfig.default()
-    return {
-        "Ds": {"primary": flat_unsorted, "vpt": False, "ept": False},
-        "Dp": {"primary": dp, "vpt": False, "ept": False},
-        "Dps": {"primary": dps, "vpt": False, "ept": False},
-        "Dps+VPt": {"primary": dps, "vpt": True, "ept": False},
-        "Dps+EPt": {"primary": dps, "vpt": True, "ept": True},
-    }

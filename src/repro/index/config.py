@@ -15,8 +15,8 @@ constructors here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Sequence, Tuple
 
 from ..errors import IndexConfigError
 from ..graph.graph import PropertyGraph
@@ -71,14 +71,6 @@ class IndexConfig:
     def flat(cls) -> "IndexConfig":
         """No nested partitioning; sort by neighbour ID only."""
         return cls(partition_keys=(), sort_keys=(SortKey.neighbour_id(),))
-
-    def with_sort(self, *sort_keys: SortKey) -> "IndexConfig":
-        """Return a copy with a different sort order."""
-        return IndexConfig(partition_keys=self.partition_keys, sort_keys=tuple(sort_keys))
-
-    def with_partitioning(self, *partition_keys: PartitionKey) -> "IndexConfig":
-        """Return a copy with a different nested partitioning."""
-        return IndexConfig(partition_keys=tuple(partition_keys), sort_keys=self.sort_keys)
 
     # ------------------------------------------------------------------
     # validation and introspection

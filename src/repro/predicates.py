@@ -273,20 +273,6 @@ class Comparison:
             return right + self.offset
         return right
 
-    @property
-    def is_cross_variable(self) -> bool:
-        """True when the comparison references two different variables."""
-        return (
-            isinstance(self.left, PropertyRef)
-            and isinstance(self.right, PropertyRef)
-            and self.left.var != self.right.var
-        )
-
-    @property
-    def is_constant_comparison(self) -> bool:
-        """True when exactly one side is a constant."""
-        return isinstance(self.left, PropertyRef) and isinstance(self.right, Constant)
-
     # -- evaluation ------------------------------------------------------
     def _operand_value(
         self,
@@ -452,12 +438,6 @@ class Predicate:
 
     def renamed(self, mapping: Mapping[str, str]) -> "Predicate":
         return Predicate(c.renamed(mapping) for c in self._comparisons)
-
-    def restricted_to(self, variables: Set[str]) -> "Predicate":
-        """Conjuncts that reference only the given variables."""
-        return Predicate(
-            c for c in self._comparisons if c.variables() <= set(variables)
-        )
 
     def without(self, comparisons: Sequence[Comparison]) -> "Predicate":
         removed = list(comparisons)

@@ -105,45 +105,8 @@ class QueryPlan:
         state = getattr(snapshot, "state", None)
         return getattr(state, "generation", None)
 
-    def bound_variables(self) -> Set[str]:
-        """Query variables bound after running the whole pipeline."""
-        bound: Set[str] = set()
-        for operator in self.operators:
-            if isinstance(operator, ScanVertices):
-                bound.add(operator.var)
-            elif isinstance(operator, ExtendIntersect):
-                bound.add(operator.target_var)
-                bound.update(leg.edge_var for leg in operator.legs if leg.track_edge)
-            elif isinstance(operator, MultiExtend):
-                bound.update(operator.target_vars)
-                bound.update(leg.edge_var for leg in operator.legs if leg.track_edge)
-        return bound
-
-    def binds_all_query_vertices(self) -> bool:
-        return set(self.query.vertex_names) <= self.bound_variables()
-
-    def uses_index(self, index_name: str) -> bool:
-        """True if any leg of the plan reads the named index."""
-        for operator in self.operators:
-            legs = getattr(operator, "legs", None)
-            if not legs:
-                continue
-            for leg in legs:
-                if leg.access_path.name == index_name:
-                    return True
-        return False
-
     def operator_names(self) -> List[str]:
         return [type(op).__name__ for op in self.operators]
-
-    def num_multiway_intersections(self) -> int:
-        """Number of operators performing a >= 2-way intersection."""
-        count = 0
-        for operator in self.operators:
-            legs = getattr(operator, "legs", None)
-            if legs and len(legs) >= 2:
-                count += 1
-        return count
 
     # ------------------------------------------------------------------
     # sink capability (factorized aggregate pushdown)

@@ -11,14 +11,6 @@ from .intersect import (
 from .memory import MemoryBreakdown, MemoryReport, format_bytes
 from .offset_lists import OffsetLists, bytes_needed
 from .partition_keys import PartitionKey
-from .search import (
-    equal_range,
-    group_by_sorted_key,
-    intersect_sorted,
-    prefix_below,
-    range_between,
-    suffix_above,
-)
 from .sort_keys import SortKey, sort_values_matrix
 
 __all__ = [
@@ -33,13 +25,7 @@ __all__ = [
     "bytes_needed",
     "combo_positions",
     "dedup_sorted",
-    "equal_range",
     "format_bytes",
-    "group_by_sorted_key",
     "intersect_segments",
-    "intersect_sorted",
-    "prefix_below",
-    "range_between",
     "sort_values_matrix",
-    "suffix_above",
 ]

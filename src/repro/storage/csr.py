@@ -383,10 +383,6 @@ class NestedCSR:
         end_group = (group + 1) * remaining
         return int(self.offsets[start_group]), int(self.offsets[end_group])
 
-    def bound_range(self, bound_id: int) -> Tuple[int, int]:
-        """Entry range of all entries bound to ``bound_id`` (level-0 list)."""
-        return self.group_range(bound_id, ())
-
     def _prefix_groups(
         self, bound_ids: np.ndarray, codes: Sequence[int] = ()
     ) -> Tuple[np.ndarray, int]:
@@ -439,18 +435,6 @@ class NestedCSR:
             self.offsets[start_groups + remaining].astype(np.int64),
         )
 
-    def prefix_starts(
-        self, bound_ids: np.ndarray, codes: Sequence[int] = ()
-    ) -> np.ndarray:
-        """Vectorized start positions for many bound IDs under a code prefix."""
-        return self.prefix_ranges(bound_ids, codes)[0]
-
-    def prefix_ends(
-        self, bound_ids: np.ndarray, codes: Sequence[int] = ()
-    ) -> np.ndarray:
-        """Vectorized end positions for many bound IDs under a code prefix."""
-        return self.prefix_ranges(bound_ids, codes)[1]
-
     def bound_starts(self, bound_ids: np.ndarray) -> np.ndarray:
         """Vectorized start positions of the level-0 lists of many bound IDs."""
         return self.offsets[np.asarray(bound_ids, dtype=np.int64) * self._per_bound]
@@ -489,17 +473,6 @@ class NestedCSR:
         if total == 0:
             return np.empty(0, dtype=np.int64), counts
         return range_positions(starts, counts, total), counts
-
-    def list_length(self, bound_id: int, codes: Sequence[int] = ()) -> int:
-        start, end = self.group_range(bound_id, codes)
-        return end - start
-
-    def nonempty_bounds(self) -> np.ndarray:
-        """Return the bound IDs that have at least one entry."""
-        start_indices = np.arange(self.num_bound, dtype=np.int64) * self._per_bound
-        starts = self.offsets[start_indices]
-        ends = self.offsets[start_indices + self._per_bound]
-        return np.nonzero(ends > starts)[0]
 
     # ------------------------------------------------------------------
     # accounting

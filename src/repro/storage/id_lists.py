@@ -7,8 +7,6 @@ are charged 4 bytes and edge IDs 8 bytes, following Section IV-B of the paper.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from ..graph.types import (
@@ -35,10 +33,6 @@ class IdLists:
 
     def __len__(self) -> int:
         return len(self.edge_ids)
-
-    def slice(self, start: int, end: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Return the ``(edge_ids, nbr_ids)`` views for a group range."""
-        return self.edge_ids[start:end], self.nbr_ids[start:end]
 
     def nbytes(self) -> int:
         """Bytes charged for the ID lists (8 B per edge ID + 4 B per nbr ID)."""

@@ -143,12 +143,6 @@ class SortKey:
         values[raw == null_marker] = np.iinfo(np.int64).max
         return values
 
-    def value_for_element(self, graph: PropertyGraph, edge_id: int, nbr_id: int):
-        """Sortable value of a single (edge, neighbour) pair."""
-        edge_ids = np.asarray([edge_id], dtype=np.int64)
-        nbr_ids = np.asarray([nbr_id], dtype=np.int64)
-        return self.values(graph, edge_ids, nbr_ids)[0]
-
     def describe(self) -> str:
         if self.is_neighbour_id:
             return "vnbr.ID"

@@ -1,4 +1,7 @@
-"""The paper's three evaluation workloads plus scaled datasets and a runner."""
+"""The paper's three evaluation workloads and the scaled datasets they run on.
+
+``benchmarks/paper_tables.py`` runs them under the paper's configurations.
+"""
 
 from . import fraud, labelled_subgraph, magicrecs
 from .datasets import (
@@ -11,14 +14,10 @@ from .datasets import (
     social_dataset,
     table1_rows,
 )
-from .runner import QueryMeasurement, WorkloadMeasurement, WorkloadRunner
 
 __all__ = [
     "DATASETS",
     "DatasetSpec",
-    "QueryMeasurement",
-    "WorkloadMeasurement",
-    "WorkloadRunner",
     "clear_cache",
     "dataset_names",
     "financial_dataset",

@@ -8,6 +8,10 @@ used as a correctness oracle.
 
 from __future__ import annotations
 
+import importlib
+import os
+import sys
+
 import pytest
 
 from repro import Database
@@ -96,6 +100,21 @@ def always_dispatch(request):
     """
     if request.node.get_closest_marker("production_gate") is None:
         request.getfixturevalue("force_dispatch")
+
+
+@pytest.fixture(scope="session")
+def paper_tables():
+    """``benchmarks/paper_tables.py``: the paper's configurations and tables.
+
+    The benchmark scripts import their siblings (``common``, ``paired``) by
+    bare name, so ``benchmarks/`` goes on the path first.
+    """
+    benchmarks = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks"
+    )
+    if benchmarks not in sys.path:
+        sys.path.insert(0, benchmarks)
+    return importlib.import_module("paper_tables")
 
 
 @pytest.fixture(scope="session")

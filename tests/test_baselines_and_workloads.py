@@ -1,42 +1,34 @@
-"""Tests for the baseline engines, workload builders, and the workload runner."""
+"""Tests for the baseline configurations, the workload queries, the scaled
+datasets and the measuring loop of ``benchmarks/paper_tables.py``."""
 
 import pytest
 
-from repro import Database
-from repro.baselines import Neo4jLikeEngine, TigerGraphLikeEngine
-from repro.errors import IndexConfigError
-from repro.index.views import OneHopView
 from repro.query.naive import NaiveMatcher
-from repro.workloads import WorkloadRunner, fraud, labelled_subgraph, magicrecs
+from repro.workloads import fraud, labelled_subgraph, magicrecs
 from repro.workloads.datasets import financial_dataset, labelled_dataset, social_dataset
 
 
 class TestBaselines:
-    def test_fixed_engines_answer_queries_correctly(self, labelled_graph):
+    """Table V's baselines are configuration rows: Neo4j-like keeps edge-label
+    partitions in edge-ID order, and TigerGraph-like is D's fixed layout."""
+
+    def test_fixed_engines_answer_queries_correctly(self, labelled_graph, paper_tables):
         query = labelled_subgraph.build_query("SQ1", 3, 2)
         oracle = NaiveMatcher(labelled_graph).count(query)
-        for engine_cls in (Neo4jLikeEngine, TigerGraphLikeEngine):
-            engine = engine_cls(labelled_graph)
-            assert engine.count(query) == oracle
+        for config in (paper_tables.NEO4J_LIKE, paper_tables.D):
+            db, _, _ = config.build(labelled_graph)
+            assert db.count(query) == oracle
 
-    def test_fixed_engines_refuse_tuning(self, labelled_graph):
-        engine = Neo4jLikeEngine(labelled_graph)
-        with pytest.raises(IndexConfigError):
-            engine.reconfigure_primary(None)
-        with pytest.raises(IndexConfigError):
-            engine.create_vertex_index(OneHopView("v"))
-        with pytest.raises(IndexConfigError):
-            engine.create_edge_index(None)
+    def test_fixed_configs_differ(self, paper_tables):
+        neo4j_like, d = paper_tables.NEO4J_LIKE.primary, paper_tables.D.primary
+        assert neo4j_like != d
+        assert not neo4j_like.sorted_by_neighbour_id
+        assert d.sorted_by_neighbour_id
 
-    def test_fixed_configs_differ(self):
-        assert Neo4jLikeEngine.fixed_config() != TigerGraphLikeEngine.fixed_config()
-        assert not Neo4jLikeEngine.fixed_config().sorted_by_neighbour_id
-        assert TigerGraphLikeEngine.fixed_config().sorted_by_neighbour_id
-
-    def test_describe(self, labelled_graph):
-        engine = TigerGraphLikeEngine(labelled_graph)
-        assert "tigergraph" in engine.describe()
-        assert engine.memory_report().total > 0
+    def test_describe(self, labelled_graph, paper_tables):
+        db, _, _ = paper_tables.NEO4J_LIKE.build(labelled_graph)
+        assert paper_tables.NEO4J_LIKE.primary.describe() in db.describe()
+        assert db.memory_report().total > 0
 
 
 class TestSubgraphWorkload:
@@ -134,22 +126,29 @@ class TestDatasetsAndRunner:
         financial = financial_dataset("brk", scale=0.05)
         assert financial.schema.has_edge_property("amt")
 
-    def test_workload_runner_collects_measurements(self, labelled_graph):
-        db = Database(labelled_graph)
-        runner = WorkloadRunner(db, "D")
-        queries = labelled_subgraph.build_workload(3, 2, names=["SQ1", "SQ4"])
-        measurement = runner.run(queries)
-        assert measurement.config_name == "D"
-        assert set(measurement.queries) == {"SQ1", "SQ4"}
-        assert measurement.memory_bytes > 0
-        assert measurement.total_runtime() > 0
-        assert measurement.runtime("SQ1") >= 0
+    def _table(self, paper_tables, configs):
+        return paper_tables.QueryTable(
+            "test", "labelled", "brk", configs, paper={}, paper_memory={},
+            labels=(3, 2), queries=("SQ1", "SQ4"),
+        )
 
-    def test_speedup_and_memory_ratio(self, labelled_graph):
-        db = Database(labelled_graph)
-        queries = labelled_subgraph.build_workload(3, 2, names=["SQ1"])
-        first = WorkloadRunner(db, "A").run(queries)
-        second = WorkloadRunner(db, "B").run(queries)
-        ratio = second.speedup_over(first, "SQ1")
-        assert ratio > 0
-        assert second.memory_ratio_over(first) == pytest.approx(1.0)
+    def test_workload_runner_collects_measurements(self, paper_tables):
+        table = self._table(paper_tables, (paper_tables.D,))
+        measured = paper_tables.measure_queries(table, scale=0.05)
+        assert measured["dataset"] == "brk"
+        assert {row["query"] for row in measured["rows"]} == {"SQ1", "SQ4"}
+        assert all(row["config"] == "D" and row["ms"] > 0 for row in measured["rows"])
+        (config,) = measured["configs"]
+        assert config["config"] == "D"
+        assert config["memory_bytes"] > 0
+        assert config["setup_s"] > 0
+
+    def test_speedup_and_memory_ratio(self, paper_tables):
+        twin = paper_tables.Config("B")
+        table = self._table(paper_tables, (paper_tables.D, twin))
+        measured = paper_tables.measure_queries(table, scale=0.05)
+        rows = [row for row in measured["rows"] if row["config"] == "B"]
+        assert [row["query"] for row in rows] == ["SQ1", "SQ4"]
+        assert all(row["ratio_over_d"] > 0 and row["verdict"] == "n/a" for row in rows)
+        (config,) = [row for row in measured["configs"] if row["config"] == "B"]
+        assert config["memory_ratio_over_d"] == pytest.approx(1.0)

@@ -80,14 +80,14 @@ class TestGather:
                 assert positions.dtype == np.int64
                 assert counts.dtype == np.int64
 
-    def test_prefix_starts_ends_generalize_bound_lookups(self):
+    def test_prefix_ranges_generalize_bound_lookups(self):
         rng = np.random.default_rng(5)
         csr = _random_csr(rng, 20, 120, [2, 2])
         bounds = rng.integers(0, 20, size=12)
-        assert csr.prefix_starts(bounds).tolist() == csr.bound_starts(bounds).tolist()
-        assert csr.prefix_ends(bounds).tolist() == csr.bound_ends(bounds).tolist()
-        starts = csr.prefix_starts(bounds, (1,))
-        ends = csr.prefix_ends(bounds, (1,))
+        starts, ends = csr.prefix_ranges(bounds)
+        assert starts.tolist() == csr.bound_starts(bounds).tolist()
+        assert ends.tolist() == csr.bound_ends(bounds).tolist()
+        starts, ends = csr.prefix_ranges(bounds, (1,))
         for bound, start, end in zip(bounds, starts, ends):
             assert (int(start), int(end)) == csr.group_range(int(bound), (1,))
 

@@ -336,7 +336,10 @@ def tuned_database(graph) -> Database:
     db.create_vertex_index(
         OneHopView("All"),
         directions=(Direction.BACKWARD,),
-        config=primary.with_sort(AMT, SortKey.nbr_property("city")),
+        config=IndexConfig(
+            partition_keys=primary.partition_keys,
+            sort_keys=(AMT, SortKey.nbr_property("city")),
+        ),
         name="All",
     )
     assert [index.shares_partition_levels for index in db.store.vertex_indexes] == [
@@ -554,7 +557,10 @@ class TestChurnHistories:
             db = Database(graph, primary_config=by_weight)
             db.create_vertex_index(
                 OneHopView("Heavy", predicate=Predicate.of(cmp(prop("eadj", "w"), ">", 0.5))),
-                config=by_weight.with_sort(SortKey.edge_property("w"), SortKey.neighbour_id()),
+                config=IndexConfig(
+                    partition_keys=(),
+                    sort_keys=(SortKey.edge_property("w"), SortKey.neighbour_id()),
+                ),
                 name="Heavy",
             )
             heavier = Predicate.of(cmp(prop("eb", "w"), "<", prop("eadj", "w")))

@@ -1,19 +1,7 @@
 """Tests for the Database facade, memory reporting, and bench helpers."""
 
-import pytest
-
 from repro import Database, Direction, IndexConfig
-from repro.bench.harness import (
-    config_d,
-    config_dp,
-    config_ds,
-    database_with_primary_config,
-    fraud_configs,
-    magicrecs_configs,
-    maintenance_configs,
-    vpt_view_and_config,
-)
-from repro.bench.reporting import Table, format_cell, ratio_string, speedup
+from repro.bench.harness import vpt_view_and_config
 from repro.index.views import OneHopView
 from repro.workloads import fraud
 from repro.query.pattern import QueryGraph
@@ -73,35 +61,43 @@ class TestDatabaseFacade:
 
 
 class TestBenchHarness:
-    def test_primary_configs(self):
-        assert config_d() == IndexConfig.default()
-        assert config_ds() == IndexConfig.sorted_by_nbr_label()
-        assert config_dp() == IndexConfig.partitioned_by_nbr_label()
+    """The configurations ``benchmarks/paper_tables.py`` measures."""
 
-    def test_database_with_primary_config(self, labelled_graph):
-        configured = database_with_primary_config(labelled_graph, "Dp", config_dp())
-        assert configured.name == "Dp"
-        assert configured.setup_seconds > 0
-        assert configured.memory_bytes > 0
+    def test_primary_configs(self, paper_tables):
+        assert paper_tables.D.primary == IndexConfig.default()
+        assert paper_tables.DS.primary == IndexConfig.sorted_by_nbr_label()
+        assert paper_tables.DP.primary == IndexConfig.partitioned_by_nbr_label()
 
-    def test_magicrecs_configs(self, social_graph):
-        configs = magicrecs_configs(social_graph)
-        assert set(configs) == {"D", "D+VPt"}
-        assert configs["D+VPt"].indexed_edges == social_graph.num_edges
-        assert "VPt" in configs["D+VPt"].database.store.secondary_index_names()
+    def test_database_with_primary_config(self, labelled_graph, paper_tables):
+        db, indexed_edges, setup_s = paper_tables.DP.build(labelled_graph)
+        assert db.primary_index.config == IndexConfig.partitioned_by_nbr_label()
+        assert indexed_edges == labelled_graph.num_edges
+        assert setup_s > 0
+        assert db.memory_report().total > 0
 
-    def test_fraud_configs(self, financial_graph):
-        configs = fraud_configs(financial_graph, selectivity=0.1)
-        assert set(configs) == {"D", "D+VPc", "D+VPc+EPc"}
-        epc_db = configs["D+VPc+EPc"].database
+    def test_magicrecs_configs(self, social_graph, paper_tables):
+        (table,) = [t for t in paper_tables.QUERY_TABLES if t.name == "III"]
+        assert [config.name for config in table.configs] == ["D", "D+VPt"]
+        db, indexed_edges, _ = paper_tables.D_VPT.build(social_graph)
+        # VPt is a global view: it indexes every edge once more.
+        assert indexed_edges == 2 * social_graph.num_edges
+        assert "VPt" in db.store.secondary_index_names()
+
+    def test_fraud_configs(self, financial_graph, paper_tables):
+        (table,) = [t for t in paper_tables.QUERY_TABLES if t.name == "IV"]
+        assert [config.name for config in table.configs] == ["D", "D+VPc", "D+VPc+EPc"]
+        _, vpc_edges, _ = paper_tables.D_VPC.build(financial_graph)
+        epc_db, epc_edges, _ = paper_tables.D_VPC_EPC.build(financial_graph)
         assert "EPc" in epc_db.store.secondary_index_names()
-        assert configs["D+VPc+EPc"].indexed_edges > configs["D+VPc"].indexed_edges
+        assert epc_edges > vpc_edges
 
-    def test_maintenance_configs(self):
-        configs = maintenance_configs()
-        assert list(configs) == ["Ds", "Dp", "Dps", "Dps+VPt", "Dps+EPt"]
-        assert configs["Dps+EPt"]["ept"] and configs["Dps+EPt"]["vpt"]
-        assert not configs["Ds"]["vpt"]
+    def test_maintenance_configs(self, social_graph, paper_tables):
+        configs = paper_tables.MAINTENANCE_CONFIGS
+        assert [config.name for config in configs] == ["Ds", "Dp", "Dps", "Dps+VPt", "Dps+EPt"]
+        db, _, _ = configs[-1].build(social_graph)
+        assert set(db.store.secondary_index_names()) == {"VPt", "EPt"}
+        db, _, _ = configs[0].build(social_graph)
+        assert not db.store.secondary_index_names()
 
     def test_vpt_view_and_config(self):
         view, config = vpt_view_and_config()
@@ -110,27 +106,14 @@ class TestBenchHarness:
 
 
 class TestReporting:
-    def test_format_cell(self):
-        assert format_cell(None) == "—"
-        assert format_cell(0.123456) == "0.123"
-        assert format_cell(12.3) == "12.3"
-        assert format_cell(1234.5) == "1,234"
-        assert format_cell(12345) == "12,345"
-        assert format_cell("abc") == "abc"
-
-    def test_speedup_and_ratio(self):
-        assert speedup(2.0, 1.0) == pytest.approx(2.0)
-        assert speedup(None, 1.0) is None
-        assert speedup(1.0, 0.0) is None
-        assert ratio_string(2.0) == "2.00x"
-        assert ratio_string(None) == "—"
-
-    def test_table_rendering(self):
-        table = Table("Demo", ["a", "b"])
-        table.add_row(1, 2.5)
-        table.add_row("x", None)
-        table.add_note("a note")
-        text = table.render()
-        assert "Demo" in text and "a note" in text and "—" in text
-        with pytest.raises(ValueError):
-            table.add_row(1)
+    def test_speedup_and_ratio(self, paper_tables):
+        # A speedup matches when it falls on the paper's side of par.
+        assert paper_tables.speedup_verdict(2.0, 1.65) == "match"
+        assert paper_tables.speedup_verdict(1.0, 2.6) == "miss"
+        assert paper_tables.speedup_verdict(0.5, 2.0) == "miss"
+        assert paper_tables.speedup_verdict(1.05, 0.95) == "match"
+        assert paper_tables.speedup_verdict(2.0, None) == "n/a"
+        # A memory ratio matches when it is within PAR of the paper's.
+        assert paper_tables.memory_verdict(1.04, 1.1) == "match"
+        assert paper_tables.memory_verdict(1.5, 1.1) == "miss"
+        assert paper_tables.memory_verdict(1.0, None) == "n/a"

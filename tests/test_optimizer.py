@@ -59,7 +59,7 @@ class TestPlanShapes:
         query.add_edge("b", "c", label="EL0", name="e1")
         query.add_edge("a", "c", label="EL0", name="e2")
         plan = db.plan(query)
-        assert plan.num_multiway_intersections() >= 1
+        assert any(len(getattr(op, "legs", ())) >= 2 for op in plan.operators)
 
     def test_edge_labels_become_partition_key_values(self, example_graph):
         db = Database(example_graph)
@@ -92,8 +92,8 @@ class TestPlanShapes:
         query.add_edge("a", "b", name="e0")
         query.add_edge("a", "c", name="e1")
         query.add_edge("d", "a", name="e2")
-        plan = db.plan(query)
-        assert plan.binds_all_query_vertices()
+        (match,) = db.collect(db.plan(query), limit=1)
+        assert {"a", "b", "c", "d"} <= set(match)
 
     def test_label_conjunct_that_cannot_fail_is_dropped(self, social_graph):
         """Every vertex of the follower graph is a ``User``: testing the

@@ -107,12 +107,6 @@ class TestIndexConfig:
         dp = IndexConfig.partitioned_by_nbr_label()
         assert len(dp.partition_keys) == 2
 
-    def test_with_sort_and_partitioning(self):
-        config = IndexConfig.default().with_sort(SortKey.nbr_property("city"))
-        assert config.primary_sort_key == SortKey.nbr_property("city")
-        config = config.with_partitioning(PartitionKey.nbr_label())
-        assert config.partition_keys == (PartitionKey.nbr_label(),)
-
     def test_empty_sort_defaults_to_neighbour_id(self):
         config = IndexConfig(partition_keys=(), sort_keys=())
         assert config.sorted_by_neighbour_id

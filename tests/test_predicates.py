@@ -57,12 +57,11 @@ class TestComparisonBasics:
         renamed = comparison.renamed({"eadj": "edge", "eb": "bound_edge"})
         assert renamed.variables() == {"edge", "bound_edge"}
 
-    def test_variables_and_flags(self):
+    def test_variables(self):
         cross = cmp(prop("a", "city"), "=", prop("b", "city"))
-        assert cross.is_cross_variable
         assert cross.variables() == {"a", "b"}
         constant = cmp(prop("a", "city"), "=", "SF")
-        assert constant.is_constant_comparison
+        assert constant.variables() == {"a"}
 
 
 class TestEvaluation:
@@ -153,13 +152,12 @@ class TestPredicateStructure:
         assert Predicate.true().is_true
         assert Predicate.true().describe() == "TRUE"
 
-    def test_and_also_and_restriction(self):
+    def test_and_also(self):
         p = Predicate.of(cmp(prop("a", "x"), ">", 1)).and_also(
             Predicate.of(cmp(prop("b", "y"), "<", 2))
         )
         assert len(p.conjuncts()) == 2
-        restricted = p.restricted_to({"a"})
-        assert len(restricted.conjuncts()) == 1
+        assert p.variables() == {"a", "b"}
 
     def test_without(self):
         c1 = cmp(prop("a", "x"), ">", 1)

@@ -23,16 +23,17 @@ def build_csr(num_bound, bound_ids, codes=(), domains=(), sort_values=()):
 class TestNestedCSRBasics:
     def test_level0_partitioning(self):
         csr = build_csr(3, [0, 1, 1, 2, 2, 2])
-        assert csr.bound_range(0) == (0, 1)
-        assert csr.bound_range(1) == (1, 3)
-        assert csr.bound_range(2) == (3, 6)
+        assert csr.group_range(0) == (0, 1)
+        assert csr.group_range(1) == (1, 3)
+        assert csr.group_range(2) == (3, 6)
         assert csr.num_entries == 6
 
     def test_empty_bound_ranges(self):
         csr = build_csr(4, [1, 1])
-        assert csr.bound_range(0) == (0, 0)
-        assert csr.bound_range(3) == (2, 2)
-        assert list(csr.nonempty_bounds()) == [1]
+        assert csr.group_range(0) == (0, 0)
+        assert csr.group_range(3) == (2, 2)
+        bounds = np.arange(4)
+        assert list(csr.bound_ends(bounds) - csr.bound_starts(bounds)) == [0, 2, 0, 0]
 
     def test_nested_level_partitioning(self):
         # Two bound elements, one level with domain 2.
@@ -56,7 +57,7 @@ class TestNestedCSRBasics:
     def test_out_of_range_lookups_raise(self):
         csr = build_csr(2, [0, 1], [[0, 1]], [2])
         with pytest.raises(IndexLookupError):
-            csr.bound_range(5)
+            csr.group_range(5)
         with pytest.raises(IndexLookupError):
             csr.group_range(0, [7])
         with pytest.raises(IndexLookupError):
@@ -81,7 +82,7 @@ class TestNestedCSRBasics:
     def test_empty_csr(self):
         csr = build_csr(3, [])
         assert csr.num_entries == 0
-        assert csr.bound_range(1) == (0, 0)
+        assert csr.group_range(1) == (0, 0)
 
 
 @st.composite

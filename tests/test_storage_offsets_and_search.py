@@ -1,4 +1,4 @@
-"""Tests for offset lists, ID lists, search helpers, and memory accounting."""
+"""Tests for offset lists, ID lists, and memory accounting."""
 
 import numpy as np
 import pytest
@@ -9,14 +9,6 @@ from repro.graph.types import EDGE_ID_BYTES, PAGE_SIZE, VERTEX_ID_BYTES
 from repro.storage.id_lists import IdLists
 from repro.storage.memory import MemoryBreakdown, MemoryReport, format_bytes
 from repro.storage.offset_lists import OffsetLists, bytes_needed
-from repro.storage.search import (
-    equal_range,
-    group_by_sorted_key,
-    intersect_sorted,
-    prefix_below,
-    range_between,
-    suffix_above,
-)
 
 
 class TestBytesNeeded:
@@ -95,50 +87,9 @@ class TestIdLists:
         lists = IdLists(np.arange(10, dtype=np.int64), np.arange(10, dtype=np.int32))
         assert lists.nbytes() == 10 * (EDGE_ID_BYTES + VERTEX_ID_BYTES)
 
-    def test_slice(self):
-        lists = IdLists(np.arange(10), np.arange(10, 20))
-        edges, nbrs = lists.slice(2, 5)
-        assert list(edges) == [2, 3, 4]
-        assert list(nbrs) == [12, 13, 14]
-
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             IdLists(np.arange(3), np.arange(4))
-
-
-class TestSearchHelpers:
-    def test_equal_range(self):
-        values = np.array([1, 2, 2, 2, 5])
-        assert equal_range(values, 2) == (1, 4)
-        assert equal_range(values, 3) == (4, 4)
-
-    def test_prefix_and_suffix(self):
-        values = np.array([1, 2, 3, 4, 5])
-        assert prefix_below(values, 3) == 2
-        assert prefix_below(values, 3, inclusive=True) == 3
-        assert suffix_above(values, 3) == 3
-        assert suffix_above(values, 3, inclusive=True) == 2
-
-    def test_range_between(self):
-        values = np.array([1, 2, 3, 4, 5])
-        assert range_between(values, 2, 4) == (1, 3)
-        assert range_between(values, None, 3) == (0, 2)
-        assert range_between(values, 10, None) == (5, 5)
-        lo, hi = range_between(values, 4, 2)
-        assert hi >= lo
-
-    def test_intersect_sorted(self):
-        a = np.array([1, 2, 3, 7])
-        b = np.array([2, 3, 5, 7])
-        c = np.array([3, 7, 9])
-        assert list(intersect_sorted([a, b, c])) == [3, 7]
-        assert list(intersect_sorted([a, np.array([])])) == []
-        assert list(intersect_sorted([])) == []
-
-    def test_group_by_sorted_key(self):
-        keys = np.array([1, 1, 2, 5, 5, 5])
-        runs = list(group_by_sorted_key(keys))
-        assert [(k, e - s) for k, s, e in runs] == [(1, 2), (2, 1), (5, 3)]
 
 
 class TestMemoryReport:
