@@ -22,14 +22,14 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "benchmarks")]
 
-from bench_server_load import _one_hop, _triangle, _two_hop  # noqa: E402
+from common import one_hop, triangle, two_hop  # noqa: E402
 from paired import environment_stamp  # noqa: E402
 from repro import Database  # noqa: E402
 from repro.graph.generators import SocialGraphSpec, generate_social_graph  # noqa: E402
 from repro.query import executor  # noqa: E402
 from repro.server import DatabaseServer, ServerConfig  # noqa: E402
 
-QUERIES = {"one_hop": _one_hop, "two_hop": _two_hop, "triangle": _triangle}
+QUERIES = {"one_hop": one_hop, "two_hop": two_hop, "triangle": triangle}
 CONFIGS = {"inline": ("thread", 1), "thread_x2": ("thread", 2), "process_x2": ("process", 2)}
 
 

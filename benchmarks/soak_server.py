@@ -52,7 +52,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from common import print_header  # noqa: E402
+from common import one_hop, print_header, triangle, two_hop  # noqa: E402
 
 from repro import Database  # noqa: E402
 from repro.errors import (  # noqa: E402
@@ -63,12 +63,6 @@ from repro.errors import (  # noqa: E402
 from repro.graph.generators import SocialGraphSpec, generate_social_graph  # noqa: E402
 from repro.query.backends import fork_available  # noqa: E402
 from repro.server import DatabaseServer, ServerConfig  # noqa: E402
-
-from bench_server_load import (  # noqa: E402
-    _one_hop,
-    _triangle,
-    _two_hop,
-)
 
 #: Grace added to the requested soak length before the watchdog shoots the
 #: interpreter: startup, drain, and one slow admitted query per slot.
@@ -99,7 +93,7 @@ def _soak_phase(
     seconds: float,
     clients: int,
 ) -> Dict:
-    queries = [_one_hop(), _two_hop(), _triangle()]
+    queries = [one_hop(), two_hop(), triangle()]
     plans = [db.plan(q) for q in queries]
     oracles = [db.count(plan, parallelism=1) for plan in plans]
     server = DatabaseServer(

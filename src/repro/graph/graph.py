@@ -10,7 +10,7 @@ or one of the generators in :mod:`repro.graph.generators`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -141,19 +141,6 @@ class PropertyGraph:
         if self._in_degree is None:
             self._in_degree = np.bincount(self.edge_dst, minlength=self.num_vertices)
         return self._in_degree
-
-    # ------------------------------------------------------------------
-    # iteration (convenience, used by tests and examples)
-    # ------------------------------------------------------------------
-    def iter_edges(self) -> Iterator[Tuple[int, int, int, int]]:
-        """Yield ``(edge_id, src, dst, label_code)`` tuples."""
-        for edge_id in range(self.num_edges):
-            yield (
-                edge_id,
-                int(self.edge_src[edge_id]),
-                int(self.edge_dst[edge_id]),
-                int(self.edge_labels[edge_id]),
-            )
 
     # ------------------------------------------------------------------
     # accounting & description

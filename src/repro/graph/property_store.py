@@ -130,9 +130,6 @@ class PropertyStore:
     def property_names(self) -> List[str]:
         return list(self._columns)
 
-    def has_column(self, name: str) -> bool:
-        return name in self._columns
-
     # ------------------------------------------------------------------
     # building
     # ------------------------------------------------------------------

@@ -217,10 +217,6 @@ class GraphSchema:
         return name in self._edge_props
 
     @property
-    def vertex_property_names(self) -> List[str]:
-        return list(self._vertex_props)
-
-    @property
     def edge_property_names(self) -> List[str]:
         return list(self._edge_props)
 

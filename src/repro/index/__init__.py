@@ -1,6 +1,5 @@
 """A+ index subsystem: primary, vertex-partitioned, and edge-partitioned indexes."""
 
-from .bitmap import BitmapSecondaryIndex
 from .config import IndexConfig
 from .ddl import (
     CreateOneHopCommand,
@@ -20,7 +19,6 @@ from .views import OneHopView, TwoHopView
 __all__ = [
     "AccessPath",
     "AdjacencyIndex",
-    "BitmapSecondaryIndex",
     "CreateOneHopCommand",
     "CreateTwoHopCommand",
     "DDLCommand",

@@ -96,11 +96,6 @@ class IndexConfig:
                 )
 
     @property
-    def primary_sort_key(self) -> SortKey:
-        """The major sort key of the most granular lists."""
-        return self.sort_keys[0]
-
-    @property
     def sorted_by_neighbour_id(self) -> bool:
         """True when the innermost lists are ordered by neighbour ID first."""
         return self.sort_keys[0].is_neighbour_id

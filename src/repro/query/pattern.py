@@ -459,9 +459,6 @@ class QueryGraph:
                     connecting.append(edge)
         return connecting
 
-    def edges_of_vertex(self, vertex: str) -> List[QueryEdge]:
-        return [e for e in self._edges.values() if e.touches(vertex)]
-
     def neighbours_of(self, vertex: str) -> Set[str]:
         names = set()
         for edge in self._edges.values():

@@ -2,7 +2,7 @@
 
 The scripts are run by hand, not by the tier-1 suite, so a module deleted
 or renamed under ``src/`` (or a helper removed from a sibling script they
-import, such as ``bench_server_load`` or ``paired``) would leave one of them
+import, such as ``common`` or ``paired``) would leave one of them
 with a broken import that no other test notices.  Each script is loaded
 under a private module name; none builds a dataset at import time.
 ``benchmarks/suite/`` is the benchmark of record and has its own tests.

@@ -1,6 +1,6 @@
 """The read surface every A+ index shares (:mod:`repro.index.lists`).
 
-Primary, vertex-partitioned, edge-partitioned and bitmap indexes answer the
+Primary, vertex-partitioned and edge-partitioned indexes answer the
 same ``list`` / ``list_many`` / ``count_many`` calls and check their
 partition values the same way, on the paper's running example.
 """
@@ -10,7 +10,6 @@ import pytest
 
 from repro.errors import IndexLookupError
 from repro.graph import Direction, EdgeAdjacencyType
-from repro.index.bitmap import BitmapSecondaryIndex
 from repro.index.config import IndexConfig
 from repro.index.edge_partitioned import EdgePartitionedIndex
 from repro.index.primary import PrimaryIndex
@@ -18,7 +17,7 @@ from repro.index.vertex_partitioned import VertexPartitionedIndex
 from repro.index.views import OneHopView, TwoHopView
 from repro.predicates import Predicate, cmp, prop
 
-INDEX_KINDS = ("primary", "vertex", "edge", "bitmap")
+INDEX_KINDS = ("primary", "vertex", "edge")
 
 
 def _index(graph, kind):
@@ -30,8 +29,6 @@ def _index(graph, kind):
         return VertexPartitionedIndex(
             graph, view, Direction.FORWARD, IndexConfig.default(), primary.forward
         )
-    if kind == "bitmap":
-        return BitmapSecondaryIndex(graph, view, Direction.FORWARD, primary.forward)
     two_hop = TwoHopView(
         "Later",
         EdgeAdjacencyType.DST_FW,

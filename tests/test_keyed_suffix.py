@@ -33,7 +33,6 @@ from repro import Database
 from repro.graph import Direction, GraphBuilder
 from repro.graph.generators import HubSkewedGraphSpec, generate_hub_skewed_graph
 from repro.graph.types import EdgeAdjacencyType
-from repro.index.bitmap import BitmapSecondaryIndex
 from repro.index.config import IndexConfig
 from repro.index.edge_partitioned import EdgePartitionedIndex
 from repro.index.index_store import AccessPath
@@ -1074,18 +1073,11 @@ def test_count_many_equals_list_many_counts(fx):
     )
     vertex_index = database.store.vertex_indexes[0]
     edge_index = fx.plans["rising_tail"][1].operators[-1].legs[0].access_path.index
-    bitmap = BitmapSecondaryIndex(
-        fx.graph,
-        OneHopView("Big", predicate=Predicate.of(cmp(prop("eadj", "amt"), ">", 50))),
-        Direction.FORWARD,
-        primary,
-    )
     for index, ids, key_values in (
         (primary, vertex_ids, ()),
         (primary, vertex_ids, ("EL1",)),
         (vertex_index, vertex_ids, ("EL0",)),
         (edge_index, edge_ids, ()),
-        (bitmap, vertex_ids, ("EL1",)),
     ):
         counts = index.count_many(ids, key_values)
         assert counts.tolist() == index.list_many(ids, key_values)[2].tolist()

@@ -23,7 +23,7 @@ if _BENCHMARKS_DIR not in sys.path:
     sys.path.insert(0, _BENCHMARKS_DIR)
 
 import paper_tables  # noqa: E402
-from repro.workloads.datasets import DATASETS  # noqa: E402
+from repro.workloads.datasets import DATASETS, financial_dataset  # noqa: E402
 
 SQ = [f"SQ{i}" for i in range(1, 14)]
 MF = ["MF1", "MF2", "MF3", "MF4", "MF5"]
@@ -162,6 +162,14 @@ def test_a_bitmap_scan_tests_every_edge_while_an_offset_scan_shrinks(run):
     entries = [row["offset_entries_per_scan"] for row in rows]
     assert entries == [row["indexed_edges"] for row in rows]
     assert entries == sorted(entries, reverse=True) and entries[0] > entries[-1]
+
+
+def test_bitmap_figures_are_one_bit_and_one_test_per_primary_edge(run):
+    _, tables = run
+    edges = financial_dataset("wt", scale=0.1).num_edges
+    for row in tables["III-B3-bitmap"]["rows"]:
+        assert row["bitmap_bytes"] == (edges + 7) // 8
+        assert row["bitmap_bit_tests_per_scan"] == edges
 
 
 def test_a_second_run_appends_and_replaces_nothing(run):

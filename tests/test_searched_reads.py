@@ -1,8 +1,8 @@
 """Generated inputs for the searched read of a sorted-range leg.
 
 Every index class a :class:`~repro.query.operators.SortedRangeFilter` can
-read through — primary (sorted on an edge property), vertex-partitioned,
-edge-partitioned and bitmap — answers ``list_many(bound_ids, key_values,
+read through — primary (sorted on an edge property), vertex-partitioned
+and edge-partitioned — answers ``list_many(bound_ids, key_values,
 sorted_filter)`` by bisecting each list and gathering only the admitted run,
 and ``count_many(..., sorted_filter)`` with that run's length.  Both are
 checked against a brute-force mask of the whole list (``index.list`` plus
@@ -25,7 +25,6 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.graph import Direction, GraphBuilder  # noqa: E402
 from repro.graph.types import EdgeAdjacencyType, PropertyType  # noqa: E402
-from repro.index.bitmap import BitmapSecondaryIndex  # noqa: E402
 from repro.index.config import IndexConfig  # noqa: E402
 from repro.index.edge_partitioned import EdgePartitionedIndex  # noqa: E402
 from repro.index.primary import AdjacencyIndex, PrimaryIndex  # noqa: E402
@@ -55,7 +54,7 @@ KEYS = {
     ),
 }
 OPS = [CompareOp.LT, CompareOp.LE, CompareOp.GT, CompareOp.GE, CompareOp.EQ]
-INDEX_KINDS = ("primary", "vertex", "edge", "bitmap")
+INDEX_KINDS = ("primary", "vertex", "edge")
 
 
 @st.composite
@@ -106,10 +105,6 @@ def _index(graph, kind, partitioned):
     view = OneHopView("K", predicate=Predicate.of(cmp(prop("eadj", "k"), ">", 0)))
     if kind == "primary":
         return AdjacencyIndex(graph, Direction.BACKWARD, config)
-    if kind == "bitmap":
-        # A bitmap keeps its primary's order, so the primary is the sorted one.
-        primary = AdjacencyIndex(graph, Direction.FORWARD, config)
-        return BitmapSecondaryIndex(graph, view, Direction.FORWARD, primary)
     primary = PrimaryIndex(graph)
     if kind == "vertex":
         return VertexPartitionedIndex(

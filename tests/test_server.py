@@ -228,6 +228,62 @@ def test_reject_policy_full_queue_raises_typed_error(held_server):
     _assert_invariants(server)
 
 
+def test_reject_overload_never_runs_more_than_max_concurrent(example_db):
+    """Offer 4× the server's capacity under ``reject`` while every admitted
+    query is held: the excess is rejected with the typed error, no more
+    than ``max_concurrent`` queries ever execute at once, and every
+    admitted query still returns the oracle count."""
+    config = ServerConfig(max_concurrent=2, max_queue_depth=2, policy="reject")
+    query = _two_hop_query()
+    oracle = example_db.count(query, parallelism=1)
+    server = DatabaseServer(example_db, config)
+    release = threading.Event()
+    lock = threading.Lock()
+    executing = [0]
+    peak = [0]
+    execute = server._execute_ticket
+
+    def held_execute(ticket):
+        with lock:
+            executing[0] += 1
+            peak[0] = max(peak[0], executing[0])
+        try:
+            release.wait(timeout=30)
+            execute(ticket)
+        finally:
+            with lock:
+                executing[0] -= 1
+
+    server._execute_ticket = held_execute
+    capacity = config.max_concurrent + config.max_queue_depth
+    offered = 4 * capacity
+    tickets, rejected = [], 0
+    try:
+        for _ in range(offered):
+            try:
+                tickets.append(server.submit(query, mode="count"))
+            except ServerOverloadedError as exc:
+                assert exc.policy == "reject"
+                rejected += 1
+            # Let the free slots take what they can before the next offer.
+            busy = min(len(tickets), config.max_concurrent)
+            _wait_until(
+                lambda: server.running() == busy
+                and server.queue_depth() == len(tickets) - busy,
+                message=f"{busy} queries running",
+            )
+        release.set()
+        assert [ticket.result(timeout=30) for ticket in tickets] == [oracle] * capacity
+    finally:
+        release.set()
+        server.drain()
+    assert rejected == offered - capacity
+    assert peak[0] == config.max_concurrent
+    stats = server.stats.snapshot()
+    assert stats["submitted"] == offered and stats["rejected"] == rejected
+    _assert_invariants(server)
+
+
 def test_shed_oldest_policy_evicts_oldest_waiter(held_server):
     server = held_server(policy="shed-oldest")
     query = _owns_query()

@@ -1,11 +1,10 @@
-"""Tests for secondary vertex-partitioned A+ indexes and the bitmap variant."""
+"""Tests for secondary vertex-partitioned A+ indexes."""
 
 import numpy as np
 import pytest
 
 from repro.errors import IndexConfigError
 from repro.graph import Direction
-from repro.index.bitmap import BitmapSecondaryIndex
 from repro.index.config import IndexConfig
 from repro.index.primary import PrimaryIndex
 from repro.index.vertex_partitioned import VertexPartitionedIndex
@@ -156,48 +155,3 @@ class TestPartitionLevelSharing:
         assert per_edge <= 2.0  # bytes per indexed edge
         primary_per_edge = primary.forward.id_lists.nbytes() / financial_graph.num_edges
         assert per_edge < primary_per_edge / 4
-
-
-class TestBitmapIndex:
-    def test_bitmap_matches_offset_list_contents(self, example_graph):
-        primary = PrimaryIndex(example_graph)
-        offsets = VertexPartitionedIndex(
-            example_graph,
-            usd_view(),
-            Direction.FORWARD,
-            IndexConfig.default(),
-            primary.forward,
-        )
-        bitmap = BitmapSecondaryIndex(
-            example_graph, usd_view(), Direction.FORWARD, primary.forward
-        )
-        for vertex in range(example_graph.num_vertices):
-            bitmap_edges, _ = bitmap.list(vertex)
-            offset_edges, _ = offsets.list(vertex)
-            assert sorted(bitmap_edges.tolist()) == sorted(offset_edges.tolist())
-
-    def test_bitmap_size_independent_of_selectivity(self, example_graph):
-        primary = PrimaryIndex(example_graph)
-        selective = BitmapSecondaryIndex(
-            example_graph, usd_view(), Direction.FORWARD, primary.forward
-        )
-        unselective = BitmapSecondaryIndex(
-            example_graph, OneHopView("all"), Direction.FORWARD, primary.forward
-        )
-        assert selective.nbytes() == unselective.nbytes()
-        assert selective.nbytes() == (example_graph.num_edges + 7) // 8
-
-    def test_bitmap_access_cost_is_primary_list_length(self, example_graph):
-        primary = PrimaryIndex(example_graph)
-        bitmap = BitmapSecondaryIndex(
-            example_graph, usd_view(), Direction.FORWARD, primary.forward
-        )
-        for vertex in range(example_graph.num_vertices):
-            assert bitmap.access_cost(vertex) == primary.forward.degree(vertex)
-
-    def test_bitmap_direction_mismatch_raises(self, example_graph):
-        primary = PrimaryIndex(example_graph)
-        with pytest.raises(IndexConfigError):
-            BitmapSecondaryIndex(
-                example_graph, usd_view(), Direction.FORWARD, primary.backward
-            )
