@@ -6,6 +6,8 @@ import, such as ``common`` or ``paired``) would leave one of them
 with a broken import that no other test notices.  Each script is loaded
 under a private module name; none builds a dataset at import time.
 ``benchmarks/suite/`` is the benchmark of record and has its own tests.
+The three server query shapes that ``soak_server.py`` and ``crossover.py``
+share from ``common`` are also checked against the naive matcher.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import os
 import sys
 
 import pytest
+
+from repro import Database
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCHMARKS_DIR = os.path.join(ROOT, "benchmarks")
@@ -44,3 +48,12 @@ def test_benchmark_script_imports(path, monkeypatch):
     # defining module up in ``sys.modules``.
     monkeypatch.setitem(sys.modules, name, module)
     spec.loader.exec_module(module)
+
+
+@pytest.mark.parametrize("shape", ["one_hop", "two_hop", "triangle"])
+def test_server_query_shapes_count_what_the_oracle_counts(
+    shape, social_graph, social_oracle, monkeypatch
+):
+    monkeypatch.syspath_prepend(BENCHMARKS_DIR)
+    query = getattr(importlib.import_module("common"), shape)()
+    assert Database(social_graph).count(query) == social_oracle.count(query)

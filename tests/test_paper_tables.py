@@ -172,6 +172,14 @@ def test_bitmap_figures_are_one_bit_and_one_test_per_primary_edge(run):
         assert row["bitmap_bit_tests_per_scan"] == edges
 
 
+def test_offset_side_indexes_exactly_the_edges_under_each_threshold(run):
+    _, tables = run
+    amounts = financial_dataset("wt", scale=0.1).edge_props.column("amt")
+    for row in tables["III-B3-bitmap"]["rows"]:
+        threshold = int(1000 * row["selectivity"])
+        assert row["indexed_edges"] == int((amounts <= threshold).sum())
+
+
 def test_a_second_run_appends_and_replaces_nothing(run):
     out, _ = run
     with open(out) as handle:

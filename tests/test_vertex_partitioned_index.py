@@ -67,6 +67,26 @@ class TestOffsetListStorage:
                 assert example_graph.edge_property(int(edge), "currency") == "USD"
                 assert int(example_graph.edge_dst[int(edge)]) == int(nbr)
 
+    def test_lists_hold_every_selected_primary_edge(self, example_graph):
+        primary = PrimaryIndex(example_graph)
+        index = VertexPartitionedIndex(
+            example_graph,
+            usd_view(),
+            Direction.FORWARD,
+            IndexConfig.default(),
+            primary.forward,
+        )
+        for vertex in range(example_graph.num_vertices):
+            primary_edges, _ = primary.forward.list(vertex)
+            selected = sorted(
+                int(edge)
+                for edge in primary_edges
+                if example_graph.edge_label_name(int(edge)) == "Wire"
+                and example_graph.edge_property(int(edge), "currency") == "USD"
+            )
+            secondary_edges, _ = index.list(vertex)
+            assert sorted(secondary_edges.tolist()) == selected
+
     def test_backward_direction(self, example_graph):
         primary = PrimaryIndex(example_graph)
         index = VertexPartitionedIndex(
