@@ -277,13 +277,17 @@ class EdgePartitionedIndex(SecondaryLists):
     # lookups
     # ------------------------------------------------------------------
     def list_many(
-        self, bound_edge_ids: np.ndarray, key_values: Sequence = (), sorted_filter=None
+        self,
+        bound_edge_ids: np.ndarray,
+        key_values: Sequence = (),
+        sorted_filter=None,
+        probe_ids=None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Batched :meth:`list`: adjacency lists of many bound edges at once,
         resolved through the primary (see :meth:`AdjacencyLists._read`)."""
         # Each index class keeps its own list_many: the benchmark tracer
         # wraps it per class to tell primary from secondary reads.
-        return self._read(bound_edge_ids, key_values, sorted_filter)
+        return self._read(bound_edge_ids, key_values, sorted_filter, probe_ids)
 
     def shared_vertices(self, bound_edge_ids: np.ndarray) -> np.ndarray:
         """A bound edge's offsets point into its anchored endpoint's list."""

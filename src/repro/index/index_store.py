@@ -78,10 +78,6 @@ class AccessPath:
         estimated_list_size: expected number of edges in one addressed list,
             used by the i-cost model.
         uses_bound_edge: True for edge-partitioned paths (bound is an edge).
-        covers_all_levels: True when the key values address a *most granular*
-            group of the index.  Only then is the addressed list actually
-            ordered by the index's sort keys — a coarser prefix unions several
-            granular groups and is only sorted within each of them.
     """
 
     index: object
@@ -93,7 +89,6 @@ class AccessPath:
     residual: Tuple[Comparison, ...] = ()
     estimated_list_size: float = 0.0
     uses_bound_edge: bool = False
-    covers_all_levels: bool = True
 
     @property
     def name(self) -> str:
@@ -461,7 +456,6 @@ class IndexStore:
                     guaranteed=guaranteed,
                     residual=residual,
                     estimated_list_size=estimated,
-                    covers_all_levels=len(key_values) == len(index.config.partition_keys),
                 )
             )
         return paths
@@ -508,7 +502,6 @@ class IndexStore:
                     residual=residual,
                     estimated_list_size=estimated,
                     uses_bound_edge=True,
-                    covers_all_levels=len(key_values) == len(index.config.partition_keys),
                 )
             )
         return paths

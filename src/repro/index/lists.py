@@ -5,32 +5,32 @@ partitioned CSR whose most granular lists are sorted.  A primary list holds
 ``(edge ID, neighbour ID)`` pairs; a secondary list holds offsets into the
 primary list of the vertex it shares with its entries (Section III-B3).
 :class:`AdjacencyLists` owns the CSR build and every read of such lists —
-key codes, ranges, batched reads, counts and the bisection of a sorted-range
+key codes, ranges, batched reads, counts and the search of a sorted-range
 filter — so that an index class keeps only how its entries are selected and
 built, and what one CSR position holds.
 
 Every read goes through :meth:`AdjacencyLists._read`: the addressed CSR
-ranges (bisected under a sorted-range filter), expanded into one flat
-position array, then resolved by the payload.  A payload supplies three
-hooks:
+ranges (cut to the admitted runs under a sorted-range filter, one
+``searchsorted`` per bounded side on the index's
+:class:`~repro.storage.csr.SearchKey`), expanded into one flat position
+array, then resolved by the payload.  A payload supplies two hooks:
 
 * ``_list_starts(bound_ids)`` — per row, what the row's positions are
   relative to (``None`` when positions address the payload directly);
 * ``_resolve_many(positions, counts, list_starts)`` — ``(edge_ids,
-  nbr_ids)`` at the flat positions of rows of ``counts`` entries;
-* ``_resolve_at(rows, positions, list_starts)`` — the same at one position
-  of each listed row, which is all a bisection probes.
+  nbr_ids)`` at the flat positions of rows of ``counts`` entries.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import IndexLookupError
 from ..graph.graph import PropertyGraph
-from ..storage.csr import NestedCSR, range_positions
+from ..storage.csr import NestedCSR, SearchKey, range_positions
 from ..storage.memory import MemoryBreakdown
 from ..storage.sort_keys import SortKey, sort_values_matrix
 from .config import IndexConfig
@@ -102,62 +102,114 @@ class AdjacencyLists:
         edge_ids, nbr_ids, _ = self._read(np.array([bound_id]), key_values)
         return edge_ids, nbr_ids
 
+    def sorted_runs(
+        self, bound_id: int, key_values: Sequence = ()
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """``(edge_ids, nbr_ids)`` of every most granular list under one
+        (partial) prefix, in position order: what :meth:`list` returns for
+        a coarse prefix, one list per run sorted on the sort keys."""
+        open_levels = self.csr.level_domains[len(key_values):]
+        return [
+            self.list(bound_id, list(key_values) + list(codes))
+            for codes in itertools.product(*(range(domain) for domain in open_levels))
+        ]
+
     def positions_many(
-        self, bound_ids: np.ndarray, key_values: Sequence = (), sorted_filter=None
+        self,
+        bound_ids: np.ndarray,
+        key_values: Sequence = (),
+        sorted_filter=None,
+        probe_ids=None,
     ) -> Tuple[np.ndarray, np.ndarray, object]:
         """``(positions, counts, list_starts)`` of many lists: the flat CSR
         positions of every addressed list (in ``bound_ids`` order) and each
         list's length.
 
         With no filter the positions come from one
-        :meth:`~repro.storage.csr.NestedCSR.gather`.  A
-        :class:`~repro.query.operators.SortedRangeFilter` bisects every list
-        at its constant, resolving only the probed positions, and the
-        positions cover the admitted run only; the lists must be sorted on
-        the filter's key (a most granular group).
+        :meth:`~repro.storage.csr.NestedCSR.gather`.  Under a
+        :class:`~repro.query.operators.SortedRangeFilter` they cover the
+        admitted run of each list only (:meth:`_search`); ``probe_ids`` are
+        the rows' IDs of the filter's probe variable when it has one.
         """
         bound_ids = np.asarray(bound_ids, dtype=np.int64)
         codes = self.key_codes(key_values)
         if sorted_filter is None:
             positions, counts = self.csr.gather(bound_ids, codes)
             return positions, counts, self._list_starts(bound_ids)
-        lo, hi, list_starts = self._search(bound_ids, codes, sorted_filter)
-        counts = hi - lo
-        return range_positions(lo, counts, int(counts.sum())), counts, list_starts
+        lo, hi = self._search(bound_ids, codes, sorted_filter, probe_ids)
+        runs = hi - lo
+        counts = runs.sum(axis=1)
+        positions = range_positions(lo.ravel(), runs.ravel(), int(counts.sum()))
+        return positions, counts, self._list_starts(bound_ids)
 
     def _search(
-        self, bound_ids: np.ndarray, codes: Sequence[int], sorted_filter
-    ) -> Tuple[np.ndarray, np.ndarray, object]:
-        """``(lo, hi, list_starts)``: the run of every addressed list that
-        ``sorted_filter`` admits, and the rows' list starts."""
-        starts, ends = self.csr.prefix_ranges(bound_ids, codes)
-        list_starts = self._list_starts(bound_ids)
+        self, bound_ids: np.ndarray, codes: Sequence[int], sorted_filter, probe_ids
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(lo, hi)``, one row per bound ID and one column per most granular
+        group under ``codes``: the run of each group that ``sorted_filter``
+        admits.
+
+        A coarse prefix (fewer codes than levels) unions several granular
+        groups, each sorted on its own, so each is searched once and their
+        runs are read in group order.  The search itself is
+        :meth:`~repro.storage.csr.SearchKey.runs` over this index's
+        :meth:`search_key`.
+        """
+        groups = self.csr.granular_groups(bound_ids, codes)
+        if probe_ids is not None:
+            probe_ids = np.repeat(
+                np.asarray(probe_ids, dtype=np.int64), groups.shape[1]
+            )
         lo, hi = sorted_filter.search(
-            self.graph,
-            starts,
-            ends,
-            lambda rows, positions: self._resolve_at(rows, positions, list_starts),
+            self.graph, self.search_key(sorted_filter.sort_key), groups.ravel(), probe_ids
         )
-        return lo, hi, list_starts
+        return lo.reshape(groups.shape), hi.reshape(groups.shape)
+
+    def search_key(self, sort_key: SortKey) -> SearchKey:
+        """The :class:`~repro.storage.csr.SearchKey` of this index's lists,
+        built on the first sorted read and kept with the index object (a
+        flush builds new index objects, so the key never outlives its
+        entries).  ``memory_report()`` does not charge it, as it does not
+        charge ``csr.order``."""
+        if not self.config.sort_keys or sort_key != self.config.sort_keys[0]:
+            raise IndexLookupError(
+                f"{self.name} lists are not sorted on {sort_key.describe()}"
+            )
+        key = getattr(self, "_search_key", None)
+        if key is None:
+            edge_ids, nbr_ids, _ = self._read(
+                np.arange(self.csr.num_bound, dtype=np.int64)
+            )
+            key = SearchKey(self.csr.offsets, sort_key.values(self.graph, edge_ids, nbr_ids))
+            self._search_key = key
+        return key
 
     def _read(
-        self, bound_ids: np.ndarray, key_values: Sequence = (), sorted_filter=None
+        self,
+        bound_ids: np.ndarray,
+        key_values: Sequence = (),
+        sorted_filter=None,
+        probe_ids=None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(edge_ids, nbr_ids, counts)``: the concatenation of the addressed
         lists (each cut to what ``sorted_filter`` admits) and their lengths,
         equal to looping :meth:`list` without the per-list round trip."""
         positions, counts, list_starts = self.positions_many(
-            bound_ids, key_values, sorted_filter
+            bound_ids, key_values, sorted_filter, probe_ids
         )
         edge_ids, nbr_ids = self._resolve_many(positions, counts, list_starts)
         return edge_ids, nbr_ids, counts
 
     def count_many(
-        self, bound_ids: np.ndarray, key_values: Sequence = (), sorted_filter=None
+        self,
+        bound_ids: np.ndarray,
+        key_values: Sequence = (),
+        sorted_filter=None,
+        probe_ids=None,
     ) -> np.ndarray:
         """Lengths of the lists ``list_many`` would return.
 
-        Read off the CSR offsets, plus the bisection of a filter: no gather
+        Read off the CSR offsets, plus the search of a filter: no gather
         index and no ID arrays, which is all an aggregate sink needs of an
         extension with no residual.
         """
@@ -165,9 +217,9 @@ class AdjacencyLists:
         codes = self.key_codes(key_values)
         if sorted_filter is None:
             starts, ends = self.csr.prefix_ranges(bound_ids, codes)
-        else:
-            starts, ends, _ = self._search(bound_ids, codes, sorted_filter)
-        return ends - starts
+            return ends - starts
+        lo, hi = self._search(bound_ids, codes, sorted_filter, probe_ids)
+        return (hi - lo).sum(axis=1)
 
     def segments_sorted_by(self, key: SortKey, key_values: Sequence = ()) -> bool:
         """True when every list returned under this key-value prefix is
@@ -212,14 +264,6 @@ class SecondaryLists(AdjacencyLists):
         ids = self.primary.id_lists
         return self.offset_lists.resolve_many(
             positions, list_starts, counts, ids.edge_ids, ids.nbr_ids
-        )
-
-    def _resolve_at(
-        self, rows: np.ndarray, positions: np.ndarray, list_starts: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        ids = self.primary.id_lists
-        return self.offset_lists.resolve_at(
-            positions, list_starts[rows], ids.edge_ids, ids.nbr_ids
         )
 
     def primary_positions(self) -> np.ndarray:

@@ -101,12 +101,16 @@ class AdjacencyIndex(AdjacencyLists):
     # lookups
     # ------------------------------------------------------------------
     def list_many(
-        self, vertex_ids: np.ndarray, key_values: Sequence = (), sorted_filter=None
+        self,
+        vertex_ids: np.ndarray,
+        key_values: Sequence = (),
+        sorted_filter=None,
+        probe_ids=None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Batched :meth:`list` (see :meth:`AdjacencyLists._read`)."""
         # Each index class keeps its own list_many: the benchmark tracer
         # wraps it per class to tell primary from secondary reads.
-        return self._read(vertex_ids, key_values, sorted_filter)
+        return self._read(vertex_ids, key_values, sorted_filter, probe_ids)
 
     def _list_starts(self, bound_ids: np.ndarray) -> None:
         return None
@@ -115,9 +119,6 @@ class AdjacencyIndex(AdjacencyLists):
         self, positions: np.ndarray, counts=None, list_starts=None
     ) -> Tuple[np.ndarray, np.ndarray]:
         return self.id_lists.edge_ids[positions], self.id_lists.nbr_ids[positions]
-
-    def _resolve_at(self, rows, positions, list_starts) -> Tuple[np.ndarray, np.ndarray]:
-        return self._resolve_many(positions)
 
     def vertex_degrees(self, start: int, stop: int) -> np.ndarray:
         """Full adjacency-list lengths of vertices ``[start, stop)``.

@@ -128,7 +128,11 @@ class VertexPartitionedIndex(SecondaryLists):
     # lookups
     # ------------------------------------------------------------------
     def list_many(
-        self, vertex_ids: np.ndarray, key_values: Sequence = (), sorted_filter=None
+        self,
+        vertex_ids: np.ndarray,
+        key_values: Sequence = (),
+        sorted_filter=None,
+        probe_ids=None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Batched :meth:`list`, resolved through the primary (see
         :meth:`AdjacencyLists._read`).
@@ -140,7 +144,7 @@ class VertexPartitionedIndex(SecondaryLists):
         """
         # Each index class keeps its own list_many: the benchmark tracer
         # wraps it per class to tell primary from secondary reads.
-        return self._read(vertex_ids, key_values, sorted_filter)
+        return self._read(vertex_ids, key_values, sorted_filter, probe_ids)
 
     def shared_vertices(self, vertex_ids: np.ndarray) -> np.ndarray:
         """A vertex's offsets point into its own primary list."""

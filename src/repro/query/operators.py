@@ -27,11 +27,11 @@ partial match at a time.  The extension operators therefore default to a
 *batch-at-a-time* strategy built on the batched index contract:
 
 * every index class exposes ``list_many(bound_ids, key_values,
-  sorted_filter)`` returning ``(edge_ids, nbr_ids, counts)`` — the
-  concatenation of the addressed lists plus per-row lengths — backed by one
-  :meth:`~repro.storage.csr.NestedCSR.gather` flat gather-index, or, under a
-  sorted-range filter, by bisecting every list and gathering only the run
-  the filter admits;
+  sorted_filter, probe_ids)`` returning ``(edge_ids, nbr_ids, counts)`` —
+  the concatenation of the addressed lists plus per-row lengths — backed by
+  one :meth:`~repro.storage.csr.NestedCSR.gather` flat gather-index, or,
+  under a sorted-range filter, by one ``searchsorted`` per bounded side
+  for the whole batch and a gather of only the runs the filter admits;
 * :meth:`ExtensionLeg.fetch_many` fetches a whole batch through that API
   and applies the residual predicate vectorized over the concatenated
   candidates (bound columns repeated by counts);
@@ -50,7 +50,7 @@ partial match at a time.  The extension operators therefore default to a
 For a sink that needs no rows the trailing extensions stay unexpanded and
 run count-only (:meth:`ExtendIntersect.count_factorized`,
 :meth:`MultiExtend.extend_factorized`): list lengths from the CSR offsets
-(bisected under a sorted-range filter), and one fetch per *distinct* bound
+(searched under a sorted-range filter), and one fetch per *distinct* bound
 key of the batch where keys repeat.  The logical counters charge every row
 its own list on every one of these paths — a sorted list's searched run,
 on the per-row path too.
@@ -66,25 +66,25 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..errors import ExecutionError
 from ..graph.graph import PropertyGraph
 from ..index.index_store import AccessPath
-from ..storage.csr import search_range, segment_mask_counts
+from ..storage.csr import LOWER_SIDE, UPPER_SIDE, SearchKey, segment_mask_counts
 from ..storage.intersect import (
     combo_positions,
     count_shared_intersections,
     dedup_sorted,
     intersect_segments,
 )
-from ..storage.sort_keys import SortKey
+from ..storage.sort_keys import SortKey, null_sort_value
 from .binding import DEFAULT_BATCH_SIZE, MatchBatch
 from .factorized import FactorizedSegment, SharedKeys
 from .pattern import QueryGraph
-from ..predicates import CompareOp, Predicate
+from ..predicates import CompareOp, Predicate, PropertyRef
 
 
 @dataclass
@@ -244,72 +244,102 @@ class ExecutionContext:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class SortedRangeFilter:
-    """A predicate applied via binary search on a sorted list.
+    """A predicate applied by searching a sorted list instead of masking it.
 
     When the adjacency list addressed by a leg is sorted on a property that a
-    constant comparison constrains (e.g. lists sorted on ``time`` and a
-    ``time < alpha`` predicate), the qualifying prefix/suffix/run is located
-    by bisection instead of evaluating the predicate on every edge: one list
-    at a time by :meth:`apply` (``searchsorted`` on the materialized list),
-    a whole batch by :meth:`search`, which every index's ``list_many`` and
-    ``count_many`` call with the batch's CSR ranges when given the filter,
-    so that only the searched runs are ever gathered or resolved.
+    comparison constrains (e.g. lists sorted on ``time`` and a ``time <
+    alpha`` predicate, or lists sorted on the neighbour's ``city`` and
+    ``a4.city = a5.city`` with ``a4`` bound), the qualifying
+    prefix/suffix/run is located by search instead of evaluating the
+    predicate on every edge: one list at a time by :meth:`apply`
+    (``searchsorted`` on the materialized list), a whole batch by
+    :meth:`search`, which every index's ``list_many`` and ``count_many``
+    call with the most granular groups the batch addresses, so that only the
+    searched runs are ever gathered or resolved.
 
     Attributes:
         sort_key: the property the list is sorted by.
-        op: the comparison operator against the constant.
-        value: the (already encoded) constant.
+        op: the comparison operator, ``sort_key op value``.
+        value: the (already encoded) constant, or the probe: the same
+            property of a bound variable of the same kind, read per row
+            (``PropertyRef``).  A row whose probe is null admits nothing,
+            and a probe never admits the list's null entries — the
+            predicate it replaces is false on a null either side.
     """
 
     sort_key: SortKey
     op: CompareOp
-    value: float
+    value: Union[float, PropertyRef]
+
+    @property
+    def probe_var(self) -> Optional[str]:
+        """The bound variable whose property is the probe, if any."""
+        return self.value.var if isinstance(self.value, PropertyRef) else None
+
+    def _probes(self, graph: PropertyGraph, ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(sortable probe values, null mask)`` of the probe variable's
+        elements ``ids``: the sort key's own encoding, read off the probe."""
+        ids = np.asarray(ids, dtype=np.int64)
+        return self.sort_key.values(graph, ids, ids), self.sort_key.nulls(graph, ids, ids)
+
+    def _below(self, dtype) -> Optional[float]:
+        """Where a probe's open upper side stops: before the null entries."""
+        if self.probe_var is None or self.op not in (CompareOp.GT, CompareOp.GE):
+            return None
+        return null_sort_value(dtype)
 
     def apply(
-        self, graph: PropertyGraph, edge_ids: np.ndarray, nbr_ids: np.ndarray
+        self,
+        graph: PropertyGraph,
+        edge_ids: np.ndarray,
+        nbr_ids: np.ndarray,
+        probe_id: Optional[int] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
+        """The admitted run of one list; ``probe_id`` is the row's element
+        of the probe variable when the filter has one."""
         if len(edge_ids) == 0:
             return edge_ids, nbr_ids
         values = self.sort_key.values(graph, edge_ids, nbr_ids)
-        if self.op is CompareOp.LT:
-            end = int(np.searchsorted(values, self.value, side="left"))
-            return edge_ids[:end], nbr_ids[:end]
-        if self.op is CompareOp.LE:
-            end = int(np.searchsorted(values, self.value, side="right"))
-            return edge_ids[:end], nbr_ids[:end]
-        if self.op is CompareOp.GT:
-            start = int(np.searchsorted(values, self.value, side="right"))
-            return edge_ids[start:], nbr_ids[start:]
-        if self.op is CompareOp.GE:
-            start = int(np.searchsorted(values, self.value, side="left"))
-            return edge_ids[start:], nbr_ids[start:]
-        if self.op is CompareOp.EQ:
-            start = int(np.searchsorted(values, self.value, side="left"))
-            end = int(np.searchsorted(values, self.value, side="right"))
-            return edge_ids[start:end], nbr_ids[start:end]
-        raise ExecutionError(f"sorted-range filter does not support {self.op}")
+        start, end = 0, len(values)
+        value = self.value
+        if self.probe_var is not None:
+            probe, null = self._probes(graph, np.array([probe_id]))
+            if null[0]:
+                return edge_ids[:0], nbr_ids[:0]
+            value = probe[0]
+            below = self._below(values.dtype)
+            if below is not None:
+                end = int(np.searchsorted(values, below, side="left"))
+        if self.op in LOWER_SIDE:
+            start = int(np.searchsorted(values, value, side=LOWER_SIDE[self.op]))
+        if self.op in UPPER_SIDE:
+            end = int(np.searchsorted(values, value, side=UPPER_SIDE[self.op]))
+        elif self.op not in LOWER_SIDE:
+            raise ExecutionError(f"sorted-range filter does not support {self.op}")
+        return edge_ids[start:end], nbr_ids[start:end]
 
     def search(
         self,
         graph: PropertyGraph,
-        starts: np.ndarray,
-        ends: np.ndarray,
-        ids_at: Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]],
+        key: SearchKey,
+        groups: np.ndarray,
+        probe_ids: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Batched :meth:`apply`: the ``[lo, hi)`` run this filter admits in
-        every sorted position range ``[starts[i], ends[i])``.
+        each most granular group ``groups[i]`` of the index whose
+        :class:`~repro.storage.csr.SearchKey` is ``key`` — one
+        ``searchsorted`` per bounded side for the whole batch.
+        ``probe_ids[i]`` is group ``i``'s row's element of the probe
+        variable when the filter has one."""
+        if self.probe_var is None:
+            return key.runs(groups, self.op, self.value)
+        probes, nulls = self._probes(graph, probe_ids)
+        lo, hi = key.runs(groups, self.op, probes, self._below(key.distinct.dtype))
+        hi[nulls] = lo[nulls]
+        return lo, hi
 
-        ``ids_at(rows, positions)`` returns the ``(edge_ids, nbr_ids)`` at
-        one position of each listed row's range; the bisection
-        (:func:`~repro.storage.csr.search_range`) asks it for one position
-        per open row and round, so a list costs ``log2`` of its length in
-        key reads whatever the filter's selectivity.
-        """
-
-        def keys_at(rows: np.ndarray, positions: np.ndarray) -> Tuple[np.ndarray]:
-            return (self.sort_key.values(graph, *ids_at(rows, positions)),)
-
-        return search_range(starts, ends, self.op, self.value, keys_at)
+    def describe(self) -> str:
+        return f"{self.sort_key.describe()} {self.op.value} {self.value}"
 
 
 # ----------------------------------------------------------------------
@@ -353,13 +383,19 @@ class ExtensionLeg:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Read and filter this leg's adjacency list for one partial match."""
         bound_id = fixed[self.bound_var][1]
-        edge_ids, nbr_ids = self.access_path.index.list(
-            bound_id, list(self.access_path.key_values)
-        )
-        if self.sorted_filter is not None and len(edge_ids):
-            edge_ids, nbr_ids = self.sorted_filter.apply(
-                context.graph, edge_ids, nbr_ids
-            )
+        index, key_values = self.access_path.index, list(self.access_path.key_values)
+        if self.sorted_filter is None:
+            edge_ids, nbr_ids = index.list(bound_id, key_values)
+        else:
+            # Each sorted run of a coarse prefix is searched on its own.
+            probe_var = self.sorted_filter.probe_var
+            probe_id = None if probe_var is None else fixed[probe_var][1]
+            runs = [
+                self.sorted_filter.apply(context.graph, edge_ids, nbr_ids, probe_id)
+                for edge_ids, nbr_ids in index.sorted_runs(bound_id, key_values)
+            ]
+            edge_ids = np.concatenate([edge_ids for edge_ids, _ in runs])
+            nbr_ids = np.concatenate([nbr_ids for _, nbr_ids in runs])
         # The searched run is what a sorted list hands over (``fetch_many``
         # gathers nothing else), so the charge follows the search.
         context.stats.lists_accessed += 1
@@ -385,8 +421,9 @@ class ExtensionLeg:
 
         Fetches the adjacency lists of every partial match in ``batch``
         through the index's ``list_many`` gather — which, given the
-        sorted-range filter, bisects every list and gathers only the
-        admitted runs — then evaluates the residual predicate in
+        sorted-range filter, searches every list (for the row's own probe
+        when the filter has one) and gathers only the admitted runs — then
+        evaluates the residual predicate in
         one ``evaluate_bulk`` over the concatenated candidates (bound columns
         repeated by counts).  Returns ``(edge_ids, nbr_ids, counts)`` equal to
         concatenating :meth:`fetch` over the rows; stats counters advance
@@ -399,20 +436,13 @@ class ExtensionLeg:
         them, and ``lists_shared``/``entries_shared`` record the difference.
         """
         stats = context.stats
-        bound_ids = batch.column(self.bound_var)
         edge_ids, nbr_ids, counts = self.access_path.index.list_many(
-            bound_ids, list(self.access_path.key_values), self.sorted_filter
+            batch.column(self.bound_var),
+            list(self.access_path.key_values),
+            self.sorted_filter,
+            self._probe_ids(batch),
         )
-        if weights is None:
-            stats.lists_accessed += len(bound_ids)
-            stats.list_entries_fetched += len(edge_ids)
-        else:
-            lists = int(weights.sum())
-            entries = int(counts @ weights)
-            stats.lists_accessed += lists
-            stats.list_entries_fetched += entries
-            stats.lists_shared += lists - len(bound_ids)
-            stats.entries_shared += entries - len(edge_ids)
+        self._charge(stats, counts, weights)
         if not self.residual.is_true and len(edge_ids):
             arrays = {
                 self.target_var: ("vertex", nbr_ids),
@@ -439,43 +469,75 @@ class ExtensionLeg:
         return self.sorted_filter is None and self.residual.is_true
 
     def key_vars(self) -> Tuple[str, ...]:
-        """The bound variables this leg's candidates are a function of.
+        """The bound variables this leg's candidates are a function of: every
+        variable it reads of a batch.
 
         The bound variable, plus any other already-bound variable the
-        residual mentions: ``b.city = d.city`` on a leg from ``c`` to ``d``
-        keys on ``(c, b)``, while MF2's ``a3.city = a4.city`` on the leg
-        from ``a3`` keys on ``a3`` alone.  Partial matches that agree on
-        these read the same list and keep the same entries of it.
+        residual mentions or the sorted filter probes: ``b.city = d.city``
+        on a leg from ``c`` to ``d`` keys on ``(c, b)``, while MF2's
+        ``a3.city = a4.city`` on the leg from ``a3`` keys on ``a3`` alone.
+        Partial matches that agree on these read the same list and keep the
+        same entries of it.
         """
         own = (self.bound_var, self.target_var, self.edge_var)
-        return (self.bound_var,) + tuple(
-            sorted(name for name in self.residual.variables() if name not in own)
-        )
+        read = set(self.residual.variables())
+        if self.sorted_filter is not None and self.sorted_filter.probe_var:
+            read.add(self.sorted_filter.probe_var)
+        return (self.bound_var,) + tuple(sorted(read.difference(own)))
 
-    def count_many(self, context: ExecutionContext, batch: MatchBatch) -> np.ndarray:
-        """Per-row list lengths of a leg with no residual, from the offsets.
+    def _probe_ids(self, batch: MatchBatch) -> Optional[np.ndarray]:
+        """The batch's column of the sorted filter's probe variable."""
+        if self.sorted_filter is None or self.sorted_filter.probe_var is None:
+            return None
+        return batch.column(self.sorted_filter.probe_var)
 
-        What :meth:`fetch_many` returns as ``counts`` when no residual
-        filters: the index's ``count_many`` reads two CSR offsets per row,
-        bisects them under a sorted-range filter and counts ``hi - lo`` —
-        no gather index, no ID array, no offset resolved past the probes.
+    def _charge(
+        self, stats: ExecutionStats, counts: np.ndarray, weights: Optional[np.ndarray]
+    ) -> None:
+        """Advance the logical counters by the lists read: per row, or, for
+        rows standing for ``weights`` partial matches each, by what the
+        per-row path would have charged all of them."""
+        if weights is None:
+            stats.lists_accessed += len(counts)
+            stats.list_entries_fetched += int(counts.sum())
+            return
+        lists = int(weights.sum())
+        entries = int(counts @ weights)
+        stats.lists_accessed += lists
+        stats.list_entries_fetched += entries
+        stats.lists_shared += lists - len(counts)
+        stats.entries_shared += entries - int(counts.sum())
+
+    def count_many(
+        self,
+        context: ExecutionContext,
+        batch: MatchBatch,
+        weights: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """The ``counts`` :meth:`fetch_many` returns, with no more work than
+        they need.
+
+        With no residual they come from the offsets: the index's
+        ``count_many`` reads two CSR offsets per row, searches them under a
+        sorted-range filter and counts ``hi - lo`` — no gather index, no ID
+        array, no offset resolved.  A residual needs the candidates, so
+        :meth:`fetch_many` reads them.  ``weights`` is :meth:`fetch_many`'s.
         """
+        if not self.residual.is_true:
+            return self.fetch_many(context, batch, weights)[2]
         counts = self.access_path.index.count_many(
             batch.column(self.bound_var),
             list(self.access_path.key_values),
             self.sorted_filter,
+            self._probe_ids(batch),
         )
-        context.stats.lists_accessed += len(counts)
-        context.stats.list_entries_fetched += int(counts.sum())
+        self._charge(context.stats, counts, weights)
         return counts
 
     def describe(self) -> str:
         extras = []
         if self.sorted_filter is not None:
-            extras.append(
-                f"sorted {self.sorted_filter.sort_key.describe()} "
-                f"{self.sorted_filter.op.value} {self.sorted_filter.value}"
-            )
+            extras.append(f"sorted {self.sorted_filter.describe()}")
         if not self.residual.is_true:
             extras.append(f"filter[{self.residual.describe()}]")
         suffix = f" ({'; '.join(extras)})" if extras else ""
@@ -876,12 +938,12 @@ class ExtendIntersect(PhysicalOperator):
         candidate arrays — and the work is done once per *distinct* key
         where the batch repeats its keys:
 
-        * a single leg with no residual is two CSR offsets per row, and
-          ``hi - lo`` of their bisection under a sorted-range filter
+        * an unfiltered single leg is two CSR offsets per row
           (:meth:`ExtensionLeg.count_many`);
-        * a single leg with a residual fetches and filters one list per
-          distinct value of :meth:`ExtensionLeg.key_vars` and broadcasts
-          the counts;
+        * a single leg under a sorted-range filter or a residual counts
+          once per distinct value of :meth:`ExtensionLeg.key_vars` and
+          broadcasts the counts: ``hi - lo`` of the search with no
+          residual, the fetched and filtered list with one;
         * a multi-leg intersection fetches and filters each leg once per
           distinct key, deduplicates the rows' key tuples and counts
           through
@@ -908,14 +970,12 @@ class ExtendIntersect(PhysicalOperator):
         self, batch: MatchBatch, context: ExecutionContext, keys_may_repeat: bool
     ) -> np.ndarray:
         leg = self.legs[0]
-        if leg.residual.is_true:
+        if leg.is_unfiltered:
             return leg.count_many(context, batch)
         keys = _leg_keys(leg, batch, context) if keys_may_repeat else None
         if keys is None or keys.distinct * _SHARE_MIN_REPEAT > len(batch):
-            return leg.fetch_many(context, batch)[2]
-        counts = leg.fetch_many(
-            context, _key_batch(leg, keys), weights=keys.weights()
-        )[2]
+            return leg.count_many(context, batch)
+        counts = leg.count_many(context, _key_batch(leg, keys), weights=keys.weights())
         return counts[keys.inverse()]
 
     def _count_multi(

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..errors import PlanningError
-from ..graph.types import Direction, EdgeAdjacencyType
+from ..graph.types import Direction, EdgeAdjacencyType, PropertyType
 from ..index.index_store import AccessPath, IndexStore
 from ..storage.sort_keys import SortKey
 from .operators import (
@@ -50,6 +50,8 @@ from ..predicates import (
 _RANGE_SELECTIVITY = 0.3
 _GENERIC_EQ_SELECTIVITY = 0.1
 _CROSS_RANGE_SELECTIVITY = 0.5
+#: Comparisons a search of a sorted list answers.
+_SORTED_OPS = (CompareOp.LT, CompareOp.LE, CompareOp.GT, CompareOp.GE, CompareOp.EQ)
 
 
 @dataclass
@@ -426,6 +428,15 @@ class Optimizer:
 
         local_vars = {bound_vertex, query_edge.name, new_vertex}
         local_positions = self._conjuncts_within(local_vars, frozenset(already_applied))
+        # Conjuncts comparing the new vertex or edge with any bound variable:
+        # a leg whose lists are sorted on the property may answer one of them.
+        bound = self._bound_variables(state)
+        probe_positions = [
+            position
+            for position, comparison in enumerate(self._conjuncts)
+            if position not in already_applied
+            and self._probe_form(comparison, (new_vertex, query_edge.name), bound)
+        ]
         local_conjuncts = [self._conjuncts[p] for p in local_positions]
         rename = {bound_vertex: "bound", query_edge.name: "edge", new_vertex: "nbr"}
         canonical = Predicate(c.renamed(rename) for c in local_conjuncts)
@@ -491,9 +502,19 @@ class Optimizer:
         for path, inverse, bound_var, positions in candidates:
             residual_sel = self._cost_model.predicate_selectivity(list(path.residual))
             candidate_residual = Predicate(c.renamed(inverse) for c in path.residual)
-            sorted_filter, remaining = self._extract_sorted_filter(
-                path, candidate_residual, query_edge.name, new_vertex
+            sorted_filter, remaining, absorbed = self._extract_sorted_filter(
+                path,
+                candidate_residual,
+                [p for p in probe_positions if p not in positions],
+                query_edge.name,
+                new_vertex,
+                bound,
             )
+            if absorbed is not None:
+                positions = positions + [absorbed]
+                residual_sel *= self._cost_model.conjunct_selectivity(
+                    self._conjuncts[absorbed]
+                )
             key = (
                 path.estimated_list_size,
                 0 if sorted_filter is not None else 1,
@@ -540,21 +561,72 @@ class Optimizer:
             return EdgeAdjacencyType.SRC_FW
         return EdgeAdjacencyType.SRC_BW
 
+    def _bound_variables(self, state: FrozenSet[str]) -> Set[str]:
+        """The variables a batch of ``state``'s plan carries: its vertices and
+        the tracked edges between them."""
+        return set(state) | {
+            edge.name
+            for edge in self._query.edges.values()
+            if edge.src in state and edge.dst in state and edge.name in self._tracked_edges
+        }
+
+    def _probe_form(
+        self, comparison: Comparison, new_vars: Sequence[str], bound: Set[str]
+    ) -> Optional[Tuple[PropertyRef, CompareOp, PropertyRef]]:
+        """``(new.p, op, bound.p)`` when ``comparison`` reads that way: the
+        same property of a new and a bound variable of one kind, no offset,
+        ``op`` one of ``< <= > >= =``.  Float properties are left out: their
+        nulls sort under ``+inf``, which a real value may also hold, so a
+        search could not tell the two apart."""
+        normalized = comparison.normalized()
+        left, op, right = normalized.left, normalized.op, normalized.right
+        if not (
+            isinstance(left, PropertyRef)
+            and isinstance(right, PropertyRef)
+            and left.prop == right.prop
+            and not normalized.offset
+            and op in _SORTED_OPS
+        ):
+            return None
+        if right.var in new_vars:
+            left, op, right = right, op.flipped, left
+        if left.var not in new_vars or right.var not in bound:
+            return None
+        kind = self._query.variable_kind(left.var)
+        if kind != self._query.variable_kind(right.var):
+            return None
+        schema = self.graph.schema
+        if kind == "vertex" and schema.has_vertex_property(left.prop):
+            ptype = schema.vertex_property(left.prop).ptype
+        elif kind == "edge" and schema.has_edge_property(left.prop):
+            ptype = schema.edge_property(left.prop).ptype
+        else:
+            ptype = None  # ``ID`` or ``label``
+        if ptype is PropertyType.FLOAT:
+            return None
+        return left, op, right
+
     def _extract_sorted_filter(
         self,
         path: AccessPath,
         residual: Predicate,
+        extra: Sequence[int],
         edge_var: str,
         nbr_var: str,
-    ) -> Tuple[Optional[SortedRangeFilter], Predicate]:
-        """Turn one residual conjunct into a binary-search range filter.
+        bound: Set[str],
+    ) -> Tuple[Optional[SortedRangeFilter], Predicate, Optional[int]]:
+        """Turn one conjunct into a search of the sorted lists.
 
         Possible when the access path's major sort key is the property the
-        conjunct compares against a constant, and only when the path addresses
-        a most-granular list (a coarser prefix is not globally sorted).
+        conjunct constrains.  A residual conjunct against a constant is taken
+        first, then one against the same property of a bound variable (the
+        probe); failing both, one of the ``extra`` conjunct positions — a
+        probe the leg's own variables do not cover, e.g. MF3's
+        ``a4.city = a5.city`` on the leg from ``a1`` — is absorbed and
+        returned as the third element.
         """
-        if not path.sort_keys or not path.covers_all_levels:
-            return None, residual
+        if not path.sort_keys:
+            return None, residual, None
         sort_key = path.sort_keys[0]
         if sort_key.is_neighbour_id:
             target_var, prop = nbr_var, "ID"
@@ -570,8 +642,7 @@ class Optimizer:
                 and isinstance(normalized.right, Constant)
                 and normalized.left.var == target_var
                 and normalized.left.prop == prop
-                and normalized.op
-                in (CompareOp.LT, CompareOp.LE, CompareOp.GT, CompareOp.GE, CompareOp.EQ)
+                and normalized.op in _SORTED_OPS
             ):
                 kind = self._query.variable_kind(target_var)
                 value = normalized.right.value
@@ -580,8 +651,23 @@ class Optimizer:
                 sorted_filter = SortedRangeFilter(
                     sort_key=sort_key, op=normalized.op, value=float(value)
                 )
-                return sorted_filter, residual.without([comparison])
-        return None, residual
+                return sorted_filter, residual.without([comparison]), None
+
+        def probe(comparison: Comparison) -> Optional[SortedRangeFilter]:
+            form = self._probe_form(comparison, (target_var,), bound)
+            if form is None or form[0].prop != prop:
+                return None
+            return SortedRangeFilter(sort_key=sort_key, op=form[1], value=form[2])
+
+        for comparison in residual.conjuncts():
+            sorted_filter = probe(comparison)
+            if sorted_filter is not None:
+                return sorted_filter, residual.without([comparison]), None
+        for position in extra:
+            sorted_filter = probe(self._conjuncts[position])
+            if sorted_filter is not None:
+                return sorted_filter, residual, position
+        return None, residual, None
 
     # -- MULTI-EXTEND -----------------------------------------------------
     def _multi_extend_candidates(self, state: FrozenSet[str], entry: _DPEntry):

@@ -131,8 +131,8 @@ class QueryPlan:
         * a MULTI-EXTEND's legs bind pairwise-distinct target vertices
           (shared targets need per-combination reconciliation);
         * nothing it produces (targets, tracked edge variables) is *read*
-          by a later suffix operator (leg bound variables,
-          residual-predicate variables beyond the leg's own target/edge) —
+          by a later suffix operator (a leg's
+          :meth:`~repro.query.operators.ExtensionLeg.key_vars`) —
           so every suffix operator's inputs come from the flat prefix and
           the per-operator cardinalities are independent given a prefix
           row.
@@ -162,12 +162,7 @@ class QueryPlan:
             )
             reads: Set[str] = set()
             for leg in operator.legs:
-                reads.add(leg.bound_var)
-                reads.update(
-                    name
-                    for name in leg.residual.variables()
-                    if name not in (leg.target_var, leg.edge_var)
-                )
+                reads.update(leg.key_vars())
             # An already-accepted (later) suffix operator consuming this
             # operator's output would make the cardinalities dependent:
             # this operator must stay in the flat prefix, ending the walk.
@@ -237,7 +232,7 @@ class QueryPlan:
         """True when a count-only suffix operator may work per distinct key."""
         return any(
             isinstance(operator, ExtendIntersect)
-            and not (len(operator.legs) == 1 and operator.legs[0].residual.is_true)
+            and not (len(operator.legs) == 1 and operator.legs[0].is_unfiltered)
             and self.suffix_keys_may_repeat(operator)
             for operator in self.operators[self.factorized_suffix_start() :]
         )

@@ -132,6 +132,80 @@ def search_range(
     return lo, hi
 
 
+class SearchKey:
+    """A globally monotone key over a nested CSR's entries, so that the run
+    of many sorted groups is one ``np.searchsorted`` per bounded side.
+
+    Entry ``p`` of deepest group ``g`` gets ``g * width + rank(p)``, where
+    ``rank`` numbers the distinct major sort values of all entries and
+    ``width`` is how many there are.  Every group is sorted on its major
+    value and groups follow each other in ID order, so the keys never
+    decrease; the entries of group ``g`` whose value sits below a probe of
+    rank ``r`` (the probe's insertion point among the distinct values) are
+    exactly those keyed below ``g * width + r``.  The keys use the narrowest
+    signed int dtype that holds ``groups * width``, and the needles are cast
+    to it: a mixed-dtype ``searchsorted`` copies the haystack on every call.
+
+    Args:
+        offsets: the CSR's group offsets (kept by reference, not copied).
+        values: the major sort value of every entry, in index order.
+    """
+
+    def __init__(self, offsets: np.ndarray, values: np.ndarray) -> None:
+        self.offsets = offsets
+        self.distinct, ranks = np.unique(values, return_inverse=True)
+        self.width = max(len(self.distinct), 1)
+        groups = len(offsets) - 1
+        self.dtype = (
+            np.int32 if groups * self.width <= np.iinfo(np.int32).max else np.int64
+        )
+        group_of_entry = np.repeat(
+            np.arange(groups, dtype=self.dtype), np.diff(offsets)
+        )
+        self.keys = group_of_entry * self.dtype(self.width) + ranks.astype(self.dtype)
+
+    @property
+    def nbytes(self) -> int:
+        return self.keys.nbytes + self.distinct.nbytes
+
+    def _find(self, groups: np.ndarray, ranks) -> np.ndarray:
+        """Position of the first entry of each group ranked at or above
+        ``ranks`` (the group's end when none is)."""
+        needles = (groups * self.width + ranks).astype(self.dtype, copy=False)
+        return np.searchsorted(self.keys, needles)
+
+    def runs(
+        self, groups: np.ndarray, op: CompareOp, probes, below: Optional[float] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``[lo, hi)`` run of every listed deepest group whose values
+        satisfy ``value op probe``.
+
+        ``op`` is one of ``< <= > >= =``; ``probes`` is one value per group
+        or one for all, compared as numpy compares the values (so the null
+        sentinels of :meth:`~repro.storage.sort_keys.SortKey.values` sort
+        last).  ``below`` caps the run of an ``op`` that leaves its upper
+        side open at the first value not below it.
+        """
+        if op not in LOWER_SIDE and op not in UPPER_SIDE:
+            raise ValueError(f"no sorted range satisfies key {op.value} probe")
+        groups = np.asarray(groups, dtype=np.int64)
+
+        def rank(side: str):
+            return np.searchsorted(self.distinct, probes, side=side)
+
+        if op in LOWER_SIDE:
+            lo = self._find(groups, rank(LOWER_SIDE[op]))
+        else:
+            lo = self.offsets[groups]
+        if op in UPPER_SIDE:
+            hi = self._find(groups, rank(UPPER_SIDE[op]))
+        elif below is not None:
+            hi = self._find(groups, np.searchsorted(self.distinct, below))
+        else:
+            hi = self.offsets[groups + 1]
+        return lo.astype(np.int64, copy=False), hi.astype(np.int64, copy=False)
+
+
 class Splice:
     """Where a sorted delta and the survivors of a sorted base run land.
 
@@ -434,6 +508,18 @@ class NestedCSR:
             self.offsets[start_groups].astype(np.int64),
             self.offsets[start_groups + remaining].astype(np.int64),
         )
+
+    def granular_groups(
+        self, bound_ids: np.ndarray, codes: Sequence[int] = ()
+    ) -> np.ndarray:
+        """The most granular groups under every row's (partial) key prefix:
+        one row per bound ID, one column per group the prefix spans, in
+        group (and so position) order."""
+        group, remaining = self._prefix_groups(bound_ids, codes)
+        first = group * remaining
+        if remaining == 1:
+            return first[:, None]
+        return first[:, None] + np.arange(remaining, dtype=np.int64)
 
     def bound_starts(self, bound_ids: np.ndarray) -> np.ndarray:
         """Vectorized start positions of the level-0 lists of many bound IDs."""

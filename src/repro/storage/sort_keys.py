@@ -121,27 +121,41 @@ class SortKey:
             if self.target == "edge":
                 return graph.edge_labels[edge_ids].astype(np.int64)
             return graph.vertex_labels[nbr_ids].astype(np.int64)
-        if self.target == "edge":
-            prop = graph.schema.edge_property(self.prop)
-            column = graph.edge_props.column(self.prop)
-            raw = np.asarray(column[edge_ids])
-        else:
-            prop = graph.schema.vertex_property(self.prop)
-            column = graph.vertex_props.column(self.prop)
-            raw = np.asarray(column[nbr_ids])
-        if prop.ptype is PropertyType.STRING:
+        ptype, raw = self._raw(graph, edge_ids, nbr_ids)
+        if ptype is PropertyType.STRING:
             raise IndexConfigError(
                 f"cannot sort on string property {self.prop!r}; "
                 "declare it categorical instead"
             )
-        if prop.ptype is PropertyType.FLOAT:
+        if ptype is PropertyType.FLOAT:
             values = raw.astype(np.float64).copy()
             values[np.isnan(values)] = np.inf
             return values
         values = raw.astype(np.int64).copy()
-        null_marker = NULL_CATEGORY if prop.ptype is PropertyType.CATEGORICAL else NULL_INT
-        values[raw == null_marker] = np.iinfo(np.int64).max
+        values[raw == _null_marker(ptype)] = np.iinfo(np.int64).max
         return values
+
+    def nulls(
+        self, graph: PropertyGraph, edge_ids: np.ndarray, nbr_ids: np.ndarray
+    ) -> np.ndarray:
+        """True for each edge whose value is null, read from the raw column
+        (not from the sentinel :meth:`values` sorts it under)."""
+        if self.is_neighbour_id or self.is_edge_id or self.prop == "label":
+            return np.zeros(len(nbr_ids), dtype=bool)
+        ptype, raw = self._raw(graph, edge_ids, nbr_ids)
+        if ptype is PropertyType.FLOAT:
+            return np.isnan(raw)
+        return raw == _null_marker(ptype)
+
+    def _raw(self, graph: PropertyGraph, edge_ids: np.ndarray, nbr_ids: np.ndarray):
+        """``(property type, raw coded column)`` of each edge's value."""
+        if self.target == "edge":
+            prop = graph.schema.edge_property(self.prop)
+            column = graph.edge_props.column(self.prop)
+            return prop.ptype, np.asarray(column[edge_ids])
+        prop = graph.schema.vertex_property(self.prop)
+        column = graph.vertex_props.column(self.prop)
+        return prop.ptype, np.asarray(column[nbr_ids])
 
     def describe(self) -> str:
         if self.is_neighbour_id:
@@ -153,6 +167,16 @@ class SortKey:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.describe()
+
+
+def _null_marker(ptype: PropertyType):
+    return NULL_CATEGORY if ptype is PropertyType.CATEGORICAL else NULL_INT
+
+
+def null_sort_value(dtype: np.dtype):
+    """The value :meth:`SortKey.values` sorts nulls under in an array of
+    ``dtype``: ``+inf`` for floats, ``int64.max`` otherwise."""
+    return np.inf if np.dtype(dtype).kind == "f" else np.iinfo(np.int64).max
 
 
 def sort_values_matrix(

@@ -58,14 +58,12 @@ class TestVertexAccessPaths:
         paths = store.find_vertex_access_paths(Direction.FORWARD, Predicate.true())
         assert len(paths) == 1
         assert paths[0].kind == "primary"
-        assert not paths[0].covers_all_levels  # no edge-label value supplied
 
     def test_partition_values_from_label_equality(self, store):
         predicate = Predicate.of(cmp(prop("edge", "label"), "=", "Wire"))
         paths = store.find_vertex_access_paths(Direction.FORWARD, predicate)
         primary = paths[0]
         assert primary.key_values == ("Wire",)
-        assert primary.covers_all_levels
         assert primary.residual == ()
 
     def test_secondary_matching_requires_subsumption(self, store, example_graph):

@@ -224,9 +224,10 @@ SHAPES = {
         True,
     ),
     # lists sorted on a float property: a sorted-range filter in the suffix
-    # (its only filter, so it counts the searched runs and reads no list),
-    # and intersections over legs that are not presorted on neighbour ID
-    "heavy_tail": ("float_sorted", _heavy_tail, False),
+    # (its only filter, so it counts the searched runs, once per distinct
+    # key, and reads no list), and intersections over legs that are not
+    # presorted on neighbour ID
+    "heavy_tail": ("float_sorted", _heavy_tail, True),
     "unsorted_diamond": (
         "float_sorted",
         lambda: _pattern(
@@ -555,9 +556,9 @@ def test_count_only_range_leg_reads_no_entries(fx, monkeypatch):
     index = leg.access_path.index
     count_many = type(index).count_many
 
-    def spy_count(self, bound_ids, key_values=(), sorted_filter=None):
+    def spy_count(self, bound_ids, key_values=(), sorted_filter=None, probe_ids=None):
         searched.append(sorted_filter)
-        return count_many(self, bound_ids, key_values, sorted_filter)
+        return count_many(self, bound_ids, key_values, sorted_filter, probe_ids)
 
     monkeypatch.setattr(ExtensionLeg, "fetch_many", spy_fetch)
     monkeypatch.setattr(type(index), "count_many", spy_count)

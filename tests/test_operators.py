@@ -71,7 +71,6 @@ def build_store(graph):
 def make_leg(store, direction, bound, target, edge_var, key_values=(), **kwargs):
     path = store.find_vertex_access_paths(direction, Predicate.true())[0]
     path.key_values = tuple(key_values)
-    path.covers_all_levels = len(path.key_values) == len(path.index.config.partition_keys)
     return ExtensionLeg(
         access_path=path,
         bound_var=bound,

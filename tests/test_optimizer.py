@@ -4,15 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Database
+from repro import Database, Direction
 from repro.errors import PlanningError
 from repro.graph.generators import LabelledGraphSpec, generate_labelled_graph
 from repro.index.config import IndexConfig
-from repro.predicates import cmp, prop
+from repro.predicates import CompareOp, PropertyRef, cmp, prop
 from repro.query.naive import NaiveMatcher
 from repro.query.operators import ExtendIntersect, MultiExtend, ScanVertices
 from repro.query.optimizer import CostModel, Optimizer
 from repro.query.pattern import QueryGraph
+from repro.storage.sort_keys import SortKey
+from repro.workloads import fraud
+from repro.workloads.datasets import financial_dataset
 
 
 class TestPlanShapes:
@@ -49,6 +52,34 @@ class TestPlanShapes:
         scan = plan.operators[0]
         assert scan.var == "c"
         assert "Alice" in scan.predicate.describe()
+
+    def test_mf3_probes_a4_city_from_vpc_and_keeps_its_extend_shape(self):
+        """The city conjuncts through a4 are sorted filters on VPc-fw, not
+        THEN FILTERs; pricing the absorbed conjunct's selectivity into the
+        leg keeps the DP on this EXTEND chain (unpriced, it picked a
+        MULTI-EXTEND over a2, a4 and a5)."""
+        graph = financial_dataset("brk", scale=0.2)
+        db = Database(graph)
+        view, config = fraud.vpc_view_and_config()
+        db.create_vertex_index(
+            view, directions=(Direction.FORWARD, Direction.BACKWARD), config=config, name="VPc"
+        )
+        alpha = fraud.amount_alpha(graph, 0.05)
+        view, config = fraud.epc_view_and_config(alpha)
+        db.create_edge_index(view, config=config, name="EPc")
+        query = fraud.build_mf3(graph, alpha)
+        plan = db.plan(query)
+        assert [type(op) for op in plan.operators[1:]] == [ExtendIntersect] * 4
+        legs = {op.target_var: op.legs[0] for op in plan.operators[1:]}
+        for target in ("a2", "a5"):
+            leg = legs[target]
+            assert leg.access_path.name == "VPc-fw"
+            assert leg.sorted_filter.sort_key == SortKey.nbr_property("city")
+            assert leg.sorted_filter.op is CompareOp.EQ
+            assert leg.sorted_filter.value == PropertyRef("a4", "city")
+            assert "sorted vnbr.city = a4.city" in leg.describe()
+        assert "THEN FILTER" not in plan.describe()
+        assert db.count(query) == db.count(query, factorized=False) > 0
 
     def test_cyclic_query_uses_multiway_intersection(self, labelled_graph):
         db = Database(labelled_graph)

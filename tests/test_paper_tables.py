@@ -80,6 +80,17 @@ def test_each_fraud_index_fetches_no_more_than_the_configuration_before(run):
         assert entries["D+VPc+EPc"][query] < entries["D"][query], query
 
 
+def test_vpc_city_order_answers_the_city_equalities(run):
+    """MF2's and MF3's city conjuncts compare two query vertices; VPc's
+    city-sorted lists answer them with a search probed by the bound one, so
+    D+VPc fetches fewer entries than D, and EPc cuts MF3's further."""
+    _, tables = run
+    entries = _by(tables["IV"], "list_entries_fetched")
+    for query in ("MF2", "MF3"):
+        assert entries["D+VPc"][query] < entries["D"][query], query
+    assert entries["D+VPc+EPc"]["MF3"] < entries["D+VPc"]["MF3"]
+
+
 def test_charged_memory(run):
     _, tables = run
     assert _memory_ratio(tables["II"], "Ds") == 1.0

@@ -17,7 +17,7 @@ import pickle
 
 import pytest
 
-from repro import Database
+from repro import Database, Direction
 from repro.errors import ExecutionError
 from repro.graph.generators import LabelledGraphSpec, generate_labelled_graph
 from repro.query import QueryGraph, cmp, prop
@@ -34,6 +34,8 @@ from repro.query.backends import (
 )
 from repro.query.executor import Executor
 from repro.query.operators import ExecutionStats
+from repro.workloads import fraud
+from repro.workloads.datasets import financial_dataset
 
 
 @pytest.fixture()
@@ -212,6 +214,55 @@ class TestGenerationPinning:
         assert leg.access_path.index is clone.plan.store_snapshot.primary.for_direction(
             leg.access_path.direction
         )
+
+
+class TestProbePlanRoundTrip:
+    """A plan whose legs probe a bound variable (MF3: the a2 and a5 legs
+    search VPc for a4's city) ships and replays like any other, also after
+    its indexes cached their search keys."""
+
+    @pytest.fixture()
+    def mf3(self):
+        graph = financial_dataset("brk", scale=0.2)
+        db = Database(graph)
+        view, config = fraud.vpc_view_and_config()
+        db.create_vertex_index(
+            view, directions=(Direction.FORWARD, Direction.BACKWARD), config=config, name="VPc"
+        )
+        alpha = fraud.amount_alpha(graph)
+        view, config = fraud.epc_view_and_config(alpha)
+        db.create_edge_index(view, config=config, name="EPc")
+        plan = db.plan(fraud.build_mf3(graph, alpha))
+        probes = [
+            leg.sorted_filter
+            for operator in plan.operators[1:]
+            for leg in operator.legs
+            if leg.sorted_filter is not None and leg.sorted_filter.probe_var
+        ]
+        assert probes, plan.describe()
+        return db, plan
+
+    def test_probe_plan_round_trips(self, mf3):
+        db, plan = mf3
+        before = db.run(plan, materialize=True, parallelism=1)
+        assert before.count > 0
+        clone = pickle.loads(pickle.dumps(plan))
+        assert [op.describe() for op in clone.operators] == [
+            op.describe() for op in plan.operators
+        ]
+        assert clone.factorized_suffix_start() == plan.factorized_suffix_start()
+        replay = Executor(clone.store_snapshot.graph).run(clone, materialize=True)
+        assert replay.matches == before.matches
+        assert _stats_dict(replay.stats) == _stats_dict(before.stats)
+        assert Executor(clone.store_snapshot.graph).count(clone) == before.count
+
+    def test_process_backend_runs_a_probe_plan(self, mf3):
+        db, plan = mf3
+        before = db.run(plan, materialize=True, parallelism=1)
+        replay = db.run(plan, materialize=True, parallelism=2, backend="process")
+        assert replay.matches == before.matches
+        assert _stats_dict(replay.stats) == _stats_dict(before.stats)
+        assert db.count(plan.query, parallelism=2, backend="process") == before.count
 
 
 class TestStoreGenerationCounter:

@@ -3,14 +3,17 @@
 Every index class a :class:`~repro.query.operators.SortedRangeFilter` can
 read through — primary (sorted on an edge property), vertex-partitioned
 and edge-partitioned — answers ``list_many(bound_ids, key_values,
-sorted_filter)`` by bisecting each list and gathering only the admitted run,
-and ``count_many(..., sorted_filter)`` with that run's length.  Both are
-checked against a brute-force mask of the whole list (``index.list`` plus
-the filter's comparison on every entry) over: every operator ``< <= > >=
-=``; probes below, at, between and above the keys, with the keys drawn from
-a handful of values so duplicate runs sit at the boundary; null sort values
-(``int64.max`` / ``+inf``, last); int, float and categorical keys; empty
-lists; and bound IDs repeated within a batch.
+sorted_filter, probe_ids)`` by searching each list and gathering only the
+admitted run, and ``count_many(...)`` with that run's length.  Both are
+checked against the filter's per-list :meth:`apply` (and that against a
+brute-force mask of the whole list: the filter's comparison on every entry)
+over: every operator ``< <= > >= =``; constant probes below, at, between
+and above the keys, with the keys drawn from a handful of values so
+duplicate runs sit at the boundary; per-row probes read off a bound edge,
+null ones included; null sort values (``int64.max`` / ``+inf``, last);
+int, float and categorical keys; empty lists, which share their start
+with the next list; bound IDs repeated within a batch; and coarse prefixes,
+whose lists union one sorted run per partition.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from repro.index.edge_partitioned import EdgePartitionedIndex  # noqa: E402
 from repro.index.primary import AdjacencyIndex, PrimaryIndex  # noqa: E402
 from repro.index.vertex_partitioned import VertexPartitionedIndex  # noqa: E402
 from repro.index.views import OneHopView, TwoHopView  # noqa: E402
-from repro.predicates import CompareOp, Predicate, cmp, prop  # noqa: E402
+from repro.predicates import CompareOp, Predicate, PropertyRef, cmp, prop  # noqa: E402
 from repro.query.operators import SortedRangeFilter  # noqa: E402
 from repro.storage.partition_keys import PartitionKey  # noqa: E402
 from repro.storage.sort_keys import SortKey  # noqa: E402
@@ -60,7 +63,8 @@ INDEX_KINDS = ("primary", "vertex", "edge")
 @st.composite
 def searched_reads(draw):
     """A small graph, one index sorted on edge property ``w``, a filter on
-    ``w`` and a batch of bound IDs."""
+    ``w`` (a constant, or the ``w`` of a per-row probe edge) and a batch of
+    bound IDs."""
     ptype = draw(st.sampled_from(sorted(KEYS, key=lambda t: t.value)))
     values, probes = KEYS[ptype]
     num_vertices = draw(st.integers(1, 6))
@@ -75,16 +79,34 @@ def searched_reads(draw):
         w[0] = draw(st.sampled_from(values[:-1]))
     k = draw(st.lists(st.integers(0, 2), min_size=num_edges, max_size=num_edges))
     kind = draw(st.sampled_from(INDEX_KINDS))
-    # Sorted lists are the most granular groups: every partition level keyed.
-    key_values = (draw(st.sampled_from(sorted(set(labels)))),) if draw(st.booleans()) else None
+    # flat: no partition level; granular: the label level keyed; coarse: the
+    # label level left open, so a list is one sorted run per label.
+    layout = draw(st.sampled_from(("flat", "granular", "coarse")))
+    key_values = (draw(st.sampled_from(sorted(set(labels)))),) if layout == "granular" else ()
     domain = num_edges if kind == "edge" else num_vertices
     bounds = draw(st.lists(st.integers(0, domain - 1), max_size=12))
+    if draw(st.booleans()):
+        value = PropertyRef("p", "w")
+        probe_ids = draw(
+            st.lists(
+                st.integers(0, num_edges - 1), min_size=len(bounds), max_size=len(bounds)
+            )
+        )
+    else:
+        value, probe_ids = float(draw(st.sampled_from(probes))), None
     sorted_filter = SortedRangeFilter(
-        sort_key=SortKey.edge_property("w"),
-        op=draw(st.sampled_from(OPS)),
-        value=float(draw(st.sampled_from(probes))),
+        sort_key=SortKey.edge_property("w"), op=draw(st.sampled_from(OPS)), value=value
     )
-    return ptype, (num_vertices, src, dst, labels, w, k), kind, key_values, bounds, sorted_filter
+    return (
+        ptype,
+        (num_vertices, src, dst, labels, w, k),
+        kind,
+        layout,
+        key_values,
+        bounds,
+        sorted_filter,
+        probe_ids,
+    )
 
 
 def _graph(ptype, num_vertices, src, dst, labels, w, k):
@@ -129,28 +151,48 @@ def _admitted(values: np.ndarray, op: CompareOp, value: float) -> np.ndarray:
 
 
 def _check_searched_read(case):
-    ptype, graph_spec, kind, key_values, bounds, sorted_filter = case
+    ptype, graph_spec, kind, layout, key_values, bounds, sorted_filter, probe_ids = case
     graph = _graph(ptype, *graph_spec)
-    index = _index(graph, kind, partitioned=key_values is not None)
-    key_values = list(key_values or ())
+    index = _index(graph, kind, partitioned=layout != "flat")
+    key_values = list(key_values)
+    # The sorted runs a row's list is made of, in position order.
+    runs = [key_values]
+    if layout == "coarse":
+        runs = [[code] for code in range(index.csr.level_domains[0])]
     bounds = np.asarray(bounds, dtype=np.int64)
+    sort_key = sorted_filter.sort_key
 
     want_edges, want_nbrs, want_counts = [], [], []
-    for bound in bounds.tolist():
-        edge_ids, nbr_ids = index.list(bound, key_values)
-        values = sorted_filter.sort_key.values(graph, edge_ids, nbr_ids)
-        mask = _admitted(values, sorted_filter.op, sorted_filter.value)
-        # The list is sorted on ``w``, so the admitted entries are one run.
-        assert np.all(np.diff(np.flatnonzero(mask)) == 1)
-        want_edges.extend(edge_ids[mask].tolist())
-        want_nbrs.extend(nbr_ids[mask].tolist())
-        want_counts.append(int(mask.sum()))
+    for row, bound in enumerate(bounds.tolist()):
+        probe_id = None if probe_ids is None else probe_ids[row]
+        count = 0
+        for run in runs:
+            edge_ids, nbr_ids = index.list(bound, run)
+            admitted, admitted_nbrs = sorted_filter.apply(graph, edge_ids, nbr_ids, probe_id)
+            # ... which is the predicate on every entry of the sorted run.
+            values = sort_key.values(graph, edge_ids, nbr_ids)
+            if probe_id is None:
+                mask = _admitted(values, sorted_filter.op, sorted_filter.value)
+            else:
+                probe = np.array([probe_id])
+                mask = _admitted(values, sorted_filter.op, sort_key.values(graph, probe, probe)[0])
+                mask &= ~sort_key.nulls(graph, edge_ids, nbr_ids)
+                mask &= ~sort_key.nulls(graph, probe, probe)[0]
+            assert admitted.tolist() == edge_ids[mask].tolist()
+            assert admitted_nbrs.tolist() == nbr_ids[mask].tolist()
+            want_edges.extend(admitted.tolist())
+            want_nbrs.extend(admitted_nbrs.tolist())
+            count += len(admitted)
+        want_counts.append(count)
 
-    edge_ids, nbr_ids, counts = index.list_many(bounds, key_values, sorted_filter)
+    edge_ids, nbr_ids, counts = index.list_many(bounds, key_values, sorted_filter, probe_ids)
     assert edge_ids.tolist() == want_edges
     assert nbr_ids.tolist() == want_nbrs
     assert counts.tolist() == want_counts
-    assert index.count_many(bounds, key_values, sorted_filter).tolist() == want_counts
+    assert (
+        index.count_many(bounds, key_values, sorted_filter, probe_ids).tolist()
+        == want_counts
+    )
     # No filter: the whole lists, as before.
     assert (
         index.count_many(bounds, key_values).tolist()
