@@ -68,16 +68,15 @@ from .query import (
     CountSink,
     Database,
     ExistsSink,
-    Executor,
     FaultPlan,
     FlattenSink,
     LimitSink,
-    MorselExecutor,
     NaiveMatcher,
     Optimizer,
     PipelineBuilder,
     PlanCache,
     PlanCacheStats,
+    PlanRunner,
     Predicate,
     QueryContext,
     QueryGraph,
@@ -110,8 +109,7 @@ __all__ = [
     "EdgeAdjacencyType",
     "EdgePartitionedIndex",
     "ExecutionError",
-    "Executor",
-    "MorselExecutor",
+    "PlanRunner",
     "GraphBuildError",
     "GraphBuilder",
     "GraphSchema",

@@ -10,7 +10,7 @@ or one of the generators in :mod:`repro.graph.generators`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -96,10 +96,6 @@ class PropertyGraph:
     def edge_label_name(self, edge_id: int) -> str:
         return self.schema.edge_labels.name(int(self.edge_labels[edge_id]))
 
-    def edge_endpoints(self, edge_id: int) -> Tuple[int, int]:
-        """Return ``(src, dst)`` of an edge."""
-        return int(self.edge_src[edge_id]), int(self.edge_dst[edge_id])
-
     def vertex_property(self, vertex_id: int, name: str) -> PropertyValue:
         return self.vertex_props.value(vertex_id, name)
 
@@ -113,11 +109,6 @@ class PropertyGraph:
         """Return the IDs of all vertices carrying ``label``."""
         code = self.schema.vertex_label_code(label)
         return np.nonzero(self.vertex_labels == code)[0].astype(VERTEX_ID_DTYPE)
-
-    def edges_with_label(self, label: str) -> np.ndarray:
-        """Return the IDs of all edges carrying ``label``."""
-        code = self.schema.edge_label_code(label)
-        return np.nonzero(self.edge_labels == code)[0].astype(EDGE_ID_DTYPE)
 
     def all_vertices(self) -> np.ndarray:
         return np.arange(self.num_vertices, dtype=VERTEX_ID_DTYPE)

@@ -269,18 +269,6 @@ class IndexStore:
         view._state = self._state
         return view
 
-    def export_snapshot(self) -> StoreState:
-        """The current generation as a self-contained, picklable payload.
-
-        This is what crosses the process boundary when a morsel backend
-        rehydrates workers: one :class:`StoreState` whose graph, primary,
-        and secondary indexes are internally consistent and immutable.
-        Pickle it *together with* any plan pinned to it (in one
-        ``pickle.dumps`` call) so the plan's index references resolve to the
-        same deserialized objects on the worker side.
-        """
-        return self._state
-
     # ------------------------------------------------------------------
     # registration
     # ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Query processing: patterns, predicates, operators, optimizer, executor.
+"""Query processing: patterns, predicates, operators, optimizer, plan runner.
 
 Physical pipeline
 -----------------
@@ -21,35 +21,36 @@ fields are excluded from the byte-identity contract below.
 Parallel execution
 ------------------
 
-Query execution is serial by default and parallel on request:
+Every plan runs through one :class:`~repro.query.executor.PlanRunner`.
+Query execution is inline by default and parallel on request:
 ``Database.run(query, parallelism=N)`` (or the ``REPRO_PARALLELISM``
 environment variable, or ``Database(..., parallelism=N)``) allows up to ``N``
 workers: ``N`` is a ceiling, and a plan whose i-cost estimate is under
 :data:`~repro.query.executor.PARALLEL_MIN_ICOST` still runs inline on the
 calling thread, because below that cost a pool measures slower than no pool
-(``plan.describe()`` prints the verdict).  A plan at or above it is dispatched
-to the morsel-driven :class:`~repro.query.executor.MorselExecutor` when
-``N >= 2``.  The scan's vertex domain is split into contiguous range morsels
-— degree-weighted by default (:mod:`repro.query.morsels` prefix-sums the
-primary CSR offsets so each morsel carries ~equal adjacency work, which is
-what balances Zipf-skewed graphs); each morsel runs the *entire* operator
-pipeline — scan, extend/intersect, multi-extend, filter — on a pluggable
+(``plan.describe()`` prints the verdict).  A plan at or above it is
+dispatched in morsels when ``N >= 2``.  The scan's vertex domain is split
+into contiguous range morsels — degree-weighted by default
+(:mod:`repro.query.morsels` prefix-sums the primary CSR offsets so each
+morsel carries ~equal adjacency work, which is what balances Zipf-skewed
+graphs); each morsel runs the *entire* operator pipeline — scan,
+extend/intersect, multi-extend, filter — on a pluggable
 :class:`~repro.query.backends.MorselBackend` (``backend=`` /
 ``REPRO_BACKEND``): ``thread`` (default; the numpy batch kernels release the
-GIL), ``process`` (a ``multiprocessing`` pool — picklable morsel task specs
+GIL) or ``process`` (a ``multiprocessing`` pool — picklable morsel task specs
 out, columnar numpy buffers back, plan/graph rehydrated once per worker —
-sidestepping the GIL for CPU-bound plans), or ``serial`` (inline, the
-morsel-bookkeeping debug path).  The per-morsel outputs are merged in
+sidestepping the GIL for CPU-bound plans).  ``serial`` names no pool: one
+worker, inline, whatever ``N`` says.  The per-morsel outputs are merged in
 ascending range order.  How many rows a batch carries in flight is one rule,
 :func:`~repro.query.executor.rows_in_flight`, decided by the sink: a run
-whose sink needs rows coalesces two serial-sized batches per kernel call
+whose sink needs rows coalesces two batch-sized batches per kernel call
 inside a morsel (one on every inline run), and a count-only run
 (``count()``, ``run(factorized=True)``) carries
-:data:`~repro.query.executor.COUNT_ONLY_COALESCE` of them on every runner.
+:data:`~repro.query.executor.COUNT_ONLY_COALESCE` of them either way.
 
 **Determinism guarantee:** for any ``parallelism``, backend, morsel size,
 and rows in flight, the produced matches, their order, and the execution
-statistics are byte-identical to the serial run (``parallelism=1``, which
+statistics are byte-identical to the inline run (``parallelism=1``, which
 is kept as the oracle).  This holds because every operator emits output
 rows in input-row order and the batch kernels are row-segmented, so batch
 and morsel boundaries can never change *what* is produced, only how it is
@@ -77,14 +78,13 @@ from .backends import (
     MorselBackend,
     MorselTaskSpec,
     ProcessBackend,
-    SerialBackend,
     ThreadBackend,
     WorkerPayload,
     reply_checksum,
 )
 from .binding import MatchBatch, concat_batches
 from .engine import Database, IndexCreationResult
-from .executor import Executor, MorselExecutor, QueryResult
+from .executor import PlanRunner, QueryResult
 from .factorized import FactorizedBatch, FactorizedSegment
 from .pipeline import (
     CountSink,
@@ -144,7 +144,6 @@ __all__ = [
     "ExecutionContext",
     "ExecutionStats",
     "ExistsSink",
-    "Executor",
     "ExtendIntersect",
     "ExtensionLeg",
     "FactorizedBatch",
@@ -155,7 +154,6 @@ __all__ = [
     "LimitSink",
     "MatchBatch",
     "MorselBackend",
-    "MorselExecutor",
     "MorselTaskSpec",
     "MultiExtend",
     "NaiveMatcher",
@@ -164,6 +162,7 @@ __all__ = [
     "PipelineBuilder",
     "PlanCache",
     "PlanCacheStats",
+    "PlanRunner",
     "Predicate",
     "ProcessBackend",
     "PropertyRef",
@@ -173,7 +172,6 @@ __all__ = [
     "QueryResult",
     "QueryVertex",
     "ScanVertices",
-    "SerialBackend",
     "Sink",
     "SortedRangeFilter",
     "ThreadBackend",

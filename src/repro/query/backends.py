@@ -1,14 +1,13 @@
-"""Morsel-dispatch backends: serial, thread-pool, and process-pool execution.
+"""Morsel-dispatch backends: thread-pool and process-pool execution.
 
-The morsel dispatcher (:class:`~repro.query.executor.MorselExecutor`) owns
-*what* runs — the per-range operator pipeline — and *in which order* results
-merge (ascending range order, the determinism contract).  A
-:class:`MorselBackend` owns only *where* each morsel body runs.  There are
-three, one class per registry name:
+The plan runner's morsel dispatcher (:class:`~repro.query.executor
+.PlanRunner` given a backend) owns *what* runs — the per-range operator
+pipeline — and *in which order* results merge (ascending range order, the
+determinism contract).  A :class:`MorselBackend` owns only *where* each
+morsel body runs.  There are two pools, one class per registry name; the
+third name, ``"serial"``, registers no pool and means inline execution, one
+worker on the calling thread:
 
-* :class:`SerialBackend` — runs each morsel inline on the caller's thread.
-  Exercises the full morsel/merge bookkeeping without any concurrency; the
-  cheapest way to debug a morsel-boundary issue.
 * :class:`ThreadBackend` — a ``ThreadPoolExecutor``.  The numpy kernels
   release the GIL, so threads overlap on multi-core machines; the Python
   orchestration between kernels still serializes on GIL builds.
@@ -42,8 +41,8 @@ lease, and a process pool's workers keep their payload caches warm.
 Every backend yields byte-identical results: each runs the same
 :func:`run_morsel` body over the same ranges, and the dispatcher merges
 outputs in ascending range order regardless of completion order.  The
-differential suite (``tests/test_backend_equivalence.py``) pins all three
-backends against the serial executor.
+differential suite (``tests/test_backend_equivalence.py``) pins both
+backends against the inline runner.
 
 Generation pinning
 ------------------
@@ -63,7 +62,7 @@ Fault tolerance
 
 Backends are the detection layer of the query runtime's crash recovery
 (the *reaction* — retry, then serial fallback — lives in the dispatcher,
-:meth:`~repro.query.executor.MorselExecutor._dispatch`):
+:meth:`~repro.query.executor.PlanRunner._dispatch`):
 
 * ``result()`` raises the recoverable :class:`~repro.errors.WorkerCrashError`
   when a morsel's output is lost or untrustworthy.  For the process backend
@@ -71,7 +70,7 @@ Backends are the detection layer of the query runtime's crash recovery
   the pool's worker processes; the reply would otherwise never arrive and
   ``get()`` would block forever), no reply within the per-morsel timeout
   (``REPRO_MORSEL_TIMEOUT``), or a reply whose checksum does not match its
-  payload.  In-process backends convert the injected-fault signals of
+  payload.  The thread backend converts the injected-fault signals of
   :mod:`repro.query.faults` the same way.
 * Process replies travel in a *checksummed envelope*
   ``(encoded, stats_tuple, checksum)`` — :func:`reply_checksum` covers the
@@ -90,7 +89,6 @@ Backends are the detection layer of the query runtime's crash recovery
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import multiprocessing
 import os
@@ -458,22 +456,21 @@ MORSEL_TIMEOUT_ENV_VAR = "REPRO_MORSEL_TIMEOUT"
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 
 
-def resolve_morsel_timeout(value: Optional[float] = None) -> Optional[float]:
-    """The per-morsel reply timeout: explicit value, env override, or default.
+def resolve_morsel_timeout() -> Optional[float]:
+    """The per-morsel reply timeout: the environment override or the default.
 
-    ``0`` (from either source) disables the backstop and returns None.
+    ``0`` disables the backstop and returns None.
     """
-    if value is None:
-        raw = os.environ.get(MORSEL_TIMEOUT_ENV_VAR)
-        if raw is None or not raw.strip():
-            return DEFAULT_MORSEL_TIMEOUT_SECONDS
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ExecutionError(
-                f"${MORSEL_TIMEOUT_ENV_VAR} must be a number of seconds, "
-                f"got {raw!r}"
-            ) from None
+    raw = os.environ.get(MORSEL_TIMEOUT_ENV_VAR)
+    if raw is None or not raw.strip():
+        return DEFAULT_MORSEL_TIMEOUT_SECONDS
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ExecutionError(
+            f"${MORSEL_TIMEOUT_ENV_VAR} must be a number of seconds, "
+            f"got {raw!r}"
+        ) from None
     if value < 0:
         raise ExecutionError(
             f"morsel timeout must be >= 0 seconds (0 disables), got {value!r}"
@@ -607,14 +604,15 @@ class MorselBackend:
     process backend forks its workers with the payload already cached.
     Whoever constructs a backend shuts it down (see the module docstring).
 
-    ``open(executor, plan, batch_size, ...)`` receives the morsel bodies'
-    in-flight batch size from the dispatcher, which computes it once
-    (:func:`~repro.query.executor.rows_in_flight`).  ``submit`` may run the
-    morsel eagerly, lazily, or remotely — the only contract is that
-    ``result(handle)`` returns exactly the output of :func:`run_morsel` for
-    the submitted range.  The dispatcher retrieves
+    ``open(graph, plan, batch_size, ...)`` receives everything the morsel
+    bodies read: the graph, the plan, and the in-flight batch size the
+    dispatcher computes once (:func:`~repro.query.executor.rows_in_flight`);
+    ``clock`` overrides the per-stage timing clock of in-process bodies.
+    ``submit`` may run the morsel eagerly, lazily, or remotely — the only
+    contract is that ``result(handle)`` returns exactly the output of
+    :func:`run_morsel` for the submitted range.  The dispatcher retrieves
     handles in submission (= ascending range) order, which is what makes
-    every backend's merged output byte-identical to the serial executor.
+    every backend's merged output byte-identical to the inline run.
 
     ``open(..., count_only=True)`` says the consuming sink needs no rows:
     the morsel bodies run the count-only pipeline and ``result`` returns
@@ -658,12 +656,13 @@ class MorselBackend:
 
     def open(
         self,
-        executor,
+        graph: PropertyGraph,
         plan: QueryPlan,
         batch_size: int,
         runtime: Optional[QueryContext] = None,
         faults: Optional[FaultPlan] = None,
         count_only: bool = False,
+        clock=None,
     ) -> None:  # pragma: no cover
         raise NotImplementedError
 
@@ -679,73 +678,13 @@ class MorselBackend:
         raise NotImplementedError
 
 
-class SerialBackend(MorselBackend):
-    """Run every morsel inline on the caller's thread (no concurrency, no pool).
-
-    ``submit`` binds the morsel body to the query's state; the body runs
-    lazily inside :meth:`result`, so peak memory matches the windowed
-    parallel backends instead of materializing the whole result at
-    submission time.
-    """
-
-    name = "serial"
-
-    def open(
-        self,
-        executor,
-        plan: QueryPlan,
-        batch_size: int,
-        runtime: Optional[QueryContext] = None,
-        faults: Optional[FaultPlan] = None,
-        count_only: bool = False,
-    ) -> None:
-        self._plan = plan
-        self._graph = executor.graph
-        self._batch_size = batch_size
-        self._count_only = count_only
-        self._runtime = runtime
-        self._faults = faults
-        self._clock = getattr(executor, "clock", None)
-
-    def submit(self, start: int, stop: int, index: int = 0, attempt: int = 0):
-        body = functools.partial(
-            run_morsel_faulted,
-            self._plan,
-            self._graph,
-            self._batch_size,
-            start,
-            stop,
-            runtime=self._runtime,
-            faults=self._faults,
-            index=index,
-            attempt=attempt,
-            clock=self._clock,
-            count_only=self._count_only,
-        )
-        return (body, index, start, stop)
-
-    def result(self, handle) -> Tuple[List[MatchBatch], ExecutionStats]:
-        task, index, start, stop = handle
-        try:
-            return self._wait(task)
-        except (InjectedWorkerCrash, InjectedReplyCorruption) as fault:
-            raise WorkerCrashError(
-                f"morsel {index} [{start}, {stop}) lost to injected fault: "
-                f"{fault}"
-            ) from fault
-
-    def _wait(self, task):
-        return task()
-
-    def close(self) -> None:
-        self._plan = self._graph = self._runtime = self._faults = None
-
-
-class ThreadBackend(SerialBackend):
+class ThreadBackend(MorselBackend):
     """Run morsels on a thread pool (the numpy kernels release the GIL).
 
-    Shares the serial backend's query state; ``submit`` hands the bound
-    morsel body to the pool instead of deferring it.
+    ``open`` keeps the query's morsel-body arguments, ``submit`` hands one
+    body to the pool, and ``result`` waits for it — polled against the
+    query's runtime — converting an injected fault into the
+    :class:`~repro.errors.WorkerCrashError` a lost morsel raises.
     """
 
     name = "thread"
@@ -755,6 +694,7 @@ class ThreadBackend(SerialBackend):
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_lock = threading.Lock()
         self._aborted = False
+        self._runtime: Optional[QueryContext] = None
 
     def start(self) -> "ThreadBackend":
         self._pool = ThreadPoolExecutor(
@@ -762,33 +702,60 @@ class ThreadBackend(SerialBackend):
         )
         return self
 
-    def open(self, executor, plan: QueryPlan, batch_size: int, **options) -> None:
+    def open(
+        self,
+        graph: PropertyGraph,
+        plan: QueryPlan,
+        batch_size: int,
+        runtime: Optional[QueryContext] = None,
+        faults: Optional[FaultPlan] = None,
+        count_only: bool = False,
+        clock=None,
+    ) -> None:
         if self._pool is None:
             self.start()
-        super().open(executor, plan, batch_size, **options)
+        self._body = (plan, graph, batch_size)
+        self._options = dict(
+            runtime=runtime, faults=faults, clock=clock, count_only=count_only
+        )
+        self._runtime = runtime
 
     def submit(self, start: int, stop: int, index: int = 0, attempt: int = 0):
-        body, *where = super().submit(start, stop, index, attempt)
-        return (self._pool.submit(body), *where)
+        future = self._pool.submit(
+            run_morsel_faulted,
+            *self._body,
+            start,
+            stop,
+            index=index,
+            attempt=attempt,
+            **self._options,
+        )
+        return (future, index, start, stop)
 
-    def _wait(self, future):
-        if self._runtime is None:
-            return future.result()
-        # Poll so the caller's deadline/cancellation can interrupt the wait
-        # even while the worker thread is stuck in non-cooperative code
-        # (e.g. an injected delay sleeping inside the morsel body).
-        while True:
-            try:
-                return future.result(timeout=_RESULT_POLL_SECONDS)
-            except FutureTimeoutError:
-                self._runtime.check()
+    def result(self, handle) -> Tuple[List[MatchBatch], ExecutionStats]:
+        future, index, start, stop = handle
+        try:
+            if self._runtime is None:
+                return future.result()
+            # Poll so the caller's deadline/cancellation can interrupt the
+            # wait even while the worker thread is stuck in non-cooperative
+            # code (e.g. an injected delay sleeping inside the morsel body).
+            while True:
+                try:
+                    return future.result(timeout=_RESULT_POLL_SECONDS)
+                except FutureTimeoutError:
+                    self._runtime.check()
+        except (InjectedWorkerCrash, InjectedReplyCorruption) as fault:
+            raise WorkerCrashError(
+                f"morsel {index} [{start}, {stop}) lost to injected fault: "
+                f"{fault}"
+            ) from fault
 
     def close(self) -> None:
         # The dispatcher sets an aborted query's token (deadline,
         # cancellation) before closing; remember it for shutdown().
-        runtime = getattr(self, "_runtime", None)
-        self._aborted = runtime is not None and runtime.cancelled
-        super().close()
+        self._aborted = self._runtime is not None and self._runtime.cancelled
+        self._body = self._options = self._runtime = None
 
     def shutdown(self) -> None:
         """Stop the worker threads: joined, unless the last query aborted.
@@ -908,12 +875,13 @@ class ProcessBackend(MorselBackend):
 
     def open(
         self,
-        executor,
+        graph: PropertyGraph,
         plan: QueryPlan,
         batch_size: int,
         runtime: Optional[QueryContext] = None,
         faults: Optional[FaultPlan] = None,
         count_only: bool = False,
+        clock=None,
     ) -> None:
         generation = plan.pinned_generation
         key = (id(plan), generation, count_only, batch_size, faults)
@@ -923,7 +891,7 @@ class ProcessBackend(MorselBackend):
                 plan_id=next(_PLAN_IDS),
                 generation=generation,
                 plan=plan,
-                graph=executor.graph,
+                graph=graph,
                 batch_size=batch_size,
                 faults=faults,
                 count_only=count_only,
@@ -945,9 +913,7 @@ class ProcessBackend(MorselBackend):
         self._generation = generation
         self._count_only = count_only
         self._runtime = runtime
-        self._morsel_timeout = resolve_morsel_timeout(
-            getattr(executor, "morsel_timeout", None)
-        )
+        self._morsel_timeout = resolve_morsel_timeout()
         # Fresh death watch per query: a death absorbed (and healed) during
         # an earlier query must not charge this one a grace beat per morsel.
         self._seen_pids = self._worker_pids()
@@ -1122,11 +1088,17 @@ class ProcessBackend(MorselBackend):
             pool.join()
 
 
-#: Registry of backend names accepted by ``MorselExecutor``/``Database``
-#: and the server's pool supervisor.
-BACKENDS: Dict[str, Type[MorselBackend]] = {
-    backend.name: backend
-    for backend in (SerialBackend, ThreadBackend, ProcessBackend)
+#: The backend name that asks for no pool: one worker, inline on the
+#: calling thread, in ``PlanRunner``, ``Database`` and ``DatabaseServer``.
+SERIAL_BACKEND = "serial"
+
+#: Registry of backend names accepted by ``PlanRunner``/``Database``, the
+#: server's config and its pool supervisor: each pool backend's class, and
+#: ``None`` for :data:`SERIAL_BACKEND`.
+BACKENDS: Dict[str, Optional[Type[MorselBackend]]] = {
+    SERIAL_BACKEND: None,
+    ThreadBackend.name: ThreadBackend,
+    ProcessBackend.name: ProcessBackend,
 }
 
 #: Backend used when neither the call, the instance, nor the environment
@@ -1134,8 +1106,9 @@ BACKENDS: Dict[str, Type[MorselBackend]] = {
 DEFAULT_BACKEND = ThreadBackend.name
 
 
-def resolve_backend(name) -> Type[MorselBackend]:
-    """The backend class registered under ``name`` — the one name check.
+def resolve_backend(name) -> Optional[Type[MorselBackend]]:
+    """The pool class registered under ``name`` (``None`` for ``"serial"``,
+    which runs inline) — the one name check.
 
     Raises a typed :class:`~repro.errors.ExecutionError` (so callers
     catching :class:`~repro.errors.ReproError` see it) naming every valid

@@ -66,9 +66,6 @@ class MatchBatch:
         except KeyError as exc:
             raise ExecutionError(f"variable {name!r} is not bound in this batch") from exc
 
-    def has_variable(self, name: str) -> bool:
-        return name in self._columns
-
     def row(self, index: int) -> Dict[str, int]:
         """Return one partial match as a plain dict (used by tests/debugging)."""
         return {name: int(col[index]) for name, col in self._columns.items()}

@@ -2,7 +2,7 @@
 
 :class:`Database` wires the pieces together the way GraphflowDB does in the
 paper: a property graph, the primary A+ indexes, the INDEX STORE with any
-secondary indexes, the DP optimizer, and the batch executor.  It also applies
+secondary indexes, the DP optimizer, and the plan runner.  It also applies
 the index DDL commands (``RECONFIGURE PRIMARY INDEXES``, ``CREATE 1-HOP
 VIEW``, ``CREATE 2-HOP VIEW``).
 
@@ -50,12 +50,7 @@ from .backends import (
     resolve_backend,
 )
 from . import executor as executor_module
-from .executor import (
-    Executor,
-    MorselExecutor,
-    QueryResult,
-    effective_workers,
-)
+from .executor import PlanRunner, QueryResult, effective_workers
 from .faults import FAULTS_ENV_VAR
 from .optimizer import Optimizer
 from .pattern import QueryGraph
@@ -85,26 +80,25 @@ class Database:
     Parallel execution
     ------------------
 
-    ``run``/``count`` accept a ``parallelism`` worker count and a morsel
-    dispatch ``backend``.  With the default ``parallelism=1`` the plan runs
-    on the serial batch :class:`~repro.query.executor.Executor` — the oracle
-    path.  ``parallelism >= 2`` is a *ceiling*, not an order: a plan whose
-    i-cost estimate is under
-    :data:`~repro.query.executor.PARALLEL_MIN_ICOST` still runs inline on
-    the calling thread (below that cost a pool measures slower than no
+    ``run``/``count``/``collect``/``exists`` accept a ``parallelism``
+    worker count and a morsel dispatch ``backend``, and every run goes
+    through one :class:`~repro.query.executor.PlanRunner`.  One worker runs
+    the plan inline on the calling thread — the oracle path — and so does
+    the ``"serial"`` backend, whatever ``parallelism`` says.
+    ``parallelism >= 2`` is a *ceiling*, not an order: a plan whose i-cost
+    estimate is under :data:`~repro.query.executor.PARALLEL_MIN_ICOST`
+    still runs inline (below that cost a pool measures slower than no
     pool; ``plan.describe()`` prints the verdict), and only a plan at or
-    above it — or a hand-built one carrying no estimate — runs on the
-    morsel-driven
-    :class:`~repro.query.executor.MorselExecutor`: the scan's vertex domain
-    is split into contiguous range morsels (degree-weighted by default, so
-    each morsel carries ~equal adjacency work even on skewed graphs), the
-    full operator pipeline runs per morsel on the selected backend —
-    ``"thread"`` (default; numpy kernels release the GIL), ``"process"``
-    (a ``multiprocessing`` pool with per-worker plan/graph rehydration,
-    sidestepping the GIL entirely), or ``"serial"`` (inline, for debugging
-    morsel bookkeeping) — and the per-morsel outputs are merged in
-    ascending range order.  Every backend's result is byte-identical to the
-    serial one — same match rows, same order, same
+    above it — or a hand-built one carrying no estimate — is dispatched in
+    morsels: the scan's vertex domain is split into contiguous range
+    morsels (degree-weighted by default, so each morsel carries ~equal
+    adjacency work even on skewed graphs), the full operator pipeline runs
+    per morsel on the selected pool — ``"thread"`` (default; numpy kernels
+    release the GIL) or ``"process"`` (a ``multiprocessing`` pool with
+    per-worker plan/graph rehydration, sidestepping the GIL entirely) — and
+    the per-morsel outputs are merged in ascending range order.  Every
+    backend's result is byte-identical to the inline one — same match rows,
+    same order, same
     :class:`~repro.query.operators.ExecutionStats` — so both knobs trade
     only wall-clock time, never semantics.  Per-instance defaults come from
     the constructor's ``parallelism``/``backend`` or, failing that, the
@@ -133,7 +127,7 @@ class Database:
         #: Default worker *ceiling* of run/count/collect/exists (``None``
         #: defers to ``$REPRO_PARALLELISM``, then 1): plans under
         #: ``PARALLEL_MIN_ICOST`` run inline whatever it says; construct a
-        #: ``MorselExecutor`` to force dispatch.
+        #: ``PlanRunner`` with a backend to force dispatch.
         self.parallelism = parallelism
         self.backend = backend
         #: Memoized planning for QueryGraph submissions: an LRU keyed on
@@ -178,8 +172,8 @@ class Database:
         several in-flight queries would clobber its own query state.  The
         name is checked by :func:`~repro.query.backends.resolve_backend`.
         Callers who really want to supply an instance (custom backends,
-        tests) construct a :class:`~repro.query.executor.MorselExecutor`
-        directly and own its concurrency.
+        tests) construct a :class:`~repro.query.executor.PlanRunner` with it
+        and own its concurrency.
         """
         if backend is None:
             backend = self.backend
@@ -190,44 +184,53 @@ class Database:
                 "Database accepts morsel backend *names* "
                 f"({sorted(BACKENDS)}), not instances — a backend instance "
                 "is stateful per-execute and cannot serve concurrent "
-                "queries; build a MorselExecutor directly to use one"
+                "queries; build a PlanRunner with it to use one"
             )
         backend = str(backend).strip().lower()
         resolve_backend(backend)
         return backend
+
+    def _workers(
+        self, plan: QueryPlan, requested: int, backend: Optional[str]
+    ) -> Tuple[int, str]:
+        """``(workers, backend name)`` of a run of ``plan`` allowed
+        ``requested`` workers: the one place that decides inline.
+
+        One worker means inline on the calling thread: a ceiling of one, a
+        plan the cost gate keeps inline
+        (:func:`~repro.query.executor.effective_workers`), or the
+        ``"serial"`` backend, which names no pool.  The backend is resolved
+        (and thereby validated) even then, so a typo'd
+        ``backend=``/``REPRO_BACKEND`` surfaces at the call that configured
+        it rather than when parallelism is later raised.
+        """
+        name = self._resolve_backend(backend)
+        if BACKENDS[name] is None:
+            return 1, name
+        return effective_workers(plan, requested), name
 
     def _make_executor(
         self,
         graph: PropertyGraph,
         workers: int,
         backend: Optional[str] = None,
-        plan: Optional[QueryPlan] = None,
         pool: Optional[MorselBackend] = None,
-    ) -> Union[Executor, MorselExecutor]:
-        """The executor a run of ``plan`` gets under a ``workers`` ceiling.
+    ) -> PlanRunner:
+        """The runner for ``workers`` as :meth:`_workers` decided them.
 
-        ``workers == 1`` and a plan the cost gate keeps inline
-        (:func:`~repro.query.executor.effective_workers`) get the direct
-        serial :class:`~repro.query.executor.Executor`; anything else —
-        including ``plan=None``, which has no estimate to gate on —
-        gets the morsel dispatcher, on ``pool`` when the caller leased one
-        (the server) and otherwise on a pool of its own named by
-        ``backend``.  Rows in flight follow from the executor and the sink
-        (:func:`~repro.query.executor.rows_in_flight`), never from here.
+        One worker streams inline; more dispatch morsels on ``pool`` when
+        the caller leased one (the server) and otherwise on a pool of its
+        own named by ``backend``.  Rows in flight follow from the runner
+        and the sink (:func:`~repro.query.executor.rows_in_flight`), never
+        from here.
         """
-        # Resolve (and thereby validate) the backend even on the serial
-        # path, so a typo'd backend=/REPRO_BACKEND surfaces at the call
-        # that configured it rather than when parallelism is later raised.
-        backend = self._resolve_backend(backend)
-        if workers == 1 or (
-            plan is not None and effective_workers(plan, workers) == 1
-        ):
-            return Executor(graph, batch_size=self.batch_size)
-        return MorselExecutor(
+        if workers == 1:
+            return PlanRunner(graph, batch_size=self.batch_size)
+        return PlanRunner(
             graph,
             batch_size=self.batch_size,
-            num_workers=workers,
             backend=backend if pool is None else pool,
+            num_workers=workers,
         )
 
     def _plan_and_executor(
@@ -235,11 +238,12 @@ class Database:
         query: Union[QueryGraph, QueryPlan],
         parallelism: Optional[int],
         backend: Optional[str],
-    ) -> Tuple[QueryPlan, Union[Executor, MorselExecutor]]:
+    ) -> Tuple[QueryPlan, PlanRunner]:
         """Resolve → pin → build: the shared head of run/count/collect/exists."""
-        workers = self._resolve_parallelism(parallelism)
+        requested = self._resolve_parallelism(parallelism)
         plan, snapshot, _cache_hit = self._pinned_plan(query)
-        return plan, self._make_executor(snapshot.graph, workers, backend, plan)
+        workers, backend = self._workers(plan, requested, backend)
+        return plan, self._make_executor(snapshot.graph, workers, backend)
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -252,23 +256,6 @@ class Database:
     @property
     def primary_index(self) -> PrimaryIndex:
         return self.store.primary
-
-    def executor(
-        self,
-        parallelism: Optional[int] = None,
-        backend: Optional[str] = None,
-    ) -> Union[Executor, MorselExecutor]:
-        """An executor over the current graph (parallel when workers > 1).
-
-        The graph is read from one store snapshot; pair it with a plan
-        produced against the same generation (as :meth:`run` does) when
-        maintenance flushes may run concurrently.
-        """
-        return self._make_executor(
-            self.store.snapshot().graph,
-            self._resolve_parallelism(parallelism),
-            backend,
-        )
 
     def optimizer(self) -> Optimizer:
         return Optimizer(self.store)
@@ -448,14 +435,15 @@ class Database:
                 reference that generation's indexes; executing it against a
                 newer graph would mix edge IDs across flush remappings).
             materialize: also collect the matches as dictionaries.
-            parallelism: worker ceiling; ``1`` (the default) runs serially,
-                ``>= 2`` allows the morsel-driven parallel executor — a plan
-                under ``PARALLEL_MIN_ICOST`` still runs inline on the calling
-                thread (construct a ``MorselExecutor`` to force dispatch).
-                The output is byte-identical either way.
+            parallelism: worker ceiling; ``1`` (the default) runs inline,
+                ``>= 2`` allows morsel-driven dispatch — a plan under
+                ``PARALLEL_MIN_ICOST`` still runs inline on the calling
+                thread (construct a ``PlanRunner`` with a backend to force
+                dispatch).  The output is byte-identical either way.
             backend: morsel dispatch backend for runs that do go parallel —
-                ``"serial"``, ``"thread"`` (default), or ``"process"``.
-                Output is byte-identical across backends.
+                ``"thread"`` (default) or ``"process"``; ``"serial"`` runs
+                inline whatever ``parallelism`` says.  Output is
+                byte-identical across backends.
             factorized: ``None``/``False`` runs the flat pipeline (the
                 default — ``run`` keeps flat row semantics and stats);
                 ``True`` runs the factorized count-only pipeline: the
@@ -591,6 +579,11 @@ class Database:
         lines = [self.graph.describe(), self.store.describe()]
         default = self._resolve_parallelism(None)
         backend_name = self._resolve_backend(None)
+        above_gate = (
+            "inline ('serial' names no pool)"
+            if BACKENDS[backend_name] is None
+            else f"parallel ×{default} on {backend_name!r}"
+        )
         lines.append(
             "Pipeline (physical execution):\n"
             "  plans compile to Source -> [stages] -> Sink "
@@ -634,26 +627,25 @@ class Database:
             "  thread (no pool, morsels_dispatched == 0; plan.describe() "
             "prints 'execution:\n"
             "  inline — i-cost≈... < ...'); at or above it: "
-            f"parallel ×{default} on {backend_name!r}.\n"
-            "  parallelism=1 runs the serial batch executor (the oracle); "
-            ">=2 allows the\n"
-            "  morsel-driven dispatcher: the scan domain is cut into "
+            f"{above_gate}.\n"
+            "  parallelism=1 and the 'serial' backend run inline (the "
+            "oracle); >=2 allows\n"
+            "  the morsel-driven dispatcher: the scan domain is cut into "
             "contiguous vertex-range\n"
             "  morsels (degree-weighted via the primary CSR offsets, so "
             "each morsel carries\n"
             "  ~equal adjacency work on skewed graphs), the full pipeline "
             "runs per morsel on\n"
-            "  the selected backend — serial (inline), thread (GIL-releasing "
-            "numpy kernels),\n"
-            "  or process (multiprocessing pool: plan+graph rehydrated once "
-            "per worker,\n"
-            "  per-morsel task specs out, columnar numpy buffers back) — "
-            "and outputs merge\n"
-            "  in ascending range order.  Determinism contract: matches, "
-            "order, and stats\n"
-            "  are byte-identical to the serial run for every backend, "
-            "morsel size,\n"
-            "  and worker count."
+            "  the selected pool — thread (GIL-releasing numpy kernels) or "
+            "process\n"
+            "  (multiprocessing pool: plan+graph rehydrated once per worker, "
+            "per-morsel task\n"
+            "  specs out, columnar numpy buffers back) — and outputs merge "
+            "in ascending range\n"
+            "  order.  Determinism contract: matches, order, and stats are "
+            "byte-identical to\n"
+            "  the inline run for every backend, morsel size, and worker "
+            "count."
         )
         lines.append(
             "Factorized execution (aggregate pushdown):\n"

@@ -1,33 +1,36 @@
-"""Plan execution: the serial executor and the morsel-driven dispatcher.
+"""Plan execution: one runner, inline or morsel-driven.
 
-The :class:`Executor` drives a :class:`~repro.query.plan.QueryPlan`'s operator
+:class:`PlanRunner` drives a :class:`~repro.query.plan.QueryPlan`'s operator
 pipeline over a property graph, producing partial-match batches and exposing
-convenience entry points for counting or collecting the matches.  Matching
+entry points for counting, collecting or probing the matches.  Matching
 semantics is *homomorphism*: distinct query variables may bind to the same
 graph element unless the query predicate forbids it.
+
+Without a backend the runner streams the pipeline inline on the calling
+thread.  The backend name ``"serial"`` means the same thing — one worker,
+inline — in :class:`PlanRunner`, ``Database`` and ``DatabaseServer`` alike.
 
 Morsel-driven parallel execution
 --------------------------------
 
-:class:`MorselExecutor` parallelizes a plan the way morsel-driven schedulers
-(Leis et al.) do: the scan's candidate domain — the vertex-ID range of the
-leading :class:`~repro.query.operators.ScanVertices` — is split into
-contiguous *morsels*, and the **full operator pipeline** runs per morsel.
-Every operator is already batch-at-a-time and stateless (the scan is cloned
-per morsel with an explicit ``vertex_range``; extension and filter operators
-share immutable configuration and index references), so no operator
-semantics change: each morsel's pipeline is exactly the serial pipeline over
-a sub-range of the scan.
+Given a backend, the runner parallelizes a plan the way morsel-driven
+schedulers (Leis et al.) do: the scan's candidate domain — the vertex-ID
+range of the leading :class:`~repro.query.operators.ScanVertices` — is split
+into contiguous *morsels*, and the **full operator pipeline** runs per
+morsel.  Every operator is already batch-at-a-time and stateless (the scan
+is cloned per morsel with an explicit ``vertex_range``; extension and filter
+operators share immutable configuration and index references), so no
+operator semantics change: each morsel's pipeline is exactly the inline
+pipeline over a sub-range of the scan.
 
 The dispatcher is split along two orthogonal axes:
 
 * **where morsels run** — a pluggable :class:`~repro.query.backends
-  .MorselBackend`: ``serial`` (inline, for debugging the morsel
-  bookkeeping), ``thread`` (a thread pool; the numpy kernels release the GIL
-  for their inner loops, so threads overlap on multi-core machines), or
+  .MorselBackend`: ``thread`` (a thread pool; the numpy kernels release the
+  GIL for their inner loops, so threads overlap on multi-core machines) or
   ``process`` (a ``multiprocessing`` pool that sidesteps the GIL entirely —
   picklable task specs out, columnar numpy buffers back; see
-  :mod:`repro.query.backends`).  Three backends, two lifetimes, one
+  :mod:`repro.query.backends`).  Two backends, two lifetimes, one
   ownership rule: a backend's pool lives from ``start()`` to
   ``shutdown()`` and serves queries from ``open`` to ``close``, and
   whoever constructs it shuts it down — the dispatcher, for a backend
@@ -55,36 +58,34 @@ from ``execute`` to the morsel body.  ``count_only=False`` streams flat
 carries per-row cardinalities only.
 
 **Rows in flight** are decided in one place, :func:`rows_in_flight`, from
-the configured batch size, the runner and whether the sink needs rows.  A
-run whose sink needs rows (``collect``, ``exists``,
+the configured batch size, where the pipeline runs and whether the sink
+needs rows.  A run whose sink needs rows (``collect``, ``exists``,
 ``run(materialize=True)``, the flat ``count(factorized=False)`` oracle)
-carries the batch size on the direct :class:`Executor` — every inline run —
-and :data:`DEFAULT_COALESCE` × it inside a morsel, because its extensions
-materialize rows × fan-out.  A count-only run (a sink declaring
-``needs_rows = False``: ``count()``, ``run(factorized=True)``) carries at
-least ``COUNT_ONLY_COALESCE`` × the batch size on every runner: its suffix
-reduces to cardinalities, so the larger batch pays each kernel call's
-Python cost once per 8 k rows and lets the per-distinct-key sharing see
-repeats.  Batch boundaries never change the produced rows.
+carries the batch size inline and :data:`DEFAULT_COALESCE` × it inside a
+morsel, because its extensions materialize rows × fan-out.  A count-only
+run (a sink declaring ``needs_rows = False``: ``count()``,
+``run(factorized=True)``) carries at least ``COUNT_ONLY_COALESCE`` × the
+batch size either way: its suffix reduces to cardinalities, so the larger
+batch pays each kernel call's Python cost once per 8 k rows and lets the
+per-distinct-key sharing see repeats.  Batch boundaries never change the
+produced rows.
 
 **Determinism.**  Extension operators emit output rows in input-row order and
 batch boundaries never affect which rows are produced (the batch kernels are
 row-segmented), so the concatenation of per-morsel outputs in ascending
-range order is *byte-identical* to the serial executor's output — same match
-rows in the same order, and, because every stats counter is per-row
-accounting, identical :class:`~repro.query.operators.ExecutionStats` — for
-**every** backend × morsel cut × worker count combination.
-``parallelism=1`` (the default everywhere) bypasses the dispatcher entirely
-and remains the oracle the parallel paths are tested against
-(``tests/test_backend_equivalence.py``).
+range order is *byte-identical* to the inline output — same match rows in
+the same order, and, because every stats counter is per-row accounting,
+identical :class:`~repro.query.operators.ExecutionStats` — for **every**
+backend × morsel cut × worker count combination.  ``parallelism=1`` (the
+default everywhere) runs inline and remains the oracle the dispatched paths
+are tested against (``tests/test_backend_equivalence.py``).
 
 **Parallelism is a ceiling.**  ``Database`` and ``DatabaseServer`` ask
-:func:`effective_workers` before building a dispatcher: a plan whose i-cost
+:func:`effective_workers` before building a runner: a plan whose i-cost
 estimate is under :data:`PARALLEL_MIN_ICOST` runs inline on the calling
-thread — the direct :class:`Executor`, streaming straight into the sink,
-``morsels_dispatched == 0`` — because
-below that cost a pool measures slower than no pool.  Constructing a
-:class:`MorselExecutor` directly is never gated.
+thread — streaming straight into the sink, ``morsels_dispatched == 0`` —
+because below that cost a pool measures slower than no pool.  A
+:class:`PlanRunner` constructed with a backend is never gated.
 
 **Fault tolerance.**  Determinism survives worker failures: a morsel lost
 to a crash, hang, or corrupt reply (the backend raises
@@ -118,13 +119,7 @@ from ..errors import (
 )
 from ..graph.graph import PropertyGraph
 from ..graph.types import Direction
-from .backends import (
-    DEFAULT_BACKEND,
-    MorselBackend,
-    resolve_backend,
-    run_morsel,
-    run_pipeline,
-)
+from .backends import MorselBackend, resolve_backend, run_morsel
 from .binding import DEFAULT_BATCH_SIZE
 from .faults import FAULTS_ENV_VAR, FaultPlan
 from .morsels import degree_weighted_ranges, ranges_of_size
@@ -134,8 +129,8 @@ from .pipeline import (
     ExistsSink,
     FlattenSink,
     LimitSink,
-    PipelineBuilder,
     Sink,
+    run_pipeline,
     validate_limit,
 )
 from .plan import QueryPlan
@@ -247,13 +242,70 @@ def rows_in_flight(batch_size: int, coalesce: int, count_only: bool) -> int:
     return batch_size * coalesce
 
 
-class PlanRunner:
-    """Shared count/collect/exists/run entry points over an ``execute`` stream.
+#: Morsels handed out per worker (load-balancing granularity of the default
+#: morsel size: more morsels than workers lets fast workers steal the tail).
+MORSELS_PER_WORKER = 4
 
-    Subclasses provide ``execute(plan, stats=None, runtime=None,
-    count_only=False)``; the convenience entry points here consume that
-    stream identically for the serial and the morsel-driven executor, so
-    their result contracts cannot drift apart.
+#: Extra over-partitioning of degree-weighted morsels: the weighted splitter
+#: targets ``workers × MORSELS_PER_WORKER × STEAL_SPLIT_FACTOR`` morsels, so
+#: workers that finish early keep stealing queued (smaller) morsels while a
+#: heavy one is still in flight.  Bounded: the in-flight window caps how many
+#: completed-but-unmerged results can pile up, and the splitter never cuts
+#: below one vertex per morsel.
+STEAL_SPLIT_FACTOR = 2
+
+#: In-flight morsels per worker: bounds how many completed-but-unconsumed
+#: morsel results can be buffered at once, so memory stays proportional to
+#: the window (× the largest morsel output), not to the whole query result.
+MORSEL_WINDOW_PER_WORKER = 2
+
+#: How many times a morsel lost to a worker failure is re-submitted to the
+#: backend before the dispatcher gives up on the pool and re-executes the
+#: range serially in-process.  Two covers the realistic transient cases
+#: (the reply raced a *different* worker's death; the respawned worker
+#: absorbed the retry) without stalling long on a systematically failing
+#: pool.
+MAX_MORSEL_RETRIES = 2
+
+
+class PlanRunner:
+    """Runs query plans over one property graph, inline or morsel-driven.
+
+    Args:
+        graph: the property graph the plan reads.
+        batch_size: row count of the batches the runner emits to a sink
+            that needs rows (:func:`rows_in_flight` decides what a pipeline
+            carries in flight).
+        backend: where the plan runs.  ``None`` streams the pipeline
+            inline on the calling thread, and so does ``"serial"``, the
+            name for no pool.  A pool backend's name from
+            :data:`~repro.query.backends.BACKENDS` (``"thread"``,
+            ``"process"``; each query starts a pool of its own and shuts it
+            down after) or a :class:`~repro.query.backends.MorselBackend`
+            instance (only opened — which starts it if it is not — and
+            closed; its owner shuts it down) cuts the scan domain into
+            morsels and dispatches them.  A runner built with a backend is
+            never gated (:func:`effective_workers`).
+        num_workers: the backend's width: it sizes the morsel cut and the
+            in-flight window.  ``1`` still dispatches (useful for testing
+            morsel bookkeeping); an inline runner ignores it.
+        morsel_size: vertices per morsel.  ``None`` (the default) cuts
+            degree-weighted morsels; an explicit size forces fixed-size
+            even ranges — the boundary-case knob (single-vertex morsels,
+            morsels smaller than a batch).
+        max_retries: re-submissions of a morsel lost to a worker failure
+            before the dispatcher degrades to in-process serial re-execution
+            of the range (``0`` = straight to the serial fallback).
+        fault_plan: a :class:`~repro.query.faults.FaultPlan` (or spec
+            string) injected into this runner's dispatched queries — the
+            programmatic spelling of the ``REPRO_FAULTS`` environment
+            variable, for chaos tests.
+        clock: override of the per-stage timing clock
+            (``ExecutionStats.operator_seconds``), so tests can assert exact
+            time attribution with a fake clock.  It reaches the inline
+            pipeline and the in-process morsel bodies (thread backend and
+            the serial fallback); process workers keep the real clock —
+            callables do not cross the pickle boundary.
 
     Sink-aware finalization: every entry point drains its stream through a
     first-class pipeline :class:`~repro.query.pipeline.Sink` whose halt
@@ -276,17 +328,42 @@ class PlanRunner:
     value carries no stats of its own.
     """
 
-    def execute(
+    def __init__(
         self,
-        plan: QueryPlan,
-        stats: Optional[ExecutionStats] = None,
-        runtime: Optional[QueryContext] = None,
-        count_only: bool = False,
-    ) -> Iterator:
-        """Yield the plan's batches: flat ``MatchBatch`` rows, or with
-        ``count_only=True`` ``FactorizedBatch`` cardinalities."""
-        raise NotImplementedError
+        graph: PropertyGraph,
+        batch_size: int = DEFAULT_BATCH_SIZE,
+        backend: Union[None, str, MorselBackend] = None,
+        num_workers: int = 1,
+        morsel_size: Optional[int] = None,
+        max_retries: int = MAX_MORSEL_RETRIES,
+        fault_plan: Union[None, str, FaultPlan] = None,
+        clock=None,
+    ) -> None:
+        if batch_size < 1:
+            raise ExecutionError(f"batch_size must be >= 1, got {batch_size}")
+        if num_workers < 1:
+            raise ExecutionError(f"num_workers must be >= 1, got {num_workers}")
+        if morsel_size is not None and morsel_size < 1:
+            raise ExecutionError(f"morsel_size must be >= 1, got {morsel_size}")
+        if max_retries < 0:
+            raise ExecutionError(f"max_retries must be >= 0, got {max_retries}")
+        if backend is not None and not isinstance(backend, MorselBackend):
+            if resolve_backend(backend) is None:
+                backend = None  # "serial": no pool
+        if isinstance(fault_plan, str):
+            fault_plan = FaultPlan.parse(fault_plan)
+        self.graph = graph
+        self.batch_size = batch_size
+        self.backend = backend
+        self.num_workers = int(num_workers)
+        self.morsel_size = None if morsel_size is None else int(morsel_size)
+        self.max_retries = int(max_retries)
+        self.fault_plan = fault_plan
+        self.clock = clock
 
+    # ------------------------------------------------------------------
+    # entry points
+    # ------------------------------------------------------------------
     def _resolve_factorized(
         self, plan: QueryPlan, factorized: Optional[bool]
     ) -> bool:
@@ -300,6 +377,32 @@ class PlanRunner:
                 "factorized=True cannot be honoured"
             )
         return bool(factorized)
+
+    def _drain(
+        self,
+        plan: QueryPlan,
+        sink: Sink,
+        runtime: Optional[QueryContext],
+        stats: Optional[ExecutionStats],
+        timeout: Optional[float] = None,
+        cancel: Optional[CancellationToken] = None,
+        count_only: bool = False,
+    ):
+        """Drain ``plan`` into ``sink``: the one body of every entry point.
+
+        ``runtime`` wins over ``timeout``/``cancel``; ``count_only`` holds
+        only for a sink that needs no rows.
+        """
+        if runtime is None:
+            runtime = make_runtime(timeout, cancel)
+        return sink.drain(
+            self.execute(
+                plan,
+                stats=stats,
+                runtime=runtime,
+                count_only=count_only and not sink.needs_rows,
+            )
+        )
 
     def count(
         self,
@@ -327,12 +430,9 @@ class PlanRunner:
         both: the admission-controlled server passes one whose deadline was
         fixed at submission, so queue wait spends the same budget.
         """
-        if runtime is None:
-            runtime = make_runtime(timeout, cancel)
-        sink = CountSink()
-        count_only = self._resolve_factorized(plan, factorized) and not sink.needs_rows
-        return sink.drain(
-            self.execute(plan, stats=stats, runtime=runtime, count_only=count_only)
+        count_only = self._resolve_factorized(plan, factorized)
+        return self._drain(
+            plan, CountSink(), runtime, stats, timeout, cancel, count_only
         )
 
     def collect(
@@ -365,9 +465,7 @@ class PlanRunner:
         if limit == 0:
             return []
         sink = FlattenSink() if limit is None else LimitSink(limit)
-        if runtime is None:
-            runtime = make_runtime(timeout, cancel)
-        return sink.drain(self.execute(plan, stats=stats, runtime=runtime))
+        return self._drain(plan, sink, runtime, stats, timeout, cancel)
 
     def exists(
         self,
@@ -385,9 +483,7 @@ class PlanRunner:
         match is proven.  ``timeout``/``cancel``/``runtime`` behave as in
         :meth:`count`.
         """
-        if runtime is None:
-            runtime = make_runtime(timeout, cancel)
-        return ExistsSink().drain(self.execute(plan, stats=stats, runtime=runtime))
+        return self._drain(plan, ExistsSink(), runtime, stats, timeout, cancel)
 
     def run(
         self,
@@ -423,54 +519,20 @@ class PlanRunner:
             runtime = make_runtime(timeout, cancel)
         stats = ExecutionStats()
         started = time.perf_counter()
-        matches: List[Dict[str, int]] = []
-        if materialize:
-            matches = FlattenSink().drain(
-                self.execute(plan, stats=stats, runtime=runtime)
-            )
-            count = len(matches)
-        else:
-            sink = CountSink()
-            count = sink.drain(
-                self.execute(
-                    plan,
-                    stats=stats,
-                    runtime=runtime,
-                    count_only=use_factorized and not sink.needs_rows,
-                )
-            )
+        sink = FlattenSink() if materialize else CountSink()
+        value = self._drain(
+            plan, sink, runtime, stats, count_only=use_factorized
+        )
         elapsed = time.perf_counter() - started
         if runtime is not None and runtime.deadline is not None:
             stats.deadline_remaining = max(0.0, runtime.remaining())
+        matches = value if materialize else []
+        count = len(matches) if materialize else value
         return QueryResult(matches=matches, count=count, seconds=elapsed, stats=stats)
 
-
-class Executor(PlanRunner):
-    """Executes query plans serially over one property graph.
-
-    ``clock`` optionally overrides the monotonic clock used for per-stage
-    timing (``ExecutionStats.operator_seconds``) — injectable so tests can
-    assert exact time attribution with a fake clock.
-
-    Every inline run is this runner: ``parallelism=1`` and the plans the
-    plan-cost gate keeps inline (:func:`effective_workers`) alike.  Its
-    batches are emitted as produced, ``batch_size`` rows for a sink that
-    needs rows and :data:`COUNT_ONLY_COALESCE` × ``batch_size`` for a
-    count-only one (:func:`rows_in_flight`).
-    """
-
-    def __init__(
-        self,
-        graph: PropertyGraph,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        clock=None,
-    ) -> None:
-        if batch_size < 1:
-            raise ExecutionError(f"batch_size must be >= 1, got {batch_size}")
-        self.graph = graph
-        self.batch_size = batch_size
-        self.clock = clock
-
+    # ------------------------------------------------------------------
+    # execution
+    # ------------------------------------------------------------------
     def execute(
         self,
         plan: QueryPlan,
@@ -478,128 +540,42 @@ class Executor(PlanRunner):
         runtime: Optional[QueryContext] = None,
         count_only: bool = False,
     ) -> Iterator:
-        """Yield the plan's batches; ``count_only`` as in :class:`PlanRunner`.
+        """Yield the plan's batches: flat ``MatchBatch`` rows, or with
+        ``count_only=True`` ``FactorizedBatch`` cardinalities.
 
-        A count-only stream counts once per distinct bound key of a batch
-        wherever its keys repeat.
+        Inline, batches are emitted as produced, at :func:`rows_in_flight`
+        rows; a count-only stream counts once per distinct bound key of a
+        batch wherever its keys repeat.  Dispatched, they are yielded in
+        deterministic morsel order: morsels go to the backend through a
+        bounded sliding window (``num_workers * MORSEL_WINDOW_PER_WORKER``
+        in flight), workers drain the window out of order, the next morsel
+        is submitted as the oldest one is consumed, and batches are yielded
+        strictly in ascending morsel order — so consumers observe the exact
+        inline row sequence while peak memory stays proportional to the
+        window, not to the whole query result.  Flat batches are re-split
+        to ``batch_size`` rows; ``count_only`` batches (over the process
+        backend the replies then ship prefix columns and cardinalities) are
+        yielded whole, because their only consumers are aggregate sinks
+        that reduce them immediately.
         """
-        context = ExecutionContext(
-            graph=self.graph,
-            query=plan.query,
-            batch_size=rows_in_flight(self.batch_size, 1, count_only),
-            stats=stats or ExecutionStats(),
-            runtime=runtime,
-        )
-        if self.clock is not None:
-            context.clock = self.clock
-        yield from run_pipeline(plan, context, count_only=count_only)
-
-
-#: Morsels handed out per worker (load-balancing granularity of the default
-#: morsel size: more morsels than workers lets fast workers steal the tail).
-MORSELS_PER_WORKER = 4
-
-#: Extra over-partitioning of degree-weighted morsels: the weighted splitter
-#: targets ``workers × MORSELS_PER_WORKER × STEAL_SPLIT_FACTOR`` morsels, so
-#: workers that finish early keep stealing queued (smaller) morsels while a
-#: heavy one is still in flight.  Bounded: the in-flight window caps how many
-#: completed-but-unmerged results can pile up, and the splitter never cuts
-#: below one vertex per morsel.
-STEAL_SPLIT_FACTOR = 2
-
-#: In-flight morsels per worker: bounds how many completed-but-unconsumed
-#: morsel results can be buffered at once, so memory stays proportional to
-#: the window (× the largest morsel output), not to the whole query result.
-MORSEL_WINDOW_PER_WORKER = 2
-
-#: How many times a morsel lost to a worker failure is re-submitted to the
-#: backend before the dispatcher gives up on the pool and re-executes the
-#: range serially in-process.  Two covers the realistic transient cases
-#: (the reply raced a *different* worker's death; the respawned worker
-#: absorbed the retry) without stalling long on a systematically failing
-#: pool.
-MAX_MORSEL_RETRIES = 2
-
-class MorselExecutor(PlanRunner):
-    """Morsel-driven parallel plan execution with deterministic merge order.
-
-    Args:
-        graph: the property graph the plan reads.
-        batch_size: row count of the batches the executor *emits* (the same
-            contract as :class:`Executor`; inside a morsel the pipeline runs
-            with :func:`rows_in_flight` rows).
-        num_workers: worker-pool width.  ``1`` still runs through the
-            dispatcher (useful for testing morsel bookkeeping); use
-            :class:`Executor` for the true serial path.  Everywhere else
-            ``parallelism`` is a ceiling — plans under
-            :data:`PARALLEL_MIN_ICOST` run inline — so construct a
-            ``MorselExecutor`` to force dispatch.
-        morsel_size: vertices per morsel.  ``None`` (the default) cuts
-            degree-weighted morsels; an explicit size forces fixed-size
-            even ranges — the boundary-case knob (single-vertex morsels,
-            morsels smaller than a batch).
-        backend: where morsel bodies run — a name from
-            :data:`~repro.query.backends.BACKENDS` (``"serial"``,
-            ``"thread"``, ``"process"``; each query starts a pool of its
-            own and shuts it down after), or a
-            :class:`~repro.query.backends.MorselBackend` instance (only
-            opened — which starts it if it is not — and closed; its owner
-            shuts it down).
-        max_retries: re-submissions of a morsel lost to a worker failure
-            before the dispatcher degrades to in-process serial re-execution
-            of the range (``0`` = straight to the serial fallback).
-        morsel_timeout: process-backend per-morsel reply timeout in seconds
-            (``None`` = the :data:`~repro.query.backends
-            .MORSEL_TIMEOUT_ENV_VAR` override or the default backstop;
-            ``0`` disables).
-        fault_plan: a :class:`~repro.query.faults.FaultPlan` (or spec
-            string) injected into this executor's queries — the
-            programmatic spelling of the ``REPRO_FAULTS`` environment
-            variable, for chaos tests.
-        clock: override of the per-stage timing clock, threaded into the
-            in-process morsel bodies (serial/thread backends and the serial
-            fallback; process workers keep the real clock — callables do
-            not cross the pickle boundary).
-    """
-
-    def __init__(
-        self,
-        graph: PropertyGraph,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        num_workers: int = 4,
-        morsel_size: Optional[int] = None,
-        backend: Union[str, MorselBackend] = DEFAULT_BACKEND,
-        max_retries: int = MAX_MORSEL_RETRIES,
-        morsel_timeout: Optional[float] = None,
-        fault_plan: Union[None, str, FaultPlan] = None,
-        clock=None,
-    ) -> None:
-        if batch_size < 1:
-            raise ExecutionError(f"batch_size must be >= 1, got {batch_size}")
-        if num_workers < 1:
-            raise ExecutionError(f"num_workers must be >= 1, got {num_workers}")
-        if morsel_size is not None and morsel_size < 1:
-            raise ExecutionError(f"morsel_size must be >= 1, got {morsel_size}")
-        if not isinstance(backend, MorselBackend):
-            resolve_backend(backend)
-        if max_retries < 0:
-            raise ExecutionError(f"max_retries must be >= 0, got {max_retries}")
-        if morsel_timeout is not None and morsel_timeout < 0:
-            raise ExecutionError(
-                f"morsel_timeout must be >= 0 seconds (0 disables), "
-                f"got {morsel_timeout}"
+        if self.backend is None:
+            context = ExecutionContext(
+                graph=self.graph,
+                query=plan.query,
+                batch_size=rows_in_flight(self.batch_size, 1, count_only),
+                stats=stats or ExecutionStats(),
+                runtime=runtime,
             )
-        if isinstance(fault_plan, str):
-            fault_plan = FaultPlan.parse(fault_plan)
-        self.graph = graph
-        self.batch_size = batch_size
-        self.num_workers = int(num_workers)
-        self.morsel_size = None if morsel_size is None else int(morsel_size)
-        self.backend = backend
-        self.max_retries = int(max_retries)
-        self.morsel_timeout = morsel_timeout
-        self.fault_plan = fault_plan
-        self.clock = clock
+            if self.clock is not None:
+                context.clock = self.clock
+            yield from run_pipeline(plan, context, count_only=count_only)
+            return
+        batches = self._dispatch(plan, stats, runtime, count_only)
+        if count_only:
+            yield from batches
+            return
+        for batch in batches:
+            yield from batch.split(self.batch_size)
 
     def _resolve_faults(self) -> Optional[FaultPlan]:
         """The active fault plan: the instance's, else the environment's."""
@@ -670,37 +646,6 @@ class MorselExecutor(PlanRunner):
             self._domain_weights(plan, lo, hi),
         )
 
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
-    def execute(
-        self,
-        plan: QueryPlan,
-        stats: Optional[ExecutionStats] = None,
-        runtime: Optional[QueryContext] = None,
-        count_only: bool = False,
-    ) -> Iterator:
-        """Yield the plan's batches in deterministic morsel order.
-
-        Morsels are dispatched to the configured backend through a bounded
-        sliding window (``num_workers * MORSEL_WINDOW_PER_WORKER`` in
-        flight): workers drain the window out of order, the next morsel is
-        submitted as the oldest one is consumed, and batches are yielded
-        strictly in ascending morsel order — so consumers observe the exact
-        serial row sequence while peak memory stays proportional to the
-        window, not to the whole query result.  Flat batches are re-split
-        to ``batch_size`` rows; ``count_only`` batches (as in
-        :class:`PlanRunner`; over the process backend the replies then ship
-        prefix columns and cardinalities) are yielded whole, because their
-        only consumers are aggregate sinks that reduce them immediately.
-        """
-        batches = self._dispatch(plan, stats, runtime, count_only)
-        if count_only:
-            yield from batches
-            return
-        for batch in batches:
-            yield from batch.split(self.batch_size)
-
     def _dispatch(
         self,
         plan: QueryPlan,
@@ -756,12 +701,13 @@ class MorselExecutor(PlanRunner):
             backend = resolve_backend(backend)(self.num_workers)
         try:
             backend.open(
-                self,
+                self.graph,
                 plan,
                 batch_size,
                 runtime=runtime,
                 faults=faults,
                 count_only=count_only,
+                clock=self.clock,
             )
             # Window entries: (handle, index, lo, hi, attempt).
             pending = deque()

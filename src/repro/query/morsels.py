@@ -1,6 +1,6 @@
 """Morsel generation: splitting a scan domain into per-worker vertex ranges.
 
-The morsel dispatcher (:class:`~repro.query.executor.MorselExecutor`)
+The morsel dispatcher (:class:`~repro.query.executor.PlanRunner`)
 partitions the leading scan's vertex-ID domain into contiguous ``[start,
 stop)`` ranges and runs the full operator pipeline once per range.  How the
 domain is cut decides load balance, and nothing else: every splitter here

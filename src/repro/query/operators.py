@@ -263,8 +263,11 @@ class SortedRangeFilter:
         value: the (already encoded) constant, or the probe: the same
             property of a bound variable of the same kind, read per row
             (``PropertyRef``).  A row whose probe is null admits nothing,
-            and a probe never admits the list's null entries — the
-            predicate it replaces is false on a null either side.
+            and a ``>``/``>=`` run stops before the list's null entries,
+            which sort last — the predicate it replaces is false on a null
+            either side.  On a float key a real ``+inf`` sorts with the
+            nulls and is cut with them, so the optimizer leaves a float
+            ``>``/``>=`` in the residual.
     """
 
     sort_key: SortKey
@@ -283,8 +286,8 @@ class SortedRangeFilter:
         return self.sort_key.values(graph, ids, ids), self.sort_key.nulls(graph, ids, ids)
 
     def _below(self, dtype) -> Optional[float]:
-        """Where a probe's open upper side stops: before the null entries."""
-        if self.probe_var is None or self.op not in (CompareOp.GT, CompareOp.GE):
+        """Where an open upper side stops: before the null entries."""
+        if self.op not in (CompareOp.GT, CompareOp.GE):
             return None
         return null_sort_value(dtype)
 
@@ -307,9 +310,9 @@ class SortedRangeFilter:
             if null[0]:
                 return edge_ids[:0], nbr_ids[:0]
             value = probe[0]
-            below = self._below(values.dtype)
-            if below is not None:
-                end = int(np.searchsorted(values, below, side="left"))
+        below = self._below(values.dtype)
+        if below is not None:
+            end = int(np.searchsorted(values, below, side="left"))
         if self.op in LOWER_SIDE:
             start = int(np.searchsorted(values, value, side=LOWER_SIDE[self.op]))
         if self.op in UPPER_SIDE:
@@ -331,10 +334,11 @@ class SortedRangeFilter:
         ``searchsorted`` per bounded side for the whole batch.
         ``probe_ids[i]`` is group ``i``'s row's element of the probe
         variable when the filter has one."""
+        below = self._below(key.distinct.dtype)
         if self.probe_var is None:
-            return key.runs(groups, self.op, self.value)
+            return key.runs(groups, self.op, self.value, below)
         probes, nulls = self._probes(graph, probe_ids)
-        lo, hi = key.runs(groups, self.op, probes, self._below(key.distinct.dtype))
+        lo, hi = key.runs(groups, self.op, probes, below)
         hi[nulls] = lo[nulls]
         return lo, hi
 

@@ -595,16 +595,19 @@ class Optimizer:
         kind = self._query.variable_kind(left.var)
         if kind != self._query.variable_kind(right.var):
             return None
-        schema = self.graph.schema
-        if kind == "vertex" and schema.has_vertex_property(left.prop):
-            ptype = schema.vertex_property(left.prop).ptype
-        elif kind == "edge" and schema.has_edge_property(left.prop):
-            ptype = schema.edge_property(left.prop).ptype
-        else:
-            ptype = None  # ``ID`` or ``label``
-        if ptype is PropertyType.FLOAT:
+        if self._is_float(kind, left.prop):
             return None
         return left, op, right
+
+    def _is_float(self, kind: str, prop: str) -> bool:
+        """Whether ``prop`` of a ``kind`` variable is a float property, whose
+        nulls sort under ``+inf`` beside any real ``+inf``."""
+        schema = self.graph.schema
+        if kind == "vertex" and schema.has_vertex_property(prop):
+            return schema.vertex_property(prop).ptype is PropertyType.FLOAT
+        if kind == "edge" and schema.has_edge_property(prop):
+            return schema.edge_property(prop).ptype is PropertyType.FLOAT
+        return False  # ``ID`` or ``label``
 
     def _extract_sorted_filter(
         self,
@@ -623,7 +626,9 @@ class Optimizer:
         probe); failing both, one of the ``extra`` conjunct positions — a
         probe the leg's own variables do not cover, e.g. MF3's
         ``a4.city = a5.city`` on the leg from ``a1`` — is absorbed and
-        returned as the third element.
+        returned as the third element.  A ``>``/``>=`` constant on a float
+        property stays in the residual: its search stops before the nulls,
+        and a real ``+inf`` sorts with them.
         """
         if not path.sort_keys:
             return None, residual, None
@@ -634,6 +639,8 @@ class Optimizer:
             target_var, prop = edge_var, sort_key.prop
         else:
             target_var, prop = nbr_var, sort_key.prop
+        kind = self._query.variable_kind(target_var)
+        open_above = (CompareOp.GT, CompareOp.GE)
 
         for comparison in residual.conjuncts():
             normalized = comparison.normalized()
@@ -643,8 +650,8 @@ class Optimizer:
                 and normalized.left.var == target_var
                 and normalized.left.prop == prop
                 and normalized.op in _SORTED_OPS
+                and not (normalized.op in open_above and self._is_float(kind, prop))
             ):
-                kind = self._query.variable_kind(target_var)
                 value = normalized.right.value
                 if isinstance(value, str):
                     value = encode_constant(self.graph, normalized.left, kind, value)

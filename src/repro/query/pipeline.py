@@ -4,7 +4,7 @@
 into a :class:`PhysicalPipeline` — an explicit source stage (the leading
 :class:`~repro.query.operators.ScanVertices`), the chain of extension and
 filter stages, and a first-class :class:`Sink` terminal.  This is the one
-execution path: the serial :class:`~repro.query.executor.Executor`, every
+execution path: the inline :class:`~repro.query.executor.PlanRunner`, every
 morsel backend (:mod:`repro.query.backends` — morsel bodies call
 :func:`run_pipeline`, which compiles through the builder) run the same
 pipeline objects.
@@ -22,7 +22,7 @@ Sinks are *push*-style: :meth:`Sink.push` consumes one batch and returns
 * **across morsels** — the morsel dispatcher refills its in-flight window
   only while its consumer keeps pulling, so once a sink reports satisfied
   no further morsel is submitted to the backend
-  (:meth:`~repro.query.executor.MorselExecutor._dispatch`;
+  (:meth:`~repro.query.executor.PlanRunner._dispatch`;
   ``ExecutionStats.morsels_dispatched`` records how many actually went
   out).  This is what makes ``collect(limit=)`` genuinely short-circuit
   instead of post-filtering a full run.

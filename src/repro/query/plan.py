@@ -5,7 +5,7 @@ A :class:`QueryPlan` is a linear pipeline of physical operators: one
 extend/intersect, multi-extend and filter operators that bind the remaining
 query variables.  Plans are produced by the DP optimizer
 (:mod:`repro.query.optimizer`) or constructed by hand in tests, and run by the
-:class:`~repro.query.executor.Executor`.
+:class:`~repro.query.executor.PlanRunner`.
 """
 
 from __future__ import annotations

@@ -7,10 +7,10 @@ pre-emptively — and sit at the boundaries the engine already works in:
 
 * the vectorized pipeline checks between batches
   (:func:`repro.query.backends.run_pipeline` wraps the scan stream and the
-  output stream), so a serial or in-process morsel body notices a deadline
-  or a cancellation within one batch of work;
+  output stream), so an inline run or an in-process morsel body notices a
+  deadline or a cancellation within one batch of work;
 * the morsel dispatcher checks between morsels
-  (:meth:`repro.query.executor.MorselExecutor._dispatch`), and the parallel
+  (:meth:`repro.query.executor.PlanRunner._dispatch`), and the parallel
   backends poll their blocking waits against the context, so a query never
   sleeps past its deadline inside ``Future.result()`` / ``AsyncResult.get()``
   even when the morsel body itself is stuck in a worker that cannot run

@@ -59,7 +59,7 @@ class ServerConfig:
             to the wrapped database's own resolution).  A plan under
             :data:`~repro.query.executor.PARALLEL_MIN_ICOST` runs inline on
             its slot thread whatever this says; construct a
-            ``MorselExecutor`` to force dispatch.
+            ``PlanRunner`` with a backend to force dispatch.
         backend: default morsel backend name per query (``None`` defers
             to the wrapped database).
         breaker_threshold: consecutive pool failures that open the

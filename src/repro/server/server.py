@@ -1,6 +1,6 @@
 """The admission-controlled query server wrapping one :class:`Database`.
 
-``Database.run`` is a library call: it builds an executor (and, for the
+``Database.run`` is a library call: it builds a plan runner (and, for the
 process backend, a whole worker pool) per invocation and imposes no limit
 on how many callers do so at once.  :class:`DatabaseServer` is the
 long-lived service shape of the same engine:
@@ -48,8 +48,7 @@ from ..errors import (
     ServerOverloadedError,
     WorkerCrashError,
 )
-from ..query.backends import SerialBackend
-from ..query.executor import QueryResult, effective_workers
+from ..query.executor import QueryResult
 from ..query.pattern import QueryGraph
 from ..query.pipeline import validate_limit
 from ..query.plan import QueryPlan
@@ -71,6 +70,15 @@ from .pools import PoolSupervisor
 _STATE_RUNNING = "running"
 _STATE_DRAINING = "draining"
 _STATE_CLOSED = "closed"
+
+#: Submit modes: each names the ``PlanRunner`` entry point a slot drains
+#: the ticket through, and the submit options that entry point takes.
+_MODE_OPTIONS = {
+    "run": ("materialize", "factorized"),
+    "count": ("factorized",),
+    "collect": ("limit",),
+    "exists": (),
+}
 
 
 class DatabaseServer:
@@ -156,7 +164,7 @@ class DatabaseServer:
         :class:`~repro.errors.QueryTimeoutError` when a ``block``-policy
         wait outlives the query's own deadline.
         """
-        if mode not in ("run", "count", "collect", "exists"):
+        if mode not in _MODE_OPTIONS:
             raise ExecutionError(
                 f"unknown submit mode {mode!r}; expected 'run', 'count', "
                 "'collect', or 'exists'"
@@ -171,26 +179,17 @@ class DatabaseServer:
         )
         runtime = QueryContext(timeout=effective_timeout, cancel=cancel)
         plan, snapshot, cache_hit = self.db._pinned_plan(query)
-        backend_name = self.db._resolve_backend(
-            backend if backend is not None else self.config.backend
-        )
-        # ``parallelism`` is a ceiling: a plan under the cost gate — and any
-        # plan on the "serial" backend, which is one thread by definition —
-        # gets one worker, and one worker needs no pool: the slot thread
-        # runs it inline.
-        workers = effective_workers(
+        # ``parallelism`` is a ceiling, decided as ``Database`` decides it:
+        # one worker needs no pool, and the slot thread runs it inline.
+        workers, backend_name = self.db._workers(
             plan,
             self.db._resolve_parallelism(
                 parallelism if parallelism is not None else self.config.parallelism
             ),
+            backend if backend is not None else self.config.backend,
         )
-        if backend_name == SerialBackend.name:
-            workers = 1
-        kwargs = {
-            "materialize": materialize,
-            "factorized": factorized,
-            "limit": limit,
-        }
+        options = dict(materialize=materialize, factorized=factorized, limit=limit)
+        kwargs = {name: options[name] for name in _MODE_OPTIONS[mode]}
         ticket = ServerTicket(
             server=self,
             plan=plan,
@@ -386,13 +385,15 @@ class DatabaseServer:
     def _execute_ticket(self, ticket: ServerTicket) -> None:
         """Run one admitted ticket, inline or on a leased pool; publish it.
 
-        The executor comes from the database's own factory
+        The runner comes from the database's own factory
         (``Database._make_executor``), so a served query gets the same batch
-        rule as a direct call.  A one-worker ticket (see :meth:`submit`) and
-        a breaker-degraded lease both run inline on this slot thread: the
-        serial :class:`~repro.query.executor.Executor` streaming into the
-        sink.  An inline query owes the pools nothing — whatever its
-        outcome, no pool is recycled and no breaker hears of it.
+        rule as a direct call, and the ticket's mode names the
+        :class:`~repro.query.executor.PlanRunner` entry point it drains
+        through.  A one-worker ticket (see :meth:`submit`) and a
+        breaker-degraded lease both run inline on this slot thread,
+        streaming into the sink.  An inline query owes the pools nothing —
+        whatever its outcome, no pool is recycled and no breaker hears of
+        it.
         """
         pooled = ticket.parallelism > 1
         lease = None
@@ -403,37 +404,14 @@ class DatabaseServer:
             if pooled:
                 lease = self.supervisor.lease(ticket.backend, ticket.parallelism)
                 pooled = not lease.degraded
-            executor = self.db._make_executor(
+            runner = self.db._make_executor(
                 ticket.snapshot.graph,
                 ticket.parallelism if pooled else 1,
                 ticket.backend,
-                ticket.plan,
                 pool=lease.backend if pooled else None,
             )
-            if ticket.mode == "count":
-                value = executor.count(
-                    ticket.plan,
-                    factorized=ticket.kwargs.get("factorized"),
-                    runtime=ticket.runtime,
-                )
-            elif ticket.mode == "collect":
-                value = executor.collect(
-                    ticket.plan,
-                    limit=ticket.kwargs.get("limit"),
-                    runtime=ticket.runtime,
-                )
-            elif ticket.mode == "exists":
-                value = executor.exists(
-                    ticket.plan,
-                    runtime=ticket.runtime,
-                )
-            else:
-                value = executor.run(
-                    ticket.plan,
-                    materialize=ticket.kwargs.get("materialize", False),
-                    factorized=ticket.kwargs.get("factorized"),
-                    runtime=ticket.runtime,
-                )
+            entry_point = getattr(runner, ticket.mode)
+            value = entry_point(ticket.plan, runtime=ticket.runtime, **ticket.kwargs)
         except (QueryTimeoutError, QueryCancelledError) as exc:
             # The query was cut short; a pool may hold abandoned morsels,
             # so recycle it — but a slow query is not a pool failure and

@@ -200,7 +200,8 @@ class SearchKey:
         if op in UPPER_SIDE:
             hi = self._find(groups, rank(UPPER_SIDE[op]))
         elif below is not None:
-            hi = self._find(groups, np.searchsorted(self.distinct, below))
+            # A lower side at or past ``below`` leaves the run empty.
+            hi = np.maximum(self._find(groups, np.searchsorted(self.distinct, below)), lo)
         else:
             hi = self.offsets[groups + 1]
         return lo.astype(np.int64, copy=False), hi.astype(np.int64, copy=False)

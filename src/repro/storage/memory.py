@@ -11,7 +11,7 @@ Tables II-IV.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List
+from typing import List
 
 
 @dataclass
@@ -33,15 +33,6 @@ class MemoryBreakdown:
             + self.other_bytes
         )
 
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "id_lists": self.id_list_bytes,
-            "offset_lists": self.offset_list_bytes,
-            "partition_levels": self.partition_level_bytes,
-            "other": self.other_bytes,
-            "total": self.total,
-        }
-
 
 @dataclass
 class MemoryReport:
@@ -58,12 +49,6 @@ class MemoryReport:
 
     def total_megabytes(self) -> float:
         return self.total / (1024 * 1024)
-
-    def ratio_to(self, baseline: "MemoryReport") -> float:
-        """Memory overhead ratio relative to a baseline configuration."""
-        if baseline.total == 0:
-            return float("inf") if self.total else 1.0
-        return self.total / baseline.total
 
     def format_table(self) -> str:
         """Return a human-readable table of the breakdowns."""

@@ -15,7 +15,6 @@ any ``G_{i,j}`` dataset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from ..query.pattern import QueryGraph
@@ -73,24 +72,6 @@ _SHAPES: List[Tuple[str, Sequence[str], Sequence[Tuple[str, str]], bool]] = [
         True,
     ),
 ]
-
-
-@dataclass(frozen=True)
-class SubgraphQuerySpec:
-    """Shape metadata of one labelled subgraph query."""
-
-    name: str
-    num_vertices: int
-    num_edges: int
-    cyclic: bool
-
-
-def query_specs() -> List[SubgraphQuerySpec]:
-    """Metadata of the full SQ1-SQ14 family."""
-    return [
-        SubgraphQuerySpec(name, len(vertices), len(edges), cyclic)
-        for name, vertices, edges, cyclic in _SHAPES
-    ]
 
 
 def query_names(include_sq14: bool = False) -> List[str]:

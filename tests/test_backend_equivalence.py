@@ -2,10 +2,10 @@
 
 The determinism contract of the backend-pluggable dispatcher: for every
 query of the zoo, every seeded graph shape (uniform, Zipf-skewed, star,
-empty), every backend (``serial``, ``thread``, ``process``) and both morsel
-cuts (``degree``-weighted, ``fixed``-size), the produced matches, their order,
-and the :class:`~repro.query.operators.ExecutionStats` are **identical** to
-the serial executor's (``parallelism=1``), which itself agrees with the naive
+empty), every backend (``thread``, ``process``) and both morsel cuts
+(``degree``-weighted, ``fixed``-size), the produced matches, their order, and
+the :class:`~repro.query.operators.ExecutionStats` are **identical** to the
+inline run's (``parallelism=1``), which itself agrees with the naive
 backtracking oracle.
 
 A small always-on subset keeps the contract pinned in tier-1; the full
@@ -23,11 +23,10 @@ import pytest
 from repro import Database
 from repro.graph import GraphBuilder
 from repro.graph.generators import LabelledGraphSpec, generate_labelled_graph
-from repro.query import MorselExecutor, QueryGraph, cmp, prop
-from repro.query.executor import Executor
+from repro.query import PlanRunner, QueryGraph, cmp, prop
 from repro.query.naive import NaiveMatcher
 
-BACKEND_NAMES = ("serial", "thread", "process")
+BACKEND_NAMES = ("thread", "process")
 #: Morsel cuts: name -> ``morsel_size``.  ``None`` is the default
 #: degree-weighted cut; a size cuts fixed equal vertex-count ranges, about
 #: eight morsels on these 60-80-vertex graphs.
@@ -160,7 +159,7 @@ def _baseline(graph_key: str, seed: int, shape: str):
             _CACHE[graph_cache_key] = (graph, Database(graph))
         graph, db = _CACHE[graph_cache_key]
         plan = db.plan(ZOO[shape]())
-        serial = Executor(db.graph, batch_size=db.batch_size).run(
+        serial = PlanRunner(db.graph, batch_size=db.batch_size).run(
             plan, materialize=True
         )
         oracle = NaiveMatcher(graph).count(ZOO[shape]())
@@ -181,7 +180,7 @@ def check_combo(
     num_workers: int = 2,
 ):
     db, plan, serial = _baseline(graph_key, seed, shape)
-    executor = MorselExecutor(
+    executor = PlanRunner(
         db.graph,
         batch_size=db.batch_size,
         num_workers=num_workers,

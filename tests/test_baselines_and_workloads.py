@@ -33,9 +33,8 @@ class TestBaselines:
 
 class TestSubgraphWorkload:
     def test_query_catalog(self):
-        specs = labelled_subgraph.query_specs()
-        assert len(specs) == 14
         names = labelled_subgraph.query_names()
+        assert len(names) == 13
         assert "SQ14" not in names
         assert "SQ13" in names
         full = labelled_subgraph.query_names(include_sq14=True)

@@ -28,7 +28,7 @@ from repro.index.primary import PrimaryIndex
 from repro.index.vertex_partitioned import VertexPartitionedIndex
 from repro.index.views import OneHopView, TwoHopView
 from repro.predicates import CompareOp, Predicate, cmp, prop
-from repro.query.executor import Executor
+from repro.query.executor import PlanRunner
 from repro.query.naive import NaiveMatcher
 from repro.query.operators import (
     ExecutionStats,
@@ -190,7 +190,7 @@ class TestListMany:
 def _run(graph, plan):
     stats = ExecutionStats()
     rows = []
-    for batch in Executor(graph).execute(plan, stats=stats):
+    for batch in PlanRunner(graph).execute(plan, stats=stats):
         rows.extend(batch.to_dicts())
     return rows, stats
 
@@ -840,7 +840,7 @@ class TestScanPushdown:
         batch_size = 16
         stats = ExecutionStats()
         batches = list(
-            Executor(financial_graph, batch_size=batch_size).execute(
+            PlanRunner(financial_graph, batch_size=batch_size).execute(
                 plan, stats=stats
             )
         )
@@ -862,7 +862,7 @@ class TestScanPushdown:
             query=_two_vertex_query(),
             operators=[ScanVertices(var="a", label="Account")],
         )
-        batches = list(Executor(example_graph, batch_size=3).execute(plan))
+        batches = list(PlanRunner(example_graph, batch_size=3).execute(plan))
         scanned = np.concatenate([batch.column("a") for batch in batches])
         assert scanned.tolist() == example_graph.vertices_with_label(
             "Account"

@@ -24,7 +24,7 @@ from repro.graph.types import PropertyType
 from repro.index.config import IndexConfig
 from repro.index.views import OneHopView
 from repro.predicates import PropertyRef, cmp, prop
-from repro.query.executor import Executor
+from repro.query.executor import PlanRunner
 from repro.query.naive import NaiveMatcher
 from repro.query.operators import ExtendIntersect, MultiExtend
 from repro.query.optimizer import Optimizer
@@ -175,7 +175,7 @@ def test_probe_plans_count_as_the_oracle(fx, name):
         assert leg.sorted_filter.probe_var in leg.key_vars()
     for plan in (extend_only[name], db.plan(queries[name])):
         for batch_size in (5, 1024):
-            executor = Executor(graph, batch_size=batch_size)
+            executor = PlanRunner(graph, batch_size=batch_size)
             assert executor.count(plan, factorized=False) == expected[name]
             assert executor.run(_rowwise(plan)).count == expected[name]
             assert executor.count(plan) == expected[name]  # count-only where it can
@@ -186,8 +186,8 @@ def test_rowwise_and_batched_charge_the_same_searched_runs(fx):
     graph, _, _, _, extend_only = fx
     for name in ("mf3_shape", "rank>", "rank<="):
         plan = extend_only[name]
-        batched = Executor(graph, batch_size=5).run(plan)
-        rowwise = Executor(graph, batch_size=5).run(_rowwise(plan))
+        batched = PlanRunner(graph, batch_size=5).run(plan)
+        rowwise = PlanRunner(graph, batch_size=5).run(_rowwise(plan))
         for counter in ("lists_accessed", "list_entries_fetched", "predicate_evaluations"):
             assert getattr(batched.stats, counter) == getattr(rowwise.stats, counter), (
                 name,

@@ -55,7 +55,7 @@ class TestDatabaseFacade:
 
     def test_executor_and_optimizer_factories(self, example_graph):
         db = Database(example_graph)
-        assert db.executor().graph is example_graph
+        assert db.graph is example_graph
         assert db.optimizer().store is db.store
         assert db.maintainer().store is db.store
 

@@ -4,8 +4,8 @@ The factorization contract: for any plan with a factorizable terminal suffix,
 ``count(plan, factorized=True)`` — trailing extensions kept as unexpanded
 cardinality segments, count = per-prefix-row product of segment sizes — is
 **identical** to the flat oracle count, for every graph shape of the zoo
-(uniform, Zipf-skewed, star, empty), every backend (``serial``, ``thread``,
-``process``) and every morsel cut.  A small always-on subset pins the
+(uniform, Zipf-skewed, star, empty), inline and on every backend
+(``thread``, ``process``), and every morsel cut.  A small always-on subset pins the
 contract in tier-1; the full backend × morsel-cut matrix is marked ``fuzz``
 (opt-in via ``RUN_FUZZ=1``, nightly in CI) because process pools are too slow
 for the default suite.
@@ -32,9 +32,9 @@ from repro.index.config import IndexConfig
 from repro.index.index_store import IndexStore
 from repro.index.primary import PrimaryIndex
 from repro.predicates import Predicate, cmp, prop
-from repro.query import MorselExecutor, QueryGraph
+from repro.query import PlanRunner, QueryGraph
 from repro.query.binding import MatchBatch
-from repro.query.executor import CountSink, Executor, FlattenSink
+from repro.query.executor import CountSink, FlattenSink
 from repro.query.factorized import FactorizedBatch, FactorizedSegment
 from repro.query.naive import NaiveMatcher
 from repro.query.operators import (
@@ -47,7 +47,7 @@ from repro.query.operators import (
 from repro.query.plan import QueryPlan
 from repro.storage.sort_keys import SortKey
 
-BACKEND_NAMES = ("serial", "thread", "process")
+BACKEND_NAMES = ("thread", "process")
 #: Morsel cuts: name -> ``morsel_size`` (``None`` is the default
 #: degree-weighted cut; a size cuts fixed equal vertex-count ranges).
 MORSEL_CUTS = {"degree": None, "fixed": 10}
@@ -175,7 +175,7 @@ def _baseline(graph_key: str, seed: int, shape: str):
             _CACHE[graph_cache_key] = (graph, Database(graph))
         graph, db = _CACHE[graph_cache_key]
         plan = db.plan(ZOO[shape]())
-        flat = Executor(db.graph, batch_size=db.batch_size).count(
+        flat = PlanRunner(db.graph, batch_size=db.batch_size).count(
             plan, factorized=False
         )
         assert flat == NaiveMatcher(graph).count(ZOO[shape]()), (
@@ -189,7 +189,7 @@ def check_combo(
     graph_key: str,
     seed: int,
     shape: str,
-    backend: str = "serial",
+    backend: str = "thread",
     morsel_size=None,
     num_workers: int = 2,
 ):
@@ -197,9 +197,9 @@ def check_combo(
     assert plan.supports_factorized_count, (
         f"the zoo plan for {shape!r} should end in a factorizable suffix"
     )
-    serial = Executor(db.graph, batch_size=db.batch_size)
+    serial = PlanRunner(db.graph, batch_size=db.batch_size)
     assert serial.count(plan, factorized=True) == flat
-    executor = MorselExecutor(
+    executor = PlanRunner(
         db.graph,
         batch_size=db.batch_size,
         num_workers=num_workers,
@@ -215,7 +215,7 @@ def check_combo(
 @pytest.mark.parametrize("shape", sorted(ZOO))
 @pytest.mark.parametrize("graph_key", sorted(GRAPHS))
 def test_factorized_count_matches_flat_serial(graph_key, shape):
-    check_combo(graph_key, seed=101, shape=shape, backend="serial")
+    check_combo(graph_key, seed=101, shape=shape)
 
 
 @pytest.mark.parametrize("backend", BACKEND_NAMES)
@@ -313,12 +313,12 @@ def test_multi_extend_factorized_count(financial_graph, presorted):
     store = IndexStore(financial_graph, PrimaryIndex(financial_graph, config=config))
     plan = _multi_extend_plan(store, city_key, shared_target=False)
     assert plan.supports_factorized_count
-    executor = Executor(financial_graph)
+    executor = PlanRunner(financial_graph)
     flat = executor.count(plan, factorized=False)
     assert flat > 0
     assert executor.count(plan, factorized=True) == flat
     for backend in BACKEND_NAMES:
-        morsel = MorselExecutor(financial_graph, num_workers=2, backend=backend)
+        morsel = PlanRunner(financial_graph, num_workers=2, backend=backend)
         assert morsel.count(plan, factorized=True) == flat
 
 
@@ -328,7 +328,7 @@ def test_multi_extend_shared_target_stays_flat(financial_graph):
     store = IndexStore(financial_graph, PrimaryIndex(financial_graph))
     plan = _multi_extend_plan(store, city_key, shared_target=True)
     assert not plan.supports_factorized_count
-    executor = Executor(financial_graph)
+    executor = PlanRunner(financial_graph)
     with pytest.raises(ExecutionError, match="no factorizable suffix"):
         executor.count(plan, factorized=True)
     # the auto path silently falls back to the flat pipeline
@@ -389,7 +389,7 @@ def test_rowwise_extension_blocks_factorization(example_graph):
 def test_run_factorized_rejects_materialize(example_db):
     plan = example_db.plan(_star_two())
     with pytest.raises(ExecutionError, match="count-only"):
-        Executor(example_db.graph).run(plan, materialize=True, factorized=True)
+        PlanRunner(example_db.graph).run(plan, materialize=True, factorized=True)
 
 
 # ----------------------------------------------------------------------
@@ -397,7 +397,7 @@ def test_run_factorized_rejects_materialize(example_db):
 # ----------------------------------------------------------------------
 def test_factorized_stats_counters(example_db):
     plan = example_db.plan(_star_two())
-    executor = Executor(example_db.graph)
+    executor = PlanRunner(example_db.graph)
     flat = executor.run(plan)
     fact = executor.run(plan, factorized=True)
     assert fact.count == flat.count
@@ -411,8 +411,8 @@ def test_factorized_stats_counters(example_db):
 def test_combos_avoided_is_morsel_invariant(example_db):
     """Per-row counters agree between the serial and the morsel dispatch."""
     plan = example_db.plan(_star_two())
-    serial = Executor(example_db.graph).run(plan, factorized=True)
-    morsel = MorselExecutor(example_db.graph, num_workers=3, backend="thread").run(
+    serial = PlanRunner(example_db.graph).run(plan, factorized=True)
+    morsel = PlanRunner(example_db.graph, num_workers=3, backend="thread").run(
         plan, factorized=True
     )
     assert morsel.count == serial.count
@@ -496,7 +496,7 @@ def test_count_sink_handles_both_stream_shapes():
 
 def test_collect_limit_prefix(example_db):
     plan = example_db.plan(_one_leg())
-    executor = Executor(example_db.graph, batch_size=4)
+    executor = PlanRunner(example_db.graph, batch_size=4)
     full = executor.collect(plan)
     assert len(full) > 6
     assert executor.collect(plan, limit=5) == full[:5]
@@ -506,7 +506,7 @@ def test_collect_limit_prefix(example_db):
 
 def test_run_materialize_count_agrees(example_db):
     plan = example_db.plan(_star_two())
-    executor = Executor(example_db.graph)
+    executor = PlanRunner(example_db.graph)
     result = executor.run(plan, materialize=True)
     assert result.count == len(result.matches)
     assert result.matches == executor.collect(plan)

@@ -17,8 +17,8 @@ The acceptance contract of the fault-tolerant runtime:
   torn down.
 
 Process-backend scenarios are skipped where ``fork`` is not the default
-start method (per-query spawn pools are too slow for tier-1; the thread and
-serial backends exercise the same dispatcher recovery paths everywhere).
+start method (per-query spawn pools are too slow for tier-1; the thread
+backend exercises the same dispatcher recovery paths everywhere).
 """
 
 from __future__ import annotations
@@ -36,9 +36,8 @@ from repro.errors import (
     QueryTimeoutError,
 )
 from repro.graph.generators import LabelledGraphSpec, generate_labelled_graph
-from repro.query import MorselExecutor, QueryGraph
-from repro.query.backends import fork_available
-from repro.query.executor import Executor
+from repro.query import PlanRunner, QueryGraph
+from repro.query.backends import MORSEL_TIMEOUT_ENV_VAR, fork_available
 from repro.query.runtime import CancellationToken
 
 needs_fork = pytest.mark.skipif(
@@ -52,7 +51,7 @@ fuzz = pytest.mark.skipif(
 )
 
 #: Backends whose dispatcher recovery runs everywhere (no pool start cost).
-IN_PROCESS_BACKENDS = ("serial", "thread")
+IN_PROCESS_BACKENDS = ("thread",)
 
 
 def _graph():
@@ -78,6 +77,12 @@ def _triangle():
     return query
 
 
+@pytest.fixture(autouse=True)
+def morsel_timeout(monkeypatch):
+    """A 15 s stuck-worker backstop for the process backend, not 120 s."""
+    monkeypatch.setenv(MORSEL_TIMEOUT_ENV_VAR, "15")
+
+
 @pytest.fixture(scope="module")
 def chaos_db():
     return Database(_graph())
@@ -87,7 +92,7 @@ def chaos_db():
 def oracle(chaos_db):
     """Fault-free serial baseline: the byte-identity reference."""
     plan = chaos_db.plan(_triangle())
-    result = Executor(chaos_db.graph, batch_size=chaos_db.batch_size).run(
+    result = PlanRunner(chaos_db.graph, batch_size=chaos_db.batch_size).run(
         plan, materialize=True
     )
     return plan, result
@@ -95,8 +100,7 @@ def oracle(chaos_db):
 
 def _chaos_executor(db, backend, fault_plan, **kwargs):
     kwargs.setdefault("num_workers", 2)
-    kwargs.setdefault("morsel_timeout", 15.0)
-    return MorselExecutor(
+    return PlanRunner(
         db.graph,
         batch_size=db.batch_size,
         backend=backend,
@@ -227,15 +231,16 @@ class TestProcessRecovery:
             executor.run(plan)
         assert _no_leaked_workers(before)
 
-    def test_hung_worker_hits_morsel_timeout_backstop(self, chaos_db, oracle):
+    def test_hung_worker_hits_morsel_timeout_backstop(
+        self, chaos_db, oracle, monkeypatch
+    ):
         plan, oracle_result = oracle
         before = set(multiprocessing.active_children())
         # The delay (1s) exceeds the tiny per-morsel backstop (0.2s), so the
         # reply is declared lost, the retry (attempt 1: fault fires on
         # attempt 0 only) succeeds, and the run still matches the oracle.
-        executor = _chaos_executor(
-            chaos_db, "process", "delay@0:1.0", morsel_timeout=0.2
-        )
+        monkeypatch.setenv(MORSEL_TIMEOUT_ENV_VAR, "0.2")
+        executor = _chaos_executor(chaos_db, "process", "delay@0:1.0")
         result = executor.run(plan, materialize=True)
         _assert_identical(result, oracle_result)
         assert result.stats.retries >= 1
@@ -272,7 +277,7 @@ class TestDeadlinesAndCancellation:
     def test_per_query_thread_pool_leaves_no_thread_behind(self, chaos_db, oracle):
         plan, oracle_result = oracle
         before = set(threading.enumerate())
-        executor = MorselExecutor(chaos_db.graph, num_workers=2, backend="thread")
+        executor = PlanRunner(chaos_db.graph, num_workers=2, backend="thread")
         assert executor.count(plan) == oracle_result.count
         assert set(threading.enumerate()) <= before
 
@@ -335,7 +340,7 @@ class TestDeadlinesAndCancellation:
 @fuzz
 @pytest.mark.fuzz
 class TestChaosMatrix:
-    BACKENDS = ("serial", "thread", "process")
+    BACKENDS = ("thread", "process")
     SPECS = (
         "kill@0",
         "kill@3",

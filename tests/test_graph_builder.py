@@ -20,7 +20,7 @@ class TestGraphBuilder:
         assert graph.num_vertices == 2
         assert graph.num_edges == 1
         assert edge == 0
-        assert graph.edge_endpoints(0) == (v1, v2)
+        assert (graph.edge_src[0], graph.edge_dst[0]) == (v1, v2)
         assert graph.edge_label_name(0) == "Wire"
         assert graph.vertex_property(0, "city") == "SF"
         assert graph.edge_property(0, "amt") == 50
@@ -107,7 +107,8 @@ class TestRunningExample:
         customers = graph.vertices_with_label("Customer")
         assert len(accounts) == 5
         assert len(customers) == 3
-        wires = graph.edges_with_label("Wire")
+        wires = np.nonzero(graph.edge_labels == graph.schema.edge_label_code("Wire"))[0]
+        assert len(wires) > 0
         assert all(graph.edge_label_name(int(e)) == "Wire" for e in wires)
 
 

@@ -38,7 +38,7 @@ from repro.index.edge_partitioned import EdgePartitionedIndex
 from repro.index.index_store import AccessPath
 from repro.index.views import OneHopView, TwoHopView
 from repro.predicates import Predicate, cmp, prop
-from repro.query import MorselExecutor, QueryGraph
+from repro.query import PlanRunner, QueryGraph
 from repro.query.backends import (
     MorselTaskSpec,
     _PLAN_IDS,
@@ -46,7 +46,7 @@ from repro.query.backends import (
     _worker_run,
 )
 from repro.query.binding import MatchBatch
-from repro.query.executor import CountSink, Executor
+from repro.query.executor import CountSink
 from repro.query.factorized import FLAG_TABLE_DENSITY, SharedKeys
 from repro.query.naive import NaiveMatcher
 from repro.query.operators import (
@@ -468,7 +468,7 @@ def test_may_repeat_static_rules(fx):
 @pytest.mark.parametrize("name", ALL_SHAPES)
 def test_count_matches_flat_and_naive(fx, name):
     query, plan = fx.plans[name]
-    executor = Executor(fx.graphs[name])
+    executor = PlanRunner(fx.graphs[name])
     flat = executor.count(plan, factorized=False)
     assert flat == NaiveMatcher(fx.graphs[name]).count(query)
     assert executor.count(plan) == flat
@@ -483,7 +483,7 @@ def test_count_matches_flat_and_naive(fx, name):
 )
 def test_logical_stats_match_the_per_row_paths(fx, name, batch_size, monkeypatch):
     _query, plan = fx.plans[name]
-    executor = Executor(fx.graphs[name], batch_size=batch_size)
+    executor = PlanRunner(fx.graphs[name], batch_size=batch_size)
     count, stats = _count_only(executor, plan)
     # The plan's "no key repeats" verdict compiles every suffix operator
     # onto its per-row path: the same count with no list shared.
@@ -495,7 +495,7 @@ def test_logical_stats_match_the_per_row_paths(fx, name, batch_size, monkeypatch
 
     if len(plan.operators) - plan.factorized_suffix_start() == 1:
         # One suffix operator: the flat path reads exactly the same lists.
-        rowwise = Executor(fx.graphs[name], batch_size=batch_size).run(_rowwise(plan))
+        rowwise = PlanRunner(fx.graphs[name], batch_size=batch_size).run(_rowwise(plan))
         assert rowwise.count == count
         for counter in ("lists_accessed", "list_entries_fetched", "predicate_evaluations"):
             assert getattr(stats, counter) == getattr(rowwise.stats, counter)
@@ -528,7 +528,7 @@ def test_batches_without_repeats_stay_on_the_per_row_path():
     query = _pattern("path", _PATH, _ALTERNATING)
     plan = Database(graph).plan(query)
     assert "per distinct key" in plan.describe()
-    count, stats = _count_only(Executor(graph), plan)
+    count, stats = _count_only(PlanRunner(graph), plan)
     assert count == NaiveMatcher(graph).count(query)
     suffix = f"{plan.factorized_suffix_start() - 1}:extend"
     assert stats.operator_batches[suffix] == 1  # every row in one batch
@@ -543,7 +543,7 @@ def test_count_only_range_leg_reads_no_entries(fx, monkeypatch):
     graph = fx.graphs["heavy_tail"]
     leg = plan.operators[plan.factorized_suffix_start()].legs[0]
     assert leg.sorted_filter is not None and leg.residual.is_true
-    flat = Executor(graph).count(plan, factorized=False)
+    flat = PlanRunner(graph).count(plan, factorized=False)
     assert flat == NaiveMatcher(graph).count(query) > 0
 
     fetched, searched = [], []
@@ -565,7 +565,7 @@ def test_count_only_range_leg_reads_no_entries(fx, monkeypatch):
     for batch_size in (7, 1024):
         fetched.clear()
         searched.clear()
-        assert Executor(graph, batch_size=batch_size).count(plan) == flat
+        assert PlanRunner(graph, batch_size=batch_size).count(plan) == flat
         assert leg.edge_var not in fetched
         assert searched and all(found == leg.sorted_filter for found in searched)
 
@@ -595,7 +595,7 @@ def test_one_list_space_matches_the_per_leg_spaces(fx, name, monkeypatch):
         op for op in plan.operators[plan.factorized_suffix_start():] if len(op.legs) > 1
     ]
     assert multi._one_list_space()
-    executor = Executor(fx.graphs[name], batch_size=1024)
+    executor = PlanRunner(fx.graphs[name], batch_size=1024)
     calls = _spied_list_spaces(monkeypatch)
     count, shared = _count_only(executor, plan)
     assert calls and all(spaces == 1 for spaces, _legs in calls)
@@ -636,7 +636,7 @@ def test_legs_that_read_different_lists_keep_their_spaces(fx, change, monkeypatc
     changed = dataclasses.replace(multi, legs=[multi.legs[0], change(multi.legs[1])])
     assert multi._one_list_space() and not changed._one_list_space()
     plan = QueryPlan(query=query, operators=plan.operators[:-1] + [changed])
-    executor = Executor(fx.graph, batch_size=1024)
+    executor = PlanRunner(fx.graph, batch_size=1024)
     calls = _spied_list_spaces(monkeypatch)
     count, _stats = _count_only(executor, plan)
     assert calls and all(spaces == legs == 2 for spaces, legs in calls)
@@ -707,7 +707,7 @@ def test_symmetric_rows_are_counted_once(fx, monkeypatch):
     )
     # The whole query: canonical kernel rows, and the flat and naive counts.
     calls.clear()
-    executor = Executor(graph, batch_size=1024)
+    executor = PlanRunner(graph, batch_size=1024)
     assert executor.count(plan) == executor.count(plan, factorized=False)
     assert executor.count(plan) == NaiveMatcher(graph).count(query)
     assert calls and all((rows[0] <= rows[1]).all() for rows in calls)
@@ -743,8 +743,8 @@ def test_backends_agree_with_serial(fx, backend):
     )
     for name in names:
         _query, plan = fx.plans[name]
-        count, serial = _count_only(Executor(fx.graphs[name]), plan)
-        morsel = MorselExecutor(fx.graphs[name], num_workers=2, backend=backend)
+        count, serial = _count_only(PlanRunner(fx.graphs[name]), plan)
+        morsel = PlanRunner(fx.graphs[name], num_workers=2, backend=backend)
         morsel_count, stats = _count_only(morsel, plan)
         assert morsel_count == count, name
         assert _logical(stats) == _logical(serial), name

@@ -17,7 +17,7 @@ import pytest
 from repro.graph import GraphBuilder
 from repro.index.primary import PrimaryIndex
 from repro.query import QueryGraph
-from repro.query.executor import MorselExecutor
+from repro.query.executor import PlanRunner
 from repro.query.morsels import degree_weighted_ranges, even_ranges, ranges_of_size
 
 
@@ -146,7 +146,7 @@ class TestExecutorIntegration:
         graph = self._star_graph()
         db = Database(graph)
         plan = self._one_leg_plan(db)
-        executor = MorselExecutor(db.graph, num_workers=4)
+        executor = PlanRunner(db.graph, num_workers=4)
         ranges = executor.morsel_ranges(plan)
         assert_exact_partition(ranges, 0, graph.num_vertices)
         # The hub (vertex 0) carries all the adjacency work: its range must
@@ -159,7 +159,7 @@ class TestExecutorIntegration:
         graph = self._star_graph()
         db = Database(graph)
         plan = self._one_leg_plan(db)
-        executor = MorselExecutor(db.graph, num_workers=4, morsel_size=7)
+        executor = PlanRunner(db.graph, num_workers=4, morsel_size=7)
         ranges = executor.morsel_ranges(plan)
         assert_exact_partition(ranges, 0, graph.num_vertices)
         assert all(stop - start <= 7 for start, stop in ranges)

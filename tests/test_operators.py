@@ -9,7 +9,7 @@ from repro.index.index_store import IndexStore
 from repro.index.primary import PrimaryIndex
 from repro.predicates import Predicate, cmp, prop
 from repro.query.binding import MatchBatch, concat_batches
-from repro.query.executor import Executor
+from repro.query.executor import PlanRunner
 from repro.query.operators import (
     ExecutionContext,
     ExtendIntersect,
@@ -31,7 +31,7 @@ class TestMatchBatch:
         assert len(batch) == 3
         assert set(batch.variables) == {"a", "b"}
         assert batch.row(1) == {"a": 2, "b": 5}
-        assert batch.has_variable("a") and not batch.has_variable("c")
+        assert "a" in batch.variables and "c" not in batch.variables
 
     def test_ragged_batch_rejected(self):
         with pytest.raises(ExecutionError):
@@ -109,7 +109,7 @@ class TestScanAndExtend:
                 ),
             ],
         )
-        count = Executor(example_graph).count(plan)
+        count = PlanRunner(example_graph).count(plan)
         assert count == example_graph.num_edges
 
     def test_two_leg_intersection(self, example_graph):
@@ -142,7 +142,7 @@ class TestScanAndExtend:
         )
         # Simpler equivalent check: intersection of a's and c's forward lists
         # equals the brute-force count of common out-neighbours.
-        executor = Executor(example_graph)
+        executor = PlanRunner(example_graph)
         query2 = QueryGraph("wedge")
         for name in ("a", "c", "b"):
             query2.add_vertex(name)
@@ -190,7 +190,7 @@ class TestScanAndExtend:
             query=query,
             operators=[ScanVertices(var="a"), ExtendIntersect(target_var="b", legs=[leg])],
         )
-        rows = Executor(example_graph).collect(plan)
+        rows = PlanRunner(example_graph).collect(plan)
         assert all("e0" in row for row in rows)
         for row in rows:
             assert int(example_graph.edge_src[row["e0"]]) == row["a"]
@@ -224,7 +224,7 @@ class TestScanAndExtend:
             query=query,
             operators=[ScanVertices(var="a"), ExtendIntersect(target_var="b", legs=[leg])],
         )
-        rows = Executor(example_graph).collect(plan)
+        rows = PlanRunner(example_graph).collect(plan)
         expected = sum(
             1
             for e in range(example_graph.num_edges)
@@ -250,7 +250,7 @@ class TestScanAndExtend:
                 Filter(Predicate.of(cmp(prop("b", "label"), "=", "Account"))),
             ],
         )
-        count = Executor(example_graph).count(plan)
+        count = PlanRunner(example_graph).count(plan)
         expected = sum(
             1
             for e in range(example_graph.num_edges)

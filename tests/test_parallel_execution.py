@@ -17,8 +17,7 @@ import pytest
 from repro import Database, Direction
 from repro.bench.harness import vpt_view_and_config
 from repro.graph.generators import LabelledGraphSpec, generate_labelled_graph
-from repro.query import MorselExecutor, Predicate, QueryGraph, cmp, prop
-from repro.query.executor import Executor
+from repro.query import PlanRunner, Predicate, QueryGraph, cmp, prop
 from repro.query.naive import NaiveMatcher
 from repro.workloads import fraud, labelled_subgraph, magicrecs
 
@@ -173,7 +172,7 @@ def boundary_plan(boundary_db):
 
 @pytest.fixture(scope="module")
 def boundary_serial(boundary_db, boundary_plan):
-    executor = Executor(boundary_db.graph, batch_size=boundary_db.batch_size)
+    executor = PlanRunner(boundary_db.graph, batch_size=boundary_db.batch_size)
     return executor.run(boundary_plan, materialize=True)
 
 
@@ -189,9 +188,10 @@ def boundary_serial(boundary_db, boundary_plan):
 def test_morsel_boundaries_byte_identical(
     boundary_db, boundary_plan, boundary_serial, morsel_size, batch_size
 ):
-    executor = MorselExecutor(
+    executor = PlanRunner(
         boundary_db.graph,
         batch_size=batch_size,
+        backend="thread",
         num_workers=4,
         morsel_size=morsel_size,
     )
@@ -210,8 +210,8 @@ def test_empty_morsels_from_selective_scan_predicate(labelled_graph):
     query.add_edge("a", "b", name="e0")
     query.add_predicate(cmp(prop("a", "ID"), "<", 5))
     plan = db.plan(query)
-    serial = Executor(db.graph).run(plan, materialize=True)
-    executor = MorselExecutor(db.graph, num_workers=4, morsel_size=10)
+    serial = PlanRunner(db.graph).run(plan, materialize=True)
+    executor = PlanRunner(db.graph, backend="thread", num_workers=4, morsel_size=10)
     result = executor.run(plan, materialize=True)
     assert result.matches == serial.matches
     assert _stats_dict(result.stats) == _stats_dict(serial.stats)
@@ -230,7 +230,9 @@ def test_all_morsels_empty_yields_empty_result(labelled_graph):
 
 
 def test_parallel_batches_respect_batch_size(boundary_db, boundary_plan):
-    executor = MorselExecutor(boundary_db.graph, batch_size=128, num_workers=4)
+    executor = PlanRunner(
+        boundary_db.graph, batch_size=128, backend="thread", num_workers=4
+    )
     sizes = [len(batch) for batch in executor.execute(boundary_plan)]
     assert sizes, "plan should produce at least one batch"
     assert max(sizes) <= 128
@@ -243,10 +245,10 @@ def test_scan_vertex_range_restricts_domain(boundary_db):
     plan = boundary_db.plan(_one_leg())
     ranged = replace(plan.operators[0], vertex_range=(20, 60))
     ranged_plan = type(plan)(query=plan.query, operators=[ranged, *plan.operators[1:]])
-    serial = Executor(boundary_db.graph).run(ranged_plan, materialize=True)
+    serial = PlanRunner(boundary_db.graph).run(ranged_plan, materialize=True)
     assert all(20 <= m["a"] < 60 for m in serial.matches)
-    parallel = MorselExecutor(
-        boundary_db.graph, num_workers=4, morsel_size=9
+    parallel = PlanRunner(
+        boundary_db.graph, backend="thread", num_workers=4, morsel_size=9
     ).run(ranged_plan, materialize=True)
     assert parallel.matches == serial.matches
 
@@ -254,22 +256,29 @@ def test_scan_vertex_range_restricts_domain(boundary_db):
 # ----------------------------------------------------------------------
 # knob plumbing
 # ----------------------------------------------------------------------
+def _backend(db, parallelism=None, backend=None):
+    """Where a run goes: ``None`` inline, else the dispatch backend (this
+    suite pins the cost gate to 0, so every plan may dispatch)."""
+    _, runner = db._plan_and_executor(_one_leg(), parallelism, backend)
+    return runner.backend
+
+
 def test_parallelism_env_var_default(labelled_graph, monkeypatch):
     monkeypatch.setenv("REPRO_PARALLELISM", "4")
     db = Database(labelled_graph)
-    assert isinstance(db.executor(), MorselExecutor)
+    assert _backend(db) is not None
     monkeypatch.setenv("REPRO_PARALLELISM", "1")
-    assert isinstance(db.executor(), Executor)
+    assert _backend(db) is None
     monkeypatch.delenv("REPRO_PARALLELISM")
-    assert isinstance(db.executor(), Executor)
+    assert _backend(db) is None
 
 
 def test_constructor_parallelism_beats_env(labelled_graph, monkeypatch):
     monkeypatch.setenv("REPRO_PARALLELISM", "1")
     db = Database(labelled_graph, parallelism=4)
-    assert isinstance(db.executor(), MorselExecutor)
+    assert _backend(db) is not None
     # The per-call argument wins over both.
-    assert isinstance(db.executor(parallelism=1), Executor)
+    assert _backend(db, parallelism=1) is None
 
 
 def test_invalid_parallelism_rejected(labelled_graph):
@@ -283,21 +292,19 @@ def test_invalid_parallelism_rejected(labelled_graph):
 def test_backend_env_var_default(labelled_graph, monkeypatch):
     monkeypatch.setenv("REPRO_BACKEND", "process")
     db = Database(labelled_graph)
-    executor = db.executor(parallelism=4)
-    assert isinstance(executor, MorselExecutor)
-    assert executor.backend == "process"
-    # parallelism=1 stays the serial oracle regardless of the backend knob.
-    assert isinstance(db.executor(parallelism=1), Executor)
+    assert _backend(db, parallelism=4) == "process"
+    # parallelism=1 stays the inline oracle regardless of the backend knob.
+    assert _backend(db, parallelism=1) is None
     monkeypatch.delenv("REPRO_BACKEND")
-    assert db.executor(parallelism=4).backend == "thread"
+    assert _backend(db, parallelism=4) == "thread"
 
 
 def test_constructor_backend_beats_env(labelled_graph, monkeypatch):
     monkeypatch.setenv("REPRO_BACKEND", "thread")
     db = Database(labelled_graph, backend="serial")
-    assert db.executor(parallelism=4).backend == "serial"
+    assert _backend(db, parallelism=4) is None  # "serial" runs inline
     # The per-call argument wins over both.
-    assert db.executor(parallelism=4, backend="process").backend == "process"
+    assert _backend(db, parallelism=4, backend="process") == "process"
 
 
 def test_invalid_backend_rejected(labelled_graph, monkeypatch):
@@ -312,6 +319,23 @@ def test_invalid_backend_rejected(labelled_graph, monkeypatch):
     monkeypatch.setenv("REPRO_BACKEND", "bogus")
     with pytest.raises(ExecutionError):
         db.run(_one_leg(), parallelism=2)
+
+
+@pytest.mark.parametrize(
+    "option,message",
+    [
+        ({"num_workers": 0}, "num_workers"),
+        ({"morsel_size": 0}, "morsel_size"),
+        ({"max_retries": -1}, "max_retries"),
+        ({"backend": "gpu"}, "unknown morsel backend 'gpu'"),
+    ],
+    ids=["num_workers", "morsel_size", "max_retries", "backend"],
+)
+def test_plan_runner_rejects_bad_options(labelled_graph, option, message):
+    from repro.errors import ExecutionError
+
+    with pytest.raises(ExecutionError, match=message):
+        PlanRunner(labelled_graph, **{"backend": "thread", **option})
 
 
 def test_backend_instance_rejected_by_database(labelled_graph):

@@ -20,12 +20,7 @@ from repro import Database
 from repro.errors import QueryCancelledError, QueryTimeoutError
 from repro.query import executor as executor_module
 from repro.query.backends import fork_available
-from repro.query.executor import (
-    PARALLEL_MIN_ICOST,
-    Executor,
-    MorselExecutor,
-    effective_workers,
-)
+from repro.query.executor import PARALLEL_MIN_ICOST, PlanRunner, effective_workers
 from repro.query.operators import ExecutionStats
 from repro.query.pattern import QueryGraph
 from repro.query.plan import QueryPlan
@@ -36,7 +31,6 @@ from repro.server import server as server_module
 pytestmark = pytest.mark.production_gate
 
 BACKENDS = [
-    ("serial", 2),
     ("thread", 2),
     pytest.param(
         "process",
@@ -118,13 +112,12 @@ def test_inline_executor_uses_the_morsel_body_batch(db):
     plan = db.plan(_triangle())
     # The gated-inline run and parallelism=1 get the same runner, so the
     # same rows in flight (tests/test_rows_in_flight.py).
-    inline = db._make_executor(db.graph, 2, None, plan)
-    direct = db._make_executor(db.graph, 1, None, plan)
-    assert type(inline) is type(direct) is Executor
+    inline = db._make_executor(db.graph, *db._workers(plan, 2, None))
+    direct = db._make_executor(db.graph, *db._workers(plan, 1, None))
+    assert inline.backend is direct.backend is None
     assert inline.batch_size == direct.batch_size == 32
-    # A MorselExecutor built by hand is untouched.
-    assert isinstance(db.executor(parallelism=2), MorselExecutor)
-    forced = MorselExecutor(db.graph, batch_size=32, num_workers=2, backend="serial")
+    # A runner built by hand with a backend is untouched.
+    forced = PlanRunner(db.graph, batch_size=32, num_workers=2, backend="thread")
     assert forced.run(plan).stats.morsels_dispatched > 0
     assert all(len(batch) <= 32 for batch in inline.execute(plan))
 
@@ -158,7 +151,7 @@ def test_every_parallelism_source_is_a_ceiling(social_graph, monkeypatch, source
 def test_inline_identical_to_dispatcher_on_every_sink(db, name, backend, workers):
     query = QUERIES[name]()
     plan = db.plan(query)
-    forced = MorselExecutor(
+    forced = PlanRunner(
         db.graph, batch_size=db.batch_size, num_workers=workers, backend=backend
     )
     # run: rows, order and the full logical ExecutionStats.
@@ -170,7 +163,9 @@ def test_inline_identical_to_dispatcher_on_every_sink(db, name, backend, workers
     # count (factorized and flat), collect(limit=), exists.
     for factorized in (None, False):
         inline_stats, pooled_stats = ExecutionStats(), ExecutionStats()
-        inline_executor = db._make_executor(db.graph, workers, backend, plan)
+        inline_executor = db._make_executor(
+            db.graph, *db._workers(plan, workers, backend)
+        )
         assert inline_executor.count(
             plan, factorized=factorized, stats=inline_stats
         ) == forced.count(plan, factorized=factorized, stats=pooled_stats)
@@ -203,7 +198,7 @@ def test_inline_agrees_with_the_naive_oracle(db, social_oracle, name):
 
 def test_inline_limit_and_exists_stop_early(db):
     plan = db.plan(_two_hop())
-    executor = db._make_executor(db.graph, 2, None, plan)
+    executor = db._make_executor(db.graph, *db._workers(plan, 2, None))
     full, limited, probed = ExecutionStats(), ExecutionStats(), ExecutionStats()
     rows = executor.collect(plan, stats=full)
     assert executor.collect(plan, limit=3, stats=limited) == rows[:3]
@@ -228,6 +223,57 @@ def test_describe_prints_the_decision(db, monkeypatch):
     assert f"execution: parallel up to the requested workers — {cost} >= 1" in (
         plan.describe()
     )
+
+
+ENTRY_POINTS = ["run", "count", "collect", "exists"]
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_serial_backend_runs_inline_above_the_gate(social_graph, monkeypatch, entry):
+    """"serial" names no pool: one worker, inline, however many are allowed."""
+    _set_gate(monkeypatch, 0)  # every estimated plan is above the gate
+    dispatched = []
+    plain = PlanRunner._dispatch
+
+    def dispatch(runner, *args):
+        dispatched.append(runner.backend)
+        return plain(runner, *args)
+
+    monkeypatch.setattr(PlanRunner, "_dispatch", dispatch)
+    serial_db = Database(social_graph, batch_size=32, backend="serial", parallelism=4)
+    plan = serial_db.plan(_triangle())
+    assert effective_workers(plan, 4) == 4
+    inline = getattr(serial_db, entry)(plan)
+    assert dispatched == []
+    pooled = getattr(serial_db, entry)(plan, backend="thread")
+    assert dispatched == ["thread"]
+    if entry == "run":
+        assert inline.stats.morsels_dispatched == 0 < pooled.stats.morsels_dispatched
+        assert inline.count == pooled.count
+    else:
+        assert inline == pooled
+    assert serial_db._workers(plan, 4, None) == (1, "serial")
+    # A runner given the name runs inline too.
+    assert PlanRunner(social_graph, backend="serial", num_workers=4).backend is None
+
+
+@pytest.mark.parametrize("mode", ENTRY_POINTS)
+def test_server_runs_the_serial_backend_inline_above_the_gate(db, monkeypatch, mode):
+    _set_gate(monkeypatch, 0)
+    plan = db.plan(_triangle())
+    with db.server(ServerConfig(backend="thread")) as server:
+        inline = server.submit(plan, mode=mode, backend="serial", parallelism=4)
+        pooled = server.submit(plan, mode=mode, parallelism=4)
+        inline, pooled = inline.result(timeout=30), pooled.result(timeout=30)
+        counters = server.stats.snapshot()
+    assert (counters["inline"], counters["pooled"]) == (1, 1)
+    assert server.supervisor.pools_created == 1
+    if mode == "run":
+        assert inline.stats.morsels_dispatched == 0 < pooled.stats.morsels_dispatched
+        assert inline.count == pooled.count
+    else:
+        assert inline == pooled
+    _assert_reconciled(server)
 
 
 def test_server_counts_inline_and_pooled(db, monkeypatch):
@@ -270,7 +316,7 @@ def between_batches(monkeypatch):
     """Run ``action()`` once, after the inline query emitted its first batch."""
 
     def install(action):
-        plain = Executor.execute
+        plain = PlanRunner.execute
 
         def execute(self, plan, stats=None, runtime=None, count_only=False):
             stream = plain(
@@ -280,7 +326,7 @@ def between_batches(monkeypatch):
             action()
             yield from stream
 
-        monkeypatch.setattr(Executor, "execute", execute)
+        monkeypatch.setattr(PlanRunner, "execute", execute)
 
     return install
 

@@ -6,7 +6,7 @@ pre-pipeline generator chain, kept verbatim as
 
 * **byte-identity** — matches, their order, and the work-counter stats are
   identical to the legacy executor across the query zoo × graph shapes ×
-  serial/thread/process backends (smoke subset in tier-1, the full matrix
+  the inline runner and the thread/process backends (smoke subset in tier-1, the full matrix
   behind the ``fuzz`` marker);
 * **early termination** — ``collect(limit=)`` halts the pipeline across
   batches *and* across morsels: strictly fewer morsels dispatched than the
@@ -31,9 +31,8 @@ import pytest
 from repro import Database
 from repro.graph import GraphBuilder
 from repro.graph.generators import LabelledGraphSpec, generate_labelled_graph
-from repro.query import MorselExecutor, QueryGraph, cmp, prop
-from repro.query.backends import SerialBackend
-from repro.query.executor import Executor
+from repro.query import PlanRunner, QueryGraph, cmp, prop
+from repro.query.backends import ThreadBackend
 from repro.query.operators import ExecutionContext, ExecutionStats
 from repro.query.pipeline import (
     CountSink,
@@ -44,7 +43,7 @@ from repro.query.pipeline import (
     run_pipeline_legacy,
 )
 
-BACKEND_NAMES = ("serial", "thread", "process")
+BACKEND_NAMES = ("thread", "process")
 
 fuzz = pytest.mark.skipif(
     os.environ.get("RUN_FUZZ") != "1",
@@ -219,14 +218,14 @@ def check_pipeline_combo(
 
     serial_stats = ExecutionStats()
     serial = FlattenSink().drain(
-        Executor(db.graph, batch_size=db.batch_size).execute(
+        PlanRunner(db.graph, batch_size=db.batch_size).execute(
             plan, stats=serial_stats
         )
     )
     assert serial == matches, context
     assert serial_stats == legacy_stats, context
 
-    executor = MorselExecutor(
+    executor = PlanRunner(
         db.graph,
         batch_size=db.batch_size,
         num_workers=num_workers,
@@ -255,13 +254,13 @@ def test_smoke_pipeline_matches_legacy_triangle(graph_key, backend):
     check_pipeline_combo(graph_key, 3, "triangle", backend)
 
 
-@pytest.mark.parametrize("backend", ("serial", "thread"))
+@pytest.mark.parametrize("backend", ("thread",))
 def test_smoke_pipeline_matches_legacy_empty(backend):
     check_pipeline_combo("empty", 3, "one_leg", backend)
 
 
 def test_smoke_pipeline_predicated_uniform():
-    check_pipeline_combo("uniform", 3, "predicated", "serial")
+    check_pipeline_combo("uniform", 3, "predicated", "thread")
 
 
 # ----------------------------------------------------------------------
@@ -302,7 +301,7 @@ def test_fuzz_pipeline_morsel_boundaries(backend, morsel_size):
 # early termination: collect(limit=) short-circuits across morsels
 # ----------------------------------------------------------------------
 def _limit_executor(db, backend, morsel_size=4, num_workers=2, **kwargs):
-    return MorselExecutor(
+    return PlanRunner(
         db.graph,
         batch_size=db.batch_size,
         num_workers=num_workers,
@@ -378,7 +377,7 @@ def test_exists_short_circuits_morsels():
 
     empty_db, empty_plan, (empty_matches, _) = _baseline("empty", 3, "one_leg")
     assert empty_matches == []
-    assert Executor(empty_db.graph).exists(empty_plan) is False
+    assert PlanRunner(empty_db.graph).exists(empty_plan) is False
 
 
 def test_database_collect_limit_prefix_on_all_backends():
@@ -394,10 +393,11 @@ def test_database_collect_limit_prefix_on_all_backends():
 # ----------------------------------------------------------------------
 # regression: the pre-refactor dispatcher refilled past a satisfied limit
 # ----------------------------------------------------------------------
-class CountingSerialBackend(SerialBackend):
-    """Serial backend that records every submission it receives."""
+class CountingThreadBackend(ThreadBackend):
+    """Thread backend that records every submission it receives."""
 
     def __init__(self) -> None:
+        super().__init__(num_workers=2)
         self.submissions = []
 
     def submit(self, start, stop, index=0, attempt=0):
@@ -415,8 +415,8 @@ def test_regression_limit_stops_dispatching_morsels():
     satisfied in morsel 0, exactly the initial window is ever submitted.
     """
     db, plan, (matches, _) = _baseline("uniform", 3, "triangle")
-    backend = CountingSerialBackend()
-    executor = MorselExecutor(
+    backend = CountingThreadBackend()
+    executor = PlanRunner(
         db.graph,
         batch_size=db.batch_size,
         num_workers=2,
@@ -428,7 +428,10 @@ def test_regression_limit_stops_dispatching_morsels():
     assert total_morsels > window + 1
 
     stats = ExecutionStats()
-    limited = executor.collect(plan, limit=1, stats=stats)
+    try:
+        limited = executor.collect(plan, limit=1, stats=stats)
+    finally:
+        backend.shutdown()  # an instance's owner shuts it down
     assert limited == matches[:1]
     # The first morsel (vertex 0) satisfies limit=1 on this graph; the
     # pre-refactor refill-before-yield would have submitted window + 1.
@@ -439,8 +442,8 @@ def test_regression_limit_stops_dispatching_morsels():
 
 def test_unlimited_run_still_dispatches_every_morsel():
     db, plan, (matches, _) = _baseline("uniform", 3, "triangle")
-    backend = CountingSerialBackend()
-    executor = MorselExecutor(
+    backend = CountingThreadBackend()
+    executor = PlanRunner(
         db.graph,
         batch_size=db.batch_size,
         num_workers=2,
@@ -448,7 +451,10 @@ def test_unlimited_run_still_dispatches_every_morsel():
         backend=backend,
     )
     stats = ExecutionStats()
-    assert executor.collect(plan, stats=stats) == matches
+    try:
+        assert executor.collect(plan, stats=stats) == matches
+    finally:
+        backend.shutdown()
     total_morsels = len(executor.morsel_ranges(plan))
     assert len(backend.submissions) == total_morsels
     assert stats.morsels_dispatched == total_morsels
@@ -462,7 +468,7 @@ def test_fake_clock_serial_timings_present_and_bounded():
     labels = PipelineBuilder(plan).build().labels
     clock = FakeClock()
     stats = ExecutionStats()
-    executor = Executor(db.graph, batch_size=db.batch_size, clock=clock)
+    executor = PlanRunner(db.graph, batch_size=db.batch_size, clock=clock)
     before = clock.now
     count = CountSink().drain(executor.execute(plan, stats=stats))
     elapsed = clock.now - before
@@ -478,18 +484,18 @@ def test_fake_clock_serial_timings_present_and_bounded():
 
 
 def test_fake_clock_morsel_dispatch_merges_stage_times():
-    # The serial backend runs morsel bodies inline, so a fake clock threads
-    # through MorselExecutor(clock=...) deterministically; per-stage times
-    # merge key-wise across morsels.
+    # One worker thread runs the morsel bodies one after another, so a fake
+    # clock threads through PlanRunner(clock=...) deterministically;
+    # per-stage times merge key-wise across morsels.
     db, plan, _ = _baseline("uniform", 3, "triangle")
     labels = PipelineBuilder(plan).build().labels
     clock = FakeClock()
-    executor = MorselExecutor(
+    executor = PlanRunner(
         db.graph,
         batch_size=db.batch_size,
-        num_workers=2,
+        num_workers=1,
         morsel_size=8,
-        backend="serial",
+        backend="thread",
         clock=clock,
     )
     stats = ExecutionStats()
@@ -507,7 +513,7 @@ def test_fake_clock_morsel_dispatch_merges_stage_times():
 def test_timings_survive_process_columnar_transport():
     db, plan, _ = _baseline("uniform", 3, "triangle")
     labels = PipelineBuilder(plan).build().labels
-    executor = MorselExecutor(
+    executor = PlanRunner(
         db.graph, batch_size=db.batch_size, num_workers=2, backend="process"
     )
     stats = ExecutionStats()
@@ -536,11 +542,11 @@ def test_factorized_pipeline_times_suffix_stages():
         pytest.skip("triangle plan has no factorizable suffix on this build")
     clock = FakeClock()
     stats = ExecutionStats()
-    executor = Executor(db.graph, batch_size=db.batch_size, clock=clock)
+    executor = PlanRunner(db.graph, batch_size=db.batch_size, clock=clock)
     count = CountSink().drain(executor.execute(plan, stats=stats, count_only=True))
     flat = ExecutionStats()
     flat_count = CountSink().drain(
-        Executor(db.graph, batch_size=db.batch_size).execute(plan, stats=flat)
+        PlanRunner(db.graph, batch_size=db.batch_size).execute(plan, stats=flat)
     )
     assert count == flat_count
     factorized_labels = PipelineBuilder(plan).build(count_only=True).labels
@@ -563,7 +569,7 @@ def test_pipeline_builder_labels_and_describe():
 
 def test_sinks_halt_contract():
     db, plan, _ = _baseline("uniform", 3, "triangle")
-    executor = Executor(db.graph, batch_size=db.batch_size)
+    executor = PlanRunner(db.graph, batch_size=db.batch_size)
 
     limit = LimitSink(4)
     assert not limit.satisfied

@@ -32,7 +32,7 @@ from repro.query.backends import (
     reply_checksum,
     run_morsel,
 )
-from repro.query.executor import Executor
+from repro.query.executor import PlanRunner
 from repro.query.operators import ExecutionStats
 from repro.workloads import fraud
 from repro.workloads.datasets import financial_dataset
@@ -163,7 +163,7 @@ class TestGenerationPinning:
     def test_pickled_plan_still_executes_against_generation_g(self, zipf_db):
         plan = zipf_db.plan(_triangle())
         pinned = plan.pinned_generation
-        before = Executor(plan.store_snapshot.graph).run(plan, materialize=True)
+        before = PlanRunner(plan.store_snapshot.graph).run(plan, materialize=True)
 
         self._flush_some_edges(zipf_db)
         assert zipf_db.store.generation == pinned + 1
@@ -172,7 +172,7 @@ class TestGenerationPinning:
         # the G generation, plan and graph consistently.
         clone = pickle.loads(pickle.dumps(plan))
         assert clone.pinned_generation == pinned
-        replay = Executor(clone.store_snapshot.graph).run(clone, materialize=True)
+        replay = PlanRunner(clone.store_snapshot.graph).run(clone, materialize=True)
         assert replay.matches == before.matches
         assert _stats_dict(replay.stats) == _stats_dict(before.stats)
 
@@ -251,10 +251,10 @@ class TestProbePlanRoundTrip:
             op.describe() for op in plan.operators
         ]
         assert clone.factorized_suffix_start() == plan.factorized_suffix_start()
-        replay = Executor(clone.store_snapshot.graph).run(clone, materialize=True)
+        replay = PlanRunner(clone.store_snapshot.graph).run(clone, materialize=True)
         assert replay.matches == before.matches
         assert _stats_dict(replay.stats) == _stats_dict(before.stats)
-        assert Executor(clone.store_snapshot.graph).count(clone) == before.count
+        assert PlanRunner(clone.store_snapshot.graph).count(clone) == before.count
 
     def test_process_backend_runs_a_probe_plan(self, mf3):
         db, plan = mf3
@@ -270,8 +270,7 @@ class TestStoreGenerationCounter:
         store = zipf_db.store
         start = store.generation
         snapshot = store.snapshot()
-        self_export = store.export_snapshot()
-        assert self_export.generation == start
+        assert store.state.generation == start
         zipf_db.reconfigure_primary(zipf_db.primary_index.config)
         assert store.generation == start + 1
         # Pinned snapshots never follow the swap.

@@ -1,9 +1,9 @@
 """Rows in flight: one rule, decided by the sink, on every runner.
 
 A run whose sink needs no rows (``count()``, ``run(factorized=True)``)
-carries ``COUNT_ONLY_COALESCE`` × ``batch_size`` rows per batch on the direct
-serial ``Executor``, the inline runner and the morsel bodies of every
-backend; a run whose sink needs rows carries ``batch_size`` on every inline
+carries ``COUNT_ONLY_COALESCE`` × ``batch_size`` rows per batch on the
+``parallelism=1`` runner, the gated inline runner and the morsel bodies of
+every backend; a run whose sink needs rows carries ``batch_size`` on every inline
 run and ``DEFAULT_COALESCE`` × ``batch_size`` in a morsel body.
 The scan stage's batch count (``operator_batches["0:scan"]``) over the
 150-vertex social graph, where every vertex passes the scan, says which size
@@ -23,8 +23,7 @@ from repro.query.backends import fork_available
 from repro.query.executor import (
     COUNT_ONLY_COALESCE,
     DEFAULT_COALESCE,
-    Executor,
-    MorselExecutor,
+    PlanRunner,
     rows_in_flight,
 )
 from repro.query.operators import ExecutionStats, ScanVertices
@@ -75,10 +74,11 @@ def db(social_graph):
 
 def _runner(db, plan, name):
     if name in ("direct", "inline"):
-        runner = db._make_executor(db.graph, 1 if name == "direct" else 2, None, plan)
-        assert type(runner) is Executor
+        requested = 1 if name == "direct" else 2
+        runner = db._make_executor(db.graph, *db._workers(plan, requested, None))
+        assert runner.backend is None
         return runner
-    return MorselExecutor(
+    return PlanRunner(
         db.graph, batch_size=BATCH, num_workers=2, morsel_size=MORSEL, backend=name
     )
 
@@ -173,8 +173,8 @@ def test_count_only_counters_equal_the_flat_oracle(
     plan = Database(social_graph).plan(query)
     # One suffix operator: the flat pipeline reads exactly the same lists.
     assert len(plan.operators) - plan.factorized_suffix_start() == 1
-    flat = Executor(social_graph).run(plan)
-    counted = Executor(social_graph, batch_size=batch_size).run(plan, factorized=True)
+    flat = PlanRunner(social_graph).run(plan)
+    counted = PlanRunner(social_graph, batch_size=batch_size).run(plan, factorized=True)
     assert counted.count == flat.count == social_oracle.count(query)
     for counter in (
         "lists_accessed",
@@ -206,6 +206,6 @@ def test_non_positive_batch_size_is_rejected_not_hung(social_graph, batch_size):
     worker.join(timeout=20)
     assert not worker.is_alive(), "count() hung on a non-positive batch_size"
     assert errors and "batch_size" in str(errors[0])
-    for build in (Executor, MorselExecutor):
+    for backend in (None, "thread"):
         with pytest.raises(ExecutionError, match="batch_size"):
-            build(social_graph, batch_size=batch_size)
+            PlanRunner(social_graph, batch_size=batch_size, backend=backend)

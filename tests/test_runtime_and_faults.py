@@ -264,8 +264,10 @@ class TestConfigurationErrors:
     def test_resolve_morsel_timeout_default_and_disable(self, monkeypatch):
         monkeypatch.delenv(MORSEL_TIMEOUT_ENV_VAR, raising=False)
         assert resolve_morsel_timeout() is not None
-        assert resolve_morsel_timeout(0) is None
-        assert resolve_morsel_timeout(12.5) == 12.5
+        monkeypatch.setenv(MORSEL_TIMEOUT_ENV_VAR, "0")
+        assert resolve_morsel_timeout() is None
+        monkeypatch.setenv(MORSEL_TIMEOUT_ENV_VAR, "12.5")
+        assert resolve_morsel_timeout() == 12.5
 
     def test_resolve_morsel_timeout_env_override(self, monkeypatch):
         monkeypatch.setenv(MORSEL_TIMEOUT_ENV_VAR, "3.5")
@@ -276,6 +278,7 @@ class TestConfigurationErrors:
         with pytest.raises(ExecutionError, match=MORSEL_TIMEOUT_ENV_VAR):
             resolve_morsel_timeout()
 
-    def test_negative_morsel_timeout_rejected(self):
+    def test_negative_morsel_timeout_rejected(self, monkeypatch):
+        monkeypatch.setenv(MORSEL_TIMEOUT_ENV_VAR, "-1")
         with pytest.raises(ExecutionError, match=">= 0"):
-            resolve_morsel_timeout(-1)
+            resolve_morsel_timeout()

@@ -18,6 +18,7 @@ whose lists union one sorted run per partition.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import numpy as np
@@ -26,6 +27,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from repro import Database  # noqa: E402
 from repro.graph import Direction, GraphBuilder  # noqa: E402
 from repro.graph.types import EdgeAdjacencyType, PropertyType  # noqa: E402
 from repro.index.config import IndexConfig  # noqa: E402
@@ -34,7 +36,10 @@ from repro.index.primary import AdjacencyIndex, PrimaryIndex  # noqa: E402
 from repro.index.vertex_partitioned import VertexPartitionedIndex  # noqa: E402
 from repro.index.views import OneHopView, TwoHopView  # noqa: E402
 from repro.predicates import CompareOp, Predicate, PropertyRef, cmp, prop  # noqa: E402
-from repro.query.operators import SortedRangeFilter  # noqa: E402
+from repro.query.naive import NaiveMatcher  # noqa: E402
+from repro.query.operators import ExtendIntersect, MultiExtend, SortedRangeFilter  # noqa: E402
+from repro.query.pattern import QueryGraph  # noqa: E402
+from repro.query.plan import QueryPlan  # noqa: E402
 from repro.storage.partition_keys import PartitionKey  # noqa: E402
 from repro.storage.sort_keys import SortKey  # noqa: E402
 
@@ -173,6 +178,9 @@ def _check_searched_read(case):
             values = sort_key.values(graph, edge_ids, nbr_ids)
             if probe_id is None:
                 mask = _admitted(values, sorted_filter.op, sorted_filter.value)
+                if sorted_filter.op in (CompareOp.GT, CompareOp.GE):
+                    # An open upper side stops before the nulls (last).
+                    mask &= ~sort_key.nulls(graph, edge_ids, nbr_ids)
             else:
                 probe = np.array([probe_id])
                 mask = _admitted(values, sorted_filter.op, sort_key.values(graph, probe, probe)[0])
@@ -214,27 +222,32 @@ def test_fuzz_searched_read_equals_masking_the_whole_list(case):
     _check_searched_read(case)
 
 
-def test_every_operator_and_null_probe_on_one_list():
-    """Deterministic anchors: a duplicate run at the probe, nulls last."""
+def _one_list_graph(ptype=PropertyType.INT):
+    """Vertex 0's eight out-edges, ``w`` with a duplicate run and two nulls."""
     builder = GraphBuilder()
-    builder.declare_edge_property("w", PropertyType.INT)
+    builder.declare_edge_property("w", ptype)
     for _ in range(3):
         builder.add_vertex("V")
     w = [5, 1, None, 3, 3, 3, 9, None]
     builder.add_edges([0] * 8, [1, 2, 1, 2, 1, 2, 1, 2], "L0", properties={"w": w})
-    graph = builder.build()
+    return builder.build()
+
+
+def test_every_operator_and_null_probe_on_one_list():
+    """Deterministic anchors: a duplicate run at the probe, nulls last."""
+    graph = _one_list_graph()
     config = IndexConfig(partition_keys=(), sort_keys=(SortKey.edge_property("w"),))
     index = AdjacencyIndex(graph, Direction.FORWARD, config)
     bounds = np.array([0, 1, 0])  # vertex 1 has no out-edges; 0 repeats
     expected = {
         (CompareOp.LT, 3): 1,
         (CompareOp.LE, 3): 4,
-        (CompareOp.GT, 3): 4,  # 5, 9 and both nulls
-        (CompareOp.GE, 3): 7,
+        (CompareOp.GT, 3): 2,  # 5 and 9, not the nulls
+        (CompareOp.GE, 3): 5,
         (CompareOp.EQ, 3): 3,
         (CompareOp.EQ, NULL_PROBE): 2,
         (CompareOp.LT, NULL_PROBE): 6,
-        (CompareOp.GT, 10): 2,
+        (CompareOp.GT, 10): 0,
         (CompareOp.LT, 0): 0,
     }
     for (op, value), admitted in expected.items():
@@ -245,3 +258,50 @@ def test_every_operator_and_null_probe_on_one_list():
         assert searched.tolist() == counts.tolist()
         one = index.list(0)
         assert edge_ids[:admitted].tolist() == sorted_filter.apply(graph, *one)[0].tolist()
+
+
+def _rowwise(plan: QueryPlan) -> QueryPlan:
+    """``plan`` with its extensions tuple-at-a-time (``vectorized=False``)."""
+    return QueryPlan(
+        query=plan.query,
+        operators=[
+            dataclasses.replace(operator, vectorized=False)
+            if isinstance(operator, (ExtendIntersect, MultiExtend))
+            else operator
+            for operator in plan.operators
+        ],
+    )
+
+
+@pytest.mark.parametrize("op", ["<", "<=", ">", ">=", "="])
+@pytest.mark.parametrize("ptype", [PropertyType.INT, PropertyType.FLOAT])
+def test_constant_filter_on_a_w_sorted_list_counts_as_the_oracle(ptype, op):
+    """A ``>``/``>=`` constant admits no null: batched, count-only and
+    tuple-at-a-time runs all count what the naive matcher counts.  On a
+    float key the optimizer keeps ``>``/``>=`` in the residual instead."""
+    graph = _one_list_graph(ptype)
+    db = Database(
+        graph,
+        primary_config=IndexConfig(
+            partition_keys=(), sort_keys=(SortKey.edge_property("w"), SortKey.neighbour_id())
+        ),
+    )
+    query = QueryGraph(f"w{op}3")
+    query.add_vertex("a")
+    query.add_vertex("b")
+    query.add_edge("a", "b", name="e")
+    query.add_predicate(cmp(prop("e", "w"), op, 3))
+    expected = NaiveMatcher(graph).count(query)
+    assert expected == {"<": 1, "<=": 4, ">": 2, ">=": 5, "=": 3}[op]
+    plan = db.plan(query)
+    searched = [
+        leg.sorted_filter
+        for operator in plan.operators
+        for leg in getattr(operator, "legs", ())
+        if leg.sorted_filter is not None
+    ]
+    open_above = op in (">", ">=")
+    assert bool(searched) is not (open_above and ptype is PropertyType.FLOAT)
+    assert db.count(plan, factorized=False) == expected
+    assert db.count(plan) == expected
+    assert db.count(_rowwise(plan), factorized=False) == expected

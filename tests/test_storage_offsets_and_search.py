@@ -99,9 +99,9 @@ class TestMemoryReport:
         report = MemoryReport([a, b])
         baseline = MemoryReport([a])
         assert report.total == 150
-        assert report.ratio_to(baseline) == pytest.approx(150 / 120)
+        assert report.total / baseline.total == pytest.approx(150 / 120)
         assert "TOTAL" in report.format_table()
-        assert a.as_dict()["total"] == 120
+        assert a.total == 120
 
     def test_format_bytes(self):
         assert format_bytes(10) == "10 B"
