@@ -13,8 +13,10 @@ from __future__ import annotations
 import os
 import sys
 
-# Allow running the bench files as plain scripts from the repository root.
-sys.path.insert(0, os.path.dirname(__file__))
+# Allow running the bench files as plain scripts from the repository root,
+# with no ``PYTHONPATH``: the sibling scripts and the package under ``src/``.
+_HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path[:0] = [_HERE, os.path.join(os.path.dirname(_HERE), "src")]
 
 from repro.query.pattern import QueryGraph  # noqa: E402
 

@@ -228,13 +228,14 @@ def decode_batches(encoded: Sequence[EncodedBatch]) -> List[MatchBatch]:
 #: One encoded segment: target vars and per-row cardinalities.
 EncodedSegment = Tuple[Tuple[str, ...], np.ndarray]
 
-#: One encoded factorized batch: the prefix's (names, column buffers) plus
-#: the per-operator segment buffers.  This is the whole point of factorized
-#: transport: workers reply with per-row cardinalities instead of the
-#: expanded cross-product columns, so the process backend's IPC shrinks by
-#: the combination fan-out.
+#: One encoded factorized batch: the prefix's (names, column buffers), the
+#: per-operator segment buffers and the prefix's row weights (``None`` for an
+#: unmerged prefix).  This is the whole point of factorized transport:
+#: workers reply with per-row cardinalities instead of the expanded
+#: cross-product columns, so the process backend's IPC shrinks by the
+#: combination fan-out.
 EncodedFactorizedBatch = Tuple[
-    Tuple[str, ...], List[np.ndarray], List[EncodedSegment]
+    Tuple[str, ...], List[np.ndarray], List[EncodedSegment], Optional[np.ndarray]
 ]
 
 
@@ -254,6 +255,7 @@ def encode_factorized_batches(
                 tuple(prefix.variables),
                 [prefix.column(name) for name in prefix.variables],
                 segments,
+                prefix.weights,
             )
         )
     return encoded
@@ -265,13 +267,13 @@ def decode_factorized_batches(
     """Rebuild :class:`FactorizedBatch` objects from their raw buffers."""
     return [
         FactorizedBatch(
-            prefix=MatchBatch(dict(zip(names, columns))),
+            prefix=MatchBatch(dict(zip(names, columns)), weights),
             segments=tuple(
                 FactorizedSegment(target_vars, cardinalities)
                 for target_vars, cardinalities in segments
             ),
         )
-        for names, columns, segments in encoded
+        for names, columns, segments, weights in encoded
     ]
 
 

@@ -5,6 +5,13 @@ int64 column per bound query variable (vertex or edge), all of equal length.
 Operators consume and produce batches; representing matches columnar keeps the
 per-tuple Python overhead of the interpreter-based executor manageable and
 allows predicates to be evaluated vectorized.
+
+A batch may carry int64 ``weights``: row ``i`` then stands for
+``weights[i]`` equal partial matches.  Only a count-only pipeline builds such
+batches — it merges a flat stage's output on the variables later operators
+read (:func:`repro.query.operators.merge_rows`) — and every transformation
+here carries the weights along, so :meth:`MatchBatch.match_count` stays the
+number of partial matches the flat pipeline would hold.
 """
 
 from __future__ import annotations
@@ -20,15 +27,24 @@ DEFAULT_BATCH_SIZE = 1024
 
 
 class MatchBatch:
-    """A column-oriented batch of partial matches."""
+    """A column-oriented batch of partial matches.
 
-    def __init__(self, columns: Dict[str, np.ndarray]) -> None:
+    ``weights`` (optional, int64, one per row) is how many partial matches
+    each row stands for; ``None`` means one each.
+    """
+
+    def __init__(
+        self, columns: Dict[str, np.ndarray], weights: Optional[np.ndarray] = None
+    ) -> None:
         lengths = {len(col) for col in columns.values()}
+        if weights is not None:
+            lengths.add(len(weights))
         if len(lengths) > 1:
             raise ExecutionError(f"ragged match batch: column lengths {lengths}")
         self._columns = {
             name: np.asarray(col, dtype=np.int64) for name, col in columns.items()
         }
+        self.weights = None if weights is None else np.asarray(weights, dtype=np.int64)
         self._length = lengths.pop() if lengths else 0
 
     # ------------------------------------------------------------------
@@ -49,12 +65,15 @@ class MatchBatch:
         return self._length
 
     def match_count(self) -> int:
-        """Matches this batch contributes — ``len`` for a flat batch.
+        """Matches this batch contributes — ``len`` for an unweighted batch,
+        the sum of the weights otherwise.
 
         Mirrors :meth:`repro.query.factorized.FactorizedBatch.match_count`
         so count sinks can treat both stream shapes uniformly.
         """
-        return self._length
+        if self.weights is None:
+            return self._length
+        return int(self.weights.sum())
 
     @property
     def variables(self) -> List[str]:
@@ -79,12 +98,16 @@ class MatchBatch:
     # ------------------------------------------------------------------
     def select(self, mask: np.ndarray) -> "MatchBatch":
         """Keep only the rows where ``mask`` is True."""
-        return MatchBatch({name: col[mask] for name, col in self._columns.items()})
+        return MatchBatch(
+            {name: col[mask] for name, col in self._columns.items()},
+            None if self.weights is None else self.weights[mask],
+        )
 
     def repeat(self, counts: np.ndarray) -> "MatchBatch":
         """Repeat row ``i`` ``counts[i]`` times (the extend/explode step)."""
         return MatchBatch(
-            {name: np.repeat(col, counts) for name, col in self._columns.items()}
+            {name: np.repeat(col, counts) for name, col in self._columns.items()},
+            None if self.weights is None else np.repeat(self.weights, counts),
         )
 
     def with_columns(self, new_columns: Mapping[str, np.ndarray]) -> "MatchBatch":
@@ -94,17 +117,26 @@ class MatchBatch:
             if name in merged:
                 raise ExecutionError(f"variable {name!r} is already bound")
             merged[name] = np.asarray(col, dtype=np.int64)
-        return MatchBatch(merged)
+        return MatchBatch(merged, self.weights)
 
     def concat(self, other: "MatchBatch") -> "MatchBatch":
         if set(self._columns) != set(other._columns):
             raise ExecutionError("cannot concatenate batches with different variables")
+        weights = None
+        if self.weights is not None or other.weights is not None:
+            weights = np.concatenate([self._weights_or_ones(), other._weights_or_ones()])
         return MatchBatch(
             {
                 name: np.concatenate([col, other._columns[name]])
                 for name, col in self._columns.items()
-            }
+            },
+            weights,
         )
+
+    def _weights_or_ones(self) -> np.ndarray:
+        if self.weights is None:
+            return np.ones(self._length, dtype=np.int64)
+        return self.weights
 
     def split(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator["MatchBatch"]:
         """Yield consecutive sub-batches of at most ``batch_size`` rows."""
@@ -112,11 +144,10 @@ class MatchBatch:
             yield self
             return
         for start in range(0, self._length, batch_size):
+            stop = start + batch_size
             yield MatchBatch(
-                {
-                    name: col[start : start + batch_size]
-                    for name, col in self._columns.items()
-                }
+                {name: col[start:stop] for name, col in self._columns.items()},
+                None if self.weights is None else self.weights[start:stop],
             )
 
     def to_dicts(self) -> List[Dict[str, int]]:

@@ -674,7 +674,12 @@ class Database:
             "  and filters once per distinct bound key of a batch, an "
             "intersection fetches\n"
             "  each distinct list once (plan.describe(): 'suffix counts per "
-            "distinct key').\n"
+            "distinct key'),\n"
+            "  and a flat stage before the suffix may be fed rows merged on "
+            "the variables\n"
+            "  later operators read, one weighted row per distinct key "
+            "(plan.describe():\n"
+            "  'rows merged on (c) after 2:extend').\n"
             "  lists_accessed / list_entries_fetched stay logical — every "
             "row is charged\n"
             "  its own list, identically on every path — while lists_shared "

@@ -19,12 +19,21 @@ per-row cardinality segments instead:
 * because the plan analysis (:meth:`~repro.query.plan.QueryPlan
   .factorized_suffix_start`) only admits *mutually independent* suffix
   operators, the match count of the batch is the sum over prefix rows of
-  the product of the per-segment cardinalities — one vectorized
-  multiply/sum pass, zero combo expansion.
+  the prefix row's weight times the product of the per-segment
+  cardinalities — one vectorized multiply/sum pass, zero combo expansion.
 
-The flat path remains the kept oracle: the differential suite
-(``tests/test_factorized_count.py``) pins ``count()`` equality between the
-representations across every backend.
+The flat stages before the suffix are list-based too when nothing reads
+their rows: at each of the plan's merge points
+(:meth:`~repro.query.plan.QueryPlan.merge_points`) a count-only pipeline
+projects a stage's output onto the variables later operators read and
+merges equal rows into one row whose weight is their number
+(:func:`~repro.query.operators.merge_rows`), so a later stage reads one
+list per distinct key and a prefix row carries a weight.  Every counter
+charges a row by its weight.
+
+The flat path remains the kept oracle: the differential suites
+(``tests/test_factorized_count.py``, ``tests/test_merged_prefix.py``) pin
+``count()`` equality between the representations across every backend.
 """
 
 from __future__ import annotations
@@ -108,9 +117,15 @@ class SharedKeys:
         """Index of every row's key among the distinct keys."""
         return self._grouped()[1]
 
-    def weights(self) -> np.ndarray:
-        """Rows carrying each distinct key."""
-        return np.bincount(self.inverse(), minlength=self.distinct)
+    def weights(self, row_weights: Optional[np.ndarray] = None) -> np.ndarray:
+        """Partial matches carrying each distinct key: its rows, or the sum
+        of their ``row_weights`` (exact in int64, unlike a weighted
+        ``bincount``)."""
+        if row_weights is None:
+            return np.bincount(self.inverse(), minlength=self.distinct)
+        summed = np.zeros(self.distinct, dtype=np.int64)
+        np.add.at(summed, self.inverse(), row_weights)
+        return summed
 
     def columns(self) -> List[np.ndarray]:
         """The distinct keys, unpacked into one array per key column."""
@@ -148,8 +163,9 @@ class FactorizedBatch:
 
     Represents ``prefix × segment_1 × segment_2 × ...``: the segments are
     mutually independent given the prefix (guaranteed by the plan's suffix
-    analysis), so prefix row ``i`` stands for ``prod_j cardinalities_j[i]``
-    flat matches that are never materialized.
+    analysis), so prefix row ``i`` stands for ``weights[i] * prod_j
+    cardinalities_j[i]`` flat matches that are never materialized
+    (``weights`` being the prefix's, one per row when it has none).
     """
 
     prefix: MatchBatch
@@ -169,8 +185,14 @@ class FactorizedBatch:
     # cardinality arithmetic (the CountSink hot path)
     # ------------------------------------------------------------------
     def row_counts(self) -> np.ndarray:
-        """Flat matches represented by each prefix row (segment product)."""
-        counts = np.ones(len(self.prefix), dtype=np.int64)
+        """Flat matches represented by each prefix row: its weight times
+        the segment product."""
+        weights = self.prefix.weights
+        counts = (
+            np.ones(len(self.prefix), dtype=np.int64)
+            if weights is None
+            else weights.copy()
+        )
         for segment in self.segments:
             counts *= segment.cardinalities
         return counts
@@ -184,11 +206,12 @@ class FactorizedBatch:
 
         The flat path expands the first suffix operator's combinations,
         re-expands those rows by the second operator's, and so on — a
-        running product over the segment cascade,
-        ``sum_j sum_i prod_{k<=j} cardinalities_k[i]`` rows in total, none
-        of which the factorized path ever allocates.
+        running product over the segment cascade, for each of the
+        ``weights[i]`` partial matches a prefix row stands for,
+        ``sum_j sum_i weights[i] prod_{k<=j} cardinalities_k[i]`` rows in
+        total, none of which the factorized path ever allocates.
         """
-        accumulated: Optional[np.ndarray] = None
+        accumulated: Optional[np.ndarray] = self.prefix.weights
         total = 0
         for segment in self.segments:
             accumulated = (

@@ -51,9 +51,11 @@ For a sink that needs no rows the trailing extensions stay unexpanded and
 run count-only (:meth:`ExtendIntersect.count_factorized`,
 :meth:`MultiExtend.extend_factorized`): list lengths from the CSR offsets
 (searched under a sorted-range filter), and one fetch per *distinct* bound
-key of the batch where keys repeat.  The logical counters charge every row
-its own list on every one of these paths — a sorted list's searched run,
-on the per-row path too.
+key of the batch where keys repeat.  The flat stages before them may be fed
+merged rows (:func:`merge_rows`): a batch row with weight ``w`` stands for
+``w`` partial matches, and every operator charges it ``w`` times.  The
+logical counters charge every partial match its own list on every one of
+these paths — a sorted list's searched run, on the per-row path too.
 
 ``vectorized=False`` on the extension operators selects the legacy
 tuple-at-a-time path; it is kept only as the equivalence oracle the
@@ -103,7 +105,8 @@ class ExecutionStats:
     therefore identical across batch sizes, morsel cuts, backends and
     worker counts; ``segments_emitted`` advances once per (batch, suffix
     operator) pair, so it scales with how the prefix stream is batched —
-    compare it only within one execution configuration.
+    and a stage fed merged rows emits fewer of them — so compare it only
+    within one execution configuration.
 
     The fault-recovery counters advance only when the morsel runtime loses
     a worker: ``retries`` counts morsel failures the dispatcher handled
@@ -132,9 +135,10 @@ class ExecutionStats:
 
     ``lists_shared`` and ``entries_shared`` are the *physical* side of the
     logical ``lists_accessed``/``list_entries_fetched``: list reads and
-    list entries a count-only suffix operator did **not** repeat because
-    the rows of a batch shared their bound key (one read per distinct key,
-    see :class:`~repro.query.factorized.SharedKeys`).  The logical counters
+    list entries a count-only pipeline did **not** repeat because the rows
+    of a batch shared their bound key (one read per distinct key in the
+    suffix, see :class:`~repro.query.factorized.SharedKeys`, and one per
+    merged row in a flat stage, see :func:`merge_rows`).  The logical counters
     keep charging every row its own list, so ``list_entries_fetched -
     entries_shared`` is what the storage layer actually gathered.  Sharing
     happens within a batch, so both depend on how the prefix stream is cut
@@ -263,11 +267,12 @@ class SortedRangeFilter:
         value: the (already encoded) constant, or the probe: the same
             property of a bound variable of the same kind, read per row
             (``PropertyRef``).  A row whose probe is null admits nothing,
-            and a ``>``/``>=`` run stops before the list's null entries,
-            which sort last — the predicate it replaces is false on a null
-            either side.  On a float key a real ``+inf`` sorts with the
-            nulls and is cut with them, so the optimizer leaves a float
-            ``>``/``>=`` in the residual.
+            and every run but a ``<`` one (which stops below its value
+            anyway) stops before the list's null entries, which sort last
+            — the predicate it replaces is false on a null either side.
+            On a float key a real ``+inf`` sorts with the nulls and is cut
+            with them, so the optimizer leaves a float ``>``/``>=`` in the
+            residual, and any constant at or past the null sentinel.
     """
 
     sort_key: SortKey
@@ -286,8 +291,9 @@ class SortedRangeFilter:
         return self.sort_key.values(graph, ids, ids), self.sort_key.nulls(graph, ids, ids)
 
     def _below(self, dtype) -> Optional[float]:
-        """Where an open upper side stops: before the null entries."""
-        if self.op not in (CompareOp.GT, CompareOp.GE):
+        """Where a run stops: before the null entries.  A ``<`` run stops
+        at or before them by its own search."""
+        if self.op is CompareOp.LT:
             return None
         return null_sort_value(dtype)
 
@@ -310,15 +316,15 @@ class SortedRangeFilter:
             if null[0]:
                 return edge_ids[:0], nbr_ids[:0]
             value = probe[0]
-        below = self._below(values.dtype)
-        if below is not None:
-            end = int(np.searchsorted(values, below, side="left"))
         if self.op in LOWER_SIDE:
             start = int(np.searchsorted(values, value, side=LOWER_SIDE[self.op]))
         if self.op in UPPER_SIDE:
             end = int(np.searchsorted(values, value, side=UPPER_SIDE[self.op]))
         elif self.op not in LOWER_SIDE:
             raise ExecutionError(f"sorted-range filter does not support {self.op}")
+        below = self._below(values.dtype)
+        if below is not None:
+            end = min(end, int(np.searchsorted(values, below, side="left")))
         return edge_ids[start:end], nbr_ids[start:end]
 
     def search(
@@ -658,7 +664,8 @@ def _reconcile_combo_targets(
 #: 83 MB peak against 829 ops/s, 12.6 ms and 54 MB; the one-hop beside it
 #: pays 0.45 → 0.48 ms p50 in GIL hand-offs (3 passes each, 2 cores).  A
 #: gate of 1 (share on any repeat) measured the same as 2 (844 ops/s,
-#: 0.48 ms).
+#: 0.48 ms).  The same gate decides whether a flat stage's output batch is
+#: merged (:func:`merge_rows`).
 _SHARE_MIN_REPEAT = 2
 
 
@@ -684,6 +691,27 @@ def _key_domain(name: str, context: ExecutionContext) -> int:
 def _key_batch(leg: ExtensionLeg, keys: SharedKeys) -> MatchBatch:
     """One row per distinct key of ``leg``: what ``fetch_many`` reads."""
     return MatchBatch(dict(zip(leg.key_vars(), keys.columns())))
+
+
+def merge_rows(
+    batch: MatchBatch, names: Sequence[str], context: ExecutionContext
+) -> MatchBatch:
+    """``batch`` projected onto ``names``, equal rows merged into one.
+
+    What a count-only pipeline does to a flat stage's output at a merge
+    point (:meth:`~repro.query.plan.QueryPlan.merge_points`): ``names`` are
+    the bound variables later operators read, so rows that agree on them
+    extend to the same number of matches, and one row weighted by their
+    summed weights stands for all of them.  A batch whose projected rows
+    do not repeat (``_SHARE_MIN_REPEAT``) is only projected.
+    """
+    keys = SharedKeys(
+        [batch.column(name) for name in names],
+        [_key_domain(name, context) for name in names],
+    )
+    if keys.distinct * _SHARE_MIN_REPEAT > len(batch):
+        return MatchBatch({name: batch.column(name) for name in names}, batch.weights)
+    return MatchBatch(dict(zip(names, keys.columns())), keys.weights(batch.weights))
 
 
 # ----------------------------------------------------------------------
@@ -835,14 +863,14 @@ class ExtendIntersect(PhysicalOperator):
                 extended = self._extend_batch_multi(batch, context)
             if extended is None:
                 continue
-            context.stats.intermediate_rows += len(extended)
+            context.stats.intermediate_rows += extended.match_count()
 
             if not self.post_predicate.is_true and len(extended):
                 arrays = {
                     name: (context.variable_kind(name), extended.column(name))
                     for name in extended.variables
                 }
-                context.stats.predicate_evaluations += len(extended)
+                context.stats.predicate_evaluations += extended.match_count()
                 mask = self.post_predicate.evaluate_bulk(context.graph, {}, arrays)
                 extended = extended.select(mask)
             if len(extended):
@@ -855,7 +883,7 @@ class ExtendIntersect(PhysicalOperator):
     ) -> Optional[MatchBatch]:
         """Single-leg fast path: one gather, one repeat, no per-row loop."""
         leg = self.legs[0]
-        edge_ids, nbr_ids, counts = leg.fetch_many(context, batch)
+        edge_ids, nbr_ids, counts = leg.fetch_many(context, batch, batch.weights)
         if len(nbr_ids) == 0:
             return None
         new_columns = {self.target_var: nbr_ids}
@@ -875,7 +903,7 @@ class ExtendIntersect(PhysicalOperator):
         aligned with the intersected neighbours.
         """
         any_tracked = any(leg.track_edge for leg in self.legs)
-        per_leg = [leg.fetch_many(context, batch) for leg in self.legs]
+        per_leg = [leg.fetch_many(context, batch, batch.weights) for leg in self.legs]
         result = intersect_segments(
             [nbr_ids for _, nbr_ids, _ in per_leg],
             [counts for _, _, counts in per_leg],
@@ -916,7 +944,7 @@ class ExtendIntersect(PhysicalOperator):
                 "post-predicate; the plan's factorized-suffix analysis admits "
                 "nothing else"
             )
-        per_leg = [leg.fetch_many(context, batch) for leg in self.legs]
+        per_leg = [leg.fetch_many(context, batch, batch.weights) for leg in self.legs]
         result = intersect_segments(
             [nbr_ids for _, nbr_ids, _ in per_leg],
             [counts for _, _, counts in per_leg],
@@ -975,11 +1003,13 @@ class ExtendIntersect(PhysicalOperator):
     ) -> np.ndarray:
         leg = self.legs[0]
         if leg.is_unfiltered:
-            return leg.count_many(context, batch)
+            return leg.count_many(context, batch, batch.weights)
         keys = _leg_keys(leg, batch, context) if keys_may_repeat else None
         if keys is None or keys.distinct * _SHARE_MIN_REPEAT > len(batch):
-            return leg.count_many(context, batch)
-        counts = leg.count_many(context, _key_batch(leg, keys), weights=keys.weights())
+            return leg.count_many(context, batch, batch.weights)
+        counts = leg.count_many(
+            context, _key_batch(leg, keys), weights=keys.weights(batch.weights)
+        )
         return counts[keys.inverse()]
 
     def _count_multi(
@@ -1001,9 +1031,12 @@ class ExtendIntersect(PhysicalOperator):
                 [np.concatenate([batch.column(leg.bound_var) for leg in legs])],
                 [_key_domain(first.bound_var, context)],
             )
+            row_weights = (
+                None if batch.weights is None else np.tile(batch.weights, len(legs))
+            )
             fetched = [
                 first.fetch_many(
-                    context, _key_batch(first, union), weights=union.weights()
+                    context, _key_batch(first, union), weights=union.weights(row_weights)
                 )
             ]
             # A row's count is symmetric in its lists here: sort each row's
@@ -1019,7 +1052,9 @@ class ExtendIntersect(PhysicalOperator):
             tuples = SharedKeys(columns, [union.distinct] * len(legs))
         else:
             fetched = [
-                leg.fetch_many(context, _key_batch(leg, keys), weights=keys.weights())
+                leg.fetch_many(
+                    context, _key_batch(leg, keys), weights=keys.weights(batch.weights)
+                )
                 for leg, keys in zip(legs, leg_keys)
             ]
             tuples = SharedKeys(
@@ -1152,14 +1187,14 @@ class MultiExtend(PhysicalOperator):
                 extended = self._extend_rowwise(batch, context)
             if extended is None:
                 continue
-            context.stats.intermediate_rows += len(extended)
+            context.stats.intermediate_rows += extended.match_count()
 
             if not self.post_predicate.is_true and len(extended):
                 arrays = {
                     name: (context.variable_kind(name), extended.column(name))
                     for name in extended.variables
                 }
-                context.stats.predicate_evaluations += len(extended)
+                context.stats.predicate_evaluations += extended.match_count()
                 mask = self.post_predicate.evaluate_bulk(context.graph, {}, arrays)
                 extended = extended.select(mask)
             if len(extended):
@@ -1183,7 +1218,7 @@ class MultiExtend(PhysicalOperator):
         leg_counts = []
         presorted = []
         for leg in self.legs:
-            edge_ids, nbr_ids, counts = leg.fetch_many(context, batch)
+            edge_ids, nbr_ids, counts = leg.fetch_many(context, batch, batch.weights)
             per_leg.append((edge_ids, nbr_ids))
             leg_keys.append(self.equality_key.values(graph, edge_ids, nbr_ids))
             leg_counts.append(counts)
@@ -1251,7 +1286,7 @@ class MultiExtend(PhysicalOperator):
         leg_counts = []
         presorted = []
         for leg in self.legs:
-            edge_ids, nbr_ids, counts = leg.fetch_many(context, batch)
+            edge_ids, nbr_ids, counts = leg.fetch_many(context, batch, batch.weights)
             leg_keys.append(self.equality_key.values(graph, edge_ids, nbr_ids))
             leg_counts.append(counts)
             presorted.append(leg.access_path.sorted_by(self.equality_key))
@@ -1400,7 +1435,7 @@ class Filter(PhysicalOperator):
                 name: (context.variable_kind(name), batch.column(name))
                 for name in batch.variables
             }
-            context.stats.predicate_evaluations += len(batch)
+            context.stats.predicate_evaluations += batch.match_count()
             mask = self.predicate.evaluate_bulk(context.graph, {}, arrays)
             filtered = batch.select(mask)
             if len(filtered):

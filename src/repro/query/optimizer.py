@@ -25,7 +25,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from ..errors import PlanningError
 from ..graph.types import Direction, EdgeAdjacencyType, PropertyType
 from ..index.index_store import AccessPath, IndexStore
-from ..storage.sort_keys import SortKey
+from ..storage.sort_keys import SortKey, null_sort_value
 from .operators import (
     ExtendIntersect,
     ExtensionLeg,
@@ -628,7 +628,10 @@ class Optimizer:
         ``a4.city = a5.city`` on the leg from ``a1`` — is absorbed and
         returned as the third element.  A ``>``/``>=`` constant on a float
         property stays in the residual: its search stops before the nulls,
-        and a real ``+inf`` sorts with them.
+        and a real ``+inf`` sorts with them.  So does a constant at or past
+        the key's null sentinel (``int64.max``, or ``+inf`` on a float
+        key): every search stops before the sentinel, and a real value
+        equal to it would be cut with the nulls.
         """
         if not path.sort_keys:
             return None, residual, None
@@ -655,6 +658,9 @@ class Optimizer:
                 value = normalized.right.value
                 if isinstance(value, str):
                     value = encode_constant(self.graph, normalized.left, kind, value)
+                sentinel = null_sort_value("f8" if self._is_float(kind, prop) else "i8")
+                if float(value) >= sentinel:
+                    continue
                 sorted_filter = SortedRangeFilter(
                     sort_key=sort_key, op=normalized.op, value=float(value)
                 )

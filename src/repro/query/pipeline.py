@@ -27,6 +27,23 @@ Sinks are *push*-style: :meth:`Sink.push` consumes one batch and returns
   out).  This is what makes ``collect(limit=)`` genuinely short-circuit
   instead of post-filtering a full run.
 
+Merged rows in count-only pipelines
+-----------------------------------
+
+A count-only pipeline (``PipelineBuilder.build(count_only=True)``) is
+list-based before its factorized suffix too: after each flat stage that is
+one of the plan's merge points (:meth:`~repro.query.plan.QueryPlan
+.merge_points`) the stage's output batches are projected onto the variables
+later operators read and equal rows are merged into one row weighted by
+their number (:func:`~repro.query.operators.merge_rows`, kept per batch
+only when the rows repeat).  The next stage then reads one list per
+distinct key, and every operator charges its logical counters by the row
+weights, so they — and ``output_rows``/``combos_avoided`` — equal the
+unmerged run's; the physical ``lists_shared``/``entries_shared`` record the
+reads spared.  The merge runs inside the stage's timed region.  Flat
+pipelines never merge: ``run``/``collect``/``exists`` and
+``count(factorized=False)`` see every row.
+
 Per-stage observability
 -----------------------
 
@@ -61,6 +78,7 @@ from .operators import (
     Filter,
     MultiExtend,
     ScanVertices,
+    merge_rows,
 )
 from .plan import QueryPlan
 
@@ -136,6 +154,14 @@ def _timed_stage(
         if done:
             return
         yield item
+
+
+def _merged(
+    stream: Iterator[MatchBatch], names: Tuple[str, ...], context: ExecutionContext
+) -> Iterator[MatchBatch]:
+    """A merge point: every batch of ``stream`` merged on ``names``."""
+    for batch in stream:
+        yield merge_rows(batch, names, context)
 
 
 def _runtime_checked(
@@ -331,15 +357,25 @@ class PipelineStage:
 
     ``emit`` is set on suffix stages only: the bound method that turns a
     prefix batch into this operator's
-    :class:`~repro.query.factorized.FactorizedSegment`.
+    :class:`~repro.query.factorized.FactorizedSegment`.  ``merge`` is set
+    on the flat stages of a count-only pipeline that are merge points
+    (:meth:`~repro.query.plan.QueryPlan.merge_points`): the variables its
+    output batches are merged on.
     """
 
-    __slots__ = ("label", "operator", "emit")
+    __slots__ = ("label", "operator", "emit", "merge")
 
-    def __init__(self, label: str, operator: object, emit=None) -> None:
+    def __init__(
+        self,
+        label: str,
+        operator: object,
+        emit=None,
+        merge: Optional[Tuple[str, ...]] = None,
+    ) -> None:
         self.label = label
         self.operator = operator
         self.emit = emit
+        self.merge = merge
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PipelineStage({self.label!r}, {type(self.operator).__name__})"
@@ -404,12 +440,10 @@ class PhysicalPipeline:
         if context.runtime is not None:
             stream = _runtime_checked(stream, context)
         for stage in self.stages:
-            stream = _timed_stage(
-                stage.operator.execute(stream, context),
-                stage.label,
-                context.stats,
-                ticker,
-            )
+            stream = stage.operator.execute(stream, context)
+            if stage.merge is not None:
+                stream = _merged(stream, stage.merge, context)
+            stream = _timed_stage(stream, stage.label, context.stats, ticker)
         return stream
 
     def stream(self, context: ExecutionContext) -> Iterator:
@@ -495,6 +529,7 @@ class PipelineBuilder:
                 f"pipeline source must be ScanVertices, got {type(lead).__name__}"
             )
         suffix_start = len(plan.operators)
+        merges = {}
         if count_only:
             suffix_start = plan.factorized_suffix_start()
             if suffix_start >= len(plan.operators):
@@ -502,6 +537,7 @@ class PipelineBuilder:
                     f"plan for {plan.query.name!r} has no factorizable suffix; "
                     "use the flat pipeline"
                 )
+            merges = plan.merge_points()
         source = PipelineStage(stage_label(0, lead), lead)
         stages = []
         for index, operator in enumerate(plan.operators[1:suffix_start], start=1):
@@ -509,7 +545,11 @@ class PipelineBuilder:
                 raise TypeError(
                     f"unsupported operator {type(operator).__name__}"
                 )
-            stages.append(PipelineStage(stage_label(index, operator), operator))
+            stages.append(
+                PipelineStage(
+                    stage_label(index, operator), operator, merge=merges.get(index)
+                )
+            )
         suffix = tuple(
             PipelineStage(
                 stage_label(index, operator),

@@ -11,7 +11,7 @@ query variables.  Plans are produced by the DP optimizer
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import PlanningError
 from .operators import ExtendIntersect, Filter, MultiExtend, PhysicalOperator, ScanVertices
@@ -57,6 +57,10 @@ class QueryPlan:
     #: optimizer precomputes it so planned queries carry their sink
     #: capability).  Not part of identity/pickling semantics beyond caching.
     _factorized_start: Optional[int] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: Cached result of :meth:`merge_points` (same caching contract).
+    _merge_points: Optional[Dict[int, Tuple[str, ...]]] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -172,6 +176,86 @@ class QueryPlan:
             start = index
         return start
 
+    def merge_points(self) -> Dict[int, Tuple[str, ...]]:
+        """Where a count-only pipeline merges a flat stage's output rows.
+
+        Maps the index of a flat operator (before
+        :meth:`factorized_suffix_start`) to the bound variables kept after
+        it: those a later operator reads — its legs'
+        :meth:`~repro.query.operators.ExtensionLeg.key_vars`, its post
+        predicate's and a :class:`~repro.query.operators.Filter`'s
+        variables.  Rows that agree on them extend to the same matches, so
+        the pipeline merges them into one weighted row
+        (:func:`~repro.query.operators.merge_rows`).  A stage is a merge
+        point only when
+
+        * it drops at least one variable its output batches carry (else
+          there is nothing to project away);
+        * every kept variable may repeat (:meth:`may_repeat`) — rows
+          distinct on one of them never merge;
+        * the next operator is a flat stage too — the suffix already does
+          its work once per distinct key of each leg, so a merge feeding it
+          adds one more grouping and saves nothing (merging before the
+          suffix measured SQ6 and MR2 5-10 % slower on ``sq_primary`` /
+          ``tuned_secondary``, SQ2 and SQ9 no faster);
+        * every later operator is vectorized — the tuple-at-a-time paths
+          charge their counters per row, not per weight.
+
+        Empty for a plan without a factorizable suffix: only a count-only
+        pipeline merges.  A batch is merged only when its kept rows repeat
+        (``_SHARE_MIN_REPEAT``, checked per batch).
+        """
+        if self._merge_points is None:
+            self._merge_points = self._analyze_merge_points()
+        return self._merge_points
+
+    def _analyze_merge_points(self) -> Dict[int, Tuple[str, ...]]:
+        operators = self.operators
+        suffix_start = self.factorized_suffix_start()
+        if suffix_start >= len(operators):
+            return {}
+        points: Dict[int, Tuple[str, ...]] = {}
+        carried: List[str] = []
+        for index, operator in enumerate(operators[: suffix_start - 1]):
+            carried.extend(var for var in self._binds(operator) if var not in carried)
+            later = operators[index + 1 :]
+            if index == 0 or not all(getattr(op, "vectorized", True) for op in later):
+                continue
+            read = set().union(*(self._reads(op) for op in later))
+            kept = tuple(var for var in carried if var in read)
+            if (
+                kept
+                and len(kept) < len(carried)
+                and all(self.may_repeat(var, later[0]) for var in kept)
+            ):
+                points[index] = kept
+                carried = list(kept)
+        return points
+
+    @staticmethod
+    def _reads(operator: PhysicalOperator) -> Set[str]:
+        """The variables ``operator`` reads of the batches it is fed."""
+        if isinstance(operator, Filter):
+            return set(operator.predicate.variables())
+        reads = set(operator.post_predicate.variables())
+        for leg in operator.legs:
+            reads.update(leg.key_vars())
+        return reads
+
+    @staticmethod
+    def _binds(operator: PhysicalOperator) -> List[str]:
+        """The variables ``operator`` adds to a batch."""
+        if isinstance(operator, ScanVertices):
+            return [operator.var]
+        if isinstance(operator, Filter):
+            return []
+        targets = (
+            operator.target_vars
+            if isinstance(operator, MultiExtend)
+            else [operator.target_var]
+        )
+        return list(targets) + [leg.edge_var for leg in operator.legs if leg.track_edge]
+
     @property
     def supports_factorized_count(self) -> bool:
         """True when an aggregate sink may skip combo expansion on a suffix."""
@@ -246,10 +330,18 @@ class QueryPlan:
             sharing = (
                 "; suffix counts per distinct key" if self.shares_suffix_keys() else ""
             )
+            # Imported here: the pipeline module imports this one.
+            from .pipeline import stage_label
+
+            merges = "".join(
+                f"; rows merged on ({', '.join(kept)}) after "
+                f"{stage_label(index, self.operators[index])}"
+                for index, kept in sorted(self.merge_points().items())
+            )
             lines.append(
                 f"  sink capability: factorized count "
                 f"(operators {suffix_start + 1}..{len(self.operators)} stay "
-                f"unexpanded for aggregate sinks{sharing})"
+                f"unexpanded for aggregate sinks{sharing}{merges})"
             )
         else:
             lines.append("  sink capability: flat only")

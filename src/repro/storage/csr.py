@@ -183,8 +183,9 @@ class SearchKey:
         ``op`` is one of ``< <= > >= =``; ``probes`` is one value per group
         or one for all, compared as numpy compares the values (so the null
         sentinels of :meth:`~repro.storage.sort_keys.SortKey.values` sort
-        last).  ``below`` caps the run of an ``op`` that leaves its upper
-        side open at the first value not below it.
+        last).  ``below`` caps every run at the first value not below it:
+        the upper side's rank is clipped, so the cap costs no search of the
+        entries.
         """
         if op not in LOWER_SIDE and op not in UPPER_SIDE:
             raise ValueError(f"no sorted range satisfies key {op.value} probe")
@@ -197,11 +198,13 @@ class SearchKey:
             lo = self._find(groups, rank(LOWER_SIDE[op]))
         else:
             lo = self.offsets[groups]
-        if op in UPPER_SIDE:
-            hi = self._find(groups, rank(UPPER_SIDE[op]))
-        elif below is not None:
+        if below is not None:
+            cap = np.searchsorted(self.distinct, below)
+            upper = np.minimum(rank(UPPER_SIDE[op]), cap) if op in UPPER_SIDE else cap
             # A lower side at or past ``below`` leaves the run empty.
-            hi = np.maximum(self._find(groups, np.searchsorted(self.distinct, below)), lo)
+            hi = np.maximum(self._find(groups, upper), lo)
+        elif op in UPPER_SIDE:
+            hi = self._find(groups, rank(UPPER_SIDE[op]))
         else:
             hi = self.offsets[groups + 1]
         return lo.astype(np.int64, copy=False), hi.astype(np.int64, copy=False)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import importlib.util
 import os
+import subprocess
 import sys
 
 import pytest
@@ -48,6 +49,22 @@ def test_benchmark_script_imports(path, monkeypatch):
     # defining module up in ``sys.modules``.
     monkeypatch.setitem(sys.modules, name, module)
     spec.loader.exec_module(module)
+
+
+def test_scripts_run_without_pythonpath():
+    """``common`` puts ``src/`` on the path: a script that imports it before
+    the package runs as a plain script, from any directory."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, os.path.join(BENCHMARKS_DIR, "soak_server.py"), "--help"],
+        cwd=os.path.dirname(ROOT),
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "usage" in done.stdout
 
 
 @pytest.mark.parametrize("shape", ["one_hop", "two_hop", "triangle"])

@@ -485,12 +485,22 @@ def test_logical_stats_match_the_per_row_paths(fx, name, batch_size, monkeypatch
     _query, plan = fx.plans[name]
     executor = PlanRunner(fx.graphs[name], batch_size=batch_size)
     count, stats = _count_only(executor, plan)
+    # No merge point: the flat stages read one list per row, and only the
+    # suffix shares.
+    monkeypatch.setattr(QueryPlan, "merge_points", lambda self: {})
+    unmerged_count, unmerged = _count_only(executor, plan)
+    assert count == unmerged_count
+    # segments_emitted follows batch boundaries: a stage fed merged rows
+    # emits fewer rows, hence fewer batches.
+    assert dataclasses.replace(stats, segments_emitted=0) == dataclasses.replace(
+        unmerged, segments_emitted=0
+    )
     # The plan's "no key repeats" verdict compiles every suffix operator
     # onto its per-row path: the same count with no list shared.
     monkeypatch.setattr(QueryPlan, "suffix_keys_may_repeat", lambda self, op: False)
     per_row_count, per_row = _count_only(executor, plan)
     assert count == per_row_count
-    assert stats == per_row  # every compared counter, segments_emitted included
+    assert unmerged == per_row  # every compared counter, segments_emitted included
     assert per_row.lists_shared == per_row.entries_shared == 0
 
     if len(plan.operators) - plan.factorized_suffix_start() == 1:
@@ -505,10 +515,10 @@ def test_logical_stats_match_the_per_row_paths(fx, name, batch_size, monkeypatch
         )
 
     if name not in SHARING:
-        assert stats.lists_shared == stats.entries_shared == 0
+        assert unmerged.lists_shared == unmerged.entries_shared == 0
     elif batch_size == 1024:
-        assert stats.lists_shared > 0 and stats.entries_shared > 0
-        assert stats.list_entries_fetched > stats.entries_shared
+        assert unmerged.lists_shared > 0 and unmerged.entries_shared > 0
+        assert unmerged.list_entries_fetched > unmerged.entries_shared
 
 
 def test_batches_without_repeats_stay_on_the_per_row_path():
@@ -770,12 +780,15 @@ def test_process_reply_ships_cardinalities_only(fx):
     )
     encoded, _stats, _checksum = _worker_run(spec, pickle.dumps(payload))
     assert encoded
-    for names, columns, segments in encoded:
+    for names, columns, segments, weights in encoded:
         rows = len(columns[0])
         shipped = sum(column.nbytes for column in columns)
         for _targets, cardinalities in segments:
             shipped += cardinalities.nbytes
-        assert shipped <= rows * 8 * (len(names) + len(segments))
+        # A merged prefix ships one weight per row besides.
+        weighted = weights is not None
+        shipped += weights.nbytes if weighted else 0
+        assert shipped <= rows * 8 * (len(names) + len(segments) + weighted)
 
 
 # ----------------------------------------------------------------------

@@ -178,9 +178,9 @@ def _check_searched_read(case):
             values = sort_key.values(graph, edge_ids, nbr_ids)
             if probe_id is None:
                 mask = _admitted(values, sorted_filter.op, sorted_filter.value)
-                if sorted_filter.op in (CompareOp.GT, CompareOp.GE):
-                    # An open upper side stops before the nulls (last).
-                    mask &= ~sort_key.nulls(graph, edge_ids, nbr_ids)
+                # Every run stops before the nulls (last), also under a
+                # constant equal to their sentinel.
+                mask &= ~sort_key.nulls(graph, edge_ids, nbr_ids)
             else:
                 probe = np.array([probe_id])
                 mask = _admitted(values, sorted_filter.op, sort_key.values(graph, probe, probe)[0])
@@ -245,7 +245,8 @@ def test_every_operator_and_null_probe_on_one_list():
         (CompareOp.GT, 3): 2,  # 5 and 9, not the nulls
         (CompareOp.GE, 3): 5,
         (CompareOp.EQ, 3): 3,
-        (CompareOp.EQ, NULL_PROBE): 2,
+        (CompareOp.EQ, NULL_PROBE): 0,  # a null equals nothing
+        (CompareOp.LE, NULL_PROBE): 6,
         (CompareOp.LT, NULL_PROBE): 6,
         (CompareOp.GT, 10): 0,
         (CompareOp.LT, 0): 0,
@@ -258,6 +259,35 @@ def test_every_operator_and_null_probe_on_one_list():
         assert searched.tolist() == counts.tolist()
         one = index.list(0)
         assert edge_ids[:admitted].tolist() == sorted_filter.apply(graph, *one)[0].tolist()
+
+
+@pytest.mark.parametrize("op", ["<", "<=", ">", ">=", "="])
+@pytest.mark.parametrize(
+    "ptype,sentinel",
+    [(PropertyType.INT, int(np.iinfo(np.int64).max)), (PropertyType.FLOAT, float("inf"))],
+)
+def test_a_constant_at_the_null_sentinel_admits_no_null(ptype, sentinel, op):
+    """``e.w op int64.max`` (``+inf`` on a float key) counts what the naive
+    matcher counts: the nulls sort under that very value, and no search
+    may admit them."""
+    graph = _one_list_graph(ptype)
+    db = Database(
+        graph,
+        primary_config=IndexConfig(
+            partition_keys=(), sort_keys=(SortKey.edge_property("w"), SortKey.neighbour_id())
+        ),
+    )
+    query = QueryGraph(f"w{op}sentinel")
+    query.add_vertex("a")
+    query.add_vertex("b")
+    query.add_edge("a", "b", name="e")
+    query.add_predicate(cmp(prop("e", "w"), op, sentinel))
+    expected = NaiveMatcher(graph).count(query)
+    assert expected == {"<": 6, "<=": 6, ">": 0, ">=": 0, "=": 0}[op]
+    plan = db.plan(query)
+    assert db.count(plan) == expected
+    assert db.count(plan, factorized=False) == expected
+    assert db.count(_rowwise(plan), factorized=False) == expected
 
 
 def _rowwise(plan: QueryPlan) -> QueryPlan:
