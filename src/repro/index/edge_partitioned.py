@@ -33,7 +33,6 @@ from ..graph.graph import PropertyGraph
 from ..graph.types import Direction, EDGE_ID_DTYPE, EdgeAdjacencyType
 from ..predicates import CompareOp, Comparison, Predicate, PropertyRef, raw_column
 from ..storage.csr import NestedCSR, range_positions, search_range
-from ..storage.offset_lists import OffsetLists
 from .config import IndexConfig
 from .lists import SecondaryLists
 from .primary import AdjacencyIndex, PrimaryIndex
@@ -85,10 +84,10 @@ def _build_entries(
     predicate accepts.  The whole predicate (plus "a bound edge never
     lists itself") decides them, ``_BUILD_CHUNK_ENTRIES`` at a time.
 
-    Returns ``(bound_ids, offsets, eadj_ids, vnbr_ids, examined)``: the
+    Returns ``(bound_ids, positions, eadj_ids, vnbr_ids, examined)``: the
     kept pairs in (bound edge, primary position) order — the order the
-    CSR's stable sort starts from — with each offset relative to the
-    shared vertex's primary list, and the number of pairs evaluated.
+    CSR's stable sort starts from — with each adjacent edge's position in
+    ``adj``, and the number of pairs evaluated.
     """
     bound = np.arange(graph.num_edges, dtype=EDGE_ID_DTYPE)
     shared = shared_vertices(view.adjacency, graph, bound)
@@ -134,7 +133,7 @@ def _build_entries(
     bound_ids, positions = np.divmod(pairs, max(num_positions, 1))
     return (
         bound_ids.astype(EDGE_ID_DTYPE, copy=False),
-        positions - starts[bound_ids],
+        positions,
         adj.id_lists.edge_ids[positions],
         adj.id_lists.nbr_ids[positions].astype(np.int64),
         examined,
@@ -220,16 +219,13 @@ class EdgePartitionedIndex(SecondaryLists):
         config.validate(graph)
         started = time.perf_counter()
         adj = primary.for_direction(view.adjacency_direction)
-        bound_ids, offsets, eadj_ids, vnbr_ids, examined = _build_entries(
+        bound_ids, positions, eadj_ids, vnbr_ids, examined = _build_entries(
             graph, view, adj
         )
-        csr = self._build_csr(
+        csr, order = self._build_csr(
             graph, config, graph.num_edges, bound_ids, eadj_ids, vnbr_ids
         )
-        order = csr.order
-        self._install(
-            graph, view, config, primary, csr, offsets[order], bound_ids[order], name
-        )
+        self._install(graph, view, config, primary, csr, positions[order], name)
         #: Pairs whose view predicate construction evaluated (None when the
         #: index was merged rather than built).
         self.candidates_examined: Optional[int] = examined
@@ -243,26 +239,23 @@ class EdgePartitionedIndex(SecondaryLists):
         config: IndexConfig,
         primary: PrimaryIndex,
         csr: NestedCSR,
-        offsets: np.ndarray,
-        bound_ids: np.ndarray,
+        positions: np.ndarray,
         name: Optional[str] = None,
     ) -> "EdgePartitionedIndex":
         """Build an index from pre-merged state, skipping the 2-hop join.
 
-        ``offsets``/``bound_ids`` must already be in index position order
-        (surviving pairs spliced with the sorted delta pairs) with offsets
-        recomputed against the new primary index, and ``csr`` built over the
-        matching group IDs.  Used by incremental maintenance merges.
+        ``positions`` are the adjacent edges' positions in ``primary``'s list
+        space, already in index position order (surviving pairs spliced with
+        the sorted delta pairs), and ``csr`` is built over the matching group
+        IDs.  Used by incremental maintenance merges.
         """
         self = cls.__new__(cls)
-        self._install(graph, view, config, primary, csr, offsets, bound_ids, name)
+        self._install(graph, view, config, primary, csr, positions, name)
         self.candidates_examined = None
         self.creation_seconds = 0.0
         return self
 
-    def _install(
-        self, graph, view, config, primary, csr, offsets, bound_ids, name
-    ) -> None:
+    def _install(self, graph, view, config, primary, csr, positions, name) -> None:
         self.graph = graph
         self.view = view
         self.config = config
@@ -270,8 +263,7 @@ class EdgePartitionedIndex(SecondaryLists):
         self.name = name or view.name
         #: The primary of the adjacent edges' direction: the list space.
         self.primary: AdjacencyIndex = primary.for_direction(view.adjacency_direction)
-        self.csr = csr
-        self.offset_lists = OffsetLists(offsets, bound_ids)
+        self._install_entries(csr, positions)
 
     # ------------------------------------------------------------------
     # lookups

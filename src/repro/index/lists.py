@@ -32,6 +32,7 @@ from ..errors import IndexLookupError
 from ..graph.graph import PropertyGraph
 from ..storage.csr import NestedCSR, SearchKey, range_positions
 from ..storage.memory import MemoryBreakdown
+from ..storage.offset_lists import OffsetLists
 from ..storage.sort_keys import SortKey, sort_values_matrix
 from .config import IndexConfig
 
@@ -56,10 +57,11 @@ class AdjacencyLists:
         bound_ids: np.ndarray,
         edge_ids: np.ndarray,
         nbr_ids: np.ndarray,
-    ) -> NestedCSR:
-        """The CSR that partitions entries ``(bound, edge, neighbour)`` by
-        bound ID and ``config``'s levels and sorts them by its sort keys."""
-        return NestedCSR(
+    ) -> Tuple[NestedCSR, np.ndarray]:
+        """``(csr, order)``: the CSR that partitions entries ``(bound, edge,
+        neighbour)`` by bound ID and ``config``'s levels and sorts them by its
+        sort keys, and the permutation that puts the entries in its order."""
+        return NestedCSR.build(
             num_bound=num_bound,
             bound_ids=bound_ids,
             level_codes=[
@@ -169,8 +171,9 @@ class AdjacencyLists:
         """The :class:`~repro.storage.csr.SearchKey` of this index's lists,
         built on the first sorted read and kept with the index object (a
         flush builds new index objects, so the key never outlives its
-        entries).  ``memory_report()`` does not charge it, as it does not
-        charge ``csr.order``."""
+        entries).  ``memory_report()`` does not charge it: it is a read
+        accelerator derived from the lists, not part of the paper's layout
+        (Section IV-B)."""
         if not self.config.sort_keys or sort_key != self.config.sort_keys[0]:
             raise IndexLookupError(
                 f"{self.name} lists are not sorted on {sort_key.describe()}"
@@ -247,8 +250,9 @@ class SecondaryLists(AdjacencyLists):
 
     The list bound to ``b`` is a subset of the primary list of the vertex
     ``shared_vertices(b)`` (the list space), so each entry is an
-    offset into that list (Section III-B3).  Subclasses set ``primary`` and
-    ``offset_lists`` and define ``shared_vertices(bound_ids)``.
+    offset into that list (Section III-B3).  Subclasses set ``primary``,
+    define ``shared_vertices(bound_ids)`` and install their entries with
+    :meth:`_install_entries`.
     """
 
     #: True when the index reuses the primary's partitioning levels and is
@@ -266,10 +270,16 @@ class SecondaryLists(AdjacencyLists):
             positions, list_starts, counts, ids.edge_ids, ids.nbr_ids
         )
 
+    def _install_entries(self, csr: NestedCSR, positions: np.ndarray) -> None:
+        """Install ``csr`` and its entries, given as positions in the primary's
+        ID lists in index order: each is stored as its offset into the
+        primary list that holds it (its bound ID's shared vertex's list)."""
+        self.csr = csr
+        self.offset_lists = OffsetLists(self.primary.list_offsets(positions))
+
     def primary_positions(self) -> np.ndarray:
         """Every entry's position in the primary's ID lists, in index order."""
-        lists = self.offset_lists
-        return self._list_starts(lists.bound_of_entry) + lists.offsets
+        return self._list_starts(self.csr.bound_ids()) + self.offset_lists.offsets
 
     @property
     def num_indexed_edges(self) -> int:
@@ -280,6 +290,6 @@ class SecondaryLists(AdjacencyLists):
         level_bytes = 0 if self.shares_partition_levels else self.csr.nbytes_levels()
         return MemoryBreakdown(
             name=self.name,
-            offset_list_bytes=self.offset_lists.nbytes(),
+            offset_list_bytes=self.offset_lists.nbytes(self.csr),
             partition_level_bytes=level_bytes,
         )

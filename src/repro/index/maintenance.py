@@ -95,7 +95,7 @@ from ..graph.types import (
     VERTEX_ID_DTYPE,
     PropertyType,
 )
-from ..storage.csr import Splice, fold_group_ids, merge_sorted_runs
+from ..storage.csr import Splice, fold_group_ids, merge_sorted_runs, range_positions
 from ..storage.intersect import intersect_segments
 from ..storage.sort_keys import sort_values_matrix
 from .config import IndexConfig
@@ -766,7 +766,6 @@ class IndexMaintainer:
 
         # Every old entry as a position of the *old* primary: a tombstoned
         # edge is a dead position there, a survivor moves with the primary.
-        old_bounds = old_index.offset_lists.bound_of_entry
         old_positions = self._primary_positions(old_index, old_adj)
         dead = np.flatnonzero(~adjacency.splice.survivors[old_positions])
 
@@ -788,11 +787,6 @@ class IndexMaintainer:
             lambda rows, at: keys_at(old_positions[at]),
             dead,
         )
-        merged_bounds = splice.merge(old_bounds[splice.survivors], delta_bounds[order])
-        merged_positions = splice.merge(
-            adjacency.splice.new_positions[old_positions[splice.survivors]],
-            new_adj.positions_of_edges(delta_edges[order]),
-        )
         return VertexPartitionedIndex.from_sorted(
             new_graph,
             old_index.view,
@@ -800,8 +794,10 @@ class IndexMaintainer:
             config,
             new_adj,
             old_index.csr.spliced(groups, dead),
-            merged_positions - new_adj.csr.bound_starts(merged_bounds),
-            merged_bounds,
+            splice.merge(
+                adjacency.splice.new_positions[old_positions[splice.survivors]],
+                new_adj.positions_of_edges(delta_edges[order]),
+            ),
             name=old_index.name,
         )
 
@@ -849,12 +845,13 @@ class IndexMaintainer:
         num_dead = old_graph.num_edges - num_kept
 
         # Every old pair as a position of the old adjacent primary; a pair
-        # dies with either of its edges.
-        old_bounds = old_index.offset_lists.bound_of_entry
+        # dies with either of its edges: the adjacent one is a dead primary
+        # position, a deleted bound edge takes its whole list.
         old_positions = self._primary_positions(old_index, old_adj)
-        dead = np.flatnonzero(
-            ~(keep[old_bounds] & adjacency.splice.survivors[old_positions])
-        )
+        dead = ~adjacency.splice.survivors[old_positions]
+        starts, ends = old_index.csr.prefix_ranges(np.flatnonzero(~keep))
+        dead[range_positions(starts, ends - starts, int((ends - starts).sum()))] = True
+        dead = np.flatnonzero(dead)
 
         # Delta pairs.
         pending = np.arange(num_kept, new_graph.num_edges, dtype=np.int64)
@@ -908,7 +905,6 @@ class IndexMaintainer:
             mask &= cand_eadj != cand_bound
         else:
             mask = np.zeros(0, dtype=bool)
-        delta_bounds = cand_bound[mask]
         delta_eadj = cand_eadj[mask]
         delta_positions = new_adj.positions_of_edges(delta_eadj)
         order, groups, columns = self._delta_run(
@@ -926,14 +922,6 @@ class IndexMaintainer:
             dead,
             side="left",
         )
-        survivors = splice.survivors
-        merged_bounds = splice.merge(
-            new_id_of_old[old_bounds[survivors]], delta_bounds[order]
-        )
-        merged_positions = splice.merge(
-            adjacency.splice.new_positions[old_positions[survivors]],
-            delta_positions[order],
-        )
         return EdgePartitionedIndex.from_sorted(
             new_graph,
             view,
@@ -942,11 +930,10 @@ class IndexMaintainer:
             grown.spliced(
                 groups, dead, np.concatenate([keep, np.ones(len(pending), dtype=bool)])
             ),
-            merged_positions
-            - new_adj.csr.bound_starts(
-                shared_vertices(old_index.adjacency, new_graph, merged_bounds)
+            splice.merge(
+                adjacency.splice.new_positions[old_positions[splice.survivors]],
+                delta_positions[order],
             ),
-            merged_bounds,
             name=old_index.name,
         )
 

@@ -55,12 +55,12 @@ class AdjacencyIndex(AdjacencyLists):
         else:
             bound_ids, nbr_ids = graph.edge_dst, graph.edge_src
         edge_ids = np.arange(graph.num_edges, dtype=EDGE_ID_DTYPE)
-        csr = self._build_csr(
+        csr, order = self._build_csr(
             graph, config, graph.num_vertices, bound_ids, edge_ids, nbr_ids
         )
-        order = csr.order
+        # Entry i is edge i, so the sort permutation is the sorted edge IDs.
         nbr_ids = np.asarray(nbr_ids)[order]
-        self._install(graph, direction, config, csr, edge_ids[order], nbr_ids, name)
+        self._install(graph, direction, config, csr, order, nbr_ids, name)
 
     @classmethod
     def from_sorted(
@@ -136,6 +136,16 @@ class AdjacencyIndex(AdjacencyLists):
     def positions_of_edges(self, edge_ids: np.ndarray) -> np.ndarray:
         """Positions of the given edges inside this index's ID lists."""
         return self._position_of_edge[np.asarray(edge_ids, dtype=np.int64)]
+
+    def list_offsets(self, positions: np.ndarray) -> np.ndarray:
+        """Each position's offset into the list that holds it: the list of
+        its edge's source (forward) or destination (backward) vertex."""
+        edges = self.id_lists.edge_ids[positions]
+        if self.direction is Direction.FORWARD:
+            owners = self.graph.edge_src[edges]
+        else:
+            owners = self.graph.edge_dst[edges]
+        return positions - self.csr.bound_starts(owners)
 
     # ------------------------------------------------------------------
     # accounting

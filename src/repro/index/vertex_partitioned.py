@@ -23,7 +23,6 @@ from ..errors import IndexConfigError
 from ..graph.graph import PropertyGraph
 from ..graph.types import Direction
 from ..storage.csr import NestedCSR
-from ..storage.offset_lists import OffsetLists
 from .config import IndexConfig
 from .lists import SecondaryLists
 from .primary import AdjacencyIndex
@@ -66,16 +65,11 @@ class VertexPartitionedIndex(SecondaryLists):
             bound_ids, nbr_ids = graph.edge_src[selected], graph.edge_dst[selected]
         else:
             bound_ids, nbr_ids = graph.edge_dst[selected], graph.edge_src[selected]
-        csr = self._build_csr(
+        csr, order = self._build_csr(
             graph, config, graph.num_vertices, bound_ids, selected, nbr_ids
         )
-        order = csr.order
-        sorted_bounds = np.asarray(bound_ids)[order]
         positions = primary.positions_of_edges(selected[order])
-        offsets = positions - primary.csr.bound_starts(sorted_bounds)
-        self._install(
-            graph, view, direction, config, primary, csr, offsets, sorted_bounds, name
-        )
+        self._install(graph, view, direction, config, primary, csr, positions, name)
         self.creation_seconds = time.perf_counter() - started
 
     @classmethod
@@ -87,26 +81,23 @@ class VertexPartitionedIndex(SecondaryLists):
         config: IndexConfig,
         primary: AdjacencyIndex,
         csr: NestedCSR,
-        offsets: np.ndarray,
-        bound_ids: np.ndarray,
+        positions: np.ndarray,
         name: Optional[str] = None,
     ) -> "VertexPartitionedIndex":
         """Build an index from pre-merged state, skipping view scan and sort.
 
-        ``offsets``/``bound_ids`` must already be in index position order
-        (surviving entries spliced with the sorted delta) with offsets
-        recomputed against ``primary``, and ``csr`` built over the matching
-        group IDs.  Used by incremental maintenance merges.
+        ``positions`` are the entries' positions in ``primary``, already in
+        index position order (surviving entries spliced with the sorted
+        delta), and ``csr`` is built over the matching group IDs.  Used by
+        incremental maintenance merges.
         """
         self = cls.__new__(cls)
-        self._install(
-            graph, view, direction, config, primary, csr, offsets, bound_ids, name
-        )
+        self._install(graph, view, direction, config, primary, csr, positions, name)
         self.creation_seconds = 0.0
         return self
 
     def _install(
-        self, graph, view, direction, config, primary, csr, offsets, bound_ids, name
+        self, graph, view, direction, config, primary, csr, positions, name
     ) -> None:
         self.graph = graph
         self.view = view
@@ -114,8 +105,7 @@ class VertexPartitionedIndex(SecondaryLists):
         self.config = config
         self.primary = primary
         self.name = name or f"{view.name}-{direction.value}"
-        self.csr = csr
-        self.offset_lists = OffsetLists(offsets, bound_ids)
+        self._install_entries(csr, positions)
         # Partition-level sharing (Section III-B3): possible only when the
         # view has no predicates and the partitioning structure matches the
         # primary index's, in which case both indexes have identical CSR

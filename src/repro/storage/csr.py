@@ -9,9 +9,10 @@ constant number of array accesses — one offset computation per level — which
 is the property that distinguishes adjacency-list indexes from tree indexes
 (Section II of the paper).
 
-The class is payload-agnostic: it computes the permutation that sorts the
-entries and the group-boundary offsets; callers apply the permutation to their
-own payload arrays (edge IDs, neighbour IDs, or offsets into a primary list).
+The class is payload-agnostic: it keeps only the group-boundary offsets.
+:meth:`NestedCSR.build` computes the permutation that sorts the entries and
+hands it back; callers apply it to their own payload arrays (edge IDs,
+neighbour IDs, or offsets into a primary list) and keep no copy of it.
 
 Two access granularities are exposed:
 
@@ -26,7 +27,6 @@ Two access granularities are exposed:
 
 from __future__ import annotations
 
-import copy
 from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -310,84 +310,91 @@ def segment_mask_counts(counts: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 class NestedCSR:
-    """Partition/sort skeleton of one A+ index.
+    """Partition/sort skeleton of one A+ index: the group-boundary offsets.
+
+    The deepest groups are numbered ``((bound * d1 + c1) * d2 + c2) ...``
+    (:func:`fold_group_ids`) and group ``g`` holds entry positions
+    ``[offsets[g], offsets[g + 1])``; the offsets are the only record of
+    where each entry sits.  :meth:`build` sorts a set of entries into this
+    layout and hands the permutation back to the caller.
 
     Args:
         num_bound: size of the bound-ID domain (number of vertices or edges).
-        bound_ids: int array (length = number of indexed entries) giving the
-            bound element of each entry.
-        level_codes: one int array per nested partitioning level giving the
-            *effective* partition code of each entry (nulls already mapped to
-            the trailing partition).
-        level_domains: effective domain size of each level (including the
-            null partition).
-        sort_values: sort-key value arrays, major key first; entries inside
-            the most granular group are ordered by these values (ties broken
-            by input order, i.e. the sort is stable).
+        level_domains: effective domain size of each nested partitioning
+            level (including the null partition).
+        offsets: ``num_bound * prod(level_domains) + 1`` group offsets.
     """
 
     def __init__(
-        self,
+        self, num_bound: int, level_domains: Sequence[int], offsets: np.ndarray
+    ) -> None:
+        self.num_bound = int(num_bound)
+        self.level_domains = [int(d) for d in level_domains]
+        self.num_levels = len(self.level_domains)
+        # Number of most granular groups under each bound ID (cached: the
+        # product is needed by every vectorized lookup).
+        self._per_bound = int(np.prod(self.level_domains, dtype=np.int64))
+        self._total_groups = self.num_bound * self._per_bound
+        self.offsets = np.asarray(offsets, dtype=OFFSET_DTYPE)
+        self.num_entries = int(self.offsets[-1])
+
+    @classmethod
+    def build(
+        cls,
         num_bound: int,
         bound_ids: np.ndarray,
         level_codes: Sequence[np.ndarray],
         level_domains: Sequence[int],
         sort_values: Sequence[np.ndarray],
-    ) -> None:
+    ) -> Tuple["NestedCSR", np.ndarray]:
+        """Partition and sort a set of entries: ``(csr, order)``.
+
+        Args:
+            num_bound: size of the bound-ID domain.
+            bound_ids: int array (length = number of indexed entries) giving
+                the bound element of each entry.
+            level_codes: one int array per nested partitioning level giving
+                the *effective* partition code of each entry (nulls already
+                mapped to the trailing partition).
+            level_domains: effective domain size of each level.
+            sort_values: sort-key value arrays, major key first; entries
+                inside the most granular group are ordered by these values
+                (ties broken by input order, i.e. the sort is stable).
+
+        ``order`` is the int64 permutation that puts the entries in index
+        position order; callers apply it to their own payload arrays.
+        """
         if len(level_codes) != len(level_domains):
             raise IndexLookupError("level_codes and level_domains length mismatch")
-        self.num_bound = int(num_bound)
-        self.level_domains = [int(d) for d in level_domains]
-        self.num_levels = len(self.level_domains)
-        num_entries = len(bound_ids)
-        self.num_entries = num_entries
-
-        bound_ids = np.asarray(bound_ids, dtype=np.int64)
-        codes = [np.asarray(c, dtype=np.int64) for c in level_codes]
-
-        # Total number of most-granular groups, and the number of most
-        # granular groups under each bound ID (cached: the product is needed
-        # by every vectorized lookup).
-        per_bound = 1
-        for domain in self.level_domains:
-            per_bound *= domain
-        self._per_bound = per_bound
-        total_groups = self.num_bound * per_bound
-        self._total_groups = total_groups
-
-        # Flattened group ID of each entry at the deepest level.
-        group_ids = fold_group_ids(bound_ids, codes, self.level_domains)
-
+        group_ids = fold_group_ids(bound_ids, level_codes, level_domains)
         # Sort order: bound ID, then partition codes (already folded into the
         # group ID), then the sort keys (major first).  ``np.lexsort`` treats
         # its *last* key as the primary key, so keys are passed minor-first.
-        lexsort_keys: List[np.ndarray] = []
-        for values in reversed(list(sort_values)):
-            lexsort_keys.append(np.asarray(values))
+        lexsort_keys = [np.asarray(values) for values in reversed(list(sort_values))]
         lexsort_keys.append(group_ids)
-        if num_entries:
-            self.order = np.lexsort(tuple(lexsort_keys)).astype(np.int64)
+        if len(group_ids):
+            order = np.lexsort(tuple(lexsort_keys)).astype(np.int64)
         else:
-            self.order = np.empty(0, dtype=np.int64)
-
+            order = np.empty(0, dtype=np.int64)
+        total_groups = int(num_bound) * int(np.prod(level_domains, dtype=np.int64))
         counts = np.bincount(group_ids, minlength=total_groups)
         # Cumsum directly into a preallocated offsets array; building it via
         # ``concatenate([[0], cumsum]).astype(...)`` would allocate the array
         # twice.
-        self.offsets = np.empty(total_groups + 1, dtype=OFFSET_DTYPE)
-        self.offsets[0] = 0
-        np.cumsum(counts, out=self.offsets[1:])
+        offsets = np.empty(total_groups + 1, dtype=OFFSET_DTYPE)
+        offsets[0] = 0
+        np.cumsum(counts, out=offsets[1:])
+        return cls(num_bound, level_domains, offsets), order
 
     def grown(self, extra_bounds: int) -> "NestedCSR":
         """This CSR over a bound domain extended by ``extra_bounds`` IDs
         with empty lists (same entries, same positions)."""
-        grown = copy.copy(self)
-        grown.num_bound += extra_bounds
-        grown._total_groups += extra_bounds * self._per_bound
-        grown.offsets = np.concatenate(
-            [self.offsets, np.full(extra_bounds * self._per_bound, self.offsets[-1])]
+        tail = np.full(extra_bounds * self._per_bound, self.offsets[-1])
+        return NestedCSR(
+            self.num_bound + extra_bounds,
+            self.level_domains,
+            np.concatenate([self.offsets, tail]),
         )
-        return grown
 
     def spliced(
         self,
@@ -402,8 +409,7 @@ class NestedCSR:
         ``keep_bounds`` (a mask over the bound IDs) drops whole bound IDs
         whose lists the splice emptied, renumbering the rest in order: an
         edge-partitioned index's bound domain is the edge IDs, which a flush
-        compacts over the tombstones.  The result has no ``order``: spliced
-        payloads are already in index order.
+        compacts over the tombstones.
         """
         dead_groups = np.searchsorted(self.offsets, dead_positions, side="right") - 1
         change = np.bincount(delta_groups, minlength=self._total_groups)
@@ -412,13 +418,11 @@ class NestedCSR:
         ends += self.offsets[1:]
         if keep_bounds is not None:
             ends = ends.reshape(-1, self._per_bound)[keep_bounds].ravel()
-        merged = copy.copy(self)
-        merged.order = None
-        merged.num_bound = len(ends) // self._per_bound
-        merged._total_groups = len(ends)
-        merged.num_entries = int(ends[-1]) if len(ends) else 0
-        merged.offsets = np.concatenate([[0], ends]).astype(OFFSET_DTYPE, copy=False)
-        return merged
+        return NestedCSR(
+            len(ends) // self._per_bound,
+            self.level_domains,
+            np.concatenate([[0], ends]),
+        )
 
     # ------------------------------------------------------------------
     # lookups
@@ -426,7 +430,8 @@ class NestedCSR:
     def group_range(
         self, bound_id: int, codes: Sequence[int] = ()
     ) -> Tuple[int, int]:
-        """Return the ``[start, end)`` entry range for a (partial) key prefix.
+        """Return the ``[start, end)`` entry range for a (partial) key prefix:
+        the one row of :meth:`prefix_ranges`.
 
         Args:
             bound_id: the bound vertex or edge ID.
@@ -435,36 +440,21 @@ class NestedCSR:
                 unions all deeper partitions (e.g. "all edges of v with label
                 Wire" when the index also partitions by currency).
         """
-        if bound_id < 0 or bound_id >= self.num_bound:
-            raise IndexLookupError(
-                f"bound id {bound_id} out of range [0, {self.num_bound})"
-            )
-        if len(codes) > self.num_levels:
-            raise IndexLookupError(
-                f"{len(codes)} partition codes supplied but index has "
-                f"{self.num_levels} levels"
-            )
-        group = int(bound_id)
-        for position, code in enumerate(codes):
-            domain = self.level_domains[position]
-            code = int(code)
-            if code < 0 or code >= domain:
-                raise IndexLookupError(
-                    f"partition code {code} out of range [0, {domain}) at level "
-                    f"{position + 1}"
-                )
-            group = group * domain + code
-        remaining = 1
-        for domain in self.level_domains[len(codes):]:
-            remaining *= domain
-        start_group = group * remaining
-        end_group = (group + 1) * remaining
-        return int(self.offsets[start_group]), int(self.offsets[end_group])
+        starts, ends = self.prefix_ranges(np.array([bound_id]), codes)
+        return int(starts[0]), int(ends[0])
+
+    def bound_ids(self) -> np.ndarray:
+        """The bound ID of every entry, in position order, derived from the
+        bound-level offsets."""
+        bound_offsets = self.offsets[:: self._per_bound]
+        return np.repeat(
+            np.arange(self.num_bound, dtype=np.int64), np.diff(bound_offsets)
+        )
 
     def _prefix_groups(
         self, bound_ids: np.ndarray, codes: Sequence[int] = ()
     ) -> Tuple[np.ndarray, int]:
-        """Vectorized form of the group computation in :meth:`group_range`.
+        """The group arithmetic behind every lookup, bounds-checked.
 
         Returns the (partial) group ID of every bound ID under the shared
         partition-code prefix, and the number of most-granular groups each

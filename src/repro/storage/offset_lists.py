@@ -13,8 +13,9 @@ Physically (Section IV-B), offsets are fixed-length and grouped into pages of
 needed by the largest offset occurring in that page (i.e. the logarithm of the
 length of the longest primary list among those 64 elements, rounded up to the
 next byte).  This module keeps the offsets in a flat int32 array for fast
-access and separately computes the byte-accurate memory charge implied by the
-paged fixed-width layout.
+access and computes the byte-accurate memory charge implied by the paged
+fixed-width layout on demand, reading where each page starts off the owning
+CSR's bound-level offsets: the offsets are the only per-entry array.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Tuple
 import numpy as np
 
 from ..graph.types import PAGE_SIZE
+from .csr import NestedCSR
 
 
 def bytes_needed_many(max_offsets: np.ndarray) -> np.ndarray:
@@ -53,51 +55,20 @@ def bytes_needed(max_offset: int) -> int:
 
 
 class OffsetLists:
-    """Flat offset array plus paged byte-width accounting.
+    """The offsets of a secondary index's entries and nothing else: which
+    list, and so which page, an entry belongs to is read off the owning
+    :class:`~repro.storage.csr.NestedCSR` by its position.
 
     Args:
         offsets: int array of list-relative offsets, one per indexed edge, in
             index position order (already permuted by the owning CSR).
-        bound_of_entry: int array of the same length giving the bound element
-            ID of each entry; used only to group entries into pages of
-            ``PAGE_SIZE`` bound elements for the byte-width computation.
     """
 
-    def __init__(self, offsets: np.ndarray, bound_of_entry: np.ndarray) -> None:
-        if len(offsets) != len(bound_of_entry):
-            raise ValueError("offsets and bound_of_entry must have equal length")
+    def __init__(self, offsets: np.ndarray) -> None:
         self.offsets = np.asarray(offsets, dtype=np.int32)
-        self._bound_of_entry = np.asarray(bound_of_entry, dtype=np.int64)
-        self._nbytes = self._compute_paged_bytes()
-
-    def _compute_paged_bytes(self) -> int:
-        """Memory charge of the paged fixed-width offset layout.
-
-        Entries arrive grouped by bound element (CSR order), so page IDs are
-        non-decreasing: per-page maxima reduce over contiguous runs
-        (``np.maximum.reduceat``) and the byte width per page is a small
-        threshold ladder — no Python loop over pages.
-        """
-        if len(self.offsets) == 0:
-            return 0
-        pages = self._bound_of_entry // PAGE_SIZE
-        changes = np.nonzero(pages[1:] != pages[:-1])[0] + 1
-        starts = np.concatenate([[0], changes])
-        sizes = np.diff(np.concatenate([starts, [len(self.offsets)]]))
-        maxima = np.maximum.reduceat(self.offsets.astype(np.int64), starts)
-        return int((bytes_needed_many(maxima) * sizes).sum())
 
     def __len__(self) -> int:
         return len(self.offsets)
-
-    @property
-    def bound_of_entry(self) -> np.ndarray:
-        """Bound element ID of every entry, in index position order.
-
-        Exposed for the incremental maintenance merge, which resolves the
-        surviving entries' primary positions per bound element.
-        """
-        return self._bound_of_entry
 
     def resolve_many(
         self,
@@ -145,6 +116,19 @@ class OffsetLists:
         flat = list_starts + self.offsets[positions].astype(np.int64)
         return primary_edge_ids[flat], primary_nbr_ids[flat]
 
-    def nbytes(self) -> int:
-        """Bytes charged for the offsets under the paged fixed-width layout."""
-        return self._nbytes
+    def nbytes(self, csr: NestedCSR) -> int:
+        """Bytes charged for the offsets under the paged fixed-width layout,
+        a page being every ``PAGE_SIZE`` bound IDs of the owning ``csr``.
+
+        The pages' entry ranges are read off the CSR's bound-level offsets;
+        per-page maxima reduce over the non-empty ones
+        (``np.maximum.reduceat``) and the byte width per page is a small
+        threshold ladder — no Python loop over pages.
+        """
+        page_starts = csr.bound_starts(np.arange(0, csr.num_bound, PAGE_SIZE))
+        sizes = np.diff(page_starts, append=len(self.offsets))
+        filled = sizes > 0
+        if not filled.any():
+            return 0
+        maxima = np.maximum.reduceat(self.offsets, page_starts[filled])
+        return int((bytes_needed_many(maxima) * sizes[filled]).sum())

@@ -51,7 +51,7 @@ def _random_csr(rng, num_bound, num_entries, domains):
     bound_ids = rng.integers(0, num_bound, size=num_entries)
     level_codes = [rng.integers(0, d, size=num_entries) for d in domains]
     sort_values = [rng.integers(0, 40, size=num_entries)]
-    return NestedCSR(num_bound, bound_ids, level_codes, list(domains), sort_values)
+    return NestedCSR.build(num_bound, bound_ids, level_codes, list(domains), sort_values)[0]
 
 
 class TestGather:

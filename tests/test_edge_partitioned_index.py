@@ -337,7 +337,7 @@ class TestEdgePartitionedContents:
         )
         breakdown = index.memory_breakdown()
         assert breakdown.id_list_bytes == 0
-        assert breakdown.offset_list_bytes == index.offset_lists.nbytes()
+        assert breakdown.offset_list_bytes == index.offset_lists.nbytes(index.csr)
         if index.num_indexed_edges:
             assert breakdown.offset_list_bytes / index.num_indexed_edges <= 2.0
 

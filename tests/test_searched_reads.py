@@ -10,10 +10,12 @@ brute-force mask of the whole list: the filter's comparison on every entry)
 over: every operator ``< <= > >= =``; constant probes below, at, between
 and above the keys, with the keys drawn from a handful of values so
 duplicate runs sit at the boundary; per-row probes read off a bound edge,
-null ones included; null sort values (``int64.max`` / ``+inf``, last);
-int, float and categorical keys; empty lists, which share their start
-with the next list; bound IDs repeated within a batch; and coarse prefixes,
-whose lists union one sorted run per partition.
+null ones included; null sort values (``int64.max`` / ``+inf``, last),
+with one draw in three a constant at that sentinel under ``=``/``<=``
+over a list that holds a null; int, float and categorical keys; empty
+lists, which share their start with the next list; bound IDs repeated
+within a batch; and coarse prefixes, whose lists union one sorted run per
+partition.
 """
 
 from __future__ import annotations
@@ -65,15 +67,30 @@ OPS = [CompareOp.LT, CompareOp.LE, CompareOp.GT, CompareOp.GE, CompareOp.EQ]
 INDEX_KINDS = ("primary", "vertex", "edge")
 
 
+#: Where a null sorts for each property type: a constant there under
+#: ``=``/``<=`` must still admit no null.
+SENTINEL = {
+    PropertyType.INT: NULL_PROBE,
+    PropertyType.FLOAT: float("inf"),
+    PropertyType.CATEGORICAL: NULL_PROBE,
+}
+
+
 @st.composite
 def searched_reads(draw):
     """A small graph, one index sorted on edge property ``w``, a filter on
     ``w`` (a constant, or the ``w`` of a per-row probe edge) and a batch of
-    bound IDs."""
+    bound IDs.
+
+    One draw in three is the null-sentinel case, which independent draws
+    almost never hit: a constant at the key's sentinel under ``=``/``<=``
+    and a batch that reads a list holding a null."""
     ptype = draw(st.sampled_from(sorted(KEYS, key=lambda t: t.value)))
     values, probes = KEYS[ptype]
+    kind = draw(st.sampled_from(INDEX_KINDS))
+    sentinel = draw(st.sampled_from([False, False, True]))
     num_vertices = draw(st.integers(1, 6))
-    num_edges = draw(st.integers(1, 30))
+    num_edges = draw(st.integers(2 if sentinel else 1, 30))
     vertex = st.integers(0, num_vertices - 1)
     edges = st.lists(vertex, min_size=num_edges, max_size=num_edges)
     src, dst = draw(edges), draw(edges)
@@ -83,24 +100,41 @@ def searched_reads(draw):
         # Categories are inferred from the strings: keep one.
         w[0] = draw(st.sampled_from(values[:-1]))
     k = draw(st.lists(st.integers(0, 2), min_size=num_edges, max_size=num_edges))
-    kind = draw(st.sampled_from(INDEX_KINDS))
     # flat: no partition level; granular: the label level keyed; coarse: the
     # label level left open, so a list is one sorted run per label.
     layout = draw(st.sampled_from(("flat", "granular", "coarse")))
     key_values = (draw(st.sampled_from(sorted(set(labels)))),) if layout == "granular" else ()
     domain = num_edges if kind == "edge" else num_vertices
     bounds = draw(st.lists(st.integers(0, domain - 1), max_size=12))
-    if draw(st.booleans()):
+    if sentinel:
+        # Edge ``null`` (not edge 0, which keeps a category) gets a null ``w``
+        # and lands in the list of bound ``bound``, which the batch reads.
+        null = draw(st.integers(1, num_edges - 1))
+        w[null] = None
+        if key_values:
+            labels[null] = key_values[0]
+        if kind == "primary":  # backward: bound to its destination
+            bound = dst[null]
+        elif kind == "vertex":  # forward, in the view ``k > 0``
+            bound, k[null] = src[null], 2
+        else:  # edge 0 precedes it, ``eb.k <= eadj.k``
+            bound, dst[0], k[0] = 0, src[null], 0
+        bounds.insert(draw(st.integers(0, len(bounds))), bound)
+        value, probe_ids = SENTINEL[ptype], None
+        op = draw(st.sampled_from([CompareOp.EQ, CompareOp.LE]))
+    elif draw(st.booleans()):
         value = PropertyRef("p", "w")
         probe_ids = draw(
             st.lists(
                 st.integers(0, num_edges - 1), min_size=len(bounds), max_size=len(bounds)
             )
         )
+        op = draw(st.sampled_from(OPS))
     else:
         value, probe_ids = float(draw(st.sampled_from(probes))), None
+        op = draw(st.sampled_from(OPS))
     sorted_filter = SortedRangeFilter(
-        sort_key=SortKey.edge_property("w"), op=draw(st.sampled_from(OPS)), value=value
+        sort_key=SortKey.edge_property("w"), op=op, value=value
     )
     return (
         ptype,

@@ -10,14 +10,19 @@ from repro.graph.types import CSR_OFFSET_BYTES
 from repro.storage.csr import NestedCSR
 
 
-def build_csr(num_bound, bound_ids, codes=(), domains=(), sort_values=()):
-    return NestedCSR(
+def build_sorted(num_bound, bound_ids, codes=(), domains=(), sort_values=()):
+    """``(csr, order)`` of :meth:`NestedCSR.build`."""
+    return NestedCSR.build(
         num_bound=num_bound,
         bound_ids=np.asarray(bound_ids, dtype=np.int64),
         level_codes=[np.asarray(c, dtype=np.int64) for c in codes],
         level_domains=list(domains),
         sort_values=[np.asarray(v) for v in sort_values],
     )
+
+
+def build_csr(*args, **kwargs):
+    return build_sorted(*args, **kwargs)[0]
 
 
 class TestNestedCSRBasics:
@@ -50,8 +55,8 @@ class TestNestedCSRBasics:
     def test_sort_order_within_groups(self):
         bound = [0, 0, 0, 0]
         sort_vals = [[5, 1, 3, 2]]
-        csr = build_csr(1, bound, sort_values=sort_vals)
-        ordered = np.asarray(sort_vals[0])[csr.order]
+        _, order = build_sorted(1, bound, sort_values=sort_vals)
+        ordered = np.asarray(sort_vals[0])[order]
         assert list(ordered) == sorted(sort_vals[0])
 
     def test_out_of_range_lookups_raise(self):
@@ -134,13 +139,15 @@ class TestNestedCSRProperties:
     def test_group_contents_match_bruteforce(self, inputs):
         """The permuted entries of each group equal a brute-force filter."""
         num_bound, bound_ids, codes, domain, sort_values = inputs
-        csr = build_csr(num_bound, bound_ids, [codes], [domain], [sort_values])
+        csr, order = build_sorted(num_bound, bound_ids, [codes], [domain], [sort_values])
         bound_arr = np.asarray(bound_ids)
         code_arr = np.asarray(codes)
+        # Every entry's bound ID, derived from the bound-level offsets.
+        assert csr.bound_ids().tolist() == bound_arr[order].tolist()
         for bound in range(num_bound):
             for code in range(domain):
                 start, end = csr.group_range(bound, [code])
-                entries = set(csr.order[start:end].tolist())
+                entries = set(order[start:end].tolist())
                 expected = set(
                     np.nonzero((bound_arr == bound) & (code_arr == code))[0].tolist()
                 )
@@ -150,10 +157,10 @@ class TestNestedCSRProperties:
     @given(csr_inputs())
     def test_sort_values_nondecreasing_within_groups(self, inputs):
         num_bound, bound_ids, codes, domain, sort_values = inputs
-        csr = build_csr(num_bound, bound_ids, [codes], [domain], [sort_values])
+        csr, order = build_sorted(num_bound, bound_ids, [codes], [domain], [sort_values])
         values = np.asarray(sort_values)
         for bound in range(num_bound):
             for code in range(domain):
                 start, end = csr.group_range(bound, [code])
-                group_values = values[csr.order[start:end]]
+                group_values = values[order[start:end]]
                 assert list(group_values) == sorted(group_values)
