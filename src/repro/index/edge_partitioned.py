@@ -225,7 +225,8 @@ class EdgePartitionedIndex(SecondaryLists):
         csr, order = self._build_csr(
             graph, config, graph.num_edges, bound_ids, eadj_ids, vnbr_ids
         )
-        self._install(graph, view, config, primary, csr, positions[order], name)
+        offsets = adj.list_offsets(positions[order])
+        self._install(graph, view, config, primary, csr, offsets, name)
         #: Pairs whose view predicate construction evaluated (None when the
         #: index was merged rather than built).
         self.candidates_examined: Optional[int] = examined
@@ -239,23 +240,24 @@ class EdgePartitionedIndex(SecondaryLists):
         config: IndexConfig,
         primary: PrimaryIndex,
         csr: NestedCSR,
-        positions: np.ndarray,
+        offsets: np.ndarray,
         name: Optional[str] = None,
     ) -> "EdgePartitionedIndex":
         """Build an index from pre-merged state, skipping the 2-hop join.
 
-        ``positions`` are the adjacent edges' positions in ``primary``'s list
-        space, already in index position order (surviving pairs spliced with
-        the sorted delta pairs), and ``csr`` is built over the matching group
-        IDs.  Used by incremental maintenance merges.
+        ``offsets`` are the adjacent edges' offsets into the lists of the
+        bound edges' shared vertices in ``primary``'s list space, already in
+        index position order (surviving pairs spliced with the sorted delta
+        pairs), and ``csr`` is built over the matching group IDs.  Used by
+        incremental maintenance merges.
         """
         self = cls.__new__(cls)
-        self._install(graph, view, config, primary, csr, positions, name)
+        self._install(graph, view, config, primary, csr, offsets, name)
         self.candidates_examined = None
         self.creation_seconds = 0.0
         return self
 
-    def _install(self, graph, view, config, primary, csr, positions, name) -> None:
+    def _install(self, graph, view, config, primary, csr, offsets, name) -> None:
         self.graph = graph
         self.view = view
         self.config = config
@@ -263,7 +265,7 @@ class EdgePartitionedIndex(SecondaryLists):
         self.name = name or view.name
         #: The primary of the adjacent edges' direction: the list space.
         self.primary: AdjacencyIndex = primary.for_direction(view.adjacency_direction)
-        self._install_entries(csr, positions)
+        self._install_entries(csr, offsets)
 
     # ------------------------------------------------------------------
     # lookups

@@ -270,16 +270,15 @@ class SecondaryLists(AdjacencyLists):
             positions, list_starts, counts, ids.edge_ids, ids.nbr_ids
         )
 
-    def _install_entries(self, csr: NestedCSR, positions: np.ndarray) -> None:
-        """Install ``csr`` and its entries, given as positions in the primary's
-        ID lists in index order: each is stored as its offset into the
-        primary list that holds it (its bound ID's shared vertex's list)."""
+    def _install_entries(self, csr: NestedCSR, offsets: np.ndarray) -> None:
+        """Install ``csr`` and its entries in index order, each given as its
+        offset into the primary list that holds it (its bound ID's shared
+        vertex's list).  A scratch build derives them from primary positions
+        (:meth:`~repro.index.primary.AdjacencyIndex.list_offsets`); a flush
+        merge carries the old ones over and re-derives only those in the
+        primary lists its delta touched."""
         self.csr = csr
-        self.offset_lists = OffsetLists(self.primary.list_offsets(positions))
-
-    def primary_positions(self) -> np.ndarray:
-        """Every entry's position in the primary's ID lists, in index order."""
-        return self._list_starts(self.csr.bound_ids()) + self.offset_lists.offsets
+        self.offset_lists = OffsetLists(offsets)
 
     @property
     def num_indexed_edges(self) -> int:

@@ -29,17 +29,29 @@ buffered insertions/deletions merged into the indexes when the buffers fill
   ⌈log₂ longest list⌉ rounds, each reading the old entries' sort keys at one
   middle position per list; ties land after the old entry, as a stable sort
   of appended edges would put them).  Tombstones are positions as well — an
-  edge's slot in the primary, a secondary entry's resolved slot — so an
+  edge's slot in the primary, a secondary entry's slot in its index — so an
   insertion point shifts down by the dead positions before it, every payload
   array is one masked copy of the survivors plus one scatter of the delta
   (:class:`~repro.storage.csr.Splice`), and the CSR offsets are the old ones
-  moved by the running sum of inserted minus dead entries per group
-  (:meth:`NestedCSR.spliced`).  Surviving secondary entries follow their edge
-  through the primary's position map (``Splice.new_positions``) instead of
-  being looked up again; an edge-partitioned index, whose bound IDs are edge
-  IDs, grows its bound domain by the pending edges and drops the tombstoned
-  ones.  No key, partition code or group ID is ever derived for a surviving
-  entry.  The resulting indexes are byte-identical (offsets, ID lists, offset
+  moved by a step function of the inserted and dead entries' groups
+  (:meth:`NestedCSR.spliced`, one pass over the groups).
+* **Offsets are carried** — a secondary entry stores its offset into the
+  primary list of its bound ID's shared vertex (Section III-B3), and that
+  offset changes only when the flush inserts into or deletes from that
+  list.  The primary merge records which lists it touched
+  (``_MergedAdjacency.touched``); a secondary merge copies the old offsets
+  and re-derives only the entries of touched lists (old list start plus
+  offset, moved by ``Splice.new_positions``, minus the new list start),
+  which are also the only entries that can lose their edge.  An
+  edge-partitioned index finds those entries through the bound edges that
+  share a touched vertex — that vertex's list on the bound side of the
+  primary — and also drops the lists of deleted bound edges; its bound IDs
+  are edge IDs, so it grows its bound domain by the pending edges and drops
+  the tombstoned ones.  The merge reads an old entry's position only where
+  it bisects, from the probing delta row's group.  No key, partition code or
+  group ID is ever derived for a surviving entry, and
+  ``MaintenanceStats.offsets_rederived`` counts the offsets re-derived.
+  The resulting indexes are byte-identical (offsets, ID lists, offset
   lists, edge positions) to indexes rebuilt from scratch over the updated
   graph, and the statistics are carried the same way
   (:meth:`GraphStatistics.updated`).  ``MaintenanceStats.describe()`` says
@@ -49,10 +61,10 @@ buffered insertions/deletions merged into the indexes when the buffers fill
   anew by its from-scratch constructor.  The churn equivalence tests hold
   every incremental flush byte-identical to it.
 
-Between flushes the buffered work faithfully models the per-insert cost that
-the paper's maintenance micro-benchmark (Section V-F) measures: primary page
-buffer updates, one secondary-view predicate evaluation per (edge, index),
-and the two delta queries of each edge-partitioned index.
+Between flushes the buffered work is the per-insert cost that the paper's
+maintenance micro-benchmark (Section V-F) measures beyond the primary's own
+append: one secondary-view predicate evaluation per (edge, index) and the two
+delta queries of each edge-partitioned index.
 
 Concurrency: the snapshot/flush contract
 ----------------------------------------
@@ -72,7 +84,6 @@ not call ``insert_edges``/``flush`` from several threads concurrently.
 from __future__ import annotations
 
 import time
-from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -91,7 +102,6 @@ from ..graph.schema import GraphSchema
 from ..graph.types import (
     Direction,
     NULL_INT,
-    PAGE_SIZE,
     VERTEX_ID_DTYPE,
     PropertyType,
 )
@@ -190,6 +200,10 @@ class MaintenanceStats:
     edge_partitioned_probes: int = 0
     merges: int = 0
     merge_seconds: float = 0.0
+    #: Secondary entries whose offset a flush re-derived because the flush
+    #: touched the primary list it points into; every other entry's offset
+    #: is carried over unchanged.
+    offsets_rederived: int = 0
     #: Seconds per flush phase (in execution order), summed over all flushes.
     phase_seconds: Dict[str, float] = field(
         default_factory=lambda: dict.fromkeys(
@@ -217,7 +231,8 @@ class MaintenanceStats:
         return (
             f"MaintenanceStats(+{self.inserted_edges:,} -{self.deleted_edges:,} edges, "
             f"{self.merges} flushes in {self.merge_seconds:.3f} s "
-            f"({1000 * self.merge_seconds / merges:.2f} ms each); "
+            f"({1000 * self.merge_seconds / merges:.2f} ms each), "
+            f"{self.offsets_rederived:,} secondary offsets re-derived; "
             f"ms per flush: {phases})"
         )
 
@@ -225,12 +240,16 @@ class MaintenanceStats:
 class _MergedAdjacency(NamedTuple):
     """One merged primary direction, as the secondary merges consume it:
     the new index, how the old index's positions moved (``splice.survivors``,
-    ``splice.new_positions``) and every pending edge's insertion point among
-    the old index's positions."""
+    ``splice.new_positions``), every pending edge's insertion point among
+    the old index's positions, and which vertices' lists the merge inserted
+    into or deleted from (``touched``, a mask over the vertex IDs).  An
+    untouched list holds the same edges in the same order, so an offset
+    into it is still valid."""
 
     index: AdjacencyIndex
     splice: Splice
     pending_insert_at: np.ndarray
+    touched: np.ndarray
 
 
 class IndexMaintainer:
@@ -247,9 +266,6 @@ class IndexMaintainer:
         self.stats = MaintenanceStats()
         self._delta = ColumnarEdgeDelta(store.graph.schema)
         self._tombstone_mask: Optional[np.ndarray] = None
-        # Per-page update-buffer occupancy of the primary and secondary
-        # vertex-partitioned indexes: (index name, page id) -> buffered count.
-        self._page_buffers: Dict[Tuple[str, int], int] = defaultdict(int)
 
     # ------------------------------------------------------------------
     # update API
@@ -312,9 +328,7 @@ class IndexMaintainer:
                 prop_columns[name] = encode_raw_column(prop, values, count)
         self._delta.append(src, dst, label_codes, prop_columns)
 
-        # (1) primary indexes: buffer the insertions in the pages of u and v.
-        self._count_page_updates("primary-fw", src)
-        self._count_page_updates("primary-bw", dst)
+        # (1) primary indexes: one buffered insertion in the lists of u and v.
         self.stats.buffered_operations += 2 * count
 
         # (2) secondary vertex-partitioned indexes: evaluate each view
@@ -323,10 +337,7 @@ class IndexMaintainer:
         for index in self.store.vertex_indexes:
             self.stats.secondary_predicate_evaluations += count
             mask = self._pending_view_mask(index.view, src, dst, label_codes, provider)
-            if mask.any():
-                bound = src if index.direction is Direction.FORWARD else dst
-                self._count_page_updates(index.name, bound[mask])
-                self.stats.buffered_operations += int(mask.sum())
+            self.stats.buffered_operations += int(np.count_nonzero(mask))
 
         # (3) secondary edge-partitioned indexes: batch-wide delta probes
         #     (range arithmetic on the primary CSRs; the candidate pairs are
@@ -399,13 +410,6 @@ class IndexMaintainer:
                 code = cache[name] = schema.edge_label_code(name)
             codes[position] = code
         return codes
-
-    def _count_page_updates(self, index_name: str, bounds: np.ndarray) -> None:
-        pages, counts = np.unique(
-            np.asarray(bounds, dtype=np.int64) // PAGE_SIZE, return_counts=True
-        )
-        for page, count in zip(pages.tolist(), counts.tolist()):
-            self._page_buffers[(index_name, page)] += count
 
     def _pending_column_provider(
         self, label_codes: np.ndarray, prop_columns: Dict[str, object], count: int
@@ -516,7 +520,6 @@ class IndexMaintainer:
     def _reset_buffers(self) -> None:
         self._delta = ColumnarEdgeDelta(self.store.graph.schema)
         self._tombstone_mask = None
-        self._page_buffers.clear()
         self.stats.buffered_operations = 0
 
     def _keep_mask(self) -> np.ndarray:
@@ -704,7 +707,8 @@ class IndexMaintainer:
             new_graph, config, delta_bounds, delta_edges, delta_nbrs,
             old_index.graph.num_edges - num_kept,
         )
-        dead = np.sort(old_index.positions_of_edges(np.flatnonzero(~keep)))
+        dead_edges = np.flatnonzero(~keep)
+        dead = np.sort(old_index.positions_of_edges(dead_edges))
         keys_at = self._sort_keys_reader(config, old_index)
         splice = merge_sorted_runs(
             old_index.csr.offsets, groups, columns, lambda rows, at: keys_at(at), dead
@@ -720,7 +724,16 @@ class IndexMaintainer:
         )
         pending_insert_at = np.empty(len(order), dtype=np.int64)
         pending_insert_at[order] = splice.insert_at
-        return _MergedAdjacency(index, splice, pending_insert_at)
+        old_graph = old_index.graph
+        owners = (
+            old_graph.edge_src
+            if old_index.direction is Direction.FORWARD
+            else old_graph.edge_dst
+        )
+        touched = np.zeros(old_graph.num_vertices, dtype=bool)
+        touched[delta_bounds] = True
+        touched[owners[dead_edges]] = True
+        return _MergedAdjacency(index, splice, pending_insert_at, touched)
 
     def _pending_in_view(
         self, new_graph: PropertyGraph, view: OneHopView, num_kept: int
@@ -739,18 +752,65 @@ class IndexMaintainer:
         return pending[mask]
 
     @staticmethod
-    def _primary_positions(index, current: AdjacencyIndex) -> np.ndarray:
-        """Every entry of secondary ``index`` as a position of ``current``,
-        the store's primary of its direction.  Offset lists address the
-        primary the index was built on (``index.primary``, relative to the
-        lists of the bound IDs' shared vertices); after a ``RECONFIGURE
-        PRIMARY`` that is an older ordering of the same edges, found again by
-        edge ID."""
+    def _old_positions(
+        index, current: AdjacencyIndex, entries: np.ndarray, shared: np.ndarray
+    ) -> np.ndarray:
+        """Secondary ``index``'s ``entries``, whose bound IDs share vertices
+        ``shared``, as positions of ``current``, the store's primary of the
+        index's list space.  Offsets address the primary the index was built
+        on (``index.primary``); after a ``RECONFIGURE PRIMARY`` that is an
+        older ordering of the same edges, found again by edge ID."""
         built_on = index.primary
-        positions = index.primary_positions()
+        positions = built_on.csr.bound_starts(shared) + index.offset_lists.offsets[entries]
         if built_on is not current:
             positions = current.positions_of_edges(built_on.id_lists.edge_ids[positions])
         return positions
+
+    def _probed_positions(self, index, current: AdjacencyIndex, groups: np.ndarray):
+        """``(rows, entries) -> positions``: the old entries that
+        ``merge_sorted_runs`` probes for delta rows, as positions of
+        ``current``.  A probed entry lies in its row's group (``groups``,
+        the sorted delta's), which gives its bound ID and so its shared
+        vertex: no entry is located by search."""
+
+        def positions(rows: np.ndarray, entries: np.ndarray) -> np.ndarray:
+            shared = index.shared_vertices(index.csr.group_bounds(groups[rows]))
+            return self._old_positions(index, current, entries, shared)
+
+        return positions
+
+    def _carried_offsets(
+        self,
+        index,
+        current: AdjacencyIndex,
+        adjacency: "_MergedAdjacency",
+        bounds: np.ndarray,
+        shared: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(offsets, dead)``: ``index``'s offsets with the entries of
+        ``bounds`` — the bound IDs whose shared vertices ``shared`` own a
+        primary list the flush touched — re-derived against the merged
+        primary, every other one carried over; and the entries among them
+        whose edge the flush deleted.
+
+        An entry's old position is its list's old start plus its offset; the
+        primary's splice moves it (``Splice.new_positions``, ``-1`` when
+        dead), and the new offset is that position minus the list's new
+        start."""
+        starts, ends = index.csr.prefix_ranges(bounds)
+        counts = ends - starts
+        entries = range_positions(starts, counts, int(counts.sum()))
+        shared = np.repeat(shared, counts)
+        new_positions = adjacency.splice.new_positions[
+            self._old_positions(index, current, entries, shared)
+        ]
+        alive = new_positions >= 0
+        offsets = index.offset_lists.offsets.copy()
+        offsets[entries[alive]] = new_positions[alive] - adjacency.index.csr.bound_starts(
+            shared[alive]
+        )
+        self.stats.offsets_rederived += len(entries)
+        return offsets, entries[~alive]
 
     def _merge_vertex_index(
         self,
@@ -764,10 +824,14 @@ class IndexMaintainer:
         old_adj = self.store.primary.for_direction(old_index.direction)
         new_adj = adjacency.index
 
-        # Every old entry as a position of the *old* primary: a tombstoned
-        # edge is a dead position there, a survivor moves with the primary.
-        old_positions = self._primary_positions(old_index, old_adj)
-        dead = np.flatnonzero(~adjacency.splice.survivors[old_positions])
+        # A vertex's entries point into its own primary list: only the lists
+        # the flush touched (every list, if the primary was reconfigured
+        # since the index was built) can move or lose an entry.
+        if old_index.primary is old_adj:
+            vertices = np.flatnonzero(adjacency.touched)
+        else:
+            vertices = np.arange(old_adj.graph.num_vertices, dtype=np.int64)
+        carried, dead = self._carried_offsets(old_index, old_adj, adjacency, vertices, vertices)
 
         delta_edges = self._pending_in_view(new_graph, old_index.view, num_kept)
         delta_bounds = new_graph.edge_src[delta_edges].astype(np.int64)
@@ -780,11 +844,12 @@ class IndexMaintainer:
         )
 
         keys_at = self._sort_keys_reader(config, old_adj)
+        probed = self._probed_positions(old_index, old_adj, groups)
         splice = merge_sorted_runs(
             old_index.csr.offsets,
             groups,
             columns,
-            lambda rows, at: keys_at(old_positions[at]),
+            lambda rows, at: keys_at(probed(rows, at)),
             dead,
         )
         return VertexPartitionedIndex.from_sorted(
@@ -795,8 +860,8 @@ class IndexMaintainer:
             new_adj,
             old_index.csr.spliced(groups, dead),
             splice.merge(
-                adjacency.splice.new_positions[old_positions[splice.survivors]],
-                new_adj.positions_of_edges(delta_edges[order]),
+                carried[splice.survivors],
+                new_adj.list_offsets(new_adj.positions_of_edges(delta_edges[order])),
             ),
             name=old_index.name,
         )
@@ -843,15 +908,29 @@ class IndexMaintainer:
         old_graph = old_adj.graph
         new_adj = adjacency.index
         num_dead = old_graph.num_edges - num_kept
+        old_bound_side = old_primary.backward if anchored_on_dst else old_primary.forward
 
-        # Every old pair as a position of the old adjacent primary; a pair
-        # dies with either of its edges: the adjacent one is a dead primary
-        # position, a deleted bound edge takes its whole list.
-        old_positions = self._primary_positions(old_index, old_adj)
-        dead = ~adjacency.splice.survivors[old_positions]
+        # Only the pairs in a primary list the flush touched can move or lose
+        # their adjacent edge.  The bound edges sharing a touched vertex are
+        # that vertex's list on the bound side (every bound edge, if the
+        # primary was reconfigured since the index was built).  A deleted
+        # bound edge takes its whole list.
+        if old_index.primary is old_adj:
+            vertices = np.flatnonzero(adjacency.touched)
+            starts, ends = old_bound_side.csr.prefix_ranges(vertices)
+            counts = ends - starts
+            bounds = old_bound_side.id_lists.edge_ids[
+                range_positions(starts, counts, int(counts.sum()))
+            ]
+            shared = np.repeat(vertices, counts)
+        else:
+            bounds = np.arange(old_graph.num_edges, dtype=np.int64)
+            shared = old_index.shared_vertices(bounds)
+        carried, dead = self._carried_offsets(old_index, old_adj, adjacency, bounds, shared)
         starts, ends = old_index.csr.prefix_ranges(np.flatnonzero(~keep))
-        dead[range_positions(starts, ends - starts, int((ends - starts).sum()))] = True
-        dead = np.flatnonzero(dead)
+        dead = np.union1d(
+            dead, range_positions(starts, ends - starts, int((ends - starts).sum()))
+        )
 
         # Delta pairs.
         pending = np.arange(num_kept, new_graph.num_edges, dtype=np.int64)
@@ -862,7 +941,6 @@ class IndexMaintainer:
         anchor = (
             new_graph.edge_src[pending] if adjacent_fw else new_graph.edge_dst[pending]
         ).astype(np.int64)
-        old_bound_side = old_primary.backward if anchored_on_dst else old_primary.forward
         cand_eb, _, cand_counts = old_bound_side.list_many(anchor)
         grouped = intersect_segments(
             [cand_eb.astype(np.int64, copy=False)],
@@ -913,12 +991,18 @@ class IndexMaintainer:
         )
 
         keys_at = self._sort_keys_reader(config, old_adj)
+        probed = self._probed_positions(old_index, old_adj, groups)
+
+        def old_keys(rows: np.ndarray, at: np.ndarray) -> List[np.ndarray]:
+            positions = probed(rows, at)
+            return keys_at(positions) + [positions]
+
         grown = old_index.csr.grown(len(pending))
         splice = merge_sorted_runs(
             grown.offsets,
             groups,
             columns + [cand_closing[mask][order]],
-            lambda rows, at: keys_at(old_positions[at]) + [old_positions[at]],
+            old_keys,
             dead,
             side="left",
         )
@@ -931,8 +1015,7 @@ class IndexMaintainer:
                 groups, dead, np.concatenate([keep, np.ones(len(pending), dtype=bool)])
             ),
             splice.merge(
-                adjacency.splice.new_positions[old_positions[splice.survivors]],
-                delta_positions[order],
+                carried[splice.survivors], new_adj.list_offsets(delta_positions[order])
             ),
             name=old_index.name,
         )

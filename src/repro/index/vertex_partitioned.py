@@ -68,8 +68,8 @@ class VertexPartitionedIndex(SecondaryLists):
         csr, order = self._build_csr(
             graph, config, graph.num_vertices, bound_ids, selected, nbr_ids
         )
-        positions = primary.positions_of_edges(selected[order])
-        self._install(graph, view, direction, config, primary, csr, positions, name)
+        offsets = primary.list_offsets(primary.positions_of_edges(selected[order]))
+        self._install(graph, view, direction, config, primary, csr, offsets, name)
         self.creation_seconds = time.perf_counter() - started
 
     @classmethod
@@ -81,23 +81,23 @@ class VertexPartitionedIndex(SecondaryLists):
         config: IndexConfig,
         primary: AdjacencyIndex,
         csr: NestedCSR,
-        positions: np.ndarray,
+        offsets: np.ndarray,
         name: Optional[str] = None,
     ) -> "VertexPartitionedIndex":
         """Build an index from pre-merged state, skipping view scan and sort.
 
-        ``positions`` are the entries' positions in ``primary``, already in
-        index position order (surviving entries spliced with the sorted
-        delta), and ``csr`` is built over the matching group IDs.  Used by
-        incremental maintenance merges.
+        ``offsets`` are the entries' offsets into their vertices' lists of
+        ``primary``, already in index position order (surviving entries
+        spliced with the sorted delta), and ``csr`` is built over the
+        matching group IDs.  Used by incremental maintenance merges.
         """
         self = cls.__new__(cls)
-        self._install(graph, view, direction, config, primary, csr, positions, name)
+        self._install(graph, view, direction, config, primary, csr, offsets, name)
         self.creation_seconds = 0.0
         return self
 
     def _install(
-        self, graph, view, direction, config, primary, csr, positions, name
+        self, graph, view, direction, config, primary, csr, offsets, name
     ) -> None:
         self.graph = graph
         self.view = view
@@ -105,7 +105,7 @@ class VertexPartitionedIndex(SecondaryLists):
         self.config = config
         self.primary = primary
         self.name = name or f"{view.name}-{direction.value}"
-        self._install_entries(csr, positions)
+        self._install_entries(csr, offsets)
         # Partition-level sharing (Section III-B3): possible only when the
         # view has no predicates and the partitioning structure matches the
         # primary index's, in which case both indexes have identical CSR

@@ -403,8 +403,13 @@ class NestedCSR:
         keep_bounds: Optional[np.ndarray] = None,
     ) -> "NestedCSR":
         """The CSR after a :class:`Splice`: the old offsets moved by the
-        running sum of the delta's groups minus the dead positions' groups —
-        per group, never per entry.
+        running sum of the delta's groups minus the dead positions' groups.
+
+        The delta's groups and the dead positions' groups are the only
+        events: the shift of the group ends is a step function that changes
+        at them, so it is one ``np.repeat`` of the running sums over the gaps
+        between events and one in-place add onto the old offsets — one pass
+        over the groups, no per-group count.
 
         ``keep_bounds`` (a mask over the bound IDs) drops whole bound IDs
         whose lists the splice emptied, renumbering the rest in order: an
@@ -412,17 +417,28 @@ class NestedCSR:
         compacts over the tombstones.
         """
         dead_groups = np.searchsorted(self.offsets, dead_positions, side="right") - 1
-        change = np.bincount(delta_groups, minlength=self._total_groups)
-        change -= np.bincount(dead_groups, minlength=self._total_groups)
-        ends = np.cumsum(change)
-        ends += self.offsets[1:]
-        if keep_bounds is not None:
-            ends = ends.reshape(-1, self._per_bound)[keep_bounds].ravel()
-        return NestedCSR(
-            len(ends) // self._per_bound,
-            self.level_domains,
-            np.concatenate([[0], ends]),
+        events = np.concatenate([delta_groups, dead_groups])
+        order = np.argsort(events, kind="stable")
+        steps = np.concatenate(
+            [np.ones(len(delta_groups), np.int64), np.full(len(dead_groups), -1, np.int64)]
         )
+        # offsets[i], the end of group i - 1, moves by the events of the
+        # groups below i: by 0 up to the first event's group, then by each
+        # running sum until the next event's.
+        shifts = np.zeros(len(events) + 1, dtype=np.int64)
+        np.cumsum(steps[order], out=shifts[1:])
+        runs = np.diff(events[order] + 1, prepend=0, append=len(self.offsets))
+        offsets = np.repeat(shifts, runs)
+        offsets += self.offsets
+        if keep_bounds is None:
+            return NestedCSR(self.num_bound, self.level_domains, offsets)
+        # One 1-D mask over the offsets: the leading 0, then every group end
+        # of a kept bound (a broadcast store, not ``np.repeat``, whose
+        # scalar-count path copies one element at a time).
+        keep = np.empty(len(offsets), dtype=bool)
+        keep[0] = True
+        keep[1:].reshape(-1, self._per_bound)[:] = keep_bounds[:, None]
+        return NestedCSR(int(np.count_nonzero(keep_bounds)), self.level_domains, offsets[keep])
 
     # ------------------------------------------------------------------
     # lookups
@@ -443,13 +459,9 @@ class NestedCSR:
         starts, ends = self.prefix_ranges(np.array([bound_id]), codes)
         return int(starts[0]), int(ends[0])
 
-    def bound_ids(self) -> np.ndarray:
-        """The bound ID of every entry, in position order, derived from the
-        bound-level offsets."""
-        bound_offsets = self.offsets[:: self._per_bound]
-        return np.repeat(
-            np.arange(self.num_bound, dtype=np.int64), np.diff(bound_offsets)
-        )
+    def group_bounds(self, groups: np.ndarray) -> np.ndarray:
+        """The bound ID of every listed most granular group."""
+        return np.asarray(groups, dtype=np.int64) // self._per_bound
 
     def _prefix_groups(
         self, bound_ids: np.ndarray, codes: Sequence[int] = ()

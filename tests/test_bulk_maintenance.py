@@ -304,6 +304,38 @@ class TestIncrementalEqualsScratch:
         assert db_inc.graph.num_edges == graph.num_edges - 4
         assert_stores_identical(db_inc, db_scr)
 
+    def test_a_flush_re_derives_the_offsets_of_the_lists_it_touched(self):
+        """One inserted edge ``v -> w`` touches the forward list of ``v`` (and
+        the backward list of ``w``, which no index here points into): the
+        flush re-derives exactly BigWire's entries of ``v`` and the EPd
+        entries of the bound edges anchored at ``v`` (``eb = (u, v)``), and
+        carries every other offset over."""
+        graph = small_financial_graph()
+        db_inc = database_with_secondary_indexes(graph)
+        db_scr = database_with_secondary_indexes(graph)
+        big, epd = db_inc.store.vertex_indexes[0], db_inc.store.edge_indexes[0]
+
+        def rederived(v):
+            anchored = np.flatnonzero(graph.edge_dst == v)
+            return big.degree(v) + sum(epd.degree(int(eb)) for eb in anchored)
+
+        v = next(
+            v for v in range(graph.num_vertices) if 0 < big.degree(v) < rederived(v)
+        )
+        want = rederived(v)
+        assert want < len(big.offset_lists) + len(epd.offset_lists)
+        m_inc = db_inc.maintainer(merge_threshold=10**9)
+        m_scr = db_scr.maintainer(merge_threshold=10**9)
+        for maintainer in (m_inc, m_scr):
+            maintainer.insert_edges(
+                [v], [(v + 1) % graph.num_vertices], "Wire", properties=dict(amt=[900], date=[5])
+            )
+        m_inc.flush(incremental=True)
+        m_scr.flush(incremental=False)
+        assert_stores_identical(db_inc, db_scr)
+        assert m_inc.stats.offsets_rederived == want
+        assert f"{want:,} secondary offsets re-derived" in m_inc.stats.describe()
+
 
 fuzz = pytest.mark.skipif(
     os.environ.get("RUN_FUZZ") != "1",

@@ -142,8 +142,6 @@ class TestNestedCSRProperties:
         csr, order = build_sorted(num_bound, bound_ids, [codes], [domain], [sort_values])
         bound_arr = np.asarray(bound_ids)
         code_arr = np.asarray(codes)
-        # Every entry's bound ID, derived from the bound-level offsets.
-        assert csr.bound_ids().tolist() == bound_arr[order].tolist()
         for bound in range(num_bound):
             for code in range(domain):
                 start, end = csr.group_range(bound, [code])
@@ -164,3 +162,64 @@ class TestNestedCSRProperties:
                 start, end = csr.group_range(bound, [code])
                 group_values = values[order[start:end]]
                 assert list(group_values) == sorted(group_values)
+
+
+class TestSpliced:
+    """``NestedCSR.spliced`` against :meth:`NestedCSR.build` over the
+    surviving and delta entries stacked, on two partition levels."""
+
+    DOMAINS = (3, 2)
+
+    def _entries(self, rng, bounds, size):
+        """``size`` random (bound, code 1, code 2) entries over ``bounds``."""
+        return (
+            rng.choice(bounds, size=size),
+            rng.integers(0, self.DOMAINS[0], size=size),
+            rng.integers(0, self.DOMAINS[1], size=size),
+        )
+
+    def _groups(self, entries):
+        bound, c1, c2 = entries
+        return (bound * self.DOMAINS[0] + c1) * self.DOMAINS[1] + c2
+
+    @pytest.mark.parametrize("num_delta", [0, 15])
+    @pytest.mark.parametrize("dead_share", [0.0, 0.3])
+    @pytest.mark.parametrize("drop_bounds", [False, True])
+    def test_two_levels_match_a_build_of_the_stacked_entries(
+        self, num_delta, dead_share, drop_bounds
+    ):
+        rng = np.random.default_rng(num_delta + int(10 * dead_share) + 7 * drop_bounds)
+        num_bound, extra = 8, 2
+        for _ in range(10):
+            base = self._entries(rng, np.arange(num_bound), int(rng.integers(0, 50)))
+            csr, order = build_sorted(num_bound, base[0], base[1:], self.DOMAINS)
+            base = tuple(column[order] for column in base)
+            # The grown domain, as an edge-partitioned merge runs it; a
+            # dropped bound loses every entry, and the delta avoids it.
+            grown = csr.grown(extra)
+            keep_bounds = np.ones(num_bound + extra, dtype=bool)
+            if drop_bounds:
+                keep_bounds[rng.choice(num_bound + extra, size=3, replace=False)] = False
+            dead = (rng.random(len(base[0])) < dead_share) | ~keep_bounds[base[0]]
+            delta = self._entries(rng, np.flatnonzero(keep_bounds), num_delta)
+            delta_groups = np.sort(self._groups(delta))
+
+            got = grown.spliced(
+                delta_groups, np.flatnonzero(dead), keep_bounds if drop_bounds else None
+            )
+
+            stacked = [
+                np.concatenate([column[~dead], d]) for column, d in zip(base, delta)
+            ]
+            # Kept bounds renumbered in order (the identity when all are kept).
+            new_bound = np.cumsum(keep_bounds) - 1
+            want, _ = build_sorted(
+                int(keep_bounds.sum()),
+                new_bound[stacked[0]],
+                stacked[1:],
+                self.DOMAINS,
+            )
+            assert got.num_bound == want.num_bound
+            assert got.level_domains == want.level_domains
+            assert got.offsets.dtype == want.offsets.dtype
+            assert got.offsets.tolist() == want.offsets.tolist()

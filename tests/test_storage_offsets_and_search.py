@@ -103,7 +103,6 @@ class TestOffsetLists:
         codes = ([2, 0, 1, 0, 2, 1, 1], [1, 0, 1, 1, 0, 0, 1])
         offsets = [5, 255, 256, 1, 2, 65536, 9]
         lists, csr, bounds = _sorted_lists(129, bounds, offsets, codes, (3, 2))
-        assert csr.bound_ids().tolist() == bounds.tolist()
         assert lists.nbytes(csr) == 3 * 2 + 3 * 1 + 3 == per_entry_charge(
             lists.offsets, bounds
         )
@@ -152,9 +151,11 @@ class TestOffsetLists:
         merged, rebuilt = (db.store.edge_indexes[0] for db in dbs)
         assert merged.csr.num_bound == 400 - len(doomed)
         charge = merged.memory_breakdown().offset_list_bytes
-        assert charge == per_entry_charge(
-            merged.offset_lists.offsets, merged.csr.bound_ids()
+        # A flat index has one group per bound: entry ranges are bound ranges.
+        bound_of_entry = np.repeat(
+            np.arange(merged.csr.num_bound), np.diff(merged.csr.offsets)
         )
+        assert charge == per_entry_charge(merged.offset_lists.offsets, bound_of_entry)
         assert charge == rebuilt.memory_breakdown().offset_list_bytes
         assert charge > 0
 
