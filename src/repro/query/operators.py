@@ -38,8 +38,13 @@ partial match at a time.  The extension operators therefore default to a
 * the single-leg :class:`ExtendIntersect` (the dominant plan shape) never
   enters a per-row loop: the extended batch is emitted with one ``repeat`` and
   one ``with_columns``;
-* multi-leg E/I and :class:`MultiExtend` hand the whole batch's concatenated
-  segments to the segment-wise intersection kernel
+* a multi-leg E/I whose legs bind no edge reads each leg once per distinct
+  key where its keys repeat and intersects through the shared-list kernel
+  (:func:`~repro.storage.intersect.intersect_shared_lists`), which expands
+  each row's shortest list and weighs every entry by its runs in the row's
+  other lists;
+* a multi-leg E/I that binds an edge and :class:`MultiExtend` hand the whole
+  batch's concatenated segments to the segment-wise intersection kernel
   (:func:`~repro.storage.intersect.intersect_segments`), which joins all legs
   on composite (row, key) keys in a handful of numpy ops — sort-merge,
   galloping binary search, or a hash-table probe, chosen adaptively — and
@@ -81,6 +86,7 @@ from ..storage.intersect import (
     count_shared_intersections,
     dedup_sorted,
     intersect_segments,
+    intersect_shared_lists,
 )
 from ..storage.sort_keys import SortKey, null_sort_value
 from .binding import DEFAULT_BATCH_SIZE, MatchBatch
@@ -653,7 +659,7 @@ def _reconcile_combo_targets(
 
 
 # ----------------------------------------------------------------------
-# key sharing in the count-only suffix
+# key sharing: the count-only suffix, merged rows and the flat E/I
 # ----------------------------------------------------------------------
 #: A count-only leg works per distinct key when a batch's rows repeat its
 #: keys at least this often on average (distinct <= rows / 2); a multi-leg
@@ -665,7 +671,8 @@ def _reconcile_combo_targets(
 #: pays 0.45 → 0.48 ms p50 in GIL hand-offs (3 passes each, 2 cores).  A
 #: gate of 1 (share on any repeat) measured the same as 2 (844 ops/s,
 #: 0.48 ms).  The same gate decides whether a flat stage's output batch is
-#: merged (:func:`merge_rows`).
+#: merged (:func:`merge_rows`) and whether a flat E/I leg reads its lists
+#: once per distinct key (:func:`_leg_lists`).
 _SHARE_MIN_REPEAT = 2
 
 
@@ -691,6 +698,23 @@ def _key_domain(name: str, context: ExecutionContext) -> int:
 def _key_batch(leg: ExtensionLeg, keys: SharedKeys) -> MatchBatch:
     """One row per distinct key of ``leg``: what ``fetch_many`` reads."""
     return MatchBatch(dict(zip(leg.key_vars(), keys.columns())))
+
+
+def _leg_lists(
+    leg: ExtensionLeg, batch: MatchBatch, context: ExecutionContext
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(nbr_ids, counts, row_lists)``: the lists ``leg`` reads for
+    ``batch`` — once per distinct key where its keys repeat
+    (``_SHARE_MIN_REPEAT``), else one per row — and the list each row
+    reads."""
+    keys = _leg_keys(leg, batch, context)
+    if keys.distinct * _SHARE_MIN_REPEAT > len(batch):
+        _, nbr_ids, counts = leg.fetch_many(context, batch, batch.weights)
+        return nbr_ids, counts, np.arange(len(batch), dtype=np.int64)
+    _, nbr_ids, counts = leg.fetch_many(
+        context, _key_batch(leg, keys), weights=keys.weights(batch.weights)
+    )
+    return nbr_ids, counts, keys.inverse()
 
 
 def merge_rows(
@@ -838,8 +862,9 @@ class ExtendIntersect(PhysicalOperator):
             together with variables other than the legs' bound variables.
         vectorized: select the batch-at-a-time gather path (default).  The
             single-leg fast path extends a whole batch with no per-row Python
-            loop; the multi-leg path prefetches every leg through ``list_many``
-            and intersects the whole batch in one segment-kernel call.
+            loop; the multi-leg path fetches every leg through ``list_many``
+            (once per distinct key where its keys repeat) and intersects the
+            whole batch in one kernel call.
             ``False`` selects the legacy tuple-at-a-time path (benchmark
             baseline / equivalence oracle).
     """
@@ -894,34 +919,53 @@ class ExtendIntersect(PhysicalOperator):
     def _extend_batch_multi(
         self, batch: MatchBatch, context: ExecutionContext
     ) -> Optional[MatchBatch]:
-        """Multi-leg path: batched fetch per leg, one kernel call per batch.
+        """Multi-leg path: one fetch per leg and one kernel call per batch.
 
-        All legs' concatenated ``list_many`` segments are intersected on
-        composite (row, neighbour) keys by
-        :func:`~repro.storage.intersect.intersect_segments`; per-combination
-        positions returned by the kernel keep the tracked edge columns
-        aligned with the intersected neighbours.
+        When no leg binds its edge, the intersection is list-based: a leg
+        whose keys repeat in the batch (``_SHARE_MIN_REPEAT``) is fetched
+        and filtered once per distinct value of
+        :meth:`ExtensionLeg.key_vars` and charged for every row, a leg
+        whose keys do not repeat hands over one list per row, and
+        :func:`~repro.storage.intersect.intersect_shared_lists` — the
+        kernel :meth:`count_factorized` counts with — expands each row's
+        shortest list and weighs it by the row's other lists.  A leg that
+        is not sorted on neighbour ID has each distinct list sorted once
+        inside that call.  The rows, their order and the logical counters
+        are those of the per-row intersection; only ``lists_shared`` and
+        ``entries_shared`` grow.
+
+        A leg that binds its edge needs every combination's entry
+        positions, which only
+        :func:`~repro.storage.intersect.intersect_segments` returns: then
+        every leg is fetched per row and intersected there, on composite
+        (row, neighbour) keys, and the positions keep the tracked edge
+        columns aligned with the intersected neighbours.
         """
-        any_tracked = any(leg.track_edge for leg in self.legs)
+        if not any(leg.track_edge for leg in self.legs):
+            lists = [_leg_lists(leg, batch, context) for leg in self.legs]
+            nbr_ids, counts = intersect_shared_lists(
+                [nbr_ids for nbr_ids, _, _ in lists],
+                [counts for _, counts, _ in lists],
+                [row_lists for _, _, row_lists in lists],
+                presorted=[leg.presorted_by_nbr for leg in self.legs],
+                domain=context.graph.num_vertices,
+            )
+            if len(nbr_ids) == 0:
+                return None
+            return batch.repeat(counts).with_columns({self.target_var: nbr_ids})
         per_leg = [leg.fetch_many(context, batch, batch.weights) for leg in self.legs]
         result = intersect_segments(
             [nbr_ids for _, nbr_ids, _ in per_leg],
             [counts for _, _, counts in per_leg],
             num_rows=len(batch),
             presorted=[leg.presorted_by_nbr for leg in self.legs],
-            need_positions=any_tracked,
         )
         if result.total == 0:
             return None
         new_columns = {self.target_var: result.expanded_keys()}
-        if any_tracked:
-            for leg, (edge_ids, _, _), pos in zip(
-                self.legs, per_leg, result.positions
-            ):
-                if leg.track_edge:
-                    new_columns[leg.edge_var] = np.asarray(
-                        edge_ids, dtype=np.int64
-                    )[pos]
+        for leg, (edge_ids, _, _), pos in zip(self.legs, per_leg, result.positions):
+            if leg.track_edge:
+                new_columns[leg.edge_var] = np.asarray(edge_ids, dtype=np.int64)[pos]
         return batch.repeat(result.counts_out).with_columns(new_columns)
 
     # -- factorized emit path -------------------------------------------
@@ -984,7 +1028,9 @@ class ExtendIntersect(PhysicalOperator):
           fetched once, over the union of their keys, and a row's count
           then does not depend on which leg reads which of its lists, so
           rows that name the same lists in another order — ``(x, y)`` and
-          ``(y, x)`` — are counted once.
+          ``(y, x)`` — are counted once.  The kernel behind it is the flat
+          E/I's too (:meth:`_extend_batch_multi`): one kernel, two
+          callers, one summing a row's kept entries and one emitting them.
 
         ``keys_may_repeat=False`` is the plan's static verdict
         (:meth:`~repro.query.plan.QueryPlan.may_repeat`) that no two rows

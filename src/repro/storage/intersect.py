@@ -79,8 +79,16 @@ per call:
   runs — skipped when the bits are per cell and no run is longer than 1.
 
 Nothing per probe is wider than the cells: the cells, keys and probes are
-``int32`` whenever the span fits.  It returns what an aggregate needs — the
-per-row combination counts — and nothing else.
+``int32`` whenever the span fits.  One kernel (``_weigh_entries``) serves two
+entry points.  :func:`count_shared_intersections` returns what an aggregate
+needs, the per-row sums of the weights.  :func:`intersect_shared_lists` is
+the flat E/I's: it emits every expanded entry's key repeated by its weight,
+so a row's output is its intersection in the order of the list it expanded,
+and parallel entries keep their multiplicity.  The flat E/I passes one
+list per row for a leg whose keys do not repeat, and sorts once each
+distinct list of a space that is not sorted on the key.  Neither returns
+entry positions: a leg that binds its edge stays on
+:func:`intersect_segments`.
 """
 
 from __future__ import annotations
@@ -580,13 +588,17 @@ def _weigh_entries(
     presorted: bool,
     domain: int,
     strategy: Optional[str],
-) -> Tuple[np.ndarray, np.ndarray]:
+    keep_keys: bool = False,
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Every row's shortest list, expanded and weighed by its other lists.
 
-    Returns ``(weights, offsets)``: per expanded entry, the product of its
-    runs in the row's other lists, and the row boundaries into ``weights``.
-    The lookup structure and the probes go with the call, before the row
-    sums widen the weights to int64.
+    The one kernel of both shared-list entry points.  Returns ``(weights,
+    offsets, entry_keys)``: per expanded entry, the product of its runs in
+    the row's other lists, the row boundaries into ``weights`` and, with
+    ``keep_keys``, each entry's key (else ``None``).  An entry keeps the
+    position it has in its row's list, so the keys of a row whose list is
+    sorted come out sorted.  The lookup structure and the probes go with
+    the call, before the row sums widen the weights to int64.
     """
     num_legs, num_rows = lists.shape
     shortest = counts[lists].argmin(axis=0)
@@ -597,7 +609,7 @@ def _weigh_entries(
     np.cumsum(sizes, out=offsets[1:])
     total = int(offsets[-1])
     if total == 0:
-        return np.zeros(0, dtype=np.uint8), offsets
+        return np.zeros(0, dtype=np.uint8), offsets, keys[:0] if keep_keys else None
     # One ``np.repeat`` (which holds the GIL) gives every entry its row;
     # gathers through it (which release the GIL) do the rest.
     entry_rows = np.repeat(row_ids, sizes)
@@ -609,8 +621,8 @@ def _weigh_entries(
         last = step + 1 == num_legs
         probed = lists[(shortest + step) % num_legs, row_ids] * domain
         probed = probed.astype(keys.dtype, copy=False)
-        # The last step probes in place: the keys are not read again.
-        probes = entry_keys if last else entry_keys.copy()
+        # The last step probes in place unless the keys are returned.
+        probes = entry_keys if last and not keep_keys else entry_keys.copy()
         probes += probed[entry_rows]
         step_weights = runs(probes)
         weights = (
@@ -625,7 +637,7 @@ def _weigh_entries(
             entry_keys = entry_keys[kept]
             weights = weights[kept]
             entry_rows = entry_rows[kept]
-    return weights, offsets
+    return weights, offsets, entry_keys if keep_keys else None
 
 
 def _row_sums(weights: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -665,7 +677,8 @@ def count_shared_intersections(
     the span ``lists * domain`` — never sized by the batch's rows — else a
     bitmap of at most 8 bytes per probe whose hits one binary search of the
     distinct cells confirms.  A row's count is the sum of its entries'
-    weights.
+    weights.  :func:`intersect_shared_lists` runs the same kernel for the
+    flat E/I and emits the entries instead of summing them.
 
     Args:
         list_keys: per leg, the integer join keys (in ``[0, domain)``) of
@@ -683,9 +696,76 @@ def count_shared_intersections(
             bitmap (``"merge"``, ``"gallop"``) — tests and ablations, as in
             :func:`intersect_segments`.
     """
+    keys, counts, lists, domain = _list_space(
+        list_keys, list_counts, row_lists, domain, strategy
+    )
+    weights, offsets, _ = _weigh_entries(
+        keys, counts, lists, all(presorted), domain, strategy
+    )
+    return _row_sums(weights, offsets)
+
+
+def intersect_shared_lists(
+    list_keys: Sequence[np.ndarray],
+    list_counts: Sequence[np.ndarray],
+    row_lists: Sequence[np.ndarray],
+    presorted: Sequence[bool],
+    domain: int,
+    strategy: Optional[str] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-row intersections, materialized, when many rows read the same lists.
+
+    The flat sibling of :func:`count_shared_intersections`: the same
+    arguments and the same kernel, but a row's kept entries are emitted
+    rather than summed.  Returns ``(neighbours, counts_out)``: per row, in
+    row order, the keys of its intersection in ascending order, each
+    repeated by its number of combinations (parallel entries multiply), and
+    per row that number of output entries, in exact int64.  Both equal
+    ``intersect_segments(...).expanded_keys()`` and ``counts_out`` on the
+    batch expanded to one segment per (leg, row), and the keys are int64
+    like theirs.
+
+    A row's output follows the list it expands, so a list space that is
+    not sorted on the key has each of its distinct lists sorted once here
+    — a list read by many rows is sorted once, not once per row.
+    """
+    list_keys = [
+        keys if sort else _sort_lists(keys, counts, int(domain))
+        for keys, counts, sort in zip(list_keys, list_counts, presorted)
+    ]
+    keys, counts, lists, domain = _list_space(
+        list_keys, list_counts, row_lists, domain, strategy
+    )
+    weights, offsets, entry_keys = _weigh_entries(
+        keys, counts, lists, True, domain, strategy, keep_keys=True
+    )
+    neighbours = np.repeat(entry_keys, weights).astype(np.int64, copy=False)
+    return neighbours, _row_sums(weights, offsets)
+
+
+def _sort_lists(keys: np.ndarray, counts: np.ndarray, domain: int) -> np.ndarray:
+    """``keys`` with every list of ``counts`` sorted on its own."""
+    bases = np.repeat(np.arange(len(counts), dtype=np.int64) * domain, counts)
+    cells = bases + keys
+    # A list's cells stay inside its own ``[list * domain, (list + 1) *
+    # domain)``, so one sort of the cells sorts every list in place.
+    cells.sort()
+    cells -= bases
+    return cells.astype(keys.dtype, copy=False)
+
+
+def _list_space(
+    list_keys: Sequence[np.ndarray],
+    list_counts: Sequence[np.ndarray],
+    row_lists: Sequence[np.ndarray],
+    domain: int,
+    strategy: Optional[str],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The legs' list spaces as one: its keys (in the cells' dtype), list
+    lengths, every leg's list of every row in it, and the domain."""
     num_legs = len(row_lists)
     if num_legs < 2:
-        raise ValueError("count_shared_intersections requires at least two legs")
+        raise ValueError("a shared-list intersection requires at least two legs")
     if len(list_keys) not in (1, num_legs):
         raise ValueError("pass one list space per leg, or one for every leg")
     if strategy is not None and strategy not in _STRATEGIES:
@@ -702,7 +782,4 @@ def count_shared_intersections(
     # Cells, probes and keys in the narrowest signed type the span fits.
     domain = int(domain)
     cell_type = np.int32 if len(counts) * domain <= np.iinfo(np.int32).max else np.int64
-    weights, offsets = _weigh_entries(
-        keys.astype(cell_type, copy=False), counts, lists, all(presorted), domain, strategy
-    )
-    return _row_sums(weights, offsets)
+    return keys.astype(cell_type, copy=False), counts, lists, domain

@@ -49,6 +49,7 @@ from repro.query.binding import MatchBatch
 from repro.query.executor import CountSink
 from repro.query.factorized import FLAG_TABLE_DENSITY, SharedKeys
 from repro.query.naive import NaiveMatcher
+from repro.query import operators
 from repro.query.operators import (
     ExecutionContext,
     ExecutionStats,
@@ -485,8 +486,8 @@ def test_logical_stats_match_the_per_row_paths(fx, name, batch_size, monkeypatch
     _query, plan = fx.plans[name]
     executor = PlanRunner(fx.graphs[name], batch_size=batch_size)
     count, stats = _count_only(executor, plan)
-    # No merge point: the flat stages read one list per row, and only the
-    # suffix shares.
+    # No merge point: the flat stages take one row per partial match; a
+    # flat E/I still reads a repeated key's lists once.
     monkeypatch.setattr(QueryPlan, "merge_points", lambda self: {})
     unmerged_count, unmerged = _count_only(executor, plan)
     assert count == unmerged_count
@@ -496,8 +497,10 @@ def test_logical_stats_match_the_per_row_paths(fx, name, batch_size, monkeypatch
         unmerged, segments_emitted=0
     )
     # The plan's "no key repeats" verdict compiles every suffix operator
-    # onto its per-row path: the same count with no list shared.
+    # onto its per-row path, and a sharing gate no batch passes keeps every
+    # flat E/I on one list per row: the same count with no list shared.
     monkeypatch.setattr(QueryPlan, "suffix_keys_may_repeat", lambda self, op: False)
+    monkeypatch.setattr(operators, "_SHARE_MIN_REPEAT", 1 << 40)
     per_row_count, per_row = _count_only(executor, plan)
     assert count == per_row_count
     assert unmerged == per_row  # every compared counter, segments_emitted included

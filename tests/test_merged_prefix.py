@@ -36,7 +36,7 @@ from repro.index.config import IndexConfig
 from repro.index.index_store import IndexStore
 from repro.index.primary import PrimaryIndex
 from repro.predicates import Predicate, cmp, prop
-from repro.query import PlanRunner, QueryGraph, pipeline
+from repro.query import PlanRunner, QueryGraph, operators, pipeline
 from repro.query.binding import MatchBatch
 from repro.query.executor import CountSink
 from repro.query.factorized import FactorizedBatch, FactorizedSegment, SharedKeys
@@ -479,3 +479,36 @@ def test_the_runtime_gate_refuses_rows_that_do_not_repeat(monkeypatch):
     assert count == NaiveMatcher(graph).count(query) == num_vertices - 3
     assert merges and all(rows == kept and unweighted for rows, kept, unweighted in merges)
     assert stats.lists_shared == 0
+
+
+@pytest.mark.parametrize("sink", ["count", "run"])
+def test_a_flat_e_i_shares_lists(fx, sink, monkeypatch):
+    """SQ5's E/I to ``c`` is a flat stage on every sink: its legs bind no
+    edge, and each reads its lists once per distinct bound vertex of a
+    batch.  The logical counters are those of the run that reads one list
+    per row."""
+    graph, plan = fx.plans["SQ5"]
+    flat_ei = [
+        operator
+        for operator in plan.operators[: plan.factorized_suffix_start()]
+        if isinstance(operator, ExtendIntersect) and len(operator.legs) > 1
+    ]
+    assert flat_ei and not any(leg.track_edge for leg in flat_ei[0].legs)
+
+    def measured():
+        runner = PlanRunner(graph, batch_size=1024)
+        if sink == "run":
+            result = runner.run(plan)
+            return result.count, result.stats
+        stats = ExecutionStats()
+        return runner.count(plan, factorized=False, stats=stats), stats
+
+    count, shared = measured()
+    with monkeypatch.context() as patch:
+        # A sharing gate no batch passes: one list per row.
+        patch.setattr(operators, "_SHARE_MIN_REPEAT", 1 << 40)
+        unshared_count, unshared = measured()
+    assert count == unshared_count > 0
+    assert shared.lists_shared > 0 and shared.entries_shared > 0
+    assert unshared.lists_shared == unshared.entries_shared == 0
+    assert shared == unshared  # every compared counter
