@@ -576,11 +576,7 @@ class IndexMaintainer:
             vertex_props=graph.vertex_props,
             edge_props=edge_store,
         )
-        # Summed straight into an int64 array: ``np.cumsum(keep)`` would
-        # cast the bool mask through numpy's buffered loop first.
-        new_id_of_old = np.empty(len(keep), dtype=np.int64)
-        np.cumsum(keep, out=new_id_of_old)
-        new_id_of_old -= 1
+        new_id_of_old = np.cumsum(keep) - 1
         return new_graph, keep, new_id_of_old, num_kept
 
     # -- incremental index merges ---------------------------------------

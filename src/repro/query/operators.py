@@ -38,13 +38,14 @@ partial match at a time.  The extension operators therefore default to a
 * the single-leg :class:`ExtendIntersect` (the dominant plan shape) never
   enters a per-row loop: the extended batch is emitted with one ``repeat`` and
   one ``with_columns``;
-* a multi-leg E/I whose legs bind no edge reads each leg once per distinct
-  key where its keys repeat and intersects through the shared-list kernel
+* a multi-leg E/I whose legs bind no edge, on a batch where every leg's
+  keys repeat, reads each leg once per distinct key and intersects through
+  the shared-list kernel
   (:func:`~repro.storage.intersect.intersect_shared_lists`), which expands
   each row's shortest list and weighs every entry by its runs in the row's
   other lists;
-* a multi-leg E/I that binds an edge and :class:`MultiExtend` hand the whole
-  batch's concatenated segments to the segment-wise intersection kernel
+* any other multi-leg E/I and :class:`MultiExtend` hand the whole batch's
+  concatenated segments to the segment-wise intersection kernel
   (:func:`~repro.storage.intersect.intersect_segments`), which joins all legs
   on composite (row, key) keys in a handful of numpy ops — sort-merge,
   galloping binary search, or a hash-table probe, chosen adaptively — and
@@ -663,16 +664,18 @@ def _reconcile_combo_targets(
 # ----------------------------------------------------------------------
 #: A count-only leg works per distinct key when a batch's rows repeat its
 #: keys at least this often on average (distinct <= rows / 2); a multi-leg
-#: intersection shares its lists when every leg does.  Under that, grouping
-#: saves little and adds numpy calls.  At the count-only 8 k rows in flight
-#: the social triangle's keys do repeat, and sharing them is most of
+#: intersection, counted or flat, shares its lists when every leg does
+#: (:func:`_shared_keys`).  Under that, grouping saves little and adds numpy
+#: calls, and the shared-list kernel fed one list per row runs 1.2-2.2x
+#: slower than ``intersect_segments`` (800-8,000 rows, 2-3 legs).  At the
+#: count-only 8 k rows in flight the social triangle's keys do repeat, and
+#: sharing them is most of
 #: ``server_zipf``'s throughput: never sharing read 458 ops/s, p95 25 ms and
 #: 83 MB peak against 829 ops/s, 12.6 ms and 54 MB; the one-hop beside it
 #: pays 0.45 → 0.48 ms p50 in GIL hand-offs (3 passes each, 2 cores).  A
 #: gate of 1 (share on any repeat) measured the same as 2 (844 ops/s,
 #: 0.48 ms).  The same gate decides whether a flat stage's output batch is
-#: merged (:func:`merge_rows`) and whether a flat E/I leg reads its lists
-#: once per distinct key (:func:`_leg_lists`).
+#: merged (:func:`merge_rows`).
 _SHARE_MIN_REPEAT = 2
 
 
@@ -700,21 +703,33 @@ def _key_batch(leg: ExtensionLeg, keys: SharedKeys) -> MatchBatch:
     return MatchBatch(dict(zip(leg.key_vars(), keys.columns())))
 
 
-def _leg_lists(
-    leg: ExtensionLeg, batch: MatchBatch, context: ExecutionContext
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(nbr_ids, counts, row_lists)``: the lists ``leg`` reads for
-    ``batch`` — once per distinct key where its keys repeat
-    (``_SHARE_MIN_REPEAT``), else one per row — and the list each row
-    reads."""
-    keys = _leg_keys(leg, batch, context)
-    if keys.distinct * _SHARE_MIN_REPEAT > len(batch):
-        _, nbr_ids, counts = leg.fetch_many(context, batch, batch.weights)
-        return nbr_ids, counts, np.arange(len(batch), dtype=np.int64)
-    _, nbr_ids, counts = leg.fetch_many(
-        context, _key_batch(leg, keys), weights=keys.weights(batch.weights)
-    )
-    return nbr_ids, counts, keys.inverse()
+def _shared_keys(
+    legs: Sequence[ExtensionLeg], batch: MatchBatch, context: ExecutionContext
+) -> Optional[List[SharedKeys]]:
+    """Every leg's distinct keys over ``batch`` when every leg's keys repeat
+    (``_SHARE_MIN_REPEAT``), else ``None``: whether a multi-leg
+    intersection reads its lists once per distinct key."""
+    leg_keys = []
+    for leg in legs:
+        keys = _leg_keys(leg, batch, context)
+        if keys.distinct * _SHARE_MIN_REPEAT > len(batch):
+            return None
+        leg_keys.append(keys)
+    return leg_keys
+
+
+def _fetch_distinct(
+    legs: Sequence[ExtensionLeg],
+    leg_keys: Sequence[SharedKeys],
+    batch: MatchBatch,
+    context: ExecutionContext,
+) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Each leg's lists, fetched once per distinct key and charged for
+    every row of ``batch`` that reads them."""
+    return [
+        leg.fetch_many(context, _key_batch(leg, keys), weights=keys.weights(batch.weights))
+        for leg, keys in zip(legs, leg_keys)
+    ]
 
 
 def merge_rows(
@@ -863,8 +878,8 @@ class ExtendIntersect(PhysicalOperator):
         vectorized: select the batch-at-a-time gather path (default).  The
             single-leg fast path extends a whole batch with no per-row Python
             loop; the multi-leg path fetches every leg through ``list_many``
-            (once per distinct key where its keys repeat) and intersects the
-            whole batch in one kernel call.
+            (once per distinct key where every leg's keys repeat) and
+            intersects the whole batch in one kernel call.
             ``False`` selects the legacy tuple-at-a-time path (benchmark
             baseline / equivalence oracle).
     """
@@ -921,11 +936,11 @@ class ExtendIntersect(PhysicalOperator):
     ) -> Optional[MatchBatch]:
         """Multi-leg path: one fetch per leg and one kernel call per batch.
 
-        When no leg binds its edge, the intersection is list-based: a leg
-        whose keys repeat in the batch (``_SHARE_MIN_REPEAT``) is fetched
-        and filtered once per distinct value of
-        :meth:`ExtensionLeg.key_vars` and charged for every row, a leg
-        whose keys do not repeat hands over one list per row, and
+        When no leg binds its edge and every leg's keys repeat in the batch
+        (:func:`_shared_keys`, the rule :meth:`count_factorized` shares
+        by), the intersection is list-based: each leg is fetched and
+        filtered once per distinct value of :meth:`ExtensionLeg.key_vars`
+        and charged for every row, and
         :func:`~repro.storage.intersect.intersect_shared_lists` — the
         kernel :meth:`count_factorized` counts with — expands each row's
         shortest list and weighs it by the row's other lists.  A leg that
@@ -934,38 +949,46 @@ class ExtendIntersect(PhysicalOperator):
         are those of the per-row intersection; only ``lists_shared`` and
         ``entries_shared`` grow.
 
-        A leg that binds its edge needs every combination's entry
-        positions, which only
-        :func:`~repro.storage.intersect.intersect_segments` returns: then
-        every leg is fetched per row and intersected there, on composite
-        (row, neighbour) keys, and the positions keep the tracked edge
-        columns aligned with the intersected neighbours.
+        Otherwise every leg is fetched per row and the whole batch's
+        segments are intersected by
+        :func:`~repro.storage.intersect.intersect_segments` on composite
+        (row, neighbour) keys.  A leg that binds its edge needs every
+        combination's entry positions, which only that kernel returns; the
+        positions keep the tracked edge columns aligned with the
+        intersected neighbours.
         """
-        if not any(leg.track_edge for leg in self.legs):
-            lists = [_leg_lists(leg, batch, context) for leg in self.legs]
+        legs = self.legs
+        any_tracked = any(leg.track_edge for leg in legs)
+        leg_keys = None if any_tracked else _shared_keys(legs, batch, context)
+        if leg_keys is not None:
+            fetched = _fetch_distinct(legs, leg_keys, batch, context)
             nbr_ids, counts = intersect_shared_lists(
-                [nbr_ids for nbr_ids, _, _ in lists],
-                [counts for _, counts, _ in lists],
-                [row_lists for _, _, row_lists in lists],
-                presorted=[leg.presorted_by_nbr for leg in self.legs],
+                [nbr_ids for _, nbr_ids, _ in fetched],
+                [counts for _, _, counts in fetched],
+                [keys.inverse() for keys in leg_keys],
+                presorted=[leg.presorted_by_nbr for leg in legs],
                 domain=context.graph.num_vertices,
             )
             if len(nbr_ids) == 0:
                 return None
             return batch.repeat(counts).with_columns({self.target_var: nbr_ids})
-        per_leg = [leg.fetch_many(context, batch, batch.weights) for leg in self.legs]
+        per_leg = [leg.fetch_many(context, batch, batch.weights) for leg in legs]
         result = intersect_segments(
             [nbr_ids for _, nbr_ids, _ in per_leg],
             [counts for _, _, counts in per_leg],
             num_rows=len(batch),
-            presorted=[leg.presorted_by_nbr for leg in self.legs],
+            presorted=[leg.presorted_by_nbr for leg in legs],
+            need_positions=any_tracked,
         )
         if result.total == 0:
             return None
         new_columns = {self.target_var: result.expanded_keys()}
-        for leg, (edge_ids, _, _), pos in zip(self.legs, per_leg, result.positions):
-            if leg.track_edge:
-                new_columns[leg.edge_var] = np.asarray(edge_ids, dtype=np.int64)[pos]
+        if any_tracked:
+            for leg, (edge_ids, _, _), pos in zip(legs, per_leg, result.positions):
+                if leg.track_edge:
+                    new_columns[leg.edge_var] = np.asarray(
+                        edge_ids, dtype=np.int64
+                    )[pos]
         return batch.repeat(result.counts_out).with_columns(new_columns)
 
     # -- factorized emit path -------------------------------------------
@@ -1062,12 +1085,8 @@ class ExtendIntersect(PhysicalOperator):
         self, batch: MatchBatch, context: ExecutionContext, keys_may_repeat: bool
     ) -> np.ndarray:
         legs = self.legs
-        leg_keys = (
-            [_leg_keys(leg, batch, context) for leg in legs] if keys_may_repeat else None
-        )
-        if leg_keys is None or max(
-            keys.distinct for keys in leg_keys
-        ) * _SHARE_MIN_REPEAT > len(batch):
+        leg_keys = _shared_keys(legs, batch, context) if keys_may_repeat else None
+        if leg_keys is None:
             return self.extend_factorized(batch, context).cardinalities
         if self._one_list_space():
             # One grouping of every leg's bound column: the union is fetched
@@ -1097,12 +1116,7 @@ class ExtendIntersect(PhysicalOperator):
                     columns[leg + 1] = np.maximum(low, high)
             tuples = SharedKeys(columns, [union.distinct] * len(legs))
         else:
-            fetched = [
-                leg.fetch_many(
-                    context, _key_batch(leg, keys), weights=keys.weights(batch.weights)
-                )
-                for leg, keys in zip(legs, leg_keys)
-            ]
+            fetched = _fetch_distinct(legs, leg_keys, batch, context)
             tuples = SharedKeys(
                 [keys.inverse() for keys in leg_keys],
                 [keys.distinct for keys in leg_keys],

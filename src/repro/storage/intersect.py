@@ -84,9 +84,8 @@ entry points.  :func:`count_shared_intersections` returns what an aggregate
 needs, the per-row sums of the weights.  :func:`intersect_shared_lists` is
 the flat E/I's: it emits every expanded entry's key repeated by its weight,
 so a row's output is its intersection in the order of the list it expanded,
-and parallel entries keep their multiplicity.  The flat E/I passes one
-list per row for a leg whose keys do not repeat, and sorts once each
-distinct list of a space that is not sorted on the key.  Neither returns
+and parallel entries keep their multiplicity; it sorts once each distinct
+list of a space that is not sorted on the key.  Neither returns
 entry positions: a leg that binds its edge stays on
 :func:`intersect_segments`.
 """
@@ -711,7 +710,6 @@ def intersect_shared_lists(
     row_lists: Sequence[np.ndarray],
     presorted: Sequence[bool],
     domain: int,
-    strategy: Optional[str] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-row intersections, materialized, when many rows read the same lists.
 
@@ -734,10 +732,10 @@ def intersect_shared_lists(
         for keys, counts, sort in zip(list_keys, list_counts, presorted)
     ]
     keys, counts, lists, domain = _list_space(
-        list_keys, list_counts, row_lists, domain, strategy
+        list_keys, list_counts, row_lists, domain, None
     )
     weights, offsets, entry_keys = _weigh_entries(
-        keys, counts, lists, True, domain, strategy, keep_keys=True
+        keys, counts, lists, True, domain, None, keep_keys=True
     )
     neighbours = np.repeat(entry_keys, weights).astype(np.int64, copy=False)
     return neighbours, _row_sums(weights, offsets)

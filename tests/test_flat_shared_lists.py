@@ -1,9 +1,9 @@
 """Generated inputs for the flat E/I's shared-list intersection.
 
 :func:`repro.storage.intersect.intersect_shared_lists` is what a flat
-multi-leg E/I whose legs bind no edge intersects with: each leg passes its
-distinct lists once (or one list per row, for a leg whose keys do not
-repeat) and rows name their lists by index.  Its rows must be those of
+multi-leg E/I whose legs bind no edge intersects with when every leg's keys
+repeat: each leg passes its distinct lists once and rows name their lists
+by index (the kernel also takes one list per row).  Its rows must be those of
 :func:`~repro.storage.intersect.intersect_segments` on the same batch
 expanded to one segment per (leg, row), in the same order:
 
@@ -16,7 +16,8 @@ expanded to one segment per (leg, row), in the same order:
   merged-row weights or none, with a residual or not and a leg read from
   an index that is not sorted on neighbour ID, and compared — rows, their
   order, weights and logical counters — with the per-row fetch intersected
-  by ``intersect_segments``.
+  by ``intersect_segments``; a batch where some leg's keys do not repeat
+  shares no list.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from repro.query.operators import (  # noqa: E402
     ExecutionStats,
     ExtendIntersect,
     ExtensionLeg,
+    _shared_keys,
 )
 from repro.storage.intersect import (  # noqa: E402
     intersect_segments,
@@ -121,13 +123,12 @@ def check_kernel(spaces):
     want = intersect_segments(
         leg_keys, leg_counts, len(row_lists[0]), presorted, need_positions=False
     )
-    for strategy in (None, "hash", "merge"):
-        nbrs, counts = intersect_shared_lists(
-            list_keys, list_counts, row_lists, presorted, _DOMAIN, strategy=strategy
-        )
-        assert nbrs.dtype == counts.dtype == np.int64
-        assert counts.tolist() == want.counts_out.tolist(), strategy
-        assert nbrs.tolist() == want.expanded_keys().tolist(), strategy
+    nbrs, counts = intersect_shared_lists(
+        list_keys, list_counts, row_lists, presorted, _DOMAIN
+    )
+    assert nbrs.dtype == counts.dtype == np.int64
+    assert counts.tolist() == want.counts_out.tolist()
+    assert nbrs.tolist() == want.expanded_keys().tolist()
 
 
 @settings(max_examples=200, deadline=None)
@@ -291,9 +292,14 @@ def check_operator(drawn):
             assert got.weights.tolist() == want.weights.tolist()
     assert _logical(context.stats) == _logical(reference.stats)
     # A merged row already shares its list among the matches it stands for;
-    # a repeated key shares it among rows on top of that.
-    assert context.stats.lists_shared >= reference.stats.lists_shared
-    assert context.stats.entries_shared >= reference.stats.entries_shared
+    # a repeated key shares it among rows on top of that, and only when
+    # every leg's keys repeat.
+    if _shared_keys(operator.legs, batch, reference) is None:
+        assert context.stats.lists_shared == reference.stats.lists_shared
+        assert context.stats.entries_shared == reference.stats.entries_shared
+    else:
+        assert context.stats.lists_shared >= reference.stats.lists_shared
+        assert context.stats.entries_shared >= reference.stats.entries_shared
 
 
 @settings(max_examples=150, deadline=None)

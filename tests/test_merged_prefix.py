@@ -481,19 +481,9 @@ def test_the_runtime_gate_refuses_rows_that_do_not_repeat(monkeypatch):
     assert stats.lists_shared == 0
 
 
-@pytest.mark.parametrize("sink", ["count", "run"])
-def test_a_flat_e_i_shares_lists(fx, sink, monkeypatch):
-    """SQ5's E/I to ``c`` is a flat stage on every sink: its legs bind no
-    edge, and each reads its lists once per distinct bound vertex of a
-    batch.  The logical counters are those of the run that reads one list
-    per row."""
-    graph, plan = fx.plans["SQ5"]
-    flat_ei = [
-        operator
-        for operator in plan.operators[: plan.factorized_suffix_start()]
-        if isinstance(operator, ExtendIntersect) and len(operator.legs) > 1
-    ]
-    assert flat_ei and not any(leg.track_edge for leg in flat_ei[0].legs)
+def _with_and_without_sharing(graph, plan, sink, monkeypatch):
+    """``(count, stats)`` of ``plan`` on ``sink``, under the sharing gate
+    and under one no batch passes (one list per row)."""
 
     def measured():
         runner = PlanRunner(graph, batch_size=1024)
@@ -503,12 +493,49 @@ def test_a_flat_e_i_shares_lists(fx, sink, monkeypatch):
         stats = ExecutionStats()
         return runner.count(plan, factorized=False, stats=stats), stats
 
-    count, shared = measured()
+    shared = measured()
     with monkeypatch.context() as patch:
-        # A sharing gate no batch passes: one list per row.
         patch.setattr(operators, "_SHARE_MIN_REPEAT", 1 << 40)
-        unshared_count, unshared = measured()
+        return shared, measured()
+
+
+def _flat_e_i(plan):
+    (operator,) = [
+        operator
+        for operator in plan.operators[: plan.factorized_suffix_start()]
+        if isinstance(operator, ExtendIntersect) and len(operator.legs) > 1
+    ]
+    assert not any(leg.track_edge for leg in operator.legs)
+    return operator
+
+
+@pytest.mark.parametrize("sink", ["count", "run"])
+def test_a_flat_e_i_shares_lists(fx, sink, monkeypatch):
+    """SQ7's E/I to ``a`` is a flat stage on every sink: its legs bind no
+    edge, and its one batch repeats both legs' keys (88 rows over 24 and
+    21 bound vertices), so each leg reads its lists once per distinct
+    bound vertex.  The logical counters are those of the run that reads
+    one list per row."""
+    graph, plan = fx.plans["SQ7"]
+    _flat_e_i(plan)
+    (count, shared), (unshared_count, unshared) = _with_and_without_sharing(
+        graph, plan, sink, monkeypatch
+    )
     assert count == unshared_count > 0
     assert shared.lists_shared > 0 and shared.entries_shared > 0
     assert unshared.lists_shared == unshared.entries_shared == 0
     assert shared == unshared  # every compared counter
+
+
+def test_a_flat_e_i_shares_only_when_every_leg_repeats(fx, monkeypatch):
+    """SQ5's E/I to ``c`` reads 50 rows over 20 values of ``b`` but 27 of
+    ``a``: one leg does not repeat its keys, so, as in the count-only
+    suffix, no leg shares and the batch is intersected per row."""
+    graph, plan = fx.plans["SQ5"]
+    _flat_e_i(plan)
+    (count, shared), (unshared_count, unshared) = _with_and_without_sharing(
+        graph, plan, "count", monkeypatch
+    )
+    assert count == unshared_count > 0
+    assert shared.lists_shared == shared.entries_shared == 0
+    assert shared == unshared
