@@ -5,8 +5,10 @@ reading proves nothing.  This script measures a change the way the
 ``choosing-metrics`` guide asks: ``--pairs`` pairs of (parent, change) runs
 of one workload, alternating which side runs first, each side running **its
 own** ``benchmarks/suite/run.py`` (the parent's files are extracted from
-``--parent`` with ``git archive`` into a temporary directory; the change is
-the working tree this script sits in).  For every end-to-end metric it
+``--parent`` with ``git archive`` into a temporary directory, and the
+change's — the working tree this script sits in, tracked and untracked
+files that git does not ignore — are copied into another, so both sides run
+from a fresh copy of their files in the same place).  For every end-to-end metric it
 reports both sides' runs, medians and quartiles, and how many pairs the
 change won; a gain is *shown* only when the change wins at least nine tenths
 of the pairs (ties count for neither side) and the medians differ by more
@@ -35,6 +37,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -62,6 +65,18 @@ def extract(revision: str, target: str) -> None:
     archive.stdout.close()
     if archive.wait() != 0:
         sys.exit(f"paired.py: git archive {revision} failed")
+
+
+def copy_working_tree(target: str) -> None:
+    """The working tree's files as git lists them — tracked and untracked,
+    ignored ones left out — copied under ``target``."""
+    listed = git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in sorted(set(filter(None, listed.split("\0")))):
+        source = os.path.join(ROOT, name)
+        if not os.path.isfile(source):  # deleted from the working tree
+            continue
+        os.makedirs(os.path.dirname(os.path.join(target, name)), exist_ok=True)
+        shutil.copy2(source, os.path.join(target, name))
 
 
 def run_side(root: str, workload: str, seed: int, seconds: float, trace: int) -> Dict:
@@ -171,9 +186,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     results: Dict[str, List[Dict]] = {"parent": [], "change": []}
     order: List[str] = []
-    with tempfile.TemporaryDirectory(prefix="paired-parent-") as parent_root:
+    with tempfile.TemporaryDirectory(prefix="paired-parent-") as parent_root, \
+            tempfile.TemporaryDirectory(prefix="paired-change-") as change_root:
         extract(args.parent, parent_root)
-        roots = {"parent": parent_root, "change": ROOT}
+        copy_working_tree(change_root)
+        roots = {"parent": parent_root, "change": change_root}
         for pair in range(pairs):
             sides = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             order.append(sides[0])

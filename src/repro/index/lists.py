@@ -23,7 +23,6 @@ array, then resolved by the payload.  A payload supplies two hooks:
 
 from __future__ import annotations
 
-import itertools
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -103,18 +102,6 @@ class AdjacencyLists:
         bound ID."""
         edge_ids, nbr_ids, _ = self._read(np.array([bound_id]), key_values)
         return edge_ids, nbr_ids
-
-    def sorted_runs(
-        self, bound_id: int, key_values: Sequence = ()
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """``(edge_ids, nbr_ids)`` of every most granular list under one
-        (partial) prefix, in position order: what :meth:`list` returns for
-        a coarse prefix, one list per run sorted on the sort keys."""
-        open_levels = self.csr.level_domains[len(key_values):]
-        return [
-            self.list(bound_id, list(key_values) + list(codes))
-            for codes in itertools.product(*(range(domain) for domain in open_levels))
-        ]
 
     def positions_many(
         self,

@@ -95,7 +95,6 @@ from .pipeline import (
     PipelineBuilder,
     Sink,
     run_pipeline,
-    run_pipeline_legacy,
     validate_limit,
 )
 from .faults import FaultPlan
@@ -189,5 +188,4 @@ __all__ = [
     "residual_conjuncts",
     "run_pipeline",
     "validate_limit",
-    "run_pipeline_legacy",
 ]

@@ -23,8 +23,8 @@ Batch-at-a-time execution
 
 The A+ index lookup is a constant number of array accesses, so on the hot
 path the interpreter — not the index — dominates when lists are fetched one
-partial match at a time.  The extension operators therefore default to a
-*batch-at-a-time* strategy built on the batched index contract:
+partial match at a time.  The extension operators therefore run
+*batch-at-a-time*, on the batched index contract:
 
 * every index class exposes ``list_many(bound_ids, key_values,
   sorted_filter, probe_ids)`` returning ``(edge_ids, nbr_ids, counts)`` —
@@ -50,8 +50,7 @@ partial match at a time.  The extension operators therefore default to a
   on composite (row, key) keys in a handful of numpy ops — sort-merge,
   galloping binary search, or a hash-table probe, chosen adaptively — and
   returns per-combination entry positions through which the edge columns stay
-  aligned with the intersected neighbours.  No per-row Python loop remains on
-  any vectorized path.
+  aligned with the intersected neighbours.  No per-row Python loop remains.
 
 For a sink that needs no rows the trailing extensions stay unexpanded and
 run count-only (:meth:`ExtendIntersect.count_factorized`,
@@ -61,13 +60,12 @@ key of the batch where keys repeat.  The flat stages before them may be fed
 merged rows (:func:`merge_rows`): a batch row with weight ``w`` stands for
 ``w`` partial matches, and every operator charges it ``w`` times.  The
 logical counters charge every partial match its own list on every one of
-these paths — a sorted list's searched run, on the per-row path too.
+these paths, and a sorted list is charged its searched run only.
 
-``vectorized=False`` on the extension operators selects the legacy
-tuple-at-a-time path; it is kept only as the equivalence oracle the
-batch, logical-counter and pipeline differential tests compare against.
-Both paths produce byte-identical batches and :class:`ExecutionStats`
-counters.
+This is the only execution path.  Its rows are checked against the
+independent backtracking matcher (:mod:`repro.query.naive`), and its
+logical counters against counts taken from the graph's edge arrays
+(``tests/test_batch_extend.py``).
 """
 
 from __future__ import annotations
@@ -81,11 +79,10 @@ import numpy as np
 from ..errors import ExecutionError
 from ..graph.graph import PropertyGraph
 from ..index.index_store import AccessPath
-from ..storage.csr import LOWER_SIDE, UPPER_SIDE, SearchKey, segment_mask_counts
+from ..storage.csr import SearchKey, segment_mask_counts
 from ..storage.intersect import (
-    combo_positions,
+    BatchIntersection,
     count_shared_intersections,
-    dedup_sorted,
     intersect_segments,
     intersect_shared_lists,
 )
@@ -262,11 +259,10 @@ class SortedRangeFilter:
     alpha`` predicate, or lists sorted on the neighbour's ``city`` and
     ``a4.city = a5.city`` with ``a4`` bound), the qualifying
     prefix/suffix/run is located by search instead of evaluating the
-    predicate on every edge: one list at a time by :meth:`apply`
-    (``searchsorted`` on the materialized list), a whole batch by
-    :meth:`search`, which every index's ``list_many`` and ``count_many``
-    call with the most granular groups the batch addresses, so that only the
-    searched runs are ever gathered or resolved.
+    predicate on every edge: a whole batch at a time by :meth:`search`,
+    which every index's ``list_many`` and ``count_many`` call with the most
+    granular groups the batch addresses, so that only the searched runs are
+    ever gathered or resolved.
 
     Attributes:
         sort_key: the property the list is sorted by.
@@ -304,36 +300,6 @@ class SortedRangeFilter:
             return None
         return null_sort_value(dtype)
 
-    def apply(
-        self,
-        graph: PropertyGraph,
-        edge_ids: np.ndarray,
-        nbr_ids: np.ndarray,
-        probe_id: Optional[int] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The admitted run of one list; ``probe_id`` is the row's element
-        of the probe variable when the filter has one."""
-        if len(edge_ids) == 0:
-            return edge_ids, nbr_ids
-        values = self.sort_key.values(graph, edge_ids, nbr_ids)
-        start, end = 0, len(values)
-        value = self.value
-        if self.probe_var is not None:
-            probe, null = self._probes(graph, np.array([probe_id]))
-            if null[0]:
-                return edge_ids[:0], nbr_ids[:0]
-            value = probe[0]
-        if self.op in LOWER_SIDE:
-            start = int(np.searchsorted(values, value, side=LOWER_SIDE[self.op]))
-        if self.op in UPPER_SIDE:
-            end = int(np.searchsorted(values, value, side=UPPER_SIDE[self.op]))
-        elif self.op not in LOWER_SIDE:
-            raise ExecutionError(f"sorted-range filter does not support {self.op}")
-        below = self._below(values.dtype)
-        if below is not None:
-            end = min(end, int(np.searchsorted(values, below, side="left")))
-        return edge_ids[start:end], nbr_ids[start:end]
-
     def search(
         self,
         graph: PropertyGraph,
@@ -341,7 +307,7 @@ class SortedRangeFilter:
         groups: np.ndarray,
         probe_ids: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched :meth:`apply`: the ``[lo, hi)`` run this filter admits in
+        """The ``[lo, hi)`` run this filter admits in
         each most granular group ``groups[i]`` of the index whose
         :class:`~repro.storage.csr.SearchKey` is ``key`` — one
         ``searchsorted`` per bounded side for the whole batch.
@@ -393,48 +359,13 @@ class ExtensionLeg:
     residual: Predicate = field(default_factory=Predicate.true)
     presorted_by_nbr: bool = True
 
-    def fetch(
-        self,
-        context: ExecutionContext,
-        fixed: Dict[str, Tuple[str, int]],
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Read and filter this leg's adjacency list for one partial match."""
-        bound_id = fixed[self.bound_var][1]
-        index, key_values = self.access_path.index, list(self.access_path.key_values)
-        if self.sorted_filter is None:
-            edge_ids, nbr_ids = index.list(bound_id, key_values)
-        else:
-            # Each sorted run of a coarse prefix is searched on its own.
-            probe_var = self.sorted_filter.probe_var
-            probe_id = None if probe_var is None else fixed[probe_var][1]
-            runs = [
-                self.sorted_filter.apply(context.graph, edge_ids, nbr_ids, probe_id)
-                for edge_ids, nbr_ids in index.sorted_runs(bound_id, key_values)
-            ]
-            edge_ids = np.concatenate([edge_ids for edge_ids, _ in runs])
-            nbr_ids = np.concatenate([nbr_ids for _, nbr_ids in runs])
-        # The searched run is what a sorted list hands over (``fetch_many``
-        # gathers nothing else), so the charge follows the search.
-        context.stats.lists_accessed += 1
-        context.stats.list_entries_fetched += len(edge_ids)
-        if not self.residual.is_true and len(edge_ids):
-            arrays = {
-                self.target_var: ("vertex", nbr_ids),
-                self.edge_var: ("edge", edge_ids),
-            }
-            context.stats.predicate_evaluations += len(edge_ids)
-            mask = self.residual.evaluate_bulk(context.graph, fixed, arrays)
-            edge_ids = edge_ids[mask]
-            nbr_ids = nbr_ids[mask]
-        return edge_ids, nbr_ids
-
     def fetch_many(
         self,
         context: ExecutionContext,
         batch: MatchBatch,
         weights: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batched :meth:`fetch`: read and filter the lists of a whole batch.
+        """Read and filter the lists of a whole batch.
 
         Fetches the adjacency lists of every partial match in ``batch``
         through the index's ``list_many`` gather — which, given the
@@ -442,15 +373,16 @@ class ExtensionLeg:
         when the filter has one) and gathers only the admitted runs — then
         evaluates the residual predicate in
         one ``evaluate_bulk`` over the concatenated candidates (bound columns
-        repeated by counts).  Returns ``(edge_ids, nbr_ids, counts)`` equal to
-        concatenating :meth:`fetch` over the rows; stats counters advance
-        exactly as the per-row path would.
+        repeated by counts).  Returns ``(edge_ids, nbr_ids, counts)``: the
+        rows' filtered lists concatenated in row order and each row's count
+        of them.  Every row is charged its own list.
 
         ``weights`` says how many partial matches each row of ``batch``
         stands for when the caller fetches once per *distinct* key
         (:meth:`ExtendIntersect.count_factorized`): the logical counters
-        then advance by what the per-row path would have charged all of
-        them, and ``lists_shared``/``entries_shared`` record the difference.
+        then advance by what reading one list per partial match would have
+        charged, and ``lists_shared``/``entries_shared`` record the
+        difference.
         """
         stats = context.stats
         edge_ids, nbr_ids, counts = self.access_path.index.list_many(
@@ -564,101 +496,6 @@ class ExtensionLeg:
         )
 
 
-def _intersect_leg_results(
-    legs: Sequence[ExtensionLeg],
-    results: Sequence[Tuple[np.ndarray, np.ndarray]],
-) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
-    """Intersect per-leg candidates on neighbour ID.
-
-    Returns the extended neighbour IDs (with multiplicity from parallel edges)
-    and, for legs that track their edge, the aligned edge-ID columns.  Edge
-    combinations of parallel edges are expanded with vectorized segment
-    arithmetic (:func:`~repro.storage.intersect.combo_positions`) rather than
-    per-neighbour Python loops.
-    """
-    # Every leg's list is sorted on neighbour ID by the caller, so distinct
-    # values come from a linear dedup and ``intersect1d`` may skip its
-    # per-input sort (``assume_unique`` requires sorted *and* unique inputs —
-    # parallel edges make the raw lists non-unique).
-    common = dedup_sorted(results[0][1])
-    for _, nbr_ids in results[1:]:
-        if len(common) == 0:
-            break
-        common = np.intersect1d(common, dedup_sorted(nbr_ids), assume_unique=True)
-    empty = np.empty(0, dtype=np.int64)
-    if len(common) == 0:
-        return empty, {leg.edge_var: empty.copy() for leg in legs if leg.track_edge}
-
-    lefts: List[np.ndarray] = []
-    sizes_per_leg: List[np.ndarray] = []
-    multiplicity = np.ones(len(common), dtype=np.int64)
-    for _, nbr_ids in results:
-        left = np.searchsorted(nbr_ids, common, side="left").astype(np.int64)
-        right = np.searchsorted(nbr_ids, common, side="right").astype(np.int64)
-        lefts.append(left)
-        sizes_per_leg.append(right - left)
-        multiplicity *= sizes_per_leg[-1]
-    out_nbrs = np.repeat(np.asarray(common, dtype=np.int64), multiplicity)
-
-    if not any(leg.track_edge for leg in legs):
-        return out_nbrs, {}
-
-    positions, _ = combo_positions(lefts, sizes_per_leg, multiplicity)
-    out_edges: Dict[str, np.ndarray] = {}
-    for leg, (edge_ids, _), pos in zip(legs, results, positions):
-        if leg.track_edge:
-            out_edges[leg.edge_var] = np.asarray(edge_ids, dtype=np.int64)[pos]
-    return out_nbrs, out_edges
-
-
-def _unique_sorted_keys(values: np.ndarray) -> np.ndarray:
-    """``np.unique`` of an already-sorted key array, without re-sorting.
-
-    Linear dedup, plus collapsing a float NaN tail to a single candidate:
-    ``dedup_sorted`` alone keeps every NaN (NaN != NaN), but each NaN
-    candidate's ``searchsorted`` run bounds would span the *whole* NaN run,
-    duplicating combinations — collapsing matches ``np.unique`` and keeps the
-    oracle aligned with the kernel's one-code-per-NaN grouping.  Production
-    plans never produce NaN keys (:meth:`SortKey.values` rewrites NaN to
-    ``inf``); this exists so the oracle and the public kernel API agree on
-    raw float input.
-    """
-    out = dedup_sorted(values)
-    if out.dtype.kind == "f" and len(out) > 1:
-        nan_count = int(np.isnan(out).sum())
-        if nan_count > 1:
-            out = out[: len(out) - nan_count + 1]
-    return out
-
-
-def _reconcile_combo_targets(
-    legs: Sequence[ExtensionLeg],
-    entries: Sequence[Tuple[np.ndarray, np.ndarray]],
-    positions: Sequence[np.ndarray],
-    total: int,
-) -> Tuple[np.ndarray, Dict[str, np.ndarray], Dict[str, np.ndarray]]:
-    """Materialize per-combination target/edge columns and the keep mask.
-
-    ``entries`` supplies per leg the ``(edge_ids, nbr_ids)`` arrays that
-    ``positions`` index into (one position per combination).  Legs sharing a
-    target vertex must agree on the chosen neighbour; disagreeing
-    combinations are masked out.  Shared by the batch kernel path and the
-    per-row oracle of MULTI-EXTEND so their semantics cannot drift apart.
-    """
-    keep = np.ones(total, dtype=bool)
-    combo_targets: Dict[str, np.ndarray] = {}
-    combo_edges: Dict[str, np.ndarray] = {}
-    for leg, (edge_ids, nbr_ids), pos in zip(legs, entries, positions):
-        chosen_nbrs = np.asarray(nbr_ids, dtype=np.int64)[pos]
-        if leg.target_var in combo_targets:
-            keep &= combo_targets[leg.target_var] == chosen_nbrs
-        else:
-            combo_targets[leg.target_var] = chosen_nbrs
-        if leg.track_edge:
-            combo_edges[leg.edge_var] = np.asarray(edge_ids, dtype=np.int64)[pos]
-    return keep, combo_targets, combo_edges
-
-
 # ----------------------------------------------------------------------
 # key sharing: the count-only suffix, merged rows and the flat E/I
 # ----------------------------------------------------------------------
@@ -763,6 +600,36 @@ class PhysicalOperator:
         return type(self).__name__
 
 
+class _Extension(PhysicalOperator):
+    """The loop both extension operators run over their input batches:
+    extend a batch (``_extend``; ``None`` when nothing extends), charge the
+    extended rows, apply the post predicate and cut the result into
+    ``batch_size`` chunks."""
+
+    def execute(
+        self, batches: Iterable[MatchBatch], context: ExecutionContext
+    ) -> Iterator[MatchBatch]:
+        for batch in batches:
+            if len(batch) == 0:
+                continue
+            extended = self._extend(batch, context)
+            if extended is None:
+                continue
+            context.stats.intermediate_rows += extended.match_count()
+
+            if not self.post_predicate.is_true and len(extended):
+                arrays = {
+                    name: (context.variable_kind(name), extended.column(name))
+                    for name in extended.variables
+                }
+                context.stats.predicate_evaluations += extended.match_count()
+                mask = self.post_predicate.evaluate_bulk(context.graph, {}, arrays)
+                extended = extended.select(mask)
+            if len(extended):
+                for chunk in extended.split(context.batch_size):
+                    yield chunk
+
+
 #: Minimum vertex-domain chunk scanned at once (label test + predicate are
 #: evaluated per chunk, so peak memory is O(chunk), not O(num_vertices)).
 _SCAN_CHUNK_MIN = 4096
@@ -861,7 +728,7 @@ class ScanVertices(PhysicalOperator):
 
 
 @dataclass
-class ExtendIntersect(PhysicalOperator):
+class ExtendIntersect(_Extension):
     """EXTEND/INTERSECT: extend partial matches by one query vertex.
 
     With one leg the operator extends each partial match to every edge in the
@@ -875,49 +742,24 @@ class ExtendIntersect(PhysicalOperator):
         post_predicate: residual predicate evaluated (vectorized) on the
             extended batch, for conjuncts that reference the new vertex
             together with variables other than the legs' bound variables.
-        vectorized: select the batch-at-a-time gather path (default).  The
-            single-leg fast path extends a whole batch with no per-row Python
-            loop; the multi-leg path fetches every leg through ``list_many``
-            (once per distinct key where every leg's keys repeat) and
-            intersects the whole batch in one kernel call.
-            ``False`` selects the legacy tuple-at-a-time path (benchmark
-            baseline / equivalence oracle).
+
+    The single-leg path extends a whole batch with no per-row Python loop;
+    the multi-leg path fetches every leg through ``list_many`` (once per
+    distinct key where every leg's keys repeat) and intersects the whole
+    batch in one kernel call.
     """
 
     target_var: str
     legs: List[ExtensionLeg]
     post_predicate: Predicate = field(default_factory=Predicate.true)
-    vectorized: bool = True
 
-    def execute(
-        self, batches: Iterable[MatchBatch], context: ExecutionContext
-    ) -> Iterator[MatchBatch]:
-        for batch in batches:
-            if len(batch) == 0:
-                continue
-            if not self.vectorized:
-                extended = self._extend_rowwise(batch, context)
-            elif len(self.legs) == 1:
-                extended = self._extend_batch_single(batch, context)
-            else:
-                extended = self._extend_batch_multi(batch, context)
-            if extended is None:
-                continue
-            context.stats.intermediate_rows += extended.match_count()
+    def _extend(
+        self, batch: MatchBatch, context: ExecutionContext
+    ) -> Optional[MatchBatch]:
+        if len(self.legs) == 1:
+            return self._extend_batch_single(batch, context)
+        return self._extend_batch_multi(batch, context)
 
-            if not self.post_predicate.is_true and len(extended):
-                arrays = {
-                    name: (context.variable_kind(name), extended.column(name))
-                    for name in extended.variables
-                }
-                context.stats.predicate_evaluations += extended.match_count()
-                mask = self.post_predicate.evaluate_bulk(context.graph, {}, arrays)
-                extended = extended.select(mask)
-            if len(extended):
-                for chunk in extended.split(context.batch_size):
-                    yield chunk
-
-    # -- batch-at-a-time paths ------------------------------------------
     def _extend_batch_single(
         self, batch: MatchBatch, context: ExecutionContext
     ) -> Optional[MatchBatch]:
@@ -997,19 +839,18 @@ class ExtendIntersect(PhysicalOperator):
     ) -> FactorizedSegment:
         """Emit a multi-leg intersection unexpanded, one count per row.
 
-        Requires the vectorized path with a TRUE post-predicate — the plan
-        analysis (:meth:`~repro.query.plan.QueryPlan.factorized_suffix_start`)
-        guarantees both before routing a batch here.  The segment kernel runs
+        Requires a TRUE post-predicate — the plan analysis
+        (:meth:`~repro.query.plan.QueryPlan.factorized_suffix_start`)
+        guarantees it before routing a batch here.  The segment kernel runs
         with ``need_positions=False``, so the returned cardinalities equal,
         per prefix row, the number of rows the flat path would have
         materialized, with no expansion work.  This is the per-row path of
         :meth:`count_factorized`; single legs never reach it.
         """
-        if not self.vectorized or not self.post_predicate.is_true:
+        if not self.post_predicate.is_true:
             raise ExecutionError(
-                "extend_factorized requires the vectorized path with a TRUE "
-                "post-predicate; the plan's factorized-suffix analysis admits "
-                "nothing else"
+                "extend_factorized requires a TRUE post-predicate; the plan's "
+                "factorized-suffix analysis admits nothing else"
             )
         per_leg = [leg.fetch_many(context, batch, batch.weights) for leg in self.legs]
         result = intersect_segments(
@@ -1143,52 +984,6 @@ class ExtendIntersect(PhysicalOperator):
             for leg in self.legs
         )
 
-    # -- legacy tuple-at-a-time path ------------------------------------
-    def _extend_rowwise(
-        self, batch: MatchBatch, context: ExecutionContext
-    ) -> Optional[MatchBatch]:
-        """The seed per-row path: one ``index.list`` call per partial match."""
-        tracked_vars = [leg.edge_var for leg in self.legs if leg.track_edge]
-        columns = {name: batch.column(name) for name in batch.variables}
-        kinds = {name: context.variable_kind(name) for name in batch.variables}
-        counts = np.zeros(len(batch), dtype=np.int64)
-        nbr_chunks: List[np.ndarray] = []
-        edge_chunks: Dict[str, List[np.ndarray]] = {v: [] for v in tracked_vars}
-
-        for row in range(len(batch)):
-            fixed = {
-                name: (kinds[name], int(columns[name][row])) for name in columns
-            }
-            results = []
-            for leg in self.legs:
-                edge_ids, nbr_ids = leg.fetch(context, fixed)
-                if len(self.legs) > 1 and not leg.presorted_by_nbr and len(nbr_ids) > 1:
-                    order = np.argsort(nbr_ids, kind="stable")
-                    edge_ids = edge_ids[order]
-                    nbr_ids = nbr_ids[order]
-                results.append((edge_ids, nbr_ids))
-            if len(self.legs) == 1:
-                edge_ids, nbr_ids = results[0]
-                counts[row] = len(nbr_ids)
-                nbr_chunks.append(nbr_ids)
-                if self.legs[0].track_edge:
-                    edge_chunks[self.legs[0].edge_var].append(edge_ids)
-            else:
-                nbr_ids, edges = _intersect_leg_results(self.legs, results)
-                counts[row] = len(nbr_ids)
-                nbr_chunks.append(nbr_ids)
-                for name in tracked_vars:
-                    edge_chunks[name].append(
-                        edges.get(name, np.empty(0, dtype=np.int64))
-                    )
-
-        if int(counts.sum()) == 0:
-            return None
-        new_columns = {self.target_var: np.concatenate(nbr_chunks)}
-        for name in tracked_vars:
-            new_columns[name] = np.concatenate(edge_chunks[name])
-        return batch.repeat(counts).with_columns(new_columns)
-
     def describe(self) -> str:
         mode = "EXTEND" if len(self.legs) == 1 else f"E/I x{len(self.legs)}"
         legs = "; ".join(leg.describe() for leg in self.legs)
@@ -1201,7 +996,7 @@ class ExtendIntersect(PhysicalOperator):
 
 
 @dataclass
-class MultiExtend(PhysicalOperator):
+class MultiExtend(_Extension):
     """MULTI-EXTEND: property-sorted intersection extending >= 1 query vertices.
 
     All legs' adjacency lists are sorted on the same property (the
@@ -1216,16 +1011,14 @@ class MultiExtend(PhysicalOperator):
         legs: adjacency accesses; each leg carries its own target vertex.
         equality_key: the :class:`SortKey` the legs are sorted and joined on.
         post_predicate: residual predicate over the extended batch.
-        vectorized: fetch all legs through the batched ``list_many`` API and
-            join the whole batch on composite (row, key) keys in one
-            segment-kernel call (default); ``False`` selects the legacy
-            per-row fetch path.
+
+    All legs are fetched through the batched ``list_many`` API and the whole
+    batch is joined on composite (row, key) keys in one segment-kernel call.
     """
 
     legs: List[ExtensionLeg]
     equality_key: SortKey
     post_predicate: Predicate = field(default_factory=Predicate.true)
-    vectorized: bool = True
 
     @property
     def target_vars(self) -> List[str]:
@@ -1235,68 +1028,53 @@ class MultiExtend(PhysicalOperator):
                 seen.append(leg.target_var)
         return seen
 
-    def execute(
-        self, batches: Iterable[MatchBatch], context: ExecutionContext
-    ) -> Iterator[MatchBatch]:
-        for batch in batches:
-            if len(batch) == 0:
-                continue
-            if self.vectorized:
-                extended = self._extend_batchwise(batch, context)
-            else:
-                extended = self._extend_rowwise(batch, context)
-            if extended is None:
-                continue
-            context.stats.intermediate_rows += extended.match_count()
-
-            if not self.post_predicate.is_true and len(extended):
-                arrays = {
-                    name: (context.variable_kind(name), extended.column(name))
-                    for name in extended.variables
-                }
-                context.stats.predicate_evaluations += extended.match_count()
-                mask = self.post_predicate.evaluate_bulk(context.graph, {}, arrays)
-                extended = extended.select(mask)
-            if len(extended):
-                for chunk in extended.split(context.batch_size):
-                    yield chunk
-
-    # -- batch-at-a-time path -------------------------------------------
-    def _extend_batchwise(
-        self, batch: MatchBatch, context: ExecutionContext
-    ) -> Optional[MatchBatch]:
-        """Fetch every leg for the whole batch, then join it in one kernel call.
+    def _join(
+        self, batch: MatchBatch, context: ExecutionContext, need_positions: bool
+    ) -> Tuple[List[Tuple[np.ndarray, np.ndarray]], BatchIntersection]:
+        """Fetch every leg for the whole batch, then join it in one kernel
+        call: each leg's ``(edge_ids, nbr_ids)`` and the join.
 
         The equality-key values of all legs (floats and null markers
         included, via the kernel's rank encoding) are joined on composite
-        (row, key) keys; legs sharing a target vertex are reconciled with one
-        boolean mask over the expanded combinations.
+        (row, key) keys.
         """
-        graph = context.graph
         per_leg = []
         leg_keys = []
         leg_counts = []
-        presorted = []
         for leg in self.legs:
             edge_ids, nbr_ids, counts = leg.fetch_many(context, batch, batch.weights)
             per_leg.append((edge_ids, nbr_ids))
-            leg_keys.append(self.equality_key.values(graph, edge_ids, nbr_ids))
+            leg_keys.append(self.equality_key.values(context.graph, edge_ids, nbr_ids))
             leg_counts.append(counts)
-            presorted.append(leg.access_path.sorted_by(self.equality_key))
-
         result = intersect_segments(
             leg_keys,
             leg_counts,
             num_rows=len(batch),
-            presorted=presorted,
-            need_positions=True,
+            presorted=[leg.access_path.sorted_by(self.equality_key) for leg in self.legs],
+            need_positions=need_positions,
         )
+        return per_leg, result
+
+    def _extend(
+        self, batch: MatchBatch, context: ExecutionContext
+    ) -> Optional[MatchBatch]:
+        """The join's combinations, expanded.  Legs sharing a target vertex
+        must agree on the chosen neighbour: one boolean mask over the
+        combinations drops those that do not."""
+        per_leg, result = self._join(batch, context, need_positions=True)
         if result.total == 0:
             return None
-
-        keep, combo_targets, combo_edges = _reconcile_combo_targets(
-            self.legs, per_leg, result.positions, result.total
-        )
+        keep = np.ones(result.total, dtype=bool)
+        combo_targets: Dict[str, np.ndarray] = {}
+        combo_edges: Dict[str, np.ndarray] = {}
+        for leg, (edge_ids, nbr_ids), pos in zip(self.legs, per_leg, result.positions):
+            chosen_nbrs = np.asarray(nbr_ids, dtype=np.int64)[pos]
+            if leg.target_var in combo_targets:
+                keep &= combo_targets[leg.target_var] == chosen_nbrs
+            else:
+                combo_targets[leg.target_var] = chosen_nbrs
+            if leg.track_edge:
+                combo_edges[leg.edge_var] = np.asarray(edge_ids, dtype=np.int64)[pos]
         if keep.all():
             # Common case (no shared-target legs): nothing to filter, reuse
             # the kernel's per-row counts and the combo columns as-is.
@@ -1322,149 +1100,28 @@ class MultiExtend(PhysicalOperator):
     ) -> FactorizedSegment:
         """Emit this operator's join combinations unexpanded (count-only).
 
-        Requires the vectorized path, a TRUE post-predicate, and pairwise
-        distinct target vertices (legs sharing a target need per-combination
+        Requires a TRUE post-predicate and pairwise distinct target
+        vertices (legs sharing a target need per-combination
         reconciliation, which only the flat path performs) — all guaranteed
         by the plan's factorized-suffix analysis.  With those preconditions
         the kernel's per-row combination counts *are* the flat expansion
         counts, so the join runs with ``need_positions=False`` and never
         materializes a combination.
         """
-        if not self.vectorized or not self.post_predicate.is_true:
+        if not self.post_predicate.is_true:
             raise ExecutionError(
-                "extend_factorized requires the vectorized path with a TRUE "
-                "post-predicate; the plan's factorized-suffix analysis admits "
-                "nothing else"
+                "extend_factorized requires a TRUE post-predicate; the plan's "
+                "factorized-suffix analysis admits nothing else"
             )
         if len(self.target_vars) != len(self.legs):
             raise ExecutionError(
                 "factorized MULTI-EXTEND requires pairwise-distinct target "
                 "vertices; shared-target legs must stay on the flat path"
             )
-        graph = context.graph
-        leg_keys = []
-        leg_counts = []
-        presorted = []
-        for leg in self.legs:
-            edge_ids, nbr_ids, counts = leg.fetch_many(context, batch, batch.weights)
-            leg_keys.append(self.equality_key.values(graph, edge_ids, nbr_ids))
-            leg_counts.append(counts)
-            presorted.append(leg.access_path.sorted_by(self.equality_key))
-        result = intersect_segments(
-            leg_keys,
-            leg_counts,
-            num_rows=len(batch),
-            presorted=presorted,
-            need_positions=False,
-        )
+        _, result = self._join(batch, context, need_positions=False)
         return FactorizedSegment(
             target_vars=tuple(self.target_vars), cardinalities=result.counts_out
         )
-
-    # -- legacy tuple-at-a-time path ------------------------------------
-    def _extend_rowwise(
-        self, batch: MatchBatch, context: ExecutionContext
-    ) -> Optional[MatchBatch]:
-        """The seed per-row path: fetch and join one partial match at a time."""
-        tracked_vars = [leg.edge_var for leg in self.legs if leg.track_edge]
-        target_vars = self.target_vars
-        columns = {name: batch.column(name) for name in batch.variables}
-        kinds = {name: context.variable_kind(name) for name in batch.variables}
-        counts = np.zeros(len(batch), dtype=np.int64)
-        target_chunks: Dict[str, List[np.ndarray]] = {v: [] for v in target_vars}
-        edge_chunks: Dict[str, List[np.ndarray]] = {v: [] for v in tracked_vars}
-
-        for row in range(len(batch)):
-            fixed = {
-                name: (kinds[name], int(columns[name][row])) for name in columns
-            }
-            row_targets, row_edges, produced = self._extend_row(context, fixed)
-            counts[row] = produced
-            for name in target_vars:
-                target_chunks[name].append(row_targets[name])
-            for name in tracked_vars:
-                edge_chunks[name].append(row_edges[name])
-
-        if int(counts.sum()) == 0:
-            return None
-        new_columns: Dict[str, np.ndarray] = {
-            name: np.concatenate(target_chunks[name]) for name in target_vars
-        }
-        for name in tracked_vars:
-            new_columns[name] = np.concatenate(edge_chunks[name])
-        return batch.repeat(counts).with_columns(new_columns)
-
-    def _extend_row(
-        self, context: ExecutionContext, fixed: Dict[str, Tuple[str, int]]
-    ) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray], int]:
-        """Join the legs on the equality key for one partial match."""
-        graph = context.graph
-        leg_entries = []
-        for leg in self.legs:
-            edge_ids, nbr_ids = leg.fetch(context, fixed)
-            keys = self.equality_key.values(graph, edge_ids, nbr_ids)
-            if len(keys) > 1 and not leg.access_path.sorted_by(self.equality_key):
-                order = np.argsort(keys, kind="stable")
-                edge_ids = edge_ids[order]
-                nbr_ids = nbr_ids[order]
-                keys = keys[order]
-            leg_entries.append((edge_ids, nbr_ids, keys))
-        return self._join_entries(leg_entries)
-
-    def _join_entries(
-        self, leg_entries: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]]
-    ) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray], int]:
-        """Join key-sorted leg entries on the equality key, vectorized.
-
-        Combination expansion over equal-key runs uses
-        :func:`~repro.storage.intersect.combo_positions`; legs sharing a
-        target vertex are reconciled with one boolean mask instead of
-        per-combination Python ints.
-        """
-        empty = np.empty(0, dtype=np.int64)
-        targets: Dict[str, np.ndarray] = {v: empty.copy() for v in self.target_vars}
-        edges: Dict[str, np.ndarray] = {
-            leg.edge_var: empty.copy() for leg in self.legs if leg.track_edge
-        }
-
-        # Leg entries arrive key-sorted (callers sort unsorted legs), so the
-        # linear dedup keeps them sorted-unique and ``intersect1d`` may skip
-        # its per-input sort.
-        common = _unique_sorted_keys(leg_entries[0][2])
-        for _, _, keys in leg_entries[1:]:
-            if len(common) == 0:
-                break
-            common = np.intersect1d(
-                common, _unique_sorted_keys(keys), assume_unique=True
-            )
-        if len(common) == 0:
-            return targets, edges, 0
-
-        lefts: List[np.ndarray] = []
-        sizes_per_leg: List[np.ndarray] = []
-        multiplicity = np.ones(len(common), dtype=np.int64)
-        for _, _, keys in leg_entries:
-            left = np.searchsorted(keys, common, side="left").astype(np.int64)
-            right = np.searchsorted(keys, common, side="right").astype(np.int64)
-            lefts.append(left)
-            sizes_per_leg.append(right - left)
-            multiplicity *= sizes_per_leg[-1]
-        positions, total = combo_positions(lefts, sizes_per_leg, multiplicity)
-        if total == 0:
-            return targets, edges, 0
-
-        keep, combo_targets, combo_edges = _reconcile_combo_targets(
-            self.legs,
-            [(edge_ids, nbr_ids) for edge_ids, nbr_ids, _ in leg_entries],
-            positions,
-            total,
-        )
-        produced = int(keep.sum())
-        for name, values in combo_targets.items():
-            targets[name] = values[keep]
-        for name, values in combo_edges.items():
-            edges[name] = values[keep]
-        return targets, edges, produced
 
     def describe(self) -> str:
         legs = "; ".join(leg.describe() for leg in self.legs)

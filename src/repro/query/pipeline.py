@@ -58,9 +58,10 @@ key-wise across morsels, and both are excluded from stats equality
 (``compare=False``), keeping the cross-backend byte-identity contract on
 the work counters intact.
 
-The pre-pipeline generator chain is kept as :func:`run_pipeline_legacy` —
-the untimed flat oracle the differential harness
-(``tests/test_pipeline_executor.py``) pins the pipeline against.
+The differential harness (``tests/test_pipeline_executor.py``) checks the
+inline run's matches against the independent backtracking matcher
+(:mod:`repro.query.naive`) and pins every backend's matches, their order
+and the work-counter stats to the inline run.
 """
 
 from __future__ import annotations
@@ -594,29 +595,3 @@ def run_pipeline(
     pipeline = PipelineBuilder(plan).build(scan=scan, count_only=count_only)
     yield from pipeline.stream(context)
 
-
-def run_pipeline_legacy(
-    plan: QueryPlan, context: ExecutionContext, scan: Optional[ScanVertices] = None
-) -> Iterator[MatchBatch]:
-    """The pre-pipeline flat executor, kept as the differential oracle.
-
-    The untimed generator chain the compiled pipeline replaced: same
-    operators, same runtime checks, same ``output_rows`` accounting, no
-    stage timing.  ``tests/test_pipeline_executor.py`` pins the pipeline
-    byte-identical (matches, order, work-counter stats) to this path across
-    the query zoo × graph shapes × backends matrix.
-    """
-    lead = scan if scan is not None else plan.operators[0]
-    assert isinstance(lead, ScanVertices)
-    stream: Iterator[MatchBatch] = lead.execute(context)
-    if context.runtime is not None:
-        stream = _runtime_checked(stream, context)
-    for operator in plan.operators[1:]:
-        if isinstance(operator, (ExtendIntersect, MultiExtend, Filter)):
-            stream = operator.execute(stream, context)
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unsupported operator {type(operator).__name__}")
-    for batch in stream:
-        context.check_runtime()
-        context.stats.output_rows += len(batch)
-        yield batch

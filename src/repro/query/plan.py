@@ -128,7 +128,7 @@ class QueryPlan:
         mutually independent of every later suffix operator given the
         prefix:
 
-        * it is a vectorized :class:`~repro.query.operators.ExtendIntersect`
+        * it is an :class:`~repro.query.operators.ExtendIntersect`
           or :class:`~repro.query.operators.MultiExtend` with a TRUE post
           predicate (a post predicate filters combinations, breaking the
           pure cardinality product);
@@ -153,7 +153,7 @@ class QueryPlan:
             operator = operators[index]
             if not isinstance(operator, (ExtendIntersect, MultiExtend)):
                 break
-            if not operator.vectorized or not operator.post_predicate.is_true:
+            if not operator.post_predicate.is_true:
                 break
             if isinstance(operator, MultiExtend):
                 if len(operator.target_vars) != len(operator.legs):
@@ -197,9 +197,7 @@ class QueryPlan:
           its work once per distinct key of each leg, so a merge feeding it
           adds one more grouping and saves nothing (merging before the
           suffix measured SQ6 and MR2 5-10 % slower on ``sq_primary`` /
-          ``tuned_secondary``, SQ2 and SQ9 no faster);
-        * every later operator is vectorized — the tuple-at-a-time paths
-          charge their counters per row, not per weight.
+          ``tuned_secondary``, SQ2 and SQ9 no faster).
 
         Empty for a plan without a factorizable suffix: only a count-only
         pipeline merges.  A batch is merged only when its kept rows repeat
@@ -219,7 +217,7 @@ class QueryPlan:
         for index, operator in enumerate(operators[: suffix_start - 1]):
             carried.extend(var for var in self._binds(operator) if var not in carried)
             later = operators[index + 1 :]
-            if index == 0 or not all(getattr(op, "vectorized", True) for op in later):
+            if index == 0:
                 continue
             read = set().union(*(self._reads(op) for op in later))
             kept = tuple(var for var in carried if var in read)

@@ -175,7 +175,8 @@ class BatchIntersection:
     """Result of intersecting all legs of one batch in one kernel call.
 
     Groups are the surviving (row, key) pairs, ordered by row then key —
-    exactly the concatenation order the per-row oracle produces.
+    the order in which intersecting one row's lists at a time would emit
+    them.
 
     Attributes:
         num_rows: number of batch rows the counts are aligned with.
@@ -238,8 +239,8 @@ def _encode_composites(
     ``row * domain + key``; otherwise all legs' keys are rank-encoded through
     one shared ``np.unique`` (order-preserving, exact equality), so float
     join keys and ``int64``-max null markers work unchanged.  Float NaNs are
-    re-expanded to one code per occurrence — NaN never equals NaN, matching
-    the elementwise-comparison semantics of the per-row oracle.
+    re-expanded to one code per occurrence — NaN never equals NaN, as in an
+    elementwise comparison.
     """
     packable = all(keys.dtype.kind in "iu" for keys in leg_keys)
     if packable:

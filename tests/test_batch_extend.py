@@ -1,14 +1,18 @@
-"""Batch/per-row equivalence tests for the vectorized gather path.
+"""Tests of the batched gather path.
 
 Randomized property tests asserting that the batched index contract
 (:meth:`NestedCSR.gather`, ``list_many`` on all three index classes) agrees
-with looped tuple-at-a-time lookups, and that the vectorized extension
-operators produce identical rows, edge bindings and :class:`ExecutionStats`
-counters to the legacy per-row path — on graphs with parallel edges and
-empty adjacency lists.
+with looped one-list lookups; that the extension operators produce the
+naive matcher's rows and edge bindings, as a multiset, on graphs with
+parallel edges and empty adjacency lists; and that the logical
+:class:`ExecutionStats` counters of the flat, count-only and shared runs
+equal counts taken from the graph's edge arrays.
 """
 
 from __future__ import annotations
+
+import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,20 +31,25 @@ from repro.index.index_store import AccessPath, IndexStore
 from repro.index.primary import PrimaryIndex
 from repro.index.vertex_partitioned import VertexPartitionedIndex
 from repro.index.views import OneHopView, TwoHopView
-from repro.predicates import CompareOp, Predicate, cmp, prop
+from repro.predicates import CompareOp, Predicate, PropertyRef, cmp, prop
+from repro.query import operators as operators_module
 from repro.query.executor import PlanRunner
 from repro.query.naive import NaiveMatcher
 from repro.query.operators import (
     ExecutionStats,
     ExtendIntersect,
     ExtensionLeg,
+    Filter,
     MultiExtend,
     ScanVertices,
     SortedRangeFilter,
 )
 from repro.query.pattern import QueryGraph
+from repro.query.pipeline import CountSink
 from repro.query.plan import QueryPlan
 from repro.storage.csr import NestedCSR
+from repro.storage.intersect import intersect_segments
+from repro.storage.partition_keys import PartitionKey
 from repro.storage.sort_keys import SortKey
 
 
@@ -185,7 +194,7 @@ class TestListMany:
 
 
 # ----------------------------------------------------------------------
-# operators: vectorized vs per-row
+# operators: rows against the naive matcher
 # ----------------------------------------------------------------------
 def _run(graph, plan):
     stats = ExecutionStats()
@@ -195,13 +204,38 @@ def _run(graph, plan):
     return rows, stats
 
 
-def _assert_paths_equivalent(graph, plan_factory):
-    """Build the plan twice (vectorized / per-row) and compare everything."""
-    vector_rows, vector_stats = _run(graph, plan_factory(True))
-    rowwise_rows, rowwise_stats = _run(graph, plan_factory(False))
-    assert vector_rows == rowwise_rows
-    assert vector_stats == rowwise_stats
-    return vector_rows
+def _output_vars(plan):
+    """The variables a row of ``plan`` binds: every vertex and every
+    tracked edge."""
+    names = set()
+    for operator in plan.operators:
+        if isinstance(operator, ScanVertices):
+            names.add(operator.var)
+            continue
+        targets = (
+            operator.target_vars
+            if isinstance(operator, MultiExtend)
+            else [operator.target_var]
+        )
+        names.update(targets)
+        names.update(leg.edge_var for leg in operator.legs if leg.track_edge)
+    return sorted(names)
+
+
+def _assert_matches_naive(graph, plan):
+    """Run ``plan`` and compare its rows, as a multiset, with the naive
+    matcher's matches of ``plan.query`` (which carries every predicate the
+    plan's legs apply) projected onto the variables a row binds."""
+    rows, _ = _run(graph, plan)
+    names = _output_vars(plan)
+    assert all(sorted(row) == names for row in rows)
+
+    def key(row):
+        return tuple(row[name] for name in names)
+
+    expected = Counter(key(match) for match in NaiveMatcher(graph).match(plan.query))
+    assert Counter(map(key, rows)) == expected
+    return rows
 
 
 def _forward_leg(store, bound, target, edge_var, **kwargs):
@@ -216,94 +250,88 @@ def _forward_leg(store, bound, target, edge_var, **kwargs):
     )
 
 
-def _two_vertex_query():
+def _query(edges, *predicates):
+    """A query graph over ``edges`` — ``(src, dst, name)`` triples — that
+    carries ``predicates``."""
     query = QueryGraph("q")
-    query.add_vertex("a")
-    query.add_vertex("b")
-    query.add_edge("a", "b", name="e0")
+    for src, dst, name in edges:
+        for var in (src, dst):
+            if var not in query.vertices:
+                query.add_vertex(var)
+        query.add_edge(src, dst, name=name)
+    for predicate in predicates:
+        query.add_predicate(predicate)
     return query
+
+
+def _two_vertex_query(*predicates):
+    return _query([("a", "b", "e0")], *predicates)
 
 
 class TestExtendEquivalence:
     def test_single_leg_tracked(self, financial_graph):
         store = IndexStore(financial_graph, PrimaryIndex(financial_graph))
-
-        def factory(vectorized):
-            return QueryPlan(
-                query=_two_vertex_query(),
-                operators=[
-                    ScanVertices(var="a"),
-                    ExtendIntersect(
-                        target_var="b",
-                        legs=[
-                            _forward_leg(store, "a", "b", "e0", track_edge=True)
-                        ],
-                        vectorized=vectorized,
-                    ),
-                ],
-            )
-
-        rows = _assert_paths_equivalent(financial_graph, factory)
+        plan = QueryPlan(
+            query=_two_vertex_query(),
+            operators=[
+                ScanVertices(var="a"),
+                ExtendIntersect(
+                    target_var="b",
+                    legs=[_forward_leg(store, "a", "b", "e0", track_edge=True)],
+                ),
+            ],
+        )
+        rows = _assert_matches_naive(financial_graph, plan)
         assert len(rows) == financial_graph.num_edges
 
     def test_single_leg_with_partition_key_values(self, financial_graph):
         store = IndexStore(financial_graph, PrimaryIndex(financial_graph))
-
-        def factory(vectorized):
-            path = store.find_vertex_access_paths(
-                Direction.FORWARD, Predicate.true()
-            )[0]
-            path.key_values = ("Wire",)
-            leg = ExtensionLeg(
-                access_path=path,
-                bound_var="a",
-                target_var="b",
-                edge_var="e0",
-                track_edge=True,
-                presorted_by_nbr=path.sorted_by_neighbour_id,
-            )
-            return QueryPlan(
-                query=_two_vertex_query(),
-                operators=[
-                    ScanVertices(var="a"),
-                    ExtendIntersect(
-                        target_var="b", legs=[leg], vectorized=vectorized
-                    ),
-                ],
-            )
-
-        _assert_paths_equivalent(financial_graph, factory)
+        path = store.find_vertex_access_paths(Direction.FORWARD, Predicate.true())[0]
+        path.key_values = ("Wire",)
+        leg = ExtensionLeg(
+            access_path=path,
+            bound_var="a",
+            target_var="b",
+            edge_var="e0",
+            track_edge=True,
+            presorted_by_nbr=path.sorted_by_neighbour_id,
+        )
+        query = QueryGraph("q")
+        query.add_vertex("a")
+        query.add_vertex("b")
+        query.add_edge("a", "b", name="e0", label="Wire")
+        plan = QueryPlan(
+            query=query,
+            operators=[ScanVertices(var="a"), ExtendIntersect(target_var="b", legs=[leg])],
+        )
+        _assert_matches_naive(financial_graph, plan)
 
     def test_single_leg_with_residual_on_bound_and_new_vars(self, financial_graph):
         store = IndexStore(financial_graph, PrimaryIndex(financial_graph))
-        residual = Predicate.of(
+        conjuncts = (
             cmp(prop("a", "ID"), "<", prop("b", "ID")),
             cmp(prop("e0", "amt"), ">", 300),
         )
-
-        def factory(vectorized):
-            return QueryPlan(
-                query=_two_vertex_query(),
-                operators=[
-                    ScanVertices(var="a"),
-                    ExtendIntersect(
-                        target_var="b",
-                        legs=[
-                            _forward_leg(
-                                store,
-                                "a",
-                                "b",
-                                "e0",
-                                track_edge=True,
-                                residual=residual,
-                            )
-                        ],
-                        vectorized=vectorized,
-                    ),
-                ],
-            )
-
-        _assert_paths_equivalent(financial_graph, factory)
+        plan = QueryPlan(
+            query=_two_vertex_query(*conjuncts),
+            operators=[
+                ScanVertices(var="a"),
+                ExtendIntersect(
+                    target_var="b",
+                    legs=[
+                        _forward_leg(
+                            store,
+                            "a",
+                            "b",
+                            "e0",
+                            track_edge=True,
+                            residual=Predicate.of(*conjuncts),
+                        )
+                    ],
+                ),
+            ],
+        )
+        _assert_matches_naive(financial_graph, plan)
 
     @pytest.mark.parametrize(
         "op,value",
@@ -323,66 +351,50 @@ class TestExtendEquivalence:
         store = IndexStore(
             financial_graph, PrimaryIndex(financial_graph, config=config)
         )
-
-        def factory(vectorized):
-            return QueryPlan(
-                query=_two_vertex_query(),
-                operators=[
-                    ScanVertices(var="a"),
-                    ExtendIntersect(
-                        target_var="b",
-                        legs=[
-                            _forward_leg(
-                                store,
-                                "a",
-                                "b",
-                                "e0",
-                                track_edge=True,
-                                sorted_filter=SortedRangeFilter(
-                                    sort_key=date_key, op=op, value=value
-                                ),
-                            )
-                        ],
-                        vectorized=vectorized,
-                    ),
-                ],
-            )
-
-        _assert_paths_equivalent(financial_graph, factory)
+        plan = QueryPlan(
+            query=_two_vertex_query(cmp(prop("e0", "date"), op.value, value)),
+            operators=[
+                ScanVertices(var="a"),
+                ExtendIntersect(
+                    target_var="b",
+                    legs=[
+                        _forward_leg(
+                            store,
+                            "a",
+                            "b",
+                            "e0",
+                            track_edge=True,
+                            sorted_filter=SortedRangeFilter(
+                                sort_key=date_key, op=op, value=value
+                            ),
+                        )
+                    ],
+                ),
+            ],
+        )
+        _assert_matches_naive(financial_graph, plan)
 
     @pytest.mark.parametrize("graph_fixture", ["example_graph", "financial_graph"])
     def test_two_leg_intersection_with_parallel_edges(self, graph_fixture, request):
         graph = request.getfixturevalue(graph_fixture)
         store = IndexStore(graph, PrimaryIndex(graph))
-
-        def factory(vectorized):
-            query = QueryGraph("q")
-            for name in ("a", "c", "b"):
-                query.add_vertex(name)
-            query.add_edge("a", "c", name="ec")
-            query.add_edge("a", "b", name="e0")
-            query.add_edge("c", "b", name="e1")
-            return QueryPlan(
-                query=query,
-                operators=[
-                    ScanVertices(var="a"),
-                    ExtendIntersect(
-                        target_var="c",
-                        legs=[_forward_leg(store, "a", "c", "ec")],
-                        vectorized=vectorized,
-                    ),
-                    ExtendIntersect(
-                        target_var="b",
-                        legs=[
-                            _forward_leg(store, "a", "b", "e0", track_edge=True),
-                            _forward_leg(store, "c", "b", "e1", track_edge=True),
-                        ],
-                        vectorized=vectorized,
-                    ),
-                ],
-            )
-
-        rows = _assert_paths_equivalent(graph, factory)
+        plan = QueryPlan(
+            query=_query([("a", "c", "ec"), ("a", "b", "e0"), ("c", "b", "e1")]),
+            operators=[
+                ScanVertices(var="a"),
+                ExtendIntersect(
+                    target_var="c", legs=[_forward_leg(store, "a", "c", "ec")]
+                ),
+                ExtendIntersect(
+                    target_var="b",
+                    legs=[
+                        _forward_leg(store, "a", "b", "e0", track_edge=True),
+                        _forward_leg(store, "c", "b", "e1", track_edge=True),
+                    ],
+                ),
+            ],
+        )
+        rows = _assert_matches_naive(graph, plan)
         for row in rows:
             assert int(graph.edge_src[row["e0"]]) == row["a"]
             assert int(graph.edge_dst[row["e0"]]) == row["b"]
@@ -400,44 +412,38 @@ class TestExtendEquivalence:
             financial_graph, view, IndexConfig.default(), primary
         )
         store = IndexStore(financial_graph, primary)
-
-        def factory(vectorized):
-            query = QueryGraph("q")
-            for name in ("a", "b", "c"):
-                query.add_vertex(name)
-            query.add_edge("a", "b", name="e0")
-            query.add_edge("b", "c", name="e1")
-            epath = AccessPath(
-                index=edge_index,
-                kind="edge_secondary",
-                direction=Direction.FORWARD,
-                key_values=(),
-                sort_keys=tuple(edge_index.config.sort_keys),
-                uses_bound_edge=True,
-            )
-            leg = ExtensionLeg(
-                access_path=epath,
-                bound_var="e0",
-                target_var="c",
-                edge_var="e1",
-                track_edge=True,
-            )
-            return QueryPlan(
-                query=query,
-                operators=[
-                    ScanVertices(var="a"),
-                    ExtendIntersect(
-                        target_var="b",
-                        legs=[_forward_leg(store, "a", "b", "e0", track_edge=True)],
-                        vectorized=vectorized,
-                    ),
-                    ExtendIntersect(
-                        target_var="c", legs=[leg], vectorized=vectorized
-                    ),
-                ],
-            )
-
-        rows = _assert_paths_equivalent(financial_graph, factory)
+        epath = AccessPath(
+            index=edge_index,
+            kind="edge_secondary",
+            direction=Direction.FORWARD,
+            key_values=(),
+            sort_keys=tuple(edge_index.config.sort_keys),
+            uses_bound_edge=True,
+        )
+        leg = ExtensionLeg(
+            access_path=epath,
+            bound_var="e0",
+            target_var="c",
+            edge_var="e1",
+            track_edge=True,
+        )
+        plan = QueryPlan(
+            # The view's eadj.amt < eb.amt, with eb = e0 and eadj = e1.
+            query=_query(
+                [("a", "b", "e0"), ("b", "c", "e1")],
+                cmp(prop("e1", "amt"), "<", prop("e0", "amt")),
+            ),
+            operators=[
+                ScanVertices(var="a"),
+                ExtendIntersect(
+                    target_var="b",
+                    legs=[_forward_leg(store, "a", "b", "e0", track_edge=True)],
+                ),
+                ExtendIntersect(target_var="c", legs=[leg]),
+            ],
+        )
+        rows = _assert_matches_naive(financial_graph, plan)
+        assert rows
         for row in rows:
             assert int(
                 financial_graph.edge_property(row["e1"], "amt")
@@ -459,49 +465,36 @@ class TestMultiExtendEquivalence:
     @pytest.mark.parametrize("shared_target", [True, False])
     def test_city_join(self, financial_graph, presorted, shared_target):
         store, city_key = self._city_store(financial_graph, presorted)
-        limit = 40  # keep the per-row oracle fast
-
-        def factory(vectorized):
-            query = QueryGraph("q")
-            for name in ("a", "c"):
-                query.add_vertex(name)
-            query.add_edge("a", "c", name="ec")
-            if shared_target:
-                query.add_vertex("b")
-                query.add_edge("a", "b", name="e0")
-                query.add_edge("c", "b", name="e1")
-                targets = ("b", "b")
-            else:
-                query.add_vertex("b1")
-                query.add_vertex("b2")
-                query.add_edge("a", "b1", name="e0")
-                query.add_edge("c", "b2", name="e1")
-                targets = ("b1", "b2")
-            legs = [
-                _forward_leg(store, "a", targets[0], "e0", track_edge=True),
-                _forward_leg(store, "c", targets[1], "e1", track_edge=True),
-            ]
-            return QueryPlan(
-                query=query,
-                operators=[
-                    ScanVertices(
-                        var="a",
-                        predicate=Predicate.of(cmp(prop("a", "ID"), "<", limit)),
-                    ),
-                    ExtendIntersect(
-                        target_var="c",
-                        legs=[_forward_leg(store, "a", "c", "ec")],
-                        vectorized=vectorized,
-                    ),
-                    MultiExtend(
-                        legs=legs,
-                        equality_key=city_key,
-                        vectorized=vectorized,
-                    ),
-                ],
+        limit = 40  # keep the naive matcher fast
+        scan_predicate = cmp(prop("a", "ID"), "<", limit)
+        if shared_target:
+            # Legs into one target join on that vertex's own city.
+            query = _query(
+                [("a", "c", "ec"), ("a", "b", "e0"), ("c", "b", "e1")], scan_predicate
             )
-
-        rows = _assert_paths_equivalent(financial_graph, factory)
+            targets = ("b", "b")
+        else:
+            query = _query(
+                [("a", "c", "ec"), ("a", "b1", "e0"), ("c", "b2", "e1")],
+                scan_predicate,
+                cmp(prop("b1", "city"), "=", prop("b2", "city")),
+            )
+            targets = ("b1", "b2")
+        legs = [
+            _forward_leg(store, "a", targets[0], "e0", track_edge=True),
+            _forward_leg(store, "c", targets[1], "e1", track_edge=True),
+        ]
+        plan = QueryPlan(
+            query=query,
+            operators=[
+                ScanVertices(var="a", predicate=Predicate.of(scan_predicate)),
+                ExtendIntersect(
+                    target_var="c", legs=[_forward_leg(store, "a", "c", "ec")]
+                ),
+                MultiExtend(legs=legs, equality_key=city_key),
+            ],
+        )
+        rows = _assert_matches_naive(financial_graph, plan)
         city = financial_graph.vertex_props.column("city")
         for row in rows:
             target_a = row["b"] if shared_target else row["b1"]
@@ -510,7 +503,7 @@ class TestMultiExtendEquivalence:
 
 
 class TestMultiLegKernelEquivalence:
-    """Randomized vectorized-vs-per-row equivalence for the kernel paths.
+    """The batch-wide intersection kernel against the naive matcher.
 
     Exercises the batch-wide intersection kernel through 2- and 3-leg
     ExtendIntersect and MULTI-EXTEND on random graphs with parallel edges,
@@ -539,47 +532,37 @@ class TestMultiLegKernelEquivalence:
     def test_three_leg_intersection(self, seed):
         graph = self._random_graph(seed)
         store = IndexStore(graph, PrimaryIndex(graph))
-        limit = 25
-
-        def factory(vectorized):
-            query = QueryGraph("q")
-            for name in ("a", "c", "d", "b"):
-                query.add_vertex(name)
-            query.add_edge("a", "c", name="ec")
-            query.add_edge("a", "d", name="ed")
-            query.add_edge("a", "b", name="e0")
-            query.add_edge("c", "b", name="e1")
-            query.add_edge("d", "b", name="e2")
-            return QueryPlan(
-                query=query,
-                operators=[
-                    ScanVertices(
-                        var="a",
-                        predicate=Predicate.of(cmp(prop("a", "ID"), "<", limit)),
-                    ),
-                    ExtendIntersect(
-                        target_var="c",
-                        legs=[_forward_leg(store, "a", "c", "ec")],
-                        vectorized=vectorized,
-                    ),
-                    ExtendIntersect(
-                        target_var="d",
-                        legs=[_forward_leg(store, "a", "d", "ed")],
-                        vectorized=vectorized,
-                    ),
-                    ExtendIntersect(
-                        target_var="b",
-                        legs=[
-                            _forward_leg(store, "a", "b", "e0", track_edge=True),
-                            _forward_leg(store, "c", "b", "e1", track_edge=True),
-                            _forward_leg(store, "d", "b", "e2", track_edge=True),
-                        ],
-                        vectorized=vectorized,
-                    ),
+        scan_predicate = cmp(prop("a", "ID"), "<", 25)
+        plan = QueryPlan(
+            query=_query(
+                [
+                    ("a", "c", "ec"),
+                    ("a", "d", "ed"),
+                    ("a", "b", "e0"),
+                    ("c", "b", "e1"),
+                    ("d", "b", "e2"),
                 ],
-            )
-
-        rows = _assert_paths_equivalent(graph, factory)
+                scan_predicate,
+            ),
+            operators=[
+                ScanVertices(var="a", predicate=Predicate.of(scan_predicate)),
+                ExtendIntersect(
+                    target_var="c", legs=[_forward_leg(store, "a", "c", "ec")]
+                ),
+                ExtendIntersect(
+                    target_var="d", legs=[_forward_leg(store, "a", "d", "ed")]
+                ),
+                ExtendIntersect(
+                    target_var="b",
+                    legs=[
+                        _forward_leg(store, "a", "b", "e0", track_edge=True),
+                        _forward_leg(store, "c", "b", "e1", track_edge=True),
+                        _forward_leg(store, "d", "b", "e2", track_edge=True),
+                    ],
+                ),
+            ],
+        )
+        rows = _assert_matches_naive(graph, plan)
         for row in rows:
             assert int(graph.edge_dst[row["e0"]]) == row["b"]
             assert int(graph.edge_dst[row["e1"]]) == row["b"]
@@ -601,42 +584,33 @@ class TestMultiLegKernelEquivalence:
         sorted_filter = SortedRangeFilter(
             sort_key=date_key, op=CompareOp.LT, value=threshold
         )
-
-        def factory(vectorized):
-            query = QueryGraph("q")
-            for name in ("a", "c", "b"):
-                query.add_vertex(name)
-            query.add_edge("a", "c", name="ec")
-            query.add_edge("a", "b", name="e0")
-            query.add_edge("c", "b", name="e1")
-            return QueryPlan(
-                query=query,
-                operators=[
-                    ScanVertices(var="a"),
-                    ExtendIntersect(
-                        target_var="c",
-                        legs=[_forward_leg(store, "a", "c", "ec")],
-                        vectorized=vectorized,
-                    ),
-                    ExtendIntersect(
-                        target_var="b",
-                        legs=[
-                            _forward_leg(
-                                store,
-                                "a",
-                                "b",
-                                "e0",
-                                track_edge=True,
-                                sorted_filter=sorted_filter,
-                            ),
-                            _forward_leg(store, "c", "b", "e1", track_edge=True),
-                        ],
-                        vectorized=vectorized,
-                    ),
-                ],
-            )
-
-        rows = _assert_paths_equivalent(financial_graph, factory)
+        plan = QueryPlan(
+            query=_query(
+                [("a", "c", "ec"), ("a", "b", "e0"), ("c", "b", "e1")],
+                cmp(prop("e0", "date"), "<", threshold),
+            ),
+            operators=[
+                ScanVertices(var="a"),
+                ExtendIntersect(
+                    target_var="c", legs=[_forward_leg(store, "a", "c", "ec")]
+                ),
+                ExtendIntersect(
+                    target_var="b",
+                    legs=[
+                        _forward_leg(
+                            store,
+                            "a",
+                            "b",
+                            "e0",
+                            track_edge=True,
+                            sorted_filter=sorted_filter,
+                        ),
+                        _forward_leg(store, "c", "b", "e1", track_edge=True),
+                    ],
+                ),
+            ],
+        )
+        rows = _assert_matches_naive(financial_graph, plan)
         for row in rows:
             assert int(financial_graph.edge_property(row["e0"], "date")) < threshold
 
@@ -644,35 +618,23 @@ class TestMultiLegKernelEquivalence:
         """Sparse random graph: most rows intersect to nothing."""
         graph = self._random_graph(97, num_vertices=60, num_edges=150)
         store = IndexStore(graph, PrimaryIndex(graph))
-
-        def factory(vectorized):
-            query = QueryGraph("q")
-            for name in ("a", "c", "b"):
-                query.add_vertex(name)
-            query.add_edge("a", "c", name="ec")
-            query.add_edge("a", "b", name="e0")
-            query.add_edge("c", "b", name="e1")
-            return QueryPlan(
-                query=query,
-                operators=[
-                    ScanVertices(var="a"),
-                    ExtendIntersect(
-                        target_var="c",
-                        legs=[_forward_leg(store, "a", "c", "ec")],
-                        vectorized=vectorized,
-                    ),
-                    ExtendIntersect(
-                        target_var="b",
-                        legs=[
-                            _forward_leg(store, "a", "b", "e0", track_edge=True),
-                            _forward_leg(store, "c", "b", "e1", track_edge=True),
-                        ],
-                        vectorized=vectorized,
-                    ),
-                ],
-            )
-
-        _assert_paths_equivalent(graph, factory)
+        plan = QueryPlan(
+            query=_query([("a", "c", "ec"), ("a", "b", "e0"), ("c", "b", "e1")]),
+            operators=[
+                ScanVertices(var="a"),
+                ExtendIntersect(
+                    target_var="c", legs=[_forward_leg(store, "a", "c", "ec")]
+                ),
+                ExtendIntersect(
+                    target_var="b",
+                    legs=[
+                        _forward_leg(store, "a", "b", "e0", track_edge=True),
+                        _forward_leg(store, "c", "b", "e1", track_edge=True),
+                    ],
+                ),
+            ],
+        )
+        _assert_matches_naive(graph, plan)
 
     def test_single_leg_multi_extend(self, financial_graph):
         """MULTI-EXTEND with one leg (regression: the kernel must accept it)."""
@@ -683,28 +645,18 @@ class TestMultiLegKernelEquivalence:
         store = IndexStore(
             financial_graph, PrimaryIndex(financial_graph, config=config)
         )
-
-        def factory(vectorized):
-            query = QueryGraph("q")
-            query.add_vertex("a")
-            query.add_vertex("b")
-            query.add_edge("a", "b", name="e0")
-            return QueryPlan(
-                query=query,
-                operators=[
-                    ScanVertices(
-                        var="a",
-                        predicate=Predicate.of(cmp(prop("a", "ID"), "<", 30)),
-                    ),
-                    MultiExtend(
-                        legs=[_forward_leg(store, "a", "b", "e0", track_edge=True)],
-                        equality_key=city_key,
-                        vectorized=vectorized,
-                    ),
-                ],
-            )
-
-        rows = _assert_paths_equivalent(financial_graph, factory)
+        scan_predicate = cmp(prop("a", "ID"), "<", 30)
+        plan = QueryPlan(
+            query=_two_vertex_query(scan_predicate),
+            operators=[
+                ScanVertices(var="a", predicate=Predicate.of(scan_predicate)),
+                MultiExtend(
+                    legs=[_forward_leg(store, "a", "b", "e0", track_edge=True)],
+                    equality_key=city_key,
+                ),
+            ],
+        )
+        rows = _assert_matches_naive(financial_graph, plan)
         assert rows  # the plan extends every out-edge of the scanned vertices
         for row in rows:
             assert int(financial_graph.edge_src[row["e0"]]) == row["a"]
@@ -721,106 +673,221 @@ class TestMultiLegKernelEquivalence:
             financial_graph, PrimaryIndex(financial_graph, config=config)
         )
         rng = np.random.default_rng(seed)
-        limit = int(rng.integers(8, 20))
-
-        def factory(vectorized):
-            query = QueryGraph("q")
-            for name in ("a", "c"):
-                query.add_vertex(name)
-            query.add_edge("a", "c", name="ec")
-            query.add_vertex("b")
-            query.add_vertex("b2")
-            query.add_edge("a", "b", name="e0")
-            query.add_edge("c", "b", name="e1")
-            query.add_edge("c", "b2", name="e2")
-            legs = [
-                _forward_leg(store, "a", "b", "e0", track_edge=True),
-                _forward_leg(store, "c", "b", "e1", track_edge=True),
-                _forward_leg(store, "c", "b2", "e2", track_edge=True),
-            ]
-            return QueryPlan(
-                query=query,
-                operators=[
-                    ScanVertices(
-                        var="a",
-                        predicate=Predicate.of(cmp(prop("a", "ID"), "<", limit)),
-                    ),
-                    ExtendIntersect(
-                        target_var="c",
-                        legs=[_forward_leg(store, "a", "c", "ec")],
-                        vectorized=vectorized,
-                    ),
-                    MultiExtend(
-                        legs=legs,
-                        equality_key=city_key,
-                        vectorized=vectorized,
-                    ),
-                ],
-            )
-
-        rows = _assert_paths_equivalent(financial_graph, factory)
+        scan_predicate = cmp(prop("a", "ID"), "<", int(rng.integers(8, 20)))
+        legs = [
+            _forward_leg(store, "a", "b", "e0", track_edge=True),
+            _forward_leg(store, "c", "b", "e1", track_edge=True),
+            _forward_leg(store, "c", "b2", "e2", track_edge=True),
+        ]
+        plan = QueryPlan(
+            query=_query(
+                [("a", "c", "ec"), ("a", "b", "e0"), ("c", "b", "e1"), ("c", "b2", "e2")],
+                scan_predicate,
+                cmp(prop("b", "city"), "=", prop("b2", "city")),
+            ),
+            operators=[
+                ScanVertices(var="a", predicate=Predicate.of(scan_predicate)),
+                ExtendIntersect(
+                    target_var="c", legs=[_forward_leg(store, "a", "c", "ec")]
+                ),
+                MultiExtend(legs=legs, equality_key=city_key),
+            ],
+        )
+        rows = _assert_matches_naive(financial_graph, plan)
         city = financial_graph.vertex_props.column("city")
         for row in rows:
             assert city[row["b"]] == city[row["b2"]]
 
 
 class TestJoinEntriesNaN:
-    """The per-row oracle and the kernel must agree on NaN equality keys:
-    NaN never joins across legs, and a NaN run expands each entry once."""
-
-    def _op(self):
-        leg = ExtensionLeg(
-            access_path=None,
-            bound_var="a",
-            target_var="b",
-            edge_var="e0",
-            track_edge=True,
-        )
-        return MultiExtend(legs=[leg], equality_key=SortKey.nbr_property("city"))
+    """MULTI-EXTEND's join kernel on NaN equality keys: NaN never joins
+    across legs, and a NaN run expands each entry once."""
 
     def test_single_leg_nan_run_expands_once(self):
-        from repro.storage.intersect import intersect_segments
-
-        edges = np.array([10, 11, 12], dtype=np.int64)
-        nbrs = np.array([100, 101, 102], dtype=np.int64)
         keys = np.array([1.0, np.nan, np.nan])
-        targets, edge_cols, produced = self._op()._join_entries(
-            [(edges, nbrs, keys)]
-        )
-        assert produced == 3
-        assert targets["b"].tolist() == [100, 101, 102]
-        assert edge_cols["e0"].tolist() == [10, 11, 12]
         kernel = intersect_segments([keys], [np.array([3])], 1, [True])
-        assert kernel.total == produced
+        assert kernel.total == 3
+        assert kernel.counts_out.tolist() == [3]
+        assert kernel.positions[0].tolist() == [0, 1, 2]
 
     def test_nan_never_joins_across_legs(self):
-        leg2 = ExtensionLeg(
-            access_path=None,
-            bound_var="c",
-            target_var="b2",
-            edge_var="e1",
-            track_edge=True,
-        )
-        op = MultiExtend(
-            legs=self._op().legs + [leg2],
-            equality_key=SortKey.nbr_property("city"),
-        )
-        entries = [
-            (
-                np.array([10, 11], dtype=np.int64),
-                np.array([100, 101], dtype=np.int64),
-                np.array([1.0, np.nan]),
+        keys = [np.array([1.0, np.nan]), np.array([1.0, np.nan])]
+        kernel = intersect_segments(keys, [np.array([2]), np.array([2])], 1, [True, True])
+        assert kernel.total == 1  # only the 1.0 keys join; NaN != NaN
+        assert [pos.tolist() for pos in kernel.positions] == [[0], [0]]
+
+
+# ----------------------------------------------------------------------
+# logical counters against the edge arrays
+# ----------------------------------------------------------------------
+COUNTERS = ("lists_accessed", "list_entries_fetched", "predicate_evaluations")
+
+
+def _rows(graph, query, operators):
+    """The flat rows of the plan ``operators``, as ``(kind, id)`` bindings."""
+    rows = PlanRunner(graph).collect(QueryPlan(query=query, operators=list(operators)))
+    return [
+        {name: (query.variable_kind(name), value) for name, value in row.items()}
+        for row in rows
+    ]
+
+
+def _searched_run(graph, query, leg, row):
+    """The entries of the list ``leg`` reads for ``row`` that the leg is
+    charged for, from the edge arrays: the bound vertex's out- or in-edges,
+    cut to the leg's edge-label partition, and under a sorted-range filter
+    those for which the filter's comparison holds on the whole list."""
+    index = leg.access_path.index
+    view = getattr(index, "view", None)
+    assert view is None or view.predicate.is_true, "a one-hop list of every edge"
+    kind, bound = row[leg.bound_var]
+    assert kind == "vertex"
+    forward = leg.access_path.direction is Direction.FORWARD
+    edges = np.flatnonzero((graph.edge_src if forward else graph.edge_dst) == bound)
+    for key, value in zip(index.config.partition_keys, leg.access_path.key_values):
+        assert key == PartitionKey.edge_label()
+        code = value if isinstance(value, int) else graph.schema.edge_label_code(value)
+        edges = edges[graph.edge_labels[edges] == code]
+    if leg.sorted_filter is None:
+        return edges
+    sorted_filter = leg.sorted_filter
+    sort_key = sorted_filter.sort_key
+    var = leg.edge_var if sort_key.target == "edge" else leg.target_var
+    comparison = Predicate.of(
+        cmp(prop(var, sort_key.prop), sorted_filter.op.value, sorted_filter.value)
+    )
+    nbrs = (graph.edge_dst if forward else graph.edge_src)[edges]
+    arrays = {leg.edge_var: ("edge", edges), leg.target_var: ("vertex", nbrs)}
+    return edges[comparison.evaluate_bulk(graph, row, arrays)]
+
+
+def _expected_counters(graph, plan):
+    """``lists_accessed``, ``list_entries_fetched`` and
+    ``predicate_evaluations`` of ``plan``, counted without the indexes.
+
+    Every partial match reaching an extension reads one list per leg and
+    is charged its searched run (:func:`_searched_run`); a residual is
+    evaluated on each entry of that run, a post predicate on each extended
+    row, a :class:`Filter` on each row it is fed and a scan predicate on
+    each candidate.  The partial matches reaching a stage are the flat
+    rows of the plan cut before it."""
+    query, operators = plan.query, plan.operators
+    expected = dict.fromkeys(COUNTERS, 0)
+    for position, operator in enumerate(operators):
+        if isinstance(operator, ScanVertices):
+            if not operator.predicate.is_true:
+                candidates = (
+                    graph.num_vertices
+                    if operator.label is None
+                    else len(graph.vertices_with_label(operator.label))
+                )
+                expected["predicate_evaluations"] += candidates
+            continue
+        rows = _rows(graph, query, operators[:position])
+        if isinstance(operator, Filter):
+            expected["predicate_evaluations"] += len(rows)
+            continue
+        for leg in operator.legs:
+            for row in rows:
+                searched = len(_searched_run(graph, query, leg, row))
+                expected["lists_accessed"] += 1
+                expected["list_entries_fetched"] += searched
+                if not leg.residual.is_true:
+                    expected["predicate_evaluations"] += searched
+        if not operator.post_predicate.is_true:
+            unfiltered = dataclasses.replace(operator, post_predicate=Predicate.true())
+            extended = _rows(graph, query, list(operators[:position]) + [unfiltered])
+            expected["predicate_evaluations"] += len(extended)
+    return expected
+
+
+def _counted(stats):
+    return {name: getattr(stats, name) for name in COUNTERS}
+
+
+def _count_only(graph, plan):
+    stats = ExecutionStats()
+    CountSink().drain(PlanRunner(graph).execute(plan, stats=stats, count_only=True))
+    return stats
+
+
+def _counter_plan(graph, config, tail_kwargs, *predicates):
+    """``a -> b -> c -> d`` on an index built with ``config``; the last
+    leg (``c -> d``, the count-only suffix) takes ``tail_kwargs``.  The
+    ``b`` stage is a merge point and the suffix's keys repeat, so a
+    count-only run shares lists in a flat stage and in the suffix."""
+    store = IndexStore(graph, PrimaryIndex(graph, config=config))
+    return QueryPlan(
+        query=_query(
+            [("a", "b", "e0"), ("b", "c", "e1"), ("c", "d", "e2")], *predicates
+        ),
+        operators=[
+            ScanVertices(var="a"),
+            ExtendIntersect(target_var="b", legs=[_forward_leg(store, "a", "b", "e0")]),
+            ExtendIntersect(target_var="c", legs=[_forward_leg(store, "b", "c", "e1")]),
+            ExtendIntersect(
+                target_var="d",
+                legs=[_forward_leg(store, "c", "d", "e2", **tail_kwargs)],
             ),
-            (
-                np.array([20, 21], dtype=np.int64),
-                np.array([200, 201], dtype=np.int64),
-                np.array([1.0, np.nan]),
-            ),
-        ]
-        targets, edge_cols, produced = op._join_entries(entries)
-        assert produced == 1  # only the 1.0 keys join; NaN != NaN
-        assert targets["b"].tolist() == [100]
-        assert targets["b2"].tolist() == [200]
+        ],
+    )
+
+
+def _counter_cases():
+    date_key = SortKey.edge_property("date")
+    city_key = SortKey.nbr_property("city")
+    by_date = IndexConfig(partition_keys=(), sort_keys=(date_key, SortKey.neighbour_id()))
+    by_city = IndexConfig(partition_keys=(), sort_keys=(city_key, SortKey.neighbour_id()))
+    residual = cmp(prop("e2", "amt"), ">", 300)
+    return {
+        "single_leg": (IndexConfig.default(), {}, ()),
+        "residual": (
+            IndexConfig.default(),
+            {"residual": Predicate.of(residual)},
+            (residual,),
+        ),
+        "sorted_constant": (
+            by_date,
+            {"sorted_filter": SortedRangeFilter(date_key, CompareOp.LT, 900)},
+            (cmp(prop("e2", "date"), "<", 900),),
+        ),
+        "sorted_probe": (
+            by_city,
+            {
+                "sorted_filter": SortedRangeFilter(
+                    city_key, CompareOp.EQ, PropertyRef("c", "city")
+                )
+            },
+            (cmp(prop("d", "city"), "=", prop("c", "city")),),
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", list(_counter_cases()))
+def test_counters_match_the_edge_arrays(financial_graph, case, monkeypatch):
+    """Flat, count-only and shared runs charge what the edge arrays say."""
+    graph = financial_graph
+    config, tail_kwargs, predicates = _counter_cases()[case]
+    plan = _counter_plan(graph, config, tail_kwargs, *predicates)
+    assert plan.factorized_suffix_start() == 3 and plan.merge_points()
+    expected = _expected_counters(graph, plan)
+    assert expected["list_entries_fetched"] > expected["lists_accessed"] > 0
+    assert (expected["predicate_evaluations"] > 0) is (case == "residual")
+
+    flat = PlanRunner(graph).run(plan)
+    assert flat.count == NaiveMatcher(graph).count(plan.query)
+    assert _counted(flat.stats) == expected
+
+    shared = _count_only(graph, plan)
+    assert shared.lists_shared > 0
+    assert _counted(shared) == expected
+
+    monkeypatch.setattr(QueryPlan, "merge_points", lambda self: {})
+    monkeypatch.setattr(QueryPlan, "suffix_keys_may_repeat", lambda self, op: False)
+    monkeypatch.setattr(operators_module, "_SHARE_MIN_REPEAT", 1 << 40)
+    count_only = _count_only(graph, plan)
+    assert count_only.lists_shared == count_only.entries_shared == 0
+    assert _counted(count_only) == expected
 
 
 class TestScanPushdown:
@@ -829,8 +896,6 @@ class TestScanPushdown:
     def test_chunked_scan_matches_full_materialization(
         self, financial_graph, monkeypatch
     ):
-        from repro.query import operators as operators_module
-
         monkeypatch.setattr(operators_module, "_SCAN_CHUNK_MIN", 16)
         predicate = Predicate.of(cmp(prop("a", "ID"), "<", 70))
         plan = QueryPlan(
@@ -855,8 +920,6 @@ class TestScanPushdown:
         assert stats.intermediate_rows == 70
 
     def test_chunked_scan_with_label(self, example_graph, monkeypatch):
-        from repro.query import operators as operators_module
-
         monkeypatch.setattr(operators_module, "_SCAN_CHUNK_MIN", 2)
         plan = QueryPlan(
             query=_two_vertex_query(),
@@ -870,7 +933,7 @@ class TestScanPushdown:
 
 
 class TestRandomizedGraphs:
-    """Vectorized stack vs per-row stack vs the naive oracle on random graphs."""
+    """The default stack against the naive matcher on random graphs."""
 
     @pytest.mark.parametrize("seed", [3, 17, 29])
     def test_two_path_matches_everything(self, seed):
@@ -885,40 +948,21 @@ class TestRandomizedGraphs:
             )
         )
         store = IndexStore(graph, PrimaryIndex(graph))
-
-        def factory(vectorized):
-            query = QueryGraph("q")
-            for name in ("a", "b", "c"):
-                query.add_vertex(name)
-            query.add_edge("a", "b", name="e0")
-            query.add_edge("b", "c", name="e1")
-            return QueryPlan(
-                query=query,
-                operators=[
-                    ScanVertices(var="a"),
-                    ExtendIntersect(
-                        target_var="b",
-                        legs=[_forward_leg(store, "a", "b", "e0", track_edge=True)],
-                        vectorized=vectorized,
-                    ),
-                    ExtendIntersect(
-                        target_var="c",
-                        legs=[_forward_leg(store, "b", "c", "e1", track_edge=True)],
-                        vectorized=vectorized,
-                    ),
-                ],
-            )
-
-        rows = _assert_paths_equivalent(graph, factory)
-
-        query = QueryGraph("q")
-        for name in ("a", "b", "c"):
-            query.add_vertex(name)
-        query.add_edge("a", "b", name="e0")
-        query.add_edge("b", "c", name="e1")
-        naive = NaiveMatcher(graph).match(query)
-        key = lambda row: tuple(sorted(row.items()))
-        assert sorted(map(key, rows)) == sorted(map(key, naive))
+        plan = QueryPlan(
+            query=_query([("a", "b", "e0"), ("b", "c", "e1")]),
+            operators=[
+                ScanVertices(var="a"),
+                ExtendIntersect(
+                    target_var="b",
+                    legs=[_forward_leg(store, "a", "b", "e0", track_edge=True)],
+                ),
+                ExtendIntersect(
+                    target_var="c",
+                    legs=[_forward_leg(store, "b", "c", "e1", track_edge=True)],
+                ),
+            ],
+        )
+        _assert_matches_naive(graph, plan)
 
     @pytest.mark.parametrize("seed", [5, 11])
     def test_database_default_stack_matches_naive(self, seed):

@@ -8,12 +8,11 @@ or not (MF3's ``a4.city = a5.city`` on the leg from ``a1``), for ``< <= >
 >= =`` alike.  Counts must equal :class:`~repro.query.naive.NaiveMatcher`'s
 on a graph where most vertices share a city and some have none: a null
 never compares equal, nor in order, to anything.  Every path is checked —
-batched, tuple-at-a-time (``vectorized=False``) and count-only.
+flat and count-only — and the logical counters equal counts taken from the
+graph's edge arrays (``test_batch_extend._expected_counters``).
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -33,6 +32,7 @@ from repro.query.plan import QueryPlan
 from repro.storage.partition_keys import PartitionKey
 from repro.storage.sort_keys import SortKey
 from repro.workloads import fraud
+from test_batch_extend import COUNTERS, _count_only, _expected_counters
 
 CITIES = ["c0"] * 12 + ["c1", "c2", "c3"] + [None] * 3
 
@@ -144,18 +144,6 @@ def _probe_legs(plan: QueryPlan):
     ]
 
 
-def _rowwise(plan: QueryPlan) -> QueryPlan:
-    return QueryPlan(
-        query=plan.query,
-        operators=[
-            dataclasses.replace(operator, vectorized=False)
-            if isinstance(operator, (ExtendIntersect, MultiExtend))
-            else operator
-            for operator in plan.operators
-        ],
-    )
-
-
 def test_the_graph_is_city_skewed_with_nulls(fx):
     graph = fx[0]
     city = np.asarray(graph.vertex_props.column("city"))
@@ -177,22 +165,22 @@ def test_probe_plans_count_as_the_oracle(fx, name):
         for batch_size in (5, 1024):
             executor = PlanRunner(graph, batch_size=batch_size)
             assert executor.count(plan, factorized=False) == expected[name]
-            assert executor.run(_rowwise(plan)).count == expected[name]
             assert executor.count(plan) == expected[name]  # count-only where it can
     assert db.count(queries[name]) == expected[name]
 
 
-def test_rowwise_and_batched_charge_the_same_searched_runs(fx):
+def test_every_path_charges_the_searched_runs(fx):
+    """Flat and count-only runs charge each probed list its searched run:
+    what the edge arrays count."""
     graph, _, _, _, extend_only = fx
     for name in ("mf3_shape", "rank>", "rank<="):
         plan = extend_only[name]
-        batched = PlanRunner(graph, batch_size=5).run(plan)
-        rowwise = PlanRunner(graph, batch_size=5).run(_rowwise(plan))
-        for counter in ("lists_accessed", "list_entries_fetched", "predicate_evaluations"):
-            assert getattr(batched.stats, counter) == getattr(rowwise.stats, counter), (
-                name,
-                counter,
-            )
+        expected = _expected_counters(graph, plan)
+        flat = PlanRunner(graph, batch_size=5).run(plan).stats
+        count_only = _count_only(graph, plan)
+        for counter in COUNTERS:
+            assert getattr(flat, counter) == expected[counter], (name, counter)
+            assert getattr(count_only, counter) == expected[counter], (name, counter)
 
 
 def test_mf3_shape_probes_a_non_local_variable(fx):
@@ -217,5 +205,5 @@ def test_a_null_probe_admits_nothing(fx):
     index = leg.access_path.index
     bound = np.array([null_vertex, null_vertex])
     assert index.count_many(bound, (), leg.sorted_filter, bound).tolist() == [0, 0]
-    edge_ids, nbr_ids = index.list(null_vertex)
-    assert len(leg.sorted_filter.apply(graph, edge_ids, nbr_ids, null_vertex)[0]) == 0
+    edge_ids, nbr_ids, counts = index.list_many(bound, (), leg.sorted_filter, bound)
+    assert len(edge_ids) == len(nbr_ids) == 0 and counts.tolist() == [0, 0]

@@ -370,22 +370,6 @@ def test_trailing_filter_blocks_factorization(example_graph):
     assert "flat only" in plan.describe()
 
 
-def test_rowwise_extension_blocks_factorization(example_graph):
-    store = IndexStore(example_graph, PrimaryIndex(example_graph))
-    plan = QueryPlan(
-        query=_one_leg(),
-        operators=[
-            ScanVertices(var="a"),
-            ExtendIntersect(
-                target_var="b",
-                legs=[_forward_leg(store, "a", "b", "e0")],
-                vectorized=False,
-            ),
-        ],
-    )
-    assert not plan.supports_factorized_count
-
-
 def test_run_factorized_rejects_materialize(example_db):
     plan = example_db.plan(_star_two())
     with pytest.raises(ExecutionError, match="count-only"):

@@ -13,9 +13,9 @@ edges, vertices without out-edges — and is pinned three ways:
   :class:`~repro.query.naive.NaiveMatcher`'s;
 * the logical :class:`~repro.query.operators.ExecutionStats` equal those of
   the same count with sharing switched off (the per-row paths) and, for
-  the counters both define, of the ``vectorized=False`` tuple-at-a-time
-  path — on the serial executor at batch sizes on both sides of every
-  sharing gate, and on thread x2 and process x2;
+  the counters both define, of the flat run with sharing switched off —
+  on the serial executor at batch sizes on both sides of every sharing
+  gate, and on thread x2 and process x2;
 * a count over the process backend's worker body ships no candidate
   arrays.
 """
@@ -55,7 +55,6 @@ from repro.query.operators import (
     ExecutionStats,
     ExtendIntersect,
     ExtensionLeg,
-    MultiExtend,
     ScanVertices,
 )
 from repro.query.plan import QueryPlan
@@ -369,19 +368,6 @@ SHARING = {name for name, (_db, _factory, shares) in SHAPES.items() if shares} |
 }
 
 
-def _rowwise(plan: QueryPlan) -> QueryPlan:
-    """The same plan on the tuple-at-a-time operators (flat only)."""
-    return QueryPlan(
-        query=plan.query,
-        operators=[
-            dataclasses.replace(operator, vectorized=False)
-            if isinstance(operator, (ExtendIntersect, MultiExtend))
-            else operator
-            for operator in plan.operators
-        ],
-    )
-
-
 def _count_only(runner, plan):
     stats = ExecutionStats()
     count = CountSink().drain(runner.execute(plan, stats=stats, count_only=True))
@@ -507,14 +493,16 @@ def test_logical_stats_match_the_per_row_paths(fx, name, batch_size, monkeypatch
     assert per_row.lists_shared == per_row.entries_shared == 0
 
     if len(plan.operators) - plan.factorized_suffix_start() == 1:
-        # One suffix operator: the flat path reads exactly the same lists.
-        rowwise = PlanRunner(fx.graphs[name], batch_size=batch_size).run(_rowwise(plan))
-        assert rowwise.count == count
+        # One suffix operator: the flat path, sharing off, reads exactly
+        # the same lists.
+        flat = executor.run(plan)
+        assert flat.count == count
+        assert flat.stats.lists_shared == flat.stats.entries_shared == 0
         for counter in ("lists_accessed", "list_entries_fetched", "predicate_evaluations"):
-            assert getattr(stats, counter) == getattr(rowwise.stats, counter)
+            assert getattr(stats, counter) == getattr(flat.stats, counter)
         assert (
             stats.intermediate_rows + stats.combos_avoided
-            == rowwise.stats.intermediate_rows
+            == flat.stats.intermediate_rows
         )
 
     if name not in SHARING:

@@ -439,19 +439,6 @@ def test_flat_plans_have_no_merge_points(fx):
     assert runner.count(flat_only) == runner.count(flat_only, factorized=False) > 0
 
 
-def test_rowwise_operators_block_merging(fx):
-    """A tuple-at-a-time operator charges per row: no merged row reaches
-    one, so a stage before it is no merge point."""
-    graph, plan = fx.plans["filter_stage"]
-    operators = list(plan.operators)
-    operators[4] = dataclasses.replace(operators[4], vectorized=False)
-    rowwise = QueryPlan(query=plan.query, operators=operators)
-    assert rowwise.supports_factorized_count
-    assert rowwise.merge_points() == {}
-    runner = PlanRunner(graph)
-    assert runner.count(rowwise) == runner.count(plan, factorized=False)
-
-
 def test_the_runtime_gate_refuses_rows_that_do_not_repeat(monkeypatch):
     """A 3-path over one long chain: every partial match has its own
     ``b`` and ``c``, so each merge point only projects."""

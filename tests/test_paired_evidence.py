@@ -3,7 +3,8 @@
 The suite runs themselves are faked: what is pinned here is the evidence
 file — a run appends one stamped entry to its workload's list, an older
 one-entry-per-workload document is read as one-entry lists, and nothing is
-replaced or dropped.
+replaced or dropped — and that the change side runs from its own copy of
+the working tree, as the parent side runs from its extract.
 """
 
 from __future__ import annotations
@@ -25,13 +26,19 @@ def _fake_suite(monkeypatch, ops_per_s):
     with open(os.path.join(paired.ROOT, "BENCHMARK.json")) as handle:
         names = [metric["name"] for metric in json.load(handle)["end_to_end"]]
 
+    def mark(target, side):
+        with open(os.path.join(target, "SIDE"), "w") as handle:
+            handle.write(side)
+
     def run_side(root, workload, seed, seconds, trace):
-        value = ops_per_s["change" if root == paired.ROOT else "parent"]
+        with open(os.path.join(root, "SIDE")) as handle:
+            value = ops_per_s[handle.read()]
         metrics = {name: {"value": value, "unit": ""} for name in names}
         return {"correct": True, "attempted": 10, "failed": 0, "metrics": metrics}
 
     monkeypatch.setattr(paired, "run_side", run_side)
-    monkeypatch.setattr(paired, "extract", lambda revision, target: None)
+    monkeypatch.setattr(paired, "extract", lambda revision, target: mark(target, "parent"))
+    monkeypatch.setattr(paired, "copy_working_tree", lambda target: mark(target, "change"))
     monkeypatch.setattr(
         paired,
         "environment_stamp",
@@ -71,3 +78,14 @@ def test_runs_append_and_the_older_shape_is_kept(tmp_path, monkeypatch):
     traced = document["traced"]["sq_primary"]
     assert [entry["seed"] for entry in traced] == [47, 5]
     assert traced[0]["environment"] == {"parent": "p0", "change": "c0"}
+
+
+def test_the_change_side_runs_from_a_copy_of_the_working_tree(tmp_path):
+    """Tracked and untracked files are copied, ignored ones are not."""
+    paired.copy_working_tree(str(tmp_path))
+    assert (tmp_path / "BENCHMARK.json").read_bytes() == open(
+        os.path.join(paired.ROOT, "BENCHMARK.json"), "rb"
+    ).read()
+    assert (tmp_path / "benchmarks" / "suite" / "run.py").is_file()
+    assert not any(tmp_path.rglob("__pycache__"))
+    assert not (tmp_path / ".git").exists()

@@ -1,12 +1,12 @@
 """Differential suite for the physical pipeline executor.
 
-Pins the compiled pipeline (:mod:`repro.query.pipeline`) against the
-pre-pipeline generator chain, kept verbatim as
-:func:`~repro.query.pipeline.run_pipeline_legacy` — the flat oracle:
+Pins the compiled pipeline (:mod:`repro.query.pipeline`) on every backend
+against the inline run, whose matches the independent
+:class:`~repro.query.naive.NaiveMatcher` checks as a multiset:
 
-* **byte-identity** — matches, their order, and the work-counter stats are
-  identical to the legacy executor across the query zoo × graph shapes ×
-  the inline runner and the thread/process backends (smoke subset in tier-1, the full matrix
+* **byte-identity** — matches, their order, and the work-counter stats of
+  the thread/process backends are identical to the inline runner's across
+  the query zoo × graph shapes (smoke subset in tier-1, the full matrix
   behind the ``fuzz`` marker);
 * **early termination** — ``collect(limit=)`` halts the pipeline across
   batches *and* across morsels: strictly fewer morsels dispatched than the
@@ -25,6 +25,7 @@ pre-pipeline generator chain, kept verbatim as
 from __future__ import annotations
 
 import os
+from collections import Counter
 
 import pytest
 
@@ -33,14 +34,14 @@ from repro.graph import GraphBuilder
 from repro.graph.generators import LabelledGraphSpec, generate_labelled_graph
 from repro.query import PlanRunner, QueryGraph, cmp, prop
 from repro.query.backends import ThreadBackend
-from repro.query.operators import ExecutionContext, ExecutionStats
+from repro.query.naive import NaiveMatcher
+from repro.query.operators import ExecutionStats
 from repro.query.pipeline import (
     CountSink,
     ExistsSink,
     FlattenSink,
     LimitSink,
     PipelineBuilder,
-    run_pipeline_legacy,
 )
 
 BACKEND_NAMES = ("thread", "process")
@@ -169,25 +170,24 @@ def _work_counters(stats):
 
 
 # ----------------------------------------------------------------------
-# cached builds: (graph_key, seed, shape) -> db/plan/legacy-oracle baseline
+# cached builds: (graph_key, seed, shape) -> db/plan/inline baseline
 # ----------------------------------------------------------------------
 _CACHE = {}
 
 
-def _legacy_oracle(db, plan):
-    """Matches + stats of the kept pre-pipeline generator chain."""
+def _inline_baseline(db, plan):
+    """Matches + stats of the inline runner, its matches checked against
+    the naive matcher's (projected onto the variables a row binds)."""
     stats = ExecutionStats()
-    context = ExecutionContext(
-        graph=db.graph,
-        query=plan.query,
-        batch_size=db.batch_size,
-        stats=stats,
+    matches = FlattenSink().drain(
+        PlanRunner(db.graph, batch_size=db.batch_size).execute(plan, stats=stats)
     )
-    matches = [
-        row
-        for batch in run_pipeline_legacy(plan, context)
-        for row in batch.to_dicts()
-    ]
+    names = sorted(matches[0]) if matches else []
+    expected = Counter(
+        tuple(match[name] for name in names)
+        for match in NaiveMatcher(db.graph).match(plan.query)
+    )
+    assert Counter(tuple(row[name] for name in names) for row in matches) == expected
     return matches, stats
 
 
@@ -199,7 +199,7 @@ def _baseline(graph_key: str, seed: int, shape: str):
             _CACHE[graph_cache_key] = Database(GRAPHS[graph_key](seed))
         db = _CACHE[graph_cache_key]
         plan = db.plan(ZOO[shape]())
-        _CACHE[key] = (db, plan, _legacy_oracle(db, plan))
+        _CACHE[key] = (db, plan, _inline_baseline(db, plan))
     return _CACHE[key]
 
 
@@ -211,19 +211,10 @@ def check_pipeline_combo(
     num_workers: int = 2,
     morsel_size=None,
 ):
-    """Pipeline ≡ legacy: matches, order, work-counter stats — plus timings."""
-    db, plan, (matches, legacy_stats) = _baseline(graph_key, seed, shape)
+    """Backend ≡ inline: matches, order, work-counter stats — plus timings."""
+    db, plan, (matches, inline_stats) = _baseline(graph_key, seed, shape)
     context = f"{graph_key}/seed{seed}/{shape}/{backend}"
     labels = PipelineBuilder(plan).build().labels
-
-    serial_stats = ExecutionStats()
-    serial = FlattenSink().drain(
-        PlanRunner(db.graph, batch_size=db.batch_size).execute(
-            plan, stats=serial_stats
-        )
-    )
-    assert serial == matches, context
-    assert serial_stats == legacy_stats, context
 
     executor = PlanRunner(
         db.graph,
@@ -235,10 +226,10 @@ def check_pipeline_combo(
     stats = ExecutionStats()
     result = FlattenSink().drain(executor.execute(plan, stats=stats))
     assert result == matches, context
-    assert stats == legacy_stats, context
-    assert _work_counters(stats) == _work_counters(legacy_stats), context
+    assert stats == inline_stats, context
+    assert _work_counters(stats) == _work_counters(inline_stats), context
     # Per-operator timings reported on every backend, for every stage.
-    for observed in (serial_stats, stats):
+    for observed in (inline_stats, stats):
         assert set(labels) <= set(observed.operator_seconds), context
         assert set(labels) <= set(observed.operator_batches), context
         assert all(v >= 0.0 for v in observed.operator_seconds.values()), context
@@ -250,12 +241,12 @@ def check_pipeline_combo(
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", BACKEND_NAMES)
 @pytest.mark.parametrize("graph_key", ["zipf", "star"])
-def test_smoke_pipeline_matches_legacy_triangle(graph_key, backend):
+def test_smoke_pipeline_matches_inline_triangle(graph_key, backend):
     check_pipeline_combo(graph_key, 3, "triangle", backend)
 
 
 @pytest.mark.parametrize("backend", ("thread",))
-def test_smoke_pipeline_matches_legacy_empty(backend):
+def test_smoke_pipeline_matches_inline_empty(backend):
     check_pipeline_combo("empty", 3, "one_leg", backend)
 
 

@@ -5,9 +5,8 @@ read through — primary (sorted on an edge property), vertex-partitioned
 and edge-partitioned — answers ``list_many(bound_ids, key_values,
 sorted_filter, probe_ids)`` by searching each list and gathering only the
 admitted run, and ``count_many(...)`` with that run's length.  Both are
-checked against the filter's per-list :meth:`apply` (and that against a
-brute-force mask of the whole list: the filter's comparison on every entry)
-over: every operator ``< <= > >= =``; constant probes below, at, between
+checked against a brute-force mask of the whole list (the filter's
+comparison on every entry) over: every operator ``< <= > >= =``; constant probes below, at, between
 and above the keys, with the keys drawn from a handful of values so
 duplicate runs sit at the boundary; per-row probes read off a bound edge,
 null ones included; null sort values (``int64.max`` / ``+inf``, last),
@@ -20,7 +19,6 @@ partition.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 
 import numpy as np
@@ -39,9 +37,8 @@ from repro.index.vertex_partitioned import VertexPartitionedIndex  # noqa: E402
 from repro.index.views import OneHopView, TwoHopView  # noqa: E402
 from repro.predicates import CompareOp, Predicate, PropertyRef, cmp, prop  # noqa: E402
 from repro.query.naive import NaiveMatcher  # noqa: E402
-from repro.query.operators import ExtendIntersect, MultiExtend, SortedRangeFilter  # noqa: E402
+from repro.query.operators import SortedRangeFilter  # noqa: E402
 from repro.query.pattern import QueryGraph  # noqa: E402
-from repro.query.plan import QueryPlan  # noqa: E402
 from repro.storage.partition_keys import PartitionKey  # noqa: E402
 from repro.storage.sort_keys import SortKey  # noqa: E402
 
@@ -207,8 +204,7 @@ def _check_searched_read(case):
         count = 0
         for run in runs:
             edge_ids, nbr_ids = index.list(bound, run)
-            admitted, admitted_nbrs = sorted_filter.apply(graph, edge_ids, nbr_ids, probe_id)
-            # ... which is the predicate on every entry of the sorted run.
+            # The admitted run is the predicate on every entry of the list.
             values = sort_key.values(graph, edge_ids, nbr_ids)
             if probe_id is None:
                 mask = _admitted(values, sorted_filter.op, sorted_filter.value)
@@ -220,8 +216,7 @@ def _check_searched_read(case):
                 mask = _admitted(values, sorted_filter.op, sort_key.values(graph, probe, probe)[0])
                 mask &= ~sort_key.nulls(graph, edge_ids, nbr_ids)
                 mask &= ~sort_key.nulls(graph, probe, probe)[0]
-            assert admitted.tolist() == edge_ids[mask].tolist()
-            assert admitted_nbrs.tolist() == nbr_ids[mask].tolist()
+            admitted, admitted_nbrs = edge_ids[mask], nbr_ids[mask]
             want_edges.extend(admitted.tolist())
             want_nbrs.extend(admitted_nbrs.tolist())
             count += len(admitted)
@@ -292,7 +287,10 @@ def test_every_operator_and_null_probe_on_one_list():
         edge_ids, _, searched = index.list_many(bounds, (), sorted_filter)
         assert searched.tolist() == counts.tolist()
         one = index.list(0)
-        assert edge_ids[:admitted].tolist() == sorted_filter.apply(graph, *one)[0].tolist()
+        sort_key = sorted_filter.sort_key
+        mask = _admitted(sort_key.values(graph, *one), op, float(value))
+        mask &= ~sort_key.nulls(graph, *one)
+        assert edge_ids[:admitted].tolist() == one[0][mask].tolist()
 
 
 @pytest.mark.parametrize("op", ["<", "<=", ">", ">=", "="])
@@ -321,27 +319,13 @@ def test_a_constant_at_the_null_sentinel_admits_no_null(ptype, sentinel, op):
     plan = db.plan(query)
     assert db.count(plan) == expected
     assert db.count(plan, factorized=False) == expected
-    assert db.count(_rowwise(plan), factorized=False) == expected
-
-
-def _rowwise(plan: QueryPlan) -> QueryPlan:
-    """``plan`` with its extensions tuple-at-a-time (``vectorized=False``)."""
-    return QueryPlan(
-        query=plan.query,
-        operators=[
-            dataclasses.replace(operator, vectorized=False)
-            if isinstance(operator, (ExtendIntersect, MultiExtend))
-            else operator
-            for operator in plan.operators
-        ],
-    )
 
 
 @pytest.mark.parametrize("op", ["<", "<=", ">", ">=", "="])
 @pytest.mark.parametrize("ptype", [PropertyType.INT, PropertyType.FLOAT])
 def test_constant_filter_on_a_w_sorted_list_counts_as_the_oracle(ptype, op):
-    """A ``>``/``>=`` constant admits no null: batched, count-only and
-    tuple-at-a-time runs all count what the naive matcher counts.  On a
+    """A ``>``/``>=`` constant admits no null: batched and count-only
+    runs both count what the naive matcher counts.  On a
     float key the optimizer keeps ``>``/``>=`` in the residual instead."""
     graph = _one_list_graph(ptype)
     db = Database(
@@ -368,4 +352,3 @@ def test_constant_filter_on_a_w_sorted_list_counts_as_the_oracle(ptype, op):
     assert bool(searched) is not (open_above and ptype is PropertyType.FLOAT)
     assert db.count(plan, factorized=False) == expected
     assert db.count(plan) == expected
-    assert db.count(_rowwise(plan), factorized=False) == expected
