@@ -56,6 +56,19 @@ def git(*args: str) -> str:
     ).stdout.strip()
 
 
+def in_work_tree() -> bool:
+    """Whether the repository root is the top of a git work tree; a copy
+    made by ``git archive`` is not, and has no commits to stamp."""
+    try:
+        done = subprocess.run(
+            ["git", "rev-parse", "--show-toplevel"], cwd=ROOT, capture_output=True, text=True
+        )
+    except FileNotFoundError:  # no git installed
+        return False
+    top = done.stdout.strip()
+    return done.returncode == 0 and os.path.realpath(top) == os.path.realpath(ROOT)
+
+
 def extract(revision: str, target: str) -> None:
     """The committed files of ``revision``, unpacked under ``target``."""
     archive = subprocess.Popen(
@@ -130,7 +143,8 @@ def compare_metric(
 
 
 def environment_stamp(parent: Optional[str] = None) -> Dict[str, object]:
-    """Cores, versions and commits; ``parent`` only for a paired run."""
+    """Cores, versions and commits; ``parent`` only for a paired run.
+    Outside a git work tree every commit reads ``"unknown"``."""
     import numpy
 
     stamp: Dict[str, object] = {
@@ -139,11 +153,14 @@ def environment_stamp(parent: Optional[str] = None) -> Dict[str, object]:
         "numpy": numpy.__version__,
         "platform": platform.platform(),
     }
+    tracked = in_work_tree()
     if parent is not None:
-        stamp["parent"] = git("rev-parse", parent)
-    stamp["change"] = git("rev-parse", "HEAD") + (
-        "+uncommitted" if git("status", "--porcelain") else ""
-    )
+        stamp["parent"] = git("rev-parse", parent) if tracked else "unknown"
+    stamp["change"] = "unknown"
+    if tracked:
+        stamp["change"] = git("rev-parse", "HEAD") + (
+            "+uncommitted" if git("status", "--porcelain") else ""
+        )
     return stamp
 
 

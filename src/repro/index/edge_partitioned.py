@@ -33,6 +33,7 @@ from ..graph.graph import PropertyGraph
 from ..graph.types import Direction, EDGE_ID_DTYPE, EdgeAdjacencyType
 from ..predicates import CompareOp, Comparison, Predicate, PropertyRef, raw_column
 from ..storage.csr import NestedCSR, range_positions, search_range
+from ..storage.lex_order import lex_order
 from .config import IndexConfig
 from .lists import SecondaryLists
 from .primary import AdjacencyIndex, PrimaryIndex
@@ -172,7 +173,7 @@ def _candidate_runs(
         values = raw_column(graph, "edge", edge_ids, name)
         if values.dtype.kind not in "iuf":
             continue  # string columns stay unsearched
-        by_key = np.lexsort((values, owners[edge_ids]))
+        by_key = lex_order([owners[edge_ids], values])
         keys = values[by_key]
 
         def keys_at(rows: np.ndarray, positions: np.ndarray) -> Tuple[np.ndarray]:

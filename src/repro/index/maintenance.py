@@ -23,8 +23,9 @@ buffered insertions/deletions merged into the indexes when the buffers fill
   edge array with a single fancy-index at merge time.
 * **Incremental merge** — :meth:`flush` splices *by position*: the old
   indexes are immutable sorted partitions and only the changed edges are
-  keyed.  Per index the pending entries are lexsorted on (deepest group, sort
-  keys) and bisected, all in lock-step, into their own lists of the *old*
+  keyed.  Per index the pending entries are sorted on (deepest group, sort
+  keys) by one packed-key sort (:func:`repro.storage.lex_order.lex_order`)
+  and bisected, all in lock-step, into their own lists of the *old*
   CSR (``merge_sorted_runs`` → :func:`repro.storage.csr.search_segments`:
   ⌈log₂ longest list⌉ rounds, each reading the old entries' sort keys at one
   middle position per list; ties land after the old entry, as a stable sort
@@ -107,6 +108,7 @@ from ..graph.types import (
 )
 from ..storage.csr import Splice, fold_group_ids, merge_sorted_runs, range_positions
 from ..storage.intersect import intersect_segments
+from ..storage.lex_order import lex_order
 from ..storage.sort_keys import sort_values_matrix
 from .config import IndexConfig
 from .edge_partitioned import EdgePartitionedIndex, shared_vertices
@@ -654,10 +656,11 @@ class IndexMaintainer:
     ) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray]]:
         """Sort one index's pending entries into index order.
 
-        Returns ``(order, groups, columns)``: the stable-lexsort permutation
-        on (deepest group of ``bound_ids``, sort keys, ``closing``), and the
-        sorted group IDs and sort-key columns (major first) the merge bisects
-        into the old lists.  An edge-ID sort key reads ``num_dead`` higher: the
+        Returns ``(order, groups, columns)``: the stable permutation on
+        (deepest group of ``bound_ids``, sort keys, ``closing``) — one
+        :func:`~repro.storage.lex_order.lex_order` — and the sorted group IDs
+        and sort-key columns (major first) the merge bisects into the old
+        lists.  An edge-ID sort key reads ``num_dead`` higher: the
         old entries it is compared with still carry pre-compaction IDs, under
         which the pending edges are numbered after every old edge.
         """
@@ -672,7 +675,7 @@ class IndexMaintainer:
             for key, values in zip(config.sort_keys, columns)
         ]
         minor = columns if closing is None else columns + [closing]
-        order = np.lexsort((*reversed(minor), groups))
+        order = lex_order([groups, *minor])
         return order, groups[order], [values[order] for values in columns]
 
     @staticmethod

@@ -189,12 +189,15 @@ class PrimaryIndex:
     ) -> None:
         self.graph = graph
         base = config or IndexConfig.default()
+        started = time.perf_counter()
         self.forward = AdjacencyIndex(
             graph, Direction.FORWARD, forward_config or base, name="primary-fw"
         )
         self.backward = AdjacencyIndex(
             graph, Direction.BACKWARD, backward_config or base, name="primary-bw"
         )
+        #: Seconds both directions took to build (0 for a merged primary).
+        self.creation_seconds = time.perf_counter() - started
 
     @classmethod
     def from_directions(
@@ -208,6 +211,7 @@ class PrimaryIndex:
         self.graph = graph
         self.forward = forward
         self.backward = backward
+        self.creation_seconds = 0.0
         return self
 
     def for_direction(self, direction: Direction) -> AdjacencyIndex:

@@ -44,6 +44,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import ExecutionError
+from ..storage.lex_order import lex_order
 from .binding import MatchBatch
 
 
@@ -85,12 +86,18 @@ class SharedKeys:
         for domain in self._domains:
             total *= max(domain, 1)  # Python ints: no silent overflow.
         if total > _PACK_LIMIT:
-            # Too wide to pack: group the rows as tuples (one lexsort).
-            stacked = np.stack(columns, axis=1)
-            keys, inverse = np.unique(stacked, axis=0, return_inverse=True)
-            self._columns = [keys[:, position] for position in range(len(columns))]
-            self._groups = (keys, inverse.reshape(-1))
-            self.distinct = len(keys)
+            # Too wide to pack into one key: group the rows as tuples, by one
+            # stable multi-column sort and a scan for the first row of
+            # every run of equal tuples.
+            order = lex_order(columns)
+            ordered = [np.asarray(column)[order] for column in columns]
+            starts = np.ones(len(order), dtype=bool)
+            starts[1:] = np.logical_or.reduce([c[1:] != c[:-1] for c in ordered])
+            inverse = np.empty(len(order), dtype=np.int64)
+            inverse[order] = np.cumsum(starts) - 1
+            self._columns = [column[starts] for column in ordered]
+            self._groups = (np.stack(self._columns, axis=1), inverse)
+            self.distinct = len(self._groups[0])
             return
         packed = columns[0]
         for column, domain in zip(columns[1:], self._domains[1:]):

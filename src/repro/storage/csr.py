@@ -12,7 +12,11 @@ is the property that distinguishes adjacency-list indexes from tree indexes
 The class is payload-agnostic: it keeps only the group-boundary offsets.
 :meth:`NestedCSR.build` computes the permutation that sorts the entries and
 hands it back; callers apply it to their own payload arrays (edge IDs,
-neighbour IDs, or offsets into a primary list) and keep no copy of it.
+neighbour IDs, or offsets into a primary list) and keep no copy of it.  The
+permutation is one stable sort on (deepest group, sort keys), done by
+:func:`~repro.storage.lex_order.lex_order` as one ``np.sort`` of packed int64
+keys; every primary, vertex- and edge-partitioned build and every flush's
+delta run goes through it.
 
 Two access granularities are exposed:
 
@@ -35,6 +39,7 @@ import numpy as np
 from ..errors import IndexLookupError
 from ..graph.types import CSR_OFFSET_BYTES, OFFSET_DTYPE
 from ..predicates import CompareOp
+from .lex_order import lex_order
 
 
 def fold_group_ids(
@@ -273,7 +278,7 @@ def merge_sorted_runs(
 
     Returns the :class:`Splice` that places each payload array with one
     masked copy and one scatter; :meth:`NestedCSR.spliced` gives the matching
-    offsets.  The result is the order a stable lexsort of the surviving and
+    offsets.  The result is the order a stable sort of the surviving and
     pending entries together would produce.
     """
     delta_groups = np.asarray(delta_groups, dtype=np.int64)
@@ -362,20 +367,17 @@ class NestedCSR:
                 (ties broken by input order, i.e. the sort is stable).
 
         ``order`` is the int64 permutation that puts the entries in index
-        position order; callers apply it to their own payload arrays.
+        position order; callers apply it to their own payload arrays.  It is
+        one :func:`~repro.storage.lex_order.lex_order` of the folded group
+        IDs and the sort values: the packed keys of the entries, each ending
+        in the entry's input position, sorted once.
         """
         if len(level_codes) != len(level_domains):
             raise IndexLookupError("level_codes and level_domains length mismatch")
         group_ids = fold_group_ids(bound_ids, level_codes, level_domains)
         # Sort order: bound ID, then partition codes (already folded into the
-        # group ID), then the sort keys (major first).  ``np.lexsort`` treats
-        # its *last* key as the primary key, so keys are passed minor-first.
-        lexsort_keys = [np.asarray(values) for values in reversed(list(sort_values))]
-        lexsort_keys.append(group_ids)
-        if len(group_ids):
-            order = np.lexsort(tuple(lexsort_keys)).astype(np.int64)
-        else:
-            order = np.empty(0, dtype=np.int64)
+        # group ID), then the sort keys (major first).
+        order = lex_order([group_ids, *sort_values])
         total_groups = int(num_bound) * int(np.prod(level_domains, dtype=np.int64))
         counts = np.bincount(group_ids, minlength=total_groups)
         # Cumsum directly into a preallocated offsets array; building it via
@@ -434,7 +436,10 @@ class NestedCSR:
             return NestedCSR(self.num_bound, self.level_domains, offsets)
         # One 1-D mask over the offsets: the leading 0, then every group end
         # of a kept bound (a broadcast store, not ``np.repeat``, whose
-        # scalar-count path copies one element at a time).
+        # scalar-count path copies one element at a time).  A 1-D boolean
+        # index is numpy's fast path: selecting the kept rows of the 2-D
+        # (bound, group end) view, or ``np.compress``, took 1.4-1.9 ms
+        # against this 0.2 ms in an update_mix flush on EPdate.
         keep = np.empty(len(offsets), dtype=bool)
         keep[0] = True
         keep[1:].reshape(-1, self._per_bound)[:] = keep_bounds[:, None]

@@ -109,9 +109,10 @@ class SortKey:
         """Return the sortable value of each edge (nulls mapped to +inf-like).
 
         The returned array is always a float64 or int64 array suitable for
-        ``np.lexsort`` and binary search; null integer/categorical values are
-        replaced by a value greater than every real value so that they sort
-        last.
+        :func:`~repro.storage.lex_order.lex_order` and binary search; null
+        integer/categorical values are replaced by a value greater than every
+        real value so that they sort last (``lex_order`` ranks such a column,
+        whose span no packed key holds).
         """
         if self.is_neighbour_id:
             return np.asarray(nbr_ids, dtype=np.int64)

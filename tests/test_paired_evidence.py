@@ -13,6 +13,8 @@ import json
 import os
 import sys
 
+import pytest
+
 _BENCHMARKS_DIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks"
 )
@@ -80,6 +82,9 @@ def test_runs_append_and_the_older_shape_is_kept(tmp_path, monkeypatch):
     assert traced[0]["environment"] == {"parent": "p0", "change": "c0"}
 
 
+@pytest.mark.skipif(
+    not paired.in_work_tree(), reason="the copy is what git lists: needs a git work tree"
+)
 def test_the_change_side_runs_from_a_copy_of_the_working_tree(tmp_path):
     """Tracked and untracked files are copied, ignored ones are not."""
     paired.copy_working_tree(str(tmp_path))
@@ -89,3 +94,12 @@ def test_the_change_side_runs_from_a_copy_of_the_working_tree(tmp_path):
     assert (tmp_path / "benchmarks" / "suite" / "run.py").is_file()
     assert not any(tmp_path.rglob("__pycache__"))
     assert not (tmp_path / ".git").exists()
+
+
+def test_outside_a_work_tree_the_commits_read_unknown(monkeypatch):
+    """A ``git archive`` copy has no commits: the stamp says so, no git call
+    fails."""
+    monkeypatch.setattr(paired, "in_work_tree", lambda: False)
+    stamp = paired.environment_stamp(parent="HEAD~1")
+    assert stamp["parent"] == stamp["change"] == "unknown"
+    assert stamp["cores"] >= 1

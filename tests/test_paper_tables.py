@@ -152,6 +152,21 @@ def test_secondary_indexes_charge_their_edges(run):
     assert edges["IV"]["D+VPc+EPc"] > edges["IV"]["D+VPc"]
 
 
+def test_every_index_records_its_build_seconds(run):
+    _, tables = run
+    built = {
+        name: {row["config"]: row["index_build_s"] for row in tables[name]["configs"]}
+        for name in ("II", "III", "IV")
+    }
+    assert set(built["II"]["Ds"]) == set(built["II"]["Dp"]) == {"primary"}
+    assert set(built["III"]["D+VPt"]) == {"primary", "VPt"}
+    assert set(built["IV"]["D+VPc"]) == {"primary", "VPc-fw", "VPc-bw"}
+    assert set(built["IV"]["D+VPc+EPc"]) == {"primary", "VPc-fw", "VPc-bw", "EPc"}
+    for by_config in built.values():
+        for seconds in by_config.values():
+            assert all(value > 0 for value in seconds.values())
+
+
 def test_every_maintenance_configuration_inserts_every_edge(run):
     _, tables = run
     for dataset in paper_tables.PAPER_RATES:
