@@ -16,7 +16,7 @@ from .graph import PropertyGraph
 from .loader import assign_random_labels, load_csv, load_edge_list
 from .property_store import PropertyStore
 from .schema import GraphSchema, PropertyDef
-from .statistics import DegreeSummary, GraphStatistics
+from .statistics import DegreeSummary, GraphStatistics, PlannerStatistics
 from .types import Direction, EdgeAdjacencyType, PropertyType
 
 __all__ = [
@@ -27,6 +27,7 @@ __all__ = [
     "GraphBuilder",
     "GraphSchema",
     "GraphStatistics",
+    "PlannerStatistics",
     "HubSkewedGraphSpec",
     "LabelledGraphSpec",
     "PropertyDef",

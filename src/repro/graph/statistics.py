@@ -2,7 +2,9 @@
 
 The DP optimizer's i-cost model (Section IV-A) estimates the sizes of the
 adjacency lists a plan will access.  :class:`GraphStatistics` precomputes the
-degree and label-selectivity statistics the cost model needs.
+degree and label statistics of one graph; :class:`PlannerStatistics` is the
+numbers-only copy of them (plus secondary-index entry counts) that the cost
+model reads, frozen per plan epoch.
 """
 
 from __future__ import annotations
@@ -45,8 +47,83 @@ def _label_counts(labels: np.ndarray) -> Dict[int, int]:
     return {int(value): int(count) for value, count in zip(values, counts)}
 
 
-class GraphStatistics:
-    """Degree and label statistics used by the query optimizer.
+class LabelStatistics:
+    """Vertex and edge counts per label and the selectivities read off them.
+
+    Numbers only: holding one pins no graph.
+    """
+
+    def __init__(
+        self,
+        num_vertices: int,
+        num_edges: int,
+        edge_label_counts: Dict[int, int],
+        vertex_label_counts: Dict[int, int],
+    ) -> None:
+        self._num_vertices = num_vertices
+        self._num_edges = num_edges
+        self._edge_label_counts = edge_label_counts
+        self._vertex_label_counts = vertex_label_counts
+
+    @property
+    def num_vertices(self) -> int:
+        return self._num_vertices
+
+    @property
+    def num_edges(self) -> int:
+        return self._num_edges
+
+    # ------------------------------------------------------------------
+    # selectivities
+    # ------------------------------------------------------------------
+    def edge_label_selectivity(self, label_code: Optional[int]) -> float:
+        """Fraction of edges carrying ``label_code`` (1.0 if None)."""
+        if label_code is None:
+            return 1.0
+        if self._num_edges == 0:
+            return 0.0
+        return self._edge_label_counts.get(label_code, 0) / self._num_edges
+
+    def vertex_label_selectivity(self, label_code: Optional[int]) -> float:
+        """Fraction of vertices carrying ``label_code`` (1.0 if None)."""
+        if label_code is None:
+            return 1.0
+        if self._num_vertices == 0:
+            return 0.0
+        return self._vertex_label_counts.get(label_code, 0) / self._num_vertices
+
+    def vertices_with_label(self, label_code: Optional[int]) -> int:
+        if label_code is None:
+            return self._num_vertices
+        return self._vertex_label_counts.get(label_code, 0)
+
+
+class PlannerStatistics(LabelStatistics):
+    """Everything the optimizer reads of a store's contents: the label
+    counts, |V| and |E|, and each secondary index's entry count.
+
+    A store freezes one at the first state of each plan epoch and keeps it
+    through the flushes the epoch carries
+    (:class:`~repro.index.index_store.StoreState`), so any two states of
+    one epoch plan alike.
+    """
+
+    def __init__(self, statistics: LabelStatistics, index_entries: Dict[str, int]) -> None:
+        super().__init__(
+            statistics._num_vertices,
+            statistics._num_edges,
+            statistics._edge_label_counts,
+            statistics._vertex_label_counts,
+        )
+        self._index_entries = index_entries
+
+    def index_entries(self, name: str) -> int:
+        """Entries the secondary index ``name`` held when the epoch began."""
+        return self._index_entries[name]
+
+
+class GraphStatistics(LabelStatistics):
+    """Degree and label statistics of one graph.
 
     The label counts behind the selectivities are computed at construction
     (or carried from the previous generation by :meth:`updated`); the degree
@@ -64,10 +141,9 @@ class GraphStatistics:
             edge_label_counts = _label_counts(graph.edge_labels)
         if vertex_label_counts is None:
             vertex_label_counts = _label_counts(graph.vertex_labels)
-        self._edge_label_counts = edge_label_counts
-        self._vertex_label_counts = vertex_label_counts
-        self._num_edges = graph.num_edges
-        self._num_vertices = graph.num_vertices
+        super().__init__(
+            graph.num_vertices, graph.num_edges, edge_label_counts, vertex_label_counts
+        )
         self._avg_out_degree = graph.num_edges / max(graph.num_vertices, 1)
         self._avg_in_degree = self._avg_out_degree
 
@@ -99,30 +175,6 @@ class GraphStatistics:
     @cached_property
     def in_summary(self) -> DegreeSummary:
         return DegreeSummary.from_degrees(self.graph.in_degree())
-
-    # ------------------------------------------------------------------
-    # selectivities
-    # ------------------------------------------------------------------
-    def edge_label_selectivity(self, label_code: Optional[int]) -> float:
-        """Fraction of edges carrying ``label_code`` (1.0 if None)."""
-        if label_code is None:
-            return 1.0
-        if self._num_edges == 0:
-            return 0.0
-        return self._edge_label_counts.get(label_code, 0) / self._num_edges
-
-    def vertex_label_selectivity(self, label_code: Optional[int]) -> float:
-        """Fraction of vertices carrying ``label_code`` (1.0 if None)."""
-        if label_code is None:
-            return 1.0
-        if self._num_vertices == 0:
-            return 0.0
-        return self._vertex_label_counts.get(label_code, 0) / self._num_vertices
-
-    def vertices_with_label(self, label_code: Optional[int]) -> int:
-        if label_code is None:
-            return self._num_vertices
-        return self._vertex_label_counts.get(label_code, 0)
 
     # ------------------------------------------------------------------
     # expected adjacency-list sizes

@@ -288,12 +288,6 @@ class EdgePartitionedIndex(SecondaryLists):
         """A bound edge's offsets point into its anchored endpoint's list."""
         return shared_vertices(self.adjacency, self.graph, bound_edge_ids)
 
-    @property
-    def average_list_size(self) -> float:
-        if self.graph.num_edges == 0:
-            return 0.0
-        return self.num_indexed_edges / self.graph.num_edges
-
     def describe(self) -> str:
         entries = f"{self.num_indexed_edges:,} entries"
         if self.candidates_examined is not None:

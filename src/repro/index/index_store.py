@@ -27,7 +27,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import IndexConfigError
 from ..graph.graph import PropertyGraph
-from ..graph.statistics import GraphStatistics
+from ..graph.statistics import GraphStatistics, PlannerStatistics
 from ..graph.types import Direction, EdgeAdjacencyType
 from ..predicates import (
     Comparison,
@@ -44,6 +44,12 @@ from .edge_partitioned import EdgePartitionedIndex
 from .primary import AdjacencyIndex, PrimaryIndex
 from .vertex_partitioned import VertexPartitionedIndex
 
+#: A flush starts a new plan epoch once the edges inserted plus deleted since
+#: the epoch began exceed this share of the epoch's edge count (PostgreSQL's
+#: default ``autovacuum_analyze_scale_factor``); below it the flush carries
+#: the epoch's planner statistics over unchanged (see :class:`StoreState`).
+ANALYZE_SCALE_FACTOR = 0.1
+
 #: Variable renamings from 1-hop view variables to extension variables.
 _VIEW_RENAME_FW = {"vs": "bound", "vd": "nbr", "eadj": "edge"}
 _VIEW_RENAME_BW = {"vd": "bound", "vs": "nbr", "eadj": "edge"}
@@ -57,6 +63,17 @@ _TWO_HOP_RENAME = {
 }
 
 
+@dataclass(frozen=True)
+class IndexRef:
+    """An index named rather than held: what an access path of a cached plan
+    template points at (:meth:`AccessPath.named`), resolved against a store
+    state by :meth:`StoreState.index`."""
+
+    kind: str
+    name: str
+    direction: Direction
+
+
 @dataclass
 class AccessPath:
     """One way of reading the candidate edges of an extension from an index.
@@ -65,7 +82,8 @@ class AccessPath:
         index: the index object (`AdjacencyIndex`, `VertexPartitionedIndex`,
             or `EdgePartitionedIndex`); all expose the read surface of
             :class:`~repro.index.lists.AdjacencyLists` (``list_many``,
-            ``count_many``, ``segments_sorted_by``, ...).
+            ``count_many``, ``segments_sorted_by``, ...).  An
+            :class:`IndexRef` in a plan template.
         kind: ``"primary"``, ``"vertex_secondary"`` or ``"edge_secondary"``.
         direction: direction of the adjacency relative to the bound vertex.
         key_values: partition-key values addressing the most granular usable
@@ -118,6 +136,16 @@ class AccessPath:
         """
         return bool(self.sort_keys) and self.sort_keys[0] == key
 
+    def named(self) -> "AccessPath":
+        """This path with its index named by an :class:`IndexRef`."""
+        return dataclasses.replace(
+            self, index=IndexRef(self.kind, self.name, self.direction)
+        )
+
+    def bound_to(self, state: "StoreState") -> "AccessPath":
+        """This :meth:`named` path reading ``state``'s index of its name."""
+        return dataclasses.replace(self, index=state.index(self.index))
+
     def describe(self) -> str:
         keys = ",".join(str(v) for v in self.key_values) or "-"
         return (
@@ -145,6 +173,17 @@ class StoreState:
     worker rehydrated from one generation loudly rejects tasks belonging to
     another (see :mod:`repro.query.backends`).
 
+    ``epoch`` numbers the plan epochs: runs of generations that share one
+    ``planner_statistics`` — the label counts, |V|, |E| and secondary-index
+    entry counts of the epoch's first state, numbers only.  The optimizer
+    reads nothing else that a flush changes, so every state of an epoch
+    plans a query alike, and a plan cache keyed on the epoch rebinds a plan
+    to a newer generation instead of re-planning it.  Index DDL, DROP and a
+    primary reconfiguration start a new epoch; a flush carries the epoch
+    over while ``epoch_changes`` — the edges inserted plus deleted since the
+    epoch began — stays within :data:`ANALYZE_SCALE_FACTOR` of the epoch's
+    edge count, and starts a new one past it.
+
     States are **picklable as one self-contained unit**: graphs and index
     objects are immutable after construction and hold no locks or open
     resources, so ``pickle.dumps(state)`` is the worker-rehydration payload
@@ -158,6 +197,31 @@ class StoreState:
     vertex_indexes: Dict[str, VertexPartitionedIndex]
     edge_indexes: Dict[str, EdgePartitionedIndex]
     generation: int = 0
+    epoch: int = 0
+    epoch_changes: int = 0
+    planner_statistics: Optional[PlannerStatistics] = None
+
+    def index(self, ref: IndexRef):
+        """The index of this state that ``ref`` names."""
+        if ref.kind == "primary":
+            return self.primary.for_direction(ref.direction)
+        catalog = self.edge_indexes if ref.kind == "edge_secondary" else self.vertex_indexes
+        return catalog[ref.name]
+
+    def begin_epoch(self, epoch: int) -> "StoreState":
+        """This state as the first of plan epoch ``epoch``: its planner
+        statistics read off it."""
+        entries = {
+            name: index.num_indexed_edges
+            for catalog in (self.vertex_indexes, self.edge_indexes)
+            for name, index in catalog.items()
+        }
+        return dataclasses.replace(
+            self,
+            epoch=epoch,
+            epoch_changes=0,
+            planner_statistics=PlannerStatistics(self.statistics, entries),
+        )
 
 
 class IndexStore:
@@ -194,11 +258,11 @@ class IndexStore:
     queries may run concurrently with that single writer without restriction.
     """
 
-    #: Called with the new generation number right after every state swap
-    #: (flush, reconfiguration, index DDL) — how a ``Database`` retires the
-    #: plan-cache entries of superseded generations.  Snapshot views never
-    #: install states and leave it unset.
-    on_install: Optional[Callable[[int], None]] = None
+    #: Called with the new plan epoch and generation right after every
+    #: state swap (flush, reconfiguration, index DDL) — how a ``Database``
+    #: retires the plan-cache entries of superseded epochs and generations.
+    #: Snapshot views never install states and leave it unset.
+    on_install: Optional[Callable[[int, int], None]] = None
 
     def __init__(self, graph: PropertyGraph, primary: PrimaryIndex) -> None:
         self._state = StoreState(
@@ -207,7 +271,7 @@ class IndexStore:
             statistics=GraphStatistics(graph),
             vertex_indexes={},
             edge_indexes={},
-        )
+        ).begin_epoch(0)
 
     # ------------------------------------------------------------------
     # state access and atomic replacement
@@ -235,6 +299,16 @@ class IndexStore:
         return self._state.statistics
 
     @property
+    def epoch(self) -> int:
+        """Plan epoch of the current state (see :class:`StoreState`)."""
+        return self._state.epoch
+
+    @property
+    def planner_statistics(self) -> PlannerStatistics:
+        """What the optimizer reads: the current epoch's frozen statistics."""
+        return self._state.planner_statistics
+
+    @property
     def _vertex_indexes(self) -> Dict[str, VertexPartitionedIndex]:
         return self._state.vertex_indexes
 
@@ -249,9 +323,18 @@ class IndexStore:
         statistics: GraphStatistics,
         vertex_indexes: Dict[str, VertexPartitionedIndex],
         edge_indexes: Dict[str, EdgePartitionedIndex],
-    ) -> None:
-        """Atomically replace the whole store state (the flush swap)."""
-        self._replace(
+        changed_edges: Optional[int] = None,
+    ) -> bool:
+        """Atomically replace the whole store state (the flush swap).
+
+        ``changed_edges`` is what a flush inserted plus deleted: the new
+        state stays in the current plan epoch unless that takes the epoch's
+        changes past :data:`ANALYZE_SCALE_FACTOR` of its edge count.
+        ``None`` (a primary reconfiguration) always starts a new epoch.
+        Returns True when a new epoch began.
+        """
+        return self._replace(
+            changed_edges,
             graph=graph,
             primary=primary,
             statistics=statistics,
@@ -272,20 +355,34 @@ class IndexStore:
     # ------------------------------------------------------------------
     # registration
     # ------------------------------------------------------------------
-    def _replace(self, **changes) -> None:
+    def _replace(self, changed_edges: Optional[int] = None, **changes) -> bool:
         """Install a state derived from the current one (one atomic swap).
 
         Every installed state gets the next generation number, so any two
         states a store has ever held are distinguishable — the pinning
-        handle for plans and process-pool worker payloads.
+        handle for plans and process-pool worker payloads.  It keeps the
+        plan epoch only for a flush of ``changed_edges`` within the drift
+        bound (see :meth:`install_state`); returns True when a new epoch
+        began.
         """
         for catalog in ("vertex_indexes", "edge_indexes"):
             if catalog in changes:
                 changes[catalog] = dict(changes[catalog])
         changes["generation"] = self._state.generation + 1
-        self._state = dataclasses.replace(self._state, **changes)
+        state = dataclasses.replace(self._state, **changes)
+        drift = None if changed_edges is None else state.epoch_changes + changed_edges
+        new_epoch = (
+            drift is None
+            or drift > ANALYZE_SCALE_FACTOR * state.planner_statistics.num_edges
+        )
+        if new_epoch:
+            state = state.begin_epoch(state.epoch + 1)
+        else:
+            state = dataclasses.replace(state, epoch_changes=drift)
+        self._state = state
         if self.on_install is not None:
-            self.on_install(self._state.generation)
+            self.on_install(state.epoch, state.generation)
+        return new_epoch
 
     def register_vertex_index(self, index: VertexPartitionedIndex) -> None:
         if index.name in self._vertex_indexes:
@@ -366,11 +463,12 @@ class IndexStore:
         guaranteed: Predicate,
     ) -> float:
         """Rough expected size of one addressed list (for i-cost)."""
-        num_vertices = max(self.graph.num_vertices, 1)
+        statistics = self.planner_statistics
+        num_vertices = max(statistics.num_vertices, 1)
         if isinstance(index, AdjacencyIndex):
-            total_entries = self.graph.num_edges
+            total_entries = statistics.num_edges
         else:
-            total_entries = index.num_indexed_edges
+            total_entries = statistics.index_entries(index.name)
         base = total_entries / num_vertices
         # Discount for each addressed partition level beyond the view itself.
         config = index.config
@@ -378,14 +476,14 @@ class IndexStore:
         for key, value in zip(config.partition_keys, key_values):
             if key.target == "edge" and key.prop == "label":
                 code = self.graph.schema.edge_label_code(value) if isinstance(value, str) else value
-                fraction *= max(self.statistics.edge_label_selectivity(code), 1e-9)
+                fraction *= max(statistics.edge_label_selectivity(code), 1e-9)
             elif key.target == "nbr" and key.prop == "label":
                 code = (
                     self.graph.schema.vertex_label_code(value)
                     if isinstance(value, str)
                     else value
                 )
-                fraction *= max(self.statistics.vertex_label_selectivity(code), 1e-9)
+                fraction *= max(statistics.vertex_label_selectivity(code), 1e-9)
             else:
                 fraction *= 1.0 / max(key.effective_domain_size(self.graph), 1)
         return base * fraction
@@ -465,6 +563,7 @@ class IndexStore:
                 ``nbr`` (and optionally ``bound_src``/``bound_dst``).
         """
         paths: List[AccessPath] = []
+        statistics = self.planner_statistics
         for index in self._edge_indexes.values():
             if index.adjacency is not adjacency:
                 continue
@@ -476,7 +575,8 @@ class IndexStore:
             )
             guaranteed = view_pred.and_also(Predicate(covered))
             residual = tuple(residual_conjuncts(guaranteed, extension_predicate))
-            estimated = index.average_list_size
+            # Entries per bound edge.
+            estimated = statistics.index_entries(index.name) / max(statistics.num_edges, 1)
             for key, value in zip(index.config.partition_keys, key_values):
                 estimated /= max(key.effective_domain_size(self.graph), 1)
             paths.append(

@@ -16,9 +16,7 @@ buffered insertions/deletions merged into the indexes when the buffers fill
   buffered columns); for every secondary edge-partitioned index the delta
   probes run as vectorized range arithmetic over the primary CSRs instead of
   per-edge adjacency scans, and at merge time the candidate (bound edge,
-  pending edge) pairs are grouped through the batch segment-intersection
-  kernel (:func:`repro.storage.intersect.intersect_segments`, single-leg
-  shape).
+  pending edge) pairs are read off the same lists in one batched gather.
 * **Tombstones** — deletions set bits in one boolean mask applied to every
   edge array with a single fancy-index at merge time.
 * **Incremental merge** — :meth:`flush` splices *by position*: the old
@@ -57,6 +55,12 @@ buffered insertions/deletions merged into the indexes when the buffers fill
   graph, and the statistics are carried the same way
   (:meth:`GraphStatistics.updated`).  ``MaintenanceStats.describe()`` says
   where a flush spent its time, phase by phase.
+* **Plan epochs carried** — the install hands the store the number of edges
+  the flush inserted plus deleted; the store keeps the current plan epoch,
+  and with it every cached plan, until those changes exceed
+  :data:`~repro.index.index_store.ANALYZE_SCALE_FACTOR` of the epoch's edge
+  count (``MaintenanceStats.statistics_refreshes`` counts the flushes that
+  started a new one).
 * **Equivalence oracle** — ``flush(incremental=False)`` keeps the
   rebuild-from-scratch path: the same materialized graph, every index built
   anew by its from-scratch constructor.  The churn equivalence tests hold
@@ -107,7 +111,6 @@ from ..graph.types import (
     PropertyType,
 )
 from ..storage.csr import Splice, fold_group_ids, merge_sorted_runs, range_positions
-from ..storage.intersect import intersect_segments
 from ..storage.lex_order import lex_order
 from ..storage.sort_keys import sort_values_matrix
 from .config import IndexConfig
@@ -206,6 +209,10 @@ class MaintenanceStats:
     #: touched the primary list it points into; every other entry's offset
     #: is carried over unchanged.
     offsets_rederived: int = 0
+    #: Flushes that started a new plan epoch, i.e. refreshed the planner
+    #: statistics (see :data:`~repro.index.index_store.ANALYZE_SCALE_FACTOR`);
+    #: every other flush carried its epoch over.
+    statistics_refreshes: int = 0
     #: Seconds per flush phase (in execution order), summed over all flushes.
     phase_seconds: Dict[str, float] = field(
         default_factory=lambda: dict.fromkeys(
@@ -234,23 +241,38 @@ class MaintenanceStats:
             f"MaintenanceStats(+{self.inserted_edges:,} -{self.deleted_edges:,} edges, "
             f"{self.merges} flushes in {self.merge_seconds:.3f} s "
             f"({1000 * self.merge_seconds / merges:.2f} ms each), "
-            f"{self.offsets_rederived:,} secondary offsets re-derived; "
+            f"{self.offsets_rederived:,} secondary offsets re-derived, "
+            f"{self.statistics_refreshes} planner-statistics refreshes; "
             f"ms per flush: {phases})"
         )
+
+
+class _Compaction(NamedTuple):
+    """How a flush renumbers the old edges: ``keep`` masks the survivors,
+    ``dead`` lists the deleted IDs (ascending), ``new_id`` maps every old ID
+    to its new one (``-1`` when deleted), and the ``num_kept`` survivors take
+    IDs ``[0, num_kept)`` in their old order; pending edge ``j`` becomes
+    ``num_kept + j``."""
+
+    keep: np.ndarray
+    dead: np.ndarray
+    new_id: np.ndarray
+    num_kept: int
 
 
 class _MergedAdjacency(NamedTuple):
     """One merged primary direction, as the secondary merges consume it:
     the new index, how the old index's positions moved (``splice.survivors``,
     ``splice.new_positions``), every pending edge's insertion point among
-    the old index's positions, and which vertices' lists the merge inserted
-    into or deleted from (``touched``, a mask over the vertex IDs).  An
-    untouched list holds the same edges in the same order, so an offset
-    into it is still valid."""
+    the old index's positions and its position in the new index, and which
+    vertices' lists the merge inserted into or deleted from (``touched``, a
+    mask over the vertex IDs).  An untouched list holds the same edges in
+    the same order, so an offset into it is still valid."""
 
     index: AdjacencyIndex
     splice: Splice
     pending_insert_at: np.ndarray
+    pending_positions: np.ndarray
     touched: np.ndarray
 
 
@@ -510,11 +532,13 @@ class IndexMaintainer:
             return
         started = time.perf_counter()
         with self.stats.phase("materialize"):
-            new_graph, keep, new_id_of_old, num_kept = self._materialize_columnar()
+            new_graph, compaction = self._materialize_columnar()
+        changed_edges = new_graph.num_edges + len(compaction.dead) - compaction.num_kept
         if incremental:
-            self._merge_indexes(new_graph, keep, new_id_of_old, num_kept)
+            new_epoch = self._merge_indexes(new_graph, compaction, changed_edges)
         else:
-            self._rebuild_indexes(new_graph)
+            new_epoch = self._rebuild_indexes(new_graph, changed_edges)
+        self.stats.statistics_refreshes += new_epoch
         self._reset_buffers()
         self.stats.merges += 1
         self.stats.merge_seconds += time.perf_counter() - started
@@ -530,14 +554,11 @@ class IndexMaintainer:
         return ~self._tombstone_mask
 
     # -- columnar materialization ---------------------------------------
-    def _materialize_columnar(
-        self,
-    ) -> Tuple[PropertyGraph, np.ndarray, np.ndarray, int]:
+    def _materialize_columnar(self) -> Tuple[PropertyGraph, "_Compaction"]:
         """Vectorized graph rebuild: one mask + one concatenate per column.
 
-        Returns ``(new_graph, keep, new_id_of_old, num_kept)`` where ``keep``
-        masks the surviving old edges and ``new_id_of_old`` maps surviving
-        old edge IDs to their new (post-compaction) IDs.
+        Returns ``(new_graph, compaction)``: the surviving old edges, in
+        order, then the pending ones.
         """
         graph = self.graph
         schema = graph.schema
@@ -578,28 +599,22 @@ class IndexMaintainer:
             vertex_props=graph.vertex_props,
             edge_props=edge_store,
         )
-        new_id_of_old = np.cumsum(keep) - 1
-        return new_graph, keep, new_id_of_old, num_kept
+        dead = np.flatnonzero(~keep)
+        new_id = np.cumsum(keep) - 1
+        new_id[dead] = -1
+        return new_graph, _Compaction(keep, dead, new_id, num_kept)
 
     # -- incremental index merges ---------------------------------------
     def _merge_indexes(
-        self,
-        new_graph: PropertyGraph,
-        keep: np.ndarray,
-        new_id_of_old: np.ndarray,
-        num_kept: int,
-    ) -> None:
+        self, new_graph: PropertyGraph, compaction: "_Compaction", changed_edges: int
+    ) -> bool:
         store = self.store
         old_graph = store.graph
         phase = self.stats.phase
         with phase("primary"):
             merged = {
                 direction: self._merge_adjacency_index(
-                    store.primary.for_direction(direction),
-                    new_graph,
-                    keep,
-                    new_id_of_old,
-                    num_kept,
+                    store.primary.for_direction(direction), new_graph, compaction
                 )
                 for direction in (Direction.FORWARD, Direction.BACKWARD)
             }
@@ -611,7 +626,7 @@ class IndexMaintainer:
         with phase("vertex indexes"):
             new_vertex = {
                 name: self._merge_vertex_index(
-                    index, new_graph, num_kept, merged[index.direction]
+                    index, new_graph, compaction.num_kept, merged[index.direction]
                 )
                 for name, index in store._vertex_indexes.items()
             }
@@ -620,9 +635,7 @@ class IndexMaintainer:
                 name: self._merge_edge_index(
                     index,
                     new_graph,
-                    keep,
-                    new_id_of_old,
-                    num_kept,
+                    compaction,
                     new_primary,
                     merged[index.adjacency.adjacency_direction],
                 )
@@ -630,18 +643,21 @@ class IndexMaintainer:
             }
         with phase("statistics"):
             statistics = store.statistics.updated(
-                new_graph, new_graph.edge_labels[num_kept:], old_graph.edge_labels[~keep]
+                new_graph,
+                new_graph.edge_labels[compaction.num_kept :],
+                old_graph.edge_labels[compaction.dead],
             )
         # One atomic swap: concurrent readers holding a store snapshot keep
         # the complete pre-merge generation; new snapshots see the complete
         # post-merge generation (see IndexStore's snapshot/flush contract).
         with phase("install"):
-            store.install_state(
+            return store.install_state(
                 graph=new_graph,
                 primary=new_primary,
                 statistics=statistics,
                 vertex_indexes=new_vertex,
                 edge_indexes=new_edge,
+                changed_edges=changed_edges,
             )
 
     @staticmethod
@@ -689,17 +705,17 @@ class IndexMaintainer:
         )
 
     def _merge_adjacency_index(
-        self,
-        old_index: AdjacencyIndex,
-        new_graph: PropertyGraph,
-        keep: np.ndarray,
-        new_id_of_old: np.ndarray,
-        num_kept: int,
+        self, old_index: AdjacencyIndex, new_graph: PropertyGraph, compaction: "_Compaction"
     ) -> "_MergedAdjacency":
-        """Splice the pending edges into one primary adjacency index."""
+        """Splice the pending edges into one primary adjacency index.
+
+        One gather of the compaction's new IDs over the old edge-ID list
+        both finds the dead positions and renumbers the survivors; the
+        pending edges' new positions come from the splice.
+        """
         config = old_index.config
-        old_edges = old_index.id_lists.edge_ids
-        old_nbrs = old_index.id_lists.nbr_ids
+        num_kept = compaction.num_kept
+        new_ids = compaction.new_id[old_index.id_lists.edge_ids]
 
         delta_edges = np.arange(num_kept, new_graph.num_edges, dtype=np.int64)
         delta_bounds = new_graph.edge_src[num_kept:].astype(np.int64)
@@ -710,8 +726,7 @@ class IndexMaintainer:
             new_graph, config, delta_bounds, delta_edges, delta_nbrs,
             old_index.graph.num_edges - num_kept,
         )
-        dead_edges = np.flatnonzero(~keep)
-        dead = np.sort(old_index.positions_of_edges(dead_edges))
+        dead = np.flatnonzero(new_ids < 0)
         keys_at = self._sort_keys_reader(config, old_index)
         splice = merge_sorted_runs(
             old_index.csr.offsets, groups, columns, lambda rows, at: keys_at(at), dead
@@ -721,12 +736,14 @@ class IndexMaintainer:
             old_index.direction,
             config,
             old_index.csr.spliced(groups, dead),
-            splice.merge(new_id_of_old[old_edges[splice.survivors]], delta_edges[order]),
-            splice.merge(old_nbrs[splice.survivors], delta_nbrs[order]),
+            splice.merge(new_ids[splice.survivors], delta_edges[order]),
+            splice.merge(old_index.id_lists.nbr_ids[splice.survivors], delta_nbrs[order]),
             name=old_index.name,
         )
         pending_insert_at = np.empty(len(order), dtype=np.int64)
         pending_insert_at[order] = splice.insert_at
+        pending_positions = np.empty(len(order), dtype=np.int64)
+        pending_positions[order] = splice.delta_positions
         old_graph = old_index.graph
         owners = (
             old_graph.edge_src
@@ -735,8 +752,8 @@ class IndexMaintainer:
         )
         touched = np.zeros(old_graph.num_vertices, dtype=bool)
         touched[delta_bounds] = True
-        touched[owners[dead_edges]] = True
-        return _MergedAdjacency(index, splice, pending_insert_at, touched)
+        touched[owners[compaction.dead]] = True
+        return _MergedAdjacency(index, splice, pending_insert_at, pending_positions, touched)
 
     def _pending_in_view(
         self, new_graph: PropertyGraph, view: OneHopView, num_kept: int
@@ -864,7 +881,7 @@ class IndexMaintainer:
             old_index.csr.spliced(groups, dead),
             splice.merge(
                 carried[splice.survivors],
-                new_adj.list_offsets(new_adj.positions_of_edges(delta_edges[order])),
+                new_adj.list_offsets(adjacency.pending_positions[delta_edges[order] - num_kept]),
             ),
             name=old_index.name,
         )
@@ -873,9 +890,7 @@ class IndexMaintainer:
         self,
         old_index: EdgePartitionedIndex,
         new_graph: PropertyGraph,
-        keep: np.ndarray,
-        new_id_of_old: np.ndarray,
-        num_kept: int,
+        compaction: "_Compaction",
         new_primary: PrimaryIndex,
         adjacency: "_MergedAdjacency",
     ) -> EdgePartitionedIndex:
@@ -884,9 +899,9 @@ class IndexMaintainer:
         New pairs come from the two delta queries of Section IV-C, both run
         batch-wide: (1) pending edges joining the lists of *existing* bound
         edges — the candidate segments are grouped per (pending edge, bound
-        edge) through the segment-intersection kernel; (2) the pending edges'
-        own lists, read from the merged primary (which already contains the
-        other pending edges).
+        edge), one per entry of the anchored endpoint's list; (2) the pending
+        edges' own lists, read as positions of the merged primary (which
+        already contains the other pending edges).
 
         The merge runs over the *old* bound domain grown by the pending
         edges (pending edge ``num_kept + j`` is bound ``old |E| + j``, an
@@ -910,7 +925,8 @@ class IndexMaintainer:
         old_adj = old_primary.for_direction(old_index.adjacency.adjacency_direction)
         old_graph = old_adj.graph
         new_adj = adjacency.index
-        num_dead = old_graph.num_edges - num_kept
+        keep, num_kept = compaction.keep, compaction.num_kept
+        num_dead = len(compaction.dead)
         old_bound_side = old_primary.backward if anchored_on_dst else old_primary.forward
 
         # Only the pairs in a primary list the flush touched can move or lose
@@ -930,46 +946,46 @@ class IndexMaintainer:
             bounds = np.arange(old_graph.num_edges, dtype=np.int64)
             shared = old_index.shared_vertices(bounds)
         carried, dead = self._carried_offsets(old_index, old_adj, adjacency, bounds, shared)
-        starts, ends = old_index.csr.prefix_ranges(np.flatnonzero(~keep))
+        starts, ends = old_index.csr.prefix_ranges(compaction.dead)
         dead = np.union1d(
             dead, range_positions(starts, ends - starts, int((ends - starts).sum()))
         )
 
         # Delta pairs.
         pending = np.arange(num_kept, new_graph.num_edges, dtype=np.int64)
-        # Query 1: pending edges as the adjacent edge of existing bound edges.
-        # Candidate segments (per pending edge, the adjacency of its anchored
-        # endpoint in the old graph) are grouped into distinct (row, bound
-        # edge) pairs by the batch intersection kernel (single-leg shape).
+        # Query 1: pending edges as the adjacent edge of existing bound edges:
+        # every surviving edge in the list of the pending edge's anchored
+        # endpoint in the old graph.  An edge is in a vertex's list once, so
+        # the (pending edge, bound edge) pairs are distinct as read.
         anchor = (
             new_graph.edge_src[pending] if adjacent_fw else new_graph.edge_dst[pending]
         ).astype(np.int64)
         cand_eb, _, cand_counts = old_bound_side.list_many(anchor)
-        grouped = intersect_segments(
-            [cand_eb.astype(np.int64, copy=False)],
-            [cand_counts],
-            len(pending),
-            presorted=[False],
-            need_positions=False,
-        )
-        q1_keep = keep[grouped.group_keys]
-        old_bound1 = grouped.group_keys[q1_keep]
-        eadj1 = pending[grouped.group_rows[q1_keep]]
+        q1_keep = keep[cand_eb]
+        old_bound1 = cand_eb[q1_keep].astype(np.int64)
+        eadj1 = np.repeat(pending, cand_counts)[q1_keep]
         vnbr1 = (
             new_graph.edge_dst[eadj1] if adjacent_fw else new_graph.edge_src[eadj1]
         ).astype(np.int64)
         # Query 2: pending edges as the bound edge; their lists are the
         # adjacency of their shared vertex in the *merged* primary, which
         # already includes the other pending edges.
-        eadj2, vnbr2, counts2 = new_adj.list_many(
+        positions2, counts2, _ = new_adj.positions_many(
             shared_vertices(old_index.adjacency, new_graph, pending).astype(np.int64)
         )
         bound2 = np.repeat(pending, counts2)
 
-        cand_bound = np.concatenate([new_id_of_old[old_bound1], bound2])
+        cand_bound = np.concatenate([compaction.new_id[old_bound1], bound2])
         cand_old_bound = np.concatenate([old_bound1, bound2 + num_dead])
-        cand_eadj = np.concatenate([eadj1, eadj2.astype(np.int64)])
-        cand_vnbr = np.concatenate([vnbr1, vnbr2.astype(np.int64)])
+        cand_eadj = np.concatenate(
+            [eadj1, new_adj.id_lists.edge_ids[positions2].astype(np.int64)]
+        )
+        cand_vnbr = np.concatenate(
+            [vnbr1, new_adj.id_lists.nbr_ids[positions2].astype(np.int64)]
+        )
+        cand_positions = np.concatenate(
+            [adjacency.pending_positions[eadj1 - num_kept], positions2]
+        )
         cand_closing = np.concatenate(
             [adjacency.pending_insert_at[eadj1 - num_kept], np.zeros_like(bound2)]
         )
@@ -987,7 +1003,7 @@ class IndexMaintainer:
         else:
             mask = np.zeros(0, dtype=bool)
         delta_eadj = cand_eadj[mask]
-        delta_positions = new_adj.positions_of_edges(delta_eadj)
+        delta_positions = cand_positions[mask]
         order, groups, columns = self._delta_run(
             new_graph, config, cand_old_bound[mask], delta_eadj, cand_vnbr[mask],
             num_dead, closing=delta_positions,
@@ -1024,7 +1040,7 @@ class IndexMaintainer:
         )
 
     # -- scratch rebuild (the equivalence oracle) ------------------------
-    def _rebuild_indexes(self, new_graph: PropertyGraph) -> None:
+    def _rebuild_indexes(self, new_graph: PropertyGraph, changed_edges: int) -> bool:
         store = self.store
         phase = self.stats.phase
         with phase("primary"):
@@ -1059,12 +1075,13 @@ class IndexMaintainer:
         # holding a reference observe the merged data — atomically, so a
         # concurrent reader's snapshot is always one complete generation.
         with phase("install"):
-            store.install_state(
+            return store.install_state(
                 graph=new_graph,
                 primary=new_primary,
                 statistics=new_store.statistics,
                 vertex_indexes=new_store._vertex_indexes,
                 edge_indexes=new_store._edge_indexes,
+                changed_edges=changed_edges,
             )
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -91,11 +92,18 @@ class AdjacencyIndex(AdjacencyLists):
         self.name = name or f"primary-{direction.value}"
         self.csr = csr
         self.id_lists = IdLists(edge_ids, nbr_ids)
-        # Position of every edge inside this index (used by offset lists).
-        self._position_of_edge = np.empty(graph.num_edges, dtype=np.int64)
-        self._position_of_edge[self.id_lists.edge_ids] = np.arange(
-            graph.num_edges, dtype=np.int64
-        )
+
+    @cached_property
+    def _position_of_edge(self) -> np.ndarray:
+        """Position of every edge inside this index: the inverse of the
+        edge-ID list, built on first use.  Only a vertex-partitioned build
+        and a flush after ``RECONFIGURE PRIMARY`` look edges up by ID (a
+        flush otherwise gets every position it needs from its splice), so a
+        merged primary usually never builds it.  Like a search key it is a
+        read accelerator derived from the lists and is not charged."""
+        positions = np.empty(self.graph.num_edges, dtype=np.int64)
+        positions[self.id_lists.edge_ids] = np.arange(self.graph.num_edges, dtype=np.int64)
+        return positions
 
     # ------------------------------------------------------------------
     # lookups

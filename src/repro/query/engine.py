@@ -35,7 +35,7 @@ from ..index.ddl import (
     parse_ddl,
 )
 from ..index.edge_partitioned import EdgePartitionedIndex
-from ..index.index_store import IndexStore
+from ..index.index_store import ANALYZE_SCALE_FACTOR, IndexStore
 from ..index.maintenance import IndexMaintainer
 from ..index.primary import PrimaryIndex, ReconfigurationResult
 from ..index.vertex_partitioned import VertexPartitionedIndex
@@ -131,10 +131,11 @@ class Database:
         self.parallelism = parallelism
         self.backend = backend
         #: Memoized planning for QueryGraph submissions: an LRU keyed on
-        #: (canonical fingerprint, store generation, planning knobs), so
-        #: repeated hot patterns plan once per store generation and reuse
-        #: the *same* pinned plan object (:mod:`repro.query.plan_cache`).
-        #: ``plan_cache_capacity=0`` disables it.
+        #: (canonical fingerprint, plan epoch, planning knobs), so repeated
+        #: hot patterns plan once per plan epoch, rebind once per flush, and
+        #: otherwise reuse the *same* pinned plan object
+        #: (:mod:`repro.query.plan_cache`).  ``plan_cache_capacity=0``
+        #: disables it.
         self.plan_cache = PlanCache(
             DEFAULT_PLAN_CACHE_CAPACITY
             if plan_cache_capacity is None
@@ -241,7 +242,7 @@ class Database:
     ) -> Tuple[QueryPlan, PlanRunner]:
         """Resolve → pin → build: the shared head of run/count/collect/exists."""
         requested = self._resolve_parallelism(parallelism)
-        plan, snapshot, _cache_hit = self._pinned_plan(query)
+        plan, snapshot, _outcome = self._pinned_plan(query)
         workers, backend = self._workers(plan, requested, backend)
         return plan, self._make_executor(snapshot.graph, workers, backend)
 
@@ -372,27 +373,30 @@ class Database:
         plan's index references and the executed graph coherent.
 
         Planning consults :attr:`plan_cache`: a structurally identical query
-        already planned against the *current* store generation returns the
-        same pinned plan object without re-running the optimizer.  Any store
-        change (flush, reconfiguration, index DDL) bumps the generation, so
-        the next ``plan`` of the pattern re-plans against the new state.
+        already planned in the *current* plan epoch returns the same pinned
+        plan object without re-running the optimizer, or, on the first
+        ``plan`` after a flush within the epoch, that plan rebound to the new
+        generation.  Reconfiguration, index DDL and a flush past the epoch's
+        drift bound start a new epoch, so the next ``plan`` of the pattern
+        re-plans against the new state.
         """
-        plan, _snapshot, _hit = self._pinned_plan(query)
+        plan, _snapshot, _outcome = self._pinned_plan(query)
         return plan
 
     def _pinned_plan(self, query: Union[QueryGraph, QueryPlan]):
-        """Resolve (plan, snapshot, cache_hit) on one coherent generation.
+        """Resolve (plan, snapshot, cache outcome) on one coherent generation.
 
         A concurrent maintenance flush must never be observed half-merged: a
         pre-built plan supplies the generation it was planned against (its
         legs reference that generation's indexes; executing it against a
         newer graph would mix edge IDs across flush remappings), otherwise
         the current generation is captured here and the plan cache consulted
-        under it — a hit returns the entry's own pinned snapshot, which
-        denotes the same immutable store state the key's generation does.
-        Pre-built plans bypass the cache entirely (their pinned-replay
-        semantics are the caller's explicit choice); ``cache_hit`` is False
-        for them.
+        under its plan epoch — a hit is bound to that generation, and its
+        own pinned snapshot denotes the same immutable store state.  The
+        outcome is ``"hit"``, ``"rebind"`` (a hit rebound to the captured
+        snapshot) or ``"miss"``; pre-built plans bypass the cache entirely
+        (their pinned-replay semantics are the caller's explicit choice) and
+        report ``None``.
         """
         if isinstance(query, QueryPlan):
             plan = query
@@ -401,7 +405,7 @@ class Database:
                 if plan.store_snapshot is not None
                 else self.store.snapshot()
             )
-            return plan, snapshot, False
+            return plan, snapshot, None
         snapshot = self.store.snapshot()
 
         def _plan_fresh() -> QueryPlan:
@@ -410,11 +414,14 @@ class Database:
             return fresh
 
         plan, hit = self.plan_cache.get_or_plan(
-            query, snapshot.state.generation, _plan_fresh
+            query, snapshot.state.epoch, _plan_fresh, snapshot=snapshot
         )
-        if hit:
-            snapshot = plan.store_snapshot
-        return plan, snapshot, hit
+        if not hit:
+            return plan, snapshot, "miss"
+        # Only a rebind binds a cached plan to the view captured here; a
+        # plain hit keeps the view it was first bound with.
+        outcome = "rebind" if plan.store_snapshot is snapshot else "hit"
+        return plan, plan.store_snapshot, outcome
 
     def run(
         self,
@@ -751,35 +758,45 @@ class Database:
             "  admitted query's result is byte-identical to a direct "
             "Database.run()."
         )
-        cache_counters = self.plan_cache.stats.snapshot()
+        cache = self.plan_cache
+        cache_counters = {**cache.stats.snapshot(), "rebinds": cache.stats.rebinds}
+        state = self.store.state
         lines.append(
             "Plan cache (canonical query fingerprints):\n"
             "  QueryGraph submissions are memoized: plan()/run()/count()/"
             "collect()/exists()\n"
             "  (and the server's submit()) consult an LRU keyed on (query "
             "fingerprint,\n"
-            "  store generation, planning knobs).  The fingerprint is a "
-            "canonical label of\n"
-            "  the pattern — vertices, edges, labels, directions, "
-            "predicates — so renaming\n"
-            "  variables or reordering insertion hits the same entry; any "
-            "store change\n"
-            "  (maintenance flush, reconfiguration, index DDL) bumps the "
-            "generation, which\n"
-            "  invalidates for free: the next submission re-plans against "
-            "the new state.\n"
-            "  Hits return the *same* pinned plan object, so the server "
-            "pools' payload\n"
-            "  registry (keyed on plan identity) skips re-pickling too.  "
-            "Pre-built\n"
-            "  QueryPlan submissions bypass the cache (pinned-generation "
-            "replay).\n"
-            "  Determinism contract: a cache-hit execution is "
-            "byte-identical to a\n"
-            "  fresh-planned one on every backend.\n"
-            f"  capacity: {self.plan_cache.capacity} entries "
+            "  plan epoch, planning knobs).  The fingerprint is a canonical "
+            "label of the\n"
+            "  pattern — vertices, edges, labels, directions, predicates — "
+            "so renaming\n"
+            "  variables or reordering insertion hits the same entry.  A plan "
+            "epoch is a run\n"
+            "  of store generations planned on one frozen set of planner "
+            "statistics: index\n"
+            "  DDL, DROP and reconfiguration start a new one, and so does a "
+            "flush that takes\n"
+            f"  the edges changed since the epoch began past "
+            f"{ANALYZE_SCALE_FACTOR:.0%} of its edge count.\n"
+            "  The first lookup after a flush within the epoch rebinds the "
+            "epoch's plan to\n"
+            "  the new generation's indexes instead of re-planning; other "
+            "hits return the\n"
+            "  *same* pinned plan object, so the server pools' payload "
+            "registry (keyed on\n"
+            "  plan identity) skips re-pickling too.  Pre-built QueryPlan "
+            "submissions bypass\n"
+            "  the cache (pinned-generation replay).  Determinism contract: "
+            "a cache-hit\n"
+            "  execution is byte-identical to a fresh-planned one on every "
+            "backend.\n"
+            f"  plan epoch: {state.epoch} (generation {state.generation}, "
+            f"{state.epoch_changes:,} edges changed of "
+            f"{state.planner_statistics.num_edges:,} planned on)\n"
+            f"  capacity: {cache.capacity} entries "
             "(constructor plan_cache_capacity=; 0 disables), "
-            f"current: {len(self.plan_cache)}\n"
+            f"current: {len(cache)}\n"
             "  counters: "
             + ", ".join(f"{k}={v}" for k, v in cache_counters.items())
         )

@@ -14,6 +14,13 @@ indexes whose materialized predicates are subsumed by the extension's
 predicate), picks the cheapest one per leg, and costs alternatives with the
 **i-cost** metric: the total estimated size of the adjacency lists the plan's
 extension operators will access.
+
+Everything the optimizer reads of the store's contents is the current plan
+epoch's :class:`~repro.graph.statistics.PlannerStatistics` (label counts,
+|V|, |E| and secondary-index entry counts, frozen while flushes stay within
+the epoch's drift bound) besides the schema and the index catalog, which
+only DDL and RECONFIGURE change.  So two states of one epoch get the same
+plan, which is what lets the plan cache rebind a plan across flushes.
 """
 
 from __future__ import annotations
@@ -71,7 +78,7 @@ class CostModel:
         self.store = store
         self.query = query
         self.graph = store.graph
-        self.statistics = store.statistics
+        self.statistics = store.planner_statistics
 
     # ------------------------------------------------------------------
     # selectivity of individual conjuncts
@@ -116,7 +123,8 @@ class CostModel:
         graph = self.graph
         kind = self._variable_kind(ref.var)
         if ref.prop == "ID":
-            domain = graph.num_vertices if kind == "vertex" else graph.num_edges
+            statistics = self.statistics
+            domain = statistics.num_vertices if kind == "vertex" else statistics.num_edges
             return 1.0 / max(domain, 1)
         if ref.prop == "label":
             if kind == "vertex":
@@ -145,7 +153,9 @@ class CostModel:
         if ref.prop == "ID":
             kind = self._variable_kind(ref.var)
             domain = (
-                self.graph.num_vertices if kind == "vertex" else self.graph.num_edges
+                self.statistics.num_vertices
+                if kind == "vertex"
+                else self.statistics.num_edges
             )
             if isinstance(value, (int, float)) and domain:
                 return min(max(value / domain, 1e-6), 1.0)
@@ -163,7 +173,7 @@ class CostModel:
             if prop.is_categorical:
                 return 1.0 / max(prop.num_categories, 1)
         if ref.prop == "ID":
-            return 1.0 / max(self.graph.num_vertices, 1)
+            return 1.0 / max(self.statistics.num_vertices, 1)
         return _GENERIC_EQ_SELECTIVITY
 
     def predicate_selectivity(self, comparisons: Sequence[Comparison]) -> float:
@@ -178,7 +188,7 @@ class CostModel:
     def scan_cardinality(self, vertex_var: str, conjuncts: Sequence[Comparison]) -> float:
         label = self.query.vertex(vertex_var).label
         if label is None:
-            base = float(self.graph.num_vertices)
+            base = float(self.statistics.num_vertices)
         else:
             base = float(
                 self.statistics.vertices_with_label(
@@ -194,6 +204,7 @@ class Optimizer:
     def __init__(self, store: IndexStore) -> None:
         self.store = store
         self.graph = store.graph
+        self.statistics = store.planner_statistics
 
     # ------------------------------------------------------------------
     # public API
@@ -265,10 +276,9 @@ class Optimizer:
         On a single-label graph the conjunct would cost one predicate
         evaluation per fetched list entry to learn nothing — and it is what
         keeps an otherwise unfiltered extension off the offsets-only
-        ``count_many`` path.  Exact by construction: the statistics belong
-        to the store generation being planned against, and a later vertex
-        with another label arrives through a flush, i.e. a new generation
-        and a new plan.
+        ``count_many`` path.  Exact, although the planner statistics are
+        frozen for a whole plan epoch: a flush never changes a vertex or its
+        label, so the epoch's vertex label counts are every generation's.
         """
         normalized = comparison.normalized()
         left, right = normalized.left, normalized.right
@@ -282,7 +292,8 @@ class Optimizer:
         ):
             return False
         code = self.graph.schema.vertex_label_code(right.value)
-        return self.store.statistics.vertices_with_label(code) == self.graph.num_vertices
+        statistics = self.statistics
+        return statistics.vertices_with_label(code) == statistics.num_vertices
 
     # ------------------------------------------------------------------
     # scans
@@ -382,7 +393,7 @@ class Optimizer:
         post_conjuncts = [self._conjuncts[p] for p in post_positions]
         applied |= set(post_positions)
 
-        intersection_discount = float(self.graph.num_vertices) ** (len(legs) - 1)
+        intersection_discount = float(self.statistics.num_vertices) ** (len(legs) - 1)
         new_cardinality = max(
             entry.cardinality
             * cardinality_factor

@@ -10,6 +10,7 @@ query variables.  Plans are produced by the DP optimizer
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -27,14 +28,17 @@ class QueryPlan:
         operators: the operator pipeline; the first operator must be a scan.
         estimated_cost: the optimizer's i-cost estimate (0 for manual plans).
         estimated_cardinality: estimated number of output matches.
-        store_snapshot: the index-store generation the plan was planned
-            against (set by ``Database.plan``/``Database.run``).  The plan's
-            legs hold direct references into this generation's indexes, so
-            executing the plan against any *other* generation's graph would
-            mix edge/vertex IDs across flush remappings; ``Database.run``
+        store_snapshot: the index-store generation the plan is bound to
+            (set by ``Database.plan``/``Database.run``): the one it was
+            planned against, or a later one of the same plan epoch that the
+            plan cache rebound it to (:meth:`bind`).  The plan's legs hold
+            direct references into this generation's indexes, so executing
+            the plan against any *other* generation's graph would mix
+            edge/vertex IDs across flush remappings; ``Database.run``
             executes a pinned plan against this snapshot's graph.  ``None``
             for hand-built plans (tests, benchmarks), which are executed
-            against whatever graph the caller supplies.
+            against whatever graph the caller supplies, and for a plan
+            cache's :meth:`template`.
 
     Pickling
     --------
@@ -111,6 +115,51 @@ class QueryPlan:
 
     def operator_names(self) -> List[str]:
         return [type(op).__name__ for op in self.operators]
+
+    # ------------------------------------------------------------------
+    # templates and binding
+    # ------------------------------------------------------------------
+    def template(self) -> "QueryPlan":
+        """This plan as a plan cache keeps it across flushes: every access
+        path names its index instead of holding it
+        (:meth:`~repro.index.index_store.AccessPath.named`) and no snapshot
+        is pinned, so a template holds no generation's graph or indexes."""
+        return self._with_paths(lambda path: path.named(), None)
+
+    def bind(self, snapshot) -> "QueryPlan":
+        """A :meth:`template`'s operators reading ``snapshot``'s indexes of
+        the same names, pinned to ``snapshot``.
+
+        Equal to a fresh ``Optimizer(snapshot).optimize(query)`` when the
+        template was planned in ``snapshot``'s plan epoch: planning reads
+        nothing that a flush within the epoch changes (see
+        :class:`~repro.index.index_store.StoreState`).
+        """
+        state = snapshot.state
+        return self._with_paths(lambda path: path.bound_to(state), snapshot)
+
+    def _with_paths(self, rebind, snapshot) -> "QueryPlan":
+        operators = [
+            dataclasses.replace(
+                operator,
+                legs=[
+                    dataclasses.replace(leg, access_path=rebind(leg.access_path))
+                    for leg in operator.legs
+                ],
+            )
+            if isinstance(operator, (ExtendIntersect, MultiExtend))
+            else operator
+            for operator in self.operators
+        ]
+        plan = QueryPlan(
+            self.query,
+            operators,
+            self.estimated_cost,
+            self.estimated_cardinality,
+            store_snapshot=snapshot,
+        )
+        plan._factorized_start = self._factorized_start
+        return plan
 
     # ------------------------------------------------------------------
     # sink capability (factorized aggregate pushdown)

@@ -137,7 +137,9 @@ class ServerStats:
       query graph plans it through the database's
       :class:`~repro.query.plan_cache.PlanCache`, and exactly one of the
       two counters records the outcome (pre-built ``QueryPlan``
-      submissions bypass the cache and touch neither).
+      submissions bypass the cache and touch neither);
+    * ``plan_cache_rebinds <= plan_cache_hits`` — a rebind (the first
+      lookup of a pattern after a flush within its plan epoch) is a hit.
     """
 
     submitted: int = 0
@@ -150,6 +152,7 @@ class ServerStats:
     pooled: int = 0
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
+    plan_cache_rebinds: int = 0
 
     def snapshot(self) -> Dict[str, int]:
         return dataclasses.asdict(self)

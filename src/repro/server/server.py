@@ -152,7 +152,9 @@ class DatabaseServer:
         does afterwards cannot change *what* the query reads.  A
         ``QueryGraph`` submission consults the database's
         :class:`~repro.query.plan_cache.PlanCache` (the outcome lands in
-        ``stats.plan_cache_hits``/``plan_cache_misses``); a pre-built
+        ``stats.plan_cache_hits``/``plan_cache_misses``, and a hit that
+        rebound the plan to a newer generation also in
+        ``plan_cache_rebinds``); a pre-built
         ``QueryPlan`` replays against its own pinned generation and skips
         the cache.  The query's deadline (from ``timeout`` or the config's
         ``default_timeout``) also starts here: waiting in the queue spends
@@ -178,7 +180,7 @@ class DatabaseServer:
             timeout if timeout is not None else self.config.default_timeout
         )
         runtime = QueryContext(timeout=effective_timeout, cancel=cancel)
-        plan, snapshot, cache_hit = self.db._pinned_plan(query)
+        plan, snapshot, cache_outcome = self.db._pinned_plan(query)
         # ``parallelism`` is a ceiling, decided as ``Database`` decides it:
         # one worker needs no pool, and the slot thread runs it inline.
         workers, backend_name = self.db._workers(
@@ -206,11 +208,12 @@ class DatabaseServer:
                     "server is draining/closed and admits no new queries"
                 )
             self.stats.submitted += 1
-            if isinstance(query, QueryGraph):
-                if cache_hit:
-                    self.stats.plan_cache_hits += 1
-                else:
-                    self.stats.plan_cache_misses += 1
+            if cache_outcome == "miss":
+                self.stats.plan_cache_misses += 1
+            elif cache_outcome is not None:
+                self.stats.plan_cache_hits += 1
+                if cache_outcome == "rebind":
+                    self.stats.plan_cache_rebinds += 1
             while len(self._queue) >= self.config.max_queue_depth:
                 if self.config.policy == "reject":
                     self.stats.rejected += 1

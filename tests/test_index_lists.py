@@ -61,7 +61,8 @@ def test_more_partition_values_than_levels_raise(example_graph, kind):
 def _arrays(obj, path=""):
     """The ndarrays reachable from ``obj`` through the attributes of index
     and storage objects, by attribute path; the graph, the primary an index
-    points into, its view and a built search key are not its own."""
+    points into, its view, a built search key and a built edge-position
+    inverse are not its own."""
     if isinstance(obj, np.ndarray):
         return {path: obj}
     if isinstance(obj, (list, tuple)):
@@ -73,20 +74,21 @@ def _arrays(obj, path=""):
         return {}
     found = {}
     for name, value in vars(obj).items():
-        if name not in ("graph", "primary", "view", "_search_key"):
+        if name not in ("graph", "primary", "view", "_search_key", "_position_of_edge"):
             found.update(_arrays(value, f"{path}.{name}" if path else name))
     return found
 
 
-PRIMARY_ARRAYS = {"id_lists.edge_ids", "id_lists.nbr_ids", "_position_of_edge", "csr.offsets"}
+PRIMARY_ARRAYS = {"id_lists.edge_ids", "id_lists.nbr_ids", "csr.offsets"}
 SECONDARY_ARRAYS = {"offset_lists.offsets", "csr.offsets"}
 
 
 def test_an_index_stores_each_fact_once():
-    """An index holds its CSR offsets and its payload (ID lists and the edge
-    positions for a primary, offsets for a secondary) and nothing its CSR
-    offsets determine: no sort permutation, no per-entry bound ID.  Checked
-    after a fresh build and after an incremental flush."""
+    """An index holds its CSR offsets and its payload (ID lists for a
+    primary, offsets for a secondary) and nothing its CSR offsets or ID
+    lists determine: no sort permutation, no per-entry bound ID, no edge
+    positions but a lazily built inverse.  Checked after a fresh build and
+    after an incremental flush."""
     graph = generate_financial_graph(
         FinancialGraphSpec(num_vertices=30, num_edges=200, num_cities=4, seed=7)
     )

@@ -75,6 +75,7 @@ def _assert_invariants(server: DatabaseServer) -> None:
         stats["admitted"] + stats["rejected"] + stats["shed"]
     ), stats
     assert stats["admitted"] == stats["completed"] + stats["failed"], stats
+    assert stats["plan_cache_rebinds"] <= stats["plan_cache_hits"], stats
 
 
 def _wait_until(predicate, timeout: float = 5.0, message: str = "condition"):
